@@ -38,19 +38,6 @@ def _sweep_points(duration=40.0):
     ]
 
 
-def _vec_sweep_points(duration=40.0):
-    """The same sweep declared on the vectorized fluid substrate."""
-    return [
-        ScenarioPoint(
-            link=LinkConfig.from_mbps_ms(20, 20, 1 + i),
-            mix=(("cubic", 2), ("bbr", 2)),
-            duration=duration,
-            backend="fluid-vec",
-        )
-        for i in range(SWEEP_SIZE)
-    ]
-
-
 def _append_record(entry):
     records = (
         json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else []
@@ -109,25 +96,7 @@ def test_parallel_speedup_trajectory(tmp_path):
     assert warm == sequential
     assert warm_engine.stats["simulated"] == 0
 
-    # Chunked leg: the same sweep on the vectorized substrate, with
-    # point-chunking off vs on.  Chunking groups the 8 cheap points and
-    # pools them into one VecFluidSim call, so it beats the one-future-
-    # per-point path even on a single-core runner, where process-pool
-    # parallelism alone cannot rise above 1.0x.
-    vec_points = _vec_sweep_points()
-    start = time.perf_counter()
-    unchunked = Engine(jobs=1, chunking=False).run_points(vec_points)
-    unchunked_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    chunked = Engine(jobs=1, chunking=True).run_points(vec_points)
-    chunked_s = time.perf_counter() - start
-    assert chunked == unchunked  # Chunking never changes numbers.
-
     speedup = sequential_s / parallel_s if parallel_s > 0 else float("inf")
-    chunked_speedup = (
-        unchunked_s / chunked_s if chunked_s > 0 else float("inf")
-    )
     _append_record(
         {
             "date": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -139,15 +108,7 @@ def test_parallel_speedup_trajectory(tmp_path):
             "parallel_s": round(parallel_s, 4),
             "speedup": round(speedup, 3),
             "warm_cache_s": round(warm_s, 4),
-            "vec_unchunked_s": round(unchunked_s, 4),
-            "vec_chunked_s": round(chunked_s, 4),
-            "chunked_speedup": round(chunked_speedup, 3),
         }
-    )
-    assert chunked_speedup > 1.0, (
-        f"expected chunked fluid-vec sweep to beat one-point-per-call, "
-        f"got {chunked_speedup:.2f}x "
-        f"({unchunked_s:.2f}s -> {chunked_s:.2f}s)"
     )
     if cores >= 4:
         assert speedup >= 2.0, (

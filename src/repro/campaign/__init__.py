@@ -20,7 +20,6 @@ from repro.campaign.run import (
     CampaignError,
     CampaignSummary,
     UnitOutcome,
-    execute_units,
     iter_units,
     load_campaign,
     run_campaign,
@@ -69,7 +68,6 @@ __all__ = [
     "UnitOutcome",
     "bundled_campaign_dir",
     "campaign_progress",
-    "execute_units",
     "render_status",
     "expand_axes",
     "expand_units",

@@ -90,7 +90,6 @@ __all__ = [
     "CampaignError",
     "CampaignSummary",
     "UnitOutcome",
-    "execute_units",
     "iter_units",
     "load_campaign",
     "run_campaign",
@@ -450,62 +449,6 @@ def _drain(stream: Iterator[UnitOutcome]) -> Tuple[int, bool]:
         except StopIteration as stop:
             return executed, bool(stop.value)
         executed += 1
-
-
-def execute_units(
-    spec: CampaignSpec,
-    units: List[Unit],
-    engine: Optional[Engine] = None,
-    completed: Optional[Dict[str, JournalRecord]] = None,
-    on_unit: Optional[Callable[[UnitOutcome], None]] = None,
-    stop_after: Optional[int] = None,
-    artifacts_dir: Optional[Union[str, Path]] = None,
-) -> Tuple[List[UnitOutcome], bool]:
-    """Collecting convenience over :func:`iter_units`.
-
-    Replays ``completed`` journal records as ``from_journal`` outcomes,
-    executes the rest, and returns every outcome in unit order plus the
-    interruption flag.  This materializes the full outcome list —
-    fine for figure-sized studies and tests; large campaigns must
-    consume :func:`iter_units` (as :func:`run_campaign` does) so rows
-    stream to disk instead of accumulating.
-    """
-    completed = completed or {}
-    outcomes: List[Optional[UnitOutcome]] = [None] * len(units)
-    for unit in units:
-        replay = completed.get(unit.unit_id())
-        if replay is not None:
-            outcomes[unit.index] = UnitOutcome(
-                unit_id=replay.unit_id,
-                index=unit.index,
-                stage=unit.stage,
-                rows=replay.rows,
-                wall_s=replay.wall_s,
-                from_journal=True,
-            )
-    stream = iter_units(
-        spec,
-        units,
-        engine=engine,
-        skip=set(completed),
-        on_unit=on_unit,
-        stop_after=stop_after,
-        artifacts_dir=artifacts_dir,
-    )
-    interrupted = False
-    while True:
-        try:
-            outcome = next(stream)
-        except StopIteration as stop:
-            interrupted = bool(stop.value)
-            break
-        outcomes[outcome.index] = outcome
-    if interrupted:
-        return [o for o in outcomes if o is not None], True
-    missing = [i for i, o in enumerate(outcomes) if o is None]
-    if missing:  # pragma: no cover - engine contract
-        raise CampaignError(f"units never resolved: {missing[:5]}")
-    return outcomes, False  # type: ignore[return-value]
 
 
 # -- the campaign directory --------------------------------------------------

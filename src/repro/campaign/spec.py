@@ -32,7 +32,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exec.fingerprint import fingerprint_payload
-from repro.scenario import BACKENDS, parse_aqm, parse_capacity_trace
+from repro.scenario import (
+    canonical_backend,
+    parse_aqm,
+    parse_capacity_trace,
+)
 from repro.util.config import LinkConfig
 
 __all__ = [
@@ -366,11 +370,13 @@ def _get_str(table: Dict[str, Any], key: str, default: str, where: str) -> str:
 
 
 def _check_backend(backend: str, where: str) -> str:
-    if backend not in BACKENDS:
-        raise SpecError(
-            f"{where}: backend must be one of {', '.join(BACKENDS)}, "
-            f"got {backend!r}"
-        )
+    """Validate a backend, keeping its declared spelling: unit ids and
+    the spec fingerprint hash it, so journals written under a former
+    spelling stay resumable (``ScenarioPoint`` canonicalises it)."""
+    try:
+        canonical_backend(backend)
+    except ValueError as exc:
+        raise SpecError(f"{where}: {exc}") from None
     return backend
 
 

@@ -589,7 +589,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         heartbeat=tracker.heartbeat if tracker is not None else None,
     )
     from repro.exec import use as use_engine
-    from repro.experiments.runner import use_fluid_substrate
     from repro.obs import use as use_obs
     from repro.scenario import scenario_overrides
 
@@ -597,9 +596,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     # instrument them by installing both as the process defaults; the
     # scenario flags reach their internally built links the same way.
     try:
-        with use_obs(obs), use_engine(engine), use_fluid_substrate(
-            getattr(args, "backend", None)
-        ), scenario_overrides(**_scenario_kwargs(args)):
+        with use_obs(obs), use_engine(engine), scenario_overrides(
+            **_scenario_kwargs(args)
+        ):
             produced = FIGURES[key](scale=args.scale)
     except ValueError as exc:
         print(f"bad scenario: {exc}", file=sys.stderr)
@@ -1046,18 +1045,15 @@ def _run_campaign_cmd(args: argparse.Namespace, resume: bool) -> int:
                 flush=True,
             )
 
-    from repro.experiments.runner import use_fluid_substrate
-
-    with use_fluid_substrate(getattr(args, "backend", None)):
-        summary = run_campaign(
-            spec,
-            out_dir,
-            engine=engine,
-            resume=resume,
-            stop_after=args.stop_after,
-            log=log,
-            on_progress=on_progress,
-        )
+    summary = run_campaign(
+        spec,
+        out_dir,
+        engine=engine,
+        resume=resume,
+        stop_after=args.stop_after,
+        log=log,
+        on_progress=on_progress,
+    )
     if args.progress:
         print(file=sys.stderr)  # End the \r progress line.
     if args.trace_out and tracer is not None:
@@ -1287,7 +1283,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=("packet", "fluid", "fluid-vec"),
+        choices=("packet", "fluid"),
         default="fluid",
     )
     p.add_argument("--trials", type=int, default=1)
@@ -1306,13 +1302,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("quick", "full"),
         default="quick",
         help="quick = CI-sized, full = paper parameters",
-    )
-    p.add_argument(
-        "--backend",
-        choices=("fluid", "fluid-vec"),
-        default="fluid",
-        help="substrate serving the figure's fluid-model points "
-        "(fluid-vec is bit-identical and faster)",
     )
     p.add_argument(
         "--csv-dir", default=None, help="also write CSVs to this directory"
@@ -1339,7 +1328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=120.0)
     p.add_argument(
         "--backend",
-        choices=("packet", "fluid", "fluid-vec"),
+        choices=("packet", "fluid"),
         default="packet",
     )
     p.add_argument("--trials", type=int, default=1)
@@ -1506,13 +1495,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop cleanly after N newly executed units (simulates an "
         "interrupted campaign; exit code 3)",
     )
-    cp.add_argument(
-        "--backend",
-        choices=("fluid", "fluid-vec"),
-        default="fluid",
-        help="substrate serving the campaign's fluid-model units "
-        "(fluid-vec is bit-identical and faster)",
-    )
     _add_scenario_args(cp)
     _add_campaign_obs_args(cp)
     _add_exec_args(cp)
@@ -1529,13 +1511,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="stop cleanly after N newly executed units (exit code 3)",
-    )
-    cp.add_argument(
-        "--backend",
-        choices=("fluid", "fluid-vec"),
-        default="fluid",
-        help="substrate serving the campaign's fluid-model units "
-        "(fluid-vec is bit-identical and faster)",
     )
     _add_campaign_obs_args(cp)
     _add_exec_args(cp)

@@ -240,35 +240,46 @@ def _run_point(point: ScenarioPoint, obs: Any) -> "ScenarioResult":
     return run_mix(obs=obs, **_mix_request(point))
 
 
+def _pools_on_vec(points: Sequence[ScenarioPoint], obs: Any) -> bool:
+    """Whether the fluid points among ``points`` run as one vectorized
+    batch — the one substrate decision,
+    :func:`repro.experiments.runner.runs_vectorized`, on their rows."""
+    from repro.experiments.runner import flow_rows, runs_vectorized
+
+    rows = sum(
+        flow_rows(point.mix, point.trials)
+        for point in points
+        if point.backend == "fluid"
+    )
+    return runs_vectorized(rows, obs)
+
+
 def _run_chunk(
     points: Sequence[ScenarioPoint], obs: Any, tracer: Any
 ) -> List[Tuple["ScenarioResult", float]]:
-    """Execute a chunk of points, pooling the fluid-vec members.
+    """Execute a chunk of points, pooling its fluid members.
 
-    All ``backend="fluid-vec"`` points of the chunk run as *one*
-    vectorized :func:`repro.experiments.runner.run_mix_batch` call
-    (bit-identical to per-point execution — the substrate is
-    batch-invariant); their shared wall time is attributed evenly.
-    Other backends execute sequentially with the usual per-point spans.
+    When the chunk's fluid points are together wide enough for the
+    vectorized substrate (:func:`_pools_on_vec`) they run as *one*
+    :func:`repro.experiments.runner.run_mix_batch` call (bit-identical
+    to per-point execution — the substrate is batch-invariant); their
+    shared wall time is attributed evenly.  Everything else executes
+    sequentially with the usual per-point spans.
     Returns ``(result, wall_seconds)`` aligned with ``points``.
     """
-    from repro.experiments.runner import fluid_substrate, run_mix_batch
+    from repro.experiments.runner import run_mix_batch
 
     outcomes: List[Optional[Tuple["ScenarioResult", float]]]
     outcomes = [None] * len(points)
-    vec = [
-        i
-        for i, p in enumerate(points)
-        if fluid_substrate(p.backend) == "fluid-vec"
-    ]
-    if vec:
+    if _pools_on_vec(points, obs):
+        fluid = [i for i, p in enumerate(points) if p.backend == "fluid"]
         start = perf_counter()
-        with _span(tracer, "point_batch", n=len(vec), backend="fluid-vec"):
+        with _span(tracer, "point_batch", n=len(fluid), backend="fluid"):
             batch = run_mix_batch(
-                [_mix_request(points[i]) for i in vec], obs=obs
+                [_mix_request(points[i]) for i in fluid], obs=obs
             )
-        share = (perf_counter() - start) / len(vec)
-        for i, result in zip(vec, batch):
+        share = (perf_counter() - start) / len(fluid)
+        for i, result in zip(fluid, batch):
             outcomes[i] = (result, share)
     for i, point in enumerate(points):
         if outcomes[i] is not None:
@@ -337,12 +348,13 @@ class Engine:
         profile_slowest: Keep cProfile hotspots for this many slowest
             executed points (0 disables).  The CLI also exports
             ``REPRO_PROFILE_POINTS`` so pool workers profile too.
-        chunking: Group cheap points (estimated cost below
-            :data:`CHUNK_COST_THRESHOLD`) into per-worker chunks, and
-            pool each chunk's ``fluid-vec`` points into one vectorized
-            call.  Results are identical either way; chunking only
-            removes dispatch overhead.  Automatically suspended while
-            profiling (profiles are per-point by construction).
+
+    Cheap points (estimated cost below :data:`CHUNK_COST_THRESHOLD`)
+    are grouped into per-worker chunks, and a chunk's fluid points run
+    as one vectorized call when they are wide enough for it
+    (:func:`_pools_on_vec`).  Results are identical either way;
+    grouping only removes dispatch and per-tick overhead.  It is
+    suspended while profiling (profiles are per-point by construction).
     """
 
     def __init__(
@@ -354,8 +366,11 @@ class Engine:
         tracer: Any = None,
         heartbeat: Optional[HeartbeatFn] = None,
         profile_slowest: int = 0,
-        chunking: bool = True,
     ) -> None:
+        # What close() touches comes first: __del__ runs even when the
+        # validation below raises.
+        self._lock = Lock()
+        self._executor: Optional[ProcessPoolExecutor] = None
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if profile_slowest < 0:
@@ -363,15 +378,12 @@ class Engine:
                 f"profile_slowest must be >= 0, got {profile_slowest}"
             )
         self.jobs = jobs
-        self.chunking = chunking
         self.cache = cache
         self.progress = progress
         self.heartbeat = heartbeat
         self.profile_slowest = profile_slowest
         self._obs = obs
         self._tracer = tracer
-        self._lock = Lock()
-        self._executor: Optional[ProcessPoolExecutor] = None
         self.submitted = 0
         self.done = 0
         self.hits = 0
@@ -648,11 +660,7 @@ class Engine:
     def _chunking_active(self) -> bool:
         """Chunk cheap points?  Suspended while profiling: profiles
         are attributed per point, and chunks are never profiled."""
-        return (
-            self.chunking
-            and self.profile_slowest == 0
-            and profile_points_from_env() == 0
-        )
+        return self.profile_slowest == 0 and profile_points_from_env() == 0
 
     def _iter_inline(
         self,
@@ -662,26 +670,27 @@ class Engine:
         obs: Any,
         tracer: Any,
     ) -> Iterator[Tuple[int, "ScenarioResult", float]]:
-        # Inline, only vectorizable points gain from chunking (other
-        # backends would execute the same sequential loop either way);
-        # pool them into batched calls and run the rest as before.
+        # Inline, only fluid points gain from chunking, and only when a
+        # chunk is wide enough to run vectorized (other chunks would
+        # execute the same sequential loop either way); run those as
+        # batched calls and the rest as before.
         pooled: List[str] = []
         if self._chunking_active():
-            from repro.experiments.runner import fluid_substrate
-
             pooled = [
                 fingerprint
                 for fingerprint, point in pending_points.items()
-                if fluid_substrate(point.backend) == "fluid-vec"
-                and _chunkable(point)
+                if point.backend == "fluid" and _chunkable(point)
             ]
         if len(pooled) < 2:
             pooled = []
+        batched = set()
         for lo in range(0, len(pooled), CHUNK_MAX_POINTS):
             unit = pooled[lo:lo + CHUNK_MAX_POINTS]
-            outcomes = _run_chunk(
-                [pending_points[fp] for fp in unit], obs, tracer
-            )
+            unit_points = [pending_points[fp] for fp in unit]
+            if not _pools_on_vec(unit_points, obs):
+                continue
+            batched.update(unit)
+            outcomes = _run_chunk(unit_points, obs, tracer)
             if self.heartbeat is not None:
                 from repro.obs.progress import rss_self_kb
 
@@ -691,9 +700,8 @@ class Engine:
                 for idx in pending[fingerprint]:
                     self._complete_index()
                     yield idx, result, elapsed
-        pooled_set = set(pooled)
         for fingerprint, point in pending_points.items():
-            if fingerprint in pooled_set:
+            if fingerprint in batched:
                 continue
             result, elapsed = self._run_inline(point, obs, tracer)
             finish(fingerprint, result, elapsed)
@@ -706,9 +714,11 @@ class Engine:
     ) -> List[List[str]]:
         """Group fingerprints into submission units for the pool.
 
-        Expensive points (and everything, when chunking is off) are
-        solo units.  Cheap points are split into ``jobs`` roughly equal
-        chunks — one per worker — capped at :data:`CHUNK_MAX_POINTS`.
+        Expensive points (and everything, while profiling) are solo
+        units.  Cheap points are split into ``jobs`` roughly equal
+        chunks — one per worker — capped at :data:`CHUNK_MAX_POINTS`;
+        the worker decides scalar or vectorized per chunk
+        (:func:`_run_chunk`).
         """
         if not self._chunking_active():
             return [[fp] for fp in pending_points]

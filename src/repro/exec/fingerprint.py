@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro import __version__
-from repro.scenario import BACKENDS, expand_mix
+from repro.scenario import canonical_backend, expand_mix
 from repro.util.config import LinkConfig
 
 __all__ = [
@@ -82,9 +82,10 @@ class ScenarioPoint:
     The constructor normalizes its inputs so that logically identical
     points compare (and hash) equal: CCA names are lowercased, zero-count
     mix entries dropped, ``warmup`` resolved to its ``duration / 6``
-    default, and RTT overrides sorted.  Mix *order* is preserved — flow
-    order determines per-flow seeding in the fluid substrate, so it is
-    part of the scenario's identity.
+    default, RTT overrides sorted, and the backend reduced to its
+    canonical name (:func:`repro.scenario.canonical_backend`).  Mix
+    *order* is preserved — flow order determines per-flow seeding in
+    the fluid substrate, so it is part of the scenario's identity.
     """
 
     link: LinkConfig
@@ -98,10 +99,9 @@ class ScenarioPoint:
     loss_mode: str = "proportional"
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend}"
-            )
+        object.__setattr__(
+            self, "backend", canonical_backend(self.backend)
+        )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.duration <= 0:

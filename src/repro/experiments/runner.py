@@ -2,27 +2,26 @@
 
 The experiment harness asks one question over and over: *given a link and
 a mix of flows, what per-flow throughput does each CCA class get?*  This
-module answers it against any substrate — ``backend="packet"`` for the
-high-fidelity discrete-event simulator (1–2 flow validation figures),
-``backend="fluid"`` for the fluid simulator (large NE sweeps), or
-``backend="fluid-vec"`` for the vectorized fluid substrate (bitwise the
-same trajectories as ``fluid``, with all trials of a scenario advanced
-as one numpy batch) — with multi-trial averaging and seeded per-trial
-jitter, mirroring the paper's 10-trial methodology.
+module answers it against either backend — ``backend="packet"`` for the
+high-fidelity discrete-event simulator (1–2 flow validation figures) or
+``backend="fluid"`` for the fluid model (large NE sweeps) — with
+multi-trial averaging and seeded per-trial jitter, mirroring the
+paper's 10-trial methodology.
+
+The fluid model has two bitwise-identical implementations, the scalar
+per-flow loop and the vectorized batch substrate; which one runs is
+decided here, per group of requests, by :func:`runs_vectorized`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from statistics import mean
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -30,12 +29,8 @@ from typing import (
 )
 
 from repro.fluidsim.core import FluidSpec, run_fluid
-from repro.fluidsim.vec import (
-    BatchPoint,
-    run_fluid_vec,
-    run_fluid_vec_batch,
-)
-from repro.scenario import BACKENDS, expand_mix
+from repro.fluidsim.vec import BatchPoint, run_fluid_vec_batch
+from repro.scenario import BACKENDS, canonical_backend, expand_mix
 from repro.sim.network import FlowSpec, run_dumbbell
 from repro.util.config import LinkConfig
 
@@ -45,75 +40,49 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "BACKENDS",
-    "FLUID_SUBSTRATE_ENV",
+    "VEC_MIN_ROWS",
     "ScenarioResult",
     "distribution_throughput_fn",
     "distribution_utility_fn",
     "expand_mix",
-    "fluid_substrate",
+    "flow_rows",
     "group_payoff_fn",
     "run_mix",
     "run_mix_batch",
+    "runs_vectorized",
     "spaced_seed",
-    "use_fluid_substrate",
 ]
 
-#: Env var redirecting ``backend="fluid"`` requests to another fluid
-#: substrate ("fluid-vec").  The vectorized substrate reproduces the
-#: scalar trajectories bit for bit, so the redirect changes wall time
-#: only — results (and therefore cache fingerprints, which key the
-#: *declared* backend) are unchanged.  Environment-based so worker
-#: processes inherit it.
-FLUID_SUBSTRATE_ENV = "REPRO_FLUID_SUBSTRATE"
-
-_FLUID_SUBSTRATES = ("fluid", "fluid-vec")
+#: Flow rows (flows x trials, summed over a group of fluid requests)
+#: from which one vectorized batch beats the scalar loop.  Measured,
+#: not tuned: the crossover sits at the same row count for every
+#: flows-per-point x points shape tried (docs/PERFORMANCE.md,
+#: "Scalar or vectorized").
+VEC_MIN_ROWS = 64
 
 
-def fluid_substrate(backend: str) -> str:
-    """The substrate that actually serves ``backend``.
+def flow_rows(mix: Sequence[Tuple[str, int]], trials: int = 1) -> int:
+    """Rows a request adds to a vectorized batch: one per flow per trial."""
+    return trials * sum(count for _cc, count in mix)
 
-    ``"fluid"`` may be redirected to ``"fluid-vec"`` through
-    :data:`FLUID_SUBSTRATE_ENV` (the CLI's ``--backend fluid-vec`` on
-    figures and campaigns); every other backend maps to itself.
+
+def runs_vectorized(rows: int, obs: Optional["Telemetry"] = None) -> bool:
+    """Whether a group of fluid requests runs as one vectorized batch.
+
+    ``rows`` is the group's total :func:`flow_rows`.  The vectorized
+    substrate pays a fixed numpy cost per tick, so it wins only once
+    the batch is :data:`VEC_MIN_ROWS` wide.  Instrumented runs — a live
+    telemetry bus (``obs`` or the process default) or a live invariant
+    checker — always take the scalar loop: per-flow ``cc.*`` events and
+    the law-object checks exist only there.  Both paths produce the
+    same bits, so this decides wall time only.
     """
-    if backend != "fluid":
-        return backend
-    override = os.environ.get(FLUID_SUBSTRATE_ENV, "").strip().lower()
-    if not override:
-        return backend
-    if override not in _FLUID_SUBSTRATES:
-        raise ValueError(
-            f"{FLUID_SUBSTRATE_ENV} must be one of "
-            f"{_FLUID_SUBSTRATES}, got {override!r}"
-        )
-    return override
+    from repro.check import resolve as resolve_check
+    from repro.obs.bus import resolve
 
-
-@contextmanager
-def use_fluid_substrate(backend: Optional[str]) -> Iterator[None]:
-    """Temporarily serve ``backend="fluid"`` requests via ``backend``.
-
-    ``None`` or ``"fluid"`` is a no-op.  Sets (and restores)
-    :data:`FLUID_SUBSTRATE_ENV` so engine pool workers spawned inside
-    the block inherit the redirect.
-    """
-    if backend in (None, "fluid"):
-        yield
-        return
-    if backend not in _FLUID_SUBSTRATES:
-        raise ValueError(
-            f"fluid substrate must be one of {_FLUID_SUBSTRATES}, "
-            f"got {backend!r}"
-        )
-    previous = os.environ.get(FLUID_SUBSTRATE_ENV)
-    os.environ[FLUID_SUBSTRATE_ENV] = backend
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(FLUID_SUBSTRATE_ENV, None)
-        else:
-            os.environ[FLUID_SUBSTRATE_ENV] = previous
+    if resolve(obs) is not None or resolve_check(None) is not None:
+        return False
+    return rows >= VEC_MIN_ROWS
 
 
 def spaced_seed(seed: int, k: int) -> int:
@@ -201,7 +170,9 @@ def run_mix(
         duration: Flow lifetime per trial (the paper uses 120 s).
         warmup: Measurement exclusion window; defaults to ``duration/6``
             to skip the startup transient.
-        backend: ``"packet"``, ``"fluid"``, or ``"fluid-vec"``.
+        backend: ``"packet"`` or ``"fluid"``.  A fluid request whose
+            trials are wide enough (:func:`runs_vectorized`) advances
+            them as one vectorized batch.
         trials: Trials to average; trial ``t`` uses seed ``seed + t``.
         seed: Base RNG seed (fluid backend jitter / loss lottery).
         rtts: Optional per-CCA base RTT override in seconds.
@@ -209,13 +180,20 @@ def run_mix(
         obs: Optional telemetry bus threaded into the substrate;
             defaults to the process-wide bus (usually disabled).
     """
-    warmup = _validate_mix_args(backend, trials, duration, warmup)
-    backend = fluid_substrate(backend)
+    backend, warmup = _validate_mix_args(backend, trials, duration, warmup)
 
     from repro.check import resolve as resolve_check
     from repro.obs.bus import resolve
 
     obs = resolve(obs)
+    if backend == "fluid" and runs_vectorized(flow_rows(mix, trials), obs):
+        trial_results = run_fluid_vec_batch(
+            _vec_trial_points(
+                link, mix, duration, warmup, trials, seed, rtts, loss_mode
+            )
+        )
+        return _aggregate_trials(mix, trial_results)
+
     check = resolve_check(None)
     if check is not None:
         check.set_context(
@@ -225,30 +203,20 @@ def run_mix(
             warmup=warmup,
             seed=seed,
         )
-
-    if backend == "fluid-vec":
-        trial_results = run_fluid_vec_batch(
-            _vec_trial_points(
-                link, mix, duration, warmup, trials, seed, rtts, loss_mode
-            ),
-            obs=obs,
-            check=check,
+    trial_results = [
+        _run_once(
+            link,
+            mix,
+            duration,
+            warmup,
+            backend,
+            seed + trial,
+            rtts,
+            loss_mode,
+            obs,
         )
-    else:
-        trial_results = [
-            _run_once(
-                link,
-                mix,
-                duration,
-                warmup,
-                backend,
-                seed + trial,
-                rtts,
-                loss_mode,
-                obs,
-            )
-            for trial in range(trials)
-        ]
+        for trial in range(trials)
+    ]
     return _aggregate_trials(mix, trial_results)
 
 
@@ -256,60 +224,60 @@ def run_mix_batch(
     requests: Sequence[Dict[str, Any]],
     obs: Optional["Telemetry"] = None,
 ) -> List[ScenarioResult]:
-    """Run several :func:`run_mix` requests, batching fluid-vec work.
+    """Run several :func:`run_mix` requests, pooling the fluid ones.
 
     Each request is a mapping of :func:`run_mix` keyword arguments
-    (minus ``obs``); results come back in request order.  Every trial
-    of every ``backend="fluid-vec"`` request is pooled into a *single*
+    (minus ``obs``); results come back in request order.  When the
+    fluid requests together are wide enough (:func:`runs_vectorized`),
+    every trial of every one of them is pooled into a *single*
     vectorized simulation — the execution engine's chunked dispatch
     relies on this to amortize tick overhead across whole sweeps.
-    Other backends fall back to sequential :func:`run_mix` calls.  The
-    vectorized substrate is batch-invariant bit for bit, so the
-    returned results are identical to per-request calls.
+    Otherwise, and for packet requests, this is a sequence of
+    :func:`run_mix` calls.  The vectorized substrate is batch-invariant
+    bit for bit, so the results are identical either way.
     """
-    from repro.check import resolve as resolve_check
-    from repro.obs.bus import resolve
-
-    obs = resolve(obs)
+    fluid = {
+        index
+        for index, request in enumerate(requests)
+        if canonical_backend(request.get("backend", "fluid")) == "fluid"
+    }
+    rows = sum(
+        flow_rows(requests[i]["mix"], requests[i].get("trials", 1))
+        for i in fluid
+    )
+    if not runs_vectorized(rows, obs):
+        return [run_mix(obs=obs, **request) for request in requests]
     results: List[Optional[ScenarioResult]] = [None] * len(requests)
-    vec_points: List[BatchPoint] = []
-    vec_slots: List[Tuple[int, Sequence[Tuple[str, int]], int]] = []
+    points: List[BatchPoint] = []
+    slots: List[Tuple[int, int]] = []
     for index, request in enumerate(requests):
-        declared = request.get("backend", "fluid")
-        if fluid_substrate(declared) == "fluid-vec":
-            warmup = _validate_mix_args(
-                declared,
-                request.get("trials", 1),
-                request.get("duration", 60.0),
-                request.get("warmup"),
-            )
-            points = _vec_trial_points(
-                request["link"],
-                request["mix"],
-                request.get("duration", 60.0),
-                warmup,
-                request.get("trials", 1),
-                request.get("seed", 0),
-                request.get("rtts"),
-                request.get("loss_mode", "proportional"),
-            )
-            vec_slots.append((index, request["mix"], len(points)))
-            vec_points.extend(points)
-        else:
+        if index not in fluid:
             results[index] = run_mix(obs=obs, **request)
-    if vec_points:
-        check = resolve_check(None)
-        if check is not None:
-            check.set_context(
-                backend="fluid-vec", batched_points=len(vec_points)
-            )
-        sims = run_fluid_vec_batch(vec_points, obs=obs, check=check)
-        cursor = 0
-        for index, mix, count in vec_slots:
-            results[index] = _aggregate_trials(
-                mix, sims[cursor:cursor + count]
-            )
-            cursor += count
+            continue
+        trials = request.get("trials", 1)
+        duration = request.get("duration", 60.0)
+        _backend, warmup = _validate_mix_args(
+            "fluid", trials, duration, request.get("warmup")
+        )
+        trial_points = _vec_trial_points(
+            request["link"],
+            request["mix"],
+            duration,
+            warmup,
+            trials,
+            request.get("seed", 0),
+            request.get("rtts"),
+            request.get("loss_mode", "proportional"),
+        )
+        slots.append((index, len(trial_points)))
+        points.extend(trial_points)
+    sims = run_fluid_vec_batch(points)
+    cursor = 0
+    for index, count in slots:
+        results[index] = _aggregate_trials(
+            requests[index]["mix"], sims[cursor:cursor + count]
+        )
+        cursor += count
     return results  # type: ignore[return-value]
 
 
@@ -318,10 +286,10 @@ def _validate_mix_args(
     trials: int,
     duration: float,
     warmup: Optional[float],
-) -> float:
-    """Shared run_mix argument validation; returns the resolved warmup."""
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend}")
+) -> Tuple[str, float]:
+    """Shared run_mix argument validation; returns the canonical
+    backend and the resolved warmup."""
+    backend = canonical_backend(backend)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if warmup is None:
@@ -331,7 +299,7 @@ def _validate_mix_args(
             f"warmup must lie in [0, duration), got warmup={warmup} "
             f"with duration={duration}"
         )
-    return warmup
+    return backend, warmup
 
 
 def _vec_trial_points(
@@ -423,8 +391,7 @@ def _run_once(
             link, specs, duration=duration, warmup=warmup, obs=obs
         )
     fluid_specs = [FluidSpec(cc=cc, rtt=rtt) for cc, rtt in flows]
-    run = run_fluid_vec if backend == "fluid-vec" else run_fluid
-    return run(
+    return run_fluid(
         link,
         fluid_specs,
         duration=duration,

@@ -1,6 +1,8 @@
 """Batched, vectorized fluid simulator: arrays of flows *and* points.
 
-This is the performance substrate behind ``backend=fluid-vec``.  It
+This is the batched implementation of ``backend=fluid``, chosen over
+the scalar loop for wide groups of rows by
+:func:`repro.experiments.runner.runs_vectorized`.  It
 advances a whole batch of scenario points — each the same (link, flow
 specs, duration, seed) tuple :class:`repro.fluidsim.core.FluidSimulation`
 takes — in one ndarray state block: per-flow columns are concatenated
@@ -33,8 +35,8 @@ Telemetry and invariant checks integrate at the same seams as the
 scalar loop (overflow drop counters, trace-tick samples, per-tick
 in-flight bounds and rate conservation on array state); per-flow typed
 events (``cc.backoff`` etc.) and per-CCA law-object checks are scalar-
-substrate-only, which the docs call out as the observability trade-off
-of the vectorized substrate.
+substrate-only, which is why the runner keeps every instrumented run
+on the scalar path.
 """
 
 from __future__ import annotations

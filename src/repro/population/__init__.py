@@ -4,7 +4,7 @@ A population of flows — up to millions, held as numpy share vectors
 over heterogeneous (RTT class x bottleneck class) cells — repeatedly
 chooses between CCAs under pluggable evolutionary dynamics, with
 per-flow payoffs served by a tiered oracle: the paper's closed-form
-model where it is trusted, batched ``fluid-vec`` simulation where the
+model where it is trusted, batched fluid simulation where the
 recorded model error is high.  See ``docs/POPULATION.md``.
 """
 

@@ -14,16 +14,16 @@ make million-flow horizons infeasible, so the oracle is tiered:
   engine's content-addressed fingerprint cache
   (``Engine.cached_payload("population_tier0", ...)``) so trajectories
   are warm across processes and campaign resumes.
-* **Tier 1 — batched fluid-vec simulation.**  For regions where the
+* **Tier 1 — batched fluid simulation.**  For regions where the
   model is known to be wrong (see below) — or for strategy pairs the
-  model does not cover at all — payoffs come from
-  ``backend="fluid-vec"`` :class:`~repro.exec.fingerprint.ScenarioPoint`
-  evaluations.  All escalated cells of a tick are submitted as *one*
+  model does not cover at all — payoffs come from ``backend="fluid"``
+  :class:`~repro.exec.fingerprint.ScenarioPoint` evaluations.  All
+  escalated cells of a tick are submitted as *one*
   ``Engine.run_points`` batch, so the engine's chunked dispatch pools
-  them into a single vectorized simulation call.
+  them into vectorized simulation calls.
 
 Which tier a region gets is decided once per region by *calibration*:
-the model and one engine-cached fluid-vec simulation are compared at a
+the model and one engine-cached fluid simulation are compared at a
 balanced mix, and the relative disagreement (normalized by the cell's
 fair share ``C/N``) is recorded in an :class:`ErrorMap` artifact.
 Regions whose error exceeds ``error_threshold`` escalate to tier 1.
@@ -315,7 +315,7 @@ class TieredOracle:
             link=cell.link,
             mix=tuple(zip(strategies, counts)),
             duration=self.duration,
-            backend="fluid-vec",
+            backend="fluid",
             trials=self.trials,
             seed=self.seed,
         )

@@ -12,7 +12,7 @@ consumed exclusively by the dynamics step (the sampled logit rule);
 the oracle is deterministic given its seed.  Trajectories are therefore
 bit-identical across cold/warm caches and across engine ``jobs``
 settings — the engine returns results in submission order and the
-fluid-vec substrate is batch-invariant.
+vectorized fluid substrate is batch-invariant.
 """
 
 from __future__ import annotations

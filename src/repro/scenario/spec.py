@@ -41,7 +41,25 @@ from repro.util.units import MSS_BYTES, mbps_to_bytes_per_sec, ms_to_s
 #: Canonical simulator backend registry.  Lives here (dependency-free)
 #: so ``repro.exec`` and ``repro.campaign`` can validate backends
 #: without importing the experiments layer.
-BACKENDS = ("packet", "fluid", "fluid-vec")
+BACKENDS = ("packet", "fluid")
+
+
+def canonical_backend(backend: str) -> str:
+    """Validate a backend name and return its canonical spelling.
+
+    ``"fluid-vec"`` is accepted as an input spelling of ``"fluid"``:
+    specs and ``spec.json`` files written when the vectorized fluid
+    path was a backend of its own keep loading.  Which fluid path runs
+    is chosen per group of rows
+    (:func:`repro.experiments.runner.runs_vectorized`), never declared.
+    """
+    if backend == "fluid-vec":
+        return "fluid"
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"backend must be one of {BACKENDS}, got {backend}"
+        )
+    return backend
 
 #: AQM disciplines a spec can name.
 AQM_KINDS = ("droptail", "red", "codel")

@@ -10,10 +10,10 @@ from repro.campaign import (
     Journal,
     JournalError,
     SpecError,
-    execute_units,
     expand_axes,
     expand_units,
     fig9_campaign,
+    iter_units,
     load_campaign,
     load_spec,
     parse_mix,
@@ -447,10 +447,14 @@ def test_adaptive_stage_matches_direct_bisection(tmp_path):
         stages=[{"type": "adaptive", "flows": 4, "searches": 1}],
     )
     engine = _engine(tmp_path)
-    outcomes, interrupted = execute_units(
-        spec, expand_units(spec), engine=engine
-    )
-    assert not interrupted
+    stream = iter_units(spec, expand_units(spec), engine=engine)
+    outcomes = []
+    while True:
+        try:
+            outcomes.append(next(stream))
+        except StopIteration as stop:
+            assert not stop.value  # Not interrupted.
+            break
 
     fn = distribution_throughput_fn(
         spec.link.with_buffer_bdp(2),
@@ -495,7 +499,8 @@ def test_adaptive_campaign_shares_cache_with_figure_path(tmp_path):
     assert warm.simulated > 0
 
     cold = Engine(cache=cache)
-    execute_units(spec, expand_units(spec), engine=cold)
+    for _outcome in iter_units(spec, expand_units(spec), engine=cold):
+        pass
     assert cold.simulated == 0  # Every point answered from cache.
     assert cold.hits == warm.simulated
 

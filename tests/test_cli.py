@@ -885,12 +885,29 @@ def test_simulate_with_capacity_trace(capsys):
             "--duration",
             "8",
             "--backend",
-            "fluid-vec",
+            "fluid",
             "--capacity-trace",
             "steps:2@0.5,4@1.0",
         ]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "6", "--backend", "fluid"],
+        ["campaign", "run", "spec.toml", "--out", "o", "--backend", "fluid"],
+        ["campaign", "resume", "out", "--backend", "fluid"],
+        ["simulate", "cubic:1", "--backend", "fluid-vec"],
+    ],
+)
+def test_fluid_implementation_is_not_a_cli_choice(argv, capsys):
+    """The scalar-or-vectorized decision is the runner's, not a flag."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--backend" in capsys.readouterr().err
 
 
 def test_simulate_ecn_without_aqm_is_an_error(capsys):

@@ -61,10 +61,17 @@ def test_fingerprint_canonicalizes_spelling():
         mix=(("CUBIC", 1), ("reno", 0), ("BBR", 1)),
         duration=30.0,
         warmup=5.0,  # == duration / 6, the resolved default
+        backend="fluid-vec",  # Former spelling of the batched fluid path.
         rtts=None,
     )
     assert spelled == base
+    assert spelled.backend == "fluid"
     assert spelled.fingerprint() == base.fingerprint()
+    # Pinned at the commit before "fluid-vec" stopped being a backend:
+    # caches written for declared-fluid points then are still hit.
+    assert base.fingerprint() == (
+        "2e3545b39be2261588ec123fe57213751a0c943836953a21ae5a93f2490cd01a"
+    )
 
 
 def test_fingerprint_rtts_order_insensitive():
@@ -563,15 +570,23 @@ def test_persistent_pool_reused_across_batches():
 
 
 def vec_points(n=5, duration=6.0):
+    """Cheap fluid points, together wide enough (5 x 16 = 80 rows) that
+    the engine pools them onto the vectorized substrate."""
     return [
         ScenarioPoint(
             link=link(bdp=1 + i),
-            mix=(("cubic", 2), ("bbr", 2)),
+            mix=(("cubic", 8), ("bbr", 8)),
             duration=duration,
-            backend="fluid-vec",
         )
         for i in range(n)
     ]
+
+
+def solo_runs(pts, cache=None):
+    """Each point submitted on its own: too narrow to vectorize, so this
+    is the scalar loop the pooled runs must reproduce bit for bit."""
+    engine = Engine(jobs=1, cache=cache)
+    return [engine.run_points([p])[0] for p in pts]
 
 
 def test_dispatch_units_group_cheap_points():
@@ -597,30 +612,109 @@ def test_dispatch_units_keep_expensive_points_solo():
     assert sorted(len(unit) for unit in units) == [1, 2, 2]
 
 
-def test_dispatch_units_chunking_off_or_profiling_means_solo():
+def test_dispatch_units_profiling_means_solo():
     pending = {p.fingerprint(): p for p in points(5)}
-    for engine in (
-        Engine(jobs=2, chunking=False),
-        Engine(jobs=2, profile_slowest=2),
-    ):
-        units = engine._dispatch_units(pending)
-        assert all(len(unit) == 1 for unit in units)
-        assert len(units) == 5
+    units = Engine(jobs=2, profile_slowest=2)._dispatch_units(pending)
+    assert all(len(unit) == 1 for unit in units)
+    assert len(units) == 5
 
 
-def test_chunked_inline_vec_pooling_matches_unchunked():
+def test_chunked_inline_vec_pooling_matches_unchunked(tmp_path):
+    cache = ResultCache(tmp_path)
+    baseline = solo_runs(vec_points(), cache=cache)
     engine = Engine(jobs=1)
-    results = engine.run_points(vec_points())
-    baseline = Engine(jobs=1, chunking=False).run_points(vec_points())
-    assert results == baseline
+    assert engine.run_points(vec_points()) == baseline
     assert engine.done == engine.submitted == 5
     assert engine.simulated == 5
+    # Scalar and vectorized runs share one cache entry per point.
+    warm = Engine(jobs=1, cache=cache)
+    assert warm.run_points(vec_points()) == baseline
+    assert warm.simulated == 0
+    assert warm.hits == 5
 
 
 def test_chunked_parallel_matches_sequential():
-    baseline = Engine(jobs=1, chunking=False).run_points(vec_points())
+    baseline = solo_runs(vec_points())
     with Engine(jobs=2) as engine:
         assert engine.run_points(vec_points()) == baseline
+
+
+@pytest.fixture
+def substrate_calls(monkeypatch):
+    """Calls into each fluid implementation from the runner, counted
+    with no checker live (also when the suite runs under
+    ``REPRO_CHECK=1``) so only the rows decide."""
+    from repro.check import use as use_check
+    from repro.experiments import runner
+
+    calls = {"scalar": 0, "vec": 0}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(runner, "run_fluid", spy("scalar", runner.run_fluid))
+    monkeypatch.setattr(
+        runner,
+        "run_fluid_vec_batch",
+        spy("vec", runner.run_fluid_vec_batch),
+    )
+    with use_check(None):
+        yield calls
+
+
+def row_points(rows, flows=1):
+    """``rows / flows`` cheap fluid points of ``flows`` flows each."""
+    return [
+        ScenarioPoint(
+            link=link(), mix=(("cubic", flows),), duration=2.0, seed=i
+        )
+        for i in range(rows // flows)
+    ]
+
+
+@pytest.mark.parametrize(
+    "submit",
+    [
+        lambda pts: Engine().run_points(pts),
+        # A pool worker's chunk, executed here so the spies see it.
+        lambda pts: engine_mod._run_chunk(pts, None, None),
+    ],
+    ids=["inline-pool", "worker-chunk"],
+)
+def test_substrate_follows_group_rows(substrate_calls, submit):
+    """A 63-row group runs on the scalar loop only, a 64-row group as
+    one vectorized batch only."""
+    submit(row_points(63, flows=3))
+    assert substrate_calls == {"scalar": 21, "vec": 0}
+    submit(row_points(64, flows=2))
+    assert substrate_calls == {"scalar": 21, "vec": 1}
+
+
+def test_substrate_follows_trial_rows_of_one_point(substrate_calls):
+    run_mix(link(), [("cubic", 9)], duration=2.0, trials=7)  # 63 rows
+    assert substrate_calls == {"scalar": 7, "vec": 0}
+    run_mix(link(), [("cubic", 8)], duration=2.0, trials=8)  # 64 rows
+    assert substrate_calls == {"scalar": 7, "vec": 1}
+
+
+@pytest.mark.parametrize("instrument", ["telemetry", "checker"])
+def test_instrumented_pool_stays_scalar(substrate_calls, instrument):
+    """A live bus or checker keeps even a 640-row pool on the scalar
+    substrate — the only one with per-flow cc.* events and law checks."""
+    from repro.check import Checker, use as use_check
+    from repro.obs import use as use_obs
+
+    obs = Telemetry()
+    pool = row_points(640, flows=20)
+    with use_obs(obs) if instrument == "telemetry" else use_check(Checker()):
+        Engine().run_points(pool)
+    assert substrate_calls == {"scalar": 32, "vec": 0}
+    if instrument == "telemetry":
+        assert any(e.name.startswith("cc.") for e in obs.events)
 
 
 def test_chunked_batch_shares_duplicate_executions():

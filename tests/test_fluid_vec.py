@@ -259,38 +259,3 @@ def test_checker_flags_corrupt_vec_state():
             strict=np.array([True]),
             active=np.array([True]),
         )
-
-
-# -- substrate redirect ------------------------------------------------------
-
-
-def test_use_fluid_substrate_redirects_fluid_requests():
-    import os
-
-    from repro.experiments.runner import (
-        FLUID_SUBSTRATE_ENV,
-        fluid_substrate,
-        use_fluid_substrate,
-    )
-
-    assert fluid_substrate("fluid") == "fluid"
-    assert fluid_substrate("packet") == "packet"
-    with use_fluid_substrate("fluid-vec"):
-        assert fluid_substrate("fluid") == "fluid-vec"
-        assert fluid_substrate("packet") == "packet"
-        assert fluid_substrate("fluid-vec") == "fluid-vec"
-    assert fluid_substrate("fluid") == "fluid"
-    assert os.environ.get(FLUID_SUBSTRATE_ENV) is None
-    with pytest.raises(ValueError, match="substrate"):
-        with use_fluid_substrate("warp-drive"):
-            pass  # pragma: no cover
-
-
-def test_redirected_run_mix_matches_declared_fluid():
-    from repro.experiments.runner import run_mix, use_fluid_substrate
-
-    mix = [("cubic", 1), ("bbr", 1)]
-    plain = run_mix(LINK, mix, duration=10.0, seed=6)
-    with use_fluid_substrate("fluid-vec"):
-        redirected = run_mix(LINK, mix, duration=10.0, seed=6)
-    assert redirected == plain

@@ -386,19 +386,21 @@ def _peak_during_campaign(tmp_path, monkeypatch, n_units, tag):
 
 
 def test_memory_plateau_rows_not_retained(tmp_path, monkeypatch):
-    """Peak heap is flat as the campaign grows ~10x.
+    """Peak heap is flat as the campaign grows by 72 units.
 
     With the seed collect-everything pipeline the large run's peak grew
     by ``(rows kept) * (blob size)`` — hundreds of KiB here; streamed,
-    the delta stays within a small constant envelope.
+    the delta stays within a small constant envelope.  Both sizes hold
+    at least one full 32-point engine chunk, so both peaks include the
+    vectorized fluid substrate's fixed ~1.3 MiB working set.
     """
-    small = _peak_during_campaign(tmp_path, monkeypatch, 8, "small")
-    large = _peak_during_campaign(tmp_path, monkeypatch, 80, "large")
+    small = _peak_during_campaign(tmp_path, monkeypatch, 32, "small")
+    large = _peak_during_campaign(tmp_path, monkeypatch, 104, "large")
     # 72 extra 16-KiB rows ≈ 1.15 MiB if retained.  Unit/point metadata
     # (spec expansion, fingerprints) legitimately grows ~180 KiB; the
     # threshold sits well above that and far below row retention.
     assert large - small < 500 * 1024, (
-        f"peak grew {large - small} bytes between 8 and 80 units — "
+        f"peak grew {large - small} bytes between 32 and 104 units — "
         "rows are being retained"
     )
 
