@@ -2,35 +2,17 @@
 
 The laws refactor put every control-law kernel behind
 :mod:`repro.cc.laws` with the ``repro.cc`` classes as thin per-ACK
-adapters; this benchmark guards the cost of that indirection.  Each
-algorithm's controller is driven with a synthetic ACK stream (the same
-shape the packet simulator produces) and the achieved ACKs/second per
-algorithm is appended to ``BENCH_cc.json`` at the repo root.  When the
-file already holds records from the same machine, the run must stay
-within ``REGRESSION_SLACK`` of the best recorded rate — a >5% slowdown
-of the hot path fails the suite on a like-for-like machine.
+adapters; this benchmark times that indirection.  Each algorithm's
+controller is driven with a synthetic ACK stream (the same shape the
+packet simulator produces).  The recorded ACKs/second trajectory is the
+repo benchmark's ``cc.acks_per_s.*`` metrics (``benchmarks/e2e``).
 """
-
-import json
-import pathlib
-import platform
-import time
 
 import pytest
 
 from repro.cc import make_controller
 from repro.cc.laws import canonical_names
 from repro.cc.signals import LossEvent, RateSample
-
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_cc.json"
-
-#: Tolerated slowdown vs the best recorded rate on this machine.
-REGRESSION_SLACK = 0.05
-
-#: Any machine should push at least this many ACKs/s through one
-#: controller; an order-of-magnitude collapse means an accidental
-#: allocation or import landed on the hot path.
-ABSOLUTE_FLOOR_ACKS_PER_S = 20_000
 
 ACKS = 5_000
 MSS = 1500
@@ -66,85 +48,3 @@ def _drive(cc, acks=ACKS):
 @pytest.mark.parametrize("name", canonical_names())
 def test_perf_on_ack(benchmark, name):
     benchmark(lambda: _drive(make_controller(name)))
-
-
-def _append_record(entry):
-    records = (
-        json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else []
-    )
-    records.append(entry)
-    BENCH_PATH.write_text(json.dumps(records, indent=2) + "\n")
-
-
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _measure_rate(name):
-    """Best-of-5 CPU-time rate for one controller, in ACKs/second.
-
-    ``process_time`` (not wall clock) so co-tenant load on a shared
-    runner cannot masquerade as a hot-path regression; best-of so
-    one-sided scheduler noise is discarded.
-    """
-    cc = make_controller(name)
-    _drive(cc, acks=500)  # Warm up caches and filter state.
-    best_elapsed = float("inf")
-    for _ in range(5):
-        start = time.process_time()
-        _drive(cc)
-        best_elapsed = min(best_elapsed, time.process_time() - start)
-    return round(ACKS / best_elapsed)
-
-
-def test_on_ack_throughput_trajectory():
-    """Record per-algorithm ACKs/second and guard against regression.
-
-    The measured rate is compared against the *median* of this
-    machine's prior records (one fast historical outlier cannot fail
-    healthy code), and a below-threshold reading is re-measured before
-    it counts: a genuine structural slowdown fails every remeasure,
-    while a noise spike clears on retry.
-    """
-    rates = {name: _measure_rate(name) for name in canonical_names()}
-
-    machine = platform.machine()
-    prior = []
-    if BENCH_PATH.exists():
-        prior = [
-            record
-            for record in json.loads(BENCH_PATH.read_text())
-            if record.get("machine") == machine
-        ]
-    _append_record(
-        {
-            "date": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "machine": machine,
-            "acks": ACKS,
-            "acks_per_s": rates,
-        }
-    )
-
-    assert min(rates.values()) > ABSOLUTE_FLOOR_ACKS_PER_S, rates
-    for name, rate in rates.items():
-        history = [
-            record["acks_per_s"][name]
-            for record in prior
-            if name in record.get("acks_per_s", {})
-        ]
-        if not history:
-            continue
-        threshold = (1.0 - REGRESSION_SLACK) * _median(history)
-        for _ in range(3):  # Re-measure: noise clears, regressions don't.
-            if rate >= threshold:
-                break
-            rate = _measure_rate(name)
-        assert rate >= threshold, (
-            f"{name}: {rate} acks/s is more than "
-            f"{REGRESSION_SLACK:.0%} below the recorded median "
-            f"{_median(history)}"
-        )

@@ -39,9 +39,8 @@ cache (default location ``~/.cache/repro-bbr`` when DIR is omitted, or
 ``--check`` (equivalently ``REPRO_CHECK=1``) to enable the runtime
 invariant sanitizer; see docs/CHECKS.md.  They also accept ``--progress``
 (live done/total, cache-hit rate, points/s, EWMA-smoothed ETA on
-stderr), ``--profile-points [N]`` (cProfile the N slowest points), and a
-span export — ``--spans-out PATH`` on ``simulate``/``figure``,
-``--trace-out PATH`` on campaigns — producing Chrome trace-event JSON
+stderr), ``--profile-points [N]`` (cProfile the N slowest points), and
+``--spans-out PATH``, a span export producing Chrome trace-event JSON
 for Perfetto / ``chrome://tracing`` and ``repro-bbr trace report``.
 """
 
@@ -57,7 +56,6 @@ from repro.cc import available_algorithms
 from repro.core import predict_multi_flow, predict_nash, predict_two_flow
 from repro.core.ware import ware_prediction
 from repro.experiments.figures import FIGURES
-from repro.experiments.runner import run_mix
 from repro.util.config import LinkConfig
 
 
@@ -167,27 +165,17 @@ def _add_profile_points_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_span_args(parser: argparse.ArgumentParser) -> None:
+def _add_span_args(parser: argparse.ArgumentParser, *aliases: str) -> None:
+    """``aliases`` are older spellings of ``--spans-out`` the parser
+    still accepts (``--trace-out`` on ``campaign run``/``resume``)."""
     parser.add_argument(
         "--spans-out",
+        *aliases,
         default=None,
         metavar="PATH",
         help="write hierarchical wall-clock spans as Chrome "
         "trace-event JSON to PATH (loadable in Perfetto or "
         "chrome://tracing; a .gz suffix compresses)",
-    )
-    _add_profile_points_arg(parser)
-    _add_progress_arg(parser)
-
-
-def _add_campaign_obs_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="write campaign/stage/unit/point wall-clock spans as "
-        "Chrome trace-event JSON to PATH (Perfetto-loadable; a .gz "
-        "suffix compresses)",
     )
     _add_profile_points_arg(parser)
     _add_progress_arg(parser)
@@ -207,14 +195,6 @@ def _activate_tracing(span_path):
     tracer = trace.Tracer()
     trace.set_default(tracer)
     return tracer
-
-
-def _activate_profile_points(args: argparse.Namespace) -> int:
-    """Export ``REPRO_PROFILE_POINTS`` for --profile-points workers."""
-    n = getattr(args, "profile_points", None) or 0
-    if n:
-        os.environ["REPRO_PROFILE_POINTS"] = str(n)
-    return n
 
 
 def _write_spans(path: str, tracer, engine) -> int:
@@ -399,7 +379,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return 2
     obs = _obs_from(args)
     tracer = _activate_tracing(args.spans_out)
-    _activate_profile_points(args)
     tracker = None
     progress_cb = None
     if args.progress:
@@ -421,19 +400,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         progress=progress_cb,
         heartbeat=tracker.heartbeat if tracker is not None else None,
     )
-    # Tracing/profiling/progress need the engine path even when cache
-    # and parallelism are off; plain runs keep the historical fast path.
-    engine_route = (
-        engine.cache is not None
-        or engine.jobs > 1
-        or tracer is not None
-        or engine.profile_slowest > 0
-        or tracker is not None
-    )
+    from repro.obs import use
+
     wall_start = perf_counter()
     try:
-        if not engine_route:
-            result = run_mix(
+        with use(obs):
+            result = engine.run_mix(
                 link,
                 mix,
                 duration=args.duration,
@@ -441,21 +413,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 backend=args.backend,
                 trials=args.trials,
                 seed=args.seed,
-                obs=obs,
             )
-        else:
-            from repro.obs import use
-
-            with use(obs):
-                result = engine.run_mix(
-                    link,
-                    mix,
-                    duration=args.duration,
-                    warmup=args.warmup,
-                    backend=args.backend,
-                    trials=args.trials,
-                    seed=args.seed,
-                )
     except ValueError as exc:
         print(f"bad scenario: {exc}", file=sys.stderr)
         return 2
@@ -557,7 +515,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         return 2
     obs = _obs_from(args)
     tracer = _activate_tracing(args.spans_out)
-    _activate_profile_points(args)
     tracker = None
     if args.progress:
         from repro.obs import ProgressTracker
@@ -790,7 +747,6 @@ def _cmd_population_run(args: argparse.Namespace) -> int:
     )
 
     tracer = _activate_tracing(args.spans_out)
-    _activate_profile_points(args)
     cells = _population_cells(args)
     engine = _engine_from(args)
     force_tier = None if args.tier == "auto" else int(args.tier)
@@ -1024,8 +980,7 @@ def _run_campaign_cmd(args: argparse.Namespace, resume: bool) -> int:
         except ValueError as exc:
             print(f"bad scenario: {exc}", file=sys.stderr)
             return 2
-    tracer = _activate_tracing(args.trace_out)
-    _activate_profile_points(args)
+    tracer = _activate_tracing(args.spans_out)
     engine = _engine_from(args)
     print(
         f"campaign '{spec.name}'"
@@ -1056,9 +1011,9 @@ def _run_campaign_cmd(args: argparse.Namespace, resume: bool) -> int:
     )
     if args.progress:
         print(file=sys.stderr)  # End the \r progress line.
-    if args.trace_out and tracer is not None:
+    if args.spans_out and tracer is not None:
         try:
-            _write_spans(args.trace_out, tracer, engine)
+            _write_spans(args.spans_out, tracer, engine)
         except OSError as exc:
             print(f"cannot write spans: {exc}", file=sys.stderr)
             return 2
@@ -1496,7 +1451,7 @@ def build_parser() -> argparse.ArgumentParser:
         "interrupted campaign; exit code 3)",
     )
     _add_scenario_args(cp)
-    _add_campaign_obs_args(cp)
+    _add_span_args(cp, "--trace-out")
     _add_exec_args(cp)
     _add_check_args(cp)
     cp.set_defaults(func=_cmd_campaign_run)
@@ -1512,7 +1467,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="stop cleanly after N newly executed units (exit code 3)",
     )
-    _add_campaign_obs_args(cp)
+    _add_span_args(cp, "--trace-out")
     _add_exec_args(cp)
     _add_check_args(cp)
     cp.set_defaults(func=_cmd_campaign_resume)
@@ -1589,7 +1544,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp = trace_sub.add_parser(
         "report",
         help="per-span self/total wall-time table from a Chrome "
-        "trace-event JSON file (--spans-out / campaign --trace-out)",
+        "trace-event JSON file (--spans-out)",
     )
     tp.add_argument("trace", help="path to the span trace (.json[.gz])")
     tp.set_defaults(func=_cmd_trace_report)

@@ -3,10 +3,23 @@
 :class:`Engine` is the one place independent scenario points are turned
 into results.  Sweeps declare their point lists (:class:`ScenarioPoint`)
 and submit them through :meth:`Engine.run_points`; the engine answers
-each point from the result cache when it can and fans the rest out over
-a persistent ``ProcessPoolExecutor`` when ``jobs > 1``.  Cache lookups
-always happen in the parent process, so hits never pay worker startup;
-workers run with telemetry disabled and return picklable
+each point from the result cache when it can (lookups always happen in
+the parent process, so hits never pay worker startup) and executes the
+rest as *dispatch units*.
+
+A unit is a list of 1..:data:`CHUNK_MAX_POINTS` pending points, built by
+:meth:`Engine._dispatch_units` — the one grouping rule, whatever
+``jobs`` is: expensive points (and every point, while profiling) are
+units of one; cheap points are split into ``jobs`` roughly equal units.
+:func:`_execute_unit` is the only code that runs points.  A unit of
+several points whose fluid members are together wide enough for the
+vectorized substrate runs them as one batched call; every other point
+runs on its own and is handed back before the next one starts.  With
+``jobs == 1`` units execute in the calling process, lazily, with the
+caller's telemetry and tracer; with ``jobs > 1`` each unit is one
+future of :func:`_worker_unit` on a persistent ``ProcessPoolExecutor``
+(one pickle round-trip per unit), whose workers run with telemetry
+disabled and return picklable
 :class:`~repro.experiments.runner.ScenarioResult` objects.
 
 The worker pool is created lazily on the first parallel batch and kept
@@ -17,16 +30,23 @@ pending points still fan out when ``jobs > 1``.  Accounting and
 submission are lock-guarded, so multiple threads (the campaign layer's
 concurrent adaptive units) may drive one engine and share its workers.
 
-Observability: ``exec.*`` telemetry counters as before, plus wall-clock
-spans (:mod:`repro.obs.trace`) around cache lookups, point execution,
-and cache stores.  Workers inherit tracing through ``REPRO_TRACE``
-(and per-point profiling through ``REPRO_PROFILE_POINTS``), record into
-a process-local tracer, and ship finished spans — plus a pid/RSS
-heartbeat — back with each result; the parent merges the spans so the
-exported trace shows one lane per worker pid.  ``done``/``hits``
-advance exactly once per submitted point, *when the point resolves*
-(cache hits during the scan, executed points as results land, inline
-``BrokenProcessPool`` retries when the retry finishes).
+A dead worker poisons the whole pool (``BrokenProcessPool``).  The pool
+is then discarded (the next batch builds a fresh one) and the units that
+had not come back are re-run in the calling process *as units* — a lost
+vectorized unit is one vectorized call again — exactly once;
+``exec.worker_failures`` is counted and a second failure (now
+in-process) propagates.
+
+Observability: ``exec.*`` telemetry counters, plus wall-clock spans
+(:mod:`repro.obs.trace`) around cache lookups, point execution, and
+cache stores.  Workers inherit tracing through ``REPRO_TRACE``, record
+into a process-local tracer, and ship finished spans — plus a pid/RSS
+heartbeat — back with each unit; the parent merges the spans so the
+exported trace shows one lane per worker pid.  Per-point profiling is
+an argument the parent passes with each unit.  ``done``/``hits`` advance
+exactly once per submitted point, *when the point resolves* (cache hits
+during the scan, executed points as results land, retried points when
+the retry finishes).
 
 Defaults preserve the historical behavior exactly: ``jobs=1`` executes
 inline (telemetry threading included) and ``cache=None`` disables
@@ -84,11 +104,8 @@ __all__ = [
 #: all cumulative over the engine's lifetime.
 ProgressFn = Callable[[int, int, int], None]
 
-#: Worker-health callback: ``(pid, rss_kb)`` after each resolved point.
+#: Worker-health callback: ``(pid, rss_kb)`` after each executed unit.
 HeartbeatFn = Callable[[int, int], None]
-
-#: Env var: profile each executed point and keep the N slowest.
-PROFILE_ENV = "REPRO_PROFILE_POINTS"
 
 #: Hotspot rows kept per profiled point / reported per engine.
 PROFILE_ROWS = 15
@@ -98,10 +115,10 @@ HOTSPOT_ROWS = 20
 #: flow-seconds) falls below this are *cheap*: per-point dispatch
 #: overhead (a future, a pickle round-trip, a worker wakeup) is
 #: comparable to the simulation itself, so cheap points are grouped
-#: into per-worker chunks instead of submitted one per future.
+#: into per-worker units instead of submitted one per future.
 CHUNK_COST_THRESHOLD = 20_000.0
 
-#: Upper bound on points per chunk (memory guard for the vectorized
+#: Upper bound on points per unit (memory guard for the vectorized
 #: batch path).
 CHUNK_MAX_POINTS = 32
 
@@ -121,18 +138,6 @@ def _span(tracer: Any, name: str, **args: Any):
     if tracer is None:
         return nullcontext()
     return tracer.span(name, cat="exec", **args)
-
-
-def profile_points_from_env(
-    environ: Optional[Dict[str, str]] = None,
-) -> int:
-    """How many slowest points ``REPRO_PROFILE_POINTS`` asks to keep."""
-    env = os.environ if environ is None else environ
-    value = (env.get(PROFILE_ENV) or "").strip()
-    try:
-        return max(0, int(value)) if value else 0
-    except ValueError:
-        return 0
 
 
 def _profile_rows(prof: Any, limit: int = PROFILE_ROWS) -> List[Dict]:
@@ -167,50 +172,6 @@ def _run_profiled(
     prof = cProfile.Profile()
     result = prof.runcall(fn)
     return result, _profile_rows(prof)
-
-
-def _execute_point(
-    point: ScenarioPoint,
-) -> Tuple["ScenarioResult", float, Dict]:
-    """Worker entry: run one scenario point, telemetry disabled.
-
-    Returns ``(result, wall_seconds, extras)``; the wall time is
-    measured inside the worker so queueing delay is not attributed to
-    the simulation.  ``extras`` carries the worker's pid, max RSS, its
-    drained trace spans (when ``REPRO_TRACE`` is inherited), and the
-    point's profile hotspots (when ``REPRO_PROFILE_POINTS`` is set).
-    """
-    from repro.obs import bus, trace
-    from repro.obs.progress import rss_self_kb
-
-    # Fork-start workers inherit the parent's default telemetry bus;
-    # recording into that copy would be silently discarded, so run dark.
-    # Tracing is different: spans recorded here are shipped back with
-    # the result, so a fresh local tracer is installed when the parent
-    # exported REPRO_TRACE.
-    bus.set_default(None)
-    tracer = trace.Tracer() if trace.enabled_from_env() else None
-    trace.set_default(tracer)
-
-    profile = profile_points_from_env() > 0
-    rows: List[Dict] = []
-    start = perf_counter()
-    with _span(tracer, "point", fingerprint=point.fingerprint()[:12]):
-        with _span(tracer, "simulate", backend=point.backend):
-            if profile:
-                result, rows = _run_profiled(
-                    lambda: _run_point(point, obs=None)
-                )
-            else:
-                result = _run_point(point, obs=None)
-    elapsed = perf_counter() - start
-    extras = {
-        "pid": os.getpid(),
-        "rss_kb": rss_self_kb(),
-        "spans": tracer.drain() if tracer is not None else [],
-        "profile": rows,
-    }
-    return result, elapsed, extras
 
 
 def _mix_request(point: ScenarioPoint) -> Dict[str, Any]:
@@ -254,77 +215,80 @@ def _pools_on_vec(points: Sequence[ScenarioPoint], obs: Any) -> bool:
     return runs_vectorized(rows, obs)
 
 
-def _run_chunk(
-    points: Sequence[ScenarioPoint], obs: Any, tracer: Any
-) -> List[Tuple["ScenarioResult", float]]:
-    """Execute a chunk of points, pooling its fluid members.
+def _execute_unit(
+    points: Sequence[ScenarioPoint], obs: Any, tracer: Any, profile: bool
+) -> Iterator[Tuple[int, "ScenarioResult", float, List[Dict]]]:
+    """Run one dispatch unit — the only code that executes points.
 
-    When the chunk's fluid points are together wide enough for the
-    vectorized substrate (:func:`_pools_on_vec`) they run as *one*
+    Yields ``(position in points, result, wall_seconds, profile rows)``
+    as each point finishes.  When the unit has several points and its
+    fluid members are together wide enough for the vectorized substrate
+    (:func:`_pools_on_vec`) they run as *one*
     :func:`repro.experiments.runner.run_mix_batch` call (bit-identical
-    to per-point execution — the substrate is batch-invariant); their
-    shared wall time is attributed evenly.  Everything else executes
-    sequentially with the usual per-point spans.
-    Returns ``(result, wall_seconds)`` aligned with ``points``.
+    to per-point execution — the substrate is batch-invariant) and share
+    its wall time evenly.  Every other point runs on its own, under
+    cProfile when ``profile``, and is yielded before the next one
+    starts, so a consumer that stores each result as it arrives
+    checkpoints per point even inside a multi-point unit.
     """
     from repro.experiments.runner import run_mix_batch
 
-    outcomes: List[Optional[Tuple["ScenarioResult", float]]]
-    outcomes = [None] * len(points)
-    if _pools_on_vec(points, obs):
-        fluid = [i for i, p in enumerate(points) if p.backend == "fluid"]
+    pooled: List[int] = []
+    if len(points) > 1 and _pools_on_vec(points, obs):
+        pooled = [i for i, p in enumerate(points) if p.backend == "fluid"]
         start = perf_counter()
-        with _span(tracer, "point_batch", n=len(fluid), backend="fluid"):
+        with _span(tracer, "point_batch", n=len(pooled), backend="fluid"):
             batch = run_mix_batch(
-                [_mix_request(points[i]) for i in fluid], obs=obs
+                [_mix_request(points[i]) for i in pooled], obs=obs
             )
-        share = (perf_counter() - start) / len(fluid)
-        for i, result in zip(fluid, batch):
-            outcomes[i] = (result, share)
+        share = (perf_counter() - start) / len(pooled)
+        for i, result in zip(pooled, batch):
+            yield i, result, share, []
     for i, point in enumerate(points):
-        if outcomes[i] is not None:
+        if pooled and point.backend == "fluid":
             continue
+        rows: List[Dict] = []
         start = perf_counter()
         with _span(tracer, "point", fingerprint=point.fingerprint()[:12]):
             with _span(tracer, "simulate", backend=point.backend):
-                result = _run_point(point, obs=obs)
-        outcomes[i] = (result, perf_counter() - start)
-    return outcomes  # type: ignore[return-value]  # all filled above
+                if profile:
+                    result, rows = _run_profiled(
+                        lambda: _run_point(point, obs=obs)
+                    )
+                else:
+                    result = _run_point(point, obs=obs)
+        yield i, result, perf_counter() - start, rows
 
 
-def _execute_chunk(
-    points: Sequence[ScenarioPoint],
-) -> List[Tuple["ScenarioResult", float, Dict]]:
-    """Worker entry: run a chunk of cheap points in one process.
+def _worker_unit(
+    points: Sequence[ScenarioPoint], profile: bool
+) -> Tuple[List[Tuple[int, "ScenarioResult", float, List[Dict]]], Dict]:
+    """Pool entry: run one dispatch unit, telemetry disabled.
 
-    The chunked counterpart of :func:`_execute_point`: one future (and
-    one pickle round-trip) covers the whole chunk.  Trace spans are
-    drained once and ride with the last entry; every entry carries the
-    worker's pid/RSS heartbeat.  Chunks are never profiled — the
-    engine falls back to per-point dispatch when profiling is on.
+    Returns ``(executed, extras)``: everything :func:`_execute_unit`
+    yielded (wall times are measured inside the worker so queueing delay
+    is not attributed to the simulation), and the worker's pid, max RSS
+    and drained trace spans (when ``REPRO_TRACE`` is inherited).
     """
     from repro.obs import bus, trace
     from repro.obs.progress import rss_self_kb
 
+    # Fork-start workers inherit the parent's default telemetry bus;
+    # recording into that copy would be silently discarded, so run dark.
+    # Tracing is different: spans recorded here are shipped back with
+    # the unit, so a fresh local tracer is installed when the parent
+    # exported REPRO_TRACE.
     bus.set_default(None)
     tracer = trace.Tracer() if trace.enabled_from_env() else None
     trace.set_default(tracer)
 
-    outcomes = _run_chunk(points, obs=None, tracer=tracer)
-    rss_kb = rss_self_kb()
-    executed = []
-    for i, (result, elapsed) in enumerate(outcomes):
-        spans: List = []
-        if tracer is not None and i == len(outcomes) - 1:
-            spans = tracer.drain()
-        extras = {
-            "pid": os.getpid(),
-            "rss_kb": rss_kb,
-            "spans": spans,
-            "profile": [],
-        }
-        executed.append((result, elapsed, extras))
-    return executed
+    executed = list(_execute_unit(points, None, tracer, profile))
+    extras = {
+        "pid": os.getpid(),
+        "rss_kb": rss_self_kb(),
+        "spans": tracer.drain() if tracer is not None else [],
+    }
+    return executed, extras
 
 
 class Engine:
@@ -343,18 +307,19 @@ class Engine:
             None resolves the process default (which honors
             ``REPRO_TRACE``) at each call.
         heartbeat: Optional callback ``(pid, rss_kb)`` after every
-            executed point — the worker-health feed for
+            executed unit — the worker-health feed for
             :class:`repro.obs.progress.ProgressTracker`.
         profile_slowest: Keep cProfile hotspots for this many slowest
-            executed points (0 disables).  The CLI also exports
-            ``REPRO_PROFILE_POINTS`` so pool workers profile too.
+            executed points (0 disables), in this process and in pool
+            workers alike.
 
-    Cheap points (estimated cost below :data:`CHUNK_COST_THRESHOLD`)
-    are grouped into per-worker chunks, and a chunk's fluid points run
-    as one vectorized call when they are wide enough for it
-    (:func:`_pools_on_vec`).  Results are identical either way;
-    grouping only removes dispatch and per-tick overhead.  It is
-    suspended while profiling (profiles are per-point by construction).
+    Pending points execute as dispatch units (:meth:`_dispatch_units`):
+    cheap points (estimated cost below :data:`CHUNK_COST_THRESHOLD`)
+    are grouped, and a unit's fluid points run as one vectorized call
+    when they are wide enough for it (:func:`_execute_unit`).  Results
+    are identical either way; grouping only removes dispatch and
+    per-tick overhead.  It is suspended while profiling (profiles are
+    per-point by construction).
     """
 
     def __init__(
@@ -511,11 +476,13 @@ class Engine:
     def _record_executed(
         self,
         fingerprint: str,
-        result: "ScenarioResult",
+        payload: Callable[[], Dict[str, Any]],
         elapsed: float,
         obs: Any,
         tracer: Any,
     ) -> None:
+        """Count one executed task and store its payload (built only
+        when there is a cache to put it in)."""
         with self._lock:
             self.simulated += 1
         if obs is not None:
@@ -523,7 +490,7 @@ class Engine:
             obs.record_time("exec.point.wall", elapsed)
         if self.cache is not None:
             with _span(tracer, "cache_store"):
-                self.cache.put(fingerprint, result.to_dict())
+                self.cache.put(fingerprint, payload())
             if obs is not None:
                 obs.count("exec.cache.stores")
 
@@ -560,16 +527,6 @@ class Engine:
                     agg["cum_s"] += row["cum_s"]
         ranked = sorted(merged.values(), key=lambda row: -row["cum_s"])
         return ranked[:limit]
-
-    def _absorb_extras(
-        self, extras: Dict, elapsed: float, fingerprint: str, tracer: Any
-    ) -> None:
-        """Merge one worker result's spans/heartbeat/profile parent-side."""
-        if tracer is not None and extras.get("spans"):
-            tracer.merge(extras["spans"])
-        if self.heartbeat is not None:
-            self.heartbeat(extras.get("pid", 0), extras.get("rss_kb", 0))
-        self._keep_profile(fingerprint, elapsed, extras.get("profile", []))
 
     # -- execution ---------------------------------------------------------
 
@@ -621,90 +578,16 @@ class Engine:
                 pending_points[fingerprint] = point
                 self._account_miss(obs)
 
-        def finish(
-            fingerprint: str, result: "ScenarioResult", elapsed: float
-        ) -> None:
-            self._record_executed(fingerprint, result, elapsed, obs, tracer)
-
-        if self.jobs > 1 and pending_points:
-            yield from self._iter_parallel(
-                pending, pending_points, finish, obs, tracer
-            )
+        units = self._dispatch_units(pending_points)
+        if self.jobs > 1 and units:
+            stream = self._pool_units(units, pending_points, obs, tracer)
         else:
-            yield from self._iter_inline(
-                pending, pending_points, finish, obs, tracer
+            stream = self._inline_units(units, pending_points, obs, tracer)
+        for fingerprint, result, elapsed, rows in stream:
+            self._keep_profile(fingerprint, elapsed, rows)
+            self._record_executed(
+                fingerprint, result.to_dict, elapsed, obs, tracer
             )
-
-    def _run_inline(
-        self, point: ScenarioPoint, obs: Any, tracer: Any
-    ) -> Tuple["ScenarioResult", float]:
-        """Execute one point in this process, spans/profile included."""
-        start = perf_counter()
-        with _span(tracer, "point", fingerprint=point.fingerprint()[:12]):
-            with _span(tracer, "simulate", backend=point.backend):
-                # Inline execution keeps the caller's telemetry wiring.
-                if self.profile_slowest > 0:
-                    result, rows = _run_profiled(
-                        lambda: _run_point(point, obs=obs)
-                    )
-                else:
-                    result, rows = _run_point(point, obs=obs), []
-        elapsed = perf_counter() - start
-        self._keep_profile(point.fingerprint(), elapsed, rows)
-        if self.heartbeat is not None:
-            from repro.obs.progress import rss_self_kb
-
-            self.heartbeat(os.getpid(), rss_self_kb())
-        return result, elapsed
-
-    def _chunking_active(self) -> bool:
-        """Chunk cheap points?  Suspended while profiling: profiles
-        are attributed per point, and chunks are never profiled."""
-        return self.profile_slowest == 0 and profile_points_from_env() == 0
-
-    def _iter_inline(
-        self,
-        pending: Dict[str, List[int]],
-        pending_points: Dict[str, ScenarioPoint],
-        finish: Callable[[str, "ScenarioResult", float], None],
-        obs: Any,
-        tracer: Any,
-    ) -> Iterator[Tuple[int, "ScenarioResult", float]]:
-        # Inline, only fluid points gain from chunking, and only when a
-        # chunk is wide enough to run vectorized (other chunks would
-        # execute the same sequential loop either way); run those as
-        # batched calls and the rest as before.
-        pooled: List[str] = []
-        if self._chunking_active():
-            pooled = [
-                fingerprint
-                for fingerprint, point in pending_points.items()
-                if point.backend == "fluid" and _chunkable(point)
-            ]
-        if len(pooled) < 2:
-            pooled = []
-        batched = set()
-        for lo in range(0, len(pooled), CHUNK_MAX_POINTS):
-            unit = pooled[lo:lo + CHUNK_MAX_POINTS]
-            unit_points = [pending_points[fp] for fp in unit]
-            if not _pools_on_vec(unit_points, obs):
-                continue
-            batched.update(unit)
-            outcomes = _run_chunk(unit_points, obs, tracer)
-            if self.heartbeat is not None:
-                from repro.obs.progress import rss_self_kb
-
-                self.heartbeat(os.getpid(), rss_self_kb())
-            for fingerprint, (result, elapsed) in zip(unit, outcomes):
-                finish(fingerprint, result, elapsed)
-                for idx in pending[fingerprint]:
-                    self._complete_index()
-                    yield idx, result, elapsed
-        for fingerprint, point in pending_points.items():
-            if fingerprint in batched:
-                continue
-            result, elapsed = self._run_inline(point, obs, tracer)
-            finish(fingerprint, result, elapsed)
             for idx in pending[fingerprint]:
                 self._complete_index()
                 yield idx, result, elapsed
@@ -712,15 +595,17 @@ class Engine:
     def _dispatch_units(
         self, pending_points: Dict[str, ScenarioPoint]
     ) -> List[List[str]]:
-        """Group fingerprints into submission units for the pool.
+        """Group pending fingerprints into dispatch units — the one
+        grouping rule, for inline and pool execution alike.
 
-        Expensive points (and everything, while profiling) are solo
-        units.  Cheap points are split into ``jobs`` roughly equal
-        chunks — one per worker — capped at :data:`CHUNK_MAX_POINTS`;
-        the worker decides scalar or vectorized per chunk
-        (:func:`_run_chunk`).
+        Expensive points (and everything, while profiling: profiles are
+        attributed per point) are solo units.  Cheap points are split
+        into ``jobs`` roughly equal units — one per worker — capped at
+        :data:`CHUNK_MAX_POINTS`; whoever executes a unit decides scalar
+        or vectorized for it (:func:`_execute_unit`), where the live
+        bus/checker state is known.
         """
-        if not self._chunking_active():
+        if self.profile_slowest > 0:
             return [[fp] for fp in pending_points]
         cheap = [
             fp for fp, point in pending_points.items() if _chunkable(point)
@@ -738,81 +623,78 @@ class Engine:
         )
         return units
 
-    def _iter_parallel(
+    def _inline_units(
         self,
-        pending: Dict[str, List[int]],
+        units: Sequence[List[str]],
         pending_points: Dict[str, ScenarioPoint],
-        finish: Callable[[str, "ScenarioResult", float], None],
         obs: Any,
         tracer: Any,
-    ) -> Iterator[Tuple[int, "ScenarioResult", float]]:
-        """Fan distinct points out over workers, yielding completions.
+    ) -> Iterator[Tuple[str, "ScenarioResult", float, List[Dict]]]:
+        """Execute units in this process, lazily: nothing runs until the
+        consumer asks for the next result.  Inline execution keeps the
+        caller's telemetry wiring."""
+        from repro.obs.progress import rss_self_kb
 
-        Cheap points are grouped into per-worker chunks (one future,
-        one pickle round-trip for the lot) when chunking is active;
-        expensive points still get a future each.
+        for unit in units:
+            for i, result, elapsed, rows in _execute_unit(
+                [pending_points[fp] for fp in unit],
+                obs,
+                tracer,
+                self.profile_slowest > 0,
+            ):
+                yield unit[i], result, elapsed, rows
+            if self.heartbeat is not None:
+                self.heartbeat(os.getpid(), rss_self_kb())
 
-        A dead worker poisons the whole pool (``BrokenProcessPool``) and
-        would historically abort the batch, discarding every
-        completed-but-unprocessed result.  Instead the pool is discarded
-        (the next batch builds a fresh one), the lost points are retried
-        inline exactly once — advancing ``done`` only when the retry
-        lands, never twice — and ``exec.worker_failures`` is counted; a
-        second failure (now in-process) propagates.
-        """
-        remaining = dict(pending_points)
+    def _pool_units(
+        self,
+        units: Sequence[List[str]],
+        pending_points: Dict[str, ScenarioPoint],
+        obs: Any,
+        tracer: Any,
+    ) -> Iterator[Tuple[str, "ScenarioResult", float, List[Dict]]]:
+        """Fan units out over the worker pool, one future each, yielding
+        their results as units come back.  On ``BrokenProcessPool`` the
+        units still in ``waiting`` are re-run through
+        :meth:`_inline_units` (see the module docstring)."""
+        waiting = dict(enumerate(units))
         try:
             pool = self._pool()
-            futures = {}
-            for unit in self._dispatch_units(pending_points):
-                if len(unit) == 1:
-                    future = pool.submit(
-                        _execute_point, pending_points[unit[0]]
-                    )
-                else:
-                    future = pool.submit(
-                        _execute_chunk,
-                        [pending_points[fp] for fp in unit],
-                    )
-                futures[future] = unit
+            futures = {
+                pool.submit(
+                    _worker_unit,
+                    [pending_points[fp] for fp in unit],
+                    self.profile_slowest > 0,
+                ): key
+                for key, unit in waiting.items()
+            }
             outstanding = set(futures)
             while outstanding:
                 ready, outstanding = wait(
                     outstanding, return_when=FIRST_COMPLETED
                 )
                 for future in ready:
-                    unit = futures.pop(future)
+                    executed, extras = future.result()
                     # Dropping the future releases its pickled result;
                     # keeping every completed future alive for the
                     # whole batch made peak memory scale with batch
                     # size instead of with in-flight work.
-                    executed = future.result()
-                    if len(unit) == 1:
-                        executed = [executed]
-                    for fingerprint, (result, elapsed, extras) in zip(
-                        unit, executed
-                    ):
-                        self._absorb_extras(
-                            extras, elapsed, fingerprint, tracer
-                        )
-                        finish(fingerprint, result, elapsed)
-                        del remaining[fingerprint]
-                        for idx in pending[fingerprint]:
-                            self._complete_index()
-                            yield idx, result, elapsed
+                    unit = waiting.pop(futures.pop(future))
+                    if tracer is not None and extras["spans"]:
+                        tracer.merge(extras["spans"])
+                    if self.heartbeat is not None:
+                        self.heartbeat(extras["pid"], extras["rss_kb"])
+                    for i, result, elapsed, rows in executed:
+                        yield unit[i], result, elapsed, rows
         except BrokenProcessPool:
             self._discard_pool()
             with self._lock:
                 self.worker_failures += 1
             if obs is not None:
                 obs.count("exec.worker_failures")
-            for fingerprint, point in list(remaining.items()):
-                result, elapsed = self._run_inline(point, obs, tracer)
-                finish(fingerprint, result, elapsed)
-                del remaining[fingerprint]
-                for idx in pending[fingerprint]:
-                    self._complete_index()
-                    yield idx, result, elapsed
+            yield from self._inline_units(
+                list(waiting.values()), pending_points, obs, tracer
+            )
 
     def run_points(
         self, points: Sequence[ScenarioPoint]
@@ -885,16 +767,9 @@ class Engine:
         with _span(tracer, "point", kind=kind):
             payload = compute()
         elapsed = perf_counter() - start
-        with self._lock:
-            self.simulated += 1
-        if obs is not None:
-            obs.count("exec.points.simulated")
-            obs.record_time("exec.point.wall", elapsed)
-        if self.cache is not None:
-            with _span(tracer, "cache_store"):
-                self.cache.put(fingerprint, payload)
-            if obs is not None:
-                obs.count("exec.cache.stores")
+        self._record_executed(
+            fingerprint, lambda: payload, elapsed, obs, tracer
+        )
         self._complete_index()
         return payload
 

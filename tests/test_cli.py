@@ -250,6 +250,18 @@ def test_simulate_cache_dir_miss_then_hit(tmp_path, capsys):
     assert sim and sim == [l for l in warm.splitlines() if "Mbps/flow" in l]
 
 
+def test_simulate_prints_same_bytes_with_and_without_cache(tmp_path, capsys):
+    """A plain simulate is an inline, cache-less engine unit of one: the
+    same route a cached run takes, so only the ``cache:`` line differs."""
+    argv = ["simulate", "cubic:2", "bbr:2", "--duration", "10"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    cached = capsys.readouterr().out.splitlines(keepends=True)
+    assert [line for line in cached if "cache:" in line] == [cached[-1]]
+    assert "".join(cached[:-1]) == plain
+
+
 def test_simulate_no_cache_with_cache_dir_is_rejected(tmp_path, capsys):
     argv = [
         "simulate",
@@ -683,7 +695,6 @@ def _clean_trace_env():
     from repro.obs import trace
 
     os.environ.pop("REPRO_TRACE", None)
-    os.environ.pop("REPRO_PROFILE_POINTS", None)
     trace.clear_default()
 
 
@@ -766,7 +777,7 @@ def test_campaign_trace_progress_status_top_cycle(
             str(spec),
             "--out",
             str(out_dir),
-            "--trace-out",
+            "--spans-out",
             str(trace_path),
             "--progress",
         ]
@@ -799,6 +810,35 @@ def test_campaign_trace_progress_status_top_cycle(
     assert main(["top", str(out_dir), "--once"]) == 0
     top_out = capsys.readouterr().out
     assert "3/3" in top_out and "eta" in top_out
+
+
+def test_campaign_trace_out_is_an_alias_of_spans_out(
+    _clean_trace_env, tmp_path, capsys
+):
+    """``--trace-out`` on campaign run/resume is a second spelling of
+    the one ``--spans-out`` argument: same dest, same span file."""
+    from repro.obs import read_chrome_trace
+
+    spec = _write_smoke_spec(tmp_path)
+    names = {}
+    for flag in ("--spans-out", "--trace-out"):
+        out_dir = tmp_path / flag.strip("-")
+        path = tmp_path / f"{flag.strip('-')}.json"
+        argv = ["campaign", "run", str(spec), "--out", str(out_dir)]
+        args = build_parser().parse_args(argv + [flag, str(path)])
+        assert args.spans_out == str(path)
+        assert not hasattr(args, "trace_out")
+        assert main(argv + [flag, str(path)]) == 0
+        assert "span events" in capsys.readouterr().out
+        names[flag] = sorted(
+            span.name for span in read_chrome_trace(str(path)).spans
+        )
+    assert names["--spans-out"] == names["--trace-out"]
+    assert "campaign" in names["--spans-out"]
+    args = build_parser().parse_args(
+        ["campaign", "resume", str(tmp_path), "--trace-out", "x.json"]
+    )
+    assert args.spans_out == "x.json"
 
 
 def test_top_midrun_journal_renders_finite_eta(

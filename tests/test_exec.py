@@ -355,7 +355,7 @@ def test_group_payoff_fn_cached(tmp_path):
 # -- worker-death hardening --------------------------------------------------
 
 
-def _die_in_worker(point):
+def _die_in_worker(points, profile):
     """Replacement worker entry that kills the process abruptly."""
     import os
 
@@ -373,7 +373,7 @@ def test_broken_pool_retries_lost_points_inline(monkeypatch):
     expected = Engine().run_points(batch)
 
     engine = Engine(jobs=2)
-    monkeypatch.setattr(engine_mod, "_execute_point", _die_in_worker)
+    monkeypatch.setattr(engine_mod, "_worker_unit", _die_in_worker)
     obs = Telemetry()
     engine._obs = obs
     results = engine.run_points(batch)
@@ -395,7 +395,7 @@ def test_broken_pool_results_cached_after_retry(tmp_path, monkeypatch):
 
     batch = points(2, duration=5.0)
     engine = Engine(jobs=2, cache=ResultCache(tmp_path))
-    monkeypatch.setattr(engine_mod, "_execute_point", _die_in_worker)
+    monkeypatch.setattr(engine_mod, "_worker_unit", _die_in_worker)
     engine.run_points(batch)
     assert engine.worker_failures == 1
 
@@ -403,6 +403,39 @@ def test_broken_pool_results_cached_after_retry(tmp_path, monkeypatch):
     warm.run_points(batch)
     assert warm.stats["simulated"] == 0
     assert warm.stats["cache_hits"] == 2
+
+
+def test_worker_killed_mid_chunk_recovers_every_point(tmp_path, monkeypatch):
+    """Every unit here holds several points, so the dead worker takes
+    whole chunks with it; the retry must still resolve each index once,
+    with clean-run numbers, and store what it recovered."""
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("monkeypatched worker entry needs fork start method")
+
+    batch = points(4, duration=5.0)
+    expected = Engine().run_points(batch)
+
+    seen = []
+    engine = Engine(
+        jobs=2,
+        cache=ResultCache(tmp_path),
+        progress=lambda d, s, h: seen.append(d),
+    )
+    units = engine._dispatch_units({p.fingerprint(): p for p in batch})
+    assert [len(unit) for unit in units] == [2, 2]
+    monkeypatch.setattr(engine_mod, "_worker_unit", _die_in_worker)
+    results = engine.run_points(batch)
+
+    assert [r.to_dict() for r in results] == [
+        r.to_dict() for r in expected
+    ]
+    assert engine.worker_failures == 1
+    assert seen == [1, 2, 3, 4]
+    warm = Engine(cache=ResultCache(tmp_path))
+    warm.run_points(batch)
+    assert warm.stats["simulated"] == 0
 
 
 # -- warmup validation (PR 5 satellite) -------------------------------------
@@ -545,7 +578,7 @@ def test_progress_accounting_with_broken_pool_retry(monkeypatch):
     engine = Engine(
         jobs=2, progress=lambda d, s, h: seen.append((d, s, h))
     )
-    monkeypatch.setattr(engine_mod, "_execute_point", _die_in_worker)
+    monkeypatch.setattr(engine_mod, "_worker_unit", _die_in_worker)
     engine.run_points(points(3, duration=5.0))
     assert engine.worker_failures == 1
     assert engine.done == 3
@@ -595,6 +628,14 @@ def test_dispatch_units_group_cheap_points():
     units = engine._dispatch_units(pending)
     assert sorted(len(unit) for unit in units) == [2, 3]
     assert {fp for unit in units for fp in unit} == set(pending)
+
+
+def test_dispatch_units_same_rule_inline():
+    """``jobs == 1`` groups through the same rule as the pool: one
+    "worker", so cheap points fill units of ``CHUNK_MAX_POINTS``."""
+    pending = {p.fingerprint(): p for p in points(40)}
+    units = Engine(jobs=1)._dispatch_units(pending)
+    assert [len(unit) for unit in units] == [32, 8]
 
 
 def test_dispatch_units_keep_expensive_points_solo():
@@ -681,7 +722,7 @@ def row_points(rows, flows=1):
     [
         lambda pts: Engine().run_points(pts),
         # A pool worker's chunk, executed here so the spies see it.
-        lambda pts: engine_mod._run_chunk(pts, None, None),
+        lambda pts: list(engine_mod._execute_unit(pts, None, None, False)),
     ],
     ids=["inline-pool", "worker-chunk"],
 )
@@ -715,6 +756,51 @@ def test_instrumented_pool_stays_scalar(substrate_calls, instrument):
     assert substrate_calls == {"scalar": 32, "vec": 0}
     if instrument == "telemetry":
         assert any(e.name.startswith("cc.") for e in obs.events)
+
+
+def test_lost_vec_unit_is_rerun_as_a_vec_batch(substrate_calls, monkeypatch):
+    """A unit that would have run vectorized in its worker runs
+    vectorized in the retry too — not as 32 scalar solos."""
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("monkeypatched worker entry needs fork start method")
+
+    pool = row_points(128, flows=2)  # Two units of 32 points, 64 rows.
+    monkeypatch.setattr(engine_mod, "_worker_unit", _die_in_worker)
+    engine = Engine(jobs=2)
+    results = engine.run_points(pool)
+    assert engine.worker_failures == 1
+    assert substrate_calls == {"scalar": 0, "vec": 2}
+    assert results == solo_runs(pool)
+
+
+def test_inline_unit_checkpoints_per_point(tmp_path):
+    """Points that run on their own are stored and yielded one by one
+    even when they share a unit: stopping after the first result leaves
+    one simulation done and one cache entry, not the whole unit."""
+    cache = ResultCache(tmp_path)
+    engine = Engine(jobs=1, cache=cache)
+    pts = [
+        ScenarioPoint(
+            link=link(mbps=5),
+            mix=(("cubic", 1), ("bbr", 1)),
+            duration=2.0,
+            backend="packet",
+            seed=i,
+        )
+        for i in range(3)
+    ]
+    units = engine._dispatch_units({p.fingerprint(): p for p in pts})
+    assert [len(unit) for unit in units] == [3]
+    stream = engine.iter_points(pts)
+    index, result, _elapsed = next(stream)
+    stream.close()
+    assert result == ScenarioResult.from_dict(
+        cache.get(pts[index].fingerprint())
+    )
+    assert engine.simulated == 1
+    assert len(cache) == 1
 
 
 def test_chunked_batch_shares_duplicate_executions():

@@ -276,9 +276,10 @@ def test_profile_slowest_collects_hotspots():
     )
 
 
-def test_profile_points_env_inherited_by_workers(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    monkeypatch.setenv("REPRO_PROFILE_POINTS", "2")
+def test_profile_slowest_reaches_pool_workers():
+    """Profiling is an argument the parent passes with each unit, so an
+    engine built from Python profiles in its workers with nothing
+    exported to the environment."""
     engine = Engine(jobs=2, profile_slowest=2)
     with engine:
         engine.run_points(points(2))
