@@ -18,8 +18,7 @@ stopped.
 
 Reading is streaming: :meth:`Journal.iter_records` yields one record at
 a time from an open handle, so resume/status/``top`` over a million-unit
-journal never materialize the whole file (:meth:`Journal.load` is the
-small-campaign convenience that collects the stream into a list).
+journal never materialize the whole file.
 Reads are gzip-transparent — an archived ``journal.jsonl.gz`` resolves
 wherever the plain name would.
 """
@@ -30,7 +29,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro import __version__
 from repro.obs.export import open_maybe_gzip
@@ -166,7 +165,7 @@ class Journal:
         :class:`JournalError`.  When ``expect_fingerprint`` is given, a
         header mismatch fails loudly — resuming a directory with a
         *different* spec would silently mix studies.  The validated
-        header is kept on ``self._header`` for :meth:`load`.
+        header is kept on ``self._header`` for :meth:`read_header`.
         """
         lines = self._lines()
         first = next(lines, None)
@@ -241,15 +240,3 @@ class Journal:
                     f"{self.path}:{number}: malformed unit record: {exc}"
                 ) from None
             yield record
-
-    def load(
-        self, expect_fingerprint: Optional[str] = None
-    ) -> Tuple[Dict[str, Any], List[JournalRecord]]:
-        """Parse the whole journal into ``(header, completed records)``.
-
-        The list-building convenience over :meth:`iter_records` — fine
-        for tests and small campaigns; streaming callers should consume
-        the iterator directly.
-        """
-        records = list(self.iter_records(expect_fingerprint))
-        return self._header, records

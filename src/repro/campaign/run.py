@@ -58,10 +58,8 @@ of draining one bisection at a time.
 
 from __future__ import annotations
 
-import csv
 import json
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
@@ -85,6 +83,7 @@ from repro.campaign.spec import CampaignSpec, parse_spec
 from repro.exec.engine import Engine, resolve as resolve_engine
 from repro.obs.progress import PROGRESS_NAME, ProgressTracker
 from repro.obs.trace import resolve as resolve_tracer
+from repro.obs.trace import span
 
 __all__ = [
     "CampaignError",
@@ -94,13 +93,6 @@ __all__ = [
     "load_campaign",
     "run_campaign",
 ]
-
-
-def _span(tracer: Any, name: str, **args: Any):
-    """A campaign-category span, or a no-op when tracing is disabled."""
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, cat="campaign", **args)
 
 
 SPEC_NAME = "spec.json"
@@ -347,7 +339,7 @@ def iter_units(
             interrupted = True
 
     def adaptive_outcome(unit: Unit) -> UnitOutcome:
-        with _span(tracer, "unit", unit=unit.unit_id()):
+        with span(tracer, "unit", "campaign", unit=unit.unit_id()):
             rows, wall = _run_adaptive(unit, eng)
         return UnitOutcome(
             unit_id=unit.unit_id(),
@@ -361,7 +353,7 @@ def iter_units(
     artifacts = Path(artifacts_dir) if artifacts_dir is not None else None
 
     def population_outcome(unit: Unit) -> UnitOutcome:
-        with _span(tracer, "unit", unit=unit.unit_id()):
+        with span(tracer, "unit", "campaign", unit=unit.unit_id()):
             rows, wall, error_map = _run_population(unit, eng)
         if artifacts is not None:
             _merge_error_map(artifacts / ERROR_MAP_NAME, error_map)
@@ -380,14 +372,14 @@ def iter_units(
         stage_units = [u for u in todo if u.stage == stage.name]
         if not stage_units:
             continue
-        span = _span(
+        with span(
             tracer,
             "stage",
+            "campaign",
             stage=stage.name,
             kind=stage.kind,
             units=len(stage_units),
-        )
-        with span:
+        ):
             if stage.kind == "sweep":
                 points = [u.to_point() for u in stage_units]
                 for position, result, wall in eng.iter_points(points):
@@ -482,24 +474,6 @@ def load_campaign(out_dir: Union[str, Path]) -> CampaignSpec:
             f"{data.get('schema') if isinstance(data, dict) else '?'!r})"
         )
     return parse_spec(data.get("spec"), source=str(path))
-
-
-def _write_csv(path: Path, outcomes: List[UnitOutcome]) -> int:
-    """Write all rows in unit order; columns in first-seen key order."""
-    columns: List[str] = []
-    rows: List[Dict[str, Any]] = []
-    for outcome in outcomes:
-        for row in outcome.rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
-            rows.append(row)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row.get(column, "") for column in columns])
-    return len(rows)
 
 
 def run_campaign(
@@ -597,7 +571,7 @@ def run_campaign(
 
     def journal_unit(outcome: UnitOutcome) -> None:
         nonlocal done_units
-        with _span(tracer, "journal", unit=outcome.unit_id):
+        with span(tracer, "journal", "campaign", unit=outcome.unit_id):
             journal.append(
                 JournalRecord(
                     unit_id=outcome.unit_id,
@@ -644,8 +618,9 @@ def run_campaign(
 
     start = perf_counter()
     try:
-        with _span(
+        with span(
             tracer,
+            "campaign",
             "campaign",
             campaign=spec.name,
             fingerprint=fingerprint[:12],

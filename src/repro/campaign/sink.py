@@ -8,11 +8,12 @@ replacement:
 
 * :class:`CsvSink` / :class:`JsonlSink` — incremental writers.  Rows are
   appended (and flushed) as they arrive and are *not* retained; the CSV
-  writer reproduces the seed ``_write_csv`` byte-for-byte, including its
-  first-seen column order.  A row that introduces a column the header
-  has not seen triggers a streaming rewrite of the file (row-at-a-time
-  through a temp file + ``os.replace``), which happens at most once per
-  stage-shaped column change, never per row.
+  writer reproduces the seed's collect-then-write CSV byte-for-byte
+  (``tests/test_sink.py`` keeps that writer as the reference),
+  including its first-seen column order.  A row that introduces a
+  column the header has not seen triggers a streaming rewrite of the
+  file (row-at-a-time through a temp file + ``os.replace``), which
+  happens at most once per stage-shaped column change, never per row.
 * :class:`CampaignSink` — the unit-order gate.  Outcomes complete out of
   order (thread fan-out, engine completion order); the final CSV must be
   in *unit* order to stay byte-identical across kill/resume.  The sink

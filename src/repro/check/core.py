@@ -24,13 +24,12 @@ and the last N remembered events for the offending flow.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Deque, Dict, Iterator, Optional
+from typing import Any, Deque, Dict, Optional
 
 from repro.check import laws as check_laws
 from repro.check.errors import InvariantViolation, RecentEvent
+from repro.util.ambient import ProcessDefault
 
 #: Pending-event ceiling for the event-loop boundedness check.  Far
 #: above anything a legitimate dumbbell run enqueues (the loop keeps at
@@ -485,63 +484,17 @@ class Checker:
             )
 
 
-# -- process-wide default (mirrors repro.obs.bus) --------------------------
+# -- process-wide default ----------------------------------------------------
 
-_UNSET = object()
-_default: Any = _UNSET
-_env_checker: Optional[Checker] = None
+#: An explicit :func:`set_default` always wins (including an explicit
+#: ``None``, which disables checking even under ``REPRO_CHECK=1``);
+#: otherwise the environment decides, with one shared lazily-created
+#: checker per process.
+_DEFAULT = ProcessDefault(factory=Checker, env="REPRO_CHECK")
 
-
-def enabled_from_env(environ: Optional[Dict[str, str]] = None) -> bool:
-    """Whether ``REPRO_CHECK`` asks for a process-wide checker."""
-    env = os.environ if environ is None else environ
-    value = env.get("REPRO_CHECK", "")
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
-
-
-def get_default() -> Optional[Checker]:
-    """The process-wide checker, or None.
-
-    An explicit :func:`set_default` always wins (including an explicit
-    ``None``, which disables checking even under ``REPRO_CHECK=1``);
-    otherwise the environment decides, with one shared lazily-created
-    checker per process.
-    """
-    global _env_checker
-    if _default is not _UNSET:
-        return _default
-    if not enabled_from_env():
-        return None
-    if _env_checker is None:
-        _env_checker = Checker()
-    return _env_checker
-
-
-def set_default(check: Optional[Checker]) -> None:
-    """Install ``check`` as the process-wide default (None disables)."""
-    global _default
-    _default = check
-
-
-def clear_default() -> None:
-    """Forget any explicit default; ``REPRO_CHECK`` decides again."""
-    global _default, _env_checker
-    _default = _UNSET
-    _env_checker = None
-
-
-def resolve(check: Optional[Checker]) -> Optional[Checker]:
-    """An explicit checker wins; otherwise the process default."""
-    return check if check is not None else get_default()
-
-
-@contextmanager
-def use(check: Optional[Checker]) -> Iterator[Optional[Checker]]:
-    """Temporarily install ``check`` as the process-wide default."""
-    global _default
-    previous = _default
-    _default = check
-    try:
-        yield check
-    finally:
-        _default = previous
+enabled_from_env = _DEFAULT.enabled_from_env
+get_default = _DEFAULT.get
+set_default = _DEFAULT.set
+clear_default = _DEFAULT.clear
+resolve = _DEFAULT.resolve
+use = _DEFAULT.use

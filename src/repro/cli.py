@@ -26,22 +26,23 @@ flags ``--aqm {droptail,red,codel}``, ``--ecn`` (mark instead of drop),
 and ``--capacity-trace SPEC`` (piecewise capacity scaling, e.g.
 ``steps:5@0.5,10@1.0``); see docs/SIMULATORS.md.
 
-``simulate`` and ``figure`` accept ``--profile`` (print telemetry
-counters/timers after the run) and ``--trace-out PATH`` (write a run
-manifest plus a JSONL event/sample trace; see docs/OBSERVABILITY.md).
-They also accept the execution-engine flags (see docs/PERFORMANCE.md):
-``--jobs N`` fans independent scenario points out over N worker
-processes, ``--cache-dir [DIR]`` enables the content-addressed result
-cache (default location ``~/.cache/repro-bbr`` when DIR is omitted, or
-``$REPRO_CACHE_DIR``), and ``--no-cache`` forces it off.
-
-``simulate``, ``figure``, and ``campaign run``/``resume`` accept
-``--check`` (equivalently ``REPRO_CHECK=1``) to enable the runtime
-invariant sanitizer; see docs/CHECKS.md.  They also accept ``--progress``
-(live done/total, cache-hit rate, points/s, EWMA-smoothed ETA on
-stderr), ``--profile-points [N]`` (cProfile the N slowest points), and
-``--spans-out PATH``, a span export producing Chrome trace-event JSON
-for Perfetto / ``chrome://tracing`` and ``repro-bbr trace report``.
+The simulating commands -- ``simulate``, ``figure``, ``population
+run``, ``campaign run``/``resume`` -- share one group of *session
+flags*, all handled by :func:`run_session` (one table in
+docs/OBSERVABILITY.md): the execution-engine flags ``--jobs N`` (fan
+independent scenario points out over N worker processes),
+``--cache-dir [DIR]`` (the content-addressed result cache; default
+location ``~/.cache/repro-bbr`` when DIR is omitted, or
+``$REPRO_CACHE_DIR``) and ``--no-cache`` (see docs/PERFORMANCE.md);
+``--check`` (equivalently ``REPRO_CHECK=1``), the runtime invariant
+sanitizer of docs/CHECKS.md; ``--progress`` (live done/total, cache-hit
+rate, points/s, EWMA-smoothed ETA on stderr); ``--profile-points [N]``
+(cProfile the N slowest points); and ``--spans-out PATH``, a span
+export producing Chrome trace-event JSON for Perfetto /
+``chrome://tracing`` and ``repro-bbr trace report``.  ``simulate`` and
+``figure`` also accept ``--profile`` (print telemetry counters/timers
+after the run) and ``--trace-out PATH`` (write a run manifest plus a
+JSONL event/sample trace).
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack, contextmanager
 from time import perf_counter
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 from repro.cc import available_algorithms
 from repro.core import predict_multi_flow, predict_nash, predict_two_flow
@@ -121,37 +123,52 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
-def _add_obs_args(parser: argparse.ArgumentParser) -> None:
+def _positive_int(value: str) -> int:
+    parsed = int(value)
+    if parsed < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return parsed
+
+
+def _add_session_args(
+    parser: argparse.ArgumentParser,
+    telemetry: bool = False,
+    span_aliases: Sequence[str] = (),
+) -> None:
+    """The flags :func:`run_session` reads, for a simulating command.
+
+    ``telemetry`` adds the event-bus flags (``simulate``/``figure``);
+    ``span_aliases`` are older spellings of ``--spans-out`` the parser
+    still accepts (``--trace-out`` on ``campaign run``/``resume``).
+    """
+    if telemetry:
+        parser.add_argument(
+            "--profile",
+            action="store_true",
+            help="collect telemetry and print counters/timers after the run",
+        )
+        parser.add_argument(
+            "--trace-out",
+            default=None,
+            metavar="PATH",
+            help="write a JSONL event/sample trace (plus a sibling "
+            "<stem>.manifest.json run manifest) to PATH",
+        )
+        parser.add_argument(
+            "--trace-interval",
+            type=_positive_float,
+            default=0.1,
+            help="per-flow sampling period in seconds for --trace-out",
+        )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="collect telemetry and print counters/timers after the run",
-    )
-    parser.add_argument(
-        "--trace-out",
+        "--spans-out",
+        *span_aliases,
         default=None,
         metavar="PATH",
-        help="write a JSONL event/sample trace (plus a sibling "
-        "<stem>.manifest.json run manifest) to PATH",
+        help="write hierarchical wall-clock spans as Chrome "
+        "trace-event JSON to PATH (loadable in Perfetto or "
+        "chrome://tracing; a .gz suffix compresses)",
     )
-    parser.add_argument(
-        "--trace-interval",
-        type=_positive_float,
-        default=0.1,
-        help="per-flow sampling period in seconds for --trace-out",
-    )
-
-
-def _add_progress_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="render a live done/total, cache-hit rate, points/s and "
-        "ETA line on stderr (see docs/OBSERVABILITY.md)",
-    )
-
-
-def _add_profile_points_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile-points",
         type=_positive_int,
@@ -163,81 +180,12 @@ def _add_profile_points_arg(parser: argparse.ArgumentParser) -> None:
         "N slowest (default 5); hotspots ride along in the span "
         "export for 'repro-bbr trace report'",
     )
-
-
-def _add_span_args(parser: argparse.ArgumentParser, *aliases: str) -> None:
-    """``aliases`` are older spellings of ``--spans-out`` the parser
-    still accepts (``--trace-out`` on ``campaign run``/``resume``)."""
     parser.add_argument(
-        "--spans-out",
-        *aliases,
-        default=None,
-        metavar="PATH",
-        help="write hierarchical wall-clock spans as Chrome "
-        "trace-event JSON to PATH (loadable in Perfetto or "
-        "chrome://tracing; a .gz suffix compresses)",
-    )
-    _add_profile_points_arg(parser)
-    _add_progress_arg(parser)
-
-
-def _activate_tracing(span_path):
-    """Install a process-wide span tracer when an export was requested.
-
-    ``REPRO_TRACE`` is exported too so ``--jobs`` worker processes
-    record spans locally and ship them back (mirrors ``--check``).
-    """
-    if not span_path:
-        return None
-    from repro.obs import trace
-
-    os.environ["REPRO_TRACE"] = "1"
-    tracer = trace.Tracer()
-    trace.set_default(tracer)
-    return tracer
-
-
-def _write_spans(path: str, tracer, engine) -> int:
-    """Export collected spans (plus any profiled hotspots) to ``path``."""
-    from repro.obs import write_chrome_trace
-
-    hotspots = engine.hotspots() if engine is not None else []
-    events = write_chrome_trace(path, tracer.spans, hotspots=hotspots)
-    print(f"(wrote {events} span events to {path})")
-    return events
-
-
-def _add_check_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--check",
+        "--progress",
         action="store_true",
-        help="enable the runtime invariant sanitizer (repro.check); "
-        "equivalent to REPRO_CHECK=1 (see docs/CHECKS.md)",
+        help="render a live done/total, cache-hit rate, points/s and "
+        "ETA line on stderr (see docs/OBSERVABILITY.md)",
     )
-
-
-def _activate_check(args: argparse.Namespace) -> None:
-    """Install the invariant sanitizer when ``--check`` was given.
-
-    The environment variable is set too so worker processes spawned by
-    the execution engine inherit checking.
-    """
-    if not getattr(args, "check", False):
-        return
-    from repro.check import Checker, set_default
-
-    os.environ["REPRO_CHECK"] = "1"
-    set_default(Checker())
-
-
-def _positive_int(value: str) -> int:
-    parsed = int(value)
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return parsed
-
-
-def _add_exec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=_positive_int,
@@ -260,65 +208,176 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable the result cache even if $REPRO_CACHE_DIR is set",
     )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="enable the runtime invariant sanitizer (repro.check); "
+        "equivalent to REPRO_CHECK=1 (see docs/CHECKS.md)",
+    )
 
 
-def _engine_from(args: argparse.Namespace, progress=None, heartbeat=None):
-    """Build the scenario-execution engine from --jobs/--cache-dir flags.
+class _CliError(Exception):
+    """A one-line diagnostic for stderr; :func:`main` exits 2."""
 
-    The cache is enabled by ``--cache-dir`` (bare flag = default root)
-    or the ``REPRO_CACHE_DIR`` environment variable, and force-disabled
-    by ``--no-cache``; by default nothing is persisted, matching the
-    historical behavior.  ``--profile-points N`` (when the subcommand
-    has it) keeps cProfile hotspots for the N slowest executed points.
+
+class _Session:
+    """What :func:`run_session` hands the command it wraps."""
+
+    def __init__(self, engine, obs) -> None:
+        self.engine = engine
+        #: The telemetry bus of ``--profile``/``--trace-out``, or None.
+        self.obs = obs
+        #: A :class:`repro.obs.RunManifest` for ``--trace-out`` to
+        #: embed and to write next to the trace (``simulate`` has one).
+        self.manifest = None
+        #: Whether exit prints the ``exec:`` line; cleared by commands
+        #: that never printed one (``simulate``, a figure that ran no
+        #: point, an interrupted campaign).
+        self.exec_summary = True
+        self._line_open = False
+
+    def draw(self, text: str) -> None:
+        """Redraw the live stderr status line."""
+        print("\r" + text, end="", file=sys.stderr, flush=True)
+        self._line_open = True
+
+    def end_line(self) -> None:
+        """Terminate the live line, if one is open, before other output
+        (run_session does on exit; commands do once their run is over)."""
+        if self._line_open:
+            print(file=sys.stderr)
+            self._line_open = False
+
+
+@contextmanager
+def run_session(
+    args: argparse.Namespace, label: Optional[str]
+) -> Iterator[_Session]:
+    """The ambient state of one simulating command, for its duration.
+
+    Entry builds what the session flags ask for and installs each as
+    its process default: ``--check`` a checker and ``--spans-out`` a
+    tracer (both exported as ``REPRO_CHECK`` / ``REPRO_TRACE`` too, so
+    ``--jobs`` workers inherit them), ``--profile``/``--trace-out`` a
+    telemetry bus, and always an engine from ``--jobs``,
+    ``--profile-points`` and the cache flags (``--cache-dir``, bare for
+    the default root, or ``$REPRO_CACHE_DIR``; ``--no-cache`` wins; by
+    default nothing is persisted).  Under ``--progress`` the engine's
+    points feed a tracker named ``label``, drawn on stderr; a command
+    that draws its own coarser progress (population ticks, campaign
+    units) passes None and gets an engine with its callbacks free.
+
+    A clean exit ends the live line, prints the exec summary, writes
+    ``--trace-out`` then ``--spans-out`` (unwritable: exit 2) and
+    prints ``--profile``, in that order.  Every exit -- clean, error or
+    invariant violation -- closes the engine and puts back each default
+    and environment variable the session replaced.
     """
-    from repro.exec import Engine, ResultCache
+    from repro import check, obs
+    from repro import exec as exec_
+    from repro.obs import trace
 
-    cache = None
-    if not args.no_cache:
-        if args.cache_dir is not None:
-            cache = ResultCache(args.cache_dir or None)
-        elif os.environ.get("REPRO_CACHE_DIR"):
-            cache = ResultCache(None)
-    return Engine(
-        jobs=args.jobs,
-        cache=cache,
-        progress=progress,
-        heartbeat=heartbeat,
-        profile_slowest=getattr(args, "profile_points", None) or 0,
-    )
-
-
-def _print_exec_summary(engine) -> None:
-    stats = engine.stats
-    print(
-        f"exec: {stats['submitted']} points, "
-        f"{stats['cache_hits']} cache hits, "
-        f"{stats['simulated']} simulated, jobs={engine.jobs}"
-    )
-
-
-def _obs_from(args: argparse.Namespace):
-    """Build a telemetry bus when --profile/--trace-out ask for one."""
-    if not (args.profile or args.trace_out):
-        return None
-    from repro.obs import Telemetry
-
-    interval = args.trace_interval if args.trace_out else None
-    return Telemetry(sample_interval=interval)
-
-
-def _print_profile(obs) -> None:
-    snap = obs.snapshot()
-    print("profile:")
-    for name, value in sorted(snap["counters"].items()):
-        print(f"  {name:<28} {value:g}")
-    for name, timer in sorted(snap["timers"].items()):
-        print(
-            f"  {name:<28} {timer['calls']} calls, "
-            f"{timer['total_s']:.3f}s total"
+    if args.no_cache and args.cache_dir is not None:
+        raise _CliError(
+            "--no-cache and --cache-dir are contradictory; drop one"
         )
-    if snap["dropped_records"]:
-        print(f"  (dropped {snap['dropped_records']} records at cap)")
+
+    def setenv(name: str, value: Optional[str]) -> None:
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
+
+    with ExitStack() as stack:
+
+        def export(name: str) -> None:
+            stack.callback(setenv, name, os.environ.get(name))
+            setenv(name, "1")
+
+        if args.check:
+            export("REPRO_CHECK")
+            stack.enter_context(check.use(check.Checker()))
+        tracer = None
+        if args.spans_out:
+            export("REPRO_TRACE")
+            tracer = stack.enter_context(trace.use(trace.Tracer()))
+        bus = None
+        trace_out = getattr(args, "trace_out", None)
+        profile = getattr(args, "profile", False)
+        if trace_out or profile:
+            interval = args.trace_interval if trace_out else None
+            bus = stack.enter_context(
+                obs.use(obs.Telemetry(sample_interval=interval))
+            )
+        tracker = None
+        if args.progress and label is not None:
+            tracker = obs.ProgressTracker(label=label)
+
+        def on_points(done: int, submitted: int, hits: int) -> None:
+            tracker.update(done, submitted, hits)
+            session.draw(tracker.render())
+
+        cache = None
+        if args.cache_dir is not None:
+            cache = exec_.ResultCache(args.cache_dir or None)
+        elif os.environ.get("REPRO_CACHE_DIR") and not args.no_cache:
+            cache = exec_.ResultCache(None)
+        engine = stack.enter_context(
+            exec_.Engine(
+                jobs=args.jobs,
+                cache=cache,
+                progress=on_points if tracker else None,
+                heartbeat=tracker.heartbeat if tracker else None,
+                profile_slowest=args.profile_points or 0,
+            )
+        )
+        stack.enter_context(exec_.use(engine))
+        session = _Session(engine, bus)
+        try:
+            yield session
+        finally:
+            session.end_line()
+        if session.exec_summary:
+            stats = engine.stats
+            print(
+                f"exec: {stats['submitted']} points, "
+                f"{stats['cache_hits']} cache hits, "
+                f"{stats['simulated']} simulated, jobs={engine.jobs}"
+            )
+        if trace_out:
+            manifest = session.manifest
+            try:
+                if manifest is not None:
+                    sibling = obs.manifest_path_for(trace_out)
+                    manifest.write(sibling)
+                records = obs.write_trace(trace_out, bus, manifest=manifest)
+            except OSError as exc:
+                raise _CliError(f"cannot write trace: {exc}") from None
+            if manifest is None:
+                print(f"(wrote {records} trace records to {trace_out})")
+            else:
+                print(f"  wrote {records} trace records to {trace_out}")
+                print(f"  wrote manifest to {sibling}")
+        if tracer is not None:
+            try:
+                events = obs.write_chrome_trace(
+                    args.spans_out, tracer.spans, hotspots=engine.hotspots()
+                )
+            except OSError as exc:
+                raise _CliError(f"cannot write spans: {exc}") from None
+            print(f"(wrote {events} span events to {args.spans_out})")
+        if profile:
+            snap = bus.snapshot()
+            print("profile:")
+            for name, value in sorted(snap["counters"].items()):
+                print(f"  {name:<28} {value:g}")
+            for name, timer in sorted(snap["timers"].items()):
+                print(
+                    f"  {name:<28} {timer['calls']} calls, "
+                    f"{timer['total_s']:.3f}s total"
+                )
+            if snap["dropped_records"]:
+                print(f"  (dropped {snap['dropped_records']} records at cap)")
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -377,34 +436,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"bad mix entry {item!r}; use name:count", file=sys.stderr)
             return 2
-    obs = _obs_from(args)
-    tracer = _activate_tracing(args.spans_out)
-    tracker = None
-    progress_cb = None
-    if args.progress:
-        from repro.obs import ProgressTracker
-
-        tracker = ProgressTracker(label="simulate")
-
-        def progress_cb(done: int, submitted: int, hits: int) -> None:
-            tracker.update(done, submitted, hits)
-            print(
-                "\r" + tracker.render(),
-                end="",
-                file=sys.stderr,
-                flush=True,
-            )
-
-    engine = _engine_from(
-        args,
-        progress=progress_cb,
-        heartbeat=tracker.heartbeat if tracker is not None else None,
-    )
-    from repro.obs import use
-
-    wall_start = perf_counter()
-    try:
-        with use(obs):
+    with run_session(args, "simulate") as session:
+        # One point: the "cache:" line below is its whole exec summary.
+        session.exec_summary = False
+        engine = session.engine
+        wall_start = perf_counter()
+        try:
             result = engine.run_mix(
                 link,
                 mix,
@@ -414,56 +451,44 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 trials=args.trials,
                 seed=args.seed,
             )
-    except ValueError as exc:
-        print(f"bad scenario: {exc}", file=sys.stderr)
-        return 2
-    wall_time = perf_counter() - wall_start
-    if tracker is not None:
-        print(file=sys.stderr)  # End the \r progress line.
-    print(f"link: {link.describe()}  backend={args.backend}")
-    for cc, count in mix:
-        if count == 0:
-            continue
-        key = cc.lower()
-        line = (
-            f"  {cc:>8} ×{count}: {result.per_flow_mbps(cc):6.2f} Mbps/flow"
-        )
-        if key in result.loss_rate:
-            line += (
-                f"  loss {result.loss_rate[key] * 100:5.2f}%"
-                f"  retx {result.retransmits.get(key, 0.0):6.1f}"
+        except ValueError as exc:
+            raise _CliError(f"bad scenario: {exc}") from None
+        wall_time = perf_counter() - wall_start
+        session.end_line()
+        print(f"link: {link.describe()}  backend={args.backend}")
+        for cc, count in mix:
+            if count == 0:
+                continue
+            key = cc.lower()
+            line = (
+                f"  {cc:>8} ×{count}: "
+                f"{result.per_flow_mbps(cc):6.2f} Mbps/flow"
             )
-        print(line)
-    print(f"  queuing delay: {result.mean_queuing_delay * 1e3:.1f} ms")
-    print(f"  drop rate: {result.drop_rate * 100:.2f}%")
-    if engine.cache is not None:
-        hit = engine.hits > 0
-        print(
-            f"  cache: {'hit' if hit else 'miss'} ({engine.cache.root})"
-        )
-
-    if args.trace_out:
-        try:
-            _write_simulate_trace(args, link, mix, result, obs, wall_time)
-        except OSError as exc:
-            print(f"cannot write trace: {exc}", file=sys.stderr)
-            return 2
-    if args.spans_out and tracer is not None:
-        try:
-            _write_spans(args.spans_out, tracer, engine)
-        except OSError as exc:
-            print(f"cannot write spans: {exc}", file=sys.stderr)
-            return 2
-    if obs is not None and args.profile:
-        _print_profile(obs)
+            if key in result.loss_rate:
+                line += (
+                    f"  loss {result.loss_rate[key] * 100:5.2f}%"
+                    f"  retx {result.retransmits.get(key, 0.0):6.1f}"
+                )
+            print(line)
+        print(f"  queuing delay: {result.mean_queuing_delay * 1e3:.1f} ms")
+        print(f"  drop rate: {result.drop_rate * 100:.2f}%")
+        if engine.cache is not None:
+            hit = engine.hits > 0
+            print(
+                f"  cache: {'hit' if hit else 'miss'} ({engine.cache.root})"
+            )
+        if args.trace_out:
+            session.manifest = _simulate_manifest(
+                args, link, mix, result, session.obs, wall_time
+            )
     return 0
 
 
-def _write_simulate_trace(
+def _simulate_manifest(
     args: argparse.Namespace, link, mix, result, obs, wall_time: float
-) -> int:
-    """Write the manifest + JSONL trace for an instrumented simulate run."""
-    from repro.obs import RunManifest, manifest_path_for, write_trace
+):
+    """The run manifest of an instrumented simulate run."""
+    from repro.obs import RunManifest
 
     flow_rows = []
     flow_id = 0
@@ -480,7 +505,7 @@ def _write_simulate_trace(
                 row["loss_rate"] = result.loss_rate[key]
             flow_rows.append(row)
             flow_id += 1
-    manifest = RunManifest.build(
+    return RunManifest.build(
         label="simulate",
         link=link,
         mix=mix,
@@ -497,12 +522,6 @@ def _write_simulate_trace(
         wall_time_s=wall_time,
         flows=flow_rows,
     )
-    sibling = manifest_path_for(args.trace_out)
-    manifest.write(sibling)
-    records = write_trace(args.trace_out, obs, manifest=manifest)
-    print(f"  wrote {records} trace records to {args.trace_out}")
-    print(f"  wrote manifest to {sibling}")
-    return records
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -513,83 +532,34 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    obs = _obs_from(args)
-    tracer = _activate_tracing(args.spans_out)
-    tracker = None
-    if args.progress:
-        from repro.obs import ProgressTracker
-
-        tracker = ProgressTracker(label=key)
-
-        def progress(done: int, submitted: int, hits: int) -> None:
-            tracker.update(done, submitted, hits)
-            print(
-                "\r  " + tracker.render(),
-                end="",
-                file=sys.stderr,
-                flush=True,
-            )
-
-    else:
-
-        def progress(done: int, submitted: int, hits: int) -> None:
-            print(
-                f"\r  points {done}/{submitted} ({hits} cached)",
-                end="",
-                file=sys.stderr,
-                flush=True,
-            )
-
-    engine = _engine_from(
-        args,
-        progress=progress,
-        heartbeat=tracker.heartbeat if tracker is not None else None,
-    )
-    from repro.exec import use as use_engine
-    from repro.obs import use as use_obs
     from repro.scenario import scenario_overrides
 
-    # Figures drive run_mix internally without obs/engine parameters, so
-    # instrument them by installing both as the process defaults; the
-    # scenario flags reach their internally built links the same way.
-    try:
-        with use_obs(obs), use_engine(engine), scenario_overrides(
-            **_scenario_kwargs(args)
-        ):
-            produced = FIGURES[key](scale=args.scale)
-    except ValueError as exc:
-        print(f"bad scenario: {exc}", file=sys.stderr)
-        return 2
-    if engine.done:
-        print(file=sys.stderr)  # End the \r progress line.
-    figures = produced if isinstance(produced, list) else [produced]
-    for fig in figures:
-        print(fig.render())
-        print()
-        if args.csv_dir:
-            os.makedirs(args.csv_dir, exist_ok=True)
-            path = f"{args.csv_dir}/{fig.figure_id}.csv"
-            fig.to_csv(path)
-            print(f"(wrote {path})")
-    if engine.done:
-        _print_exec_summary(engine)
-    if args.trace_out:
-        from repro.obs import write_trace
-
+    # Figures drive the engine internally without obs/engine parameters;
+    # they pick both up as the process defaults the session installed,
+    # and the scenario flags reach their internally built links the
+    # same way.
+    with run_session(args, key) as session:
+        engine = session.engine
+        if not args.progress:
+            engine.progress = lambda done, submitted, hits: session.draw(
+                f"  points {done}/{submitted} ({hits} cached)"
+            )
         try:
-            records = write_trace(args.trace_out, obs)
-        except OSError as exc:
-            print(f"cannot write trace: {exc}", file=sys.stderr)
-            return 2
-        print(f"(wrote {records} trace records to {args.trace_out})")
-    if args.spans_out and tracer is not None:
-        try:
-            _write_spans(args.spans_out, tracer, engine)
-        except OSError as exc:
-            print(f"cannot write spans: {exc}", file=sys.stderr)
-            return 2
-    if obs is not None and args.profile:
-        _print_profile(obs)
+            with scenario_overrides(**_scenario_kwargs(args)):
+                produced = FIGURES[key](scale=args.scale)
+        except ValueError as exc:
+            raise _CliError(f"bad scenario: {exc}") from None
+        session.end_line()
+        session.exec_summary = engine.done > 0
+        figures = produced if isinstance(produced, list) else [produced]
+        for fig in figures:
+            print(fig.render())
+            print()
+            if args.csv_dir:
+                os.makedirs(args.csv_dir, exist_ok=True)
+                path = f"{args.csv_dir}/{fig.figure_id}.csv"
+                fig.to_csv(path)
+                print(f"(wrote {path})")
     return 0
 
 
@@ -746,19 +716,7 @@ def _cmd_population_run(args: argparse.Namespace) -> int:
         run_population,
     )
 
-    tracer = _activate_tracing(args.spans_out)
     cells = _population_cells(args)
-    engine = _engine_from(args)
-    force_tier = None if args.tier == "auto" else int(args.tier)
-    oracle = TieredOracle(
-        engine=engine,
-        error_threshold=args.error_threshold,
-        bound=args.bound,
-        duration=args.duration,
-        trials=args.trials,
-        seed=args.seed,
-        force_tier=force_tier,
-    )
     config = DynamicsConfig(
         name=args.dynamics,
         step=args.step,
@@ -766,76 +724,79 @@ def _cmd_population_run(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         mutation=args.mutation,
     )
-    progress = None
-    if args.progress:
-
-        def progress(done: int, total: int) -> None:
-            print(f"\rtick {done}/{total}", end="", file=sys.stderr)
-
     total_flows = sum(cell.n_flows for cell in cells)
-    print(
-        f"population: {len(cells)} cell(s), {total_flows} flows, "
-        f"dynamics={config.name}, ticks={args.ticks}, seed={args.seed}"
-    )
-    result = run_population(
-        cells,
-        dynamics=config,
-        ticks=args.ticks,
-        seed=args.seed,
-        strategies=(args.incumbent, args.challenger),
-        init_share=args.init_share,
-        oracle=oracle,
-        progress=progress,
-    )
-    if args.progress:
-        print(file=sys.stderr)
     challenger = args.challenger
-    for i, label in enumerate(result.cell_labels()):
-        share = result.final_shares[i][-1]
-        ne = result.ne[i]
-        reference = (
-            f" (NE sync {ne['share_sync']:.3f}, "
-            f"desync {ne['share_desync']:.3f})"
-            if ne
-            else ""
+    with run_session(args, None) as session:
+        oracle = TieredOracle(
+            engine=session.engine,
+            error_threshold=args.error_threshold,
+            bound=args.bound,
+            duration=args.duration,
+            trials=args.trials,
+            seed=args.seed,
+            force_tier=None if args.tier == "auto" else int(args.tier),
         )
+        progress = None
+        if args.progress:
+
+            def progress(done: int, total: int) -> None:
+                session.draw(f"tick {done}/{total}")
+
         print(
-            f"  {label}: final {challenger} share {share:.3f}{reference}"
+            f"population: {len(cells)} cell(s), {total_flows} flows, "
+            f"dynamics={config.name}, ticks={args.ticks}, seed={args.seed}"
         )
-    print(
-        f"overall {challenger} share: "
-        f"{result.final_share(challenger):.3f}  "
-        + (
-            "converged"
-            if result.converged
-            else f"not converged (max recent delta "
-            f"{result.max_recent_delta:.4f})"
+        result = run_population(
+            cells,
+            dynamics=config,
+            ticks=args.ticks,
+            seed=args.seed,
+            strategies=(args.incumbent, challenger),
+            init_share=args.init_share,
+            oracle=oracle,
+            progress=progress,
         )
-    )
-    stats = result.oracle
-    print(
-        f"oracle: {stats['queries']} queries "
-        f"(tier0 {stats['tier0']}, tier1 {stats['tier1']}), "
-        f"{stats['memo_hits']} memo hits, "
-        f"{stats['calibrations']} calibrations, "
-        f"{stats['sim_points']} sim points"
-    )
-    escalated = result.error_map.escalated()
-    print(
-        "escalated regions: "
-        + (", ".join(escalated) if escalated else "(none)")
-    )
-    if args.out:
-        _write_population_out(args.out, result)
-        print(f"wrote {args.out}/summary.json, trajectory.csv, "
-              f"error_map.json")
-    _print_exec_summary(engine)
-    if args.spans_out and tracer is not None:
-        try:
-            _write_spans(args.spans_out, tracer, engine)
-        except OSError as exc:
-            print(f"cannot write spans: {exc}", file=sys.stderr)
-            return 2
+        session.end_line()
+        for i, label in enumerate(result.cell_labels()):
+            share = result.final_shares[i][-1]
+            ne = result.ne[i]
+            reference = (
+                f" (NE sync {ne['share_sync']:.3f}, "
+                f"desync {ne['share_desync']:.3f})"
+                if ne
+                else ""
+            )
+            print(
+                f"  {label}: final {challenger} share "
+                f"{share:.3f}{reference}"
+            )
+        print(
+            f"overall {challenger} share: "
+            f"{result.final_share(challenger):.3f}  "
+            + (
+                "converged"
+                if result.converged
+                else f"not converged (max recent delta "
+                f"{result.max_recent_delta:.4f})"
+            )
+        )
+        stats = result.oracle
+        print(
+            f"oracle: {stats['queries']} queries "
+            f"(tier0 {stats['tier0']}, tier1 {stats['tier1']}), "
+            f"{stats['memo_hits']} memo hits, "
+            f"{stats['calibrations']} calibrations, "
+            f"{stats['sim_points']} sim points"
+        )
+        escalated = result.error_map.escalated()
+        print(
+            "escalated regions: "
+            + (", ".join(escalated) if escalated else "(none)")
+        )
+        if args.out:
+            _write_population_out(args.out, result)
+            print(f"wrote {args.out}/summary.json, trajectory.csv, "
+                  f"error_map.json")
     return 0
 
 
@@ -936,14 +897,6 @@ def _campaign_errors(fn):
     return wrapper
 
 
-def _print_campaign_summary(summary) -> None:
-    print(
-        f"campaign '{summary.name}': {summary.total_units} units, "
-        f"{summary.from_journal} from journal, "
-        f"{summary.executed} executed, {summary.rows} rows"
-    )
-
-
 def _override_campaign_scenario(spec, args: argparse.Namespace):
     """Apply --aqm/--ecn/--capacity-trace to a loaded campaign spec.
 
@@ -966,9 +919,12 @@ def _override_campaign_scenario(spec, args: argparse.Namespace):
     return replace(spec, link=link)
 
 
-def _run_campaign_cmd(args: argparse.Namespace, resume: bool) -> int:
+@_campaign_errors
+def _run_campaign_cmd(args: argparse.Namespace) -> int:
+    """``campaign run`` and ``campaign resume``."""
     from repro.campaign import load_campaign, load_spec, run_campaign
 
+    resume = args.campaign_command == "resume"
     if resume:
         out_dir = args.dir
         spec = load_campaign(out_dir)
@@ -980,111 +936,71 @@ def _run_campaign_cmd(args: argparse.Namespace, resume: bool) -> int:
         except ValueError as exc:
             print(f"bad scenario: {exc}", file=sys.stderr)
             return 2
-    tracer = _activate_tracing(args.spans_out)
-    engine = _engine_from(args)
-    print(
-        f"campaign '{spec.name}'"
-        + (f": {spec.description}" if spec.description else "")
-    )
-    on_progress = None
-    log = lambda line: print(line, file=sys.stderr)  # noqa: E731
-    if args.progress:
-        # The live \r line replaces the per-unit log lines.
-        log = None
-
-        def on_progress(tracker) -> None:
-            print(
-                "\r" + tracker.render(),
-                end="",
-                file=sys.stderr,
-                flush=True,
-            )
-
-    summary = run_campaign(
-        spec,
-        out_dir,
-        engine=engine,
-        resume=resume,
-        stop_after=args.stop_after,
-        log=log,
-        on_progress=on_progress,
-    )
-    if args.progress:
-        print(file=sys.stderr)  # End the \r progress line.
-    if args.spans_out and tracer is not None:
-        try:
-            _write_spans(args.spans_out, tracer, engine)
-        except OSError as exc:
-            print(f"cannot write spans: {exc}", file=sys.stderr)
-            return 2
-    if summary.interrupted:
+    with run_session(args, None) as session:
         print(
-            f"campaign '{summary.name}' stopped after "
-            f"{summary.executed} new unit(s); resume with: "
-            f"repro-bbr campaign resume {summary.out_dir}"
+            f"campaign '{spec.name}'"
+            + (f": {spec.description}" if spec.description else "")
         )
-        return 3
-    _print_campaign_summary(summary)
-    _print_exec_summary(engine)
-    print(f"wrote {summary.csv_path}")
+        # The live --progress line replaces the per-unit log lines.
+        log = on_progress = None
+        if args.progress:
+
+            def on_progress(tracker) -> None:
+                session.draw(tracker.render())
+
+        else:
+
+            def log(line: str) -> None:
+                print(line, file=sys.stderr)
+
+        summary = run_campaign(
+            spec,
+            out_dir,
+            engine=session.engine,
+            resume=resume,
+            stop_after=args.stop_after,
+            log=log,
+            on_progress=on_progress,
+        )
+        session.end_line()
+        if summary.interrupted:
+            session.exec_summary = False
+            print(
+                f"campaign '{summary.name}' stopped after "
+                f"{summary.executed} new unit(s); resume with: "
+                f"repro-bbr campaign resume {summary.out_dir}"
+            )
+            return 3
+        print(
+            f"campaign '{summary.name}': {summary.total_units} units, "
+            f"{summary.from_journal} from journal, "
+            f"{summary.executed} executed, {summary.rows} rows"
+        )
+        print(f"wrote {summary.csv_path}")
     return 0
 
 
 @_campaign_errors
-def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    return _run_campaign_cmd(args, resume=False)
-
-
-@_campaign_errors
-def _cmd_campaign_resume(args: argparse.Namespace) -> int:
-    return _run_campaign_cmd(args, resume=True)
-
-
-@_campaign_errors
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    from repro.campaign import Journal, expand_units, load_campaign
-    from repro.campaign.sink import resolve_artifact
+    from repro.campaign import campaign_progress, load_campaign
 
+    status = campaign_progress(args.dir)
     if args.json:
         import json
 
-        from repro.campaign import campaign_progress
-
-        print(json.dumps(campaign_progress(args.dir), indent=2))
+        print(json.dumps(status, indent=2))
         return 0
-
-    spec = load_campaign(args.dir)
-    units = expand_units(spec)
-    journal = Journal.in_dir(args.dir)
-    known = {unit.unit_id() for unit in units}
-    # Stream the journal: counters only, rows never accumulate.
-    completed = 0
-    rows = 0
-    for record in journal.iter_records(
-        expect_fingerprint=spec.fingerprint()
-    ):
-        if record.unit_id in known:
-            completed += 1
-            rows += len(record.rows)
-    # The CSV is streamed during the run, so its existence no longer
-    # implies completion; the manifest is written only on clean finish.
-    from pathlib import Path
-
-    manifest = resolve_artifact(Path(args.dir) / "manifest.json")
-    state = (
-        "complete"
-        if manifest is not None and completed == len(units)
-        else "resumable"
-    )
-    print(f"campaign '{spec.name}' ({state})")
-    if spec.description:
-        print(f"  {spec.description}")
-    print(f"  fingerprint: {spec.fingerprint()}")
+    units = status["units"]
+    print(f"campaign '{status['name']}' ({status['state']})")
+    description = load_campaign(args.dir).description
+    if description:
+        print(f"  {description}")
+    print(f"  fingerprint: {status['fingerprint']}")
     print(
-        f"  units: {completed}/{len(units)} completed, "
-        f"{rows} rows journaled"
+        f"  units: {units['done']}/{units['total']} completed, "
+        f"{status['rows']} rows journaled"
     )
-    if state == "resumable":
+    if status["state"] != "complete":
         print(f"  resume with: repro-bbr campaign resume {args.dir}")
     return 0
 
@@ -1244,10 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     _add_scenario_args(p)
-    _add_obs_args(p)
-    _add_span_args(p)
-    _add_exec_args(p)
-    _add_check_args(p)
+    _add_session_args(p, telemetry=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
@@ -1262,10 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--csv-dir", default=None, help="also write CSVs to this directory"
     )
     _add_scenario_args(p)
-    _add_obs_args(p)
-    _add_span_args(p)
-    _add_exec_args(p)
-    _add_check_args(p)
+    _add_session_args(p, telemetry=True)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser(
@@ -1407,9 +1317,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write summary.json, trajectory.csv and error_map.json "
         "to DIR (the input of 'population plot')",
     )
-    _add_span_args(pp)
-    _add_exec_args(pp)
-    _add_check_args(pp)
+    _add_session_args(pp)
     pp.set_defaults(func=_cmd_population_run)
 
     pp = population_sub.add_parser(
@@ -1451,10 +1359,8 @@ def build_parser() -> argparse.ArgumentParser:
         "interrupted campaign; exit code 3)",
     )
     _add_scenario_args(cp)
-    _add_span_args(cp, "--trace-out")
-    _add_exec_args(cp)
-    _add_check_args(cp)
-    cp.set_defaults(func=_cmd_campaign_run)
+    _add_session_args(cp, span_aliases=("--trace-out",))
+    cp.set_defaults(func=_run_campaign_cmd)
 
     cp = campaign_sub.add_parser(
         "resume", help="resume an interrupted campaign directory"
@@ -1467,10 +1373,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="stop cleanly after N newly executed units (exit code 3)",
     )
-    _add_span_args(cp, "--trace-out")
-    _add_exec_args(cp)
-    _add_check_args(cp)
-    cp.set_defaults(func=_cmd_campaign_resume)
+    _add_session_args(cp, span_aliases=("--trace-out",))
+    cp.set_defaults(func=_run_campaign_cmd)
 
     cp = campaign_sub.add_parser(
         "status", help="show a campaign directory's progress"
@@ -1585,17 +1489,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.check import InvariantViolation
 
     args = build_parser().parse_args(argv)
-    if getattr(args, "no_cache", False) and (
-        getattr(args, "cache_dir", None) is not None
-    ):
-        print(
-            "--no-cache and --cache-dir are contradictory; drop one",
-            file=sys.stderr,
-        )
-        return 2
-    _activate_check(args)
     try:
         return args.func(args)
+    except _CliError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1

@@ -253,9 +253,6 @@ class GroupGame:
             self._cache[state] = self.payoff(state)
         return self._cache[state]
 
-    # Backwards-compatible alias (kept private-named for old callers).
-    _payoffs = payoffs
-
     def states(self) -> Iterable[Tuple[int, ...]]:
         """Every distribution of strategy B across the groups."""
 

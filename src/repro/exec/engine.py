@@ -66,7 +66,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager, nullcontext
 from threading import Lock
 from time import perf_counter
 from typing import (
@@ -83,6 +82,8 @@ from typing import (
 
 from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import ScenarioPoint, fingerprint_payload
+from repro.obs.trace import span
+from repro.util.ambient import ProcessDefault
 from repro.util.config import LinkConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -131,13 +132,6 @@ def _point_cost(point: ScenarioPoint) -> float:
 
 def _chunkable(point: ScenarioPoint) -> bool:
     return _point_cost(point) < CHUNK_COST_THRESHOLD
-
-
-def _span(tracer: Any, name: str, **args: Any):
-    """A tracer span, or a no-op context when tracing is disabled."""
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, cat="exec", **args)
 
 
 def _profile_rows(prof: Any, limit: int = PROFILE_ROWS) -> List[Dict]:
@@ -237,7 +231,9 @@ def _execute_unit(
     if len(points) > 1 and _pools_on_vec(points, obs):
         pooled = [i for i, p in enumerate(points) if p.backend == "fluid"]
         start = perf_counter()
-        with _span(tracer, "point_batch", n=len(pooled), backend="fluid"):
+        with span(
+            tracer, "point_batch", "exec", n=len(pooled), backend="fluid"
+        ):
             batch = run_mix_batch(
                 [_mix_request(points[i]) for i in pooled], obs=obs
             )
@@ -249,8 +245,10 @@ def _execute_unit(
             continue
         rows: List[Dict] = []
         start = perf_counter()
-        with _span(tracer, "point", fingerprint=point.fingerprint()[:12]):
-            with _span(tracer, "simulate", backend=point.backend):
+        with span(
+            tracer, "point", "exec", fingerprint=point.fingerprint()[:12]
+        ):
+            with span(tracer, "simulate", "exec", backend=point.backend):
                 if profile:
                     result, rows = _run_profiled(
                         lambda: _run_point(point, obs=obs)
@@ -489,7 +487,7 @@ class Engine:
             obs.count("exec.points.simulated")
             obs.record_time("exec.point.wall", elapsed)
         if self.cache is not None:
-            with _span(tracer, "cache_store"):
+            with span(tracer, "cache_store", "exec"):
                 self.cache.put(fingerprint, payload())
             if obs is not None:
                 obs.count("exec.cache.stores")
@@ -567,7 +565,7 @@ class Engine:
                 pending[fingerprint].append(i)
                 self._account_miss(obs)
                 continue
-            with _span(tracer, "cache_lookup"):
+            with span(tracer, "cache_lookup", "exec"):
                 payload = self._cache_lookup(fingerprint, obs)
             if payload is not None:
                 result = ScenarioResult.from_dict(payload)
@@ -757,14 +755,14 @@ class Engine:
             self.submitted += 1
         if obs is not None:
             obs.count("exec.points.submitted")
-        with _span(tracer, "cache_lookup"):
+        with span(tracer, "cache_lookup", "exec"):
             payload = self._cache_lookup(fingerprint, obs)
         if payload is not None:
             self._account_hit(obs)
             return payload
         self._account_miss(obs)
         start = perf_counter()
-        with _span(tracer, "point", kind=kind):
+        with span(tracer, "point", "exec", kind=kind):
             payload = compute()
         elapsed = perf_counter() - start
         self._record_executed(
@@ -774,42 +772,13 @@ class Engine:
         return payload
 
 
-# -- default-engine plumbing (mirrors repro.obs.bus) -------------------------
+# -- default-engine plumbing --------------------------------------------------
 
-_default: Optional[Engine] = None
-_fallback: Optional[Engine] = None
+#: ``resolve(None)`` with no engine installed answers with one shared
+#: sequential, cache-less engine (historical behavior), built lazily.
+_DEFAULT = ProcessDefault(factory=Engine)
 
-
-def get_default() -> Optional[Engine]:
-    """The installed default engine, or None when none is installed."""
-    return _default
-
-
-def set_default(engine: Optional[Engine]) -> None:
-    """Install ``engine`` as the process-wide default (None uninstalls)."""
-    global _default
-    _default = engine
-
-
-@contextmanager
-def use(engine: Optional[Engine]) -> Iterator[Optional[Engine]]:
-    """Temporarily install ``engine`` as the default."""
-    previous = get_default()
-    set_default(engine)
-    try:
-        yield engine
-    finally:
-        set_default(previous)
-
-
-def resolve(engine: Optional[Engine]) -> Engine:
-    """An explicit engine wins; else the default; else a shared
-    sequential, cache-less fallback (historical behavior)."""
-    if engine is not None:
-        return engine
-    if _default is not None:
-        return _default
-    global _fallback
-    if _fallback is None:
-        _fallback = Engine()
-    return _fallback
+get_default = _DEFAULT.get
+set_default = _DEFAULT.set
+resolve = _DEFAULT.resolve
+use = _DEFAULT.use

@@ -31,6 +31,8 @@ from repro.experiments.runner import (
     distribution_throughput_fn,
     group_payoff_fn,
 )
+from repro.obs.trace import resolve as resolve_tracer
+from repro.obs.trace import span
 from repro.util.config import LinkConfig
 
 SCALES = ("quick", "full")
@@ -695,14 +697,8 @@ def _traced_figure(fig_id: str, fn):
     """
 
     def wrapper(scale: str = "quick"):
-        from repro.obs.trace import resolve as resolve_tracer
-
         tracer = resolve_tracer(None)
-        if tracer is None:
-            return fn(scale=scale)
-        with tracer.span(
-            "figure", cat="figure", figure=fig_id, scale=scale
-        ):
+        with span(tracer, "figure", "figure", figure=fig_id, scale=scale):
             return fn(scale=scale)
 
     return wrapper

@@ -10,7 +10,7 @@ paper states in prose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import (
     fraction_within,
@@ -19,7 +19,8 @@ from repro.analysis.metrics import (
 )
 from repro.core.two_flow import predict_two_flow
 from repro.core.ware import ware_prediction
-from repro.experiments.runner import run_mix
+from repro.exec import Engine, ScenarioPoint
+from repro.exec import resolve as resolve_engine
 from repro.util.config import LinkConfig
 
 
@@ -116,29 +117,38 @@ def validate_two_flow(
     backend: str = "packet",
     trials: int = 1,
     seed: int = 0,
+    engine: Optional[Engine] = None,
 ) -> ValidationReport:
-    """Run the §3.1 validation sweep and score both models."""
+    """Run the §3.1 validation sweep and score both models.
+
+    The buffer sweep is one batch on ``engine`` (None: the process
+    default), so ``--jobs`` and the result cache apply to it.
+    """
     if not buffer_bdps:
         raise ValueError("at least one buffer depth is required")
-    rows = []
-    for depth in buffer_bdps:
-        cfg = link.with_buffer_bdp(depth)
-        result = run_mix(
-            cfg,
-            [("cubic", 1), ("bbr", 1)],
-            duration=duration,
-            backend=backend,
-            trials=trials,
-            seed=seed,
-        )
-        rows.append(
-            ValidationRow(
-                buffer_bdp=depth,
-                actual=result.per_flow.get("bbr", 0.0),
-                model=predict_two_flow(cfg).bbr_bandwidth,
-                ware=ware_prediction(cfg, duration=duration).bbr_bandwidth,
+    links = [link.with_buffer_bdp(depth) for depth in buffer_bdps]
+    results = resolve_engine(engine).run_points(
+        [
+            ScenarioPoint(
+                link=cfg,
+                mix=(("cubic", 1), ("bbr", 1)),
+                duration=duration,
+                backend=backend,
+                trials=trials,
+                seed=seed,
             )
+            for cfg in links
+        ]
+    )
+    rows = [
+        ValidationRow(
+            buffer_bdp=depth,
+            actual=result.per_flow.get("bbr", 0.0),
+            model=predict_two_flow(cfg).bbr_bandwidth,
+            ware=ware_prediction(cfg, duration=duration).bbr_bandwidth,
         )
+        for depth, cfg, result in zip(buffer_bdps, links, results)
+    ]
     return ValidationReport(
         link=link, backend=backend, duration=duration, rows=rows
     )

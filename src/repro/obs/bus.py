@@ -34,6 +34,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.util.ambient import ProcessDefault
+
 __all__ = [
     "Telemetry",
     "TelemetryEvent",
@@ -236,31 +238,9 @@ class Telemetry:
 
 
 #: The process-wide default bus; None means telemetry is disabled.
-_default: Optional[Telemetry] = None
+_DEFAULT = ProcessDefault()
 
-
-def get_default() -> Optional[Telemetry]:
-    """The current default bus, or None when telemetry is disabled."""
-    return _default
-
-
-def set_default(obs: Optional[Telemetry]) -> None:
-    """Install ``obs`` as the process-wide default bus (None disables)."""
-    global _default
-    _default = obs
-
-
-def resolve(obs: Optional[Telemetry]) -> Optional[Telemetry]:
-    """An explicit bus wins; otherwise fall back to the default (or None)."""
-    return obs if obs is not None else _default
-
-
-@contextmanager
-def use(obs: Optional[Telemetry]) -> Iterator[Optional[Telemetry]]:
-    """Temporarily install ``obs`` as the default bus."""
-    previous = get_default()
-    set_default(obs)
-    try:
-        yield obs
-    finally:
-        set_default(previous)
+get_default = _DEFAULT.get
+set_default = _DEFAULT.set
+resolve = _DEFAULT.resolve
+use = _DEFAULT.use

@@ -30,11 +30,12 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.obs.export import open_maybe_gzip
+from repro.util.ambient import ProcessDefault
 
 __all__ = [
     "Span",
@@ -409,63 +410,24 @@ class ChromeTrace:
         return sorted({span.pid for span in self.spans})
 
 
-# -- process-wide default (mirrors repro.check) ------------------------------
+# -- process-wide default ----------------------------------------------------
 
-_UNSET = object()
-_default: Any = _UNSET
-_env_tracer: Optional[Tracer] = None
+#: An explicit :func:`set_default` always wins (including an explicit
+#: ``None``, which disables tracing even under ``REPRO_TRACE=1``);
+#: otherwise the environment decides, with one shared lazily-created
+#: tracer per process.
+_DEFAULT = ProcessDefault(factory=Tracer, env="REPRO_TRACE")
 
-
-def enabled_from_env(environ: Optional[Dict[str, str]] = None) -> bool:
-    """Whether ``REPRO_TRACE`` asks for a process-wide tracer."""
-    env = os.environ if environ is None else environ
-    value = env.get("REPRO_TRACE", "")
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
-
-
-def get_default() -> Optional[Tracer]:
-    """The process-wide tracer, or None.
-
-    An explicit :func:`set_default` always wins (including an explicit
-    ``None``, which disables tracing even under ``REPRO_TRACE=1``);
-    otherwise the environment decides, with one shared lazily-created
-    tracer per process.
-    """
-    global _env_tracer
-    if _default is not _UNSET:
-        return _default
-    if not enabled_from_env():
-        return None
-    if _env_tracer is None:
-        _env_tracer = Tracer()
-    return _env_tracer
+enabled_from_env = _DEFAULT.enabled_from_env
+get_default = _DEFAULT.get
+set_default = _DEFAULT.set
+clear_default = _DEFAULT.clear
+resolve = _DEFAULT.resolve
+use = _DEFAULT.use
 
 
-def set_default(tracer: Optional[Tracer]) -> None:
-    """Install ``tracer`` as the process-wide default (None disables)."""
-    global _default
-    _default = tracer
-
-
-def clear_default() -> None:
-    """Forget any explicit default; ``REPRO_TRACE`` decides again."""
-    global _default, _env_tracer
-    _default = _UNSET
-    _env_tracer = None
-
-
-def resolve(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """An explicit tracer wins; otherwise the process default."""
-    return tracer if tracer is not None else get_default()
-
-
-@contextmanager
-def use(tracer: Optional[Tracer]) -> Iterator[Optional[Tracer]]:
-    """Temporarily install ``tracer`` as the process-wide default."""
-    global _default
-    previous = _default
-    _default = tracer
-    try:
-        yield tracer
-    finally:
-        _default = previous
+def span(tracer: Optional[Tracer], name: str, cat: str, **args: Any):
+    """``tracer.span(...)``, or a no-op context when tracing is off."""
+    if tracer is None:
+        return nullcontext()
+    return tracer.span(name, cat=cat, **args)

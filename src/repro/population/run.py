@@ -17,7 +17,6 @@ vectorized fluid substrate is batch-invariant.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -36,12 +35,6 @@ __all__ = ["PopulationResult", "run_population"]
 #: Convergence is declared when every per-tick share delta over the
 #: last ``CONVERGENCE_WINDOW`` ticks stays below the tolerance.
 CONVERGENCE_WINDOW = 10
-
-
-def _span(tracer: Any, name: str, **args: Any):
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, cat="population", **args)
 
 
 @dataclass
@@ -170,6 +163,7 @@ def run_population(
     from repro.check import resolve as resolve_check
     from repro.obs.bus import resolve as resolve_obs
     from repro.obs.trace import resolve as resolve_tracer
+    from repro.obs.trace import span
 
     obs = resolve_obs(obs)
     check = resolve_check(check)
@@ -185,15 +179,16 @@ def run_population(
     )
     trajectory: List[Dict[str, Any]] = []
     deltas: List[float] = []
-    with _span(
+    with span(
         tracer,
+        "population",
         "population",
         ticks=ticks,
         cells=state.n_cells,
         dynamics=config.name,
     ):
         for tick in range(ticks):
-            with _span(tracer, "population_tick", tick=tick):
+            with span(tracer, "population_tick", "population", tick=tick):
                 payoffs = oracle.payoffs(state)
             if obs is not None:
                 obs.count("population.ticks")

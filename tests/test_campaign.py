@@ -274,7 +274,8 @@ def test_journal_round_trip(tmp_path):
             wall_s=1.5,
         )
     )
-    header, records = journal.load(expect_fingerprint="f" * 64)
+    header = journal.read_header(expect_fingerprint="f" * 64)
+    records = list(journal.iter_records(expect_fingerprint="f" * 64))
     assert header["name"] == "t"
     assert records[0].rows[0] == {"buffer_bdp": 1, "x": 0.5}
     assert list(records[0].rows[0]) == ["buffer_bdp", "x"]  # Order kept.
@@ -292,7 +293,7 @@ def test_journal_tolerates_torn_trailing_line(tmp_path):
     )
     with open(journal.path, "a") as handle:
         handle.write('{"kind": "unit", "unit": "u1", "index"')  # Torn.
-    _header, records = journal.load()
+    records = list(journal.iter_records())
     assert [r.unit_id for r in records] == ["u0"]
 
 
@@ -306,19 +307,19 @@ def test_journal_rejects_mid_file_corruption(tmp_path):
             '"rows":[],"wall_s":0.0}\n'
         )
     with pytest.raises(JournalError, match="corrupt journal line"):
-        journal.load()
+        list(journal.iter_records())
 
 
 def test_journal_rejects_wrong_fingerprint(tmp_path):
     journal = Journal.in_dir(tmp_path)
     journal.create("t", "a" * 64)
     with pytest.raises(JournalError, match="different campaign"):
-        journal.load(expect_fingerprint="b" * 64)
+        journal.read_header(expect_fingerprint="b" * 64)
 
 
 def test_journal_missing_file(tmp_path):
     with pytest.raises(JournalError, match="no checkpoint journal"):
-        Journal.in_dir(tmp_path).load()
+        Journal.in_dir(tmp_path).read_header()
 
 
 # -- end-to-end campaigns ----------------------------------------------------

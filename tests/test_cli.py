@@ -560,27 +560,23 @@ def test_cc_list_substrate_sets_match(capsys):
 # -- invariant sanitizer and warmup flags (PR 5) ----------------------------
 
 
-@pytest.fixture
-def _clean_check_default():
-    import os
-
-    from repro.check import clear_default
-
-    clear_default()
-    saved = os.environ.pop("REPRO_CHECK", None)
-    yield
-    clear_default()
-    if saved is not None:
-        os.environ["REPRO_CHECK"] = saved
-    else:
-        os.environ.pop("REPRO_CHECK", None)
-
-
-def test_simulate_with_check_flag(_clean_check_default, capsys):
+def test_simulate_with_check_flag(monkeypatch, capsys):
+    """--check installs a checker and exports REPRO_CHECK (so engine
+    worker processes inherit it) for the duration of the command."""
     import os
 
     from repro.check import get_default
+    from repro.exec import engine as engine_mod
 
+    seen = []
+    run_point = engine_mod._run_point
+
+    def spy(point, obs):
+        seen.append((get_default(), os.environ.get("REPRO_CHECK")))
+        return run_point(point, obs)
+
+    monkeypatch.setattr(engine_mod, "_run_point", spy)
+    before = get_default()
     code = main(
         [
             "simulate",
@@ -596,14 +592,14 @@ def test_simulate_with_check_flag(_clean_check_default, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "cubic" in out and "bbr" in out
-    # --check installs a process default and exports REPRO_CHECK so
-    # engine worker processes inherit it.
-    assert get_default() is not None
-    assert get_default().checks_run > 0
-    assert os.environ.get("REPRO_CHECK") == "1"
+    [(checker, exported)] = seen
+    assert checker is not None and checker is not before
+    assert checker.checks_run > 0
+    assert exported == "1"
+    assert get_default() is before
 
 
-def test_simulate_packet_with_check_flag(_clean_check_default, capsys):
+def test_simulate_packet_with_check_flag(capsys):
     code = main(
         [
             "simulate",
@@ -655,9 +651,7 @@ def test_simulate_invalid_warmup_exits_2(warmup, capsys):
     assert "warmup must lie in" in err
 
 
-def test_campaign_run_accepts_check_flag(
-    _clean_check_default, tmp_path, capsys
-):
+def test_campaign_run_accepts_check_flag(tmp_path, capsys):
     spec = tmp_path / "smoke.toml"
     spec.write_text(
         """\
@@ -686,21 +680,7 @@ values = [0]
 # -- span tracing, progress, top (observability PR) --------------------------
 
 
-@pytest.fixture
-def _clean_trace_env():
-    """Undo the process-wide state --spans-out/--trace-out installs."""
-    yield
-    import os
-
-    from repro.obs import trace
-
-    os.environ.pop("REPRO_TRACE", None)
-    trace.clear_default()
-
-
-def test_simulate_spans_out_and_trace_report(
-    _clean_trace_env, tmp_path, capsys
-):
+def test_simulate_spans_out_and_trace_report(tmp_path, capsys):
     spans = tmp_path / "spans.json"
     code = main(
         [
@@ -734,7 +714,7 @@ def test_simulate_spans_out_and_trace_report(
     assert "profiled hotspots" in report
 
 
-def test_simulate_progress_line(_clean_trace_env, capsys):
+def test_simulate_progress_line(capsys):
     code = main(
         [
             "simulate",
@@ -761,9 +741,7 @@ def test_trace_report_missing_and_malformed(tmp_path, capsys):
     assert "malformed trace" in capsys.readouterr().err
 
 
-def test_campaign_trace_progress_status_top_cycle(
-    _clean_trace_env, tmp_path, capsys
-):
+def test_campaign_trace_progress_status_top_cycle(tmp_path, capsys):
     import json
 
     spec = _write_smoke_spec(tmp_path)
@@ -812,9 +790,7 @@ def test_campaign_trace_progress_status_top_cycle(
     assert "3/3" in top_out and "eta" in top_out
 
 
-def test_campaign_trace_out_is_an_alias_of_spans_out(
-    _clean_trace_env, tmp_path, capsys
-):
+def test_campaign_trace_out_is_an_alias_of_spans_out(tmp_path, capsys):
     """``--trace-out`` on campaign run/resume is a second spelling of
     the one ``--spans-out`` argument: same dest, same span file."""
     from repro.obs import read_chrome_trace
@@ -841,9 +817,7 @@ def test_campaign_trace_out_is_an_alias_of_spans_out(
     assert args.spans_out == "x.json"
 
 
-def test_top_midrun_journal_renders_finite_eta(
-    _clean_trace_env, tmp_path, capsys
-):
+def test_top_midrun_journal_renders_finite_eta(tmp_path, capsys):
     spec = _write_smoke_spec(tmp_path)
     out_dir = tmp_path / "camp"
     code = main(
@@ -1066,3 +1040,139 @@ def test_campaign_report_without_compare_axis(tmp_path, capsys):
     capsys.readouterr()
     assert main(["campaign", "report", str(out_dir)]) == 2
     assert "does not sweep" in capsys.readouterr().err
+
+
+# -- run session: ambient state in, ambient state out ------------------------
+
+
+def _parser_surface(parser, prefix=""):
+    """``{"sub command": sorted option strings}`` for a parser tree."""
+    import argparse
+
+    surface = {
+        prefix: sorted(
+            option
+            for action in parser._actions
+            for option in action.option_strings
+        )
+    }
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                surface.update(
+                    _parser_surface(sub, f"{prefix} {name}".strip())
+                )
+    return surface
+
+
+def test_parser_surface_matches_snapshot():
+    """Every (sub)command accepts exactly the options of
+    ``tests/cli_options.json`` (generated at the commit before the
+    session flags became one group)."""
+    import json
+    from pathlib import Path
+
+    snapshot = json.loads(
+        (Path(__file__).parent / "cli_options.json").read_text()
+    )
+    assert _parser_surface(build_parser()) == snapshot
+    assert "--trace-out" in snapshot["campaign run"]
+    assert "--trace-out" in snapshot["campaign resume"]
+
+
+def _ambient_state():
+    import os
+
+    from repro import check
+    from repro import exec as exec_
+    from repro.obs import bus, trace
+
+    return (
+        dict(os.environ),
+        check.get_default(),
+        trace.get_default(),
+        bus.get_default(),
+        exec_.get_default(),
+    )
+
+
+SESSION_COMMANDS = {
+    "simulate": "simulate cubic:1 bbr:1 --mbps 20 --duration 5",
+    "figure": "figure 6",
+    "campaign": "campaign run SPEC --out OUT",
+    "population": "population run --flows 10 --ticks 2 --duration 4",
+}
+
+
+@pytest.mark.parametrize("outcome", ["success", "exit2", "violation"])
+@pytest.mark.parametrize("command", sorted(SESSION_COMMANDS))
+def test_session_restores_ambient_state(
+    command, outcome, tmp_path, monkeypatch, capsys
+):
+    """Whatever a checked, traced, parallel command installs — process
+    defaults, REPRO_CHECK / REPRO_TRACE — is gone when main() returns,
+    however it returns."""
+    import repro.cli as cli
+    from repro.check import InvariantViolation
+    from repro.exec import Engine
+
+    paths = {
+        "SPEC": str(_write_smoke_spec(tmp_path)),
+        "OUT": str(tmp_path / "out"),
+    }
+    argv = [paths.get(arg, arg) for arg in SESSION_COMMANDS[command].split()]
+    spans = tmp_path / "spans.json"
+    if outcome == "exit2":  # An unwritable export.
+        spans = tmp_path / "missing" / "spans.json"
+    if outcome == "violation":
+
+        def violate(*_args, **_kwargs):
+            raise InvariantViolation("injected")
+
+        monkeypatch.setattr(Engine, "iter_points", violate)
+        monkeypatch.setitem(cli.FIGURES, "fig6", violate)
+
+    closed = []  # jobs of each closed engine (a count; no reference).
+    close = Engine.close
+    monkeypatch.setattr(
+        Engine, "close", lambda self: (closed.append(self.jobs), close(self))
+    )
+    before = _ambient_state()
+    flags = ["--check", "--spans-out", str(spans), "--progress"]
+    code = main(argv + flags + ["--jobs", "2"])
+    assert code == {"success": 0, "exit2": 2, "violation": 1}[outcome]
+    after = _ambient_state()
+    assert after[0] == before[0]
+    assert all(a is b for a, b in zip(after[1:], before[1:]))
+    assert 2 in closed  # The engine the command built was closed.
+    assert spans.exists() == (outcome == "success")
+    err = capsys.readouterr().err
+    if outcome == "exit2":
+        assert "cannot write spans" in err
+    if outcome == "violation":
+        assert "invariant violation:" in err and "injected" in err
+
+
+def test_session_epilogue_order(tmp_path, capsys):
+    """exec summary, then --trace-out, then --spans-out, then
+    --profile: one order for every command."""
+    code = main(
+        [
+            "figure",
+            "6",
+            "--profile",
+            "--trace-out",
+            str(tmp_path / "t.jsonl"),
+            "--spans-out",
+            str(tmp_path / "s.json"),
+        ]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    marks = [
+        out.index("trace records to"),
+        out.index("span events to"),
+        out.index("profile:"),
+    ]
+    assert marks == sorted(marks)
+    assert "exec:" not in out  # Figure 6 runs no point.

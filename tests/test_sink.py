@@ -3,7 +3,8 @@
 The contracts under test (see ``docs/CAMPAIGNS.md``):
 
 * ``CsvSink`` streamed output is byte-identical to the seed
-  collect-then-write ``_write_csv``, including first-seen column order,
+  collect-then-write writer (kept below as ``_write_csv``, the
+  reference), including first-seen column order,
   column growth mid-stream, and the empty-header zero-row case.
 * ``CampaignSink`` reorders completion-order arrivals into unit order
   and buffers only the out-of-order frontier.
@@ -33,7 +34,7 @@ from repro.campaign import (
     resolve_artifact,
     run_campaign,
 )
-from repro.campaign.run import UnitOutcome, _write_csv, iter_units
+from repro.campaign.run import UnitOutcome, iter_units
 from repro.exec import Engine, ResultCache
 
 BASE = {
@@ -66,6 +67,25 @@ def _outcome(index, rows, stage="sweep"):
 
 
 # -- CsvSink byte-equality ---------------------------------------------------
+
+
+def _write_csv(path, outcomes):
+    """The seed's collect-then-write CSV writer, the byte-compat
+    reference: all rows in unit order, columns in first-seen order."""
+    columns = []
+    rows = []
+    for outcome in outcomes:
+        for row in outcome.rows:
+            for key in row:
+                if key not in columns:
+                    columns.append(key)
+            rows.append(row)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([row.get(column, "") for column in columns])
+    return len(rows)
 
 
 ROWSETS = [

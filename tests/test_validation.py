@@ -68,3 +68,38 @@ def test_validate_requires_buffers():
     link = LinkConfig.from_mbps_ms(100, 40, 1)
     with pytest.raises(ValueError):
         validate_two_flow(link, buffer_bdps=[])
+
+
+def test_validate_sweep_runs_on_the_default_engine(tmp_path):
+    """The buffer sweep is one engine batch: an installed default
+    engine counts every depth, and a cached rerun simulates nothing
+    and reports the same rows."""
+    from repro.exec import Engine, ResultCache, use
+
+    link = LinkConfig.from_mbps_ms(20, 20, 1)
+    depths = [1, 2, 4]
+    reports = []
+    for _ in range(2):
+        with Engine(cache=ResultCache(tmp_path)) as engine, use(engine):
+            reports.append(
+                validate_two_flow(
+                    link, buffer_bdps=depths, duration=10, backend="fluid"
+                )
+            )
+        if len(reports) == 1:
+            assert engine.simulated == len(depths)
+            assert engine.hits == 0
+        else:
+            assert engine.simulated == 0
+            assert engine.hits == len(depths)
+    assert reports[0].rows == reports[1].rows
+    # An explicit engine wins over the default.
+    with Engine(cache=ResultCache(tmp_path)) as explicit:
+        validate_two_flow(
+            link,
+            buffer_bdps=depths,
+            duration=10,
+            backend="fluid",
+            engine=explicit,
+        )
+    assert explicit.hits == len(depths)
