@@ -2,24 +2,21 @@
 
 The adoption loop's cost model is "tier 0 is nearly free": a tick asks
 the tiered oracle for payoffs, and on the model tier the answer is an
-in-process memo hit or one closed-form evaluation routed through
-``Engine.cached_payload``.  This benchmark drives a paper-scale cell
-(100 flows) under replicator dynamics with the oracle pinned to tier 0
-and appends the achieved ticks/second — plus the engine-level tier-0
-hit rate of a warm-cache rerun — to ``BENCH_population.json`` at the
-repo root.  When the file already holds records from the same machine,
-the run must stay within ``REGRESSION_SLACK`` of the recorded median;
-a collapse means a simulation or an uncached model evaluation landed
-on the per-tick path.
+in-process memo hit or one ~13 us closed-form evaluation.  This
+benchmark drives a paper-scale cell (100 flows) under replicator
+dynamics with the oracle pinned to tier 0 and appends the achieved
+ticks/second to ``BENCH_population.json`` at the repo root.  When the
+file already holds records from the same machine, the run must stay
+within ``REGRESSION_SLACK`` of the recorded median; a collapse means a
+simulation or a disk round-trip landed on the per-tick path.
 """
 
 import json
 import pathlib
 import platform
-import tempfile
 import time
 
-from repro.exec import Engine, ResultCache
+from repro.exec import Engine
 from repro.population import (
     CellSpec,
     DynamicsConfig,
@@ -87,22 +84,6 @@ def _measure_ticks_per_s():
     return round(TICKS / best_elapsed, 1)
 
 
-def _tier0_hit_rate():
-    """Engine-level hit rate of a warm-cache rerun with a fresh memo.
-
-    The second run's oracle has an empty in-process memo, so every
-    distinct mix goes to ``Engine.cached_payload`` — and must come
-    back from the content-addressed cache, not recomputation.
-    """
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = ResultCache(tmp)
-        _run(engine=Engine(jobs=1, cache=cache))
-        warm = Engine(jobs=1, cache=cache)
-        _run(engine=warm)
-        stats = warm.stats
-        return stats["cache_hits"] / max(stats["submitted"], 1)
-
-
 def _append_record(entry):
     records = (
         json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else []
@@ -112,7 +93,7 @@ def _append_record(entry):
 
 
 def test_population_tick_rate_trajectory():
-    """Record ticks/s + tier-0 hit rate and guard against regression.
+    """Record ticks/s and guard against regression.
 
     The measured rate is compared against the *median* of this
     machine's prior records, and a below-threshold reading is
@@ -120,7 +101,6 @@ def test_population_tick_rate_trajectory():
     every remeasure, while a noise spike clears on retry.
     """
     rate = _measure_ticks_per_s()
-    hit_rate = _tier0_hit_rate()
 
     machine = platform.machine()
     prior = []
@@ -137,15 +117,10 @@ def test_population_tick_rate_trajectory():
             "ticks": TICKS,
             "flows": FLOWS,
             "ticks_per_s": rate,
-            "tier0_hit_rate": round(hit_rate, 4),
         }
     )
 
     assert rate > ABSOLUTE_FLOOR_TICKS_PER_S, rate
-    assert hit_rate >= 0.9, (
-        f"warm rerun answered only {hit_rate:.0%} of tier-0 payloads "
-        "from the result cache"
-    )
     history = [
         record["ticks_per_s"]
         for record in prior

@@ -24,7 +24,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.campaign.spec import CampaignSpec, Mix, SpecError, format_mix
+from repro.campaign.spec import CampaignSpec
+from repro.campaign.vocab import (
+    KINDS,
+    POINT_PARAMS,
+    Mix,
+    SpecError,
+    format_mix,
+)
 from repro.exec.fingerprint import (
     ScenarioPoint,
     fingerprint_payload,
@@ -39,9 +46,12 @@ __all__ = ["Unit", "expand_axes", "expand_units"]
 class Unit:
     """One checkpointable atom of campaign work.
 
-    For ``sweep`` stages a unit is one scenario point; for ``adaptive``
-    stages it is one complete NE bisection (``search`` indexes the
-    independent repetitions of a combination).
+    The resolved scenario parameters every kind carries, plus the
+    stage's ``options`` as resolved for this combination (readable as
+    attributes: ``unit.flows``) and ``search``, the unit's number among
+    the units one combination yields — for ``sweep`` stages a unit is
+    one scenario point; for ``adaptive`` stages it is one complete NE
+    bisection, one of the combination's independent repetitions.
     """
 
     index: int
@@ -54,21 +64,13 @@ class Unit:
     trials: int
     seed: int
     loss_mode: str
+    #: None when the unit's kind derives the split itself.
     mix: Optional[Mix] = None
-    # Adaptive-only fields.
-    flows: int = 0
-    challenger: str = ""
-    incumbent: str = ""
+    options: Tuple[Tuple[str, Any], ...] = ()
     search: int = 0
-    seed_stride: int = 0
-    # Population-only fields.
-    dynamics: str = ""
-    ticks: int = 0
-    epsilon: float = 0.0
-    mutation: float = 0.0
-    inertia: float = 0.0
-    init_share: float = 0.0
-    error_threshold: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.__dict__.update(self.options)
 
     def combo_dict(self) -> Dict[str, Any]:
         """The swept values this unit was expanded from (CSV columns)."""
@@ -77,68 +79,33 @@ class Unit:
             out[name] = format_mix(value) if name == "mix" else value
         return out
 
+    def scenario(self) -> Dict[str, Any]:
+        """The resolved scenario-point scalars, by ``POINT_PARAMS`` name
+        (the keywords ``ScenarioPoint`` and the runner builders take)."""
+        return {p.name: getattr(self, p.name) for p in POINT_PARAMS}
+
     def params(self) -> Dict[str, Any]:
         """The resolved-parameter descriptor hashed by :meth:`unit_id`."""
-        params: Dict[str, Any] = {
+        return {
             "index": self.index,
             "stage": self.stage,
             "type": self.kind,
             "link": link_params(self.link),
-            "duration": self.duration,
-            "backend": self.backend,
-            "trials": self.trials,
-            "seed": self.seed,
-            "loss_mode": self.loss_mode,
+            **self.scenario(),
+            **KINDS[self.kind].unit_params(self),
         }
-        if self.kind == "sweep":
-            params["mix"] = [list(entry) for entry in self.mix or ()]
-        elif self.kind == "population":
-            params["flows"] = self.flows
-            params["challenger"] = self.challenger
-            params["incumbent"] = self.incumbent
-            params["dynamics"] = self.dynamics
-            params["ticks"] = self.ticks
-            params["epsilon"] = self.epsilon
-            params["mutation"] = self.mutation
-            params["inertia"] = self.inertia
-            params["init_share"] = self.init_share
-            params["error_threshold"] = self.error_threshold
-        else:
-            params["flows"] = self.flows
-            params["challenger"] = self.challenger
-            params["incumbent"] = self.incumbent
-            params["search"] = self.search
-            params["seed_stride"] = self.seed_stride
-        return params
 
     def unit_id(self) -> str:
         """Stable identity used by the checkpoint journal."""
         return fingerprint_payload("campaign_unit", self.params())
 
     def to_point(self) -> ScenarioPoint:
-        """The scenario point a ``sweep`` unit executes."""
-        if self.kind != "sweep":
+        """The scenario point a mix-running (``sweep``) unit executes."""
+        if self.mix is None:
             raise ValueError(
                 f"unit {self.index} is {self.kind!r}, not a sweep point"
             )
-        assert self.mix is not None  # Validated at parse time.
-        return ScenarioPoint(
-            link=self.link,
-            mix=self.mix,
-            duration=self.duration,
-            backend=self.backend,
-            trials=self.trials,
-            seed=self.seed,
-            loss_mode=self.loss_mode,
-        )
-
-    def describe(self) -> str:
-        """One-line label for progress output."""
-        combo = ", ".join(
-            f"{name}={value}" for name, value in self.combo_dict().items()
-        )
-        tail = f" search {self.search}" if self.kind == "adaptive" else ""
-        return f"[{self.stage}] {combo or '(single point)'}{tail}"
+        return ScenarioPoint(link=self.link, mix=self.mix, **self.scenario())
 
 
 def expand_axes(spec: CampaignSpec) -> List[Tuple[Tuple[str, Any], ...]]:
@@ -158,42 +125,34 @@ def expand_axes(spec: CampaignSpec) -> List[Tuple[Tuple[str, Any], ...]]:
     return [tuple(zip(names, row)) for row in rows]
 
 
-def _resolve_link(
-    spec: CampaignSpec, combo: Dict[str, Any]
-) -> LinkConfig:
-    bandwidth = combo.get("bandwidth_mbps")
-    rtt = combo.get("rtt_ms")
-    buffer_bdp = combo.get("buffer_bdp")
-    if bandwidth is None and rtt is None:
+def _resolve_link(spec: CampaignSpec, combo: Dict[str, Any]) -> LinkConfig:
+    base = spec.link
+    if "bandwidth_mbps" in combo or "rtt_ms" in combo:
+        link = LinkConfig.from_mbps_ms(
+            combo.get("bandwidth_mbps", base.capacity_mbps),
+            combo.get("rtt_ms", base.rtt_ms),
+            combo.get("buffer_bdp", base.buffer_bdp),
+            mss=base.mss,
+            aqm=base.aqm,
+            capacity_trace=base.capacity_trace,
+        )
+    elif "buffer_bdp" in combo:
         # Buffer-only sweeps reuse the base link verbatim so float
         # identity (and therefore cache fingerprints) matches the
         # hand-coded ``base.with_buffer_bdp(depth)`` figure loops.
-        if buffer_bdp is None:
-            link = spec.link
-        else:
-            link = spec.link.with_buffer_bdp(buffer_bdp)
+        link = base.with_buffer_bdp(combo["buffer_bdp"])
     else:
-        link = LinkConfig.from_mbps_ms(
-            bandwidth if bandwidth is not None else spec.link.capacity_mbps,
-            rtt if rtt is not None else spec.link.rtt_ms,
-            buffer_bdp if buffer_bdp is not None else spec.link.buffer_bdp,
-            mss=spec.link.mss,
-            aqm=spec.link.aqm,
-            capacity_trace=spec.link.capacity_trace,
-        )
+        link = base
     # Scenario axes layer on top of the geometric resolution so the
     # drop-tail/constant default path above keeps its historical
     # object (and fingerprint) identity.
-    aqm = combo.get("aqm")
-    ecn = combo.get("ecn")
     try:
-        if aqm is not None or ecn is not None:
+        if "aqm" in combo or "ecn" in combo:
             link = link.with_aqm(
-                aqm if aqm is not None else link.aqm, ecn=ecn
+                combo.get("aqm", link.aqm), ecn=combo.get("ecn")
             )
-        trace = combo.get("capacity_trace")
-        if trace is not None:
-            link = link.with_capacity_trace(trace)
+        if "capacity_trace" in combo:
+            link = link.with_capacity_trace(combo["capacity_trace"])
     except ValueError as exc:
         raise SpecError(f"combination {dict(combo)!r}: {exc}") from None
     return link
@@ -208,80 +167,36 @@ def expand_units(spec: CampaignSpec) -> List[Unit]:
     and fresh runs write rows in the same order.
     """
     combos = expand_axes(spec)
+    defaults = {p.name: getattr(spec, p.name) for p in POINT_PARAMS}
     units: List[Unit] = []
-    index = 0
     for stage in spec.stages:
+        kind = KINDS[stage.kind]
         for combo in combos:
             resolved = dict(combo)
-            link = _resolve_link(spec, resolved)
-            duration = resolved.get("duration", spec.duration)
-            backend = resolved.get("backend", spec.backend)
-            trials = resolved.get("trials", spec.trials)
-            seed = resolved.get("seed", spec.seed)
-            loss_mode = resolved.get("loss_mode", spec.loss_mode)
-            if stage.kind == "sweep":
+            common = {
+                name: resolved.get(name, value)
+                for name, value in defaults.items()
+            }
+            common["link"] = _resolve_link(spec, resolved)
+            if "mix" in kind.params:
+                common["mix"] = resolved.get("mix", spec.mix)
+            # An axis named after an option overrides it (AXES admits
+            # an option only if its kind's ``params`` names it).
+            options = tuple(
+                (name, resolved.get(name, value))
+                for name, value in stage.options
+            )
+            count = getattr(stage, kind.replicas) if kind.replicas else 1
+            for search in range(count):
                 units.append(
                     Unit(
-                        index=index,
+                        index=len(units),
                         stage=stage.name,
                         kind=stage.kind,
                         combo=combo,
-                        link=link,
-                        duration=duration,
-                        backend=backend,
-                        trials=trials,
-                        seed=seed,
-                        loss_mode=loss_mode,
-                        mix=resolved.get("mix", spec.mix),
+                        options=options,
+                        search=search,
+                        **common,
                     )
                 )
-                index += 1
-            elif stage.kind == "population":
-                units.append(
-                    Unit(
-                        index=index,
-                        stage=stage.name,
-                        kind=stage.kind,
-                        combo=combo,
-                        link=link,
-                        duration=duration,
-                        backend=backend,
-                        trials=trials,
-                        seed=seed,
-                        loss_mode=loss_mode,
-                        flows=stage.flows,
-                        challenger=stage.challenger,
-                        incumbent=stage.incumbent,
-                        dynamics=resolved.get("dynamics", stage.dynamics),
-                        ticks=stage.ticks,
-                        epsilon=resolved.get("epsilon", stage.epsilon),
-                        mutation=stage.mutation,
-                        inertia=stage.inertia,
-                        init_share=stage.init_share,
-                        error_threshold=stage.error_threshold,
-                    )
-                )
-                index += 1
-            else:
-                for search in range(stage.searches):
-                    units.append(
-                        Unit(
-                            index=index,
-                            stage=stage.name,
-                            kind=stage.kind,
-                            combo=combo,
-                            link=link,
-                            duration=duration,
-                            backend=backend,
-                            trials=trials,
-                            seed=seed,
-                            loss_mode=loss_mode,
-                            flows=stage.flows,
-                            challenger=stage.challenger,
-                            incumbent=stage.incumbent,
-                            search=search,
-                            seed_stride=stage.seed_stride,
-                        )
-                    )
-                    index += 1
     return units

@@ -7,62 +7,43 @@
     <out>/<csv>           derived-metric table, streamed unit-by-unit
     <out>/manifest.json   campaign manifest (repro.obs)
 
-Execution streams through :meth:`repro.exec.Engine.iter_points` for
-``sweep`` stages (parallel fan-out, content-addressed cache) and runs
-``adaptive`` units — empirical-NE bisections reusing the figure-9
-best-response machinery — and ``population`` units — seeded adoption
-trajectories through :func:`repro.population.run_population`, each
-unit's tier-0/tier-1 payoff lookups engine-routed and cached, its
-calibration error map merged into ``<out>/error_map.json``.  Every
-finished unit is
-journaled durably before the next is started, so a killed campaign
-resumed with ``repro-bbr campaign resume`` replays the journal, submits
-only the missing units, and (because in-flight results were already in
-the result cache) re-simulates nothing.
+How a stage's units execute is its kind's ``run``
+(:data:`repro.campaign.vocab.KINDS`): ``sweep`` units stream through
+:meth:`repro.exec.Engine.iter_points` (parallel fan-out,
+content-addressed cache); ``adaptive`` units — empirical-NE bisections
+reusing the figure-9 best-response machinery — and ``population``
+units — seeded adoption trajectories, their calibration error maps
+merged into ``<out>/error_map.json`` — are independent computations
+fanned out on threads.  Every finished unit is journaled durably
+before the next is accounted, so a killed campaign resumed with
+``repro-bbr campaign resume`` replays the journal, submits only the
+missing units, and (because in-flight results were already in the
+result cache) re-simulates nothing.
 
-Result aggregation is *streaming* (see :mod:`repro.campaign.sink`):
-:func:`iter_units` is a generator yielding each newly executed
-:class:`UnitOutcome` exactly once, and :func:`run_campaign` pipes the
-stream through a :class:`~repro.campaign.sink.CampaignSink` that
-appends rows to the CSV (and optional JSONL mirror) the moment each
-unit's journal record is durable, then drops them.  Peak memory is
-therefore independent of campaign size — the "millions of cells" grid
-sweeps the ROADMAP calls for run in bounded memory, and a crash loses
-at most the unflushed tail of the CSV, never the file.
-
-Output rows are assembled in *unit order*, not completion order (the
-sink reorders the bounded out-of-order frontier), so an
-interrupted-and-resumed campaign writes a byte-identical CSV to an
-uninterrupted one: resume rebuilds the partial CSV from the journal —
-the authoritative record — before continuing, which reconciles every
-kill window, including a kill between a journal fsync and the
-corresponding CSV flush.
+Result aggregation is *streaming*: :func:`iter_units` yields each newly
+executed :class:`UnitOutcome` exactly once, and :func:`run_campaign`
+pipes the stream through :mod:`repro.campaign.sink` at the journal's
+commit point — bounded memory, rows in *unit order*, and a resume that
+rebuilds the partial CSV from the journal, so an interrupted-and-resumed
+campaign writes a byte-identical CSV (that module's docstring has the
+durability contract).
 
 Observability (see ``docs/OBSERVABILITY.md``): when a tracer is active
 (:mod:`repro.obs.trace`), the run is bracketed by a ``campaign`` span
-with one ``stage`` span per stage, a ``unit`` span per adaptive unit,
-and a ``journal`` span per durable checkpoint append; engine-level
-``cache_lookup``/``point``/``simulate`` spans nest inside.  A
-:class:`repro.obs.progress.ProgressTracker` (created internally unless
+with one ``stage`` span per stage, a ``unit`` span per adaptive or
+population unit, and a ``journal`` span per durable checkpoint append;
+engine-level ``cache_lookup``/``point``/``simulate`` spans nest inside.
+A :class:`repro.obs.progress.ProgressTracker` (created internally unless
 one is passed) counts units done/total per stage and writes an
 atomically-replaced ``progress.json`` sidecar next to the journal after
 every unit — the feed for ``repro-bbr top`` and ``--progress``.
-
-Adaptive units at one axis combination are independent searches, so when
-the engine has ``jobs > 1`` (and no ``stop_after`` exactness contract is
-in force) they run concurrently on threads, each bisection evaluation
-dispatched to the engine's shared worker pool.  Results are unchanged —
-every unit seeds its own simulations — but the pool stays busy instead
-of draining one bisection at a time.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from threading import Lock
 from time import perf_counter
 from typing import (
     Any,
@@ -80,6 +61,7 @@ from repro.campaign.expand import Unit, expand_units
 from repro.campaign.journal import Journal, JournalError, JournalRecord
 from repro.campaign.sink import CampaignSink, CsvSink, JsonlSink
 from repro.campaign.spec import CampaignSpec, parse_spec
+from repro.campaign.vocab import KINDS, StageRun
 from repro.exec.engine import Engine, resolve as resolve_engine
 from repro.obs.progress import PROGRESS_NAME, ProgressTracker
 from repro.obs.trace import resolve as resolve_tracer
@@ -97,12 +79,7 @@ __all__ = [
 
 SPEC_NAME = "spec.json"
 MANIFEST_NAME = "manifest.json"
-ERROR_MAP_NAME = "error_map.json"
 SPEC_FILE_SCHEMA = 1
-
-#: Serializes read-modify-write merges of the campaign error-map
-#: artifact when population units fan out on threads.
-_ERROR_MAP_LOCK = Lock()
 
 
 class CampaignError(RuntimeError):
@@ -136,146 +113,6 @@ class CampaignSummary:
     csv_path: Optional[Path]
 
 
-# -- derived metrics ---------------------------------------------------------
-
-
-def _metric_value(metric: str, result: Any) -> Any:
-    """Evaluate one spec metric against a ScenarioResult."""
-    base, _sep, cc = metric.partition(":")
-    if base == "per_flow_mbps":
-        return result.per_flow_mbps(cc)
-    if base == "aggregate_mbps":
-        return result.aggregate.get(cc, 0.0) * 8.0 / 1e6
-    if base == "loss_rate":
-        return result.loss_rate.get(cc, 0.0)
-    if base == "retransmits":
-        return result.retransmits.get(cc, 0.0)
-    if base == "queuing_delay_ms":
-        return result.mean_queuing_delay * 1e3
-    if base == "drop_rate":
-        return result.drop_rate
-    raise CampaignError(f"unknown metric {metric!r}")  # pragma: no cover
-
-
-def _sweep_rows(
-    spec: CampaignSpec, unit: Unit, result: Any
-) -> Tuple[Dict[str, Any], ...]:
-    """One CSV row for a sweep unit: swept values then metric columns."""
-    row = unit.combo_dict()
-    for metric in spec.metrics:
-        row[metric] = _metric_value(metric, result)
-    return (row,)
-
-
-def _run_adaptive(
-    unit: Unit, engine: Engine
-) -> Tuple[Tuple[Dict[str, Any], ...], float]:
-    """One NE bisection: rows per equilibrium found at this combination.
-
-    Seeding matches the hand-coded figure-9 loop exactly
-    (``seed + stride × search`` into ``distribution_throughput_fn``), so
-    a campaign and the figure generator hit the same cache entries.
-    """
-    from repro.core.game import bisect_nash
-    from repro.core.nash import predict_nash
-    from repro.experiments.runner import distribution_throughput_fn
-
-    start = perf_counter()
-    fn = distribution_throughput_fn(
-        unit.link,
-        unit.flows,
-        challenger=unit.challenger,
-        incumbent=unit.incumbent,
-        duration=unit.duration,
-        backend=unit.backend,
-        trials=unit.trials,
-        seed=unit.seed + unit.seed_stride * unit.search,
-        engine=engine,
-    )
-    equilibria, _cache = bisect_nash(unit.flows, fn)
-    # The analytic Nash-region bounds (Eq. 25) ride along as model
-    # columns; they describe the CUBIC-vs-BBR game, the one the paper
-    # (and the bundled specs) study.
-    prediction = predict_nash(unit.link, unit.flows)
-    rows: List[Dict[str, Any]] = []
-    for k in equilibria:
-        row = unit.combo_dict()
-        row["search"] = unit.search
-        row["ne_challenger"] = k
-        row["ne_incumbent"] = unit.flows - k
-        row["model_incumbent_sync"] = prediction.n_cubic_sync
-        row["model_incumbent_desync"] = prediction.n_cubic_desync
-        rows.append(row)
-    return tuple(rows), perf_counter() - start
-
-
-def _run_population(
-    unit: Unit, engine: Engine
-) -> Tuple[Tuple[Dict[str, Any], ...], float, Any]:
-    """One adoption trajectory: a single CSV row plus the error map.
-
-    The unit's link and flow count define a one-cell population; the
-    trajectory is fully determined by the unit's resolved parameters
-    (the oracle consumes no trajectory randomness), so journal replay
-    and re-execution produce identical rows.
-    """
-    from repro.population import (
-        CellSpec,
-        DynamicsConfig,
-        TieredOracle,
-        run_population,
-    )
-
-    start = perf_counter()
-    cell = CellSpec(link=unit.link, n_flows=unit.flows, label=unit.stage)
-    oracle = TieredOracle(
-        engine=engine,
-        error_threshold=unit.error_threshold,
-        duration=unit.duration,
-        trials=unit.trials,
-        seed=unit.seed,
-    )
-    result = run_population(
-        [cell],
-        dynamics=DynamicsConfig(
-            name=unit.dynamics,
-            epsilon=unit.epsilon,
-            mutation=unit.mutation,
-            inertia=unit.inertia,
-        ),
-        ticks=unit.ticks,
-        seed=unit.seed,
-        strategies=(unit.incumbent, unit.challenger),
-        init_share=unit.init_share,
-        oracle=oracle,
-    )
-    ne = result.ne[0]
-    row = unit.combo_dict()
-    row.setdefault("dynamics", unit.dynamics)
-    row["flows"] = unit.flows
-    row["challenger"] = unit.challenger
-    row["final_challenger_share"] = result.final_share(unit.challenger)
-    row["model_share_sync"] = ne["share_sync"] if ne else ""
-    row["model_share_desync"] = ne["share_desync"] if ne else ""
-    row["converged"] = result.converged
-    row["oracle_tier0"] = result.oracle["tier0"]
-    row["oracle_tier1"] = result.oracle["tier1"]
-    row["max_rel_error"] = result.error_map.max_rel_error()
-    return (row,), perf_counter() - start, result.error_map
-
-
-def _merge_error_map(path: Path, error_map: Any) -> None:
-    """Fold one unit's calibration entries into the campaign artifact."""
-    if not error_map.entries:
-        return
-    from repro.population import ErrorMap
-
-    with _ERROR_MAP_LOCK:
-        merged = ErrorMap.load(str(path)) if path.exists() else ErrorMap()
-        merged.merge(error_map)
-        merged.save(str(path))
-
-
 # -- execution ---------------------------------------------------------------
 
 
@@ -304,21 +141,22 @@ def iter_units(
     generator's return value (``StopIteration.value``) is True when the
     run stopped early.
 
-    Adaptive and population stages run their units concurrently
-    (threads feeding the engine's shared worker pool) when
-    ``engine.jobs > 1`` — except under ``stop_after``, whose exactly-N
-    contract requires sequential execution.  Outcomes are always
-    yielded (and ``on_unit`` fired) from the calling thread.
-    ``artifacts_dir``, when given, receives the merged population error
-    map (``error_map.json``), folded in as each population unit
-    finishes — before its journal record — so an interrupted campaign
-    keeps the calibrations it already paid for.
+    Each stage's pending units run as its kind declares
+    (:data:`repro.campaign.vocab.KINDS`) — under ``stop_after``
+    strictly one at a time, its exactly-N contract.  Outcomes are
+    always yielded (and ``on_unit`` fired) from the calling thread.
+    ``artifacts_dir``, when given, receives the artifacts kinds write
+    beside the journal (the merged population ``error_map.json``).
     """
-    eng = resolve_engine(engine)
     tracer = resolve_tracer(None)
     skip = frozenset(skip) if skip else frozenset()
+    run = StageRun(
+        spec,
+        resolve_engine(engine),
+        stop_after is not None,
+        Path(artifacts_dir) if artifacts_dir is not None else None,
+    )
     executed = 0
-    interrupted = False
 
     todo: List[Unit] = []
     for position, unit in enumerate(units):
@@ -329,46 +167,7 @@ def iter_units(
         if unit.unit_id() not in skip:
             todo.append(unit)
 
-    def finish(outcome: UnitOutcome) -> None:
-        """Account one new execution (journal hook + stop check)."""
-        nonlocal executed, interrupted
-        executed += 1
-        if on_unit is not None:
-            on_unit(outcome)
-        if stop_after is not None and executed >= stop_after:
-            interrupted = True
-
-    def adaptive_outcome(unit: Unit) -> UnitOutcome:
-        with span(tracer, "unit", "campaign", unit=unit.unit_id()):
-            rows, wall = _run_adaptive(unit, eng)
-        return UnitOutcome(
-            unit_id=unit.unit_id(),
-            index=unit.index,
-            stage=unit.stage,
-            rows=rows,
-            wall_s=wall,
-            from_journal=False,
-        )
-
-    artifacts = Path(artifacts_dir) if artifacts_dir is not None else None
-
-    def population_outcome(unit: Unit) -> UnitOutcome:
-        with span(tracer, "unit", "campaign", unit=unit.unit_id()):
-            rows, wall, error_map = _run_population(unit, eng)
-        if artifacts is not None:
-            _merge_error_map(artifacts / ERROR_MAP_NAME, error_map)
-        return UnitOutcome(
-            unit_id=unit.unit_id(),
-            index=unit.index,
-            stage=unit.stage,
-            rows=rows,
-            wall_s=wall,
-            from_journal=False,
-        )
-
     for stage in spec.stages:
-        if interrupted:
-            break
         stage_units = [u for u in todo if u.stage == stage.name]
         if not stage_units:
             continue
@@ -380,55 +179,22 @@ def iter_units(
             kind=stage.kind,
             units=len(stage_units),
         ):
-            if stage.kind == "sweep":
-                points = [u.to_point() for u in stage_units]
-                for position, result, wall in eng.iter_points(points):
-                    unit = stage_units[position]
-                    outcome = UnitOutcome(
-                        unit_id=unit.unit_id(),
-                        index=unit.index,
-                        stage=unit.stage,
-                        rows=_sweep_rows(spec, unit, result),
-                        wall_s=wall,
-                        from_journal=False,
-                    )
-                    finish(outcome)
-                    yield outcome
-                    if interrupted:
-                        break
-                continue
-            # Adaptive and population units: independent computations.
-            # Fan out on threads (their scenario points go to the
-            # engine's shared pool) unless stop_after demands
-            # deterministic sequencing.
-            runner = (
-                population_outcome
-                if stage.kind == "population"
-                else adaptive_outcome
-            )
-            threads = (
-                1
-                if stop_after is not None
-                else min(eng.jobs, len(stage_units))
-            )
-            if threads <= 1:
-                for unit in stage_units:
-                    outcome = runner(unit)
-                    finish(outcome)
-                    yield outcome
-                    if interrupted:
-                        break
-            else:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    futures = [
-                        pool.submit(runner, unit)
-                        for unit in stage_units
-                    ]
-                    for future in as_completed(futures):
-                        outcome = future.result()
-                        finish(outcome)
-                        yield outcome
-    return interrupted
+            for unit, rows, wall in KINDS[stage.kind].run(run, stage_units):
+                outcome = UnitOutcome(
+                    unit_id=unit.unit_id(),
+                    index=unit.index,
+                    stage=unit.stage,
+                    rows=rows,
+                    wall_s=wall,
+                    from_journal=False,
+                )
+                executed += 1
+                if on_unit is not None:
+                    on_unit(outcome)
+                yield outcome
+                if stop_after is not None and executed >= stop_after:
+                    return True
+    return False
 
 
 def _drain(stream: Iterator[UnitOutcome]) -> Tuple[int, bool]:
@@ -646,36 +412,24 @@ def run_campaign(
     wall = perf_counter() - start
     tracker.write_sidecar(str(sidecar))
 
-    if interrupted:
-        return CampaignSummary(
-            name=spec.name,
-            out_dir=out,
+    # rows_written is what reached the CSV; an interrupted run reports
+    # the rows it accepted and leaves no manifest — only a resumable
+    # journal.
+    n_rows = sink.rows_seen if interrupted else sink.rows_written
+    if not interrupted:
+        from repro.obs.manifest import CampaignManifest
+
+        CampaignManifest.build(
+            spec_name=spec.name,
+            fingerprint=fingerprint,
             total_units=len(units),
             from_journal=from_journal,
             executed=executed,
-            rows=sink.rows_seen,
-            wall_s=wall,
-            interrupted=True,
-            csv_path=None,
-        )
-
-    csv_path = out / spec.csv_name
-    n_rows = sink.rows_written
-
-    from repro.obs.manifest import CampaignManifest
-
-    CampaignManifest.build(
-        spec_name=spec.name,
-        fingerprint=fingerprint,
-        total_units=len(units),
-        from_journal=from_journal,
-        executed=executed,
-        rows=n_rows,
-        wall_time_s=wall,
-        csv=spec.csv_name,
-        exec_stats=dict(eng.stats),
-    ).write(str(out / MANIFEST_NAME))
-
+            rows=n_rows,
+            wall_time_s=wall,
+            csv=spec.csv_name,
+            exec_stats=dict(eng.stats),
+        ).write(str(out / MANIFEST_NAME))
     return CampaignSummary(
         name=spec.name,
         out_dir=out,
@@ -684,6 +438,6 @@ def run_campaign(
         executed=executed,
         rows=n_rows,
         wall_s=wall,
-        interrupted=False,
-        csv_path=csv_path,
+        interrupted=interrupted,
+        csv_path=None if interrupted else out / spec.csv_name,
     )

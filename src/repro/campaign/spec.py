@@ -11,14 +11,10 @@ in-memory form is :class:`CampaignSpec`, whose canonical dict
 and is hashed into a *spec fingerprint* that keys the checkpoint
 journal (:mod:`repro.campaign.journal`).
 
-Stage kinds:
-
-* ``sweep`` — one scenario point per expanded combination, resolved
-  through the execution engine (parallel + cached);
-* ``adaptive`` — per combination, bisect the CCA-split dimension for
-  the empirical Nash equilibrium (``repro.core.game.bisect_nash``
-  best-response logic), so NE-region studies like the paper's Figure 9
-  are a ~20-line spec instead of a bespoke generator.
+What a spec may set or sweep, and what each stage kind (``sweep``,
+``adaptive``, ``population``) means, is declared once in
+:mod:`repro.campaign.vocab`; this module parses a spec against those
+tables.
 
 Every validation failure raises :class:`SpecError` with a one-line,
 actionable message naming the offending field.
@@ -31,12 +27,24 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.exec.fingerprint import fingerprint_payload
-from repro.scenario import (
-    canonical_backend,
-    parse_aqm,
-    parse_capacity_trace,
+from repro.campaign.vocab import (
+    AXES,
+    DEFAULT_PARAMS,
+    KINDS,
+    LINK_PARAMS,
+    METRICS,
+    POINT_PARAMS,
+    Mix,
+    Param,
+    SpecError,
+    check_cca,
+    format_mix,
+    one_of,
+    parse_mix,
+    parse_table,
 )
+from repro.exec.fingerprint import fingerprint_payload
+from repro.scenario import parse_aqm, parse_capacity_trace
 from repro.util.config import LinkConfig
 
 __all__ = [
@@ -50,146 +58,48 @@ __all__ = [
     "parse_spec",
 ]
 
-
-class SpecError(ValueError):
-    """A campaign spec failed validation; the message is one line."""
-
-
-#: Axes that sweep a float-valued scenario parameter.  ``epsilon`` is
-#: the population-stage switching probability (noisy-choice dynamics).
-FLOAT_AXES = ("bandwidth_mbps", "rtt_ms", "buffer_bdp", "duration", "epsilon")
-#: Axes that sweep an int-valued scenario parameter.
-INT_AXES = ("seed", "trials")
-#: Axes that sweep a string-valued scenario parameter.  ``dynamics``
-#: selects the population-stage update rule; ``aqm`` and
-#: ``capacity_trace`` accept any :mod:`repro.scenario` spelling
-#: (``"red"``, ``"steps:5@0.5"``, ...).
-STR_AXES = ("backend", "loss_mode", "dynamics", "aqm", "capacity_trace")
-#: Axes that sweep a boolean scenario parameter (``ecn`` toggles
-#: marking on the swept/default AQM).
-BOOL_AXES = ("ecn",)
-#: Every sweepable axis name (``mix`` sweeps the flow mix itself).
-AXIS_NAMES = FLOAT_AXES + INT_AXES + STR_AXES + BOOL_AXES + ("mix",)
-
-#: Axes that only population stages consume.
-POPULATION_AXES = ("epsilon", "dynamics")
-
 EXPAND_MODES = ("grid", "zip")
-STAGE_KINDS = ("sweep", "adaptive", "population")
 
-#: Derived metrics that take no CCA argument.
-SCALAR_METRICS = ("queuing_delay_ms", "drop_rate")
-#: Derived metrics spelled ``name:<cc>``.
-PER_CC_METRICS = (
-    "per_flow_mbps",
-    "aggregate_mbps",
-    "loss_rate",
-    "retransmits",
+
+def _bare_name(value: str, where: str) -> str:
+    if "/" in value or "\\" in value or not value:
+        raise SpecError(
+            f"{where}: must be a bare file name, got {value!r}"
+        )
+    return value
+
+
+#: The top-level scalar keys and the ``[output]`` keys.  ``jsonl`` is
+#: the optional row-stream mirror of the CSV.
+TOP_PARAMS = (
+    Param("description", str, ""),
+    Param("expand", str, "grid", check=one_of("expand", EXPAND_MODES)),
 )
-
-Mix = Tuple[Tuple[str, int], ...]
-
-
-def _available_ccas() -> List[str]:
-    from repro.cc import available_algorithms
-
-    return list(available_algorithms())
-
-
-def _check_cca(name: str, where: str) -> str:
-    key = str(name).lower()
-    available = _available_ccas()
-    if key not in available:
-        raise SpecError(
-            f"{where}: unknown congestion control {name!r} "
-            f"(available: {', '.join(available)})"
-        )
-    return key
-
-
-def parse_mix(value: Any, where: str) -> Mix:
-    """Parse a flow mix from ``"cubic:5,bbr:5"`` or ``[["cubic", 5], ...]``.
-
-    CCA names are validated against the registry and lowercased;
-    zero-count entries are kept out; at least one positive count is
-    required.
-    """
-    entries: List[Tuple[str, int]] = []
-    if isinstance(value, str):
-        for item in value.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            cc, sep, count = item.partition(":")
-            if not sep or not cc:
-                raise SpecError(
-                    f"{where}: bad mix entry {item!r}; use 'name:count' "
-                    "(e.g. 'cubic:5,bbr:5')"
-                )
-            try:
-                n = int(count)
-            except ValueError:
-                raise SpecError(
-                    f"{where}: mix count {count!r} is not an integer"
-                ) from None
-            entries.append((cc.strip(), n))
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise SpecError(
-                    f"{where}: mix entries must be [name, count] pairs, "
-                    f"got {item!r}"
-                )
-            cc, n = item
-            if not isinstance(n, int) or isinstance(n, bool):
-                raise SpecError(
-                    f"{where}: mix count {n!r} is not an integer"
-                )
-            entries.append((str(cc), n))
-    else:
-        raise SpecError(
-            f"{where}: mix must be a 'name:count,...' string or a list "
-            f"of [name, count] pairs, got {type(value).__name__}"
-        )
-    if not entries:
-        raise SpecError(f"{where}: mix is empty")
-    mix: List[Tuple[str, int]] = []
-    for cc, n in entries:
-        key = _check_cca(cc, where)
-        if n < 0:
-            raise SpecError(f"{where}: mix count for {key!r} is negative")
-        if n > 0:
-            mix.append((key, n))
-    if not mix:
-        raise SpecError(
-            f"{where}: mix has no positive flow counts"
-        )
-    return tuple(mix)
-
-
-def format_mix(mix: Sequence[Tuple[str, int]]) -> str:
-    """Canonical one-token rendering of a mix (CSV cell / log form)."""
-    return ",".join(f"{cc}:{count}" for cc, count in mix)
+OUTPUT_PARAMS = (
+    Param("csv", str, "results.csv", check=_bare_name),
+    Param("jsonl", str, None, check=_bare_name),
+)
 
 
 def _check_metric(name: str, where: str) -> str:
     if not isinstance(name, str):
         raise SpecError(f"{where}: metric names must be strings")
     base, sep, cc = name.partition(":")
-    if base in SCALAR_METRICS and not sep:
+    per_cc = [m for m, (takes_cc, _fn) in METRICS.items() if takes_cc]
+    if base not in METRICS or (sep and base not in per_cc):
+        raise SpecError(
+            f"{where}: unknown metric {name!r} (scalar: "
+            f"{', '.join(m for m in METRICS if m not in per_cc)}; "
+            f"per-CCA: {', '.join(m + ':<cc>' for m in per_cc)})"
+        )
+    if base not in per_cc:
         return name
-    if base in PER_CC_METRICS:
-        if not sep or not cc:
-            raise SpecError(
-                f"{where}: metric {name!r} needs a CCA argument "
-                f"(e.g. '{base}:bbr')"
-            )
-        return f"{base}:{_check_cca(cc, where)}"
-    raise SpecError(
-        f"{where}: unknown metric {name!r} (scalar: "
-        f"{', '.join(SCALAR_METRICS)}; per-CCA: "
-        f"{', '.join(m + ':<cc>' for m in PER_CC_METRICS)})"
-    )
+    if not cc:
+        raise SpecError(
+            f"{where}: metric {name!r} needs a CCA argument "
+            f"(e.g. '{base}:bbr')"
+        )
+    return f"{base}:{check_cca(cc, where)}"
 
 
 @dataclass(frozen=True)
@@ -208,59 +118,19 @@ class Axis:
 
 @dataclass(frozen=True)
 class Stage:
-    """One pass over the expanded combinations.
-
-    ``sweep`` runs each combination as one scenario point; ``adaptive``
-    bisects the incumbent/challenger split for the empirical NE at each
-    combination (``searches`` independent repetitions, seed-offset by
-    ``seed_stride`` — the spacing the figure-9 sweep has always used);
-    ``population`` evolves a :mod:`repro.population` adoption
-    trajectory per combination (``ticks`` steps of ``dynamics``, with
-    the tiered payoff oracle calibrated at ``error_threshold``).
-    """
+    """One pass over the expanded combinations: a name, a kind (a key
+    of :data:`repro.campaign.vocab.KINDS`) and that kind's validated
+    options, also readable as attributes (``stage.flows``)."""
 
     name: str
     kind: str
-    flows: int = 0
-    challenger: str = "bbr"
-    incumbent: str = "cubic"
-    searches: int = 1
-    seed_stride: int = 7919
-    dynamics: str = "replicator"
-    ticks: int = 60
-    epsilon: float = 0.2
-    mutation: float = 0.0
-    inertia: float = 0.5
-    init_share: float = 0.1
-    error_threshold: float = 0.1
+    options: Tuple[Tuple[str, Any], ...] = ()
+
+    def __post_init__(self) -> None:
+        self.__dict__.update(self.options)
 
     def to_dict(self) -> Dict[str, Any]:
-        if self.kind == "sweep":
-            return {"name": self.name, "type": self.kind}
-        if self.kind == "population":
-            return {
-                "name": self.name,
-                "type": self.kind,
-                "flows": self.flows,
-                "challenger": self.challenger,
-                "incumbent": self.incumbent,
-                "dynamics": self.dynamics,
-                "ticks": self.ticks,
-                "epsilon": self.epsilon,
-                "mutation": self.mutation,
-                "inertia": self.inertia,
-                "init_share": self.init_share,
-                "error_threshold": self.error_threshold,
-            }
-        return {
-            "name": self.name,
-            "type": self.kind,
-            "flows": self.flows,
-            "challenger": self.challenger,
-            "incumbent": self.incumbent,
-            "searches": self.searches,
-            "seed_stride": self.seed_stride,
-        }
+        return {"name": self.name, "type": self.kind, **dict(self.options)}
 
 
 @dataclass(frozen=True)
@@ -292,13 +162,6 @@ class CampaignSpec:
                 return axis
         return None
 
-    def stage(self, name: str) -> Stage:
-        """The stage named ``name`` (unique by validation)."""
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise KeyError(f"campaign {self.name!r} has no stage {name!r}")
-
     def to_dict(self) -> Dict[str, Any]:
         """Canonical, JSON-able form; re-parses to an equal spec."""
         data: Dict[str, Any] = {
@@ -313,11 +176,8 @@ class CampaignSpec:
                 "capacity_trace": self.link.capacity_trace.to_dict(),
             },
             "defaults": {
-                "duration": float(self.duration),
-                "backend": self.backend,
-                "trials": int(self.trials),
-                "seed": int(self.seed),
-                "loss_mode": self.loss_mode,
+                param.name: param.type(getattr(self, param.name))
+                for param in POINT_PARAMS
             },
             "expand": self.expand,
             "axes": [axis.to_dict() for axis in self.axes],
@@ -346,49 +206,16 @@ def _get_table(data: Dict[str, Any], key: str, source: str) -> Dict[str, Any]:
     return table
 
 
-def _get_number(
-    table: Dict[str, Any], key: str, default: float, where: str
-) -> float:
-    value = table.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _get_int(table: Dict[str, Any], key: str, default: int, where: str) -> int:
-    value = table.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(f"{where}.{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _get_str(table: Dict[str, Any], key: str, default: str, where: str) -> str:
-    value = table.get(key, default)
-    if not isinstance(value, str):
-        raise SpecError(f"{where}.{key}: expected a string, got {value!r}")
-    return value
-
-
-def _check_backend(backend: str, where: str) -> str:
-    """Validate a backend, keeping its declared spelling: unit ids and
-    the spec fingerprint hash it, so journals written under a former
-    spelling stay resumable (``ScenarioPoint`` canonicalises it)."""
-    try:
-        canonical_backend(backend)
-    except ValueError as exc:
-        raise SpecError(f"{where}: {exc}") from None
-    return backend
-
-
-def _check_dynamics(name: str, where: str) -> str:
-    from repro.population.dynamics import DYNAMICS
-
-    if name not in DYNAMICS:
-        raise SpecError(
-            f"{where}: dynamics must be one of {', '.join(DYNAMICS)}, "
-            f"got {name!r}"
-        )
-    return name
+def _parse_section(
+    data: Dict[str, Any], key: str, params: Sequence[Any], source: str
+) -> Dict[str, Any]:
+    """The ``[key]`` table validated against its declared parameters."""
+    table = _get_table(data, key, source)
+    known = [param.name for param in params]
+    for name in table:
+        if name not in known:
+            raise SpecError(f"{source}: [{key}] has unknown key {name!r}")
+    return parse_table(table, params, f"{source}: {key}")
 
 
 def _parse_axis(entry: Any, index: int, source: str) -> Axis:
@@ -396,58 +223,23 @@ def _parse_axis(entry: Any, index: int, source: str) -> Axis:
     if not isinstance(entry, dict):
         raise SpecError(f"{where}: each [[axes]] entry must be a table")
     name = entry.get("name")
-    if name not in AXIS_NAMES:
+    if name not in AXES:
         raise SpecError(
             f"{where}.name: {name!r} is not a sweepable parameter "
-            f"(choose from: {', '.join(AXIS_NAMES)})"
+            f"(choose from: {', '.join(AXES)})"
         )
     values = entry.get("values")
     if not isinstance(values, (list, tuple)) or not values:
         raise SpecError(
             f"{where}.values: expected a non-empty list of values"
         )
-    parsed: List[Any] = []
-    for j, value in enumerate(values):
-        vwhere = f"{where}.values[{j}]"
-        if name == "mix":
-            parsed.append(parse_mix(value, vwhere))
-        elif name in FLOAT_AXES:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SpecError(f"{vwhere}: expected a number, got {value!r}")
-            if value <= 0:
-                raise SpecError(f"{vwhere}: must be positive, got {value!r}")
-            parsed.append(value)
-        elif name in INT_AXES:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SpecError(
-                    f"{vwhere}: expected an integer, got {value!r}"
-                )
-            if name == "trials" and value < 1:
-                raise SpecError(f"{vwhere}: trials must be >= 1")
-            parsed.append(value)
-        elif name in BOOL_AXES:
-            if not isinstance(value, bool):
-                raise SpecError(f"{vwhere}: expected a boolean, got {value!r}")
-            parsed.append(value)
-        else:  # STR_AXES
-            if not isinstance(value, str):
-                raise SpecError(f"{vwhere}: expected a string, got {value!r}")
-            if name == "backend":
-                _check_backend(value, vwhere)
-            if name == "dynamics":
-                _check_dynamics(value, vwhere)
-            if name == "aqm":
-                try:
-                    parse_aqm(value)
-                except ValueError as exc:
-                    raise SpecError(f"{vwhere}: {exc}") from None
-            if name == "capacity_trace":
-                try:
-                    parse_capacity_trace(value)
-                except ValueError as exc:
-                    raise SpecError(f"{vwhere}: {exc}") from None
-            parsed.append(value)
-    return Axis(name=name, values=tuple(parsed))
+    return Axis(
+        name=name,
+        values=tuple(
+            AXES[name].parse(value, f"{where}.values[{j}]", authored=True)
+            for j, value in enumerate(values)
+        ),
+    )
 
 
 def _parse_stage(entry: Any, index: int, source: str) -> Stage:
@@ -455,92 +247,35 @@ def _parse_stage(entry: Any, index: int, source: str) -> Stage:
     if not isinstance(entry, dict):
         raise SpecError(f"{where}: each [[stages]] entry must be a table")
     kind = entry.get("type", "sweep")
-    if kind not in STAGE_KINDS:
+    if kind not in KINDS:
         raise SpecError(
             f"{where}.type: {kind!r} is not a stage type "
-            f"(choose from: {', '.join(STAGE_KINDS)})"
+            f"(choose from: {', '.join(KINDS)})"
         )
-    name = _get_str(entry, "name", f"stage{index}", where)
-    if kind == "sweep":
-        return Stage(name=name, kind=kind)
-    flows = _get_int(entry, "flows", 0, where)
-    if flows < 2:
+    options = parse_table(
+        entry,
+        (Param("name", str, f"stage{index}"),) + KINDS[kind].options,
+        where,
+    )
+    if "challenger" in options and (
+        options["challenger"] == options["incumbent"]
+    ):
         raise SpecError(
-            f"{where}.flows: {kind} stages need flows >= 2, got {flows}"
+            f"{where}: challenger and incumbent are both "
+            f"{options['challenger']!r}"
         )
-    challenger = _check_cca(
-        _get_str(entry, "challenger", "bbr", where), f"{where}.challenger"
-    )
-    incumbent = _check_cca(
-        _get_str(entry, "incumbent", "cubic", where), f"{where}.incumbent"
-    )
-    if challenger == incumbent:
-        raise SpecError(
-            f"{where}: challenger and incumbent are both {challenger!r}"
-        )
-    if kind == "population":
-        dynamics = _check_dynamics(
-            _get_str(entry, "dynamics", "replicator", where),
-            f"{where}.dynamics",
-        )
-        ticks = _get_int(entry, "ticks", 60, where)
-        if ticks < 1:
-            raise SpecError(f"{where}.ticks: must be >= 1, got {ticks}")
-        epsilon = _get_number(entry, "epsilon", 0.2, where)
-        if not 0.0 < epsilon <= 1.0:
+    return Stage(options.pop("name"), kind, tuple(options.items()))
+
+
+def _unique_names(items: Sequence[Any], what: str, source: str) -> List[str]:
+    names: List[str] = []
+    for item in items:
+        if item.name in names:
             raise SpecError(
-                f"{where}.epsilon: must be in (0, 1], got {epsilon}"
+                f"{source}: {what} {item.name!r} is declared twice"
             )
-        mutation = _get_number(entry, "mutation", 0.0, where)
-        if not 0.0 <= mutation < 1.0:
-            raise SpecError(
-                f"{where}.mutation: must be in [0, 1), got {mutation}"
-            )
-        inertia = _get_number(entry, "inertia", 0.5, where)
-        if not 0.0 <= inertia < 1.0:
-            raise SpecError(
-                f"{where}.inertia: must be in [0, 1), got {inertia}"
-            )
-        init_share = _get_number(entry, "init_share", 0.1, where)
-        if not 0.0 <= init_share <= 1.0:
-            raise SpecError(
-                f"{where}.init_share: must be in [0, 1], got {init_share}"
-            )
-        error_threshold = _get_number(entry, "error_threshold", 0.1, where)
-        if error_threshold <= 0:
-            raise SpecError(
-                f"{where}.error_threshold: must be positive, "
-                f"got {error_threshold}"
-            )
-        return Stage(
-            name=name,
-            kind=kind,
-            flows=flows,
-            challenger=challenger,
-            incumbent=incumbent,
-            dynamics=dynamics,
-            ticks=ticks,
-            epsilon=epsilon,
-            mutation=mutation,
-            inertia=inertia,
-            init_share=init_share,
-            error_threshold=error_threshold,
-        )
-    searches = _get_int(entry, "searches", 1, where)
-    if searches < 1:
-        raise SpecError(f"{where}.searches: must be >= 1, got {searches}")
-    seed_stride = _get_int(entry, "seed_stride", 7919, where)
-    if seed_stride < 1:
-        raise SpecError(f"{where}.seed_stride: must be >= 1")
-    return Stage(
-        name=name,
-        kind=kind,
-        flows=flows,
-        challenger=challenger,
-        incumbent=incumbent,
-        searches=searches,
-        seed_stride=seed_stride,
-    )
+        names.append(item.name)
+    return names
 
 
 def _default_metrics(
@@ -577,77 +312,22 @@ def parse_spec(data: Any, source: str = "spec") -> CampaignSpec:
     name = data.get("name")
     if not isinstance(name, str) or not name.strip():
         raise SpecError(f"{source}: 'name' is required and must be a string")
-    name = name.strip()
-    description = _get_str(data, "description", "", source)
+    top = parse_table(data, TOP_PARAMS, source)
 
-    link_table = _get_table(data, "link", source)
-    for key in link_table:
-        if key not in (
-            "bandwidth_mbps",
-            "rtt_ms",
-            "buffer_bdp",
-            "mss",
-            "aqm",
-            "ecn",
-            "capacity_trace",
-        ):
-            raise SpecError(f"{source}: [link] has unknown key {key!r}")
-    ecn = link_table.get("ecn")
-    if ecn is not None and not isinstance(ecn, bool):
-        raise SpecError(
-            f"{source}: link.ecn: expected a boolean, got {ecn!r}"
-        )
+    set_ = _parse_section(data, "link", LINK_PARAMS, source)
     try:
         link = LinkConfig.from_mbps_ms(
-            _get_number(
-                link_table, "bandwidth_mbps", 100.0, f"{source}: link"
-            ),
-            _get_number(link_table, "rtt_ms", 40.0, f"{source}: link"),
-            _get_number(link_table, "buffer_bdp", 5.0, f"{source}: link"),
-            mss=_get_int(link_table, "mss", 1500, f"{source}: link"),
-            aqm=parse_aqm(link_table.get("aqm"), ecn=ecn),
-            capacity_trace=parse_capacity_trace(
-                link_table.get("capacity_trace")
-            ),
+            set_["bandwidth_mbps"],
+            set_["rtt_ms"],
+            set_["buffer_bdp"],
+            mss=set_["mss"],
+            aqm=parse_aqm(set_["aqm"], ecn=set_["ecn"]),
+            capacity_trace=parse_capacity_trace(set_["capacity_trace"]),
         )
     except ValueError as exc:
         raise SpecError(f"{source}: [link] {exc}") from None
-
-    defaults = _get_table(data, "defaults", source)
-    for key in defaults:
-        if key not in (
-            "duration",
-            "backend",
-            "trials",
-            "seed",
-            "loss_mode",
-            "mix",
-        ):
-            raise SpecError(f"{source}: [defaults] has unknown key {key!r}")
-    where = f"{source}: defaults"
-    duration = _get_number(defaults, "duration", 60.0, where)
-    if duration <= 0:
-        raise SpecError(f"{where}.duration: must be positive")
-    backend = _check_backend(
-        _get_str(defaults, "backend", "fluid", where), f"{where}.backend"
-    )
-    trials = _get_int(defaults, "trials", 1, where)
-    if trials < 1:
-        raise SpecError(f"{where}.trials: must be >= 1, got {trials}")
-    seed = _get_int(defaults, "seed", 0, where)
-    loss_mode = _get_str(defaults, "loss_mode", "proportional", where)
-    mix = (
-        parse_mix(defaults["mix"], f"{where}.mix")
-        if "mix" in defaults
-        else None
-    )
-
-    expand = _get_str(data, "expand", "grid", source)
-    if expand not in EXPAND_MODES:
-        raise SpecError(
-            f"{source}: expand must be one of {', '.join(EXPAND_MODES)}, "
-            f"got {expand!r}"
-        )
+    defaults = _parse_section(data, "defaults", DEFAULT_PARAMS, source)
+    mix = defaults["mix"]
 
     raw_axes = data.get("axes")
     if not isinstance(raw_axes, (list, tuple)) or not raw_axes:
@@ -658,14 +338,8 @@ def parse_spec(data: Any, source: str = "spec") -> CampaignSpec:
     axes = tuple(
         _parse_axis(entry, i, source) for i, entry in enumerate(raw_axes)
     )
-    seen_axes = set()
-    for axis in axes:
-        if axis.name in seen_axes:
-            raise SpecError(
-                f"{source}: axis {axis.name!r} is declared twice"
-            )
-        seen_axes.add(axis.name)
-    if expand == "zip":
+    seen_axes = _unique_names(axes, "axis", source)
+    if top["expand"] == "zip":
         lengths = {len(axis.values) for axis in axes}
         if len(lengths) > 1:
             detail = ", ".join(
@@ -682,35 +356,28 @@ def parse_spec(data: Any, source: str = "spec") -> CampaignSpec:
     stages = tuple(
         _parse_stage(entry, i, source) for i, entry in enumerate(raw_stages)
     )
-    seen_stages = set()
-    for stage in stages:
-        if stage.name in seen_stages:
-            raise SpecError(
-                f"{source}: stage {stage.name!r} is declared twice"
-            )
-        seen_stages.add(stage.name)
+    _unique_names(stages, "stage", source)
 
-    has_sweep = any(stage.kind == "sweep" for stage in stages)
-    has_adaptive = any(stage.kind == "adaptive" for stage in stages)
-    has_population = any(stage.kind == "population" for stage in stages)
-    if has_sweep and mix is None and "mix" not in seen_axes:
+    # Cross-checks between axes and stages, answered by the kinds.
+    kinds = {stage.kind: KINDS[stage.kind] for stage in stages}
+    takes_mix = [name for name, k in kinds.items() if "mix" in k.params]
+    if takes_mix and mix is None and "mix" not in seen_axes:
         raise SpecError(
-            f"{source}: sweep stages need a flow mix — set "
+            f"{source}: {takes_mix[0]} stages need a flow mix — set "
             "[defaults] mix or declare a mix axis"
         )
-    if (has_adaptive or has_population) and "mix" in seen_axes:
-        kind = "adaptive" if has_adaptive else "population"
+    derives_mix = [name for name in kinds if name not in takes_mix]
+    if derives_mix and "mix" in seen_axes:
         raise SpecError(
-            f"{source}: {kind} stages derive the mix split themselves; "
-            "remove the mix axis or use a sweep stage"
+            f"{source}: {derives_mix[0]} stages derive the mix split "
+            "themselves; remove the mix axis or use a sweep stage"
         )
-    if not has_population:
-        swept_population = seen_axes & set(POPULATION_AXES)
-        if swept_population:
+    for axis in axes:
+        if not any(axis.name in k.params for k in kinds.values()):
+            users = (n for n, k in KINDS.items() if axis.name in k.params)
             raise SpecError(
-                f"{source}: axis "
-                f"{', '.join(sorted(swept_population))!s} only applies "
-                "to population stages — add one or drop the axis"
+                f"{source}: axis {axis.name} only applies to "
+                f"{', '.join(users)} stages — add one or drop the axis"
             )
 
     raw_metrics = data.get("metrics", {})
@@ -718,7 +385,7 @@ def parse_spec(data: Any, source: str = "spec") -> CampaignSpec:
         raw_metrics = raw_metrics.get("columns", None)
     if raw_metrics is None:
         metrics: Tuple[str, ...] = (
-            _default_metrics(mix, axes) if has_sweep else ()
+            _default_metrics(mix, axes) if takes_mix else ()
         )
     else:
         if not isinstance(raw_metrics, (list, tuple)):
@@ -729,38 +396,20 @@ def parse_spec(data: Any, source: str = "spec") -> CampaignSpec:
             _check_metric(m, f"{source}: metrics") for m in raw_metrics
         )
 
-    output = _get_table(data, "output", source)
-    csv_name = _get_str(output, "csv", "results.csv", f"{source}: output")
-    if "/" in csv_name or "\\" in csv_name or not csv_name:
-        raise SpecError(
-            f"{source}: output.csv must be a bare file name, "
-            f"got {csv_name!r}"
-        )
-    jsonl_name: Optional[str] = None
-    if output.get("jsonl") is not None:
-        jsonl_name = _get_str(output, "jsonl", "", f"{source}: output")
-        if "/" in jsonl_name or "\\" in jsonl_name or not jsonl_name:
-            raise SpecError(
-                f"{source}: output.jsonl must be a bare file name, "
-                f"got {jsonl_name!r}"
-            )
+    output = parse_table(
+        _get_table(data, "output", source), OUTPUT_PARAMS, f"{source}: output"
+    )
 
     return CampaignSpec(
-        name=name,
-        description=description,
+        name=name.strip(),
         link=link,
-        duration=duration,
-        backend=backend,
-        trials=trials,
-        seed=seed,
-        loss_mode=loss_mode,
-        mix=mix,
-        expand=expand,
         axes=axes,
         stages=stages,
         metrics=metrics,
-        csv_name=csv_name,
-        jsonl_name=jsonl_name,
+        csv_name=output["csv"],
+        jsonl_name=output["jsonl"],
+        **top,
+        **defaults,
     )
 
 

@@ -1,20 +1,23 @@
 """Programmatic builders for the studies the repo ships as campaigns.
 
-:func:`fig9_campaign` builds the NE-region study of the paper's
-Figure 9 as a :class:`~repro.campaign.spec.CampaignSpec` — the *same*
-spec checked in at ``examples/campaigns/fig9-ne-quick.toml`` (a test
-pins their fingerprints equal), and the spec
-:func:`repro.experiments.figures.figure9` now runs under the hood.
-Building it here keeps one source of truth for the numbers while
-letting the TOML file stay a copy-paste starting point for users.
+:func:`fig9_campaign` and :func:`fig11_campaign` build the NE-region
+studies of the paper's Figures 9 and 11 as
+:class:`~repro.campaign.spec.CampaignSpec` objects — the specs
+:func:`repro.experiments.figures.figure9` / ``figure11`` run under the
+hood, both one ``adaptive`` stage over a buffer sweep.  The quick
+Figure-9 spec is also checked in at
+``examples/campaigns/fig9-ne-quick.toml`` (a test pins the fingerprints
+equal), so the TOML file stays a copy-paste starting point for users
+with one source of truth for the numbers.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List
+from typing import Any, Dict, List
 
 from repro.campaign.spec import CampaignSpec, parse_spec
+from repro.util.config import LinkConfig
 
 __all__ = [
     "bundled_campaign_dir",
@@ -22,9 +25,63 @@ __all__ = [
     "list_bundled_campaigns",
 ]
 
-#: Buffer depths (BDP) of the quick/full figure-9 panels.
+#: Buffer depths (BDP) of the quick/full NE panels.
 FIG9_QUICK_BUFFERS = [0.5, 2, 5, 10, 20, 35, 50]
-FIG9_FULL_BUFFERS = [0.5] + [float(b) for b in range(1, 51)]
+FIG11_QUICK_BUFFERS = [2, 5, 10, 20, 35, 50]
+FULL_BUFFERS = [0.5] + [float(b) for b in range(1, 51)]
+
+
+def _ne_study(
+    name: str,
+    description: str,
+    capacity_mbps: float,
+    rtt_ms: float,
+    scale: str,
+    seed: int,
+    challenger: str,
+    searches: int,
+    axes: Dict[str, List[Any]],
+) -> CampaignSpec:
+    """An empirical-NE study: one adaptive stage of CUBIC vs.
+    ``challenger`` over ``axes`` — 50 flows for 120 s at full scale,
+    20 flows for 110 s at quick scale (``{flows}`` in ``description``)."""
+    from repro.experiments.figures import _check_scale
+
+    full = _check_scale(scale)
+    flows = 50 if full else 20
+    # Built the way every figure builds its links, so the CLI's
+    # --aqm/--ecn/--capacity-trace overrides reach the study.
+    base = LinkConfig.from_mbps_ms(capacity_mbps, rtt_ms, 1.0)
+    data = {
+        "name": name,
+        "description": description.format(flows=flows),
+        "link": {
+            "bandwidth_mbps": capacity_mbps,
+            "rtt_ms": rtt_ms,
+            "buffer_bdp": 1.0,
+            "aqm": base.aqm.to_dict(),
+            "capacity_trace": base.capacity_trace.to_dict(),
+        },
+        "defaults": {
+            "duration": 120.0 if full else 110.0,
+            "backend": "fluid",
+            "trials": 1,
+            "seed": seed,
+        },
+        "expand": "grid",
+        "axes": [{"name": n, "values": v} for n, v in axes.items()],
+        "stages": [
+            {
+                "name": "ne",
+                "type": "adaptive",
+                "flows": flows,
+                "challenger": challenger,
+                "incumbent": "cubic",
+                "searches": searches,
+            }
+        ],
+    }
+    return parse_spec(data, source=name)
 
 
 def fig9_campaign(
@@ -41,48 +98,44 @@ def fig9_campaign(
     searches inner, ``seed + 7919·search`` seeding), so results land on
     the same cache fingerprints as the historical figure path.
     """
-    from repro.experiments.figures import _check_scale
-
-    full = _check_scale(scale)
-    n_flows = 50 if full else 20
-    duration = 120.0 if full else 110.0
-    searches = 10 if full else 2
-    buffers = FIG9_FULL_BUFFERS if full else FIG9_QUICK_BUFFERS
-    name = f"fig9-{capacity_mbps:g}mbps-{rtt_ms:g}ms-{scale}" + (
-        "" if challenger == "bbr" else f"-{challenger}"
+    full = scale == "full"
+    return _ne_study(
+        f"fig9-{capacity_mbps:g}mbps-{rtt_ms:g}ms-{scale}"
+        + ("" if challenger == "bbr" else f"-{challenger}"),
+        "NE region vs buffer depth: {flows} flows, "
+        f"{capacity_mbps:g} Mbps / {rtt_ms:g} ms (fig9 {scale} panel)",
+        capacity_mbps,
+        rtt_ms,
+        scale,
+        seed,
+        challenger,
+        searches=10 if full else 2,
+        axes={"buffer_bdp": FULL_BUFFERS if full else FIG9_QUICK_BUFFERS},
     )
-    data = {
-        "name": name,
-        "description": (
-            f"NE region vs buffer depth: {n_flows} flows, "
-            f"{capacity_mbps:g} Mbps / {rtt_ms:g} ms "
-            f"(fig9 {scale} panel)"
-        ),
-        "link": {
-            "bandwidth_mbps": capacity_mbps,
-            "rtt_ms": rtt_ms,
-            "buffer_bdp": 1.0,
+
+
+def fig11_campaign(
+    capacity_mbps: float = 50.0, scale: str = "quick", seed: int = 0
+) -> CampaignSpec:
+    """The Figure-11 study: the CUBIC-vs-BBRv2 NE, one search per
+    (RTT, buffer) — the nesting of the historical figure loops, so the
+    points land on the fingerprints that path cached."""
+    full = scale == "full"
+    return _ne_study(
+        f"fig11-{capacity_mbps:g}mbps-{scale}",
+        "BBRv2 NE vs buffer depth: {flows} flows, "
+        f"{capacity_mbps:g} Mbps (fig11 {scale} panel)",
+        capacity_mbps,
+        40.0,
+        scale,
+        seed,
+        "bbr2",
+        searches=1,
+        axes={
+            "rtt_ms": [20, 40, 80] if full else [40],
+            "buffer_bdp": FULL_BUFFERS if full else FIG11_QUICK_BUFFERS,
         },
-        "defaults": {
-            "duration": duration,
-            "backend": "fluid",
-            "trials": 1,
-            "seed": seed,
-        },
-        "expand": "grid",
-        "axes": [{"name": "buffer_bdp", "values": list(buffers)}],
-        "stages": [
-            {
-                "name": "ne",
-                "type": "adaptive",
-                "flows": n_flows,
-                "challenger": challenger,
-                "incumbent": "cubic",
-                "searches": searches,
-            }
-        ],
-    }
-    return parse_spec(data, source=f"fig9_campaign({scale})")
+    )
 
 
 def bundled_campaign_dir() -> Path:

@@ -141,8 +141,6 @@ class ScenarioPoint:
 
     def params(self) -> Dict[str, Any]:
         """The task descriptor hashed by :meth:`fingerprint`."""
-        from repro.experiments.runner import expand_mix
-
         return {
             "link": link_params(self.link),
             # The expanded per-flow (cc, rtt) list is exactly what the

@@ -19,18 +19,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.game import FlowGroup, GroupGame, bisect_nash
+from repro.core.game import FlowGroup, GroupGame
 from repro.core.multi_flow import predict_multi_flow
 from repro.core.nash import nash_region, predict_nash
-from repro.core.two_flow import predict_two_flow
 from repro.core.ware import ware_prediction
 from repro.exec import Engine, ScenarioPoint
 from repro.exec import resolve as resolve_engine
 from repro.experiments.results import FigureResult
-from repro.experiments.runner import (
-    distribution_throughput_fn,
-    group_payoff_fn,
-)
+from repro.experiments.runner import group_payoff_fn
+from repro.experiments.validation import validate_two_flow
 from repro.obs.trace import resolve as resolve_tracer
 from repro.obs.trace import span
 from repro.util.config import LinkConfig
@@ -48,7 +45,35 @@ def _mbps(x: float) -> float:
     return x * 8.0 / 1e6
 
 
-# -- Figure 1: the Ware et al. gap --------------------------------------------
+# -- Figures 1, 3, 12: the 1-CUBIC-vs-1-BBR buffer sweep ----------------------
+
+
+def _two_flow_figure(
+    figure_id: str,
+    title: str,
+    ylabel: str,
+    capacity_mbps: float,
+    rtt_ms: float,
+    buffers: Sequence[float],
+    duration: float,
+    engine: Optional[Engine],
+    series: Sequence[str] = ("ware", "model", "actual"),
+) -> FigureResult:
+    """BBR's bandwidth per buffer depth: ``series`` names columns of
+    the §3.1 validation sweep, which is this experiment."""
+    report = validate_two_flow(
+        LinkConfig.from_mbps_ms(capacity_mbps, rtt_ms, 1),
+        buffers,
+        duration=duration,
+        backend="packet",
+        engine=engine,
+    )
+    fig = FigureResult(
+        figure_id=figure_id, title=title, xlabel="buffer (BDP)", ylabel=ylabel
+    )
+    for name in series:
+        fig.add(name, buffers, [_mbps(getattr(r, name)) for r in report.rows])
+    return fig
 
 
 def figure1(
@@ -59,42 +84,22 @@ def figure1(
     1 CUBIC vs. 1 BBR at 50 Mbps / 40 ms; buffer swept up to 50 BDP.
     """
     full = _check_scale(scale)
-    buffers = (
+    return _two_flow_figure(
+        "fig1",
+        "BBR bandwidth share, 50 Mbps / 40 ms (Ware et al. vs actual)",
+        "bandwidth (Mbps)",
+        50,
+        40,
         [x * 0.5 for x in range(2, 101)]
         if full
-        else [1, 2, 3, 5, 10, 20, 35, 50]
+        else [1, 2, 3, 5, 10, 20, 35, 50],
+        # BBR needs tens of seconds to become cwnd-limited after its
+        # startup transient, so even quick mode keeps near-paper-length
+        # flows here.
+        120.0 if full else 100.0,
+        engine,
+        ("ware", "actual"),
     )
-    # BBR needs tens of seconds to become cwnd-limited after its startup
-    # transient, so even quick mode keeps near-paper-length flows here.
-    duration = 120.0 if full else 100.0
-    fig = FigureResult(
-        figure_id="fig1",
-        title="BBR bandwidth share, 50 Mbps / 40 ms (Ware et al. vs actual)",
-        xlabel="buffer (BDP)",
-        ylabel="bandwidth (Mbps)",
-    )
-    links = [LinkConfig.from_mbps_ms(50, 40, depth) for depth in buffers]
-    results = resolve_engine(engine).run_points(
-        [
-            ScenarioPoint(
-                link=link,
-                mix=(("cubic", 1), ("bbr", 1)),
-                duration=duration,
-                backend="packet",
-            )
-            for link in links
-        ]
-    )
-    ware = [
-        _mbps(ware_prediction(link, duration=duration).bbr_bandwidth)
-        for link in links
-    ]
-    fig.add("ware", buffers, ware)
-    fig.add("actual", buffers, [r.per_flow_mbps("bbr") for r in results])
-    return fig
-
-
-# -- Figure 3: 2-flow model validation ----------------------------------------
 
 
 def figure3(
@@ -105,51 +110,16 @@ def figure3(
 ) -> FigureResult:
     """One panel of Figure 3: model vs. Ware vs. actual across buffers."""
     full = _check_scale(scale)
-    buffers = (
-        [x * 0.5 for x in range(2, 61)]
-        if full
-        else [1, 2, 3, 5, 10, 18, 30]
+    return _two_flow_figure(
+        f"fig3-{capacity_mbps:g}mbps-{rtt_ms:g}ms",
+        f"2-flow validation, {capacity_mbps:g} Mbps / {rtt_ms:g} ms",
+        "BBR bandwidth (Mbps)",
+        capacity_mbps,
+        rtt_ms,
+        [x * 0.5 for x in range(2, 61)] if full else [1, 2, 3, 5, 10, 18, 30],
+        120.0 if full else 100.0,  # See figure1's duration note.
+        engine,
     )
-    # Near-paper-length flows: see figure1's duration note.
-    duration = 120.0 if full else 100.0
-    fig = FigureResult(
-        figure_id=f"fig3-{capacity_mbps:g}mbps-{rtt_ms:g}ms",
-        title=(
-            f"2-flow validation, {capacity_mbps:g} Mbps / {rtt_ms:g} ms"
-        ),
-        xlabel="buffer (BDP)",
-        ylabel="BBR bandwidth (Mbps)",
-    )
-    links = [
-        LinkConfig.from_mbps_ms(capacity_mbps, rtt_ms, depth)
-        for depth in buffers
-    ]
-    results = resolve_engine(engine).run_points(
-        [
-            ScenarioPoint(
-                link=link,
-                mix=(("cubic", 1), ("bbr", 1)),
-                duration=duration,
-                backend="packet",
-            )
-            for link in links
-        ]
-    )
-    fig.add(
-        "ware",
-        buffers,
-        [
-            _mbps(ware_prediction(link, duration=duration).bbr_bandwidth)
-            for link in links
-        ],
-    )
-    fig.add(
-        "model",
-        buffers,
-        [_mbps(predict_two_flow(link).bbr_bandwidth) for link in links],
-    )
-    fig.add("actual", buffers, [r.per_flow_mbps("bbr") for r in results])
-    return fig
 
 
 def figure3_all(
@@ -418,7 +388,24 @@ def figure8(
     return fig_a, fig_b
 
 
-# -- Figure 9: NE validation --------------------------------------------------
+# -- Figures 9 and 11: NE validation ------------------------------------------
+
+
+def _observed_ne(spec, engine: Optional[Engine]) -> List[Dict[str, object]]:
+    """Run an NE-study campaign (:mod:`repro.campaign.studies`): one
+    row per equilibrium found, in unit order whatever the completion
+    order — the rows ``repro-bbr campaign run`` would write for the
+    same spec, from the same cache fingerprints."""
+    # Deferred: repro.campaign imports repro.experiments for the scale
+    # presets, so the reverse edge must stay inside the function.
+    from repro.campaign.expand import expand_units
+    from repro.campaign.run import iter_units
+
+    found = {
+        outcome.index: outcome.rows
+        for outcome in iter_units(spec, expand_units(spec), engine=engine)
+    }
+    return [row for index in sorted(found) for row in found[index]]
 
 
 def figure9(
@@ -436,17 +423,10 @@ def figure9(
 
     The empirical sweep is *defined as* a campaign
     (:func:`repro.campaign.studies.fig9_campaign`, also checked in at
-    ``examples/campaigns/fig9-ne-quick.toml``): the figure path and
-    ``repro-bbr campaign run`` execute the same units against the same
-    cache fingerprints.
+    ``examples/campaigns/fig9-ne-quick.toml``).
     """
-    # Deferred: repro.campaign imports repro.experiments for the scale
-    # presets, so the reverse edge must stay inside the function.
-    from repro.campaign.expand import expand_units
-    from repro.campaign.run import iter_units
     from repro.campaign.studies import fig9_campaign
 
-    _check_scale(scale)
     spec = fig9_campaign(
         capacity_mbps=capacity_mbps,
         rtt_ms=rtt_ms,
@@ -454,11 +434,8 @@ def figure9(
         seed=seed,
         challenger=challenger,
     )
-    stage = spec.stages[0]
-    n_flows = stage.flows
-    buffer_axis = spec.axis("buffer_bdp")
-    assert buffer_axis is not None  # fig9_campaign always sweeps buffers.
-    buffers = list(buffer_axis.values)
+    n_flows = spec.stages[0].flows
+    buffers = list(spec.axis("buffer_bdp").values)
     fig = FigureResult(
         figure_id=(
             f"fig9-{capacity_mbps:g}mbps-{rtt_ms:g}ms"
@@ -475,21 +452,12 @@ def figure9(
     region = nash_region(base, n_flows, buffers)
     fig.add("sync-bound", buffers, [p.n_cubic_sync for p in region])
     fig.add("desync-bound", buffers, [p.n_cubic_desync for p in region])
-
-    # Streamed: only the (x, y) floats survive each outcome, keyed by
-    # unit index so completion order cannot scramble the curve.
-    observed: Dict[int, List[Tuple[float, float]]] = {}
-    for outcome in iter_units(spec, expand_units(spec), engine=engine):
-        observed[outcome.index] = [
-            (row["buffer_bdp"], row["ne_incumbent"])
-            for row in outcome.rows
-        ]
-    observed_x, observed_y = [], []
-    for index in sorted(observed):
-        for x, y in observed[index]:
-            observed_x.append(x)
-            observed_y.append(y)
-    fig.add("observed-ne", observed_x, observed_y)
+    rows = _observed_ne(spec, engine)
+    fig.add(
+        "observed-ne",
+        [row["buffer_bdp"] for row in rows],
+        [row["ne_incumbent"] for row in rows],
+    )
     return fig
 
 
@@ -581,15 +549,11 @@ def figure11(
 ) -> FigureResult:
     """One panel of Figure 11: CUBIC-vs-BBRv2 NE against the BBR-predicted
     region (the paper finds more CUBIC flows at the NE than with BBR)."""
-    full = _check_scale(scale)
-    n_flows = 50 if full else 20
-    duration = 120.0 if full else 110.0
-    rtts_ms = (20, 40, 80) if full else (40,)
-    buffers = (
-        [0.5] + [float(b) for b in range(1, 51)]
-        if full
-        else [2, 5, 10, 20, 35, 50]
-    )
+    from repro.campaign.studies import fig11_campaign
+
+    spec = fig11_campaign(capacity_mbps, scale=scale, seed=seed)
+    n_flows = spec.stages[0].flows
+    buffers = list(spec.axis("buffer_bdp").values)
     fig = FigureResult(
         figure_id=f"fig11-{capacity_mbps:g}mbps",
         title=(
@@ -605,24 +569,14 @@ def figure11(
     fig.add(
         "bbr-desync-bound", buffers, [p.n_cubic_desync for p in region]
     )
-    for rtt_ms in rtts_ms:
-        observed_x, observed_y = [], []
-        for depth in buffers:
-            link = LinkConfig.from_mbps_ms(capacity_mbps, rtt_ms, depth)
-            fn = distribution_throughput_fn(
-                link,
-                n_flows,
-                challenger="bbr2",
-                duration=duration,
-                backend="fluid",
-                seed=seed,
-                engine=engine,
-            )
-            equilibria, _cache = bisect_nash(n_flows, fn)
-            for k in equilibria:
-                observed_x.append(depth)
-                observed_y.append(n_flows - k)
-        fig.add(f"observed-{rtt_ms}ms", observed_x, observed_y)
+    rows = _observed_ne(spec, engine)
+    for rtt_ms in spec.axis("rtt_ms").values:
+        series = [row for row in rows if row["rtt_ms"] == rtt_ms]
+        fig.add(
+            f"observed-{rtt_ms}ms",
+            [row["buffer_bdp"] for row in series],
+            [row["ne_incumbent"] for row in series],
+        )
     return fig
 
 
@@ -639,52 +593,23 @@ def figure12(
     regime in seconds; the regime boundary (≈100 BDP) is in BDP units and
     scale-free, like the paper's other BDP-normalized results.
     """
-    full = _check_scale(scale)
-    if full:
-        capacity_mbps, rtt_ms, duration = 50.0, 40.0, 120.0
+    if _check_scale(scale):
+        capacity_mbps, rtt_ms = 50.0, 40.0
         buffers = [1, 5, 10, 25, 50, 75, 100, 125, 150, 200, 250]
     else:
-        capacity_mbps, rtt_ms, duration = 20.0, 20.0, 120.0
+        capacity_mbps, rtt_ms = 20.0, 20.0
         buffers = [1, 5, 20, 60, 100, 150, 250]
-    fig = FigureResult(
-        figure_id="fig12",
-        title=(
-            f"Ultra-deep buffers, {capacity_mbps:g} Mbps / {rtt_ms:g} ms "
-            "(model overestimates past ~100 BDP)"
-        ),
-        xlabel="buffer (BDP)",
-        ylabel="BBR bandwidth (Mbps)",
-    )
-    links = [
-        LinkConfig.from_mbps_ms(capacity_mbps, rtt_ms, depth)
-        for depth in buffers
-    ]
-    results = resolve_engine(engine).run_points(
-        [
-            ScenarioPoint(
-                link=link,
-                mix=(("cubic", 1), ("bbr", 1)),
-                duration=duration,
-                backend="packet",
-            )
-            for link in links
-        ]
-    )
-    fig.add(
-        "ware",
+    return _two_flow_figure(
+        "fig12",
+        f"Ultra-deep buffers, {capacity_mbps:g} Mbps / {rtt_ms:g} ms "
+        "(model overestimates past ~100 BDP)",
+        "BBR bandwidth (Mbps)",
+        capacity_mbps,
+        rtt_ms,
         buffers,
-        [
-            _mbps(ware_prediction(link, duration=duration).bbr_bandwidth)
-            for link in links
-        ],
+        120.0,
+        engine,
     )
-    fig.add(
-        "model",
-        buffers,
-        [_mbps(predict_two_flow(link).bbr_bandwidth) for link in links],
-    )
-    fig.add("actual", buffers, [r.per_flow_mbps("bbr") for r in results])
-    return fig
 
 
 #: Registry used by the CLI: figure id → zero-argument quick generator.

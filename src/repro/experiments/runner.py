@@ -413,6 +413,7 @@ def distribution_throughput_fn(
     trials: int = 1,
     seed: int = 0,
     engine: Optional["Engine"] = None,
+    loss_mode: str = "proportional",
 ):
     """Build a §4.4-style throughput function over distributions.
 
@@ -437,6 +438,7 @@ def distribution_throughput_fn(
             backend=backend,
             trials=trials,
             seed=spaced_seed(seed, k),
+            loss_mode=loss_mode,
         )
         return (
             result.per_flow.get(incumbent, 0.0),
@@ -457,6 +459,7 @@ def distribution_utility_fn(
     trials: int = 1,
     seed: int = 0,
     engine: Optional["Engine"] = None,
+    loss_mode: str = "proportional",
 ):
     """A §4.3-style utility game: ``U = throughput − w·delay``.
 
@@ -488,6 +491,7 @@ def distribution_utility_fn(
             backend=backend,
             trials=trials,
             seed=spaced_seed(seed, k),
+            loss_mode=loss_mode,
         )
         penalty = weight * result.mean_queuing_delay
         u_incumbent = result.per_flow.get(incumbent, 0.0) - penalty

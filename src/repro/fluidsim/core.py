@@ -36,15 +36,13 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.fluidsim.aqmfluid import make_fluid_aqm
+from repro.scenario import LOSS_MODES
 from repro.sim.network import FlowResult, SimulationResult
 from repro.util.config import LinkConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.core import Checker
     from repro.obs.bus import Telemetry
-
-#: Loss-assignment modes (CUBIC synchronization levels, §2.4).
-LOSS_MODES = ("sync", "desync", "proportional")
 
 
 @dataclass

@@ -9,11 +9,9 @@ make million-flow horizons infeasible, so the oracle is tiered:
   (:func:`repro.core.multi_flow.predict_multi_flow`) evaluated at the
   quantized mix, with the payoff of an *empty* strategy class taken at
   the single-deviant mix ``(n-1, 1)`` — exactly the deviation payoff
-  the Nash condition (Eq. 25) reasons about.  Results are memoized
-  twice: an in-process dict for the tick loop, and the execution
-  engine's content-addressed fingerprint cache
-  (``Engine.cached_payload("population_tier0", ...)``) so trajectories
-  are warm across processes and campaign resumes.
+  the Nash condition (Eq. 25) reasons about.  Results are memoized in
+  an in-process dict for the tick loop and nowhere else: one
+  evaluation costs ~13 µs, a disk-cache lookup ~25 times that.
 * **Tier 1 — batched fluid simulation.**  For regions where the
   model is known to be wrong (see below) — or for strategy pairs the
   model does not cover at all — payoffs come from ``backend="fluid"``
@@ -124,8 +122,8 @@ class TieredOracle:
     """Per-flow payoff oracle with analytical/simulated tiers.
 
     Args:
-        engine: Execution engine for simulation points and tier-0
-            memoization; None resolves the process default.
+        engine: Execution engine for simulation points; None resolves
+            the process default.
         error_threshold: Calibration escalation threshold (fraction of
             the cell's fair share).
         bound: Which model bound tier 0 reports — ``"sync"``,
@@ -284,22 +282,10 @@ class TieredOracle:
             if obs is not None:
                 obs.count("population.oracle.memo_hits")
             return cached
-        params = {
-            "link": link_params(cell.link),
-            "counts": [int(c) for c in counts],
-            "strategies": list(strategies),
-            "bound": self.bound,
-        }
-        payload = self._resolve_engine().cached_payload(
-            "population_tier0",
-            params,
-            lambda: {
-                "payoffs": self._model_payoffs(
-                    cell.link, counts, strategies
-                )
-            },
+        value = np.asarray(
+            self._model_payoffs(cell.link, counts, strategies),
+            dtype=np.float64,
         )
-        value = np.asarray(payload["payoffs"], dtype=np.float64)
         self._memo[key] = value
         return value
 

@@ -61,6 +61,12 @@ def canonical_backend(backend: str) -> str:
         )
     return backend
 
+
+#: Fluid-backend loss-assignment modes (CUBIC synchronization levels,
+#: §2.4).  Declared beside ``BACKENDS`` for the same reason: spec
+#: parsers validate them without importing a simulator.
+LOSS_MODES = ("sync", "desync", "proportional")
+
 #: AQM disciplines a spec can name.
 AQM_KINDS = ("droptail", "red", "codel")
 

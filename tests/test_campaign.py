@@ -506,6 +506,70 @@ def test_adaptive_campaign_shares_cache_with_figure_path(tmp_path):
     assert cold.hits == warm.simulated
 
 
+def test_unknown_loss_mode_is_rejected_where_it_is_declared():
+    """It used to pass validation and die inside the simulator."""
+    adaptive = [{"type": "adaptive", "flows": 4}]
+    modes = ["proportional", "sync", "bogus-mode"]
+    with pytest.raises(SpecError, match=r"axes\[0\].values\[2\]: loss_mode"):
+        _spec(stages=adaptive, axes=[{"name": "loss_mode", "values": modes}])
+    data = json.loads(json.dumps(BASE))
+    data["defaults"]["loss_mode"] = "bogus"
+    with pytest.raises(
+        SpecError,
+        match="defaults.loss_mode: .*one of sync, desync, proportional",
+    ):
+        parse_spec(data)
+
+
+def test_adaptive_stage_honours_loss_mode(tmp_path):
+    """Each loss_mode is its own search over its own points; it used to
+    re-run the proportional search under every label."""
+    cache = ResultCache(tmp_path / "cache")
+
+    def search(axis):
+        spec = _spec(
+            defaults={"duration": 5.0, "backend": "fluid"},
+            axes=[axis],
+            stages=[{"type": "adaptive", "flows": 4}],
+        )
+        engine = Engine(cache=cache)
+        stats, rows = [], []
+        for outcome in iter_units(spec, expand_units(spec), engine=engine):
+            stats.append(dict(engine.stats))
+            rows.append(
+                [(r["ne_challenger"], r["ne_incumbent"]) for r in outcome.rows]
+            )
+        return stats, rows
+
+    stats, (proportional, _sync) = search(
+        {"name": "loss_mode", "values": ["proportional", "sync"]}
+    )
+    # The sync combination shares no fingerprint with the first one.
+    assert stats[0]["simulated"] > 0
+    assert stats[1]["simulated"] > stats[0]["simulated"]
+    assert stats[1]["cache_hits"] == 0
+    # The proportional combination is the search a spec without the
+    # axis runs (the default): same points, same equilibria.
+    stats, (default,) = search({"name": "buffer_bdp", "values": [1.0]})
+    assert stats[0]["simulated"] == 0 and stats[0]["cache_hits"] > 0
+    assert default == proportional
+
+
+def test_axis_no_stage_consumes_is_rejected():
+    population = [{"type": "population", "flows": 4}]
+    for name, values in (
+        ("loss_mode", ["sync"]),
+        ("backend", ["fluid", "packet"]),
+    ):
+        with pytest.raises(SpecError, match=f"axis {name} only applies to"):
+            _spec(stages=population, axes=[{"name": name, "values": values}])
+        # Any stage that does consume it makes the axis legal.
+        _spec(
+            stages=population + [{"name": "s", "type": "sweep"}],
+            axes=[{"name": name, "values": values}],
+        )
+
+
 def test_fig9_campaign_matches_bundled_spec():
     from repro.campaign import bundled_campaign_dir
 

@@ -238,6 +238,33 @@ def test_tier0_empty_class_uses_single_deviant_payoff():
     assert payoffs[0, 1] == pytest.approx(deviant.per_flow_bbr_sync)
 
 
+def test_tier0_is_computed_not_routed_through_the_engine(tmp_path):
+    """Tier 0 is a ~13 us closed form: it never becomes an engine point
+    (no fingerprint, no cache file, no "simulated point" in the exec
+    summary), and computing it directly changes no bit of the run."""
+    import hashlib
+
+    engine = Engine(cache=ResultCache(tmp_path / "cache"))
+    result = run_population(
+        [_cell(n=100, label="paper")],
+        dynamics=DynamicsConfig(name="replicator", step=0.5),
+        ticks=20,
+        seed=0,
+        init_share=0.1,
+        oracle=TieredOracle(engine=engine, force_tier=0),
+    )
+    assert engine.stats["submitted"] == 0
+    assert not list((tmp_path / "cache").rglob("*.json"))
+    trace = json.dumps(
+        [result.trajectory, result.final_shares], sort_keys=True
+    )
+    # Pinned at the commit that still round-tripped tier 0 through
+    # Engine.cached_payload (7 submissions for this run).
+    assert hashlib.sha256(trace.encode()).hexdigest() == (
+        "a7d01315a6dd227911fa0ea3521233fe123e2575ea646f32c9c2e9471391b54b"
+    )
+
+
 def test_tier0_memoizes_repeat_mixes():
     oracle = TieredOracle(engine=Engine(), force_tier=0)
     state = PopulationState.from_share([_cell(n=10)], 0.5)

@@ -379,14 +379,14 @@ def _fat_rows_engine(monkeypatch, blob_kb=16):
     row gets its own blob *object* — a shared constant would make
     retained rows nearly free and hide the leak.
     """
-    from repro.campaign import run as run_mod
+    from repro.campaign import vocab
 
     def fat_rows(spec, unit, result):
         combo = dict(unit.combo)
         blob = f"{unit.index:08d}" + "x" * (blob_kb * 1024)
         return ({"buffer_bdp": combo.get("buffer_bdp"), "blob": blob},)
 
-    monkeypatch.setattr(run_mod, "_sweep_rows", fat_rows)
+    monkeypatch.setattr(vocab, "_sweep_rows", fat_rows)
 
 
 def _peak_during_campaign(tmp_path, monkeypatch, n_units, tag):
