@@ -66,6 +66,7 @@ from repro.exec.engine import Engine, resolve as resolve_engine
 from repro.obs.progress import PROGRESS_NAME, ProgressTracker
 from repro.obs.trace import resolve as resolve_tracer
 from repro.obs.trace import span
+from repro.util.jsonfile import write_json_atomic
 
 __all__ = [
     "CampaignError",
@@ -218,9 +219,7 @@ def _write_spec_file(spec: CampaignSpec, out_dir: Path) -> None:
         "fingerprint": spec.fingerprint(),
         "spec": spec.to_dict(),
     }
-    (out_dir / SPEC_NAME).write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json_atomic(out_dir / SPEC_NAME, payload)
 
 
 def load_campaign(out_dir: Union[str, Path]) -> CampaignSpec:

@@ -57,6 +57,7 @@ from typing import Iterator, List, Optional, Sequence
 from repro.cc import available_algorithms
 from repro.core import predict_multi_flow, predict_nash, predict_two_flow
 from repro.core.ware import ware_prediction
+from repro.exec import ScenarioPoint
 from repro.experiments.figures import FIGURES
 from repro.util.config import LinkConfig
 
@@ -442,15 +443,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         engine = session.engine
         wall_start = perf_counter()
         try:
-            result = engine.run_mix(
-                link,
-                mix,
+            point = ScenarioPoint(
+                link=link,
+                mix=tuple(mix),
                 duration=args.duration,
                 warmup=args.warmup,
                 backend=args.backend,
                 trials=args.trials,
                 seed=args.seed,
             )
+            [result] = engine.run_points([point])
         except ValueError as exc:
             raise _CliError(f"bad scenario: {exc}") from None
         wall_time = perf_counter() - wall_start
@@ -479,13 +481,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         if args.trace_out:
             session.manifest = _simulate_manifest(
-                args, link, mix, result, session.obs, wall_time
+                args, link, mix, point.warmup, result, session.obs, wall_time
             )
     return 0
 
 
 def _simulate_manifest(
-    args: argparse.Namespace, link, mix, result, obs, wall_time: float
+    args: argparse.Namespace, link, mix, warmup, result, obs, wall_time: float
 ):
     """The run manifest of an instrumented simulate run."""
     from repro.obs import RunManifest
@@ -513,11 +515,7 @@ def _simulate_manifest(
         duration=args.duration,
         seed=args.seed,
         trials=args.trials,
-        warmup=(
-            args.warmup
-            if args.warmup is not None
-            else args.duration / 6.0
-        ),
+        warmup=warmup,
         obs=obs,
         wall_time_s=wall_time,
         flows=flow_rows,

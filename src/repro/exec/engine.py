@@ -81,7 +81,7 @@ from typing import (
 )
 
 from repro.exec.cache import ResultCache
-from repro.exec.fingerprint import ScenarioPoint, fingerprint_payload
+from repro.exec.fingerprint import ScenarioPoint
 from repro.obs.trace import span
 from repro.util.ambient import ProcessDefault
 from repro.util.config import LinkConfig
@@ -126,7 +126,7 @@ CHUNK_MAX_POINTS = 32
 
 def _point_cost(point: ScenarioPoint) -> float:
     """Estimated cost of a point in flow-seconds (x trials)."""
-    flows = sum(count for _cc, count in point.mix)
+    flows = sum(entry[1] for entry in point.mix)
     return point.duration * point.trials * max(1, flows)
 
 
@@ -158,55 +158,12 @@ def _profile_rows(prof: Any, limit: int = PROFILE_ROWS) -> List[Dict]:
     return rows[:limit]
 
 
-def _run_profiled(
-    fn: Callable[[], "ScenarioResult"],
-) -> Tuple["ScenarioResult", List[Dict]]:
+def _run_profiled(fn: Callable[[], Any]) -> Tuple[Any, List[Dict]]:
     import cProfile
 
     prof = cProfile.Profile()
     result = prof.runcall(fn)
     return result, _profile_rows(prof)
-
-
-def _mix_request(point: ScenarioPoint) -> Dict[str, Any]:
-    """A point's :func:`repro.experiments.runner.run_mix` kwargs."""
-    return {
-        "link": point.link,
-        "mix": list(point.mix),
-        "duration": point.duration,
-        "warmup": point.warmup,
-        "backend": point.backend,
-        "trials": point.trials,
-        "seed": point.seed,
-        "rtts": point.rtts_dict(),
-        "loss_mode": point.loss_mode,
-    }
-
-
-def _run_point(point: ScenarioPoint, obs: Any) -> "ScenarioResult":
-    from repro.check import resolve as resolve_check
-    from repro.experiments.runner import run_mix
-
-    check = resolve_check(None)
-    if check is not None:
-        # Violations raised inside this point should carry its cache
-        # identity (run_mix adds the scenario parameters itself).
-        check.set_context(fingerprint=point.fingerprint())
-    return run_mix(obs=obs, **_mix_request(point))
-
-
-def _pools_on_vec(points: Sequence[ScenarioPoint], obs: Any) -> bool:
-    """Whether the fluid points among ``points`` run as one vectorized
-    batch — the one substrate decision,
-    :func:`repro.experiments.runner.runs_vectorized`, on their rows."""
-    from repro.experiments.runner import flow_rows, runs_vectorized
-
-    rows = sum(
-        flow_rows(point.mix, point.trials)
-        for point in points
-        if point.backend == "fluid"
-    )
-    return runs_vectorized(rows, obs)
 
 
 def _execute_unit(
@@ -217,26 +174,25 @@ def _execute_unit(
     Yields ``(position in points, result, wall_seconds, profile rows)``
     as each point finishes.  When the unit has several points and its
     fluid members are together wide enough for the vectorized substrate
-    (:func:`_pools_on_vec`) they run as *one*
+    (:func:`repro.experiments.runner.runs_vectorized`, the one substrate
+    decision) they run as *one*
     :func:`repro.experiments.runner.run_mix_batch` call (bit-identical
     to per-point execution — the substrate is batch-invariant) and share
-    its wall time evenly.  Every other point runs on its own, under
+    its wall time evenly.  Every other point is a batch of one, under
     cProfile when ``profile``, and is yielded before the next one
     starts, so a consumer that stores each result as it arrives
     checkpoints per point even inside a multi-point unit.
     """
-    from repro.experiments.runner import run_mix_batch
+    from repro.experiments.runner import run_mix_batch, runs_vectorized
 
     pooled: List[int] = []
-    if len(points) > 1 and _pools_on_vec(points, obs):
+    if len(points) > 1 and runs_vectorized(points, obs):
         pooled = [i for i, p in enumerate(points) if p.backend == "fluid"]
         start = perf_counter()
         with span(
             tracer, "point_batch", "exec", n=len(pooled), backend="fluid"
         ):
-            batch = run_mix_batch(
-                [_mix_request(points[i]) for i in pooled], obs=obs
-            )
+            batch = run_mix_batch([points[i] for i in pooled], obs=obs)
         share = (perf_counter() - start) / len(pooled)
         for i, result in zip(pooled, batch):
             yield i, result, share, []
@@ -250,11 +206,11 @@ def _execute_unit(
         ):
             with span(tracer, "simulate", "exec", backend=point.backend):
                 if profile:
-                    result, rows = _run_profiled(
-                        lambda: _run_point(point, obs=obs)
+                    [result], rows = _run_profiled(
+                        lambda: run_mix_batch([point], obs=obs)
                     )
                 else:
-                    result = _run_point(point, obs=obs)
+                    [result] = run_mix_batch([point], obs=obs)
         yield i, result, perf_counter() - start, rows
 
 
@@ -474,13 +430,12 @@ class Engine:
     def _record_executed(
         self,
         fingerprint: str,
-        payload: Callable[[], Dict[str, Any]],
+        result: "ScenarioResult",
         elapsed: float,
         obs: Any,
         tracer: Any,
     ) -> None:
-        """Count one executed task and store its payload (built only
-        when there is a cache to put it in)."""
+        """Count one executed point and store its result."""
         with self._lock:
             self.simulated += 1
         if obs is not None:
@@ -488,7 +443,7 @@ class Engine:
             obs.record_time("exec.point.wall", elapsed)
         if self.cache is not None:
             with span(tracer, "cache_store", "exec"):
-                self.cache.put(fingerprint, payload())
+                self.cache.put(fingerprint, result.to_dict())
             if obs is not None:
                 obs.count("exec.cache.stores")
 
@@ -583,9 +538,7 @@ class Engine:
             stream = self._inline_units(units, pending_points, obs, tracer)
         for fingerprint, result, elapsed, rows in stream:
             self._keep_profile(fingerprint, elapsed, rows)
-            self._record_executed(
-                fingerprint, result.to_dict, elapsed, obs, tracer
-            )
+            self._record_executed(fingerprint, result, elapsed, obs, tracer)
             for idx in pending[fingerprint]:
                 self._complete_index()
                 yield idx, result, elapsed
@@ -710,66 +663,13 @@ class Engine:
         return results  # type: ignore[return-value]  # all filled above
 
     def run_mix(
-        self,
-        link: LinkConfig,
-        mix: Sequence[Tuple[str, int]],
-        duration: float = 60.0,
-        warmup: Optional[float] = None,
-        backend: str = "fluid",
-        trials: int = 1,
-        seed: int = 0,
-        rtts: Optional[Dict[str, float]] = None,
-        loss_mode: str = "proportional",
+        self, link: LinkConfig, mix: Sequence[Tuple[Any, ...]], **scenario: Any
     ) -> "ScenarioResult":
         """Cached, engine-routed equivalent of
-        :func:`repro.experiments.runner.run_mix`."""
-        point = ScenarioPoint(
-            link=link,
-            mix=tuple((cc, count) for cc, count in mix),
-            duration=duration,
-            warmup=warmup,
-            backend=backend,
-            trials=trials,
-            seed=seed,
-            rtts=tuple(rtts.items()) if rtts else None,
-            loss_mode=loss_mode,
-        )
+        :func:`repro.experiments.runner.run_mix`: ``scenario`` names the
+        remaining :class:`ScenarioPoint` fields."""
+        point = ScenarioPoint(link=link, mix=tuple(mix), **scenario)
         return self.run_points([point])[0]
-
-    def cached_payload(
-        self,
-        kind: str,
-        params: Dict[str, Any],
-        compute: Callable[[], Dict[str, Any]],
-    ) -> Dict[str, Any]:
-        """Memoize an arbitrary JSON-serializable task through the cache.
-
-        Used for scenario families that are not plain ``run_mix`` points
-        (e.g. the multi-RTT group-game payoffs), so they share the same
-        store, invalidation, and counters.
-        """
-        obs = self._resolve_obs()
-        tracer = self._resolve_tracer()
-        fingerprint = fingerprint_payload(kind, params)
-        with self._lock:
-            self.submitted += 1
-        if obs is not None:
-            obs.count("exec.points.submitted")
-        with span(tracer, "cache_lookup", "exec"):
-            payload = self._cache_lookup(fingerprint, obs)
-        if payload is not None:
-            self._account_hit(obs)
-            return payload
-        self._account_miss(obs)
-        start = perf_counter()
-        with span(tracer, "point", "exec", kind=kind):
-            payload = compute()
-        elapsed = perf_counter() - start
-        self._record_executed(
-            fingerprint, lambda: payload, elapsed, obs, tracer
-        )
-        self._complete_index()
-        return payload
 
 
 # -- default-engine plumbing --------------------------------------------------

@@ -1,13 +1,13 @@
 """Canonical scenario fingerprints for the execution engine.
 
 A *fingerprint* is a stable content hash of everything that determines a
-scenario's numeric outcome: the link, the expanded flow mix, durations,
-backend, trials, seed, per-CCA RTT overrides, the fluid loss mode, the
-cache schema, and the package version.  Two :class:`ScenarioPoint`
+scenario's numeric outcome: the link, the expanded flow mix (per-entry
+RTTs included), durations, backend, trials, seed, the fluid loss mode,
+the cache schema, and the package version.  Two :class:`ScenarioPoint`
 instances that would produce byte-identical simulator inputs hash to the
 same fingerprint even when they were *spelled* differently (mixed-case
 CCA names, zero-count mix entries, ``warmup=None`` vs. the resolved
-``duration / 6`` default, RTT dicts in different insertion orders).
+``duration / 6`` default, ``(cc, n)`` vs. ``(cc, n, None)``).
 
 Fingerprints key the on-disk result cache (:mod:`repro.exec.cache`);
 bumping :data:`CACHE_SCHEMA` or the package version changes every
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro import __version__
-from repro.scenario import canonical_backend, expand_mix
+from repro.scenario import LOSS_MODES, canonical_backend, expand_mix
 from repro.util.config import LinkConfig
 
 __all__ = [
@@ -57,11 +57,11 @@ def link_params(link: LinkConfig) -> Dict[str, Any]:
 def fingerprint_payload(kind: str, params: Dict[str, Any]) -> str:
     """Hash an arbitrary task descriptor into a cache fingerprint.
 
-    ``kind`` namespaces descriptor families (``"run_mix"``,
-    ``"group_payoff"``, ...) so two families can never collide even if
-    their parameter dicts coincide.  The hash covers a canonical JSON
-    encoding (sorted keys, no whitespace) plus the schema and package
-    versions.
+    ``kind`` namespaces descriptor families (``"run_mix"`` scenario
+    points, ``"campaign_unit"``, ``"campaign_spec"``) so two families
+    can never collide even if their parameter dicts coincide.  The hash
+    covers a canonical JSON encoding (sorted keys, no whitespace) plus
+    the schema and package versions.
     """
     envelope = {
         "kind": kind,
@@ -77,45 +77,61 @@ def fingerprint_payload(kind: str, params: Dict[str, Any]) -> str:
 
 @dataclass(frozen=True)
 class ScenarioPoint:
-    """One independent ``run_mix`` invocation, in canonical form.
+    """One scenario request, in canonical form — what every figure,
+    campaign and game hands the engine, and the engine the runner.
 
-    The constructor normalizes its inputs so that logically identical
-    points compare (and hash) equal: CCA names are lowercased, zero-count
-    mix entries dropped, ``warmup`` resolved to its ``duration / 6``
-    default, RTT overrides sorted, and the backend reduced to its
-    canonical name (:func:`repro.scenario.canonical_backend`).  Mix
-    *order* is preserved — flow order determines per-flow seeding in
-    the fluid substrate, so it is part of the scenario's identity.
+    A mix entry is ``(cc, count)`` or ``(cc, count, rtt_seconds)``: the
+    entry's flows run at that base RTT instead of the link's (one CCA at
+    several RTTs is several entries, which is how the §4.5 multi-RTT
+    game is asked).  The constructor is the one validator of a request
+    and normalizes it so that logically identical points compare (and
+    hash) equal: CCA names are lowercased, zero-count mix entries
+    dropped, a ``None`` entry RTT omitted, ``warmup`` resolved to its
+    ``duration / 6`` default, and the backend reduced to its canonical
+    name (:func:`repro.scenario.canonical_backend`).  Mix *order* is
+    preserved — flow order determines per-flow seeding in the fluid
+    substrate, so it is part of the scenario's identity.
     """
 
     link: LinkConfig
-    mix: Tuple[Tuple[str, int], ...]
+    mix: Tuple[Tuple[Any, ...], ...]
     duration: float = 60.0
     warmup: Optional[float] = None
     backend: str = "fluid"
     trials: int = 1
     seed: int = 0
-    rtts: Optional[Tuple[Tuple[str, float], ...]] = None
     loss_mode: str = "proportional"
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "backend", canonical_backend(self.backend)
         )
+        if self.loss_mode not in LOSS_MODES:
+            raise ValueError(
+                f"loss_mode must be one of {LOSS_MODES}, "
+                f"got {self.loss_mode!r}"
+            )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.duration <= 0:
             raise ValueError(
                 f"duration must be positive, got {self.duration}"
             )
-        mix = tuple(
-            (cc.lower(), int(count))
-            for cc, count in self.mix
-            if count > 0
-        )
+        mix = []
+        for cc, count, *rtt in self.mix:
+            if count <= 0:
+                continue
+            if not rtt or rtt[0] is None:
+                mix.append((cc.lower(), int(count)))
+            elif rtt[0] > 0:
+                mix.append((cc.lower(), int(count), float(rtt[0])))
+            else:
+                raise ValueError(
+                    f"mix entry RTT must be positive, got {rtt[0]}"
+                )
         if not mix:
             raise ValueError("mix must contain at least one non-zero entry")
-        object.__setattr__(self, "mix", mix)
+        object.__setattr__(self, "mix", tuple(mix))
         if self.warmup is None:
             object.__setattr__(self, "warmup", self.duration / 6.0)
         if not 0 <= self.warmup < self.duration:
@@ -123,21 +139,6 @@ class ScenarioPoint:
                 f"warmup must lie in [0, duration), got warmup="
                 f"{self.warmup} with duration={self.duration}"
             )
-        if self.rtts is not None:
-            items = (
-                self.rtts.items()
-                if isinstance(self.rtts, dict)
-                else self.rtts
-            )
-            object.__setattr__(
-                self,
-                "rtts",
-                tuple(sorted((cc.lower(), float(r)) for cc, r in items)),
-            )
-
-    def rtts_dict(self) -> Optional[Dict[str, float]]:
-        """RTT overrides in the mapping form ``run_mix`` consumes."""
-        return dict(self.rtts) if self.rtts is not None else None
 
     def params(self) -> Dict[str, Any]:
         """The task descriptor hashed by :meth:`fingerprint`."""
@@ -145,10 +146,8 @@ class ScenarioPoint:
             "link": link_params(self.link),
             # The expanded per-flow (cc, rtt) list is exactly what the
             # substrates consume, so it is the canonical mix identity.
-            "flows": [
-                [cc, rtt] for cc, rtt in expand_mix(self.mix, self.rtts_dict())
-            ],
-            "mix": [[cc, count] for cc, count in self.mix],
+            "flows": [list(flow) for flow in expand_mix(self.mix)],
+            "mix": [list(entry) for entry in self.mix],
             "duration": self.duration,
             "warmup": self.warmup,
             "backend": self.backend,

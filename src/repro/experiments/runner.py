@@ -8,15 +8,19 @@ high-fidelity discrete-event simulator (1–2 flow validation figures) or
 multi-trial averaging and seeded per-trial jitter, mirroring the
 paper's 10-trial methodology.
 
-The fluid model has two bitwise-identical implementations, the scalar
-per-flow loop and the vectorized batch substrate; which one runs is
-decided here, per group of requests, by :func:`runs_vectorized`.
+The request is a :class:`~repro.exec.fingerprint.ScenarioPoint` —
+:func:`run_mix_batch` executes them, :func:`run_mix` is the keyword
+convenience that builds one.  The fluid model has two bitwise-identical
+implementations, the scalar per-flow loop and the vectorized batch
+substrate; which one runs is decided here, per group of points, by
+:func:`runs_vectorized`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import islice
 from statistics import mean
 from typing import (
     TYPE_CHECKING,
@@ -28,9 +32,10 @@ from typing import (
     Tuple,
 )
 
+from repro.exec.fingerprint import ScenarioPoint
 from repro.fluidsim.core import FluidSpec, run_fluid
 from repro.fluidsim.vec import BatchPoint, run_fluid_vec_batch
-from repro.scenario import BACKENDS, canonical_backend, expand_mix
+from repro.scenario import BACKENDS, expand_mix
 from repro.sim.network import FlowSpec, run_dumbbell
 from repro.util.config import LinkConfig
 
@@ -44,8 +49,8 @@ __all__ = [
     "ScenarioResult",
     "distribution_throughput_fn",
     "distribution_utility_fn",
+    "class_label",
     "expand_mix",
-    "flow_rows",
     "group_payoff_fn",
     "run_mix",
     "run_mix_batch",
@@ -61,28 +66,37 @@ __all__ = [
 VEC_MIN_ROWS = 64
 
 
-def flow_rows(mix: Sequence[Tuple[str, int]], trials: int = 1) -> int:
-    """Rows a request adds to a vectorized batch: one per flow per trial."""
-    return trials * sum(count for _cc, count in mix)
+def runs_vectorized(
+    points: Sequence[ScenarioPoint], obs: Optional["Telemetry"] = None
+) -> bool:
+    """Whether the fluid points among ``points`` run as one vectorized
+    batch — the one substrate decision.
 
-
-def runs_vectorized(rows: int, obs: Optional["Telemetry"] = None) -> bool:
-    """Whether a group of fluid requests runs as one vectorized batch.
-
-    ``rows`` is the group's total :func:`flow_rows`.  The vectorized
-    substrate pays a fixed numpy cost per tick, so it wins only once
-    the batch is :data:`VEC_MIN_ROWS` wide.  Instrumented runs — a live
-    telemetry bus (``obs`` or the process default) or a live invariant
-    checker — always take the scalar loop: per-flow ``cc.*`` events and
-    the law-object checks exist only there.  Both paths produce the
-    same bits, so this decides wall time only.
+    The vectorized substrate pays a fixed numpy cost per tick, so it
+    wins only once the batch is :data:`VEC_MIN_ROWS` flow rows wide (one
+    row per flow per trial).  Instrumented runs — a live telemetry bus
+    (``obs`` or the process default) or a live invariant checker —
+    always take the scalar loop: per-flow ``cc.*`` events and the
+    law-object checks exist only there.  Both paths produce the same
+    bits, so this decides wall time only.
     """
     from repro.check import resolve as resolve_check
     from repro.obs.bus import resolve
 
     if resolve(obs) is not None or resolve_check(None) is not None:
         return False
+    rows = sum(
+        point.trials * sum(entry[1] for entry in point.mix)
+        for point in points
+        if point.backend == "fluid"
+    )
     return rows >= VEC_MIN_ROWS
+
+
+def class_label(cc: str, rtt: Optional[float] = None) -> str:
+    """The :class:`ScenarioResult` key of a mix entry's class: the CCA
+    name, or ``cc@rtt`` (e.g. ``cubic@0.03``) at an explicit RTT."""
+    return cc if rtt is None else f"{cc}@{float(rtt)!r}"
 
 
 def spaced_seed(seed: int, k: int) -> int:
@@ -101,16 +115,17 @@ def spaced_seed(seed: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Per-CCA scenario aggregates, averaged over trials.
+    """Per-class scenario aggregates, averaged over trials.  A class
+    is a CCA, or a CCA at an explicit entry RTT (:func:`class_label`).
 
     Attributes:
-        per_flow: Mean per-flow throughput by CCA (bytes/second).
-        aggregate: Total throughput by CCA (bytes/second).
+        per_flow: Mean per-flow throughput by class (bytes/second).
+        aggregate: Total throughput by class (bytes/second).
         mean_queuing_delay: Mean bottleneck queuing delay (seconds).
-        loss_rate: Mean per-flow loss rate by CCA (fraction of sent
+        loss_rate: Mean per-flow loss rate by class (fraction of sent
             data lost; bytes for the fluid backend, packets for the
             packet backend).
-        retransmits: Mean per-flow retransmission count by CCA.
+        retransmits: Mean per-flow retransmission count by class.
         drop_rate: Bottleneck drop rate (shared by all flows).
     """
 
@@ -151,22 +166,28 @@ class ScenarioResult:
 
 def run_mix(
     link: LinkConfig,
-    mix: Sequence[Tuple[str, int]],
+    mix: Sequence[Tuple[Any, ...]],
     duration: float = 60.0,
     warmup: Optional[float] = None,
     backend: str = "fluid",
     trials: int = 1,
     seed: int = 0,
-    rtts: Optional[Dict[str, float]] = None,
     loss_mode: str = "proportional",
     obs: Optional["Telemetry"] = None,
 ) -> ScenarioResult:
-    """Run a flow mix and return per-CCA mean throughputs.
+    """Run a flow mix and return per-class mean throughputs.
+
+    The keyword convenience over :func:`run_mix_batch`: builds the one
+    :class:`~repro.exec.fingerprint.ScenarioPoint` (which validates the
+    arguments) and runs it, uncached.
 
     Args:
         link: Bottleneck configuration.
-        mix: Pairs of (cc name, flow count), e.g. ``[("cubic", 5),
-            ("bbr", 5)]``.  Zero counts are allowed and skipped.
+        mix: Entries ``(cc, count)`` or ``(cc, count, rtt_seconds)``,
+            e.g. ``[("cubic", 5), ("bbr", 5)]``.  Zero counts are
+            allowed and skipped; an entry with an RTT runs its flows at
+            that base RTT and reports them as class ``cc@rtt``
+            (:func:`class_label`).
         duration: Flow lifetime per trial (the paper uses 120 s).
         warmup: Measurement exclusion window; defaults to ``duration/6``
             to skip the startup transient.
@@ -175,231 +196,152 @@ def run_mix(
             them as one vectorized batch.
         trials: Trials to average; trial ``t`` uses seed ``seed + t``.
         seed: Base RNG seed (fluid backend jitter / loss lottery).
-        rtts: Optional per-CCA base RTT override in seconds.
         loss_mode: Fluid-backend CUBIC synchronization mode.
         obs: Optional telemetry bus threaded into the substrate;
             defaults to the process-wide bus (usually disabled).
     """
-    backend, warmup = _validate_mix_args(backend, trials, duration, warmup)
+    point = ScenarioPoint(
+        link=link,
+        mix=tuple(mix),
+        duration=duration,
+        warmup=warmup,
+        backend=backend,
+        trials=trials,
+        seed=seed,
+        loss_mode=loss_mode,
+    )
+    return run_mix_batch([point], obs=obs)[0]
 
+
+def run_mix_batch(
+    points: Sequence[ScenarioPoint], obs: Optional["Telemetry"] = None
+) -> List[ScenarioResult]:
+    """Run scenario points, pooling the fluid ones; results come back
+    in point order.
+
+    When the fluid points together are wide enough
+    (:func:`runs_vectorized`), every trial of every one of them is
+    pooled into a *single* vectorized simulation — the execution
+    engine's chunked dispatch relies on this to amortize tick overhead
+    across whole sweeps.  Otherwise, and for packet points, each trial
+    is one scalar substrate run.  The vectorized substrate is
+    batch-invariant bit for bit, so the results are identical either
+    way.
+    """
     from repro.check import resolve as resolve_check
     from repro.obs.bus import resolve
 
     obs = resolve(obs)
-    if backend == "fluid" and runs_vectorized(flow_rows(mix, trials), obs):
-        trial_results = run_fluid_vec_batch(
-            _vec_trial_points(
-                link, mix, duration, warmup, trials, seed, rtts, loss_mode
-            )
-        )
-        return _aggregate_trials(mix, trial_results)
-
     check = resolve_check(None)
-    if check is not None:
-        check.set_context(
-            backend=backend,
-            mix=[[cc, count] for cc, count in mix],
-            duration=duration,
-            warmup=warmup,
-            seed=seed,
-        )
-    trial_results = [
-        _run_once(
-            link,
-            mix,
-            duration,
-            warmup,
-            backend,
-            seed + trial,
-            rtts,
-            loss_mode,
-            obs,
-        )
-        for trial in range(trials)
-    ]
-    return _aggregate_trials(mix, trial_results)
+    pooled = None
+    if runs_vectorized(points, obs):
+        batch = [
+            BatchPoint(**_fluid_trial(point, trial))
+            for point in points
+            if point.backend == "fluid"
+            for trial in range(point.trials)
+        ]
+        pooled = iter(run_fluid_vec_batch(batch))
+    results = []
+    for point in points:
+        if pooled is not None and point.backend == "fluid":
+            trial_results = list(islice(pooled, point.trials))
+        else:
+            if check is not None:
+                # What a violation raised inside this point reports.
+                check.set_context(
+                    fingerprint=point.fingerprint(),
+                    backend=point.backend,
+                    mix=[list(entry) for entry in point.mix],
+                    duration=point.duration,
+                    warmup=point.warmup,
+                    seed=point.seed,
+                )
+            trial_results = [
+                _run_trial(point, trial, obs)
+                for trial in range(point.trials)
+            ]
+        results.append(_aggregate_trials(point.mix, trial_results))
+    return results
 
 
-def run_mix_batch(
-    requests: Sequence[Dict[str, Any]],
-    obs: Optional["Telemetry"] = None,
-) -> List[ScenarioResult]:
-    """Run several :func:`run_mix` requests, pooling the fluid ones.
-
-    Each request is a mapping of :func:`run_mix` keyword arguments
-    (minus ``obs``); results come back in request order.  When the
-    fluid requests together are wide enough (:func:`runs_vectorized`),
-    every trial of every one of them is pooled into a *single*
-    vectorized simulation — the execution engine's chunked dispatch
-    relies on this to amortize tick overhead across whole sweeps.
-    Otherwise, and for packet requests, this is a sequence of
-    :func:`run_mix` calls.  The vectorized substrate is batch-invariant
-    bit for bit, so the results are identical either way.
-    """
-    fluid = {
-        index
-        for index, request in enumerate(requests)
-        if canonical_backend(request.get("backend", "fluid")) == "fluid"
+def _fluid_trial(point: ScenarioPoint, trial: int) -> Dict[str, Any]:
+    """Trial ``trial`` of a fluid point as :func:`run_fluid` arguments
+    (equally :class:`BatchPoint` fields); it runs with ``seed + trial``
+    on either implementation."""
+    return {
+        "link": point.link,
+        "flows": [
+            FluidSpec(cc=cc, rtt=rtt) for cc, rtt in expand_mix(point.mix)
+        ],
+        "duration": point.duration,
+        "warmup": point.warmup,
+        "loss_mode": point.loss_mode,
+        "seed": point.seed + trial,
+        "start_jitter": min(1.0, point.duration / 30.0),
     }
-    rows = sum(
-        flow_rows(requests[i]["mix"], requests[i].get("trials", 1))
-        for i in fluid
-    )
-    if not runs_vectorized(rows, obs):
-        return [run_mix(obs=obs, **request) for request in requests]
-    results: List[Optional[ScenarioResult]] = [None] * len(requests)
-    points: List[BatchPoint] = []
-    slots: List[Tuple[int, int]] = []
-    for index, request in enumerate(requests):
-        if index not in fluid:
-            results[index] = run_mix(obs=obs, **request)
-            continue
-        trials = request.get("trials", 1)
-        duration = request.get("duration", 60.0)
-        _backend, warmup = _validate_mix_args(
-            "fluid", trials, duration, request.get("warmup")
-        )
-        trial_points = _vec_trial_points(
-            request["link"],
-            request["mix"],
-            duration,
-            warmup,
-            trials,
-            request.get("seed", 0),
-            request.get("rtts"),
-            request.get("loss_mode", "proportional"),
-        )
-        slots.append((index, len(trial_points)))
-        points.extend(trial_points)
-    sims = run_fluid_vec_batch(points)
-    cursor = 0
-    for index, count in slots:
-        results[index] = _aggregate_trials(
-            requests[index]["mix"], sims[cursor:cursor + count]
-        )
-        cursor += count
-    return results  # type: ignore[return-value]
 
 
-def _validate_mix_args(
-    backend: str,
-    trials: int,
-    duration: float,
-    warmup: Optional[float],
-) -> Tuple[str, float]:
-    """Shared run_mix argument validation; returns the canonical
-    backend and the resolved warmup."""
-    backend = canonical_backend(backend)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if warmup is None:
-        warmup = duration / 6.0
-    if not 0 <= warmup < duration:
-        raise ValueError(
-            f"warmup must lie in [0, duration), got warmup={warmup} "
-            f"with duration={duration}"
+def _run_trial(
+    point: ScenarioPoint, trial: int, obs: Optional["Telemetry"]
+) -> Any:
+    """One trial on a scalar substrate."""
+    if point.backend == "packet":
+        specs = [
+            FlowSpec(cc=cc, rtt=rtt) for cc, rtt in expand_mix(point.mix)
+        ]
+        return run_dumbbell(
+            point.link,
+            specs,
+            duration=point.duration,
+            warmup=point.warmup,
+            obs=obs,
         )
-    return backend, warmup
-
-
-def _vec_trial_points(
-    link: LinkConfig,
-    mix: Sequence[Tuple[str, int]],
-    duration: float,
-    warmup: float,
-    trials: int,
-    seed: int,
-    rtts: Optional[Dict[str, float]],
-    loss_mode: str,
-) -> List[BatchPoint]:
-    """One :class:`BatchPoint` per trial, seeded exactly like the
-    sequential trial loop (trial ``t`` runs with ``seed + t``)."""
-    flows = tuple(
-        FluidSpec(cc=cc, rtt=rtt) for cc, rtt in expand_mix(mix, rtts)
-    )
-    return [
-        BatchPoint(
-            link=link,
-            flows=flows,
-            duration=duration,
-            warmup=warmup,
-            loss_mode=loss_mode,
-            seed=seed + trial,
-            start_jitter=min(1.0, duration / 30.0),
-        )
-        for trial in range(trials)
-    ]
+    return run_fluid(obs=obs, **_fluid_trial(point, trial))
 
 
 def _aggregate_trials(
-    mix: Sequence[Tuple[str, int]],
-    trial_results: Sequence[Any],
+    mix: Sequence[Tuple[Any, ...]], trial_results: Sequence[Any]
 ) -> ScenarioResult:
-    """Average per-trial simulation results into a ScenarioResult."""
-    per_flow_samples: Dict[str, List[float]] = {}
-    aggregate_samples: Dict[str, List[float]] = {}
-    loss_samples: Dict[str, List[float]] = {}
-    retx_samples: Dict[str, List[float]] = {}
-    delay_samples: List[float] = []
-    drop_samples: List[float] = []
+    """Average per-trial simulation results into a ScenarioResult.
+
+    A trial's flows come back in mix order; entries with one
+    :func:`class_label` are one class.
+    """
+    members: Dict[str, List[int]] = {}  # class -> its flow positions
+    cursor = 0
+    for cc, count, *rtt in mix:
+        members.setdefault(class_label(cc, *rtt), []).extend(
+            range(cursor, cursor + count)
+        )
+        cursor += count
+    per_flow: Dict[str, List[float]] = {}
+    aggregate: Dict[str, List[float]] = {}
+    loss: Dict[str, List[float]] = {}
+    retx: Dict[str, List[float]] = {}
     for result in trial_results:
-        delay_samples.append(result.mean_queuing_delay)
-        drop_samples.append(result.drop_rate)
-        for cc, _count in mix:
-            cc = cc.lower()
-            flows = result.by_cc(cc)
-            if not flows:
-                continue
-            per_flow_samples.setdefault(cc, []).append(
-                result.mean_throughput(cc)
-            )
-            aggregate_samples.setdefault(cc, []).append(
-                result.aggregate_throughput(cc)
-            )
-            loss_samples.setdefault(cc, []).append(
+        for label, positions in members.items():
+            flows = [result.flows[i] for i in positions]
+            total = sum(f.throughput for f in flows)
+            per_flow.setdefault(label, []).append(total / len(flows))
+            aggregate.setdefault(label, []).append(total)
+            loss.setdefault(label, []).append(
                 mean(f.loss_rate for f in flows)
             )
-            retx_samples.setdefault(cc, []).append(
+            retx.setdefault(label, []).append(
                 mean(f.retransmits for f in flows)
             )
 
+    def over_trials(samples: Dict[str, List[float]]) -> Dict[str, float]:
+        return {label: mean(values) for label, values in samples.items()}
+
     return ScenarioResult(
-        per_flow={cc: mean(v) for cc, v in per_flow_samples.items()},
-        aggregate={cc: mean(v) for cc, v in aggregate_samples.items()},
-        mean_queuing_delay=mean(delay_samples),
-        loss_rate={cc: mean(v) for cc, v in loss_samples.items()},
-        retransmits={cc: mean(v) for cc, v in retx_samples.items()},
-        drop_rate=mean(drop_samples),
-    )
-
-
-def _run_once(
-    link: LinkConfig,
-    mix: Sequence[Tuple[str, int]],
-    duration: float,
-    warmup: float,
-    backend: str,
-    seed: int,
-    rtts: Optional[Dict[str, float]],
-    loss_mode: str,
-    obs: Optional["Telemetry"] = None,
-):
-    flows = expand_mix(mix, rtts)
-    if backend == "packet":
-        specs = [FlowSpec(cc=cc, rtt=rtt) for cc, rtt in flows]
-        return run_dumbbell(
-            link, specs, duration=duration, warmup=warmup, obs=obs
-        )
-    fluid_specs = [FluidSpec(cc=cc, rtt=rtt) for cc, rtt in flows]
-    return run_fluid(
-        link,
-        fluid_specs,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-        start_jitter=min(1.0, duration / 30.0),
-        loss_mode=loss_mode,
-        obs=obs,
+        per_flow=over_trials(per_flow),
+        aggregate=over_trials(aggregate),
+        mean_queuing_delay=mean(r.mean_queuing_delay for r in trial_results),
+        loss_rate=over_trials(loss),
+        retransmits=over_trials(retx),
+        drop_rate=mean(r.drop_rate for r in trial_results),
     )
 
 
@@ -420,32 +362,23 @@ def distribution_throughput_fn(
     Returns ``fn(k) -> (per-flow incumbent λ, per-flow challenger λ)`` for
     ``k`` challenger flows out of ``n_flows`` — the shape
     :class:`repro.core.game.ThroughputTable` and
-    :func:`repro.core.game.bisect_nash` consume.  Evaluations route
-    through the execution engine (explicit, installed default, or the
-    sequential fallback), so identical distribution points are reused
-    across sweeps when a result cache is configured.
+    :func:`repro.core.game.bisect_nash` consume.  It is the utility game
+    (:func:`distribution_utility_fn`) at delay weight 0, where utility
+    *is* throughput.
     """
-
-    def fn(k: int) -> Tuple[float, float]:
-        if not 0 <= k <= n_flows:
-            raise ValueError(f"k must be in [0, {n_flows}], got {k}")
-        from repro.exec.engine import resolve as resolve_engine
-
-        result = resolve_engine(engine).run_mix(
-            link,
-            [(incumbent, n_flows - k), (challenger, k)],
-            duration=duration,
-            backend=backend,
-            trials=trials,
-            seed=spaced_seed(seed, k),
-            loss_mode=loss_mode,
-        )
-        return (
-            result.per_flow.get(incumbent, 0.0),
-            result.per_flow.get(challenger, 0.0),
-        )
-
-    return fn
+    return distribution_utility_fn(
+        link,
+        n_flows,
+        0.0,
+        challenger,
+        incumbent,
+        duration,
+        backend,
+        trials,
+        seed,
+        engine,
+        loss_mode,
+    )
 
 
 def distribution_utility_fn(
@@ -470,7 +403,10 @@ def distribution_utility_fn(
     any distribution, the paper conjectures the NE structure is
     throughput-driven; feed this into
     :class:`repro.core.game.ThroughputTable` (whose machinery is
-    payoff-agnostic) to test that.
+    payoff-agnostic) to test that.  Each ``fn(k)`` is one scenario point
+    submitted to the execution engine (explicit, installed default, or
+    the sequential fallback), so identical distribution points are
+    reused across sweeps when a result cache is configured.
     """
     if delay_weight < 0:
         raise ValueError(
@@ -484,19 +420,21 @@ def distribution_utility_fn(
             raise ValueError(f"k must be in [0, {n_flows}], got {k}")
         from repro.exec.engine import resolve as resolve_engine
 
-        result = resolve_engine(engine).run_mix(
-            link,
-            [(incumbent, n_flows - k), (challenger, k)],
+        point = ScenarioPoint(
+            link=link,
+            mix=((incumbent, n_flows - k), (challenger, k)),
             duration=duration,
             backend=backend,
             trials=trials,
             seed=spaced_seed(seed, k),
             loss_mode=loss_mode,
         )
+        [result] = resolve_engine(engine).run_points([point])
         penalty = weight * result.mean_queuing_delay
-        u_incumbent = result.per_flow.get(incumbent, 0.0) - penalty
-        u_challenger = result.per_flow.get(challenger, 0.0) - penalty
-        return (u_incumbent, u_challenger)
+        return (
+            result.per_flow.get(incumbent, 0.0) - penalty,
+            result.per_flow.get(challenger, 0.0) - penalty,
+        )
 
     return fn
 
@@ -515,76 +453,46 @@ def group_payoff_fn(
     """Payoff function for the multi-RTT :class:`repro.core.game.GroupGame`.
 
     The returned callable maps a tuple of per-group challenger counts to
-    per-group ``(incumbent per-flow λ, challenger per-flow λ)`` pairs,
-    measured with the fluid backend (per-flow RTTs differ, so the packet
-    backend also works but is far slower).  Evaluations are memoized in
-    the execution engine's result cache (when one is configured) under a
-    ``group_payoff`` descriptor, so best-response walks that revisit a
-    state — and repeated figure sweeps — reuse the measurement.
+    per-group ``(incumbent per-flow λ, challenger per-flow λ)`` pairs.
+    A state is one fluid scenario point — per group, a challenger entry
+    then an incumbent entry at the group's RTT — submitted to the
+    execution engine like every other point, so best-response walks that
+    revisit a state, and repeated figure sweeps, reuse the measurement
+    when a result cache is configured.
     """
     if len(group_rtts) != len(group_sizes):
         raise ValueError("group_rtts and group_sizes must align")
+    if len(set(group_rtts)) != len(group_rtts):
+        # Groups are told apart by RTT in the result's class labels.
+        raise ValueError(f"group_rtts must be distinct, got {group_rtts}")
 
-    def measure(state: Sequence[int]) -> List[Tuple[float, float]]:
-        specs = []
-        membership = []  # (group, is_challenger)
-        for g, (rtt, size) in enumerate(zip(group_rtts, group_sizes)):
-            k = state[g]
-            for i in range(size):
-                cc = challenger if i < k else incumbent
-                specs.append(FluidSpec(cc=cc, rtt=rtt))
-                membership.append((g, i < k))
-
-        totals: Dict[Tuple[int, bool], List[float]] = {}
-        for trial in range(trials):
-            result = run_fluid(
-                link,
-                specs,
-                duration=duration,
-                warmup=duration / 6.0,
-                seed=seed + trial,
-                start_jitter=min(1.0, duration / 30.0),
-            )
-            for flow, (g, is_challenger) in zip(
-                result.flows, membership
-            ):
-                totals.setdefault((g, is_challenger), []).append(
-                    flow.throughput
-                )
-        payoffs = []
-        for g in range(len(group_sizes)):
-            inc = totals.get((g, False), [])
-            cha = totals.get((g, True), [])
-            payoffs.append(
-                (mean(inc) if inc else 0.0, mean(cha) if cha else 0.0)
-            )
-        return payoffs
+    labels = [
+        [class_label(cc.lower(), rtt) for cc in (incumbent, challenger)]
+        for rtt in group_rtts
+    ]
 
     def payoff(state: Sequence[int]):
-        for g, size in enumerate(group_sizes):
+        mix = []
+        for g, (rtt, size) in enumerate(zip(group_rtts, group_sizes)):
             if not 0 <= state[g] <= size:
                 raise ValueError(
                     f"group {g}: count {state[g]} outside [0, {size}]"
                 )
+            mix.append((challenger, state[g], rtt))
+            mix.append((incumbent, size - state[g], rtt))
         from repro.exec.engine import resolve as resolve_engine
-        from repro.exec.fingerprint import link_params
 
-        params = {
-            "link": link_params(link),
-            "rtts": [float(r) for r in group_rtts],
-            "sizes": [int(s) for s in group_sizes],
-            "state": [int(k) for k in state],
-            "challenger": challenger.lower(),
-            "incumbent": incumbent.lower(),
-            "duration": duration,
-            "trials": trials,
-            "seed": seed,
-        }
-        payload = resolve_engine(engine).cached_payload(
-            "group_payoff",
-            params,
-            lambda: {"payoffs": [list(p) for p in measure(state)]},
+        point = ScenarioPoint(
+            link=link,
+            mix=tuple(mix),
+            duration=duration,
+            trials=trials,
+            seed=seed,
         )
-        return [(p[0], p[1]) for p in payload["payoffs"]]
+        [result] = resolve_engine(engine).run_points([point])
+        return [
+            tuple(result.per_flow.get(label, 0.0) for label in pair)
+            for pair in labels
+        ]
 
     return payoff

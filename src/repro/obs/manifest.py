@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro import __version__
 from repro.obs.bus import Telemetry
 from repro.util.config import LinkConfig
+from repro.util.jsonfile import write_json_atomic
 
 #: Manifest schema identifier; bump on incompatible changes.
 SCHEMA = "repro-obs/1"
@@ -105,9 +106,7 @@ class RunManifest:
 
     def write(self, path: str) -> None:
         """Write the manifest as pretty-printed JSON to ``path``."""
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json_atomic(path, self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunManifest":
@@ -190,9 +189,7 @@ class CampaignManifest:
 
     def write(self, path: str) -> None:
         """Write the manifest as pretty-printed JSON to ``path``."""
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json_atomic(path, self.to_dict(), sort_keys=True)
 
     @classmethod
     def load(cls, path: str) -> "CampaignManifest":

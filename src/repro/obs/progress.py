@@ -21,12 +21,12 @@ used.  Worker health is a per-pid last-heartbeat age plus max RSS
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass
 from threading import Lock
 from typing import Any, Dict, Optional
+
+from repro.util.jsonfile import write_json_atomic
 
 __all__ = [
     "PROGRESS_NAME",
@@ -295,14 +295,7 @@ class ProgressTracker:
             }
 
     def write_sidecar(self, path: str) -> None:
-        """Atomically write :meth:`snapshot` to ``path``.
-
-        Written via a sibling temp file + ``os.replace`` so a reader
+        """Atomically write :meth:`snapshot` to ``path``, so a reader
         (``repro-bbr top`` following a live campaign) never sees a torn
-        JSON document.
-        """
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.snapshot(), handle, indent=2)
-            handle.write("\n")
-        os.replace(tmp, path)
+        JSON document."""
+        write_json_atomic(path, self.snapshot())

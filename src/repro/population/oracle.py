@@ -33,7 +33,6 @@ still grants CUBIC a trickle.
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,6 +40,7 @@ import numpy as np
 from repro.core.multi_flow import predict_multi_flow
 from repro.exec.fingerprint import ScenarioPoint, link_params
 from repro.population.state import PopulationState
+from repro.util.jsonfile import write_json_atomic
 
 __all__ = ["BOUNDS", "ErrorMap", "TieredOracle"]
 
@@ -106,11 +106,7 @@ class ErrorMap:
         return cls(dict(data.get("regions", {})))
 
     def save(self, path: str) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
+        write_json_atomic(path, self.to_dict(), sort_keys=True)
 
     @classmethod
     def load(cls, path: str) -> "ErrorMap":

@@ -765,19 +765,16 @@ class BottleneckSpec:
 
 
 def expand_mix(
-    mix: Sequence[Tuple[str, int]],
-    rtts: Optional[Dict[str, float]] = None,
+    mix: Sequence[Tuple[Any, ...]],
 ) -> List[Tuple[str, Optional[float]]]:
-    """Expand a ``(cc, count)`` mix into per-flow ``(cc, rtt)`` pairs.
+    """Expand a mix into per-flow ``(cc, rtt)`` pairs.
 
-    The single expansion both simulator backends (and the execution
-    engine's scenario fingerprints) agree on: CCA names lowercased,
-    order preserved, ``rtts`` overrides applied per class (None = use
-    the link's base RTT).
+    An entry is ``(cc, count)`` or ``(cc, count, rtt_seconds)``; ``rtt``
+    None (or absent) means the link's base RTT.  The single expansion
+    both simulator backends (and the execution engine's scenario
+    fingerprints) agree on: CCA names lowercased, order preserved.
     """
     expanded: List[Tuple[str, Optional[float]]] = []
-    for cc, count in mix:
-        key = cc.lower()
-        rtt = rtts.get(key) if rtts is not None else None
-        expanded.extend((key, rtt) for _ in range(count))
+    for cc, count, *rtt in mix:
+        expanded.extend([(cc.lower(), rtt[0] if rtt else None)] * count)
     return expanded

@@ -566,16 +566,16 @@ def test_simulate_with_check_flag(monkeypatch, capsys):
     import os
 
     from repro.check import get_default
-    from repro.exec import engine as engine_mod
+    from repro.experiments import runner
 
     seen = []
-    run_point = engine_mod._run_point
+    run_mix_batch = runner.run_mix_batch
 
-    def spy(point, obs):
+    def spy(points, obs=None):
         seen.append((get_default(), os.environ.get("REPRO_CHECK")))
-        return run_point(point, obs)
+        return run_mix_batch(points, obs=obs)
 
-    monkeypatch.setattr(engine_mod, "_run_point", spy)
+    monkeypatch.setattr(runner, "run_mix_batch", spy)
     before = get_default()
     code = main(
         [

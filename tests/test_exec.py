@@ -58,11 +58,10 @@ def test_fingerprint_canonicalizes_spelling():
     )
     spelled = ScenarioPoint(
         link=link(),
-        mix=(("CUBIC", 1), ("reno", 0), ("BBR", 1)),
+        mix=(("CUBIC", 1, None), ("reno", 0), ("BBR", 1)),
         duration=30.0,
         warmup=5.0,  # == duration / 6, the resolved default
         backend="fluid-vec",  # Former spelling of the batched fluid path.
-        rtts=None,
     )
     assert spelled == base
     assert spelled.backend == "fluid"
@@ -75,17 +74,31 @@ def test_fingerprint_canonicalizes_spelling():
 
 
 def test_fingerprint_rtts_order_insensitive():
+    # An entry's RTT travels with the entry: however it is spelled, the
+    # point is the same; attached to the other entry, it is another.
     a = ScenarioPoint(
-        link=link(),
-        mix=(("cubic", 1), ("bbr", 1)),
-        rtts=(("cubic", 0.01), ("bbr", 0.05)),
+        link=link(), mix=(("cubic", 1, 0.01), ("bbr", 1, 0.05))
     )
     b = ScenarioPoint(
         link=link(),
-        mix=(("cubic", 1), ("bbr", 1)),
-        rtts=(("bbr", 0.05), ("cubic", 0.01)),
+        mix=[("CUBIC", 1, 0.01), ("reno", 0, 0.02), ("bbr", 1, 5e-2)],
     )
+    swapped = ScenarioPoint(
+        link=link(), mix=(("cubic", 1, 0.05), ("bbr", 1, 0.01))
+    )
+    assert a == b and a.fingerprint() == b.fingerprint()
+    assert a.fingerprint() != swapped.fingerprint()
+
+
+def test_entry_without_rtt_equals_entry_with_none():
+    a = ScenarioPoint(link=link(), mix=(("cubic", 2), ("bbr", 1)))
+    b = ScenarioPoint(
+        link=link(), mix=(("cubic", 2, None), ("bbr", 1, None))
+    )
+    assert a == b and a.mix == (("cubic", 2), ("bbr", 1))
     assert a.fingerprint() == b.fingerprint()
+    with pytest.raises(ValueError, match="RTT must be positive"):
+        ScenarioPoint(link=link(), mix=(("cubic", 1, 0.0),))
 
 
 @pytest.mark.parametrize(
@@ -100,7 +113,7 @@ def test_fingerprint_rtts_order_insensitive():
         {"mix": (("cubic", 1), ("bbr", 1))},
         {"mix": (("bbr", 1), ("cubic", 2))},  # Order is identity.
         {"link": link(bdp=5)},
-        {"rtts": (("bbr", 0.08),)},
+        {"mix": (("cubic", 2), ("bbr", 1, 0.08))},  # Entry RTT.
     ],
 )
 def test_fingerprint_changes_with_inputs(change):
@@ -135,6 +148,19 @@ def test_scenario_point_validation():
         ScenarioPoint(link=link(), mix=(("cubic", 1),), trials=0)
     with pytest.raises(ValueError):
         ScenarioPoint(link=link(), mix=(("cubic", 1),), duration=0)
+
+
+@pytest.mark.parametrize("backend", ["fluid", "packet"])
+def test_scenario_point_rejects_unknown_loss_mode(backend):
+    # The packet substrate never reads loss_mode, so before the check a
+    # bogus value was simulated and cached under a meaningless identity.
+    with pytest.raises(ValueError, match="loss_mode must be one of"):
+        ScenarioPoint(
+            link=link(),
+            mix=(("cubic", 1),),
+            backend=backend,
+            loss_mode="bogus",
+        )
 
 
 # -- cache -------------------------------------------------------------------

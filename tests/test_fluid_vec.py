@@ -153,12 +153,18 @@ def test_run_mix_backend_fluid_vec_equals_fluid():
 
 
 def test_run_mix_batch_equals_per_request_calls():
-    from repro.experiments.runner import run_mix, run_mix_batch
+    from repro.check import use as use_check
+    from repro.exec import ScenarioPoint
+    from repro.experiments.runner import (
+        run_mix,
+        run_mix_batch,
+        runs_vectorized,
+    )
 
     requests = [
         dict(
             link=LINK,
-            mix=[("cubic", 2), ("bbr", 1)],
+            mix=[("cubic", 20), ("bbr", 10)],
             backend="fluid-vec",
             duration=10.0,
             trials=2,
@@ -166,11 +172,17 @@ def test_run_mix_batch_equals_per_request_calls():
         ),
         dict(
             link=LinkConfig.from_mbps_ms(10, 40, 2),
-            mix=[("reno", 2)],
+            mix=[("reno", 2, 0.02), ("reno", 1, 0.06)],
             backend="fluid-vec",
             duration=12.0,
             seed=8,
             loss_mode="sync",
+        ),
+        dict(
+            link=LinkConfig.from_mbps_ms(5, 20, 2),
+            mix=[("cubic", 1), ("bbr", 1)],
+            backend="packet",
+            duration=4.0,
         ),
         dict(
             link=LINK,
@@ -180,7 +192,18 @@ def test_run_mix_batch_equals_per_request_calls():
             seed=2,
         ),
     ]
-    assert run_mix_batch(requests) == [run_mix(**r) for r in requests]
+    points = [
+        ScenarioPoint(**{**r, "mix": tuple(r["mix"])}) for r in requests
+    ]
+    # Wide enough to pool (the first point alone is 60 rows), while the
+    # narrow ones on their own run scalar: same bits either way.  No
+    # checker, so the rows decide also under REPRO_CHECK=1.
+    with use_check(None):
+        assert runs_vectorized(points)
+        assert not runs_vectorized(points[1:])
+        solo = [run_mix(**r) for r in requests]
+        assert run_mix_batch(points) == solo
+        assert run_mix_batch(points[1:]) == solo[1:]
 
 
 # -- registry ----------------------------------------------------------------

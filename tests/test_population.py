@@ -258,8 +258,8 @@ def test_tier0_is_computed_not_routed_through_the_engine(tmp_path):
     trace = json.dumps(
         [result.trajectory, result.final_shares], sort_keys=True
     )
-    # Pinned at the commit that still round-tripped tier 0 through
-    # Engine.cached_payload (7 submissions for this run).
+    # Pinned at the commit that still round-tripped tier 0 through the
+    # engine's result cache (7 submissions for this run).
     assert hashlib.sha256(trace.encode()).hexdigest() == (
         "a7d01315a6dd227911fa0ea3521233fe123e2575ea646f32c9c2e9471391b54b"
     )

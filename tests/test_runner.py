@@ -72,12 +72,17 @@ def test_per_flow_mbps_helper():
 def test_rtt_override():
     result = run_mix(
         link(),
-        [("cubic", 1), ("bbr", 1)],
+        [("cubic", 1, 0.010), ("bbr", 1, 0.060), ("bbr", 1)],
         duration=30,
         backend="fluid",
-        rtts={"cubic": 0.010, "bbr": 0.060},
     )
-    assert result.per_flow["cubic"] > 0
+    # A class is a CCA at an explicit RTT, or a plain CCA.
+    assert set(result.per_flow) == {"cubic@0.01", "bbr@0.06", "bbr"}
+    assert set(result.aggregate) == set(result.loss_rate) == set(
+        result.retransmits
+    ) == set(result.per_flow)
+    assert result.per_flow["cubic@0.01"] > 0
+    assert result.per_flow["bbr@0.06"] != result.per_flow["bbr"]
 
 
 def test_distribution_throughput_fn_shape():
@@ -116,12 +121,23 @@ def test_group_payoff_fn_validates_lengths():
         group_payoff_fn(link(), [0.01], [2, 2])
 
 
+def test_group_payoff_fn_rejects_groups_with_equal_rtt():
+    # Groups are told apart by RTT in the result: two at one RTT would
+    # be merged into one class, so they are refused, never merged.
+    with pytest.raises(ValueError, match="group_rtts must be distinct"):
+        group_payoff_fn(link(), [0.01, 0.03, 0.01], [2, 2, 2])
+
+
 def test_expand_mix_lowercases_and_applies_rtts():
     flows = expand_mix(
-        [("CUBIC", 2), ("reno", 0), ("BBR", 1)],
-        rtts={"bbr": 0.05},
+        [("CUBIC", 2), ("reno", 0, 0.02), ("BBR", 1, 0.05), ("bbr", 1, None)]
     )
-    assert flows == [("cubic", None), ("cubic", None), ("bbr", 0.05)]
+    assert flows == [
+        ("cubic", None),
+        ("cubic", None),
+        ("bbr", 0.05),
+        ("bbr", None),
+    ]
 
 
 def test_spaced_seed_no_collisions_for_large_trial_counts():
