@@ -54,6 +54,8 @@ class CongestionControl(abc.ABC):
         if mss <= 0:
             raise ValueError(f"mss must be positive, got {mss}")
         self.mss = mss
+        #: Lower bound on cwnd in bytes.
+        self.min_cwnd: float = MIN_CWND_SEGMENTS * mss
         self.cwnd: float = INITIAL_CWND_SEGMENTS * mss
         self.pacing_rate: Optional[float] = None
         #: Optional telemetry bus (see :mod:`repro.obs`); None = disabled.
@@ -72,9 +74,6 @@ class CongestionControl(abc.ABC):
     @abc.abstractmethod
     def on_loss(self, event: LossEvent) -> None:
         """Process a loss notification."""
-
-    def on_sent(self, now: float, in_flight: int) -> None:
-        """Hook invoked after each packet transmission (optional)."""
 
     # -- telemetry ---------------------------------------------------------
 
@@ -107,11 +106,6 @@ class CongestionControl(abc.ABC):
                 **{"from": old, "to": new},
             )
             obs.count("cc.state_transitions")
-
-    @property
-    def min_cwnd(self) -> float:
-        """Lower bound on cwnd in bytes."""
-        return MIN_CWND_SEGMENTS * self.mss
 
     def clamp_cwnd(self) -> None:
         """Enforce the cwnd floor."""

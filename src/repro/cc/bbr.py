@@ -88,36 +88,39 @@ class BBRv1(CongestionControl):
 
     def on_ack(self, sample: RateSample) -> None:
         now = sample.now
-        self._rounds.update(sample.delivered, sample.delivered_at_send)
-        self._update_btl_bw(sample)
-        self._rtprop.update(now, sample.rtt)
+        rounds = self._rounds
+        rounds.update(sample.delivered, sample.delivered_at_send)
+        # Both estimates are settled by these two updates; nothing below
+        # moves them, so each is read once per ACK.
+        btl_bw = self._update_btl_bw(sample)
+        rtprop = self._rtprop.update(now, sample.rtt)
 
         if self.state == STARTUP:
-            if self._rounds.round_start:
-                self._full_pipe.update(self.btl_bw)
-            if self.full_pipe:
+            if rounds.round_start:
+                self._full_pipe.update(btl_bw)
+            if self._full_pipe.full:
                 self._enter_drain(now)
-        if self.state == DRAIN and sample.in_flight <= self.bdp():
+        if self.state == DRAIN and sample.in_flight <= btl_bw * rtprop:
             self._enter_probe_bw(now)
         if self.state == PROBE_BW:
-            self.pacing_gain = self._cycler.advance(now, self.rtprop)
+            self.pacing_gain = self._cycler.advance(now, rtprop)
 
         self._check_probe_rtt(now, sample)
-        self._set_pacing_rate()
-        self._set_cwnd(sample)
+        if btl_bw > 0:
+            self.pacing_rate = self.pacing_gain * btl_bw
+        self._set_cwnd(sample, self.cwnd_gain * btl_bw * rtprop)
 
     def on_loss(self, event: LossEvent) -> None:
         """BBRv1 is loss-agnostic: packet loss does not change the model."""
 
     # -- estimator updates ---------------------------------------------------
 
-    def _update_btl_bw(self, sample: RateSample) -> None:
-        if sample.delivery_rate <= 0:
-            return
-        if not sample.is_app_limited or sample.delivery_rate > self.btl_bw:
-            self._btl_bw_filter.update(
-                self._rounds.count, sample.delivery_rate
-            )
+    def _update_btl_bw(self, sample: RateSample) -> float:
+        """Feed the max filter one sample; returns the current estimate."""
+        rate = sample.delivery_rate
+        if rate > 0 and (not sample.is_app_limited or rate > self.btl_bw):
+            return self._btl_bw_filter.update(self._rounds.count, rate)
+        return self.btl_bw
 
     # -- state transitions ----------------------------------------------------
 
@@ -180,16 +183,11 @@ class BBRv1(CongestionControl):
 
     # -- control outputs ------------------------------------------------------
 
-    def _set_pacing_rate(self) -> None:
-        bw = self.btl_bw
-        if bw > 0:
-            self.pacing_rate = self.pacing_gain * bw
-
-    def _set_cwnd(self, sample: RateSample) -> None:
+    def _set_cwnd(self, sample: RateSample, target: float) -> None:
+        """Move cwnd towards ``target``, ``cwnd_gain ×`` the estimated BDP."""
         if self.state == PROBE_RTT:
             self.cwnd = PROBE_RTT_CWND_SEGMENTS * self.mss
             return
-        target = self.bdp(self.cwnd_gain)
         if target <= 0:
             return  # No estimates yet; keep the initial window.
         if self.cwnd < target:

@@ -59,11 +59,6 @@ class Cubic(CongestionControl):
         """Current window in segments (CUBIC's native unit)."""
         return self.cwnd / self.mss
 
-    def _cubic_window(self, t: float) -> float:
-        """Equation (1): target window (segments) ``t`` s into the epoch."""
-        assert self.w_max_segments is not None
-        return laws.window(t, self._k, self.w_max_segments)
-
     # -- CongestionControl interface ----------------------------------------
 
     def on_ack(self, sample: RateSample) -> None:
@@ -86,22 +81,23 @@ class Cubic(CongestionControl):
 
         # Linux evaluates the target one RTT ahead for responsiveness.
         t = now - self._epoch_start + rtt
-        target = self._cubic_window(t)
-        cwnd_seg = self.cwnd_segments
-        acked_seg = sample.acked_bytes / self.mss
+        target = laws.window(t, self._k, self.w_max_segments)
+        mss = self.mss
+        cwnd_seg = self.cwnd / mss
+        acked_seg = sample.acked_bytes / mss
         if target > cwnd_seg:
             increment = (target - cwnd_seg) / cwnd_seg
         else:
             increment = 0.01 / cwnd_seg  # Minimal probing growth.
-        self.cwnd += increment * acked_seg * self.mss
+        self.cwnd += increment * acked_seg * mss
 
         if self.tcp_friendly:
             # RFC 8312 §4.2: emulate Reno's average growth to stay at least
             # as aggressive as standard TCP in short-RTT/small-BDP regimes.
             self._epoch_acked += acked_seg
             w_est = laws.reno_emulation_window(self.w_max_segments, t, rtt)
-            if w_est > self.cwnd_segments:
-                self.cwnd = w_est * self.mss
+            if w_est > self.cwnd / mss:
+                self.cwnd = w_est * mss
 
     def on_loss(self, event: LossEvent) -> None:
         # Multiple drops from one buffer overflow arrive within one RTT and

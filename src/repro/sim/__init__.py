@@ -2,16 +2,18 @@
 
 This subpackage is the substrate replacing the paper's emulated-link
 testbed: a deterministic event loop (:mod:`repro.sim.engine`), a drop-tail
-bottleneck link (:mod:`repro.sim.link`), bulk senders/receivers with
-Linux-style delivery-rate sampling (:mod:`repro.sim.endpoints`), and a
-dumbbell topology builder (:mod:`repro.sim.network`).
+bottleneck link (:mod:`repro.sim.link`), bulk senders with Linux-style
+delivery-rate sampling (:mod:`repro.sim.endpoints`), and a dumbbell
+topology builder that also owns each flow's fixed post-bottleneck path
+and receiver (:mod:`repro.sim.network`).
 """
 
 from repro.sim.aqm import RED, CoDel, CoDelConfig, REDConfig
 from repro.sim.engine import EventLoop
-from repro.sim.link import DelayLine, Link, LinkStats
+from repro.sim.link import Link, LinkStats
 from repro.sim.network import (
     DumbbellNetwork,
+    FlowPath,
     FlowResult,
     FlowSpec,
     SimulationResult,
@@ -29,10 +31,10 @@ __all__ = [
     "CwndTracer",
     "TraceSample",
     "EventLoop",
-    "DelayLine",
     "Link",
     "LinkStats",
     "DumbbellNetwork",
+    "FlowPath",
     "FlowResult",
     "FlowSpec",
     "SimulationResult",

@@ -1,4 +1,8 @@
-"""Sender and receiver endpoints for the packet-level simulator.
+"""The sender endpoint for the packet-level simulator.
+
+(The receiver has no state of its own: it acknowledges every packet at
+once, so the topology, :mod:`repro.sim.network`, folds it into the
+flow's post-bottleneck path.)
 
 The sender is a bulk (always-backlogged) source, like the iperf senders in
 the paper's testbed.  It enforces the congestion controller's cwnd, paces
@@ -114,98 +118,104 @@ class Sender:
     def _maybe_send(self) -> None:
         """Send packets while cwnd (and the pacer) permit."""
         now = self.loop.now
+        cc = self.cc
+        mss = self.mss
+        max_bytes = self.max_bytes
         while (
-            not self.done_sending
-            and self._in_flight_bytes + self.mss <= self.cc.cwnd
-        ):
-            rate = self.cc.pacing_rate
+            max_bytes is None or self._next_seq * mss < max_bytes
+        ) and self._in_flight_bytes + mss <= cc.cwnd:
+            rate = cc.pacing_rate
             if rate is not None and rate > 0:
-                if now < self._next_send_time:
-                    self._arm_send_timer(self._next_send_time)
+                next_send = self._next_send_time
+                if now < next_send:
+                    self._arm_send_timer(next_send)
                     return
-                gap = self.mss / rate
-                base = max(self._next_send_time, now - gap)
-                self._next_send_time = base + gap
+                gap = mss / rate
+                self._next_send_time = max(next_send, now - gap) + gap
             self._send_packet(now)
 
     def _arm_send_timer(self, when: float) -> None:
         if self._send_timer_pending:
             return
         self._send_timer_pending = True
+        self.loop.call_at(when, self._on_send_timer)
 
-        def fire() -> None:
-            self._send_timer_pending = False
-            self._maybe_send()
-
-        self.loop.call_at(when, fire)
+    def _on_send_timer(self) -> None:
+        self._send_timer_pending = False
+        self._maybe_send()
 
     def _send_packet(self, now: float) -> None:
+        seq = self._next_seq
+        size = self.mss
         packet = Packet(
-            flow_id=self.flow_id,
-            seq=self._next_seq,
-            size=self.mss,
-            sent_time=now,
-            delivered_at_send=self._delivered,
-            delivered_time_at_send=self._delivered_time,
-            app_limited=False,
-            is_retransmit=False,
+            self.flow_id,
+            seq,
+            size,
+            now,
+            self._delivered,
+            self._delivered_time,
+            False,  # app_limited: a bulk source always has data.
+            False,  # is_retransmit
         )
-        self._next_seq += 1
-        self._outstanding[packet.seq] = packet
-        self._order.append(packet.seq)
-        self._in_flight_bytes += packet.size
+        self._next_seq = seq + 1
+        self._outstanding[seq] = packet
+        self._order.append(seq)
+        self._in_flight_bytes += size
         self.stats.sent_packets += 1
-        self.cc.on_sent(now, self._in_flight_bytes)
         self.transmit(packet)
 
     # -- acknowledgements ------------------------------------------------
 
     def on_ack(self, ack: Ack) -> None:
         """Process an ACK delivered by the reverse path."""
-        now = self.loop.now
-        packet = self._outstanding.pop(ack.seq, None)
+        seq = ack.seq
+        packet = self._outstanding.pop(seq, None)
         if packet is None:
             return  # ACK for a packet already declared lost.
+        now = self.loop.now
+        size = packet.size
         self._last_ack_time = now
-        self._in_flight_bytes -= packet.size
-        self._delivered += packet.size
+        self._in_flight_bytes -= size
+        delivered = self._delivered + size
+        self._delivered = delivered
         self._delivered_time = now
-        if ack.seq > self._highest_acked:
-            self._highest_acked = ack.seq
+        if seq > self._highest_acked:
+            self._highest_acked = seq
 
         rtt = now - packet.sent_time
         self._srtt = smooth_rtt(self._srtt, rtt)
-        self.stats.record_rtt(rtt)
-        self.stats.ack_count += 1
+        stats = self.stats
+        stats.record_rtt(rtt)
+        stats.ack_count += 1
 
         delivery_rate = 0.0
         interval = now - packet.delivered_time_at_send
         if interval > 0:
             delivery_rate = (
-                self._delivered - packet.delivered_at_send
+                delivered - packet.delivered_at_send
             ) / interval
 
-        self._detect_losses(ack.seq)
+        self._detect_losses(seq)
         if ack.ecn:
             self._on_ecn_echo(now)
 
-        sample = RateSample(
-            rtt=rtt,
-            delivery_rate=delivery_rate,
-            delivered=self._delivered,
-            delivered_at_send=packet.delivered_at_send,
-            acked_bytes=packet.size,
-            in_flight=self._in_flight_bytes,
-            is_app_limited=packet.app_limited,
-            now=now,
+        cc = self.cc
+        cc.on_ack(
+            RateSample(
+                rtt,
+                delivery_rate,
+                delivered,
+                packet.delivered_at_send,
+                size,  # acked_bytes
+                self._in_flight_bytes,
+                packet.app_limited,
+                now,
+            )
         )
-        self.cc.on_ack(sample)
-        self.cc.clamp_cwnd()
+        cc.clamp_cwnd()
         check = self.check
         if check is not None:
-            check.flow_update(
-                now, self.flow_id, self.cc, self._in_flight_bytes
-            )
+            check.flow_update(now, self.flow_id, cc, self._in_flight_bytes)
         self._maybe_send()
 
     def _on_ecn_echo(self, now: float) -> None:
@@ -243,17 +253,20 @@ class Sender:
 
     def _detect_losses(self, acked_seq: int) -> None:
         """Declare outstanding packets below the ACKed seq lost (gap-based)."""
+        order = self._order
+        outstanding = self._outstanding
+        threshold = acked_seq - (REORDER_THRESHOLD - 1)
         lost_bytes = 0
         lost_packets = 0
-        while self._order:
-            seq = self._order[0]
-            if seq not in self._outstanding:
-                self._order.popleft()
+        while order:
+            seq = order[0]
+            if seq not in outstanding:
+                order.popleft()
                 continue
-            if seq >= acked_seq - (REORDER_THRESHOLD - 1):
+            if seq >= threshold:
                 break
-            packet = self._outstanding.pop(seq)
-            self._order.popleft()
+            packet = outstanding.pop(seq)
+            order.popleft()
             self._in_flight_bytes -= packet.size
             lost_bytes += packet.size
             lost_packets += 1
@@ -336,33 +349,3 @@ class Sender:
             self._maybe_send()
         self._arm_rto()
 
-
-class Receiver:
-    """Per-flow receiver: records deliveries and echoes ACKs."""
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        stats: FlowStats,
-        send_ack: Callable[[Ack], None],
-    ) -> None:
-        self.loop = loop
-        self.stats = stats
-        self.send_ack = send_ack
-
-    def on_packet(self, packet: Packet) -> None:
-        """Handle a data packet exiting the network."""
-        now = self.loop.now
-        self.stats.record_delivery(now, packet.size)
-        ack = Ack(
-            flow_id=packet.flow_id,
-            seq=packet.seq,
-            size=packet.size,
-            data_sent_time=packet.sent_time,
-            delivered_at_send=packet.delivered_at_send,
-            delivered_time_at_send=packet.delivered_time_at_send,
-            app_limited=packet.app_limited,
-            recv_time=now,
-            ecn=packet.ecn,
-        )
-        self.send_ack(ack)

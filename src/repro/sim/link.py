@@ -1,11 +1,14 @@
 """Bottleneck link with a FIFO drop-tail queue.
 
 This is the network element at the center of every experiment in the paper
-(Figure 2): a fixed-capacity link fed by a drop-tail buffer, followed by a
-fixed propagation delay.  The link serializes packets one at a time at
-``capacity`` bytes/second; packets arriving while it is busy wait in the
-queue, and packets arriving when the queue is full are dropped (and the
-drop reported to the :class:`~repro.sim.stats.LinkStats` recorder).
+(Figure 2): a fixed-capacity link fed by a drop-tail buffer.  The link
+serializes packets one at a time at ``capacity`` bytes/second; packets
+arriving while it is busy wait in the queue, and packets arriving when
+the queue is full are dropped (and the drop reported to the
+:class:`LinkStats` recorder).  Propagation is not the link's business:
+a packet is handed to ``deliver`` the moment its serialization
+completes, and the topology (:mod:`repro.sim.network`) adds each flow's
+fixed delays from there.
 """
 
 from __future__ import annotations
@@ -69,18 +72,19 @@ class LinkStats:
 
 
 class Link:
-    """A drop-tail bottleneck: FIFO buffer + serializer + propagation delay.
+    """A drop-tail bottleneck: FIFO buffer + serializer.
+
+    Each forwarded packet costs one event, its service completion.
 
     Args:
         loop: The event loop driving the simulation.
         capacity: Serialization rate in bytes per second.
-        delay: One-way propagation delay in seconds, applied after
-            serialization.
         buffer_bytes: Drop-tail buffer capacity in bytes.  The packet
             currently being serialized does not count against the buffer,
             matching how token-bucket emulators (and the paper's model)
             account for buffer space.
-        deliver: Callback invoked with each packet when it exits the link.
+        deliver: Callback invoked with each packet at the instant it
+            exits the link (inside its service-completion event).
         on_drop: Optional callback invoked with each dropped packet.
         aqm: Optional :class:`repro.sim.aqm.RED` instance; when present,
             arriving packets may be dropped early even though the
@@ -106,7 +110,6 @@ class Link:
         self,
         loop: EventLoop,
         capacity: float,
-        delay: float,
         buffer_bytes: float,
         deliver: Callable[[Packet], None],
         on_drop: Optional[Callable[[Packet], None]] = None,
@@ -117,8 +120,6 @@ class Link:
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
         if buffer_bytes <= 0:
             raise ValueError(
                 f"buffer_bytes must be positive, got {buffer_bytes}"
@@ -128,7 +129,6 @@ class Link:
         self.loop = loop
         self.capacity = capacity
         self.ecn = ecn
-        self.delay = delay
         self.buffer_bytes = buffer_bytes
         self.deliver = deliver
         self.on_drop = on_drop
@@ -183,9 +183,8 @@ class Link:
         check = self.check
         if check is not None:
             self._offered_bytes += packet.size
-        if self.aqm is not None and self.aqm.on_enqueue(
-            self._queued_bytes
-        ):
+        aqm = self.aqm
+        if aqm is not None and aqm.on_enqueue(self._queued_bytes):
             if self.ecn:
                 self._record_mark(packet)
             else:
@@ -194,14 +193,16 @@ class Link:
                     self._audit(check)
                 return False
         if self._busy:
-            if self._queued_bytes + packet.size > self.buffer_bytes:
+            queued = self._queued_bytes + packet.size
+            if queued > self.buffer_bytes:
                 self._record_drop(packet)
                 if check is not None:
                     self._audit(check)
                 return False
-            self._queue.append((packet, self.loop.now))
-            self._queued_bytes += packet.size
-            self.stats.record_occupancy(self.loop.now, self._queued_bytes)
+            now = self.loop.now
+            self._queue.append((packet, now))
+            self._queued_bytes = queued
+            self.stats.record_occupancy(now, queued)
         else:
             self._start_service(packet)
         if self.obs is not None:
@@ -266,27 +267,26 @@ class Link:
         self._busy = True
         if self.check is not None:
             self._in_service_bytes = packet.size
-        service_time = packet.size / self.capacity
         self.loop.call_later(
-            service_time, lambda p=packet: self._finish_service(p)
+            packet.size / self.capacity, self._finish_service, packet
         )
 
     def _finish_service(self, packet: Packet) -> None:
         check = self.check
         if check is not None:
             self._in_service_bytes = 0
-        self.stats.forwarded_packets += 1
-        self.stats.forwarded_bytes += packet.size
-        # Propagation: deliver after the one-way delay.
-        self.loop.call_later(self.delay, lambda p=packet: self.deliver(p))
+        stats = self.stats
+        stats.forwarded_packets += 1
+        stats.forwarded_bytes += packet.size
+        self.deliver(packet)
         now = self.loop.now
-        while self._queue:
-            nxt, enqueued_at = self._queue.popleft()
+        queue = self._queue
+        aqm = self.aqm
+        while queue:
+            nxt, enqueued_at = queue.popleft()
             self._queued_bytes -= nxt.size
-            self.stats.record_occupancy(now, self._queued_bytes)
-            if self.aqm is not None and self.aqm.on_dequeue(
-                now, now - enqueued_at
-            ):
+            stats.record_occupancy(now, self._queued_bytes)
+            if aqm is not None and aqm.on_dequeue(now, now - enqueued_at):
                 if self.ecn:
                     # Head mark (CoDel-style CE): forward it marked.
                     self._record_mark(nxt)
@@ -301,23 +301,3 @@ class Link:
         self._busy = False
         if check is not None:
             self._audit(check)
-
-
-class DelayLine:
-    """A pure delay element (used for the uncongested reverse ACK path)."""
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        delay: float,
-        deliver: Callable[[object], None],
-    ) -> None:
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        self.loop = loop
-        self.delay = delay
-        self.deliver = deliver
-
-    def send(self, item: object) -> None:
-        """Deliver ``item`` after the configured delay."""
-        self.loop.call_later(self.delay, lambda it=item: self.deliver(it))

@@ -2,14 +2,29 @@
 
 This reproduces the paper's testbed (Figure 2): every flow crosses the same
 bottleneck link and drop-tail buffer; each flow's base RTT is realized by
-per-flow propagation delay lines on the data and ACK paths, so flows may
+fixed per-flow propagation delays on the data and ACK paths, so flows may
 have distinct base RTTs (as in the paper's §4.5 multi-RTT experiments).
+
+A forwarded packet costs two events: its service completion at the
+bottleneck and its ACK's arrival at the sender.  Everything between the
+two is a fixed delay on a path that neither drops, queues nor reorders,
+so :class:`FlowPath` computes both remaining timestamps at service
+completion instead of walking the packet through them event by event.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.core import Checker
@@ -17,10 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.aqm import CoDelConfig, REDConfig
 
 from repro.cc.base import make_controller
-from repro.sim.endpoints import Receiver, Sender
+from repro.sim.endpoints import Sender
 from repro.sim.engine import EventLoop
-from repro.sim.link import DelayLine, Link
-from repro.sim.packet import Packet
+from repro.sim.link import Link
+from repro.sim.packet import Ack, Packet
 from repro.sim.stats import FlowStats
 from repro.util.config import LinkConfig
 
@@ -91,6 +106,77 @@ class SimulationResult:
         """Total throughput (bytes/s), optionally filtered by CCA."""
         flows = self.by_cc(cc) if cc else self.flows
         return sum(f.throughput for f in flows)
+
+
+class FlowPath:
+    """One flow's path beyond the bottleneck: data propagation, the
+    receiver, and the ACK's way back, as a single scheduled event.
+
+    A packet leaving the bottleneck at ``t`` reaches the receiver at
+    ``t + rtt/2`` and its ACK reaches the sender at ``(t + rtt/2) +
+    rtt/2`` (in that association: the timestamps a hop-by-hop walk
+    would produce).  :meth:`forward` therefore builds the ACK at once
+    and schedules only ``on_ack``.  The receiver's delivery accounting
+    is binned at *arrival* time, which no event marks any more; ACKs
+    whose delivery is not yet on record wait in a FIFO that is settled,
+    by arrival time, on every later packet and by :meth:`settle` when a
+    run ends — so packets that reached the receiver but whose ACK is
+    still under way count exactly as if the receiver had fired.
+
+    Args:
+        loop: The event loop driving the simulation.
+        rtt: The flow's base round-trip propagation delay in seconds.
+        stats: The flow's recorder (receiver-side deliveries).
+        on_ack: The sender's ACK handler.
+    """
+
+    __slots__ = ("loop", "half_rtt", "stats", "on_ack", "_unrecorded")
+
+    def __init__(
+        self,
+        loop: EventLoop,
+        rtt: float,
+        stats: FlowStats,
+        on_ack: Callable[[Ack], None],
+    ) -> None:
+        if rtt <= 0:
+            raise ValueError(
+                f"flow {stats.flow_id}: rtt must be positive, got {rtt}"
+            )
+        self.loop = loop
+        self.half_rtt = rtt / 2.0
+        self.stats = stats
+        self.on_ack = on_ack
+        self._unrecorded: Deque[Ack] = deque()
+
+    def forward(self, packet: Packet) -> None:
+        """Carry a packet that just left the bottleneck to its receiver
+        and its ACK back to the sender."""
+        loop = self.loop
+        now = loop.now
+        self.settle(now)
+        half_rtt = self.half_rtt
+        arrival = now + half_rtt
+        ack = Ack(
+            packet.flow_id,
+            packet.seq,
+            packet.size,
+            packet.sent_time,
+            packet.delivered_at_send,
+            packet.delivered_time_at_send,
+            packet.app_limited,
+            arrival,
+            packet.ecn,
+        )
+        self._unrecorded.append(ack)
+        loop.call_at(arrival + half_rtt, self.on_ack, ack)
+
+    def settle(self, now: float) -> None:
+        """Record every delivery that reached the receiver by ``now``."""
+        unrecorded = self._unrecorded
+        while unrecorded and unrecorded[0].recv_time <= now:
+            ack = unrecorded.popleft()
+            self.stats.record_delivery(ack.recv_time, ack.size)
 
 
 class DumbbellNetwork:
@@ -180,7 +266,6 @@ class DumbbellNetwork:
             capacity=link.capacity * initial_scale
             if dynamic
             else link.capacity,
-            delay=0.0,
             buffer_bytes=link.buffer_bytes,
             deliver=self._route_data,
             aqm=aqm,
@@ -192,18 +277,15 @@ class DumbbellNetwork:
             base = link.capacity
             for when, scale in trace.change_events():
                 self.loop.call_at(
-                    when,
-                    lambda s=scale: self.bottleneck.set_capacity(base * s),
+                    when, self.bottleneck.set_capacity, base * scale
                 )
 
         self.senders: List[Sender] = []
         self.stats: List[FlowStats] = []
-        self._data_paths: Dict[int, DelayLine] = {}
+        self._paths: List[FlowPath] = []
 
         for flow_id, spec in enumerate(self.flow_specs):
             rtt = spec.rtt if spec.rtt is not None else link.rtt
-            if rtt <= 0:
-                raise ValueError(f"flow {flow_id}: rtt must be positive")
             cc = make_controller(spec.cc, mss=self.mss, **spec.cc_kwargs)
             cc.obs = obs
             cc.check = check
@@ -220,10 +302,8 @@ class DumbbellNetwork:
                 obs=obs,
                 check=check,
             )
-            ack_path = DelayLine(self.loop, rtt / 2.0, sender.on_ack)
-            receiver = Receiver(self.loop, stats, ack_path.send)
-            self._data_paths[flow_id] = DelayLine(
-                self.loop, rtt / 2.0, receiver.on_packet
+            self._paths.append(
+                FlowPath(self.loop, rtt, stats, sender.on_ack)
             )
             self.senders.append(sender)
             self.stats.append(stats)
@@ -238,7 +318,7 @@ class DumbbellNetwork:
             self.tracer = None
 
     def _route_data(self, packet: Packet) -> None:
-        self._data_paths[packet.flow_id].send(packet)
+        self._paths[packet.flow_id].forward(packet)
 
     def run(self, duration: float, warmup: float = 0.0) -> SimulationResult:
         """Run for ``duration`` seconds; measure over ``[warmup, duration]``.
@@ -254,6 +334,8 @@ class DumbbellNetwork:
                 f"warmup must lie in [0, duration), got {warmup}"
             )
         self.loop.run_until(duration)
+        for path in self._paths:
+            path.settle(self.loop.now)
         flows = []
         for spec, stats in zip(self.flow_specs, self.stats):
             flows.append(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cc.cubic import BETA_CUBIC, C_CUBIC, Cubic
+from repro.cc.laws import cubic as laws
 from repro.cc.signals import LossEvent
 
 
@@ -61,14 +62,12 @@ def test_fast_convergence_reduces_w_max(driver_factory):
 
 def test_cubic_window_function_shape():
     """The curve is concave-then-convex around K with plateau at W_max."""
-    cc = Cubic(mss=1000)
-    cc.w_max_segments = 100.0
-    cc._k = (100.0 * (1 - BETA_CUBIC) / C_CUBIC) ** (1 / 3)
-    at_k = cc._cubic_window(cc._k)
+    k = (100.0 * (1 - BETA_CUBIC) / C_CUBIC) ** (1 / 3)
+    at_k = laws.window(k, k, 100.0)
     assert at_k == pytest.approx(100.0)
     # Before K: below W_max.  After K: above.
-    assert cc._cubic_window(cc._k - 1.0) < 100.0
-    assert cc._cubic_window(cc._k + 1.0) > 100.0
+    assert laws.window(k - 1.0, k, 100.0) < 100.0
+    assert laws.window(k + 1.0, k, 100.0) > 100.0
 
 
 def test_k_formula():

@@ -1,11 +1,11 @@
-"""Sender/receiver endpoints: ACK processing, loss detection, RTO."""
+"""Sender endpoint: ACK processing, loss detection, RTO."""
 
 import pytest
 
 from repro.cc.base import CongestionControl
-from repro.sim.endpoints import REORDER_THRESHOLD, Receiver, Sender
+from repro.sim.endpoints import REORDER_THRESHOLD, Sender
 from repro.sim.engine import EventLoop
-from repro.sim.link import DelayLine
+from repro.sim.network import FlowPath
 from repro.sim.packet import Ack
 from repro.sim.stats import FlowStats
 
@@ -29,27 +29,25 @@ class RecordingCC(CongestionControl):
 
 
 def build_path(loop, cc, rtt=0.02):
-    """Sender → echo "network" (delay line) → receiver → delayed ACKs."""
+    """Sender → the network's flow path, with no bottleneck before it."""
     stats = FlowStats(0)
     sent = []
     sender = Sender(
         loop=loop,
         flow_id=0,
         cc=cc,
-        transmit=lambda p: sent.append(p) or data_path.send(p),
+        transmit=lambda p: sent.append(p) or path.forward(p),
         stats=stats,
         start_time=0.0,
     )
-    ack_path = DelayLine(loop, rtt / 2, sender.on_ack)
-    receiver = Receiver(loop, stats, ack_path.send)
-    data_path = DelayLine(loop, rtt / 2, receiver.on_packet)
-    return sender, receiver, stats, sent
+    path = FlowPath(loop, rtt, stats, sender.on_ack)
+    return sender, path, stats, sent
 
 
 def test_sender_respects_cwnd():
     loop = EventLoop()
     cc = RecordingCC(cwnd_segments=4)
-    sender, _recv, _stats, sent = build_path(loop, cc)
+    sender, _path, _stats, sent = build_path(loop, cc)
     loop.run_until(0.001)
     assert len(sent) == 4  # cwnd of 4 packets, nothing ACKed yet.
 
@@ -57,8 +55,9 @@ def test_sender_respects_cwnd():
 def test_ack_clocking_sustains_flow():
     loop = EventLoop()
     cc = RecordingCC(cwnd_segments=4)
-    sender, _recv, stats, sent = build_path(loop, cc, rtt=0.02)
+    sender, path, stats, sent = build_path(loop, cc, rtt=0.02)
     loop.run_until(1.0)
+    path.settle(loop.now)
     # 4 packets per 20 ms RTT for 1 s = ~200 packets.
     assert len(sent) == pytest.approx(200, rel=0.1)
     assert stats.delivered_bytes == pytest.approx(200 * 1000, rel=0.1)

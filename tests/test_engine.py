@@ -102,6 +102,50 @@ def test_stop_halts_processing():
     assert loop.pending() == 1
 
 
+def test_stop_does_not_move_the_clock_past_queued_events():
+    loop = EventLoop()
+    seen = []
+
+    def first():
+        loop.stop()
+
+    def second():
+        seen.append(loop.now)
+        loop.call_later(1.0, seen.append, "later")
+
+    loop.call_at(1.0, first)
+    loop.call_at(2.0, second)
+    loop.run_until(10.0)
+    assert loop.now == 1.0  # Not 10.0: the 2.0 event is still due.
+    loop.run_until(10.0)  # Resumes forwards, never 10.0 -> 2.0.
+    assert seen == [2.0, "later"]
+    assert loop.now == 10.0 and loop.pending() == 0
+
+
+def test_nan_time_rejected():
+    loop = EventLoop()
+    with pytest.raises(ValueError):
+        loop.call_at(float("nan"), lambda: None)
+    with pytest.raises(ValueError):
+        loop.call_later(float("nan"), lambda: None)
+    assert loop.pending() == 0
+
+
+def test_callback_arguments_ride_in_the_event():
+    loop = EventLoop()
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+
+    loop.call_at(1.0, record, "a", 1)
+    loop.call_at(1.0, record)  # Zero-argument callbacks as ever.
+    loop.call_later(1.0, record, "c", 3)  # A tie: scheduling order wins,
+    loop.call_at(1.0, record, [], {})  # arguments are never compared.
+    loop.run_until(2.0)
+    assert calls == [("a", 1), (), ("c", 3), ([], {})]
+
+
 def test_run_all_counts_events():
     loop = EventLoop()
     for i in range(7):

@@ -1,10 +1,12 @@
-"""Drop-tail bottleneck link: serialization, queuing, drops, delay."""
+"""Drop-tail bottleneck link: serialization, queuing, drops."""
 
 import pytest
 
 from repro.sim.engine import EventLoop
-from repro.sim.link import DelayLine, Link
+from repro.sim.link import Link
+from repro.sim.network import FlowPath
 from repro.sim.packet import Packet
+from repro.sim.stats import FlowStats
 
 
 def make_packet(seq=0, size=1000, flow_id=0):
@@ -20,13 +22,10 @@ def make_packet(seq=0, size=1000, flow_id=0):
     )
 
 
-def make_link(
-    loop, delivered, capacity=1e6, delay=0.0, buffer_bytes=5000, on_drop=None
-):
+def make_link(loop, delivered, capacity=1e6, buffer_bytes=5000, on_drop=None):
     return Link(
         loop=loop,
         capacity=capacity,
-        delay=delay,
         buffer_bytes=buffer_bytes,
         deliver=delivered.append,
         on_drop=on_drop,
@@ -36,7 +35,7 @@ def make_link(
 def test_single_packet_serialization_time():
     loop = EventLoop()
     delivered = []
-    link = make_link(loop, delivered, capacity=1e6, delay=0.0)
+    link = make_link(loop, delivered, capacity=1e6)
     link.enqueue(make_packet(size=1000))
     loop.run_until(0.0009)
     assert delivered == []
@@ -45,14 +44,18 @@ def test_single_packet_serialization_time():
 
 
 def test_propagation_delay_added_after_serialization():
+    # The link hands the packet over the instant serialization ends;
+    # propagation is the flow path's: the ACK is back one RTT later.
     loop = EventLoop()
-    delivered = []
-    link = make_link(loop, delivered, capacity=1e6, delay=0.05)
+    acked = []
+    path = FlowPath(loop, 0.1, FlowStats(0), acked.append)
+    link = make_link(loop, [], capacity=1e6)
+    link.deliver = path.forward
     link.enqueue(make_packet(size=1000))
-    loop.run_until(0.0509)
-    assert delivered == []
-    loop.run_until(0.0511)
-    assert len(delivered) == 1
+    loop.run_until(0.1009)
+    assert acked == []
+    loop.run_until(0.1011)
+    assert [ack.recv_time for ack in acked] == [pytest.approx(0.051)]
 
 
 def test_fifo_order_preserved():
@@ -154,34 +157,6 @@ def test_mean_occupancy_zero_when_unused():
 def test_invalid_parameters():
     loop = EventLoop()
     with pytest.raises(ValueError):
-        Link(loop, capacity=0, delay=0, buffer_bytes=1, deliver=print)
+        Link(loop, capacity=0, buffer_bytes=1, deliver=print)
     with pytest.raises(ValueError):
-        Link(loop, capacity=1, delay=-1, buffer_bytes=1, deliver=print)
-    with pytest.raises(ValueError):
-        Link(loop, capacity=1, delay=0, buffer_bytes=0, deliver=print)
-
-
-def test_delay_line_delivers_after_delay():
-    loop = EventLoop()
-    got = []
-    line = DelayLine(loop, 0.02, got.append)
-    line.send("x")
-    loop.run_until(0.019)
-    assert got == []
-    loop.run_until(0.021)
-    assert got == ["x"]
-
-
-def test_delay_line_preserves_order():
-    loop = EventLoop()
-    got = []
-    line = DelayLine(loop, 0.01, got.append)
-    for i in range(5):
-        line.send(i)
-    loop.run_until(1.0)
-    assert got == [0, 1, 2, 3, 4]
-
-
-def test_delay_line_rejects_negative_delay():
-    with pytest.raises(ValueError):
-        DelayLine(EventLoop(), -0.1, print)
+        Link(loop, capacity=1, buffer_bytes=0, deliver=print)

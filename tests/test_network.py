@@ -3,10 +3,31 @@
 These run the full packet-level stack on small links so they stay fast.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.sim.network import DumbbellNetwork, FlowSpec, run_dumbbell
+from repro.check import Checker
+from repro.obs.bus import Telemetry
+from repro.sim.engine import EventLoop
+from repro.sim.network import (
+    DumbbellNetwork,
+    FlowPath,
+    FlowSpec,
+    run_dumbbell,
+)
+from repro.sim.packet import Packet
+from repro.sim.stats import FlowStats
 from repro.util.config import LinkConfig
+
+#: Inputs, and outputs at the commit before the two-event model.
+PINNED = {
+    case["name"]: case
+    for case in json.loads(
+        (Path(__file__).parent / "sim_identity.json").read_text()
+    )["cases"]
+}
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +153,89 @@ def test_validation_errors():
         net.run(duration=10, warmup=10)
     with pytest.raises(ValueError):
         DumbbellNetwork(link, [FlowSpec("cubic", rtt=-1.0)])
+
+
+# -- the event model: two events per packet, one path ----------------------
+
+
+def make_packet(seq=0, size=1000):
+    return Packet(0, seq, size, 0.0, 0, 0.0, False, False)
+
+
+def test_flow_path_acks_one_rtt_after_departure():
+    loop = EventLoop()
+    stats = FlowStats(0)
+    acks = []
+    path = FlowPath(loop, 0.04, stats, acks.append)
+    path.forward(make_packet())
+    loop.run_until(0.039)
+    assert acks == [] and loop.pending() == 1  # One event, the ACK's.
+    path.settle(loop.now)
+    assert stats.delivered_bytes == 1000  # At the receiver since 0.02.
+    loop.run_until(0.041)
+    [ack] = acks
+    assert (ack.seq, ack.size, ack.recv_time) == (0, 1000, 0.02)
+    path.settle(loop.now)
+    assert stats.delivered_bytes == 1000  # Settled once, not twice.
+
+
+def test_flow_path_preserves_order():
+    loop = EventLoop()
+    acks = []
+    path = FlowPath(loop, 0.02, FlowStats(0), acks.append)
+    for seq in range(5):
+        path.forward(make_packet(seq))
+    loop.run_until(1.0)
+    assert [ack.seq for ack in acks] == [0, 1, 2, 3, 4]
+
+
+def test_flow_path_rejects_nonpositive_rtt():
+    for rtt in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            FlowPath(EventLoop(), rtt, FlowStats(0), print)
+
+
+def _benchmark_leg(**instruments):
+    case = PINNED["benchmark-leg"]
+    link = LinkConfig.from_mbps_ms(**case["link"])
+    flows = [FlowSpec(**flow) for flow in case["flows"]]
+    return run_dumbbell(
+        link, flows, duration=case["duration"], **instruments
+    )
+
+
+def test_a_forwarded_packet_costs_two_events():
+    # The benchmark's sim leg: 1 CUBIC + 1 BBR, 25 Mbps / 40 ms / 2 BDP.
+    # Service completion + ACK arrival, plus pacing and RTO timers.
+    result = _benchmark_leg()
+    packets = sum(flow.delivered_bytes for flow in result.flows) / 1500
+    assert result.events_processed / packets <= 2.2
+
+
+def test_instrumented_and_sanitized_runs_take_the_same_path():
+    plain = _benchmark_leg()
+    traced = _benchmark_leg(obs=Telemetry())
+    checked = _benchmark_leg(check=Checker())
+    assert traced.events_processed == plain.events_processed
+    assert checked.events_processed == plain.events_processed
+    assert traced.flows == plain.flows
+    assert checked.flows == plain.flows
+
+
+def test_deliveries_whose_ack_is_still_under_way_are_counted():
+    # 1 s at 100 ms RTT: whatever reached the receiver in the last 50 ms
+    # has no ACK at the sender yet when the run ends, and no event of
+    # its own either — it must be on the receiver's record all the same.
+    case = PINNED["short-long-rtt"]
+    net = DumbbellNetwork(
+        LinkConfig.from_mbps_ms(**case["link"]),
+        [FlowSpec(**flow) for flow in case["flows"]],
+    )
+    result = net.run(case["duration"])
+    for flow, sender, pinned in zip(
+        result.flows, net.senders, case["result"]["flows"]
+    ):
+        assert flow.delivered_bytes == pinned["delivered_bytes"]
+        assert flow.throughput * result.duration == flow.delivered_bytes
+        unacked = flow.delivered_bytes - sender._delivered
+        assert unacked >= 0.02 * flow.delivered_bytes

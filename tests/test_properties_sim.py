@@ -9,9 +9,16 @@ from hypothesis import strategies as st
 
 from repro.fluidsim import FluidSpec, run_fluid
 from repro.sim.engine import EventLoop
+from repro.sim.network import FlowPath
+from repro.sim.packet import Packet
+from repro.sim.stats import FlowStats
 from repro.util.config import LinkConfig
 
 CC_NAMES = ("cubic", "reno", "bbr", "bbr2", "copa", "vivace", "vegas")
+
+
+def make_packet(seq, size):
+    return Packet(0, seq, size, 0.0, 0, 0.0, False, False)
 
 
 @st.composite
@@ -81,22 +88,37 @@ def test_event_loop_runs_any_schedule_in_order(times):
 @given(
     st.lists(
         st.tuples(
-            st.floats(min_value=0.01, max_value=5.0),  # delay
-            st.integers(min_value=0, max_value=1000),  # payload id
+            st.floats(min_value=0.01, max_value=5.0),  # departure time
+            st.integers(min_value=1, max_value=1000),  # payload size
         ),
         min_size=1,
         max_size=50,
-    )
+    ),
+    st.floats(min_value=0.0, max_value=8.0),
 )
-def test_delay_line_is_order_preserving(items):
-    """A FIFO delay line delivers everything, in send order, each after
-    exactly its delay."""
-    from repro.sim.link import DelayLine
-
+def test_flow_path_is_order_preserving(items, horizon):
+    """A flow path acknowledges everything, in departure order, each
+    exactly half an RTT + half an RTT after it left the bottleneck —
+    and at any horizon the receiver has on record exactly what arrived
+    by then, whether or not its ACK has."""
     loop = EventLoop()
-    got = []
-    line = DelayLine(loop, 0.5, got.append)
-    for gap, payload in items:
-        loop.call_at(gap, lambda p=payload: line.send(p))
+    stats = FlowStats(0)
+    acks = []
+    path = FlowPath(loop, 1.0, stats, lambda a: acks.append((loop.now, a)))
+    for seq, (when, size) in enumerate(items):
+        loop.call_at(when, path.forward, make_packet(seq, size))
+    loop.run_until(horizon)
+    path.settle(loop.now)
+    assert stats.delivered_bytes == sum(
+        size for when, size in items if when + 0.5 <= horizon
+    )
     loop.run_until(100.0)
-    assert len(got) == len(items)
+    path.settle(loop.now)
+    departures = sorted(
+        (when, seq) for seq, (when, _) in enumerate(items)
+    )
+    assert [ack.seq for _, ack in acks] == [seq for _, seq in departures]
+    assert [(now, ack.recv_time) for now, ack in acks] == [
+        ((when + 0.5) + 0.5, when + 0.5) for when, _ in departures
+    ]
+    assert stats.delivered_bytes == sum(size for _, size in items)

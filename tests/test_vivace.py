@@ -88,3 +88,27 @@ def test_rate_floor_never_violated(driver_factory):
         rtt += 0.0005
         d.ack(rtt=rtt)
     assert cc.rate >= MIN_RATE
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Vivace.on_loss charges a loss to the monitor interval in "
+    "which it is detected, one RTT after the interval that caused it: "
+    "the r(1-eps) interval pays for the r(1+eps) interval's drops, "
+    "u+ > u- for ever, and nothing caps the rate (ROADMAP item 4)",
+)
+def test_packet_rate_stays_near_capacity_in_a_shallow_codel_buffer():
+    """A Vivace flow sharing a 0.5-BDP CoDel link with BBR and CUBIC
+    must not run away.  Today every gradient step from t ~ 1.7 s is +1
+    at amplifier 8: the rate is 10.4x capacity at 2.6 s (where this
+    stops; it costs ~30 ms), 11 GB/s on the 1.25 MB/s link at 3.8 s,
+    and the 6 s run never finishes."""
+    from repro.scenario import BottleneckSpec
+    from repro.sim import DumbbellNetwork, FlowSpec
+
+    link = BottleneckSpec.from_mbps_ms(10, 20, 0.5, aqm="codel")
+    net = DumbbellNetwork(
+        link, [FlowSpec("vivace"), FlowSpec("bbr"), FlowSpec("cubic")]
+    )
+    net.loop.run_until(2.6)
+    assert net.senders[0].cc.rate <= 4 * link.capacity
