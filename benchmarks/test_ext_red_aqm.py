@@ -10,7 +10,7 @@ loss-agnostic BBRv1 shrugs them off, so the equilibrium should shift
 toward BBR (i.e. *fewer* CUBIC flows at the NE than under drop-tail).
 """
 
-from repro.core.game import bisect_nash
+from repro.core.game import GroupGame, bisect_nash
 from repro.sim.aqm import CoDelConfig, REDConfig
 from repro.sim.network import FlowSpec, run_dumbbell
 from repro.util.config import LinkConfig
@@ -48,8 +48,10 @@ def _ne_search(discipline: str):
         return mean(cubic), mean(bbr)
 
     tolerance = 0.03 * link.capacity  # Packet-sim trial noise.
-    equilibria, cache = bisect_nash(N_FLOWS, fn, tolerance=tolerance)
-    return equilibria, cache
+    game = GroupGame(
+        [N_FLOWS], lambda *states: [[fn(k)] for (k,) in states], tolerance
+    )
+    return bisect_nash(game)
 
 
 def _all_disciplines():

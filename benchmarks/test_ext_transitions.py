@@ -10,8 +10,8 @@ games and assert their equilibrium structures differ exactly that way:
 * CUBIC vs BBR   → a mixed interior NE (coexistence).
 """
 
-from repro.core.game import ThroughputTable
-from repro.experiments.runner import distribution_throughput_fn
+from repro.core.game import GroupGame, ThroughputTable
+from repro.experiments.runner import distribution_payoff_fn
 from repro.util.config import LinkConfig
 
 N_FLOWS = 8
@@ -20,7 +20,7 @@ DURATION = 100.0
 
 def _play(incumbent, challenger, seed=21):
     link = LinkConfig.from_mbps_ms(100, 40, 3)
-    fn = distribution_throughput_fn(
+    payoff = distribution_payoff_fn(
         link,
         N_FLOWS,
         challenger=challenger,
@@ -29,10 +29,9 @@ def _play(incumbent, challenger, seed=21):
         backend="fluid",
         seed=seed,
     )
-    table = ThroughputTable.from_function(N_FLOWS, fn)
-    return table, table.nash_equilibria(
-        tolerance=0.02 * link.capacity / N_FLOWS
-    )
+    table = ThroughputTable.from_game(GroupGame([N_FLOWS], payoff))
+    game = table.game(tolerance=0.02 * link.capacity / N_FLOWS)
+    return table, [k for (k,) in game.nash_equilibria()]
 
 
 def _all_games():

@@ -13,8 +13,8 @@ NE still exists, with the equilibrium barely moving for moderate
 weights.
 """
 
-from repro.core.game import ThroughputTable
-from repro.experiments.runner import distribution_utility_fn
+from repro.core.game import GroupGame
+from repro.experiments.runner import distribution_payoff_fn
 from repro.util.config import LinkConfig
 
 N_FLOWS = 8
@@ -28,7 +28,7 @@ def _games():
     link = LinkConfig.from_mbps_ms(100, 40, 3)
     out = {}
     for weight in DELAY_WEIGHTS:
-        fn = distribution_utility_fn(
+        payoff = distribution_payoff_fn(
             link,
             N_FLOWS,
             delay_weight=weight,
@@ -36,9 +36,9 @@ def _games():
             backend="fluid",
             seed=21,
         )
-        table = ThroughputTable.from_function(N_FLOWS, fn)
         tolerance = 0.02 * link.capacity / N_FLOWS
-        out[weight] = table.nash_equilibria(tolerance=tolerance)
+        game = GroupGame([N_FLOWS], payoff, tolerance)
+        out[weight] = [k for (k,) in game.nash_equilibria()]
     return out
 
 

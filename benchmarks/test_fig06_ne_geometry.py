@@ -7,7 +7,7 @@ stable mixed NE.
 
 import pytest
 
-from repro.core.game import ThroughputTable
+from repro.core.game import GroupGame
 from repro.core.multi_flow import predict_multi_flow
 from repro.experiments.figures import figure6
 from repro.util.config import LinkConfig
@@ -41,11 +41,13 @@ def test_figure6_crossing_is_stable_ne(scale):
         pred = predict_multi_flow(link, n - k, k)
         return (pred.per_flow_cubic_sync, pred.per_flow_bbr_sync)
 
-    table = ThroughputTable.from_function(n, payoff)
-    equilibria = table.nash_equilibria(tolerance=1e-9)
+    game = GroupGame(
+        [n], lambda *states: [[payoff(k)] for (k,) in states], 1e-9
+    )
+    equilibria = game.nash_equilibria()
     assert equilibria
-    assert any(0 < k < n for k in equilibria)
+    assert any(0 < k < n for (k,) in equilibria)
     # Best-response dynamics from both extremes converge to an NE.
     for start in (0, n):
-        path = table.best_response_path(start)
-        assert table.is_nash(path[-1], tolerance=1e-9)
+        path = game.best_response_path((start,))
+        assert game.is_nash(path[-1])

@@ -19,15 +19,15 @@ Run:  python examples/cca_transitions.py
 """
 
 from repro import LinkConfig
-from repro.core.game import ThroughputTable
-from repro.experiments.runner import distribution_throughput_fn
+from repro.core.game import GroupGame, ThroughputTable
+from repro.experiments.runner import distribution_payoff_fn
 
 N_FLOWS = 8
 DURATION = 100.0
 
 
 def play(link, incumbent: str, challenger: str, seed: int = 21):
-    fn = distribution_throughput_fn(
+    payoff = distribution_payoff_fn(
         link,
         N_FLOWS,
         challenger=challenger,
@@ -36,9 +36,10 @@ def play(link, incumbent: str, challenger: str, seed: int = 21):
         backend="fluid",
         seed=seed,
     )
-    table = ThroughputTable.from_function(N_FLOWS, fn)
+    # All nine distributions are one engine batch.
+    table = ThroughputTable.from_game(GroupGame([N_FLOWS], payoff))
     tolerance = 0.02 * link.capacity / N_FLOWS
-    equilibria = table.nash_equilibria(tolerance=tolerance)
+    equilibria = [k for (k,) in table.game(tolerance).nash_equilibria()]
     print(f"\n=== {incumbent.upper()} vs {challenger.upper()} ===")
     print(f"  #{challenger}  {incumbent}/flow  {challenger}/flow  (Mbps)")
     for k in range(N_FLOWS + 1):

@@ -10,7 +10,7 @@ three RTT classes and prints the equilibrium composition.
 Run:  python examples/multi_rtt_equilibrium.py
 """
 
-from repro.core.game import FlowGroup, GroupGame
+from repro.core.game import GroupGame
 from repro.experiments.runner import group_payoff_fn
 from repro.util.config import LinkConfig
 
@@ -25,27 +25,23 @@ def main() -> None:
     print(f"flow classes: {classes}\n")
 
     payoff = group_payoff_fn(link, rtts, sizes, duration=90, seed=1)
-    game = GroupGame(
-        groups=[FlowGroup(rtt=r, size=s) for r, s in zip(rtts, sizes)],
-        payoff=payoff,
-    )
+    game = GroupGame(sizes, payoff)
 
-    # Best-response descent from two extreme starting points.
+    # Best-response descent from two extreme starting points; each
+    # step asks for a state and its neighbours as one engine batch.
     print("best-response dynamics (state = #BBR per RTT class):")
-    candidates = set()
-    for start in [(0, 1, 3), (3, 3, 3)]:
+    starts = [(0, 1, 3), (3, 3, 3)]
+    for start in starts:
         path = game.best_response_path(start)
         print(f"  from {start}: " + " -> ".join(map(str, path)))
-        candidates.add(path[-1])
 
-    equilibria = [s for s in candidates if game.is_nash(s)]
-    if not equilibria:
+    equilibria = game.settle(starts)
+    if not game.is_nash(equilibria[0]):
         print("\n(no exact NE among endpoints; reporting the last state)")
-        equilibria = sorted(candidates)[:1]
 
     for state in equilibria:
         print(f"\nNash Equilibrium state {state}:")
-        payoffs = game.payoffs(state)
+        [payoffs] = game.payoffs(state)
         for g, (rtt, size) in enumerate(zip(rtts, sizes)):
             n_bbr = state[g]
             n_cubic = size - n_bbr

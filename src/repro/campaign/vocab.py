@@ -384,16 +384,16 @@ def _run_adaptive(unit: "Unit", run: StageRun) -> Rows:
     """One NE bisection: rows per equilibrium found at this combination.
 
     Seeding matches the hand-coded figure-9 loop exactly
-    (``seed + stride × search`` into ``distribution_throughput_fn``), so
+    (``seed + stride × search`` into ``distribution_payoff_fn``), so
     a campaign and the figure generator hit the same cache entries.
     """
-    from repro.core.game import bisect_nash
+    from repro.core.game import GroupGame, bisect_nash
     from repro.core.nash import predict_nash
-    from repro.experiments.runner import distribution_throughput_fn
+    from repro.experiments.runner import distribution_payoff_fn
 
     scenario = unit.scenario()
     scenario["seed"] += unit.seed_stride * unit.search
-    fn = distribution_throughput_fn(
+    payoff = distribution_payoff_fn(
         unit.link,
         unit.flows,
         challenger=unit.challenger,
@@ -401,7 +401,7 @@ def _run_adaptive(unit: "Unit", run: StageRun) -> Rows:
         engine=run.engine,
         **scenario,
     )
-    equilibria, _cache = bisect_nash(unit.flows, fn)
+    equilibria, _evaluated = bisect_nash(GroupGame([unit.flows], payoff))
     # The analytic Nash-region bounds (Eq. 25) ride along as model
     # columns; they describe the CUBIC-vs-BBR game, the one the paper
     # (and the bundled specs) study.

@@ -593,30 +593,39 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    from repro.core.game import ThroughputTable
-    from repro.experiments.runner import distribution_throughput_fn
+    from repro.core.game import GroupGame
+    from repro.experiments.runner import distribution_payoff_fn
 
-    link = _link_from(args)
-    print(
-        f"link: {link.describe()}, {args.flows} flows "
-        f"({args.incumbent} vs {args.challenger})"
-    )
-    print("measuring all distributions (fluid simulator)...")
-    fn = distribution_throughput_fn(
-        link,
-        args.flows,
-        challenger=args.challenger,
-        incumbent=args.incumbent,
-        duration=args.duration,
-        backend="fluid",
-        seed=args.seed,
-    )
-    table = ThroughputTable.from_function(args.flows, fn)
-    path = table.best_response_path(args.start)
+    try:
+        link = _link_from(args)
+        payoff = distribution_payoff_fn(
+            link,
+            args.flows,
+            challenger=args.challenger,
+            incumbent=args.incumbent,
+            duration=args.duration,
+            backend="fluid",
+            seed=args.seed,
+        )
+        game = GroupGame([args.flows], payoff)
+        print(
+            f"link: {link.describe()}, {args.flows} flows "
+            f"({args.incumbent} vs {args.challenger})"
+        )
+        print("measuring all distributions (fluid simulator)...")
+        # One round: the start is asked for with the whole table, so a
+        # start outside the game is rejected before anything runs.
+        game.payoffs((args.start,), *game.states())
+    except ValueError as exc:
+        raise _CliError(f"bad scenario: {exc}") from None
+    path = [k for (k,) in game.best_response_path((args.start,))]
     print(f"best-response path (#{args.challenger} flows): " +
           " -> ".join(str(k) for k in path))
-    tolerance = 0.02 * link.capacity / args.flows
-    equilibria = table.nash_equilibria(tolerance=tolerance)
+    # The same (known) payoffs, asked again with a tolerance.
+    lenient = GroupGame(
+        game.sizes, game.payoffs, 0.02 * link.capacity / args.flows
+    )
+    equilibria = [k for (k,) in lenient.nash_equilibria()]
     print(f"equilibria (±2% tolerance): {equilibria}")
     final = path[-1]
     print(

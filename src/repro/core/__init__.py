@@ -7,12 +7,12 @@
 * :mod:`repro.core.ware` — the Ware et al. baseline model (§2.2,
   Equations 2–4).
 * :mod:`repro.core.nash` — model-predicted Nash Equilibria (§4.1, Eq. 25).
-* :mod:`repro.core.game` — empirical NE enumeration, best-response
-  dynamics, and the multi-RTT group game (§4.4–4.5).
+* :mod:`repro.core.game` — the CCA-selection game: NE predicate,
+  best-response dynamics and NE bisection over one group (§4.1, §4.4)
+  or one group per RTT class (§4.5).
 """
 
 from repro.core.game import (
-    FlowGroup,
     GroupGame,
     ThroughputTable,
     bisect_nash,
@@ -40,7 +40,6 @@ from repro.core.two_flow import (
 from repro.core.ware import WarePrediction, ware_prediction
 
 __all__ = [
-    "FlowGroup",
     "GroupGame",
     "ThroughputTable",
     "bisect_nash",

@@ -1,28 +1,202 @@
-"""The CCA-selection game: empirical NE search and dynamics (§4.1, §4.4).
+"""The CCA-selection game (§4.1–§4.5): one game, asked in rounds.
 
-This module implements the paper's *experimental* methodology: measure (or
-model) per-flow throughput for every distribution of two competing CCAs,
-then enumerate distributions where no single flow can gain by unilaterally
-switching.  It also provides best-response dynamics (the "Internet
-evolution" story of §1), a bisection search that finds the NE with
-O(log N) throughput evaluations for expensive simulator backends, and the
-multi-RTT group game of §4.5.
+Flows choose between an incumbent CCA (strategy A, e.g. CUBIC) and a
+challenger (strategy B, e.g. BBR); a distribution is a Nash Equilibrium
+iff no flow gains by unilaterally switching (§4.4).  Flows that share a
+base RTT are symmetric, so a *state* is the tuple of per-group challenger
+counts — the same-RTT game of §4.1 is the game with one group, the
+multi-RTT game of §4.5 has one group per RTT class.
+
+:class:`GroupGame` is that game, and the only one: one NE predicate, one
+best-response rule, one walk.  It asks its payoff function for *rounds*
+— every state a question needs and does not know yet, in one call — so
+a simulator-backed payoff (``repro.experiments.runner``) turns a
+best-response step, an NE check or a whole table into one engine batch.
+:func:`bisect_nash` finds the same-RTT NE with O(log N) probes, and
+:class:`ThroughputTable` is a played-out same-RTT game as two columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-#: A throughput provider: distribution (number of strategy-B flows) →
-#: (per-flow bandwidth of strategy-A flows, per-flow bandwidth of
-#: strategy-B flows).  Entries for empty classes may be 0.0.
-ThroughputFn = Callable[[int], Tuple[float, float]]
+#: The number of challenger (strategy-B) flows in each group.
+State = Tuple[int, ...]
+#: One state's payoffs: per group, the per-flow payoff of its
+#: (strategy-A, strategy-B) flows.  An empty class may read 0.0.
+Payoffs = Sequence[Tuple[float, float]]
+#: ``payoff(*states)`` answers a round: one :data:`Payoffs` per state,
+#: in order.  A per-state function ``fn`` is adapted by its caller:
+#: ``lambda *states: [fn(state) for state in states]``.
+PayoffFn = Callable[..., Sequence[Payoffs]]
+
+
+@dataclass
+class GroupGame:
+    """The CCA game between groups of symmetric flows.
+
+    ``sizes[g]`` flows form group ``g``; the state space is the
+    ``Π(n_g + 1)`` tuples of per-group challenger counts (symmetry
+    within a group collapses the paper's ``2^n`` joint strategies, as
+    in its §4.5 three-group experiments).  What tells groups apart —
+    their RTTs — belongs to whoever builds ``payoff``.
+
+    A switch *pays* when ``after > here + tolerance`` (payoff units);
+    every question below is asked through that one inequality.
+    """
+
+    sizes: Sequence[int]
+    payoff: PayoffFn
+    tolerance: float = 0.0
+    #: Every state evaluated so far, in evaluation order.
+    known: Dict[State, Payoffs] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        self.sizes = tuple(self.sizes)
+        if not self.sizes or min(self.sizes) < 1:
+            raise ValueError(
+                f"need at least one group, each of size >= 1, "
+                f"got sizes {self.sizes}"
+            )
+
+    def payoffs(self, *states: State) -> List[Payoffs]:
+        """The payoffs of ``states``, in order — one round.
+
+        The only place a state is validated, remembered or evaluated:
+        every state is checked against the game before anything is
+        asked, and the payoff function receives exactly the states not
+        known yet, once each, in a single call.
+        """
+        for state in states:
+            if len(state) != len(self.sizes) or not all(
+                0 <= k <= size for k, size in zip(state, self.sizes)
+            ):
+                raise ValueError(
+                    f"state {state} is outside the game: need one challenger "
+                    f"count in [0, size] per group of sizes {self.sizes}"
+                )
+        unknown = [s for s in dict.fromkeys(states) if s not in self.known]
+        if unknown:
+            self.known.update(zip(unknown, self.payoff(*unknown)))
+        return [self.known[state] for state in states]
+
+    def states(self) -> Iterable[State]:
+        """Every distribution of the challenger across the groups."""
+        return product(*(range(size + 1) for size in self.sizes))
+
+    def improvements(self, state: State) -> List[Tuple[float, State]]:
+        """The unilateral switches from ``state`` that pay, as
+        ``(gain, resulting state)`` — the one deviation rule.
+
+        Per group, lowest first: an incumbent flow switching to the
+        challenger, then a challenger flow switching back.  The state
+        and its ≤ 2·G neighbours are one round.
+        """
+        moves = [
+            (g, side, state[:g] + (k + step,) + state[g + 1:])
+            for g, (k, size) in enumerate(zip(state, self.sizes))
+            for side, step in ((0, +1), (1, -1))  # The mover plays `side`.
+            if 0 <= k + step <= size
+        ]
+        here, *there = self.payoffs(state, *(move[2] for move in moves))
+        return [
+            (after[g][1 - side] - here[g][side], switched)
+            for (g, side, switched), after in zip(moves, there)
+            if after[g][1 - side] > here[g][side] + self.tolerance
+        ]
+
+    def is_nash(self, state: State) -> bool:
+        """§4.4: no single flow in any group gains by switching."""
+        return not self.improvements(state)
+
+    def nash_equilibria(self) -> List[State]:
+        """Every NE, exhaustively — the whole table is one round."""
+        states = list(self.states())
+        self.payoffs(*states)
+        return [state for state in states if self.is_nash(state)]
+
+    def best_response_step(self, state: State) -> State:
+        """One unilateral switch: the one that gains most (ties go to
+        the first in :meth:`improvements` order), or ``state`` itself
+        at an NE."""
+        moves = self.improvements(state)
+        return max(moves, key=lambda move: move[0])[1] if moves else state
+
+    def best_response_path(
+        self, start: State, max_steps: int = 1000
+    ) -> List[State]:
+        """Best-response dynamics from ``start`` until nothing pays.
+
+        Models the Internet-evolution narrative: websites switch CCA one
+        at a time while the rest hold still.  The last state is an NE —
+        or, when noisy payoffs make the dynamics cycle, the first state
+        visited twice, where the walk is cut.
+        """
+        path = [start]
+        seen = set(path)
+        for _ in range(max_steps):
+            nxt = self.best_response_step(path[-1])
+            if nxt == path[-1]:
+                break
+            path.append(nxt)
+            if nxt in seen:
+                break
+            seen.add(nxt)
+        return path
+
+    def settle(self, starts: Iterable[State]) -> List[State]:
+        """Where best-response walks from ``starts`` end up: their
+        distinct final states that are NE, sorted — or, when every walk
+        was cut in a cycle, the smallest final state as a best effort."""
+        ends = sorted({self.best_response_path(s)[-1] for s in starts})
+        return [end for end in ends if self.is_nash(end)] or ends[:1]
+
+
+def bisect_nash(
+    game: GroupGame,
+) -> Tuple[List[int], Dict[int, Tuple[float, float]]]:
+    """Find NE of a same-RTT (one-group) game with O(log N) probes.
+
+    Exploits the paper's structural result (Figure 6): the challenger's
+    per-flow advantage ``λ_b(k) − λ_a(k)`` decreases in ``k`` and
+    crosses zero at most once, so the crossing can be bisected — one
+    probe per round — and only its neighbourhood, fetched as one more
+    round, needs exact NE checks.  Returns the NE challenger counts and
+    every distribution evaluated, ``{k: (λ_a, λ_b)}``.
+    """
+    (n_flows,) = game.sizes
+
+    def advantage(k: int) -> float:
+        [[(a, b)]] = game.payoffs((k,))
+        return b - a
+
+    lo, hi = 1, n_flows - 1
+    if n_flows <= 2 or advantage(lo) <= 0:
+        first, last = 0, min(n_flows, 2)
+    elif advantage(hi) >= 0:
+        first, last = n_flows - 2, n_flows
+    else:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if advantage(mid) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        first, last = lo - 1, hi + 1  # 1 <= lo < hi <= n_flows - 1.
+    around = range(max(0, first - 1), min(n_flows, last + 1) + 1)
+    game.payoffs(*((k,) for k in around))
+    equilibria = [k for k in range(first, last + 1) if game.is_nash((k,))]
+    return equilibria, {k: pairs[0] for (k,), pairs in game.known.items()}
 
 
 @dataclass
 class ThroughputTable:
-    """Per-flow throughput for all ``n + 1`` distributions of two CCAs.
+    """A played-out same-RTT game: per-flow payoffs at all ``n + 1``
+    distributions of two CCAs.
 
     ``lambda_a[k]`` / ``lambda_b[k]`` are the per-flow bandwidths of
     strategy-A (e.g. CUBIC) and strategy-B (e.g. BBR) flows when ``k``
@@ -42,134 +216,22 @@ class ThroughputTable:
             )
 
     @classmethod
-    def from_function(
-        cls, n_flows: int, fn: ThroughputFn
-    ) -> "ThroughputTable":
-        """Evaluate ``fn`` for every distribution 0..n."""
-        lambda_a, lambda_b = [], []
-        for k in range(n_flows + 1):
-            a, b = fn(k)
-            lambda_a.append(a)
-            lambda_b.append(b)
-        return cls(n_flows=n_flows, lambda_a=lambda_a, lambda_b=lambda_b)
+    def from_game(cls, game: GroupGame) -> "ThroughputTable":
+        """Play every distribution of a one-group game — one round."""
+        (n_flows,) = game.sizes
+        pairs = [row[0] for row in game.payoffs(*game.states())]
+        lambda_a, lambda_b = map(list, zip(*pairs))
+        return cls(n_flows, lambda_a, lambda_b)
 
-    def is_nash(self, k: int, tolerance: float = 0.0) -> bool:
-        """Whether the distribution with ``k`` strategy-B flows is an NE.
-
-        §4.4's check: no B flow gains by switching to A
-        (``λ_b(k) ≥ λ_a(k−1)``) and no A flow gains by switching to B
-        (``λ_a(k) ≥ λ_b(k+1)``), within ``tolerance`` (bytes/second).
-        """
-        if not 0 <= k <= self.n_flows:
-            raise ValueError(f"k must be in [0, {self.n_flows}], got {k}")
-        if k > 0 and self.lambda_b[k] < self.lambda_a[k - 1] - tolerance:
-            return False
-        if (
-            k < self.n_flows
-            and self.lambda_a[k] < self.lambda_b[k + 1] - tolerance
-        ):
-            return False
-        return True
-
-    def nash_equilibria(self, tolerance: float = 0.0) -> List[int]:
-        """All NE distributions (it is common for several to qualify)."""
-        return [
-            k
-            for k in range(self.n_flows + 1)
-            if self.is_nash(k, tolerance)
-        ]
-
-    def best_response_step(self, k: int) -> int:
-        """One round of unilateral switching from distribution ``k``.
-
-        A strategy-A flow switches to B when that raises its bandwidth,
-        and vice versa; ties stay put.  Returns the next distribution.
-        """
-        if k < self.n_flows and self.lambda_b[k + 1] > self.lambda_a[k]:
-            return k + 1
-        if k > 0 and self.lambda_a[k - 1] > self.lambda_b[k]:
-            return k - 1
-        return k
-
-    def best_response_path(
-        self, start: int, max_steps: int = 1000
-    ) -> List[int]:
-        """Trajectory of best-response dynamics until it stops moving.
-
-        Models the Internet-evolution narrative: websites switch CCA one
-        at a time while the rest hold still.  The final element is an NE
-        (or the last state before a cycle was cut off).
-        """
-        path = [start]
-        seen = {start}
-        k = start
-        for _ in range(max_steps):
-            nxt = self.best_response_step(k)
-            if nxt == k:
-                break
-            path.append(nxt)
-            k = nxt
-            if k in seen:
-                break  # Cycle (possible only with measurement noise).
-            seen.add(k)
-        return path
-
-
-def bisect_nash(
-    n_flows: int,
-    fn: ThroughputFn,
-    tolerance: float = 0.0,
-) -> Tuple[List[int], Dict[int, Tuple[float, float]]]:
-    """Find NE distributions with O(log N) evaluations of ``fn``.
-
-    Exploits the paper's structural result (Figure 6): BBR's per-flow
-    advantage ``λ_b(k) − λ_a(k)`` decreases in ``k`` and crosses zero at
-    most once, so the crossing can be bisected and only its neighborhood
-    needs exact NE checks.  Returns the NE list and a cache of evaluated
-    distributions (useful for reporting).
-    """
-    cache: Dict[int, Tuple[float, float]] = {}
-
-    def evaluate(k: int) -> Tuple[float, float]:
-        if k not in cache:
-            cache[k] = fn(k)
-        return cache[k]
-
-    def advantage(k: int) -> float:
-        a, b = evaluate(k)
-        if k == 0:
-            return float("inf")  # No B flows: switching in is the question.
-        if k == n_flows:
-            return float("-inf")
-        return b - a
-
-    lo, hi = 1, n_flows - 1
-    if n_flows <= 2 or advantage(lo) <= 0:
-        candidates = range(0, min(n_flows, 2) + 1)
-    elif advantage(hi) >= 0:
-        candidates = range(max(0, n_flows - 2), n_flows + 1)
-    else:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if advantage(mid) >= 0:
-                lo = mid
-            else:
-                hi = mid
-        candidates = range(max(0, lo - 1), min(n_flows, hi + 1) + 1)
-
-    equilibria = []
-    for k in candidates:
-        a_k, b_k = evaluate(k)
-        ok = True
-        if k > 0:
-            a_prev, _ = evaluate(k - 1)
-            ok = ok and b_k >= a_prev - tolerance
-        if k < n_flows:
-            _, b_next = evaluate(k + 1)
-            ok = ok and a_k >= b_next - tolerance
-        if ok:
-            equilibria.append(k)
-    return equilibria, cache
+    def game(self, tolerance: float = 0.0) -> GroupGame:
+        """The game this table records, to ask questions of it."""
+        return GroupGame(
+            [self.n_flows],
+            lambda *states: [
+                [(self.lambda_a[k], self.lambda_b[k])] for (k,) in states
+            ],
+            tolerance,
+        )
 
 
 def ne_existence_conditions(
@@ -203,125 +265,3 @@ def ne_existence_conditions(
         "fills_link_alone": fills_link_alone,
         "ne_expected": disproportionate and fills_link_alone,
     }
-
-
-# -- Multi-RTT group game (§4.5) ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlowGroup:
-    """A class of symmetric flows sharing one base RTT."""
-
-    rtt: float
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.rtt <= 0:
-            raise ValueError(f"rtt must be positive, got {self.rtt}")
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-
-
-#: Group-game payoffs: per-group (per-flow λ of strategy-A flows,
-#: per-flow λ of strategy-B flows) for a given assignment of strategy-B
-#: counts per group.
-GroupPayoffFn = Callable[[Tuple[int, ...]], Sequence[Tuple[float, float]]]
-
-
-@dataclass
-class GroupGame:
-    """The CCA game between flow groups with different base RTTs.
-
-    The state space is the tuple of per-group strategy-B counts
-    (flows within a group are symmetric, which collapses the paper's
-    ``2^n`` joint strategies to ``Π(n_g + 1)`` states, as in its §4.5
-    three-group experiments).
-    """
-
-    groups: Sequence[FlowGroup]
-    payoff: GroupPayoffFn
-    tolerance: float = 0.0
-    _cache: Dict[Tuple[int, ...], Sequence[Tuple[float, float]]] = field(
-        default_factory=dict, repr=False
-    )
-
-    def payoffs(
-        self, state: Tuple[int, ...]
-    ) -> Sequence[Tuple[float, float]]:
-        """Per-group (strategy-A, strategy-B) per-flow payoffs, cached."""
-        if state not in self._cache:
-            self._cache[state] = self.payoff(state)
-        return self._cache[state]
-
-    def states(self) -> Iterable[Tuple[int, ...]]:
-        """Every distribution of strategy B across the groups."""
-
-        def recurse(idx: int, prefix: Tuple[int, ...]):
-            if idx == len(self.groups):
-                yield prefix
-                return
-            for k in range(self.groups[idx].size + 1):
-                yield from recurse(idx + 1, prefix + (k,))
-
-        return recurse(0, ())
-
-    def is_nash(self, state: Tuple[int, ...]) -> bool:
-        """No single flow in any group gains by unilaterally switching."""
-        payoffs = self.payoffs(state)
-        for g, group in enumerate(self.groups):
-            k = state[g]
-            # A strategy-A flow in group g considers switching to B.
-            if k < group.size:
-                switched = state[:g] + (k + 1,) + state[g + 1:]
-                if (
-                    self.payoffs(switched)[g][1]
-                    > payoffs[g][0] + self.tolerance
-                ):
-                    return False
-            # A strategy-B flow in group g considers switching to A.
-            if k > 0:
-                switched = state[:g] + (k - 1,) + state[g + 1:]
-                if (
-                    self.payoffs(switched)[g][0]
-                    > payoffs[g][1] + self.tolerance
-                ):
-                    return False
-        return True
-
-    def nash_equilibria(self) -> List[Tuple[int, ...]]:
-        """Enumerate all NE states (exhaustive; cache keeps it feasible)."""
-        return [s for s in self.states() if self.is_nash(s)]
-
-    def best_response_path(
-        self, start: Tuple[int, ...], max_steps: int = 1000
-    ) -> List[Tuple[int, ...]]:
-        """Greedy best-response dynamics from ``start`` until stable."""
-        path = [start]
-        state = start
-        for _ in range(max_steps):
-            nxt = self._best_response_step(state)
-            if nxt == state:
-                break
-            path.append(nxt)
-            state = nxt
-        return path
-
-    def _best_response_step(
-        self, state: Tuple[int, ...]
-    ) -> Tuple[int, ...]:
-        payoffs = self.payoffs(state)
-        best_gain = self.tolerance
-        best_state = state
-        for g, group in enumerate(self.groups):
-            k = state[g]
-            if k < group.size:
-                switched = state[:g] + (k + 1,) + state[g + 1:]
-                gain = self.payoffs(switched)[g][1] - payoffs[g][0]
-                if gain > best_gain:
-                    best_gain, best_state = gain, switched
-            if k > 0:
-                switched = state[:g] + (k - 1,) + state[g + 1:]
-                gain = self.payoffs(switched)[g][0] - payoffs[g][1]
-                if gain > best_gain:
-                    best_gain, best_state = gain, switched
-        return best_state

@@ -84,7 +84,9 @@ class ScenarioPoint:
     entry's flows run at that base RTT instead of the link's (one CCA at
     several RTTs is several entries, which is how the §4.5 multi-RTT
     game is asked).  The constructor is the one validator of a request
-    and normalizes it so that logically identical points compare (and
+    — every entry's CCA, zero-count ones included, must be in the
+    ``repro.cc.laws`` table with an adapter for the backend — and
+    normalizes it so that logically identical points compare (and
     hash) equal: CCA names are lowercased, zero-count mix entries
     dropped, a ``None`` entry RTT omitted, ``warmup`` resolved to its
     ``duration / 6`` default, and the backend reduced to its canonical
@@ -117,8 +119,23 @@ class ScenarioPoint:
             raise ValueError(
                 f"duration must be positive, got {self.duration}"
             )
+        # Imported here, on first use: the name table pulls in the
+        # per-ACK controllers (pure Python), never a simulator.
+        from repro.cc.laws.registry import ALGORITHMS
+
         mix = []
         for cc, count, *rtt in self.mix:
+            spec = ALGORITHMS.get(cc.lower())
+            if spec is None or self.backend not in spec.substrates:
+                available = [
+                    name
+                    for name, known in ALGORITHMS.items()
+                    if self.backend in known.substrates
+                ]
+                raise ValueError(
+                    f"mix entry {(cc, count, *rtt)}: unknown {self.backend} "
+                    f"congestion control {cc!r}; available: {available}"
+                )
             if count <= 0:
                 continue
             if not rtt or rtt[0] is None:

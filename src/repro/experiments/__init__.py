@@ -10,7 +10,7 @@ from repro.experiments.figures import FIGURES
 from repro.experiments.results import FigureResult, Series
 from repro.experiments.runner import (
     ScenarioResult,
-    distribution_throughput_fn,
+    distribution_payoff_fn,
     group_payoff_fn,
     run_mix,
 )
@@ -20,7 +20,7 @@ __all__ = [
     "FigureResult",
     "Series",
     "ScenarioResult",
-    "distribution_throughput_fn",
+    "distribution_payoff_fn",
     "group_payoff_fn",
     "run_mix",
 ]

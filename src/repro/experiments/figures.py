@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.game import FlowGroup, GroupGame
+from repro.core.game import GroupGame
 from repro.core.multi_flow import predict_multi_flow
 from repro.core.nash import nash_region, predict_nash
 from repro.core.ware import ware_prediction
@@ -509,23 +509,10 @@ def figure10(
         payoff = group_payoff_fn(
             link, rtts, sizes, duration=duration, seed=seed, engine=engine
         )
-        game = GroupGame(
-            groups=[FlowGroup(rtt=r, size=s) for r, s in zip(rtts, sizes)],
-            payoff=payoff,
-        )
         # Best-response descent from diverse starts, then NE verification.
-        candidates = set()
-        starts = [
-            (0, group_size // 2, group_size),
-            tuple(sizes),
-        ]
-        for start in starts:
-            path = game.best_response_path(start)
-            candidates.add(path[-1])
-        equilibria = [s for s in candidates if game.is_nash(s)]
-        if not equilibria:
-            equilibria = [min(candidates)]  # Report the best effort.
-        state = equilibria[0]
+        state = GroupGame(sizes, payoff).settle(
+            [(0, group_size // 2, group_size), tuple(sizes)]
+        )[0]
         n_cubic_by_group = [
             size - k for size, k in zip(sizes, state)
         ]

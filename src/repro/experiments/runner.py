@@ -25,6 +25,7 @@ from statistics import mean
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     List,
     Optional,
@@ -47,9 +48,8 @@ __all__ = [
     "BACKENDS",
     "VEC_MIN_ROWS",
     "ScenarioResult",
-    "distribution_throughput_fn",
-    "distribution_utility_fn",
     "class_label",
+    "distribution_payoff_fn",
     "expand_mix",
     "group_payoff_fn",
     "run_mix",
@@ -345,46 +345,54 @@ def _aggregate_trials(
     )
 
 
-def distribution_throughput_fn(
-    link: LinkConfig,
-    n_flows: int,
-    challenger: str = "bbr",
-    incumbent: str = "cubic",
-    duration: float = 60.0,
-    backend: str = "fluid",
-    trials: int = 1,
-    seed: int = 0,
-    engine: Optional["Engine"] = None,
-    loss_mode: str = "proportional",
+def _payoff_fn(
+    point_of: Callable[[Tuple[int, ...]], ScenarioPoint],
+    incumbent: str,
+    challenger: str,
+    rtts: Sequence[Optional[float]],
+    engine: Optional["Engine"],
+    weight: float = 0.0,
 ):
-    """Build a §4.4-style throughput function over distributions.
+    """The one game evaluator: ``payoff(*states)`` for
+    :class:`repro.core.game.GroupGame`, a round of states being one
+    ``run_points`` batch of ``point_of(state)`` points.
 
-    Returns ``fn(k) -> (per-flow incumbent λ, per-flow challenger λ)`` for
-    ``k`` challenger flows out of ``n_flows`` — the shape
-    :class:`repro.core.game.ThroughputTable` and
-    :func:`repro.core.game.bisect_nash` consume.  It is the utility game
-    (:func:`distribution_utility_fn`) at delay weight 0, where utility
-    *is* throughput.
+    Group ``g``'s payoff pair is read from the result classes of
+    (``incumbent``, ``challenger``) at ``rtts[g]`` — lower-case, as
+    :class:`ScenarioPoint` normalises the mix — less ``weight`` × the
+    shared queuing delay.  The engine (explicit, installed default, or
+    the sequential fallback) is resolved per round: identical states
+    are reused across games when a result cache is configured, and a
+    round's misses fan out over ``--jobs`` workers.
     """
-    return distribution_utility_fn(
-        link,
-        n_flows,
-        0.0,
-        challenger,
-        incumbent,
-        duration,
-        backend,
-        trials,
-        seed,
-        engine,
-        loss_mode,
-    )
+    labels = [
+        [class_label(cc.lower(), rtt) for cc in (incumbent, challenger)]
+        for rtt in rtts
+    ]
+
+    def payoff(*states: Tuple[int, ...]):
+        from repro.exec.engine import resolve as resolve_engine
+
+        results = resolve_engine(engine).run_points(
+            [point_of(state) for state in states]
+        )
+        payoffs = []
+        for result in results:
+            penalty = weight * result.mean_queuing_delay
+            payoffs.append(
+                [
+                    tuple(result.per_flow.get(c, 0.0) - penalty for c in pair)
+                    for pair in labels
+                ]
+            )
+        return payoffs
+
+    return payoff
 
 
-def distribution_utility_fn(
+def distribution_payoff_fn(
     link: LinkConfig,
     n_flows: int,
-    delay_weight: float,
     challenger: str = "bbr",
     incumbent: str = "cubic",
     duration: float = 60.0,
@@ -393,34 +401,28 @@ def distribution_utility_fn(
     seed: int = 0,
     engine: Optional["Engine"] = None,
     loss_mode: str = "proportional",
+    delay_weight: float = 0.0,
 ):
-    """A §4.3-style utility game: ``U = throughput − w·delay``.
+    """Payoffs of the same-RTT game (§4.1, §4.4): a one-group
+    :class:`repro.core.game.GroupGame` over ``n_flows`` flows.
 
-    The utility is a linear combination of per-flow throughput
-    (bytes/second) and the *shared* queuing delay (seconds), scaled so
-    ``delay_weight`` is in "Mbps of throughput a user would trade for
-    100 ms of delay".  Because the delay term is common to both CCAs at
-    any distribution, the paper conjectures the NE structure is
-    throughput-driven; feed this into
-    :class:`repro.core.game.ThroughputTable` (whose machinery is
-    payoff-agnostic) to test that.  Each ``fn(k)`` is one scenario point
-    submitted to the execution engine (explicit, installed default, or
-    the sequential fallback), so identical distribution points are
-    reused across sweeps when a result cache is configured.
+    State ``(k,)`` is the scenario point ``((incumbent, n_flows − k),
+    (challenger, k))`` at ``spaced_seed(seed, k)``; its payoff pair is
+    the (incumbent, challenger) per-flow throughput.  A positive
+    ``delay_weight`` makes it the §4.3 utility game ``U = throughput −
+    w·delay``: the *shared* queuing delay, in "Mbps of throughput a user
+    would trade for 100 ms of delay" — common to both CCAs at any
+    distribution, which is why the paper conjectures the NE structure is
+    throughput-driven.
     """
     if delay_weight < 0:
         raise ValueError(
             f"delay_weight must be non-negative, got {delay_weight}"
         )
-    # Mbps-per-100ms → (bytes/s) per second-of-delay.
-    weight = delay_weight * (1e6 / 8.0) / 0.1
 
-    def fn(k: int) -> Tuple[float, float]:
-        if not 0 <= k <= n_flows:
-            raise ValueError(f"k must be in [0, {n_flows}], got {k}")
-        from repro.exec.engine import resolve as resolve_engine
-
-        point = ScenarioPoint(
+    def point_of(state: Tuple[int, ...]) -> ScenarioPoint:
+        (k,) = state
+        return ScenarioPoint(
             link=link,
             mix=((incumbent, n_flows - k), (challenger, k)),
             duration=duration,
@@ -429,14 +431,12 @@ def distribution_utility_fn(
             seed=spaced_seed(seed, k),
             loss_mode=loss_mode,
         )
-        [result] = resolve_engine(engine).run_points([point])
-        penalty = weight * result.mean_queuing_delay
-        return (
-            result.per_flow.get(incumbent, 0.0) - penalty,
-            result.per_flow.get(challenger, 0.0) - penalty,
-        )
 
-    return fn
+    # Mbps-per-100ms → (bytes/s) per second-of-delay.
+    weight = delay_weight * (1e6 / 8.0) / 0.1
+    return _payoff_fn(
+        point_of, incumbent, challenger, [None], engine, weight
+    )
 
 
 def group_payoff_fn(
@@ -450,15 +450,12 @@ def group_payoff_fn(
     seed: int = 0,
     engine: Optional["Engine"] = None,
 ):
-    """Payoff function for the multi-RTT :class:`repro.core.game.GroupGame`.
+    """Payoffs of the multi-RTT game (§4.5): one group per base RTT.
 
-    The returned callable maps a tuple of per-group challenger counts to
-    per-group ``(incumbent per-flow λ, challenger per-flow λ)`` pairs.
     A state is one fluid scenario point — per group, a challenger entry
-    then an incumbent entry at the group's RTT — submitted to the
-    execution engine like every other point, so best-response walks that
-    revisit a state, and repeated figure sweeps, reuse the measurement
-    when a result cache is configured.
+    then an incumbent entry at the group's RTT, all at ``seed`` — and
+    its payoffs the per-group (incumbent, challenger) per-flow
+    throughput pairs.
     """
     if len(group_rtts) != len(group_sizes):
         raise ValueError("group_rtts and group_sizes must align")
@@ -466,33 +463,16 @@ def group_payoff_fn(
         # Groups are told apart by RTT in the result's class labels.
         raise ValueError(f"group_rtts must be distinct, got {group_rtts}")
 
-    labels = [
-        [class_label(cc.lower(), rtt) for cc in (incumbent, challenger)]
-        for rtt in group_rtts
-    ]
-
-    def payoff(state: Sequence[int]):
+    def point_of(state: Tuple[int, ...]) -> ScenarioPoint:
         mix = []
-        for g, (rtt, size) in enumerate(zip(group_rtts, group_sizes)):
-            if not 0 <= state[g] <= size:
-                raise ValueError(
-                    f"group {g}: count {state[g]} outside [0, {size}]"
-                )
-            mix.append((challenger, state[g], rtt))
-            mix.append((incumbent, size - state[g], rtt))
-        from repro.exec.engine import resolve as resolve_engine
-
-        point = ScenarioPoint(
+        for k, rtt, size in zip(state, group_rtts, group_sizes):
+            mix += [(challenger, k, rtt), (incumbent, size - k, rtt)]
+        return ScenarioPoint(
             link=link,
             mix=tuple(mix),
             duration=duration,
             trials=trials,
             seed=seed,
         )
-        [result] = resolve_engine(engine).run_points([point])
-        return [
-            tuple(result.per_flow.get(label, 0.0) for label in pair)
-            for pair in labels
-        ]
 
-    return payoff
+    return _payoff_fn(point_of, incumbent, challenger, group_rtts, engine)

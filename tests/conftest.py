@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cc.signals import LossEvent, RateSample
+from repro.exec import Engine
 from repro.util.config import LinkConfig
 
 
@@ -102,3 +103,24 @@ class ControllerDriver:
 def driver_factory():
     """Factory for :class:`ControllerDriver` instances."""
     return ControllerDriver
+
+
+class CountingEngine(Engine):
+    """A sequential, cache-less engine that remembers what each
+    ``run_points`` call carried: ``calls[i]`` lists the fingerprints of
+    the i-th call's points."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = []
+
+    def run_points(self, points):
+        points = list(points)
+        self.calls.append([point.fingerprint() for point in points])
+        return super().run_points(points)
+
+
+@pytest.fixture
+def counting_engine():
+    """A fresh :class:`CountingEngine`."""
+    return CountingEngine()

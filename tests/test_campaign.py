@@ -439,8 +439,8 @@ def test_load_campaign_missing_dir(tmp_path):
 
 def test_adaptive_stage_matches_direct_bisection(tmp_path):
     """A campaign NE unit equals hand-wiring bisect_nash (fig9's loop)."""
-    from repro.core.game import bisect_nash
-    from repro.experiments.runner import distribution_throughput_fn
+    from repro.core.game import GroupGame, bisect_nash
+    from repro.experiments.runner import distribution_payoff_fn
 
     spec = _spec(
         defaults={"duration": 5.0, "backend": "fluid"},
@@ -457,14 +457,14 @@ def test_adaptive_stage_matches_direct_bisection(tmp_path):
             assert not stop.value  # Not interrupted.
             break
 
-    fn = distribution_throughput_fn(
+    payoff = distribution_payoff_fn(
         spec.link.with_buffer_bdp(2),
         4,
         duration=5.0,
         backend="fluid",
         seed=0,
     )
-    expected, _cache = bisect_nash(4, fn)
+    expected, _evaluated = bisect_nash(GroupGame([4], payoff))
     got = [row["ne_challenger"] for row in outcomes[0].rows]
     assert got == expected
     assert all(
@@ -475,8 +475,8 @@ def test_adaptive_stage_matches_direct_bisection(tmp_path):
 
 def test_adaptive_campaign_shares_cache_with_figure_path(tmp_path):
     """Campaign units and the raw fig9-style loop hit the same entries."""
-    from repro.core.game import bisect_nash
-    from repro.experiments.runner import distribution_throughput_fn
+    from repro.core.game import GroupGame, bisect_nash
+    from repro.experiments.runner import distribution_payoff_fn
 
     spec = _spec(
         defaults={"duration": 5.0, "backend": "fluid"},
@@ -488,7 +488,7 @@ def test_adaptive_campaign_shares_cache_with_figure_path(tmp_path):
     # Warm the cache exactly the way figure9 would.
     warm = Engine(cache=cache)
     for search in range(2):
-        fn = distribution_throughput_fn(
+        payoff = distribution_payoff_fn(
             spec.link.with_buffer_bdp(2),
             4,
             duration=5.0,
@@ -496,7 +496,7 @@ def test_adaptive_campaign_shares_cache_with_figure_path(tmp_path):
             seed=0 + 7919 * search,
             engine=warm,
         )
-        bisect_nash(4, fn)
+        bisect_nash(GroupGame([4], payoff))
     assert warm.simulated > 0
 
     cold = Engine(cache=cache)

@@ -138,6 +138,66 @@ def test_evolve(capsys):
     assert "converged mix" in out
 
 
+@pytest.fixture
+def evolve(capsys, counting_engine):
+    """Run ``evolve`` on a 5-second game under the counting engine:
+    ``evolve(*argv) -> (exit code, stdout, stderr)``."""
+    from repro.exec import use
+
+    def run(*argv):
+        with use(counting_engine):
+            code = main(["evolve", "--duration", "5", *argv])
+        return (code, *capsys.readouterr())
+
+    return run
+
+
+def test_evolve_measures_the_table_as_one_batch(evolve, counting_engine):
+    code, _out, _err = evolve("--flows", "4")
+    assert code == 0
+    assert [len(call) for call in counting_engine.calls] == [5]
+    assert counting_engine.stats["simulated"] == 5
+
+
+def test_evolve_reads_cca_names_case_insensitively(evolve):
+    # Upper-case names used to read every payoff as 0.0: five "NE".
+    game = ["--flows", "4", "--buffer-bdp", "1"]
+    _, lower, _ = evolve(*game)
+    code, upper, _ = evolve(
+        *game, "--incumbent", "CUBIC", "--challenger", "BBR"
+    )
+    assert code == 0
+    assert "CUBIC vs BBR" in upper
+    assert upper.replace("CUBIC", "cubic").replace("BBR", "bbr") == lower
+    assert "equilibria (±2% tolerance): [4]" in lower
+    assert "converged mix: 0 cubic / 4 bbr" in lower
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--flows", "4", "--start", "9"],  # Was: IndexError, after the sweep.
+        ["--flows", "4", "--start", "-1"],  # Was: exit 0, "-1 bbr".
+        ["--flows", "0"],  # Was: ValueError traceback.
+        ["--flows", "4", "--challenger", "nosuch"],  # Was: KeyError.
+    ],
+)
+def test_evolve_rejects_bad_input_before_simulating(
+    evolve, counting_engine, argv
+):
+    code, _out, err = evolve(*argv)
+    assert code == 2
+    assert err.startswith("bad scenario: ") and err.count("\n") == 1
+    assert counting_engine.stats["simulated"] == 0
+
+
+def test_simulate_unknown_cca_is_bad_input(capsys):
+    assert main(["simulate", "nosuch:1", "cubic:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad scenario: mix entry ('nosuch', 1)")
+    assert "available: ['bbr'," in err and err.count("\n") == 1
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -15,7 +15,7 @@ def test_single_flow_game():
     table = ThroughputTable(
         n_flows=1, lambda_a=[100.0, 0.0], lambda_b=[0.0, 100.0]
     )
-    assert set(table.nash_equilibria()) == {0, 1}
+    assert table.game().nash_equilibria() == [(0,), (1,)]
 
 
 def test_bisect_on_two_flow_game():
@@ -24,10 +24,8 @@ def test_bisect_on_two_flow_game():
         lambda_a=[50.0, 30.0, 0.0],
         lambda_b=[0.0, 70.0, 50.0],
     )
-    equilibria, _ = bisect_nash(
-        2, lambda k: (table.lambda_a[k], table.lambda_b[k])
-    )
-    assert equilibria == table.nash_equilibria()
+    equilibria, _ = bisect_nash(table.game())
+    assert equilibria == [k for (k,) in table.game().nash_equilibria()]
 
 
 def test_nash_with_one_flow():
@@ -77,7 +75,8 @@ def test_throughput_table_with_flat_payoffs():
     table = ThroughputTable(
         n_flows=n, lambda_a=[10.0] * (n + 1), lambda_b=[10.0] * (n + 1)
     )
-    assert table.nash_equilibria() == list(range(n + 1))
+    game = table.game()
+    assert game.nash_equilibria() == [(k,) for k in range(n + 1)]
     # Best response never moves.
-    for start in range(n + 1):
-        assert table.best_response_path(start) == [start]
+    for start in game.states():
+        assert game.best_response_path(start) == [start]

@@ -5,7 +5,7 @@ import logging
 
 import pytest
 
-from repro.core.game import bisect_nash
+from repro.core.game import GroupGame, bisect_nash
 from repro.exec import (
     CACHE_SCHEMA,
     Engine,
@@ -18,7 +18,7 @@ from repro.exec import engine as engine_mod
 from repro.exec import fingerprint as fingerprint_mod
 from repro.experiments.runner import (
     ScenarioResult,
-    distribution_throughput_fn,
+    distribution_payoff_fn,
     group_payoff_fn,
     run_mix,
 )
@@ -148,6 +148,39 @@ def test_scenario_point_validation():
         ScenarioPoint(link=link(), mix=(("cubic", 1),), trials=0)
     with pytest.raises(ValueError):
         ScenarioPoint(link=link(), mix=(("cubic", 1),), duration=0)
+
+
+@pytest.mark.parametrize("backend", ["fluid", "packet"])
+def test_scenario_point_rejects_unknown_cca(backend):
+    # Before the check the name travelled to the substrate and came
+    # back as a KeyError traceback; zero-count entries are named too.
+    for bad in (("nosuch", 1), ("Nope", 0)):
+        with pytest.raises(ValueError) as raised:
+            ScenarioPoint(
+                link=link(), mix=(("cubic", 1), bad), backend=backend
+            )
+        message = str(raised.value)
+        assert f"mix entry {bad}: unknown {backend} congestion" in message
+        assert "'bbr', 'bbr2', 'copa', 'cubic'" in message
+
+
+def test_scenario_point_needs_an_adapter_for_its_backend(monkeypatch):
+    from repro.cc.laws.registry import ALGORITHMS, AlgorithmSpec
+
+    spec = AlgorithmSpec(
+        name="fluidonly",
+        summary="",
+        loss_based=True,
+        laws="repro.cc.laws.reno",
+        packet=None,
+        fluid="repro.fluidsim.flows:FluidReno",
+    )
+    monkeypatch.setitem(ALGORITHMS, "fluidonly", spec)
+    mix = (("FluidOnly", 1), ("cubic", 1))
+    assert ScenarioPoint(link=link(), mix=mix).mix[0] == ("fluidonly", 1)
+    with pytest.raises(ValueError, match="unknown packet congestion") as e:
+        ScenarioPoint(link=link(), mix=mix, backend="packet")
+    assert "fluidonly" not in str(e.value).split("available:")[1]
 
 
 @pytest.mark.parametrize("backend", ["fluid", "packet"])
@@ -346,17 +379,17 @@ def test_scenario_result_dict_roundtrip_exact():
 def test_bisect_nash_reuses_cached_points_across_sweeps(tmp_path):
     cache = ResultCache(tmp_path)
     cold = Engine(cache=cache)
-    fn = distribution_throughput_fn(
+    payoff = distribution_payoff_fn(
         link(), n_flows=5, duration=8, engine=cold
     )
-    equilibria, _ = bisect_nash(5, fn)
+    equilibria, _ = bisect_nash(GroupGame([5], payoff))
     assert cold.stats["simulated"] > 0
 
     warm = Engine(cache=ResultCache(tmp_path))
-    fn2 = distribution_throughput_fn(
+    payoff2 = distribution_payoff_fn(
         link(), n_flows=5, duration=8, engine=warm
     )
-    equilibria2, _ = bisect_nash(5, fn2)
+    equilibria2, _ = bisect_nash(GroupGame([5], payoff2))
     assert equilibria2 == equilibria
     assert warm.stats["simulated"] == 0
     assert warm.stats["cache_hits"] == warm.stats["submitted"]
@@ -374,8 +407,10 @@ def test_group_payoff_fn_cached(tmp_path):
     assert warm.stats["simulated"] == 0
     assert warm.stats["cache_hits"] == 1
     # Validation still happens before the cache is consulted.
-    with pytest.raises(ValueError):
-        group_payoff_fn(link(), engine=warm, **kwargs)((3, 0))
+    payoff = group_payoff_fn(link(), engine=warm, **kwargs)
+    with pytest.raises(ValueError, match="outside the game"):
+        GroupGame([2, 2], payoff).payoffs((1, 2), (3, 0))
+    assert warm.stats["submitted"] == 1
 
 
 # -- worker-death hardening --------------------------------------------------

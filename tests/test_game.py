@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.game import (
-    FlowGroup,
-    GroupGame,
-    ThroughputTable,
-    bisect_nash,
-)
+from repro.core.game import GroupGame, ThroughputTable, bisect_nash
 
 
 def linear_table(n=10, capacity=100.0, crossing=6):
@@ -25,34 +20,51 @@ def linear_table(n=10, capacity=100.0, crossing=6):
     return ThroughputTable(n_flows=n, lambda_a=lambda_a, lambda_b=lambda_b)
 
 
+def equilibria(table, tolerance=0.0):
+    """The NE challenger counts of a played-out table."""
+    return [k for (k,) in table.game(tolerance).nash_equilibria()]
+
+
+def per_state(fn):
+    """A plain ``fn(k) -> (a, b)`` as a one-group round payoff."""
+    return lambda *states: [[fn(k)] for (k,) in states]
+
+
 class TestThroughputTable:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             ThroughputTable(n_flows=3, lambda_a=[1, 2], lambda_b=[1, 2])
 
     def test_from_function(self):
-        table = ThroughputTable.from_function(4, lambda k: (4 - k, k))
+        rounds = []
+
+        def payoff(*states):
+            rounds.append(states)
+            return [[(4 - k, k)] for (k,) in states]
+
+        table = ThroughputTable.from_game(GroupGame([4], payoff))
         assert table.lambda_a == [4, 3, 2, 1, 0]
         assert table.lambda_b == [0, 1, 2, 3, 4]
+        assert rounds == [((0,), (1,), (2,), (3,), (4,))]  # One round.
 
     def test_is_nash_bounds_checked(self):
-        table = linear_table()
-        with pytest.raises(ValueError):
-            table.is_nash(-1)
-        with pytest.raises(ValueError):
-            table.is_nash(11)
+        game = linear_table().game()
+        for state in ((-1,), (11,), (), (3, 3)):
+            with pytest.raises(ValueError, match="outside the game"):
+                game.is_nash(state)
+            with pytest.raises(ValueError, match="outside the game"):
+                game.best_response_path(state)
 
     def test_interior_ne_found(self):
-        table = linear_table(crossing=6)
-        equilibria = table.nash_equilibria()
-        assert equilibria, "an NE must exist (§4.1)"
-        assert all(4 <= k <= 8 for k in equilibria)
+        found = equilibria(linear_table(crossing=6))
+        assert found, "an NE must exist (§4.1)"
+        assert all(4 <= k <= 8 for k in found)
 
     def test_ne_condition_definition(self):
         """§4.4: at an NE, no BBR flow gains from switching to CUBIC and
         no CUBIC flow gains from switching to BBR."""
         table = linear_table()
-        for k in table.nash_equilibria():
+        for k in equilibria(table):
             if k > 0:
                 assert table.lambda_b[k] >= table.lambda_a[k - 1]
             if k < table.n_flows:
@@ -63,29 +75,29 @@ class TestThroughputTable:
         all-BBR (point B)."""
         n = 10
         table = linear_table(n=n, crossing=15)
-        assert table.nash_equilibria() == [n]
+        assert equilibria(table) == [n]
 
     def test_tolerance_widens_ne_set(self):
         table = linear_table()
-        strict = set(table.nash_equilibria())
-        loose = set(table.nash_equilibria(tolerance=2.0))
-        assert strict <= loose
+        strict = set(equilibria(table))
+        loose = set(equilibria(table, tolerance=2.0))
+        assert strict < loose
 
     def test_best_response_converges_to_ne(self):
-        table = linear_table(crossing=6)
+        game = linear_table(crossing=6).game()
         for start in (0, 3, 10):
-            path = table.best_response_path(start)
-            assert table.is_nash(path[-1])
+            path = game.best_response_path((start,))
+            assert game.is_nash(path[-1])
 
     def test_best_response_moves_toward_crossing(self):
-        table = linear_table(crossing=6)
-        path = table.best_response_path(0)
+        game = linear_table(crossing=6).game()
+        path = game.best_response_path((0,))
         assert path == sorted(path)  # Monotone rightward from 0.
 
     def test_best_response_step_at_ne_is_fixed_point(self):
-        table = linear_table()
-        ne = table.nash_equilibria()[0]
-        assert table.best_response_step(ne) == ne
+        game = linear_table().game()
+        ne = game.nash_equilibria()[0]
+        assert game.best_response_step(ne) == ne
 
 
 class TestNeExistenceConditions:
@@ -99,7 +111,7 @@ class TestNeExistenceConditions:
         assert flags["disproportionate_share"]
         assert flags["fills_link_alone"]
         assert flags["ne_expected"]
-        assert table.nash_equilibria()  # The conclusion actually holds.
+        assert equilibria(table)  # The conclusion actually holds.
 
     def test_copa_like_game_fails_condition_one(self):
         from repro.core.game import ne_existence_conditions
@@ -131,10 +143,8 @@ class TestBisectNash:
     def test_matches_exhaustive_enumeration(self):
         for crossing in (2, 5, 8):
             table = linear_table(crossing=crossing)
-            fn = lambda k: (table.lambda_a[k], table.lambda_b[k])
-            fast, _cache = bisect_nash(table.n_flows, fn)
-            slow = table.nash_equilibria()
-            assert set(fast) == set(slow)
+            fast, _evaluated = bisect_nash(table.game())
+            assert set(fast) == set(equilibria(table))
 
     def test_uses_logarithmic_evaluations(self):
         calls = []
@@ -144,24 +154,20 @@ class TestBisectNash:
             calls.append(k)
             return (table.lambda_a[k], table.lambda_b[k])
 
-        bisect_nash(64, fn)
-        assert len(set(calls)) <= 16  # ≪ 65 exhaustive evaluations.
+        bisect_nash(GroupGame([64], per_state(fn)))
+        assert len(calls) == len(set(calls))  # No state asked twice.
+        assert len(calls) <= 16  # ≪ 65 exhaustive evaluations.
 
     def test_extreme_all_bbr(self):
         table = linear_table(n=10, crossing=100)
-        fn = lambda k: (table.lambda_a[k], table.lambda_b[k])
-        equilibria, _ = bisect_nash(10, fn)
-        assert equilibria == [10]
+        found, _ = bisect_nash(table.game())
+        assert found == [10]
 
 
 class TestGroupGame:
     def make_game(self, sizes=(2, 2), favour_group=0):
         """Strategy B is better in ``favour_group`` until half the group
         switched; elsewhere strategy A dominates."""
-        groups = [
-            FlowGroup(rtt=0.01 * (g + 1), size=s)
-            for g, s in enumerate(sizes)
-        ]
 
         def payoff(state):
             out = []
@@ -176,7 +182,9 @@ class TestGroupGame:
                 out.append((a, b))
             return out
 
-        return GroupGame(groups=groups, payoff=payoff)
+        return GroupGame(
+            sizes, lambda *states: [payoff(state) for state in states]
+        )
 
     def test_states_enumeration(self):
         game = self.make_game(sizes=(2, 3))
@@ -186,9 +194,9 @@ class TestGroupGame:
 
     def test_ne_in_favoured_group_only(self):
         game = self.make_game(sizes=(2, 2), favour_group=0)
-        equilibria = game.nash_equilibria()
-        assert equilibria
-        for state in equilibria:
+        found = game.nash_equilibria()
+        assert found
+        for state in found:
             assert state[1] == 0  # Group 1 never switches.
             # Group 0 stops where switching stops paying: b(k+1) ≤ a.
             assert state[0] in (1, 2)
@@ -201,23 +209,45 @@ class TestGroupGame:
     def test_payoffs_cached(self):
         calls = []
 
-        def payoff(state):
-            calls.append(state)
-            return [(1.0, 1.0), (1.0, 1.0)]
+        def payoff(*states):
+            calls.extend(states)
+            return [[(1.0, 1.0), (1.0, 1.0)] for _ in states]
 
-        game = GroupGame(
-            groups=[FlowGroup(0.01, 2), FlowGroup(0.02, 2)],
-            payoff=payoff,
-        )
+        game = GroupGame([2, 2], payoff)
         game.is_nash((1, 1))
         game.is_nash((1, 1))
-        assert len(calls) == len(set(calls))
+        game.payoffs((1, 1), (1, 1), (0, 1))
+        assert len(calls) == len(set(calls)) == 5
+        assert set(game.known) == set(calls)
 
     def test_group_validation(self):
-        with pytest.raises(ValueError):
-            FlowGroup(rtt=0.0, size=2)
-        with pytest.raises(ValueError):
-            FlowGroup(rtt=0.01, size=0)
+        for sizes in ([], [2, 0], [-1]):
+            with pytest.raises(ValueError, match="size >= 1"):
+                GroupGame(sizes, lambda *states: [])
+
+    def test_settle_keeps_the_walk_ends_that_are_ne(self):
+        game = self.make_game()
+        ends = game.settle([(0, 0), (2, 2), (1, 0)])
+        assert ends == sorted(set(ends))
+        assert ends and all(game.is_nash(end) for end in ends)
+        assert ends == [game.best_response_path((0, 0))[-1]]
+
+    def test_cycling_walk_is_cut_at_the_first_revisit(self):
+        # Matching pennies between two one-flow groups: the flow of
+        # group 0 wants to differ from group 1's, which wants to match.
+        def payoff(*states):
+            return [
+                [(float(a != b),) * 2, (float(a == b),) * 2]
+                for a, b in states
+            ]
+
+        game = GroupGame([1, 1], payoff)
+        assert game.nash_equilibria() == []
+        path = game.best_response_path((0, 0))
+        assert len(path) == 5 and path[-1] == path[0]
+        assert len(set(path)) == 4
+        # No walk settles: the smallest end is the best effort.
+        assert game.settle([(0, 0), (1, 1)]) == [min(game.states())]
 
 
 class TestNeExistenceBoundaries:
@@ -293,15 +323,16 @@ class TestBisectNashBracketFailure:
             calls.append(k)
             return (table.lambda_a[k], table.lambda_b[k])
 
-        equilibria, cache = bisect_nash(n, fn)
-        assert equilibria == [0]
+        found, evaluated = bisect_nash(GroupGame([n], per_state(fn)))
+        assert found == [0]
         # The corner fallback inspects a constant-size neighborhood.
-        assert len(cache) <= 5
-        assert set(calls) == set(cache)
+        assert len(evaluated) <= 5
+        assert set(calls) == set(evaluated)
+        assert evaluated[1] == (table.lambda_a[1], table.lambda_b[1])
 
     def test_tiny_games_enumerate_exhaustively(self):
         # n <= 2 skips bisection entirely and checks every k.
         fn = lambda k: (1.0, 2.0 if k else 0.0)  # noqa: E731
-        equilibria, cache = bisect_nash(2, fn)
-        assert equilibria == [2]
-        assert set(cache) == {0, 1, 2}
+        found, evaluated = bisect_nash(GroupGame([2], per_state(fn)))
+        assert found == [2]
+        assert set(evaluated) == {0, 1, 2}

@@ -98,15 +98,15 @@ def test_fluid_sim_diminishing_returns():
 
 def test_empirical_ne_exists_and_is_mixed():
     """§4.4 at test scale: an interior NE exists for a moderate buffer."""
-    from repro.core.game import bisect_nash
-    from repro.experiments.runner import distribution_throughput_fn
+    from repro.core.game import GroupGame, bisect_nash
+    from repro.experiments.runner import distribution_payoff_fn
 
     link = LinkConfig.from_mbps_ms(100, 40, 5)
     n = 8
-    fn = distribution_throughput_fn(
+    payoff = distribution_payoff_fn(
         link, n, duration=120, backend="fluid", seed=23
     )
-    equilibria, _ = bisect_nash(n, fn)
+    equilibria, _ = bisect_nash(GroupGame([n], payoff))
     assert equilibria
     assert any(0 < k < n for k in equilibria)
 

@@ -66,10 +66,12 @@ def _group_payoff(engine=None, trials=1):
 
 
 def test_group_payoffs_bit_equal_to_the_private_trial_loop():
-    payoff = _group_payoff()
-    for golden in GROUP["by_trials"]["1"]:
-        measured = payoff(tuple(golden["state"]))
-        assert measured == [tuple(pair) for pair in golden["payoffs"]]
+    goldens = GROUP["by_trials"]["1"]
+    # One round: every golden state in a single engine batch.
+    measured = _group_payoff()(*(tuple(g["state"]) for g in goldens))
+    assert measured == [
+        [tuple(pair) for pair in golden["payoffs"]] for golden in goldens
+    ]
 
 
 def test_group_payoffs_over_trials_match_the_pooled_mean():
@@ -77,9 +79,8 @@ def test_group_payoffs_over_trials_match_the_pooled_mean():
     # last ulp; no shipped caller passes trials.
     payoff = _group_payoff(trials=3)
     for golden in GROUP["by_trials"]["3"]:
-        for measured, pinned in zip(
-            payoff(tuple(golden["state"])), golden["payoffs"]
-        ):
+        [pairs] = payoff(tuple(golden["state"]))
+        for measured, pinned in zip(pairs, golden["payoffs"]):
             assert measured == pytest.approx(pinned, rel=1e-12)
 
 
@@ -88,7 +89,7 @@ def test_group_game_state_is_one_engine_point(tmp_path):
     cold = Engine(
         cache=ResultCache(tmp_path), tracer=tracer, profile_slowest=1
     )
-    first = _group_payoff(cold)((1, 2))
+    [first] = _group_payoff(cold)((1, 2))
     assert cold.stats["submitted"] == cold.stats["simulated"] == 1
     assert "simulate" in {span.name for span in tracer.spans}
     [profile] = cold.profiled
@@ -109,7 +110,7 @@ def test_group_game_state_is_one_engine_point(tmp_path):
     assert profile["fingerprint"] == point.fingerprint()
 
     warm = Engine(cache=ResultCache(tmp_path))
-    assert _group_payoff(warm)((1, 2)) == first
+    assert _group_payoff(warm)((1, 2)) == [first]
     assert warm.stats["simulated"] == 0
     assert warm.stats["cache_hits"] == warm.stats["submitted"] == 1
     [result] = warm.run_points([point])

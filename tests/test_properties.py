@@ -5,7 +5,7 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.game import ThroughputTable
+from repro.core.game import ThroughputTable, bisect_nash
 from repro.core.multi_flow import desync_backoff, predict_multi_flow
 from repro.core.nash import predict_nash
 from repro.core.two_flow import (
@@ -167,13 +167,58 @@ def monotone_games(draw):
 @settings(max_examples=50)
 def test_nash_equilibrium_always_exists(table):
     """§4.1's theorem: games with the A→B line structure have an NE."""
-    assert table.nash_equilibria(tolerance=1e-9)
+    assert table.game(tolerance=1e-9).nash_equilibria()
+
+
+@st.composite
+def any_games(draw):
+    """Arbitrary (noisy, non-monotone) tables on a coarse grid, so
+    ties and tolerance-sized gaps actually occur."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    column = st.lists(
+        st.integers(min_value=0, max_value=8).map(lambda v: v / 2.0),
+        min_size=n + 1,
+        max_size=n + 1,
+    )
+    tolerance = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return ThroughputTable(n, draw(column), draw(column)), tolerance
+
+
+@given(any_games())
+@settings(max_examples=200, deadline=None)
+def test_ne_predicate_is_the_definition_and_bisection_finds_only_ne(game):
+    """§4.4 written out by brute force: ``k`` is an NE iff neither a
+    challenger flow gains by going back nor an incumbent flow by
+    switching, beyond the tolerance."""
+    table, tolerance = game
+    a, b, n = table.lambda_a, table.lambda_b, table.n_flows
+    brute = [
+        k
+        for k in range(n + 1)
+        if not (k > 0 and a[k - 1] > b[k] + tolerance)
+        and not (k < n and b[k + 1] > a[k] + tolerance)
+    ]
+    asked = table.game(tolerance)
+    assert [k for (k,) in asked.nash_equilibria()] == brute
+    found, evaluated = bisect_nash(table.game(tolerance))
+    assert set(found) <= set(brute)
+    assert all(0 <= k <= n for k in evaluated)
+    # A walk ends at an NE: one group cannot cycle.
+    for (k,) in asked.states():
+        assert asked.best_response_path((k,))[-1][0] in brute
+
+
+@given(monotone_games())
+@settings(max_examples=50)
+def test_bisection_equals_enumeration_on_single_crossing_games(table):
+    found, _ = bisect_nash(table.game())
+    assert found == [k for (k,) in table.game().nash_equilibria()]
 
 
 @given(monotone_games(), st.integers(min_value=0, max_value=30))
 @settings(max_examples=50)
 def test_best_response_terminates_at_ne(table, start):
     start = min(start, table.n_flows)
-    path = table.best_response_path(start)
+    path = table.game().best_response_path((start,))
     assert len(path) <= table.n_flows + 2
-    assert table.is_nash(path[-1], tolerance=1e-9)
+    assert table.game(tolerance=1e-9).is_nash(path[-1])

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.game import GroupGame
 from repro.experiments.runner import (
-    distribution_throughput_fn,
+    distribution_payoff_fn,
     expand_mix,
     group_payoff_fn,
     run_mix,
@@ -86,17 +87,19 @@ def test_rtt_override():
 
 
 def test_distribution_throughput_fn_shape():
-    fn = distribution_throughput_fn(
+    payoff = distribution_payoff_fn(
         link(), n_flows=4, duration=20, backend="fluid"
     )
-    cubic, bbr = fn(2)
+    # A round in, one single-group payoff list per state out.
+    [[(cubic, bbr)], [(_cubic0, bbr0)], [(cubic4, _bbr4)]] = payoff(
+        (2,), (0,), (4,)
+    )
     assert cubic > 0 and bbr > 0
-    cubic0, bbr0 = fn(0)
     assert bbr0 == 0.0
-    cubic4, bbr4 = fn(4)
     assert cubic4 == 0.0
-    with pytest.raises(ValueError):
-        fn(5)
+    # States are range-checked by the game that asks, before it asks.
+    with pytest.raises(ValueError, match="outside the game"):
+        GroupGame([4], payoff).payoffs((5,))
 
 
 def test_group_payoff_fn_shape():
@@ -106,14 +109,14 @@ def test_group_payoff_fn_shape():
         group_sizes=[2, 2],
         duration=20,
     )
-    result = payoff((1, 2))
+    [result] = payoff((1, 2))
     assert len(result) == 2
     inc0, cha0 = result[0]
     assert inc0 > 0 and cha0 > 0
     inc1, cha1 = result[1]
     assert inc1 == 0.0  # Group 1 is all-challenger.
-    with pytest.raises(ValueError):
-        payoff((3, 0))
+    with pytest.raises(ValueError, match="outside the game"):
+        GroupGame([2, 2], payoff).payoffs((3, 0))
 
 
 def test_group_payoff_fn_validates_lengths():
