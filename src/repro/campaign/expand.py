@@ -96,8 +96,19 @@ class Unit:
         }
 
     def unit_id(self) -> str:
-        """Stable identity used by the checkpoint journal."""
-        return fingerprint_payload("campaign_unit", self.params())
+        """Stable identity used by the checkpoint journal.
+
+        Hashed on first use and kept on the (frozen) unit: a run asks
+        for it several times — the journal cross-check, the resume
+        skip scan, the outcome — and every ask after the first is a
+        lookup.  ``expand_units`` builds fresh units, so nothing
+        outlives the run that expanded them.
+        """
+        unit_id = self.__dict__.get("_unit_id")
+        if unit_id is None:
+            unit_id = fingerprint_payload("campaign_unit", self.params())
+            self.__dict__["_unit_id"] = unit_id
+        return unit_id
 
     def to_point(self) -> ScenarioPoint:
         """The scenario point a mix-running (``sweep``) unit executes."""

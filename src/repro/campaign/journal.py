@@ -3,10 +3,12 @@
 The journal is a JSONL file (``journal.jsonl`` inside the campaign
 output directory).  The first line is a header binding the journal to a
 spec fingerprint; every subsequent line records one *completed* unit —
-its id, index, stage, output rows, and wall time.  Appends are flushed
-and ``fsync``-ed, so after a crash the file contains every unit whose
-record returned from :meth:`Journal.append`, plus at most one truncated
-trailing line (the record being written when the process died).  Loading
+its id, index, stage, output rows, and wall time.  Appends go through
+one handle the journal keeps open until :meth:`Journal.close`, and each
+is written, flushed and ``fsync``-ed before :meth:`Journal.append`
+returns, so after a crash the file contains every unit whose record
+returned from it, plus at most one truncated trailing line (the record
+being written when the process died).  Loading
 tolerates exactly that: an undecodable *final* line is discarded;
 corruption anywhere earlier raises :class:`JournalError`, since it means
 the file was edited or damaged, not merely interrupted.
@@ -20,16 +22,19 @@ Reading is streaming: :meth:`Journal.iter_records` yields one record at
 a time from an open handle, so resume/status/``top`` over a million-unit
 journal never materialize the whole file.
 Reads are gzip-transparent — an archived ``journal.jsonl.gz`` resolves
-wherever the plain name would.
+wherever the plain name would — and an append to one is a complete gzip
+member of its own, so a reader that opens the file mid-run never meets
+an unterminated member.
 """
 
 from __future__ import annotations
 
+import gzip
 import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import IO, Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro import __version__
 from repro.obs.export import open_maybe_gzip
@@ -75,7 +80,11 @@ class Journal:
     """Append-only checkpoint log for one campaign directory."""
 
     def __init__(self, path: Union[str, Path]) -> None:
+        #: The append handle, opened by the first :meth:`append`.  Set
+        #: first: ``__del__`` closes it even when the rest raises.
+        self._handle: Optional[IO[bytes]] = None
         self.path = Path(path)
+        self._gzip = self.path.suffix == ".gz"
         #: Validated header of the last (streaming) read.
         self._header: Optional[Dict[str, Any]] = None
 
@@ -120,13 +129,30 @@ class Journal:
         The line is flushed and fsync-ed before returning, so a unit is
         either fully journaled or (after a crash) reproducibly absent —
         its result still sits in the content-addressed cache, making the
-        re-run on resume a cache hit, not a re-simulation.
+        re-run on resume a cache hit, not a re-simulation.  The handle
+        is opened by the first append and kept until :meth:`close`; into
+        an archived ``.gz`` journal each record goes as one whole gzip
+        member.
         """
-        line = record.to_line()
-        with open_maybe_gzip(str(self.path), "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        data = (record.to_line() + "\n").encode("utf-8")
+        if self._gzip:
+            data = gzip.compress(data)
+        handle = self._handle
+        if handle is None:
+            handle = self._handle = open(self.path, "ab")
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+    def close(self) -> None:
+        """Release the append handle (idempotent; a later append opens
+        a new one).  Nothing is pending: every append was fsync-ed."""
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
+
+    def __del__(self) -> None:
+        self.close()
 
     # -- reading -----------------------------------------------------------
 

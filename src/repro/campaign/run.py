@@ -34,9 +34,11 @@ with one ``stage`` span per stage, a ``unit`` span per adaptive or
 population unit, and a ``journal`` span per durable checkpoint append;
 engine-level ``cache_lookup``/``point``/``simulate`` spans nest inside.
 A :class:`repro.obs.progress.ProgressTracker` (created internally unless
-one is passed) counts units done/total per stage and writes an
-atomically-replaced ``progress.json`` sidecar next to the journal after
-every unit — the feed for ``repro-bbr top`` and ``--progress``.
+one is passed) counts units done/total per stage after every unit, and
+an atomically-replaced ``progress.json`` sidecar next to the journal —
+the feed for ``repro-bbr top`` — is written when the run starts, at most
+once per :data:`SIDECAR_INTERVAL_S` while it runs, and once more on the
+way out, however the run ends.
 """
 
 from __future__ import annotations
@@ -81,6 +83,14 @@ __all__ = [
 SPEC_NAME = "spec.json"
 MANIFEST_NAME = "manifest.json"
 SPEC_FILE_SCHEMA = 1
+
+#: Least time between two ``progress.json`` writes inside a run.  The
+#: sidecar is read by people and pollers (``repro-bbr top --follow``
+#: refreshes every 2 s; ``campaign status`` calls a sidecar live for
+#: ``status.SIDECAR_FRESH_S`` = 300 s) and unit counts come from the
+#: journal, so a warm unit — ~100 us of work — does not pay a JSON dump
+#: and a rename to announce itself.
+SIDECAR_INTERVAL_S = 1.0
 
 
 class CampaignError(RuntimeError):
@@ -262,12 +272,15 @@ def run_campaign(
     resume.
 
     Progress: a :class:`ProgressTracker` (the given one, or an internal
-    one) counts units done/total per stage, and after every journaled
-    unit the machine-readable ``progress.json`` sidecar is rewritten
-    atomically next to the journal; ``on_progress`` fires at the same
-    cadence with the tracker (the CLI's live ``--progress`` hook).  The
-    engine's worker heartbeats are wired into the tracker for the run
-    when the engine has no heartbeat sink of its own.
+    one) counts units done/total per stage, and ``on_progress`` fires
+    with it after every journaled unit (the CLI's live ``--progress``
+    hook).  The machine-readable ``progress.json`` sidecar is rewritten
+    atomically next to the journal at the start, then after a unit only
+    when :data:`SIDECAR_INTERVAL_S` has passed since the last write, and
+    once at the end — also when the run raises, so the sidecar left
+    behind agrees with the journal.  The engine's worker heartbeats are
+    wired into the tracker for the run when the engine has no heartbeat
+    sink of its own.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -333,9 +346,10 @@ def run_campaign(
     tracker.update(done_units, len(units), eng.hits)
     tracker.set_rows(sink.rows_seen)
     tracker.write_sidecar(str(sidecar))
+    sidecar_written = perf_counter()
 
     def journal_unit(outcome: UnitOutcome) -> None:
-        nonlocal done_units
+        nonlocal done_units, sidecar_written
         with span(tracer, "journal", "campaign", unit=outcome.unit_id):
             journal.append(
                 JournalRecord(
@@ -360,7 +374,10 @@ def run_campaign(
         )
         tracker.update(done_units, len(units), eng.hits)
         tracker.set_rows(sink.rows_seen)
-        tracker.write_sidecar(str(sidecar))
+        now = perf_counter()
+        if now - sidecar_written >= SIDECAR_INTERVAL_S:
+            tracker.write_sidecar(str(sidecar))
+            sidecar_written = now
         if on_progress is not None:
             on_progress(tracker)
         if log is not None:
@@ -408,8 +425,12 @@ def run_campaign(
         if restore_progress:
             eng.progress = None
         sink.close()
+        journal.close()
+        # The closing write is unconditional and on every exit path:
+        # between interval writes the sidecar lags the journal, and a
+        # run that raises must not leave it lagging.
+        tracker.write_sidecar(str(sidecar))
     wall = perf_counter() - start
-    tracker.write_sidecar(str(sidecar))
 
     # rows_written is what reached the CSV; an interrupted run reports
     # the rows it accepted and leaves no manifest — only a resumable

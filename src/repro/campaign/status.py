@@ -3,13 +3,15 @@
 :func:`campaign_progress` reconstructs a campaign directory's progress
 from its durable artifacts — the frozen spec, the checkpoint journal,
 and (when a run is live or was recently live) the ``progress.json``
-sidecar the :class:`repro.obs.progress.ProgressTracker` rewrites after
-every unit.  The ETA comes from the *same* :func:`repro.obs.progress.
-eta_seconds` formula the live ``--progress`` display uses: the sidecar's
-EWMA rate when one is available, the journal's cumulative mean
-otherwise.  ``repro-bbr campaign status --json`` and ``repro-bbr top``
-are both thin renderings of this one dict — there is no second ETA
-implementation to drift.
+sidecar :func:`repro.campaign.run.run_campaign` rewrites at most once
+per ``SIDECAR_INTERVAL_S`` and once more as it exits — which is why unit
+counts are taken from the journal and only rate, elapsed time and worker
+health from the sidecar.  The ETA comes from the *same*
+:func:`repro.obs.progress.eta_seconds` formula the live ``--progress``
+display uses: the sidecar's EWMA rate when one is available, the
+journal's cumulative mean otherwise.  ``repro-bbr campaign status
+--json`` and ``repro-bbr top`` are both thin renderings of this one
+dict — there is no second ETA implementation to drift.
 """
 
 from __future__ import annotations

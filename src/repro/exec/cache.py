@@ -25,7 +25,7 @@ import logging
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.exec.fingerprint import CACHE_SCHEMA, REPRO_VERSION
 
@@ -74,9 +74,14 @@ class ResultCache:
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_root()
 
+    def _entry(self, fingerprint: str) -> str:
+        # The layout, as one str join: on a warm sweep building the
+        # path through pathlib costs more than reading the entry.
+        return os.path.join(self.root, fingerprint[:2], fingerprint + ".json")
+
     def path_for(self, fingerprint: str) -> Path:
         """Where the entry for ``fingerprint`` lives (existing or not)."""
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
+        return Path(self._entry(fingerprint))
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The cached payload for ``fingerprint``, or None on any miss.
@@ -86,14 +91,39 @@ class ResultCache:
         non-trivial failures are logged at WARNING so silent corruption
         is still observable.
         """
-        path = self.path_for(fingerprint)
+        return self.lookup(fingerprint)[0]
+
+    def lookup(
+        self, fingerprint: str
+    ) -> Tuple[Optional[Dict[str, Any]], bool]:
+        """``(payload, corrupt)`` from one read of the entry.
+
+        ``(payload, False)`` is a hit and ``(None, False)`` a clean miss
+        (no entry).  ``(None, True)`` says an entry is there but cannot
+        be used — unreadable, malformed, wrong schema or key — which
+        :meth:`get` folds into None and the engine counts as a cache
+        error.  The entry is opened once and never ``stat``-ed, so
+        another process writing or clearing it meanwhile cannot make one
+        lookup see both states.
+        """
+        path = self._entry(fingerprint)
         try:
-            raw = path.read_text(encoding="utf-8")
+            with open(path, "rb") as handle:
+                raw = handle.read()
         except FileNotFoundError:
-            return None
+            return None, False
         except OSError as exc:
             logger.warning("cache read failed for %s: %s", path, exc)
-            return None
+            return None, True
+        payload = self._decode(raw, fingerprint, path)
+        return payload, payload is None
+
+    @staticmethod
+    def _decode(
+        raw: bytes, fingerprint: str, path: str
+    ) -> Optional[Dict[str, Any]]:
+        """The payload of an entry's bytes, or None (logged) when they
+        are not a usable entry for ``fingerprint``."""
         try:
             entry = json.loads(raw)
             if entry["schema"] != CACHE_SCHEMA:

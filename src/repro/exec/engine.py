@@ -395,10 +395,10 @@ class Engine:
         """Parent-side cache probe with hit/miss/corruption accounting."""
         if self.cache is None:
             return None
-        path = self.cache.path_for(fingerprint)
-        existed = path.exists()
-        payload = self.cache.get(fingerprint)
-        if payload is None and existed:
+        # One read decides hit, miss or corrupt, so a campaign sharing
+        # the cache cannot change the entry between two looks at it.
+        payload, corrupt = self.cache.lookup(fingerprint)
+        if corrupt:
             with self._lock:
                 self.cache_errors += 1
             if obs is not None:
