@@ -7,10 +7,11 @@ each point from the result cache when it can (lookups always happen in
 the parent process, so hits never pay worker startup) and executes the
 rest as *dispatch units*.
 
-A unit is a list of 1..:data:`CHUNK_MAX_POINTS` pending points, built by
-:meth:`Engine._dispatch_units` — the one grouping rule, whatever
-``jobs`` is: expensive points (and every point, while profiling) are
-units of one; cheap points are split into ``jobs`` roughly equal units.
+A unit is a list of pending points at most :data:`UNIT_MAX_ROWS` flow
+rows wide, built by :meth:`Engine._dispatch_units` — the one grouping
+rule, whatever ``jobs`` is: expensive points (and every point, while
+profiling) are units of one; cheap points are split into ``jobs``
+roughly equal units.
 :func:`_execute_unit` is the only code that runs points.  A unit of
 several points whose fluid members are together wide enough for the
 vectorized substrate runs them as one batched call; every other point
@@ -119,15 +120,19 @@ HOTSPOT_ROWS = 20
 #: into per-worker units instead of submitted one per future.
 CHUNK_COST_THRESHOLD = 20_000.0
 
-#: Upper bound on points per unit (memory guard for the vectorized
-#: batch path).
-CHUNK_MAX_POINTS = 32
+#: Upper bound on a unit's width in flow rows (flows x trials, summed
+#: over its points) — the memory guard of the vectorized batch path,
+#: in the unit that path allocates by.  Measured (docs/PERFORMANCE.md,
+#: "Tick cost", the row-cap curve): a unit's fluid points become one
+#: array block costing ~5.6 MiB of RSS per 1 000 rows, while the time
+#: per row-tick is within ~15 % of its floor from ~2 000 rows on — so
+#: this buys the flat part of the curve for ~11 MiB per worker.
+UNIT_MAX_ROWS = 2048
 
 
 def _point_cost(point: ScenarioPoint) -> float:
     """Estimated cost of a point in flow-seconds (x trials)."""
-    flows = sum(entry[1] for entry in point.mix)
-    return point.duration * point.trials * max(1, flows)
+    return point.duration * point.rows
 
 
 def _chunkable(point: ScenarioPoint) -> bool:
@@ -190,7 +195,12 @@ def _execute_unit(
         pooled = [i for i, p in enumerate(points) if p.backend == "fluid"]
         start = perf_counter()
         with span(
-            tracer, "point_batch", "exec", n=len(pooled), backend="fluid"
+            tracer,
+            "point_batch",
+            "exec",
+            n=len(pooled),
+            rows=sum(points[i].rows for i in pooled),
+            backend="fluid",
         ):
             batch = run_mix_batch([points[i] for i in pooled], obs=obs)
         share = (perf_counter() - start) / len(pooled)
@@ -551,10 +561,11 @@ class Engine:
 
         Expensive points (and everything, while profiling: profiles are
         attributed per point) are solo units.  Cheap points are split
-        into ``jobs`` roughly equal units — one per worker — capped at
-        :data:`CHUNK_MAX_POINTS`; whoever executes a unit decides scalar
-        or vectorized for it (:func:`_execute_unit`), where the live
-        bus/checker state is known.
+        into ``jobs`` roughly equal units — one per worker — and a unit
+        is closed early rather than grow past :data:`UNIT_MAX_ROWS`
+        flow rows; whoever executes a unit decides scalar or vectorized
+        for it (:func:`_execute_unit`), where the live bus/checker
+        state is known.
         """
         if self.profile_slowest > 0:
             return [[fp] for fp in pending_points]
@@ -563,15 +574,18 @@ class Engine:
         ]
         cheap_set = set(cheap)
         units = [[fp] for fp in pending_points if fp not in cheap_set]
-        if len(cheap) < 2:
-            units.extend([fp] for fp in cheap)
-            return units
-        size = min(
-            CHUNK_MAX_POINTS, -(-len(cheap) // self.jobs)  # ceil div
-        )
-        units.extend(
-            cheap[lo:lo + size] for lo in range(0, len(cheap), size)
-        )
+        size = -(-len(cheap) // self.jobs)  # ceil div
+        unit: List[str] = []
+        rows = 0
+        for fp in cheap:
+            width = pending_points[fp].rows
+            if unit and (len(unit) == size or rows + width > UNIT_MAX_ROWS):
+                units.append(unit)
+                unit, rows = [], 0
+            unit.append(fp)
+            rows += width
+        if unit:
+            units.append(unit)
         return units
 
     def _inline_units(

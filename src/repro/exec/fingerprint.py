@@ -157,6 +157,12 @@ class ScenarioPoint:
                 f"{self.warmup} with duration={self.duration}"
             )
 
+    @property
+    def rows(self) -> int:
+        """Flow rows: flows x trials — this point's width in a
+        vectorized batch, and with ``duration`` its cost."""
+        return self.trials * sum(entry[1] for entry in self.mix)
+
     def params(self) -> Dict[str, Any]:
         """The task descriptor hashed by :meth:`fingerprint`."""
         return {

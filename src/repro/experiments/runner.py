@@ -85,11 +85,7 @@ def runs_vectorized(
 
     if resolve(obs) is not None or resolve_check(None) is not None:
         return False
-    rows = sum(
-        point.trials * sum(entry[1] for entry in point.mix)
-        for point in points
-        if point.backend == "fluid"
-    )
+    rows = sum(point.rows for point in points if point.backend == "fluid")
     return rows >= VEC_MIN_ROWS
 
 

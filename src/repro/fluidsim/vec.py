@@ -55,12 +55,6 @@ from repro.fluidsim.vec_laws import TickState, VecKernel
 from repro.sim.network import FlowResult, SimulationResult
 from repro.util.config import LinkConfig
 
-#: Batches smaller than this run segment sums as pure-Python loops:
-#: ``ndarray.tolist()`` floats accumulated left-to-right beat a
-#: max-flows-long sequence of tiny masked-gather array ops until the
-#: point axis is wide enough to amortize them.
-_SMALL_BATCH = 32
-
 
 @dataclass
 class BatchPoint:
@@ -194,24 +188,6 @@ class VecFluidSim:
         self._counts_py = counts_p
         self._arange_f = np.arange(n_flows, dtype=np.int64)
 
-        # ---- kernels: one per control law present in the batch -------
-        by_cc: Dict[str, List[int]] = {}
-        for row, cc in enumerate(cc_of_row):
-            by_cc.setdefault(cc, []).append(row)
-        self.kernels: List[VecKernel] = []
-        self._loss_based = np.zeros(n_flows, dtype=bool)
-        for cc, rows in by_cc.items():
-            cls = laws_registry.vec_class(cc)
-            idx = np.array(rows, dtype=np.int64)
-            kernel = cls(
-                idx,
-                self._rtt[idx],
-                self._mss[idx],
-                [kwargs_of_row[r] for r in rows],
-            )
-            self.kernels.append(kernel)
-            self._loss_based[idx] = kernel.loss_based
-
         # ---- per-point scalars ---------------------------------------
         dts: List[float] = []
         for p, point in enumerate(self.points):
@@ -268,12 +244,17 @@ class VecFluidSim:
         self._cap_events: List[List[Tuple[float, float]]] = []
         self._cap_cursor = [0] * n_points
         trace_points: List[int] = []
+        min_capacity = self._capacity.copy()
         for p, point in enumerate(self.points):
             trace = getattr(point.link, "capacity_trace", None)
             if trace is not None and not trace.is_constant:
                 self._cap_events.append(list(trace.change_events()))
                 self._capacity[p] = (
                     point.link.capacity * trace.scale_at(0.0)
+                )
+                min_capacity[p] = point.link.capacity * min(
+                    [trace.scale_at(0.0)]
+                    + [scale for _, scale in self._cap_events[p]]
                 )
                 self._bdp[p] = (
                     self._capacity[p] * self._rtt[self._starts_p[p]]
@@ -301,6 +282,32 @@ class VecFluidSim:
         self.marked_bytes = np.zeros(n_points)
         self.capacity_changes = [0] * n_points
 
+        # ---- kernels: one per control law present in the batch -------
+        # A row's measured RTT never exceeds its base RTT plus a full
+        # buffer drained at the lowest capacity its trace ever sets;
+        # kernels with time windows size their sample rings from it.
+        rtt_max = self._rtt + (self._buffer / min_capacity)[self._pf]
+        rtt_ticks = rtt_max / self._dt[self._pf]
+        steps_f = self._steps_p[self._pf]
+        by_cc: Dict[str, List[int]] = {}
+        for row, cc in enumerate(cc_of_row):
+            by_cc.setdefault(cc, []).append(row)
+        self.kernels: List[VecKernel] = []
+        self._loss_based = np.zeros(n_flows, dtype=bool)
+        for cc, rows in by_cc.items():
+            cls = laws_registry.vec_class(cc)
+            idx = np.array(rows, dtype=np.int64)
+            kernel = cls(
+                idx,
+                self._rtt[idx],
+                self._mss[idx],
+                [kwargs_of_row[r] for r in rows],
+                rtt_ticks[idx],
+                steps_f[idx],
+            )
+            self.kernels.append(kernel)
+            self._loss_based[idx] = kernel.loss_based
+
         modes = [p.loss_mode for p in self.points]
         self._sync_p = np.array([m == "sync" for m in modes], dtype=bool)
         self._desync_p = np.array(
@@ -316,18 +323,17 @@ class VecFluidSim:
         self._any_uneq = bool((~self._eq_rtt).any())
 
         # ---- sequential segment sums (see module docstring) ----------
-        self._uniform_count = (
-            counts_p[0] if len(set(counts_p)) == 1 else 0
-        )
-        self._sum_uniform = self._uniform_count > 0 and n_points >= 8
-        self._sum_small = not self._sum_uniform and n_points < _SMALL_BATCH
-        if not (self._sum_small or self._sum_uniform):
-            max_flows = max(counts_p)
-            counts = np.array(counts_p, dtype=np.int64)
-            offsets = np.arange(max_flows, dtype=np.int64)
-            self._slot_valid = offsets[:, None] < counts[None, :]
-            rows = self._starts_p[None, :] + offsets[:, None]
-            self._slot_rows = np.where(self._slot_valid, rows, 0)
+        # Flows are (point, flow)-major, so equal-width points are a
+        # [points, flows] block as they stand; ragged batches scatter
+        # into a zero-padded one (slot j of point p at p * width + j).
+        width = max(counts_p)
+        self._sum_shape = (n_points, width)
+        self._pad: Optional[np.ndarray] = None
+        if min(counts_p) < width:
+            self._pad = np.zeros(n_points * width)
+            self._pad_slots = (
+                self._pf * width + self._arange_f - self._starts_p[self._pf]
+            )
 
         # ---- mutable run state ---------------------------------------
         self._inflight = np.zeros(n_flows)
@@ -362,39 +368,18 @@ class VecFluidSim:
         point's flow list: float addition is not associative, so numpy's
         pairwise reductions (``ndarray.sum``, ``add.reduce``,
         ``add.reduceat``) are off by an ulp often enough to diverge the
-        feedback loop.  Instead: batches of same-width points (the
-        engine's common shape) reshape to ``[points, flows]`` and add
-        column by column in place; small ragged batches accumulate
-        Python floats (``tolist`` round-trips float64 exactly); wide
-        ragged batches run one masked gather-add per flow *slot*,
-        accumulating all points in parallel but strictly left-to-right
-        within each point.  Padding slots add ``+0.0``, which is exact
-        for these non-negative accumulators — the scalar loop's
-        skipped terms are likewise ``+0.0`` contributions.
+        feedback loop.  ``ufunc.accumulate`` is strictly sequential, so
+        the last column of a running sum along each ``[points, flows]``
+        row is that sum.  The padding slots of a ragged batch add
+        ``+0.0`` after a point's last flow, which is exact for these
+        non-negative accumulators.
         """
-        if self._sum_uniform:
-            cols = values.reshape(self.n_points, self._uniform_count)
-            acc = cols[:, 0].copy()
-            for j in range(1, self._uniform_count):
-                np.add(acc, cols[:, j], out=acc)
-            return acc
-        if self._sum_small:
-            out = np.empty(self.n_points)
-            vals = values.tolist()
-            pos = 0
-            for p, count in enumerate(self._counts_py):
-                acc = 0.0
-                for _ in range(count):
-                    acc += vals[pos]
-                    pos += 1
-                out[p] = acc
-            return out
-        acc = np.zeros(self.n_points)
-        for j in range(self._slot_rows.shape[0]):
-            acc += np.where(
-                self._slot_valid[j], values[self._slot_rows[j]], 0.0
-            )
-        return acc
+        if self._pad is not None:
+            self._pad[self._pad_slots] = values
+            values = self._pad
+        return np.add.accumulate(values.reshape(self._sum_shape), axis=1)[
+            :, -1
+        ]
 
     # -- queue solving ----------------------------------------------------
 
@@ -415,30 +400,27 @@ class VecFluidSim:
         queue = np.maximum(0.0, total - self._bdp)
         if self._any_uneq:
             uneq = ~self._eq_rtt
-            with np.errstate(all="ignore"):
-                demand = self._segment_sum(
-                    np.where(w > 0, w / self._rtt, 0.0)
-                )
-                queue = np.where(uneq, 0.0, queue)
-                bis = uneq & (demand > cap)
-                if bis.any():
-                    lo = np.zeros(self.n_points)
-                    hi = total.copy()
-                    live = bis.copy()
-                    for _ in range(50):
-                        if not live.any():
-                            break
-                        mid = (lo + hi) / 2.0
-                        qd = mid / cap
-                        terms = np.where(
-                            w > 0, w / (self._rtt + qd[self._pf]), 0.0
-                        )
-                        rate = self._segment_sum(terms)
-                        go_lo = live & (rate > cap)
-                        lo = np.where(go_lo, mid, lo)
-                        hi = np.where(live & ~go_lo, mid, hi)
-                        live = live & ~(hi - lo < 1.0)
-                    queue = np.where(bis, (lo + hi) / 2.0, queue)
+            demand = self._segment_sum(np.where(w > 0, w / self._rtt, 0.0))
+            queue = np.where(uneq, 0.0, queue)
+            bis = uneq & (demand > cap)
+            if np.count_nonzero(bis):
+                lo = np.zeros(self.n_points)
+                hi = total.copy()
+                live = bis.copy()
+                for _ in range(50):
+                    if not np.count_nonzero(live):
+                        break
+                    mid = (lo + hi) / 2.0
+                    qd = mid / cap
+                    terms = np.where(
+                        w > 0, w / (self._rtt + qd[self._pf]), 0.0
+                    )
+                    rate = self._segment_sum(terms)
+                    go_lo = live & (rate > cap)
+                    lo = np.where(go_lo, mid, lo)
+                    hi = np.where(live & ~go_lo, mid, hi)
+                    live = live & ~(hi - lo < 1.0)
+                queue = np.where(bis, (lo + hi) / 2.0, queue)
         return queue, total
 
     # -- main loop --------------------------------------------------------
@@ -453,7 +435,18 @@ class VecFluidSim:
             )
         self._has_run = True
         wall_start = perf_counter()
-        obs = self.obs
+        # Masked-off rows divide by zero and compare NaNs by design
+        # (vec_laws, "Rules that keep the mirror exact"); the warnings
+        # are silenced once here rather than per kernel call per tick.
+        with np.errstate(all="ignore"):
+            self._run_ticks()
+        if self.obs is not None:
+            for p in range(self.n_points):
+                self.obs.count("fluid.steps", int(self._steps_p[p]))
+            self.obs.record_time("sim.run", perf_counter() - wall_start)
+        return self._build_results()
+
+    def _run_ticks(self) -> None:
         check = self.check
         pf = self._pf
         state = TickState(self.n_flows)
@@ -492,7 +485,7 @@ class VecFluidSim:
                 newly = p_act & ~measure_started & (
                     now_p >= self._warmup
                 )
-                if newly.any():
+                if np.count_nonzero(newly):
                     measure_started = measure_started | newly
                     self._measure_start = np.where(
                         newly, now_p, self._measure_start
@@ -537,7 +530,7 @@ class VecFluidSim:
             # 2-3. Solve the queue; handle overflow.
             queue, total = self._solve_queue(w)
             over = queue > self._buffer
-            if over.any():
+            if np.count_nonzero(over):
                 queue, w = self._handle_overflow(
                     state, now_p, w, queue, total, over, lost_tick
                 )
@@ -550,15 +543,14 @@ class VecFluidSim:
 
             if trace_on:
                 due = p_act & (now_p >= next_trace)
-                if due.any():
+                if np.count_nonzero(due):
                     next_trace = np.where(
                         due, now_p + self.trace_interval, next_trace
                     )
                     self._record_trace(due, now_p, w, queue, prev_rate, act)
 
             # 4. Integrate throughput.
-            with np.errstate(all="ignore"):
-                rate = np.where(w > 0, w / (self._rtt + queue_delay[pf]), 0.0)
+            rate = np.where(w > 0, w / (self._rtt + queue_delay[pf]), 0.0)
             prev_rate = rate
             contrib = rate * state.dt
             self._delivered += contrib
@@ -570,7 +562,7 @@ class VecFluidSim:
                 )
             if not plain:
                 done = (w > 0) & (self._delivered >= self._size)
-                if done.any():
+                if np.count_nonzero(done):
                     self._finished = self._finished | done
             if check is not None:
                 check.fluid_vec_conservation(
@@ -595,12 +587,6 @@ class VecFluidSim:
                     tally, self._dt, 0.0
                 )
 
-        if obs is not None:
-            for p in range(self.n_points):
-                obs.count("fluid.steps", int(self._steps_p[p]))
-            obs.record_time("sim.run", perf_counter() - wall_start)
-        return self._build_results()
-
     # -- overflow ---------------------------------------------------------
 
     def _handle_overflow(
@@ -618,7 +604,7 @@ class VecFluidSim:
         excess = queue - self._buffer
         dead = over & (total <= 0)
         dropping_pts = over & (total > 0)
-        if not dropping_pts.any():
+        if not np.count_nonzero(dropping_pts):
             return np.where(dead, self._buffer, queue), w
         if self.obs is not None:
             for p in np.nonzero(dropping_pts)[0]:
@@ -637,8 +623,7 @@ class VecFluidSim:
 
         # Drops land in proportion to in-flight (= queue) share.
         dropping_f = dropping_pts[pf]
-        with np.errstate(all="ignore"):
-            shares = np.where(dropping_f, w / total[pf], 0.0)
+        shares = np.where(dropping_f, w / total[pf], 0.0)
         hit = dropping_f & (w > 0)
         dropped = np.where(hit, excess[pf] * shares, 0.0)
         np.copyto(w, np.maximum(w - dropped, 0.0), where=hit)
@@ -655,7 +640,7 @@ class VecFluidSim:
         np.copyto(
             queue, np.minimum(solved, self._buffer), where=dropping_pts
         )
-        if dead.any():
+        if np.count_nonzero(dead):
             np.copyto(queue, self._buffer, where=dead)
         return queue, w
 
@@ -685,7 +670,7 @@ class VecFluidSim:
             if self._has_desync
             else None
         )
-        if desync is not None and desync.any():
+        if desync is not None and np.count_nonzero(desync):
             scores = np.where(responsive, shares, -np.inf)
             best = np.maximum.reduceat(scores, self._starts_p)
             # Ties break to the lowest index, like Python's max().
@@ -707,25 +692,27 @@ class VecFluidSim:
             ready = prop & (
                 self._drop_accumulator >= self._drop_threshold
             )
-            for row in np.nonzero(ready)[0]:
-                victims[row] = True
-                self._drop_accumulator[row] = 0.0
+            rows = np.nonzero(ready)[0]
+            if len(rows):
+                victims[rows] = True
+                self._drop_accumulator[rows] = 0.0
                 # Jitter the next loss-perception threshold (scalar
                 # draw order: per admitted victim, ascending flow id).
-                p = int(pf[row])
-                self._drop_threshold[row] = self._link_mss[p] * (
-                    0.5 + self._rngs[p].random()
-                )
+                self._drop_threshold[rows] = [
+                    self._link_mss[p] * (0.5 + self._rngs[p].random())
+                    for p in pf[rows].tolist()
+                ]
 
-        if victims.any():
+        rows = np.nonzero(victims)[0]
+        if len(rows):
             for kernel in self.kernels:
                 kernel.on_loss(state, victims)
             np.minimum(w, state.inflight, out=w, where=victims)
-            for row in np.nonzero(victims)[0]:
-                p = int(pf[row])
-                self.loss_events[p][int(self._flow_ids[row])].append(
-                    float(now_p[p])
-                )
+            now = now_p.tolist()
+            for p, flow_id in zip(
+                pf[rows].tolist(), self._flow_ids[rows].tolist()
+            ):
+                self.loss_events[p][flow_id].append(now[p])
 
     def _apply_capacity_steps(self, now_p: np.ndarray) -> None:
         """Apply due capacity-trace steps to traced points.
@@ -796,13 +783,12 @@ class VecFluidSim:
             return queue, w
         total = self._segment_sum(w)
         firing = (vol > 0.0) & (total > 0.0)
-        if not firing.any():
+        if not np.count_nonzero(firing):
             return queue, w
         vol = np.where(firing, np.minimum(vol, total), 0.0)
 
         firing_f = firing[pf]
-        with np.errstate(all="ignore"):
-            shares = np.where(firing_f, w / total[pf], 0.0)
+        shares = np.where(firing_f, w / total[pf], 0.0)
         aff = firing_f & (w > 0)
         amount = np.where(aff, vol[pf] * shares, 0.0)
         # Marks and drops alike feed loss perception (RFC 3168: a mark

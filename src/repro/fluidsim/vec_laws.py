@@ -13,8 +13,10 @@ identical trajectories.
 
 Rules that keep the mirror exact:
 
-* masked-off rows may compute garbage under ``np.errstate`` — it is
-  never written back (every state write is a ``np.where`` on the mask);
+* masked-off rows may compute garbage (division by zero, NaN
+  comparisons) — it is never written back (every state write is masked)
+  and :meth:`repro.fluidsim.vec.VecFluidSim.run` silences the floating-
+  point warnings once, around the whole tick loop, not per kernel call;
 * optional scalar state (``w_max``, ``epoch_start``, ``probe_rtt_until``,
   monitor-interval start, the loss-gate timestamp) is NaN-encoded;
 * windowed filters are ring buffers with monotonic-deque semantics
@@ -82,65 +84,88 @@ class TickState:
 class VecWindowedFilter:
     """Row-parallel sliding-window best-value filter.
 
-    The vectorized :class:`repro.util.filters.WindowedFilter`: ``n``
-    independent monotonic deques stored as flat ring buffers (capacity
-    a power of two, so wrapping is a bitmask) with absolute int64
-    head/tail counters.  ``update`` expires stale heads, discards
-    tail entries shadowed by the new sample, pushes, and returns the
-    per-row best.  Shadow removal exploits the deque invariant — the
-    live values are strictly ordered best-to-worst from head to tail —
-    so the shadowed entries form a suffix found with one *batched
-    binary search* (a handful of full-width ops) instead of the
-    scalar's pop-at-a-time loop, whose worst row would otherwise gate
-    every row's progress.  The surviving entries, and therefore the
-    returned estimates, match the scalar deque bitwise.  Rows start
-    with capacity ``cap`` and double (with a relayout) when full.
+    The vectorized :class:`repro.util.filters.WindowedFilter`: one
+    monotonic deque per row, stored as ring buffers in one flat array
+    with absolute int64 head/tail counters.  Each row has its *own*
+    capacity (a power of two, so wrapping is a per-row bitmask) and
+    its own base offset: a row whose window holds 60 samples does not
+    pay for a batch-mate whose window holds 800.  ``update`` expires
+    stale heads, discards tail entries shadowed by the new sample,
+    pushes, and returns the per-row best.  Shadow removal exploits the
+    deque invariant — the live values are strictly ordered
+    best-to-worst from head to tail — so the shadowed entries form a
+    suffix found with one *batched binary search* (a handful of
+    full-width ops) instead of the scalar's pop-at-a-time loop, whose
+    worst row would otherwise gate every row's progress.  The
+    surviving entries, and therefore the returned estimates, match the
+    scalar deque bitwise.
+
+    Args:
+        depth: Per row, the number of samples the ring must hold; a
+            caller that knows its window passes the bound and never
+            reallocates.  A row that fills up regardless doubles (only
+            it — see :meth:`_grow`), so a wrong bound costs a relayout,
+            never a sample.
+        is_max: Max filter (``>=`` shadows) or min filter (``<=``).
 
     The scalar filter clamps non-monotonic clocks; the fluid tick loop
     only ever feeds monotonic times, so the clamp is omitted here.
     """
 
-    def __init__(self, n: int, is_max: bool, cap: int = 16) -> None:
+    def __init__(self, depth: np.ndarray, is_max: bool) -> None:
+        n = len(depth)
         self.n = n
-        self.cap = cap
         self.is_max = is_max
-        # Flat [n * cap] ring storage; row r owns [r * cap, (r+1) * cap).
-        self.times = np.zeros(n * cap)
-        self.values = np.zeros(n * cap)
         self.head = np.zeros(n, dtype=np.int64)
         self.tail = np.zeros(n, dtype=np.int64)
-        self._base = np.arange(n) * cap
+        #: Times the storage was re-laid out because a row filled up.
+        self.reallocations = 0
+        # Smallest power of two >= depth (and >= 2), per row.
+        cap = 1 << np.frexp(np.maximum(depth, 2) - 1)[1].astype(np.int64)
+        self._layout(cap)
         # Scratch buffers: update() runs every tick, so its index
         # arithmetic writes into preallocated arrays (``out=``) rather
         # than allocating ~a dozen temporaries per search iteration.
         self._i1 = np.zeros(n, dtype=np.int64)
         self._i2 = np.zeros(n, dtype=np.int64)
+        self._i3 = np.zeros(n, dtype=np.int64)
         self._lo = np.zeros(n, dtype=np.int64)
-        self._hi = np.zeros(n, dtype=np.int64)
+        self._count = np.zeros(n, dtype=np.int64)
         self._f1 = np.zeros(n)
         self._m1 = np.zeros(n, dtype=bool)
         self._m2 = np.zeros(n, dtype=bool)
-        self._probe = np.zeros(n, dtype=bool)
+        self._m3 = np.zeros(n, dtype=bool)
 
-    def _grow(self) -> None:
-        cap, n = self.cap, self.n
+    def _layout(self, cap: np.ndarray) -> None:
+        """Flat storage for per-row capacities ``cap``: row ``r`` owns
+        ``[base[r], base[r] + cap[r])`` and absolute position ``k`` of
+        its deque lives at ``base[r] + (k & wrap[r])``."""
+        self.cap = cap
+        self._wrap = cap - 1
+        self._base = np.cumsum(cap) - cap
+        total = int(cap.sum())
+        self.times = np.zeros(total)
+        self.values = np.zeros(total)
+
+    def _grow(self, full: np.ndarray) -> None:
+        """Double the capacity of the ``full`` rows, and only theirs.
+
+        Head and tail are absolute counters, so a live entry keeps its
+        position ``k``; only where ``k`` lands in the flat storage
+        changes.  Every row's live entries move in one gather/scatter.
+        """
+        times, values = self.times, self.values
+        base, wrap = self._base, self._wrap
         count = self.tail - self.head
-        offsets = np.arange(cap)
-        src = (self.head[:, None] + offsets[None, :]) & (cap - 1)
-        new_times = np.zeros((n, cap * 2))
-        new_values = np.zeros((n, cap * 2))
-        new_times[:, :cap] = np.take_along_axis(
-            self.times.reshape(n, cap), src, axis=1
-        )
-        new_values[:, :cap] = np.take_along_axis(
-            self.values.reshape(n, cap), src, axis=1
-        )
-        self.times = new_times.reshape(-1)
-        self.values = new_values.reshape(-1)
-        self.head = np.zeros(n, dtype=np.int64)
-        self.tail = count
-        self.cap = cap * 2
-        self._base = np.arange(n) * self.cap
+        row = np.repeat(np.arange(self.n), count)
+        first = np.cumsum(count) - count
+        k = self.head[row] + (np.arange(len(row)) - first[row])
+        src = base[row] + (k & wrap[row])
+        self._layout(np.where(full, self.cap * 2, self.cap))
+        dst = self._base[row] + (k & self._wrap[row])
+        self.times[dst] = times[src]
+        self.values[dst] = values[src]
+        self.reallocations += 1
 
     def update(
         self,
@@ -150,10 +175,10 @@ class VecWindowedFilter:
         window: np.ndarray,
     ) -> np.ndarray:
         """Push ``value`` at ``now`` for masked rows; return the best."""
-        base, wrap = self._base, self.cap - 1
+        base, wrap = self._base, self._wrap
         head, tail = self.head, self.tail
         idx, mid = self._i1, self._i2
-        f1, stale, cut, probing = self._f1, self._m1, self._m2, self._probe
+        f1, stale, cut, exists = self._f1, self._m1, self._m2, self._m3
         horizon = now - window
         while True:  # expire stale heads (amortized: one per push)
             np.bitwise_and(head, wrap, out=idx)
@@ -163,45 +188,46 @@ class VecWindowedFilter:
             np.less(head, tail, out=cut)  # has entries
             np.logical_and(stale, cut, out=stale)
             np.logical_and(stale, mask, out=stale)
-            if not stale.any():
+            if not np.count_nonzero(stale):
                 break
             head += stale
         # New tail by binary search: live values run strictly best-to-
-        # worst from head, so entries shadowed by the new sample are
-        # exactly the suffix where (value beats entry); its first index
-        # is the surviving count.
-        lo, hi = self._lo, self._hi
+        # worst from head, so the entries the new sample does not
+        # shadow are exactly a prefix.  Its length is built bit by bit,
+        # highest first: ``lo + step`` entries survive iff that many
+        # exist and the last of them still beats the sample (samples
+        # are finite, so "not shadowed" is a strict comparison).  The
+        # trip count is the deepest row's bit length for every row, so
+        # no per-row "still searching" mask is needed.
+        lo, count, last = self._lo, self._count, self._i3
         lo.fill(0)
-        np.subtract(tail, head, out=hi)
-        while True:
-            np.less(lo, hi, out=probing)
-            if not probing.any():
-                break
-            np.add(lo, hi, out=mid)
-            np.right_shift(mid, 1, out=mid)
-            np.add(head, mid, out=idx)
-            np.bitwise_and(idx, wrap, out=idx)
-            np.add(idx, base, out=idx)
-            self.values.take(idx, out=f1)
+        np.subtract(tail, head, out=count)
+        np.subtract(head, 1, out=idx)  # the j-th entry sits at head-1+j
+        step = (1 << int(count.max()).bit_length()) >> 1
+        while step:
+            np.add(lo, step, out=mid)
+            np.add(idx, mid, out=last)
+            np.bitwise_and(last, wrap, out=last)
+            np.add(last, base, out=last)
+            self.values.take(last, out=f1)
             if self.is_max:
-                np.greater_equal(value, f1, out=cut)
+                np.less(value, f1, out=cut)
             else:
-                np.less_equal(value, f1, out=cut)
-            np.logical_and(cut, probing, out=cut)
-            np.copyto(hi, mid, where=cut)
-            np.logical_not(cut, out=cut)
-            np.logical_and(cut, probing, out=cut)
-            mid += 1
+                np.greater(value, f1, out=cut)
+            np.less_equal(mid, count, out=exists)
+            np.logical_and(cut, exists, out=cut)
             np.copyto(lo, mid, where=cut)
+            step >>= 1
         np.add(head, lo, out=idx)
         np.copyto(tail, idx, where=mask)
-        if int((tail - head).max()) >= self.cap:
-            self._grow()
-            base, wrap = self._base, self.cap - 1
-            head, tail = self.head, self.tail
+        np.subtract(tail, head, out=idx)
+        np.greater_equal(idx, self.cap, out=cut)
+        if np.count_nonzero(cut):
+            self._grow(cut)
+            base, wrap = self._base, self._wrap
         np.bitwise_and(tail, wrap, out=idx)
         np.add(idx, base, out=idx)
-        if mask.all():
+        if np.count_nonzero(mask) == self.n:
             self.times[idx] = now
             self.values[idx] = value
             tail += 1
@@ -217,9 +243,7 @@ class VecWindowedFilter:
     def get(self) -> np.ndarray:
         """Per-row best in window (0.0 for empty rows), no expiry —
         matching ``WindowedFilter.get()`` without a clock."""
-        best = self.values.take(
-            self._base + (self.head & (self.cap - 1))
-        )
+        best = self.values.take(self._base + (self.head & self._wrap))
         return np.where(self.tail > self.head, best, 0.0)
 
 
@@ -244,6 +268,11 @@ class VecKernel:
         mss: Segment size per row, bytes (float).
         cc_kwargs: Per-row constructor keyword dicts, mirroring the
             scalar adapters' signatures (unknown keys raise TypeError).
+        rtt_ticks: Per row, an upper bound on the ticks one measured
+            RTT spans: base RTT plus a full buffer drained at the link's
+            lowest capacity, over the tick length.
+        steps: Per row, the ticks its point runs.  Together they bound
+            how many per-tick samples a time window can ever hold.
     """
 
     name = "fluid-vec"
@@ -256,6 +285,8 @@ class VecKernel:
         rtt: np.ndarray,
         mss: np.ndarray,
         cc_kwargs: Sequence[Dict[str, object]],
+        rtt_ticks: np.ndarray,
+        steps: np.ndarray,
     ) -> None:
         for kwargs in cc_kwargs:
             _pop_kwargs(self.name, kwargs, self._allowed_kwargs)
@@ -302,31 +333,30 @@ class VecReno(VecKernel):
     name = "reno"
     loss_based = True
 
-    def __init__(self, rows, rtt, mss, cc_kwargs) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs)
+    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
         self.in_slow_start = np.ones(self.n, dtype=bool)
 
     def tick(self, state: TickState) -> None:
         idx = self.rows
         act = state.active[idx]
-        if not act.any():
+        if not np.count_nonzero(act):
             return
         rttm = state.rtt_measured[idx]
         dt = state.dt[idx]
         w = state.inflight[idx]
-        with np.errstate(all="ignore"):
-            self._last_rtt = np.where(act, rttm, self._last_rtt)
-            grown = np.where(
-                self.in_slow_start,
-                w * mathops.exp2(dt / rttm),
-                w + self.mss * dt / rttm,
-            )
+        self._last_rtt = np.where(act, rttm, self._last_rtt)
+        grown = np.where(
+            self.in_slow_start,
+            w * mathops.exp2(dt / rttm),
+            w + self.mss * dt / rttm,
+        )
         state.inflight[idx] = np.where(act, grown, w)
 
     def on_loss(self, state: TickState, victims: np.ndarray) -> None:
         idx = self.rows
         hit = victims[idx]
-        if not hit.any():
+        if not np.count_nonzero(hit):
             return
         adm = self._admit(state.now[idx], hit)
         w = state.inflight[idx]
@@ -342,8 +372,8 @@ class VecCubic(VecKernel):
     loss_based = True
     _allowed_kwargs = ("fast_convergence",)
 
-    def __init__(self, rows, rtt, mss, cc_kwargs) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs)
+    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
         self.fast_convergence = np.array(
             [bool(k.get("fast_convergence", True)) for k in cc_kwargs]
         )
@@ -355,69 +385,65 @@ class VecCubic(VecKernel):
     def tick(self, state: TickState) -> None:
         idx = self.rows
         act = state.active[idx]
-        if not act.any():
+        if not np.count_nonzero(act):
             return
         now = state.now[idx]
         rttm = state.rtt_measured[idx]
         thr = state.throughput[idx]
         dt = state.dt[idx]
         w = state.inflight[idx]
-        with np.errstate(all="ignore"):
-            np.copyto(self._last_rtt, rttm, where=act)
-            ca = act & ~self.in_slow_start
-            begin = ca & np.isnan(self.epoch_start)
-            if begin.any():
-                np.copyto(self.epoch_start, now, where=begin)
-                cwnd_seg = w / self.mss
-                anchor = begin & (
-                    np.isnan(self.w_max_pkts) | (self.w_max_pkts < cwnd_seg)
-                )
-                np.copyto(self.w_max_pkts, cwnd_seg, where=anchor)
-                np.copyto(self.k, 0.0, where=anchor)
-                rebase = begin & ~anchor
-                if rebase.any():
-                    # cubic_k is elementwise, so computing it on just
-                    # the rebasing rows matches the full-width np.where
-                    # bitwise while skipping np.power everywhere else.
-                    self.k[rebase] = mathops.cubic_k(
-                        self.w_max_pkts[rebase]
-                    )
-            t = now - self.epoch_start
-            target_pkts = mathops.cubic_window(t, self.k, self.w_max_pkts)
-            target = np.maximum(target_pkts * self.mss, self.min_inflight)
-            max_growth = np.maximum(thr * dt, self.mss * dt / rttm)
-            grown = np.minimum(target, w + max_growth)
-            np.copyto(grown, w, where=~ca)
-            ss = act & self.in_slow_start
-            if ss.any():
-                np.copyto(grown, w * mathops.exp2(dt / rttm), where=ss)
+        np.copyto(self._last_rtt, rttm, where=act)
+        ca = act & ~self.in_slow_start
+        begin = ca & np.isnan(self.epoch_start)
+        if np.count_nonzero(begin):
+            np.copyto(self.epoch_start, now, where=begin)
+            cwnd_seg = w / self.mss
+            anchor = begin & (
+                np.isnan(self.w_max_pkts) | (self.w_max_pkts < cwnd_seg)
+            )
+            np.copyto(self.w_max_pkts, cwnd_seg, where=anchor)
+            np.copyto(self.k, 0.0, where=anchor)
+            rebase = begin & ~anchor
+            if np.count_nonzero(rebase):
+                # cubic_k is elementwise, so computing it on just the
+                # rebasing rows matches the full-width np.where bitwise
+                # while skipping np.power everywhere else.
+                self.k[rebase] = mathops.cubic_k(self.w_max_pkts[rebase])
+        t = now - self.epoch_start
+        target_pkts = mathops.cubic_window(t, self.k, self.w_max_pkts)
+        target = np.maximum(target_pkts * self.mss, self.min_inflight)
+        max_growth = np.maximum(thr * dt, self.mss * dt / rttm)
+        grown = np.minimum(target, w + max_growth)
+        np.copyto(grown, w, where=~ca)
+        ss = act & self.in_slow_start
+        if np.count_nonzero(ss):
+            np.copyto(grown, w * mathops.exp2(dt / rttm), where=ss)
         state.inflight[idx] = grown
 
     def on_loss(self, state: TickState, victims: np.ndarray) -> None:
         idx = self.rows
         hit = victims[idx]
-        if not hit.any():
+        if not np.count_nonzero(hit):
             return
         adm = self._admit(state.now[idx], hit)
-        if not adm.any():
+        if not np.count_nonzero(adm):
             return
         w = state.inflight[idx]
-        with np.errstate(all="ignore"):
-            cwnd_seg = w / self.mss
-            shrink = (
-                self.fast_convergence
-                & ~np.isnan(self.w_max_pkts)
-                & (cwnd_seg < self.w_max_pkts)
-            )
-            new_w_max = np.where(
-                shrink,
-                cwnd_seg * (2.0 - cubic_laws.BETA_CUBIC) / 2.0,
-                cwnd_seg,
-            )
-            np.copyto(self.w_max_pkts, new_w_max, where=adm)
-            self.k[adm] = mathops.cubic_k(self.w_max_pkts[adm])
-            cut = np.maximum(w * cubic_laws.BETA_CUBIC, self.min_inflight)
-            np.copyto(w, cut, where=adm)
+        cwnd_seg = w / self.mss
+        shrink = (
+            self.fast_convergence
+            & ~np.isnan(self.w_max_pkts)
+            & (cwnd_seg < self.w_max_pkts)
+        )
+        new_w_max = np.where(
+            shrink,
+            cwnd_seg * (2.0 - cubic_laws.BETA_CUBIC) / 2.0,
+            cwnd_seg,
+        )
+        np.copyto(self.w_max_pkts, new_w_max, where=adm)
+        self.k[adm] = mathops.cubic_k(self.w_max_pkts[adm])
+        cut = np.maximum(w * cubic_laws.BETA_CUBIC, self.min_inflight)
+        np.copyto(w, cut, where=adm)
         state.inflight[idx] = w
         np.copyto(self.epoch_start, np.nan, where=adm)
         np.copyto(self.in_slow_start, False, where=adm)
@@ -429,59 +455,58 @@ class VecVegas(VecKernel):
     name = "vegas"
     loss_based = True
 
-    def __init__(self, rows, rtt, mss, cc_kwargs) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs)
+    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
         self.base_rtt = rtt.copy()
         self.in_slow_start = np.ones(self.n, dtype=bool)
 
     def tick(self, state: TickState) -> None:
         idx = self.rows
         act = state.active[idx]
-        if not act.any():
+        if not np.count_nonzero(act):
             return
         rttm = state.rtt_measured[idx]
         dt = state.dt[idx]
         w = state.inflight[idx]
-        with np.errstate(all="ignore"):
-            self._last_rtt = np.where(act, rttm, self._last_rtt)
-            self.base_rtt = np.where(
-                act, np.minimum(self.base_rtt, rttm), self.base_rtt
-            )
-            # vegas_laws.queued_packets; base_rtt is finite and rttm > 0
-            # on the fluid substrate, so the degenerate guard is moot.
-            expected = w / self.base_rtt
-            actual = w / rttm
-            diff = (expected - actual) * self.base_rtt / self.mss
-            per_rtt = self.mss * dt / rttm
-            was_ss = self.in_slow_start.copy()
-            ss = act & was_ss
-            leave = ss & (diff > vegas_laws.GAMMA_PACKETS)
-            self.in_slow_start = np.where(leave, False, self.in_slow_start)
-            stay = ss & ~leave
-            w_ss = w * mathops.exp2(dt / (2 * rttm))
-            # Exiting slow start falls through to the CA rules this tick.
-            ca = act & (~was_ss | leave)
-            inc = ca & (diff < vegas_laws.ALPHA_PACKETS)
-            dec = ca & (diff > vegas_laws.BETA_PACKETS)
-            grown = np.where(
-                stay,
-                w_ss,
+        self._last_rtt = np.where(act, rttm, self._last_rtt)
+        self.base_rtt = np.where(
+            act, np.minimum(self.base_rtt, rttm), self.base_rtt
+        )
+        # vegas_laws.queued_packets; base_rtt is finite and rttm > 0
+        # on the fluid substrate, so the degenerate guard is moot.
+        expected = w / self.base_rtt
+        actual = w / rttm
+        diff = (expected - actual) * self.base_rtt / self.mss
+        per_rtt = self.mss * dt / rttm
+        was_ss = self.in_slow_start.copy()
+        ss = act & was_ss
+        leave = ss & (diff > vegas_laws.GAMMA_PACKETS)
+        self.in_slow_start = np.where(leave, False, self.in_slow_start)
+        stay = ss & ~leave
+        w_ss = w * mathops.exp2(dt / (2 * rttm))
+        # Exiting slow start falls through to the CA rules this tick.
+        ca = act & (~was_ss | leave)
+        inc = ca & (diff < vegas_laws.ALPHA_PACKETS)
+        dec = ca & (diff > vegas_laws.BETA_PACKETS)
+        grown = np.where(
+            stay,
+            w_ss,
+            np.where(
+                inc,
+                w + per_rtt,
                 np.where(
-                    inc,
-                    w + per_rtt,
-                    np.where(
-                        dec,
-                        np.maximum(w - per_rtt, self.min_inflight),
-                        w,
-                    ),
+                    dec,
+                    np.maximum(w - per_rtt, self.min_inflight),
+                    w,
                 ),
-            )
+            ),
+        )
         state.inflight[idx] = grown
 
     def on_loss(self, state: TickState, victims: np.ndarray) -> None:
         idx = self.rows
         hit = victims[idx]
-        if not hit.any():
+        if not np.count_nonzero(hit):
             return
         adm = self._admit(state.now[idx], hit)
         self.in_slow_start = np.where(adm, False, self.in_slow_start)
@@ -497,8 +522,8 @@ class VecCopa(VecKernel):
     loss_based = True
     _allowed_kwargs = ("delta",)
 
-    def __init__(self, rows, rtt, mss, cc_kwargs) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs)
+    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
         deltas = [
             float(k.get("delta", copa_laws.DEFAULT_DELTA)) for k in cc_kwargs
         ]
@@ -506,7 +531,11 @@ class VecCopa(VecKernel):
             if delta <= 0:
                 raise ValueError(f"delta must be positive, got {delta}")
         self.delta = np.array(deltas)
-        self.rtt_min_filter = VecWindowedFilter(self.n, is_max=False)
+        # The 10 s window bounds nothing useful (2 000+ ticks): rows
+        # start small and the ones whose RTT ramps that long grow.
+        self.rtt_min_filter = VecWindowedFilter(
+            np.full(self.n, 16), is_max=False
+        )
         self._rtt_min_window = np.full(self.n, copa_laws.RTT_MIN_WINDOW)
         self.velocity = np.ones(self.n)
         self.direction = np.zeros(self.n)
@@ -516,59 +545,58 @@ class VecCopa(VecKernel):
     def tick(self, state: TickState) -> None:
         idx = self.rows
         act = state.active[idx]
-        if not act.any():
+        if not np.count_nonzero(act):
             return
         now = state.now[idx]
         rttm = state.rtt_measured[idx]
         thr = state.throughput[idx]
         dt = state.dt[idx]
         w = state.inflight[idx]
-        with np.errstate(all="ignore"):
-            self._last_rtt = np.where(act, rttm, self._last_rtt)
-            rtt_min = self.rtt_min_filter.update(
-                act, now, rttm, self._rtt_min_window
-            )
-            dq = np.maximum(rttm - rtt_min, 0.0)
-            target_rate = np.where(
-                dq <= 1e-9, np.inf, self.mss / (self.delta * dq)
-            )
-            current_rate = w / rttm
-            direction = np.where(current_rate <= target_rate, 1.0, -1.0)
-            flip = act & (direction != self.direction)
-            self.velocity = np.where(flip, 1.0, self.velocity)
-            self.same_direction = np.where(flip, 0, self.same_direction)
-            due = act & ~flip & (now >= self.next_velocity_update)
-            self.next_velocity_update = np.where(
-                due, now + rttm, self.next_velocity_update
-            )
-            self.same_direction = np.where(
-                due, self.same_direction + 1, self.same_direction
-            )
-            dbl = due & (
-                self.same_direction >= copa_laws.VELOCITY_DOUBLE_ROUNDS
-            )
-            self.velocity = np.where(
-                dbl,
-                np.minimum(self.velocity * 2.0, copa_laws.VELOCITY_CAP),
-                self.velocity,
-            )
-            acked_pkts = thr * dt / self.mss
-            step = (
-                self.velocity
-                * self.mss
-                * self.mss
-                * acked_pkts
-                / (self.delta * np.maximum(w, self.mss))
-            )
-            step = np.minimum(step, w)
-            grown = np.maximum(w + direction * step, self.min_inflight)
-            self.direction = np.where(act, direction, self.direction)
+        self._last_rtt = np.where(act, rttm, self._last_rtt)
+        rtt_min = self.rtt_min_filter.update(
+            act, now, rttm, self._rtt_min_window
+        )
+        dq = np.maximum(rttm - rtt_min, 0.0)
+        target_rate = np.where(
+            dq <= 1e-9, np.inf, self.mss / (self.delta * dq)
+        )
+        current_rate = w / rttm
+        direction = np.where(current_rate <= target_rate, 1.0, -1.0)
+        flip = act & (direction != self.direction)
+        self.velocity = np.where(flip, 1.0, self.velocity)
+        self.same_direction = np.where(flip, 0, self.same_direction)
+        due = act & ~flip & (now >= self.next_velocity_update)
+        self.next_velocity_update = np.where(
+            due, now + rttm, self.next_velocity_update
+        )
+        self.same_direction = np.where(
+            due, self.same_direction + 1, self.same_direction
+        )
+        dbl = due & (
+            self.same_direction >= copa_laws.VELOCITY_DOUBLE_ROUNDS
+        )
+        self.velocity = np.where(
+            dbl,
+            np.minimum(self.velocity * 2.0, copa_laws.VELOCITY_CAP),
+            self.velocity,
+        )
+        acked_pkts = thr * dt / self.mss
+        step = (
+            self.velocity
+            * self.mss
+            * self.mss
+            * acked_pkts
+            / (self.delta * np.maximum(w, self.mss))
+        )
+        step = np.minimum(step, w)
+        grown = np.maximum(w + direction * step, self.min_inflight)
+        self.direction = np.where(act, direction, self.direction)
         state.inflight[idx] = np.where(act, grown, w)
 
     def on_loss(self, state: TickState, victims: np.ndarray) -> None:
         idx = self.rows
         hit = victims[idx]
-        if not hit.any():
+        if not np.count_nonzero(hit):
             return
         adm = self._admit(state.now[idx], hit)
         w = state.inflight[idx]
@@ -585,12 +613,18 @@ class VecBBR(VecKernel):
     _allowed_kwargs = ("gain_cycling",)
     _probe_rtt_interval = bbr_laws.RTPROP_FILTER_LEN
 
-    def __init__(self, rows, rtt, mss, cc_kwargs) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs)
+    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
         self.gain_cycling = np.array(
             [bool(k.get("gain_cycling", True)) for k in cc_kwargs]
         )
-        self.bw_filter = VecWindowedFilter(self.n, is_max=True)
+        # One sample per tick, kept for at most BTLBW_FILTER_ROUNDS
+        # measured RTTs (+ the sample being pushed, + clock rounding)
+        # and never more than the run has ticks.
+        window = (bbr_laws.BTLBW_FILTER_ROUNDS * rtt_ticks).astype(np.int64)
+        self.bw_filter = VecWindowedFilter(
+            np.minimum(window + 3, steps + 1), is_max=True
+        )
         self.rtt_min_est = rtt.copy()
         self.rtt_min_stamp = np.zeros(self.n)
         self.in_startup = np.ones(self.n, dtype=bool)
@@ -610,122 +644,121 @@ class VecBBR(VecKernel):
     def tick(self, state: TickState) -> None:
         idx = self.rows
         act = state.active[idx]
-        if not act.any():
+        if not np.count_nonzero(act):
             return
         now = state.now[idx]
         rttm = state.rtt_measured[idx]
         thr = state.throughput[idx]
         dt = state.dt[idx]
         w = state.inflight[idx]
-        with np.errstate(all="ignore"):
-            np.copyto(self._last_rtt, rttm, where=act)
-            window = bbr_laws.BTLBW_FILTER_ROUNDS * rttm
-            self.bw_filter.update(act & (thr > 0.0), now, thr, window)
-            # _update_rtt_min: new minima refresh estimate and stamp;
-            # while probing, track the best RTT seen draining.
-            probing = ~np.isnan(self.probe_rtt_until)
-            new_min = act & (rttm <= self.rtt_min_est)
-            np.copyto(self.rtt_min_est, rttm, where=new_min)
-            np.copyto(self.rtt_min_stamp, now, where=new_min)
-            drain_min = act & ~new_min & probing
-            if drain_min.any():
-                np.minimum(
-                    self.rtt_min_est,
-                    rttm,
-                    out=self.rtt_min_est,
-                    where=drain_min,
-                )
-
-            in_probe = act & probing
-            hold = in_probe & (now < self.probe_rtt_until)
-            np.copyto(w, self.probe_rtt_floor, where=hold)
-            leave = in_probe & ~hold
-            if leave.any():
-                np.copyto(self.probe_rtt_until, np.nan, where=leave)
-                np.copyto(self.rtt_min_stamp, now, where=leave)
-                np.copyto(self.cycle_stamp, now, where=leave)
-                np.copyto(w, self.inflight_before_probe, where=leave)
-
-            run = act & ~hold
-            expire = run & (
-                now - self.rtt_min_stamp > self._probe_rtt_interval
+        np.copyto(self._last_rtt, rttm, where=act)
+        window = bbr_laws.BTLBW_FILTER_ROUNDS * rttm
+        self.bw_filter.update(act & (thr > 0.0), now, thr, window)
+        # _update_rtt_min: new minima refresh estimate and stamp;
+        # while probing, track the best RTT seen draining.
+        probing = ~np.isnan(self.probe_rtt_until)
+        new_min = act & (rttm <= self.rtt_min_est)
+        np.copyto(self.rtt_min_est, rttm, where=new_min)
+        np.copyto(self.rtt_min_stamp, now, where=new_min)
+        drain_min = act & ~new_min & probing
+        if np.count_nonzero(drain_min):
+            np.minimum(
+                self.rtt_min_est,
+                rttm,
+                out=self.rtt_min_est,
+                where=drain_min,
             )
-            if expire.any():
-                np.copyto(
-                    self.probe_rtt_until,
-                    now + bbr_laws.PROBE_RTT_DURATION,
-                    where=expire,
-                )
-                np.copyto(self.inflight_before_probe, w, where=expire)
-                np.copyto(w, self.probe_rtt_floor, where=expire)
-                np.copyto(self.rtt_min_est, rttm, where=expire)
 
-            go = run & ~expire
-            advance = (
-                go
-                & ~self.in_startup
-                & self.gain_cycling
-                & (now - self.cycle_stamp > self.rtt_min_est)
+        in_probe = act & probing
+        hold = in_probe & (now < self.probe_rtt_until)
+        np.copyto(w, self.probe_rtt_floor, where=hold)
+        leave = in_probe & ~hold
+        if np.count_nonzero(leave):
+            np.copyto(self.probe_rtt_until, np.nan, where=leave)
+            np.copyto(self.rtt_min_stamp, now, where=leave)
+            np.copyto(self.cycle_stamp, now, where=leave)
+            np.copyto(w, self.inflight_before_probe, where=leave)
+
+        run = act & ~hold
+        expire = run & (
+            now - self.rtt_min_stamp > self._probe_rtt_interval
+        )
+        if np.count_nonzero(expire):
+            np.copyto(
+                self.probe_rtt_until,
+                now + bbr_laws.PROBE_RTT_DURATION,
+                where=expire,
             )
-            if advance.any():
+            np.copyto(self.inflight_before_probe, w, where=expire)
+            np.copyto(w, self.probe_rtt_floor, where=expire)
+            np.copyto(self.rtt_min_est, rttm, where=expire)
+
+        go = run & ~expire
+        advance = (
+            go
+            & ~self.in_startup
+            & self.gain_cycling
+            & (now - self.cycle_stamp > self.rtt_min_est)
+        )
+        if np.count_nonzero(advance):
+            np.copyto(
+                self.cycle_index,
+                (self.cycle_index + 1) % len(bbr_laws.GAIN_CYCLE),
+                where=advance,
+            )
+            np.copyto(self.cycle_stamp, now, where=advance)
+        gain = np.where(
+            self.in_startup,
+            bbr_laws.HIGH_GAIN,
+            np.where(
+                self.gain_cycling, _GAIN_CYCLE[self.cycle_index], 1.0
+            ),
+        )
+        bw = self.bw_filter.get()
+        pacing = gain * bw
+        np.copyto(pacing, self._initial_pacing, where=pacing <= 0)
+        w_go = w + (pacing - thr) * dt
+        cap_gain = np.where(
+            self.in_startup, bbr_laws.HIGH_GAIN, bbr_laws.CWND_GAIN
+        )
+        cap = cap_gain * bw * self.rtt_min_est
+        np.minimum(w_go, cap, out=w_go, where=cap > 0)
+        np.maximum(w_go, self.probe_rtt_floor, out=w_go)
+        np.copyto(w, w_go, where=go)
+
+        # _check_startup_exit, once per RTT (FullPipeDetector law).
+        chk = go & self.in_startup & (now >= self.next_growth_check)
+        if np.count_nonzero(chk):
+            np.copyto(self.next_growth_check, now + rttm, where=chk)
+            grow = chk & (
+                bw >= self.best_bw * bbr_laws.STARTUP_GROWTH_THRESH
+            )
+            np.copyto(self.best_bw, bw, where=grow)
+            np.copyto(self.plateau, 0, where=grow)
+            stall = chk & ~grow
+            self.plateau += stall
+            full = stall & (
+                self.plateau >= bbr_laws.STARTUP_PLATEAU_ROUNDS
+            )
+            if np.count_nonzero(full):
+                np.copyto(self.in_startup, False, where=full)
                 np.copyto(
                     self.cycle_index,
-                    (self.cycle_index + 1) % len(bbr_laws.GAIN_CYCLE),
-                    where=advance,
+                    bbr_laws.PROBE_BW_NEUTRAL_PHASE,
+                    where=full,
                 )
-                np.copyto(self.cycle_stamp, now, where=advance)
-            gain = np.where(
-                self.in_startup,
-                bbr_laws.HIGH_GAIN,
-                np.where(
-                    self.gain_cycling, _GAIN_CYCLE[self.cycle_index], 1.0
-                ),
-            )
-            bw = self.bw_filter.get()
-            pacing = gain * bw
-            np.copyto(pacing, self._initial_pacing, where=pacing <= 0)
-            w_go = w + (pacing - thr) * dt
-            cap_gain = np.where(
-                self.in_startup, bbr_laws.HIGH_GAIN, bbr_laws.CWND_GAIN
-            )
-            cap = cap_gain * bw * self.rtt_min_est
-            np.minimum(w_go, cap, out=w_go, where=cap > 0)
-            np.maximum(w_go, self.probe_rtt_floor, out=w_go)
-            np.copyto(w, w_go, where=go)
-
-            # _check_startup_exit, once per RTT (FullPipeDetector law).
-            chk = go & self.in_startup & (now >= self.next_growth_check)
-            if chk.any():
-                np.copyto(self.next_growth_check, now + rttm, where=chk)
-                grow = chk & (
-                    bw >= self.best_bw * bbr_laws.STARTUP_GROWTH_THRESH
-                )
-                np.copyto(self.best_bw, bw, where=grow)
-                np.copyto(self.plateau, 0, where=grow)
-                stall = chk & ~grow
-                self.plateau += stall
-                full = stall & (
-                    self.plateau >= bbr_laws.STARTUP_PLATEAU_ROUNDS
-                )
-                if full.any():
-                    np.copyto(self.in_startup, False, where=full)
-                    np.copyto(
-                        self.cycle_index,
-                        bbr_laws.PROBE_BW_NEUTRAL_PHASE,
-                        where=full,
-                    )
-                    np.copyto(self.cycle_stamp, now, where=full)
-                    drain_target = bw * self.rtt_min_est
-                    np.copyto(
+                np.copyto(self.cycle_stamp, now, where=full)
+                drain_target = bw * self.rtt_min_est
+                np.copyto(
+                    w,
+                    np.minimum(
                         w,
-                        np.minimum(
-                            w,
-                            np.maximum(
-                                drain_target, self.probe_rtt_floor
-                            ),
+                        np.maximum(
+                            drain_target, self.probe_rtt_floor
                         ),
-                        where=full,
-                    )
+                    ),
+                    where=full,
+                )
         # Every mask above is a subset of ``act``, so inactive rows of
         # ``w`` still hold their gathered values: a plain scatter equals
         # the old masked merge.
@@ -752,8 +785,8 @@ class VecBBR2(VecBBR):
     _allowed_kwargs = ()
     _probe_rtt_interval = bbr2_laws.PROBE_RTT_INTERVAL
 
-    def __init__(self, rows, rtt, mss, cc_kwargs) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs)
+    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
         self.gain_cycling = np.ones(self.n, dtype=bool)
         self.inflight_hi = np.full(self.n, np.inf)
         self.next_probe_up = np.zeros(self.n)
@@ -765,58 +798,57 @@ class VecBBR2(VecBBR):
         super().tick(state)
         idx = self.rows
         act = state.active[idx]
-        if not act.any():
+        if not np.count_nonzero(act):
             return
         now = state.now[idx]
         rttm = state.rtt_measured[idx]
         thr = state.throughput[idx]
         dt = state.dt[idx]
         lost = state.lost_bytes[idx]
-        with np.errstate(all="ignore"):
-            np.add(self.round_lost, lost, out=self.round_lost, where=act)
-            np.add(
-                self.round_delivered,
-                thr * dt,
-                out=self.round_delivered,
-                where=act,
+        np.add(self.round_lost, lost, out=self.round_lost, where=act)
+        np.add(
+            self.round_delivered,
+            thr * dt,
+            out=self.round_delivered,
+            where=act,
+        )
+        roll = act & (now >= self.round_end)
+        if np.count_nonzero(roll):
+            np.copyto(self.round_end, now + rttm, where=roll)
+            np.copyto(self.round_lost, 0.0, where=roll)
+            np.copyto(self.round_delivered, 0.0, where=roll)
+        # Rows still in (or just entering) ProbeRTT stop here.
+        post = act & np.isnan(self.probe_rtt_until)
+        up = (
+            post
+            & (now >= self.next_probe_up)
+            & np.isfinite(self.inflight_hi)
+        )
+        if np.count_nonzero(up):
+            np.multiply(
+                self.inflight_hi,
+                bbr2_laws.PROBE_UP_GAIN,
+                out=self.inflight_hi,
+                where=up,
             )
-            roll = act & (now >= self.round_end)
-            if roll.any():
-                np.copyto(self.round_end, now + rttm, where=roll)
-                np.copyto(self.round_lost, 0.0, where=roll)
-                np.copyto(self.round_delivered, 0.0, where=roll)
-            # Rows still in (or just entering) ProbeRTT stop here.
-            post = act & np.isnan(self.probe_rtt_until)
-            up = (
-                post
-                & (now >= self.next_probe_up)
-                & np.isfinite(self.inflight_hi)
+            np.copyto(
+                self.next_probe_up,
+                now + bbr2_laws.PROBE_UP_INTERVAL,
+                where=up,
             )
-            if up.any():
-                np.multiply(
-                    self.inflight_hi,
-                    bbr2_laws.PROBE_UP_GAIN,
-                    out=self.inflight_hi,
-                    where=up,
-                )
-                np.copyto(
-                    self.next_probe_up,
-                    now + bbr2_laws.PROBE_UP_INTERVAL,
-                    where=up,
-                )
-            w = state.inflight[idx]
-            cap = bbr2_laws.HEADROOM * self.inflight_hi
-            over = post & (w > cap)
-            if over.any():
-                np.copyto(w, np.maximum(cap, self.min_inflight), where=over)
-                state.inflight[idx] = w
+        w = state.inflight[idx]
+        cap = bbr2_laws.HEADROOM * self.inflight_hi
+        over = post & (w > cap)
+        if np.count_nonzero(over):
+            np.copyto(w, np.maximum(cap, self.min_inflight), where=over)
+            state.inflight[idx] = w
 
     def on_drop(
         self, state: TickState, dropped: np.ndarray, mask: np.ndarray
     ) -> None:
         idx = self.rows
         hit = mask[idx]
-        if not hit.any():
+        if not np.count_nonzero(hit):
             return
         self.round_lost = np.where(
             hit, self.round_lost + dropped[idx], self.round_lost
@@ -825,30 +857,29 @@ class VecBBR2(VecBBR):
     def on_loss(self, state: TickState, victims: np.ndarray) -> None:
         idx = self.rows
         hit = victims[idx]
-        if not hit.any():
+        if not np.count_nonzero(hit):
             return
         now = state.now[idx]
-        with np.errstate(all="ignore"):
-            total = self.round_delivered + self.round_lost
-            loss_rate = np.where(
-                total > 0, self.round_lost / total, 0.0
-            )
-            over = hit & (loss_rate > bbr2_laws.LOSS_THRESH)
-            adm = self._admit(now, over)
-            if not adm.any():
-                return
-            w = state.inflight[idx]
-            bound = np.minimum(self.inflight_hi, w)
-            cut = np.maximum(
-                bound * (1.0 - bbr2_laws.BETA), self.min_inflight
-            )
-            self.inflight_hi = np.where(adm, cut, self.inflight_hi)
-            state.inflight[idx] = np.where(
-                adm, np.minimum(w, self.inflight_hi), w
-            )
-            self.next_probe_up = np.where(
-                adm, now + bbr2_laws.PROBE_UP_INTERVAL, self.next_probe_up
-            )
+        total = self.round_delivered + self.round_lost
+        loss_rate = np.where(
+            total > 0, self.round_lost / total, 0.0
+        )
+        over = hit & (loss_rate > bbr2_laws.LOSS_THRESH)
+        adm = self._admit(now, over)
+        if not np.count_nonzero(adm):
+            return
+        w = state.inflight[idx]
+        bound = np.minimum(self.inflight_hi, w)
+        cut = np.maximum(
+            bound * (1.0 - bbr2_laws.BETA), self.min_inflight
+        )
+        self.inflight_hi = np.where(adm, cut, self.inflight_hi)
+        state.inflight[idx] = np.where(
+            adm, np.minimum(w, self.inflight_hi), w
+        )
+        self.next_probe_up = np.where(
+            adm, now + bbr2_laws.PROBE_UP_INTERVAL, self.next_probe_up
+        )
 
 
 class VecVivace(VecKernel):
@@ -858,8 +889,8 @@ class VecVivace(VecKernel):
     loss_based = False
     _allowed_kwargs = ("initial_rate", "latency_coeff", "loss_coeff")
 
-    def __init__(self, rows, rtt, mss, cc_kwargs) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs)
+    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
         self.rate = np.array(
             [
                 float(k.get("initial_rate", vivace_laws.DEFAULT_INITIAL_RATE))
@@ -889,7 +920,7 @@ class VecVivace(VecKernel):
     def tick(self, state: TickState) -> None:
         idx = self.rows
         act = state.active[idx]
-        if not act.any():
+        if not np.count_nonzero(act):
             return
         now = state.now[idx]
         rttm = state.rtt_measured[idx]
@@ -897,77 +928,76 @@ class VecVivace(VecKernel):
         dt = state.dt[idx]
         qd = state.queue_delay[idx]
         lost = state.lost_bytes[idx]
-        with np.errstate(all="ignore"):
-            self._last_rtt = np.where(act, rttm, self._last_rtt)
-            begin = act & np.isnan(self.mi_start)
-            self._begin_mi(begin, now, rttm, dt, qd)
-            self.mi_delivered = np.where(
-                act, self.mi_delivered + thr * dt, self.mi_delivered
-            )
-            self.mi_lost = np.where(act, self.mi_lost + lost, self.mi_lost)
-            self.last_qd = np.where(act, qd, self.last_qd)
+        self._last_rtt = np.where(act, rttm, self._last_rtt)
+        begin = act & np.isnan(self.mi_start)
+        self._begin_mi(begin, now, rttm, dt, qd)
+        self.mi_delivered = np.where(
+            act, self.mi_delivered + thr * dt, self.mi_delivered
+        )
+        self.mi_lost = np.where(act, self.mi_lost + lost, self.mi_lost)
+        self.last_qd = np.where(act, qd, self.last_qd)
 
-            fin = act & (now >= self.mi_end)
-            if fin.any():
-                elapsed = np.maximum(now - self.mi_start, 1e-6)
-                gradient = (self.last_qd - self.mi_qd_start) / elapsed
-                score = mathops.vivace_score(
-                    elapsed,
-                    self.mi_delivered,
-                    self.mi_lost,
-                    gradient,
-                    self.latency_coeff,
-                    self.loss_coeff,
-                )
-                was_first = self.mi_phase == 0
-                p0 = fin & was_first
-                p1 = fin & ~was_first
-                self.pair_first = np.where(p0, score, self.pair_first)
-                self.mi_phase = np.where(
-                    fin, np.where(was_first, 1, 0), self.mi_phase
-                )
-                # vivace_laws.gradient_step on the finished pair.
-                u_plus, u_minus = self.pair_first, score
-                eq = u_plus == u_minus
-                direction = np.where(u_plus > u_minus, 1.0, -1.0)
-                same = direction == self.last_direction
-                amp = np.where(
-                    same,
-                    np.minimum(
-                        self.amplifier * 2.0, vivace_laws.MAX_AMPLIFIER
-                    ),
-                    1.0,
-                )
-                stepped = np.maximum(
-                    self.rate
-                    + direction * vivace_laws.EPSILON * amp * self.rate,
-                    vivace_laws.MIN_RATE,
-                )
-                moved = p1 & ~eq
-                self.rate = np.where(moved, stepped, self.rate)
-                self.amplifier = np.where(
-                    p1, np.where(eq, 1.0, amp), self.amplifier
-                )
-                self.last_direction = np.where(
-                    p1, np.where(eq, 0.0, direction), self.last_direction
-                )
-                self.pair_first = np.where(p1, np.nan, self.pair_first)
-                self._begin_mi(fin, now, rttm, dt, qd)
+        fin = act & (now >= self.mi_end)
+        if np.count_nonzero(fin):
+            elapsed = np.maximum(now - self.mi_start, 1e-6)
+            gradient = (self.last_qd - self.mi_qd_start) / elapsed
+            score = mathops.vivace_score(
+                elapsed,
+                self.mi_delivered,
+                self.mi_lost,
+                gradient,
+                self.latency_coeff,
+                self.loss_coeff,
+            )
+            was_first = self.mi_phase == 0
+            p0 = fin & was_first
+            p1 = fin & ~was_first
+            self.pair_first = np.where(p0, score, self.pair_first)
+            self.mi_phase = np.where(
+                fin, np.where(was_first, 1, 0), self.mi_phase
+            )
+            # vivace_laws.gradient_step on the finished pair.
+            u_plus, u_minus = self.pair_first, score
+            eq = u_plus == u_minus
+            direction = np.where(u_plus > u_minus, 1.0, -1.0)
+            same = direction == self.last_direction
+            amp = np.where(
+                same,
+                np.minimum(
+                    self.amplifier * 2.0, vivace_laws.MAX_AMPLIFIER
+                ),
+                1.0,
+            )
+            stepped = np.maximum(
+                self.rate
+                + direction * vivace_laws.EPSILON * amp * self.rate,
+                vivace_laws.MIN_RATE,
+            )
+            moved = p1 & ~eq
+            self.rate = np.where(moved, stepped, self.rate)
+            self.amplifier = np.where(
+                p1, np.where(eq, 1.0, amp), self.amplifier
+            )
+            self.last_direction = np.where(
+                p1, np.where(eq, 0.0, direction), self.last_direction
+            )
+            self.pair_first = np.where(p1, np.nan, self.pair_first)
+            self._begin_mi(fin, now, rttm, dt, qd)
 
-            factor = np.where(
-                self.mi_phase == 0,
-                1.0 + vivace_laws.EPSILON,
-                1.0 - vivace_laws.EPSILON,
-            )
-            grown = np.maximum(
-                self.rate * factor * rttm, self.min_inflight
-            )
+        factor = np.where(
+            self.mi_phase == 0,
+            1.0 + vivace_laws.EPSILON,
+            1.0 - vivace_laws.EPSILON,
+        )
+        grown = np.maximum(
+            self.rate * factor * rttm, self.min_inflight
+        )
         state.inflight[idx] = np.where(
             act, grown, state.inflight[idx]
         )
 
     def _begin_mi(self, mask, now, rttm, dt, qd) -> None:
-        if not mask.any():
+        if not np.count_nonzero(mask):
             return
         self.mi_start = np.where(mask, now, self.mi_start)
         self.mi_end = np.where(
@@ -982,7 +1012,7 @@ class VecVivace(VecKernel):
     ) -> None:
         idx = self.rows
         hit = mask[idx]
-        if not hit.any():
+        if not np.count_nonzero(hit):
             return
         self.mi_lost = np.where(
             hit, self.mi_lost + dropped[idx], self.mi_lost

@@ -311,6 +311,21 @@ def render_span_report(
             f"{agg.name:<24} {agg.count:>7} {agg.total_s:>10.3f} "
             f"{agg.self_s:>10.3f} {agg.max_s:>9.3f}"
         )
+    batches: Dict[tuple, List[float]] = {}
+    for span in spans:
+        if span.name == "point_batch":
+            shape = (span.args.get("rows", "?"), span.args.get("n", "?"))
+            batches.setdefault(shape, []).append(span.dur_s)
+    if batches:
+        lines.append("")
+        lines.append("vectorized batches (how wide each one was):")
+        lines.append(
+            f"  {'rows':>7} {'points':>7} {'count':>7} {'total_s':>10}"
+        )
+        for (rows, n), durs in batches.items():
+            lines.append(
+                f"  {rows:>7} {n:>7} {len(durs):>7} {sum(durs):>10.3f}"
+            )
     if hotspots:
         lines.append("")
         lines.append("profiled hotspots (cumulative seconds):")

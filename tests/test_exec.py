@@ -693,10 +693,57 @@ def test_dispatch_units_group_cheap_points():
 
 def test_dispatch_units_same_rule_inline():
     """``jobs == 1`` groups through the same rule as the pool: one
-    "worker", so cheap points fill units of ``CHUNK_MAX_POINTS``."""
+    "worker", so 40 cheap points (160 rows) are one unit; two workers
+    still get a unit each."""
     pending = {p.fingerprint(): p for p in points(40)}
     units = Engine(jobs=1)._dispatch_units(pending)
-    assert [len(unit) for unit in units] == [32, 8]
+    assert [len(unit) for unit in units] == [40]
+    units = Engine(jobs=2)._dispatch_units(pending)
+    assert [len(unit) for unit in units] == [20, 20]
+
+
+def wide_point(rows, seed=0):
+    """One cheap fluid point of ``rows`` flows (never simulated here)."""
+    return ScenarioPoint(
+        link=link(), mix=(("cubic", rows),), duration=2.0, seed=seed
+    )
+
+
+def test_dispatch_units_split_exactly_at_the_row_cap():
+    """The cap counts flow rows, the unit the vectorized batch
+    allocates by: a unit may reach ``UNIT_MAX_ROWS`` and not exceed it,
+    whatever the number of points that takes."""
+    cap = engine_mod.UNIT_MAX_ROWS
+    engine = Engine(jobs=1)
+
+    def unit_rows(pts):
+        pending = {p.fingerprint(): p for p in pts}
+        return [
+            [pending[fp].rows for fp in unit]
+            for unit in engine._dispatch_units(pending)
+        ]
+
+    eighth = cap // 8
+    even = [wide_point(eighth, seed=i) for i in range(17)]
+    assert unit_rows(even) == [[eighth] * 8, [eighth] * 8, [eighth]]
+    # Reaching the cap exactly is allowed; one row more starts a unit.
+    assert unit_rows([wide_point(cap - 2), wide_point(2, seed=1)]) == [
+        [cap - 2, 2]
+    ]
+    assert unit_rows([wide_point(cap - 2), wide_point(3, seed=1)]) == [
+        [cap - 2],
+        [3],
+    ]
+    # Trials are rows too, and a point wider than the cap cannot be cut.
+    trials = ScenarioPoint(
+        link=link(), mix=(("cubic", 5),), duration=0.5, trials=cap // 4
+    )
+    assert trials.rows == 5 * (cap // 4)
+    assert unit_rows([wide_point(1), trials, wide_point(1, seed=2)]) == [
+        [1],
+        [trials.rows],
+        [1],
+    ]
 
 
 def test_dispatch_units_keep_expensive_points_solo():
@@ -794,6 +841,37 @@ def test_substrate_follows_group_rows(substrate_calls, submit):
     assert substrate_calls == {"scalar": 21, "vec": 0}
     submit(row_points(64, flows=2))
     assert substrate_calls == {"scalar": 21, "vec": 1}
+
+
+def test_a_grid_of_cheap_points_is_one_vec_call(substrate_calls):
+    """The two shapes the benchmark submits — ``vec_grid``'s 40 points
+    of 20 flows and ``warm_resume``'s populate of 300 two-flow points —
+    each pay the vectorized substrate's fixed tick cost once."""
+    grid = [
+        ScenarioPoint(
+            link=link(bdp=buffer, mbps=100, rtt=40),
+            mix=(("cubic", 20 - k), ("bbr", k)),
+            duration=1.0,
+            seed=5 * i + j,
+        )
+        for i, buffer in enumerate((0.5, 1, 2, 3, 5, 8, 12, 20))
+        for j, k in enumerate((2, 6, 10, 14, 18))
+    ]
+    engine = Engine(jobs=1)
+    assert len(engine.run_points(grid)) == 40
+    assert substrate_calls == {"scalar": 0, "vec": 1}
+    sweep = [
+        ScenarioPoint(
+            link=link(bdp=1 + i % 10, mbps=50, rtt=(20, 80)[i % 2]),
+            mix=(("cubic", 1), ("bbr", 1)),
+            duration=1.0,
+            seed=i,
+        )
+        for i in range(300)
+    ]
+    assert len(engine.run_points(sweep)) == 300
+    assert substrate_calls == {"scalar": 0, "vec": 2}
+    assert engine.simulated == 340
 
 
 def test_substrate_follows_trial_rows_of_one_point(substrate_calls):

@@ -132,6 +132,32 @@ def test_render_span_report_lists_pids_and_hotspots():
     assert "f.py:1(g)" in text
 
 
+def test_render_span_report_says_how_wide_each_batch_was():
+    """``point_batch`` spans carry the batch's flow rows next to its
+    point count; the report groups equal shapes."""
+    from repro.check import use as use_check
+    from repro.exec import Engine, ScenarioPoint
+    from repro.util.config import LinkConfig
+
+    tracer = Tracer()
+    points = [
+        ScenarioPoint(
+            link=LinkConfig.from_mbps_ms(20, 20, 1 + i),
+            mix=(("cubic", 8), ("bbr", 8)),
+            duration=1.0,
+            trials=2,
+        )
+        for i in range(3)
+    ]
+    with use_check(None):  # a live checker keeps points scalar
+        Engine(tracer=tracer).run_points(points)
+    [batch] = [s for s in tracer.spans if s.name == "point_batch"]
+    assert batch.args == {"n": 3, "rows": 96, "backend": "fluid"}
+    text = render_span_report(tracer.spans + [batch])
+    assert "vectorized batches" in text
+    assert text.splitlines()[-1].split()[:3] == ["96", "3", "2"]
+
+
 # -- Chrome trace-event JSON -------------------------------------------------
 
 
