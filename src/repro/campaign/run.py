@@ -13,12 +13,14 @@ How a stage's units execute is its kind's ``run``
 content-addressed cache); ``adaptive`` units — empirical-NE bisections
 reusing the figure-9 best-response machinery — and ``population``
 units — seeded adoption trajectories, their calibration error maps
-merged into ``<out>/error_map.json`` — are independent computations
-fanned out on threads.  Every finished unit is journaled durably
-before the next is accounted, so a killed campaign resumed with
-``repro-bbr campaign resume`` replays the journal, submits only the
-missing units, and (because in-flight results were already in the
-result cache) re-simulates nothing.
+merged into ``<out>/error_map.json`` — are round generators advanced
+in lock step, each round of every live unit one ``Engine.run_points``
+batch (:func:`repro.campaign.vocab._in_rounds`; the campaign layer
+starts no thread).  Every finished unit is journaled durably before
+the next is accounted, so a killed campaign resumed with ``repro-bbr
+campaign resume`` replays the journal, submits only the missing units,
+and (because every point a round evaluated was already in the result
+cache) re-simulates nothing.
 
 Result aggregation is *streaming*: :func:`iter_units` yields each newly
 executed :class:`UnitOutcome` exactly once, and :func:`run_campaign`
@@ -30,9 +32,10 @@ durability contract).
 
 Observability (see ``docs/OBSERVABILITY.md``): when a tracer is active
 (:mod:`repro.obs.trace`), the run is bracketed by a ``campaign`` span
-with one ``stage`` span per stage, a ``unit`` span per adaptive or
-population unit, and a ``journal`` span per durable checkpoint append;
-engine-level ``cache_lookup``/``point``/``simulate`` spans nest inside.
+with one ``stage`` span per stage, a ``round`` span per engine batch
+of an adaptive or population stage, and a ``journal`` span per durable
+checkpoint append; engine-level ``cache_lookup``/``point``/``simulate``
+spans nest inside.
 A :class:`repro.obs.progress.ProgressTracker` (created internally unless
 one is passed) counts units done/total per stage after every unit, and
 an atomically-replaced ``progress.json`` sidecar next to the journal —
@@ -153,18 +156,20 @@ def iter_units(
     run stopped early.
 
     Each stage's pending units run as its kind declares
-    (:data:`repro.campaign.vocab.KINDS`) — under ``stop_after``
-    strictly one at a time, its exactly-N contract.  Outcomes are
-    always yielded (and ``on_unit`` fired) from the calling thread.
+    (:data:`repro.campaign.vocab.KINDS`); under ``stop_after`` a kind
+    is handed at most the units that may still be committed — the
+    exactly-N contract.  Completion order is the kind's, and does not
+    depend on ``engine.jobs`` except within a ``sweep`` stage.
     ``artifacts_dir``, when given, receives the artifacts kinds write
     beside the journal (the merged population ``error_map.json``).
     """
     tracer = resolve_tracer(None)
     skip = frozenset(skip) if skip else frozenset()
+    if stop_after is not None and stop_after < 1:
+        raise CampaignError(f"stop_after must be >= 1, got {stop_after}")
     run = StageRun(
         spec,
         resolve_engine(engine),
-        stop_after is not None,
         Path(artifacts_dir) if artifacts_dir is not None else None,
     )
     executed = 0
@@ -180,6 +185,9 @@ def iter_units(
 
     for stage in spec.stages:
         stage_units = [u for u in todo if u.stage == stage.name]
+        if stop_after is not None:
+            # Exactly-N: a kind never starts a unit it may not commit.
+            stage_units = stage_units[: stop_after - executed]
         if not stage_units:
             continue
         with span(

@@ -15,11 +15,13 @@ replacement:
   file (row-at-a-time through a temp file + ``os.replace``), which
   happens at most once per stage-shaped column change, never per row.
 * :class:`CampaignSink` — the unit-order gate.  Outcomes complete out of
-  order (thread fan-out, engine completion order); the final CSV must be
-  in *unit* order to stay byte-identical across kill/resume.  The sink
-  buffers only the out-of-order frontier (bounded by completion skew,
-  i.e. by ``jobs``, not by campaign size) and drains every contiguous
-  run of units to the writers the moment its gap closes.
+  order (a sweep's points in engine completion order, a lock-step
+  stage's units in the round each finishes); the final CSV must be in
+  *unit* order to stay byte-identical across kill/resume.  The sink
+  buffers only the out-of-order frontier (bounded by ``jobs`` in a
+  sweep and by the stage's unit count in a lock-step stage, never by
+  campaign size) and drains every contiguous run of units to the
+  writers the moment its gap closes.
 
 Durability contract (see ``docs/CAMPAIGNS.md``): the checkpoint journal
 is the authoritative record — a unit is committed when its journal line
@@ -215,8 +217,9 @@ class CampaignSink:
     :meth:`add` accepts ``(unit index, rows)`` in any order; rows are
     handed to every writer as soon as all lower indices have arrived,
     then dropped.  Only the out-of-order frontier is buffered —
-    proportional to completion skew (thread/worker count), independent
-    of campaign size.  ``rows_seen`` counts every row accepted
+    proportional to completion skew (worker count, or the units of one
+    lock-step stage), independent of campaign size.  ``rows_seen``
+    counts every row accepted
     (including buffered ones, all of which are journaled by the caller);
     ``rows_written`` counts rows actually on disk.
     """

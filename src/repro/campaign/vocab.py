@@ -17,10 +17,8 @@ dynamics) import it when first called.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from threading import Lock
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -45,6 +43,7 @@ from repro.scenario import (
     parse_aqm,
     parse_capacity_trace,
 )
+from repro.util.rounds import PointRounds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.campaign.expand import Unit
@@ -301,18 +300,17 @@ def parse_table(
 
 
 class StageRun(NamedTuple):
-    """What a stage's pending units run against.  ``sequential``:
-    ``stop_after``'s exactly-N contract is in force, no fan-out.
-    ``artifacts``: the campaign directory, for files kinds write beside
-    the journal; None when the caller keeps none."""
+    """What a stage's pending units run against.  ``artifacts``: the
+    campaign directory, for files kinds write beside the journal; None
+    when the caller keeps none."""
 
     spec: "CampaignSpec"
     engine: "Engine"
-    sequential: bool
     artifacts: Optional[Path]
 
 
-#: ``(unit, rows, wall_s)`` as units finish, in any order.
+#: ``(unit, rows, wall_s)`` as units finish — in an order that depends
+#: on the units, never on ``engine.jobs``.
 Outcomes = Iterator[Tuple["Unit", Rows, float]]
 
 #: Derived metrics: name -> (takes a ``:<cc>`` argument, evaluator of
@@ -347,49 +345,89 @@ def _run_sweep(run: StageRun, units: List["Unit"]) -> Outcomes:
         yield unit, _sweep_rows(run.spec, unit, result), wall
 
 
-def _per_unit(
-    fn: Callable[["Unit", StageRun], Rows],
-) -> Callable[[StageRun, List["Unit"]], Outcomes]:
-    """``run`` for kinds whose units are independent computations.
+@dataclass
+class _Live:
+    """A unit mid-computation: its last request and its wall so far."""
 
-    Each unit is one ``fn`` call under a ``unit`` span.  Units fan out
-    on threads (their scenario points go to the engine's shared worker
-    pool) when ``engine.jobs > 1`` and the run is not ``sequential``.
-    Results are unchanged either way: every unit seeds its own
-    simulations.
+    unit: "Unit"
+    rounds: PointRounds[Rows]
+    request: Sequence[Any] = ()
+    wall_s: float = 0.0
+
+
+def _in_rounds(
+    rounds_of: Callable[["Unit", StageRun], PointRounds[Rows]],
+) -> Callable[[StageRun, List["Unit"]], Outcomes]:
+    """``run`` for kinds whose units are independent computations that
+    ask for their engine work in rounds (:mod:`repro.util.rounds`) —
+    the campaign layer's one way to run concurrent work.
+
+    The live units advance in lock step: each is resumed, in unit
+    order, with the results of its last request, and yielded the moment
+    it returns; what the others ask for next is *one*
+    ``Engine.run_points`` batch under a ``round`` span — the engine
+    pools it onto the vectorized substrate and its ``jobs`` workers —
+    and no span is open while a unit is suspended.  ``wall_s`` is the
+    time of a unit's own advances plus its share of every batch it took
+    part in (batch wall × its points / the batch's), so a stage's walls
+    sum to its wall.  Results are those of running each unit alone:
+    units seed their own simulations, the substrate is batch-invariant.
     """
 
     def run_units(run: StageRun, units: List["Unit"]) -> Outcomes:
         tracer = resolve_tracer(None)
-
-        def one(unit: "Unit") -> Tuple["Unit", Rows, float]:
+        live = [_Live(unit, rounds_of(unit, run)) for unit in units]
+        answers: List[Any] = [None] * len(live)
+        number = 0
+        while True:
+            asking = []
+            for entry, answer in zip(live, answers):
+                start = perf_counter()
+                try:
+                    entry.request = entry.rounds.send(answer)
+                except StopIteration as stop:
+                    wall = entry.wall_s + perf_counter() - start
+                    yield entry.unit, stop.value, wall
+                else:
+                    entry.wall_s += perf_counter() - start
+                    asking.append(entry)
+            live = asking
+            if not live:
+                return
+            batch = [point for entry in live for point in entry.request]
             start = perf_counter()
-            with span(tracer, "unit", "campaign", unit=unit.unit_id()):
-                rows = fn(unit, run)
-            return unit, rows, perf_counter() - start
-
-        threads = 1 if run.sequential else min(run.engine.jobs, len(units))
-        if threads <= 1:
-            yield from map(one, units)
-            return
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(one, unit) for unit in units]
-            for future in as_completed(futures):
-                yield future.result()
+            with span(
+                tracer,
+                "round",
+                "campaign",
+                round=number,
+                live=len(live),
+                points=len(batch),
+                rows=sum(point.rows for point in batch),
+            ):
+                results = run.engine.run_points(batch)
+            wall = perf_counter() - start
+            answers, offset = [], 0
+            for entry in live:
+                end = offset + len(entry.request)
+                answers.append(results[offset:end])
+                entry.wall_s += wall * (end - offset) / len(batch)
+                offset = end
+            number += 1
 
     return run_units
 
 
-def _run_adaptive(unit: "Unit", run: StageRun) -> Rows:
+def _adaptive_rounds(unit: "Unit", run: StageRun) -> PointRounds[Rows]:
     """One NE bisection: rows per equilibrium found at this combination.
 
     Seeding matches the hand-coded figure-9 loop exactly
     (``seed + stride × search`` into ``distribution_payoff_fn``), so
     a campaign and the figure generator hit the same cache entries.
     """
-    from repro.core.game import GroupGame, bisect_nash
+    from repro.core.game import GroupGame, bisect_rounds
     from repro.core.nash import predict_nash
-    from repro.experiments.runner import distribution_payoff_fn
+    from repro.experiments.runner import distribution_payoff_fn, point_rounds
 
     scenario = unit.scenario()
     scenario["seed"] += unit.seed_stride * unit.search
@@ -401,7 +439,10 @@ def _run_adaptive(unit: "Unit", run: StageRun) -> Rows:
         engine=run.engine,
         **scenario,
     )
-    equilibria, _evaluated = bisect_nash(GroupGame([unit.flows], payoff))
+    game = GroupGame([unit.flows], payoff)
+    equilibria, _evaluated = yield from point_rounds(
+        game, bisect_rounds(game)
+    )
     # The analytic Nash-region bounds (Eq. 25) ride along as model
     # columns; they describe the CUBIC-vs-BBR game, the one the paper
     # (and the bundled specs) study.
@@ -418,24 +459,18 @@ def _run_adaptive(unit: "Unit", run: StageRun) -> Rows:
     return tuple(rows)
 
 
-#: Serializes read-modify-write merges of the campaign error-map
-#: artifact when population units fan out on threads.
-_ERROR_MAP_LOCK = Lock()
-
-
 def _merge_error_map(path: Path, error_map: Any) -> None:
     """Fold one unit's calibration entries into the campaign artifact."""
     if not error_map.entries:
         return
     from repro.population import ErrorMap
 
-    with _ERROR_MAP_LOCK:
-        merged = ErrorMap.load(str(path)) if path.exists() else ErrorMap()
-        merged.merge(error_map)
-        merged.save(str(path))
+    merged = ErrorMap.load(str(path)) if path.exists() else ErrorMap()
+    merged.merge(error_map)
+    merged.save(str(path))
 
 
-def _run_population(unit: "Unit", run: StageRun) -> Rows:
+def _population_rounds(unit: "Unit", run: StageRun) -> PointRounds[Rows]:
     """One adoption trajectory: a single CSV row, and the unit's
     calibration entries merged into the campaign's ``error_map.json``
     — before the unit is journaled, so an interrupted campaign keeps
@@ -446,12 +481,8 @@ def _run_population(unit: "Unit", run: StageRun) -> Rows:
     (the oracle consumes no trajectory randomness), so journal replay
     and re-execution produce identical rows.
     """
-    from repro.population import (
-        CellSpec,
-        DynamicsConfig,
-        TieredOracle,
-        run_population,
-    )
+    from repro.population import CellSpec, DynamicsConfig, TieredOracle
+    from repro.population.run import population_rounds
 
     cell = CellSpec(link=unit.link, n_flows=unit.flows, label=unit.stage)
     oracle = TieredOracle(
@@ -461,19 +492,19 @@ def _run_population(unit: "Unit", run: StageRun) -> Rows:
         trials=unit.trials,
         seed=unit.seed,
     )
-    result = run_population(
+    result = yield from population_rounds(
         [cell],
-        dynamics=DynamicsConfig(
+        oracle,
+        DynamicsConfig(
             name=unit.dynamics,
             epsilon=unit.epsilon,
             mutation=unit.mutation,
             inertia=unit.inertia,
         ),
-        ticks=unit.ticks,
+        unit.ticks,
         seed=unit.seed,
         strategies=(unit.incumbent, unit.challenger),
         init_share=unit.init_share,
-        oracle=oracle,
     )
     if run.artifacts is not None:
         _merge_error_map(run.artifacts / ERROR_MAP_NAME, result.error_map)
@@ -548,7 +579,7 @@ KINDS: Dict[str, StageKind] = {
     # ``seed_stride`` — the spacing figure 9 has always used.
     "adaptive": StageKind(
         _COMMON | {"backend", "loss_mode"},
-        _per_unit(_run_adaptive),
+        _in_rounds(_adaptive_rounds),
         _GAME
         + (
             Param("searches", int, 1, valid=AT_LEAST_ONE),
@@ -561,7 +592,7 @@ KINDS: Dict[str, StageKind] = {
     # ``fluid`` / ``proportional``) calibrated at ``error_threshold``.
     "population": StageKind(
         _COMMON | {"dynamics", "epsilon"},
-        _per_unit(_run_population),
+        _in_rounds(_population_rounds),
         _GAME
         + (
             Param(

@@ -12,15 +12,19 @@ best-response rule, one walk.  It asks its payoff function for *rounds*
 — every state a question needs and does not know yet, in one call — so
 a simulator-backed payoff (``repro.experiments.runner``) turns a
 best-response step, an NE check or a whole table into one engine batch.
-:func:`bisect_nash` finds the same-RTT NE with O(log N) probes, and
-:class:`ThroughputTable` is a played-out same-RTT game as two columns.
+:func:`bisect_rounds` finds the same-RTT NE with O(log N) probes — as a
+round generator (:mod:`repro.util.rounds`), :func:`bisect_nash` being
+one search driven alone — and :class:`ThroughputTable` is a played-out
+same-RTT game as two columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Generator, Iterable, List, Sequence, Tuple
+
+from repro.util.rounds import drive
 
 #: The number of challenger (strategy-B) flows in each group.
 State = Tuple[int, ...]
@@ -79,10 +83,15 @@ class GroupGame:
                     f"state {state} is outside the game: need one challenger "
                     f"count in [0, size] per group of sizes {self.sizes}"
                 )
-        unknown = [s for s in dict.fromkeys(states) if s not in self.known]
+        unknown = self.unknown(states)
         if unknown:
             self.known.update(zip(unknown, self.payoff(*unknown)))
         return [self.known[state] for state in states]
+
+    def unknown(self, states: Iterable[State]) -> List[State]:
+        """Those of ``states`` not evaluated yet, once each, in order —
+        what a round still has to ask the payoff function."""
+        return [s for s in dict.fromkeys(states) if s not in self.known]
 
     def states(self) -> Iterable[State]:
         """Every distribution of the challenger across the groups."""
@@ -156,41 +165,56 @@ class GroupGame:
         return [end for end in ends if self.is_nash(end)] or ends[:1]
 
 
-def bisect_nash(
-    game: GroupGame,
-) -> Tuple[List[int], Dict[int, Tuple[float, float]]]:
+#: What a bisection finds: the NE challenger counts and every
+#: distribution evaluated, ``{k: (λ_a, λ_b)}``.
+Found = Tuple[List[int], Dict[int, Tuple[float, float]]]
+
+
+def bisect_rounds(game: GroupGame) -> Generator[List[State], None, Found]:
     """Find NE of a same-RTT (one-group) game with O(log N) probes.
 
     Exploits the paper's structural result (Figure 6): the challenger's
     per-flow advantage ``λ_b(k) − λ_a(k)`` decreases in ``k`` and
     crosses zero at most once, so the crossing can be bisected — one
     probe per round — and only its neighbourhood, fetched as one more
-    round, needs exact NE checks.  Returns the NE challenger counts and
-    every distribution evaluated, ``{k: (λ_a, λ_b)}``.
+    round, needs exact NE checks.  Before each ``game.payoffs`` call
+    the states it is about to ask for are yielded, so a driver of
+    several searches can evaluate a round of them all as one batch into
+    ``game.known`` (what is still unknown is evaluated on demand).
     """
     (n_flows,) = game.sizes
 
-    def advantage(k: int) -> float:
+    def advantage(k: int) -> Generator[List[State], None, float]:
+        yield [(k,)]
         [[(a, b)]] = game.payoffs((k,))
         return b - a
 
     lo, hi = 1, n_flows - 1
-    if n_flows <= 2 or advantage(lo) <= 0:
+    if n_flows <= 2 or (yield from advantage(lo)) <= 0:
         first, last = 0, min(n_flows, 2)
-    elif advantage(hi) >= 0:
+    elif (yield from advantage(hi)) >= 0:
         first, last = n_flows - 2, n_flows
     else:
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if advantage(mid) >= 0:
+            if (yield from advantage(mid)) >= 0:
                 lo = mid
             else:
                 hi = mid
         first, last = lo - 1, hi + 1  # 1 <= lo < hi <= n_flows - 1.
-    around = range(max(0, first - 1), min(n_flows, last + 1) + 1)
-    game.payoffs(*((k,) for k in around))
+    around = [
+        (k,) for k in range(max(0, first - 1), min(n_flows, last + 1) + 1)
+    ]
+    yield around
+    game.payoffs(*around)
     equilibria = [k for k in range(first, last + 1) if game.is_nash((k,))]
     return equilibria, {k: pairs[0] for (k,), pairs in game.known.items()}
+
+
+def bisect_nash(game: GroupGame) -> Found:
+    """:func:`bisect_rounds` as one search on its own: each round is
+    evaluated by ``game.payoffs`` as the search reaches it."""
+    return drive(bisect_rounds(game), lambda states: None)
 
 
 @dataclass

@@ -25,11 +25,13 @@ disabled and return picklable
 
 The worker pool is created lazily on the first parallel batch and kept
 alive for the engine's lifetime (``close()`` shuts it down), so a long
-campaign of small batches — e.g. the one-point-at-a-time evaluations of
-an NE bisection — pays pool startup once, not per batch, and single
-pending points still fan out when ``jobs > 1``.  Accounting and
-submission are lock-guarded, so multiple threads (the campaign layer's
-concurrent adaptive units) may drive one engine and share its workers.
+campaign of small batches — e.g. the rounds of a stage of NE
+bisections — pays pool startup once, not per batch, and single pending
+points still fan out when ``jobs > 1``.  Accounting and submission are
+lock-guarded: the engine is a public object, and a caller may drive
+one engine from several threads and share its workers (nothing in this
+package does — concurrent work reaches the engine as one batch per
+round, :mod:`repro.util.rounds`).
 
 A dead worker poisons the whole pool (``BrokenProcessPool``).  The pool
 is then discarded (the next batch builds a fresh one) and the units that

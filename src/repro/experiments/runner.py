@@ -27,6 +27,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Generator,
     List,
     Optional,
     Sequence,
@@ -39,6 +40,7 @@ from repro.fluidsim.vec import BatchPoint, run_fluid_vec_batch
 from repro.scenario import BACKENDS, expand_mix
 from repro.sim.network import FlowSpec, run_dumbbell
 from repro.util.config import LinkConfig
+from repro.util.rounds import PointRounds, T
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.engine import Engine
@@ -52,6 +54,7 @@ __all__ = [
     "distribution_payoff_fn",
     "expand_mix",
     "group_payoff_fn",
+    "point_rounds",
     "run_mix",
     "run_mix_batch",
     "runs_vectorized",
@@ -359,19 +362,19 @@ def _payoff_fn(
     shared queuing delay.  The engine (explicit, installed default, or
     the sequential fallback) is resolved per round: identical states
     are reused across games when a result cache is configured, and a
-    round's misses fan out over ``--jobs`` workers.
+    round's misses fan out over ``--jobs`` workers.  The call's two
+    halves are its attributes ``points`` (states to scenario points) and
+    ``read`` (their results to payoffs), for :func:`point_rounds`.
     """
     labels = [
         [class_label(cc.lower(), rtt) for cc in (incumbent, challenger)]
         for rtt in rtts
     ]
 
-    def payoff(*states: Tuple[int, ...]):
-        from repro.exec.engine import resolve as resolve_engine
+    def points(states: Sequence[Tuple[int, ...]]) -> List[ScenarioPoint]:
+        return [point_of(state) for state in states]
 
-        results = resolve_engine(engine).run_points(
-            [point_of(state) for state in states]
-        )
+    def read(results: Sequence[ScenarioResult]):
         payoffs = []
         for result in results:
             penalty = weight * result.mean_queuing_delay
@@ -383,7 +386,33 @@ def _payoff_fn(
             )
         return payoffs
 
+    def payoff(*states: Tuple[int, ...]):
+        from repro.exec.engine import resolve as resolve_engine
+
+        return read(resolve_engine(engine).run_points(points(states)))
+
+    payoff.points, payoff.read = points, read
     return payoff
+
+
+def point_rounds(
+    game: Any, rounds: Generator[Any, None, T]
+) -> PointRounds[T]:
+    """``rounds`` — a generator of the states ``game`` is about to be
+    asked for (:func:`repro.core.game.bisect_rounds`) — as a round
+    generator of scenario points: the states not known yet are yielded
+    as points, and their results fill ``game.known`` before ``rounds``
+    resumes.  ``game.payoff`` comes from a builder below.
+    """
+    payoff = game.payoff
+    try:
+        while True:
+            unknown = game.unknown(next(rounds))
+            if unknown:
+                results = yield payoff.points(unknown)
+                game.known.update(zip(unknown, payoff.read(results)))
+    except StopIteration as stop:
+        return stop.value
 
 
 def distribution_payoff_fn(

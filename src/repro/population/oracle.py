@@ -41,6 +41,7 @@ from repro.core.multi_flow import predict_multi_flow
 from repro.exec.fingerprint import ScenarioPoint, link_params
 from repro.population.state import PopulationState
 from repro.util.jsonfile import write_json_atomic
+from repro.util.rounds import PointRounds, drive
 
 __all__ = ["BOUNDS", "ErrorMap", "TieredOracle"]
 
@@ -199,10 +200,12 @@ class TieredOracle:
 
         return resolve_obs(self._obs)
 
-    def _resolve_engine(self) -> Any:
+    def run_points(self, points: List[ScenarioPoint]) -> List[Any]:
+        """One round answered by the oracle's own engine (resolved per
+        round, so a default installed later still counts)."""
         from repro.exec.engine import resolve as resolve_engine
 
-        return resolve_engine(self.engine)
+        return resolve_engine(self.engine).run_points(points)
 
     # -- model (tier 0) ----------------------------------------------------
 
@@ -333,8 +336,9 @@ class TieredOracle:
     def _region(self, cell: Any) -> str:
         return cell.region_key()
 
-    def _ensure_calibrated(self, state: PopulationState, obs: Any) -> None:
-        """Assign a tier to every region the state touches."""
+    def _calibration_rounds(self, state: PopulationState, obs: Any):
+        """Assign a tier to every region the state touches; the regions
+        still to calibrate are one round."""
         if self.force_tier is not None:
             for cell in state.cells:
                 self._tiers.setdefault(
@@ -342,11 +346,10 @@ class TieredOracle:
                 )
             return
         modeled = set(state.strategies) == {"cubic", "bbr"}
-        needed: List[Tuple[str, Any]] = []
-        seen = set()
+        plans: Dict[str, Tuple[Any, Tuple[int, ...]]] = {}
         for cell in state.cells:
             key = self._region(cell)
-            if key in self._tiers or key in seen:
+            if key in self._tiers or key in plans:
                 continue
             if not modeled:
                 # The analytical model only covers CUBIC vs BBR; any
@@ -366,24 +369,19 @@ class TieredOracle:
                     },
                 )
                 continue
-            seen.add(key)
-            needed.append((key, cell))
-        if not needed:
-            return
-        plans = []
-        points = []
-        for key, cell in needed:
-            n = cell.n_flows
-            n_bbr = max(1, n // 2)
-            counts = tuple(
-                n - n_bbr if s == "cubic" else n_bbr
+            n_bbr = max(1, cell.n_flows // 2)
+            plans[key] = cell, tuple(
+                cell.n_flows - n_bbr if s == "cubic" else n_bbr
                 for s in state.strategies
             )
-            plans.append((key, cell, counts))
-            points.append(self._point(cell, counts, state.strategies))
-        results = self._resolve_engine().run_points(points)
-        self.sim_points += len(points)
-        for (key, cell, counts), result in zip(plans, results):
+        if not plans:
+            return
+        results = yield [
+            self._point(cell, counts, state.strategies)
+            for cell, counts in plans.values()
+        ]
+        self.sim_points += len(plans)
+        for (key, (cell, counts)), result in zip(plans.items(), results):
             model = self._model_payoffs(
                 cell.link, counts, state.strategies
             )
@@ -428,19 +426,27 @@ class TieredOracle:
     # -- the oracle surface -------------------------------------------------
 
     def payoffs(self, state: PopulationState) -> np.ndarray:
-        """Per-flow payoffs (bytes/s) for every (cell, strategy).
+        """Per-flow payoffs (bytes/s) for every (cell, strategy):
+        :meth:`payoff_rounds` answered by the oracle's own engine."""
+        return drive(self.payoff_rounds(state), self.run_points)
 
-        One call per tick: tier-0 cells answer from the analytical
-        model (memoized), tier-1 cells pool their scenario points into
-        a single batched ``Engine.run_points`` submission.
+    def payoff_rounds(
+        self, state: PopulationState
+    ) -> PointRounds[np.ndarray]:
+        """One tick's payoffs, asked for in rounds: tier-0 cells answer
+        from the analytical model (memoized) and ask for nothing; the
+        regions not calibrated yet are one round, the tier-1 cells'
+        scenario points, pooled, one more — each a single batched
+        ``Engine.run_points`` submission.
         """
         obs = self._resolve_obs()
-        self._ensure_calibrated(state, obs)
+        yield from self._calibration_rounds(state, obs)
         counts = state.counts()
         out = np.zeros(
             (state.n_cells, state.n_strategies), dtype=np.float64
         )
-        escalated: List[Tuple[int, List[ScenarioPoint], List]] = []
+        batch: List[ScenarioPoint] = []
+        reads: List[Tuple[int, int, int]] = []  # (cell, strategy, point)
         for i, cell in enumerate(state.cells):
             self.queries += 1
             if obs is not None:
@@ -462,21 +468,13 @@ class TieredOracle:
                 points, slots = self._tier1_points(
                     cell, counts[i], state.strategies
                 )
-                escalated.append((i, points, slots))
-        if escalated:
-            batch: List[ScenarioPoint] = []
-            offsets = []
-            for i, points, slots in escalated:
-                offsets.append(len(batch))
-                batch.extend(points)
-            results = self._resolve_engine().run_points(batch)
+                reads += [(i, s, len(batch) + at) for s, at in slots]
+                batch += points
+        if batch:
+            results = yield batch
             self.sim_points += len(batch)
             if obs is not None:
                 obs.count("population.oracle.sim_points", len(batch))
-            for (i, points, slots), offset in zip(escalated, offsets):
-                for s, point_index in slots:
-                    result = results[offset + point_index]
-                    out[i, s] = result.per_flow.get(
-                        state.strategies[s], 0.0
-                    )
+            for i, s, at in reads:
+                out[i, s] = results[at].per_flow.get(state.strategies[s], 0.0)
         return out

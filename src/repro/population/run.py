@@ -29,8 +29,9 @@ from repro.population.state import (
     CellSpec,
     PopulationState,
 )
+from repro.util.rounds import PointRounds, drive
 
-__all__ = ["PopulationResult", "run_population"]
+__all__ = ["PopulationResult", "population_rounds", "run_population"]
 
 #: Convergence is declared when every per-tick share delta over the
 #: last ``CONVERGENCE_WINDOW`` ticks stays below the tolerance.
@@ -140,7 +141,9 @@ def run_population(
     progress: Optional[Callable[[int, int], None]] = None,
     convergence_tol: float = 0.005,
 ) -> PopulationResult:
-    """Evolve a population of CCA-choosing flows for ``ticks`` steps.
+    """Evolve a population of CCA-choosing flows for ``ticks`` steps:
+    :func:`population_rounds` answered by the oracle's own engine,
+    under one ``population`` span.
 
     Args:
         cells: The heterogeneous population cells.
@@ -158,19 +161,63 @@ def run_population(
         convergence_tol: Max per-tick share delta, over the trailing
             :data:`CONVERGENCE_WINDOW` ticks, to declare convergence.
     """
+    from repro.obs.trace import resolve as resolve_tracer
+    from repro.obs.trace import span
+
+    if oracle is None:
+        oracle = TieredOracle(engine=engine, obs=obs)
+    config = dynamics if dynamics is not None else DynamicsConfig()
+    with span(
+        resolve_tracer(tracer),
+        "population",
+        "population",
+        ticks=ticks,
+        cells=len(cells),
+        dynamics=config.name,
+    ):
+        return drive(
+            population_rounds(
+                cells,
+                oracle,
+                config,
+                ticks,
+                seed=seed,
+                strategies=strategies,
+                init_share=init_share,
+                obs=obs,
+                check=check,
+                progress=progress,
+                convergence_tol=convergence_tol,
+            ),
+            oracle.run_points,
+        )
+
+
+def population_rounds(
+    cells: Sequence[CellSpec],
+    oracle: TieredOracle,
+    config: DynamicsConfig,
+    ticks: int,
+    seed: int = 0,
+    strategies: Tuple[str, ...] = DEFAULT_STRATEGIES,
+    init_share: float = 0.1,
+    obs: Any = None,
+    check: Any = None,
+    progress: Optional[Callable[[int, int], None]] = None,
+    convergence_tol: float = 0.005,
+) -> PointRounds[PopulationResult]:
+    """The trajectory of :func:`run_population` (its arguments), each
+    tick's engine work asked for in rounds
+    (:meth:`TieredOracle.payoff_rounds`).  A trajectory that stays on
+    tier 0 yields nothing and finishes on its first advance.
+    """
     if ticks < 1:
         raise ValueError(f"ticks must be >= 1, got {ticks}")
     from repro.check import resolve as resolve_check
     from repro.obs.bus import resolve as resolve_obs
-    from repro.obs.trace import resolve as resolve_tracer
-    from repro.obs.trace import span
 
     obs = resolve_obs(obs)
     check = resolve_check(check)
-    tracer = resolve_tracer(tracer)
-    config = dynamics if dynamics is not None else DynamicsConfig()
-    if oracle is None:
-        oracle = TieredOracle(engine=engine, obs=obs)
 
     state = PopulationState.from_share(cells, init_share, strategies)
     rng = np.random.default_rng(seed)
@@ -179,46 +226,31 @@ def run_population(
     )
     trajectory: List[Dict[str, Any]] = []
     deltas: List[float] = []
-    with span(
-        tracer,
-        "population",
-        "population",
-        ticks=ticks,
-        cells=state.n_cells,
-        dynamics=config.name,
-    ):
-        for tick in range(ticks):
-            with span(tracer, "population_tick", "population", tick=tick):
-                payoffs = oracle.payoffs(state)
-            if obs is not None:
-                obs.count("population.ticks")
-            if check is not None:
-                check.population_state(tick, state.shares)
-                stats = oracle.stats
-                check.population_oracle(
-                    tick,
-                    queries=stats["queries"],
-                    tier0=stats["tier0"],
-                    tier1=stats["tier1"],
-                )
-            nxt = step_shares(
-                config, state.shares, payoffs, scales, rng
+    for tick in range(ticks):
+        payoffs = yield from oracle.payoff_rounds(state)
+        if obs is not None:
+            obs.count("population.ticks")
+        if check is not None:
+            check.population_state(tick, state.shares)
+            stats = oracle.stats
+            check.population_oracle(
+                tick,
+                queries=stats["queries"],
+                tier0=stats["tier0"],
+                tier1=stats["tier1"],
             )
-            trajectory.append(
-                {
-                    "tick": tick,
-                    "shares": [
-                        list(row) for row in state.shares.tolist()
-                    ],
-                    "payoffs": [
-                        list(row) for row in payoffs.tolist()
-                    ],
-                }
-            )
-            deltas.append(float(np.abs(nxt - state.shares).max()))
-            state = state.with_shares(nxt)
-            if progress is not None:
-                progress(tick + 1, ticks)
+        nxt = step_shares(config, state.shares, payoffs, scales, rng)
+        trajectory.append(
+            {
+                "tick": tick,
+                "shares": [list(row) for row in state.shares.tolist()],
+                "payoffs": [list(row) for row in payoffs.tolist()],
+            }
+        )
+        deltas.append(float(np.abs(nxt - state.shares).max()))
+        state = state.with_shares(nxt)
+        if progress is not None:
+            progress(tick + 1, ticks)
     if check is not None:
         check.population_state(ticks, state.shares)
     window = deltas[-CONVERGENCE_WINDOW:]

@@ -437,15 +437,28 @@ def test_load_campaign_missing_dir(tmp_path):
 # -- adaptive stages ---------------------------------------------------------
 
 
+def cache_entries(root):
+    """``{relative entry path: bytes}`` of a result-cache directory."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
 def test_adaptive_stage_matches_direct_bisection(tmp_path):
-    """A campaign NE unit equals hand-wiring bisect_nash (fig9's loop)."""
+    """A stage of NE units — advanced in lock step, a round of every
+    live search being one engine batch — equals hand-wiring one
+    bisect_nash per search (fig9's loop): the rows, and the cache
+    entries written, byte for byte."""
     from repro.core.game import GroupGame, bisect_nash
     from repro.experiments.runner import distribution_payoff_fn
 
+    buffers, searches, flows = [1, 2, 4], 2, 6
     spec = _spec(
         defaults={"duration": 5.0, "backend": "fluid"},
-        axes=[{"name": "buffer_bdp", "values": [2]}],
-        stages=[{"type": "adaptive", "flows": 4, "searches": 1}],
+        axes=[{"name": "buffer_bdp", "values": buffers}],
+        stages=[{"type": "adaptive", "flows": flows, "searches": searches}],
     )
     engine = _engine(tmp_path)
     stream = iter_units(spec, expand_units(spec), engine=engine)
@@ -456,20 +469,39 @@ def test_adaptive_stage_matches_direct_bisection(tmp_path):
         except StopIteration as stop:
             assert not stop.value  # Not interrupted.
             break
+    outcomes.sort(key=lambda outcome: outcome.index)
+    assert len(outcomes) == len(buffers) * searches
 
-    payoff = distribution_payoff_fn(
-        spec.link.with_buffer_bdp(2),
-        4,
-        duration=5.0,
-        backend="fluid",
-        seed=0,
-    )
-    expected, _evaluated = bisect_nash(GroupGame([4], payoff))
-    got = [row["ne_challenger"] for row in outcomes[0].rows]
+    solo = Engine(cache=ResultCache(tmp_path / "solo"))
+    expected = []
+    for buffer in buffers:
+        for search in range(searches):
+            payoff = distribution_payoff_fn(
+                spec.link.with_buffer_bdp(buffer),
+                flows,
+                duration=5.0,
+                backend="fluid",
+                seed=0 + 7919 * search,
+                engine=solo,
+            )
+            found, _evaluated = bisect_nash(GroupGame([flows], payoff))
+            expected.append([(buffer, search, k, flows - k) for k in found])
+    got = [
+        [
+            (
+                row["buffer_bdp"],
+                row["search"],
+                row["ne_challenger"],
+                row["ne_incumbent"],
+            )
+            for row in outcome.rows
+        ]
+        for outcome in outcomes
+    ]
     assert got == expected
-    assert all(
-        row["ne_incumbent"] == 4 - row["ne_challenger"]
-        for row in outcomes[0].rows
+    assert engine.simulated == solo.simulated > 0
+    assert cache_entries(tmp_path / "cache") == cache_entries(
+        tmp_path / "solo"
     )
 
 
@@ -544,14 +576,15 @@ def test_adaptive_stage_honours_loss_mode(tmp_path):
     stats, (proportional, _sync) = search(
         {"name": "loss_mode", "values": ["proportional", "sync"]}
     )
-    # The sync combination shares no fingerprint with the first one.
-    assert stats[0]["simulated"] > 0
-    assert stats[1]["simulated"] > stats[0]["simulated"]
-    assert stats[1]["cache_hits"] == 0
+    # The two searches advance together and share no fingerprint.
+    both = stats[-1]["simulated"]
+    assert stats[-1]["cache_hits"] == 0
     # The proportional combination is the search a spec without the
-    # axis runs (the default): same points, same equilibria.
+    # axis runs (the default): same points, same equilibria — and the
+    # sync combination simulated points of its own on top of them.
     stats, (default,) = search({"name": "buffer_bdp", "values": [1.0]})
-    assert stats[0]["simulated"] == 0 and stats[0]["cache_hits"] > 0
+    assert stats[0]["simulated"] == 0
+    assert 0 < stats[0]["cache_hits"] < both
     assert default == proportional
 
 
