@@ -2,8 +2,9 @@
 
 Every benchmark regenerates one paper figure (quick scale by default; set
 ``REPRO_SCALE=full`` for the paper's exact parameters), saves the rendered
-figure and its CSV under ``results/``, and asserts the qualitative
-properties the paper reports for it.
+figure and its CSV under ``results/`` (or ``REPRO_RESULTS_DIR``, which
+``tests/smoke.py`` points at a temporary directory to compare the two),
+and asserts the qualitative properties the paper reports for it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import pathlib
 
 import pytest
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+RESULTS_DIR = pathlib.Path(
+    os.environ.get("REPRO_RESULTS_DIR")
+    or pathlib.Path(__file__).resolve().parent.parent / "results"
+)
 
 
 @pytest.fixture(scope="session")

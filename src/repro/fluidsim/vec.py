@@ -634,7 +634,9 @@ class VecFluidSim:
         self._drop_accumulator += dropped
 
         responsive = self._loss_based & (w > 0) & dropping_f
-        self._backoff_victims(state, now_p, w, shares, responsive, dropping_pts)
+        self._backoff_victims(
+            state, now_p, w, shares, responsive, dropping_pts
+        )
 
         solved, _ = self._solve_queue(w)
         np.copyto(

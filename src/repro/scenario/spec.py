@@ -134,8 +134,12 @@ class REDSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "min_frac", _canon_float("min_frac", self.min_frac))
-        object.__setattr__(self, "max_frac", _canon_float("max_frac", self.max_frac))
+        object.__setattr__(
+            self, "min_frac", _canon_float("min_frac", self.min_frac)
+        )
+        object.__setattr__(
+            self, "max_frac", _canon_float("max_frac", self.max_frac)
+        )
         object.__setattr__(self, "max_p", _canon_float("max_p", self.max_p))
         object.__setattr__(self, "weight", _canon_float("weight", self.weight))
         object.__setattr__(self, "ecn", bool(self.ecn))
@@ -181,7 +185,9 @@ class CoDelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "target", _canon_float("target", self.target))
-        object.__setattr__(self, "interval", _canon_float("interval", self.interval))
+        object.__setattr__(
+            self, "interval", _canon_float("interval", self.interval)
+        )
         object.__setattr__(self, "ecn", bool(self.ecn))
         if self.target <= 0:
             raise ValueError(f"target must be positive, got {self.target}")
@@ -233,7 +239,9 @@ def aqm_from_dict(data: Mapping[str, Any]) -> AqmSpec:
         raise ValueError(f"AQM dict needs a 'kind' key, got {dict(data)!r}")
     kind = str(data["kind"]).strip().lower()
     if kind not in _AQM_ALIASES:
-        raise ValueError(f"aqm kind must be one of {AQM_KINDS}, got {data['kind']!r}")
+        raise ValueError(
+            f"aqm kind must be one of {AQM_KINDS}, got {data['kind']!r}"
+        )
     cls = _AQM_CLASSES[_AQM_ALIASES[kind]]
     kwargs = {k: v for k, v in data.items() if k != "kind"}
     allowed = {f.name for f in fields(cls)}
@@ -333,7 +341,9 @@ class StepsTrace:
                           _canon_float(f"steps[{i}] scale", s)))
         object.__setattr__(self, "steps", tuple(canon))
         if not self.steps:
-            raise ValueError("steps trace needs at least one (time, scale) step")
+            raise ValueError(
+                "steps trace needs at least one (time, scale) step"
+            )
         last = 0.0
         for t, s in self.steps:
             if t <= last:
@@ -387,7 +397,10 @@ class SampledTrace:
         object.__setattr__(
             self,
             "scales",
-            tuple(_canon_float(f"scales[{i}]", s) for i, s in enumerate(self.scales)),
+            tuple(
+                _canon_float(f"scales[{i}]", s)
+                for i, s in enumerate(self.scales)
+            ),
         )
         if self.period <= 0:
             raise ValueError(f"period must be positive, got {self.period}")
@@ -447,13 +460,17 @@ def trace_from_dict(data: Mapping[str, Any]) -> CapacityTrace:
     extra = {k: v for k, v in data.items() if k != "kind"}
     if kind == "constant":
         if extra:
-            raise ValueError(f"constant trace takes no keys, got {sorted(extra)}")
+            raise ValueError(
+                f"constant trace takes no keys, got {sorted(extra)}"
+            )
         return CONSTANT
     if kind == "steps":
         unknown = set(extra) - {"steps"}
         if unknown:
             raise ValueError(f"unknown steps-trace keys: {sorted(unknown)}")
-        return StepsTrace(steps=tuple(tuple(step) for step in extra.get("steps", ())))
+        return StepsTrace(
+            steps=tuple(tuple(step) for step in extra.get("steps", ()))
+        )
     if kind == "trace":
         unknown = set(extra) - {"period", "scales"}
         if unknown:
@@ -597,7 +614,9 @@ class BottleneckSpec:
             self.capacity_trace, (ConstantTrace, StepsTrace, SampledTrace)
         ):
             object.__setattr__(
-                self, "capacity_trace", parse_capacity_trace(self.capacity_trace)
+                self,
+                "capacity_trace",
+                parse_capacity_trace(self.capacity_trace),
             )
 
     @classmethod
@@ -699,7 +718,9 @@ class BottleneckSpec:
         """Return a copy with a different base RTT in seconds."""
         return replace(self, rtt=rtt)
 
-    def with_aqm(self, aqm: Any, ecn: Optional[bool] = None) -> "BottleneckSpec":
+    def with_aqm(
+        self, aqm: Any, ecn: Optional[bool] = None
+    ) -> "BottleneckSpec":
         """Return a copy with a different AQM (any :func:`parse_aqm` form)."""
         return replace(self, aqm=parse_aqm(aqm, ecn=ecn))
 
@@ -733,7 +754,14 @@ class BottleneckSpec:
         ``aqm``/``capacity_trace``/``mss`` may be omitted (defaults
         apply); unknown keys are rejected.
         """
-        allowed = {"capacity", "rtt", "buffer_bdp", "mss", "aqm", "capacity_trace"}
+        allowed = {
+            "capacity",
+            "rtt",
+            "buffer_bdp",
+            "mss",
+            "aqm",
+            "capacity_trace",
+        }
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"unknown BottleneckSpec keys: {sorted(unknown)}")

@@ -1,12 +1,11 @@
 """The campaign vocabulary: identity, round-trips, table completeness.
 
 ``campaign_identity.json`` was generated at the commit *before* the
-vocabulary tables replaced the per-kind chains
-(``PYTHONPATH=src python tests/test_campaign_vocab.py`` prints it):
-spec fingerprints and unit ids key journals, so they must never move.
+vocabulary tables replaced the per-kind chains (``python -m
+tests.identity campaign`` rewrites it from the specs below): spec
+fingerprints and unit ids key journals, so they must never move.
 """
 
-import hashlib
 import json
 import os
 import subprocess
@@ -21,9 +20,6 @@ from repro.campaign import (
     Stage,
     Unit,
     expand_units,
-    fig9_campaign,
-    list_bundled_campaigns,
-    load_spec,
     parse_spec,
 )
 from repro.campaign.vocab import (
@@ -35,9 +31,9 @@ from repro.campaign.vocab import (
 )
 from repro.scenario import LOSS_MODES
 from repro.util.config import LinkConfig
+from tests.identity import campaign_table, load
 
 ROOT = Path(__file__).resolve().parent.parent
-IDENTITY_PATH = Path(__file__).parent / "campaign_identity.json"
 
 #: Copies of the two campaign shapes ``benchmarks/e2e/workloads.py``
 #: builds (seed 0, full size).
@@ -166,43 +162,9 @@ EVERY_POPULATION = {
 }
 
 
-def _identity_specs():
-    specs = {
-        path.name: load_spec(path) for path in list_bundled_campaigns()
-    }
-    specs["fig9-quick"] = fig9_campaign()
-    specs["fig9-full"] = fig9_campaign(scale="full")
-    for data in (
-        NE_SEARCH,
-        WARM_RESUME,
-        EVERY_SWEEP,
-        EVERY_ADAPTIVE,
-        EVERY_POPULATION,
-    ):
-        specs[data["name"]] = parse_spec(json.loads(json.dumps(data)))
-    return specs
-
-
-def _identity_table():
-    """Spec fingerprint + ordered unit ids (digested) per pinned spec."""
-    table = {}
-    for name, spec in _identity_specs().items():
-        ids = [unit.unit_id() for unit in expand_units(spec)]
-        table[name] = {
-            "fingerprint": spec.fingerprint(),
-            "units": len(ids),
-            "first_unit_id": ids[0],
-            "last_unit_id": ids[-1],
-            "ordered_unit_ids_sha256": hashlib.sha256(
-                "\n".join(ids).encode("ascii")
-            ).hexdigest(),
-        }
-    return table
-
-
 def test_identity_matches_golden_table():
-    golden = json.loads(IDENTITY_PATH.read_text())
-    table = _identity_table()
+    golden = load("campaign")
+    table = campaign_table()
     assert sorted(table) == sorted(golden)
     assert table["bench-warm-resume"]["units"] == 300
     for name, entry in table.items():
@@ -424,6 +386,3 @@ def test_campaign_imports_stay_numpy_free():
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
-
-if __name__ == "__main__":
-    print(json.dumps(_identity_table(), indent=1, sort_keys=True))

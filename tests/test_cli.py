@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from tests.identity import load, parser_surface
 
 
 def test_list(capsys):
@@ -1105,37 +1106,12 @@ def test_campaign_report_without_compare_axis(tmp_path, capsys):
 # -- run session: ambient state in, ambient state out ------------------------
 
 
-def _parser_surface(parser, prefix=""):
-    """``{"sub command": sorted option strings}`` for a parser tree."""
-    import argparse
-
-    surface = {
-        prefix: sorted(
-            option
-            for action in parser._actions
-            for option in action.option_strings
-        )
-    }
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                surface.update(
-                    _parser_surface(sub, f"{prefix} {name}".strip())
-                )
-    return surface
-
-
 def test_parser_surface_matches_snapshot():
     """Every (sub)command accepts exactly the options of
     ``tests/cli_options.json`` (generated at the commit before the
     session flags became one group)."""
-    import json
-    from pathlib import Path
-
-    snapshot = json.loads(
-        (Path(__file__).parent / "cli_options.json").read_text()
-    )
-    assert _parser_surface(build_parser()) == snapshot
+    snapshot = load("cli_options")
+    assert parser_surface(build_parser()) == snapshot
     assert "--trace-out" in snapshot["campaign run"]
     assert "--trace-out" in snapshot["campaign resume"]
 

@@ -54,3 +54,39 @@ def test_figure5_counts_include_endpoint():
     # 20 flows at quick scale steps by 2 but must still end at 20.
     fig = figure5(n_flows=4, buffer_bdp=3)
     assert fig.get("actual").x[-1] == 4
+
+
+def test_figure9_is_the_same_at_jobs_1_jobs_4_and_warm(tmp_path, monkeypatch):
+    """One figure-9 panel three ways — ``jobs=1`` cold, ``jobs=4`` cold
+    and warm over the ``jobs=4`` cache — is one ``FigureResult``, and
+    the warm run simulates nothing.  The panel's campaign is shrunk
+    (two buffers, six flows, 10 s) so the contract costs about a
+    second; the figure code around it is the shipped one."""
+    from repro.campaign import parse_spec, studies
+    from repro.exec import Engine, ResultCache
+    from repro.obs import Telemetry
+
+    full_panel = studies.fig9_campaign
+
+    def small_panel(**kwargs):
+        data = full_panel(**kwargs).to_dict()
+        data["defaults"]["duration"] = 10.0
+        data["axes"] = [{"name": "buffer_bdp", "values": [2, 10]}]
+        data["stages"][0]["flows"] = 6
+        return parse_spec(data)
+
+    monkeypatch.setattr(studies, "fig9_campaign", small_panel)
+    panel = dict(capacity_mbps=50, rtt_ms=20, scale="quick")
+    sequential = figure9(
+        engine=Engine(jobs=1, cache=ResultCache(tmp_path / "seq")), **panel
+    )
+    with Engine(jobs=4, cache=ResultCache(tmp_path / "par")) as engine:
+        assert figure9(engine=engine, **panel) == sequential
+    obs = Telemetry()
+    with Engine(jobs=4, cache=ResultCache(tmp_path / "par"), obs=obs) as warm:
+        assert figure9(engine=warm, **panel) == sequential
+    assert warm.stats["simulated"] == obs.counter("exec.points.simulated") == 0
+    assert obs.counter("exec.cache.hits") == obs.counter(
+        "exec.points.submitted"
+    ) > 0
+    assert sequential.get("observed-ne").x == [2, 2, 10, 10]

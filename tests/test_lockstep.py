@@ -9,17 +9,14 @@ no assertion depends on a clock except the two about ``wall_s`` itself.
 
 ``lockstep_identity.json`` pins the CSV and ``error_map.json`` bytes of
 a small population campaign as the commit *before* the driver wrote
-them (threads, one ``run_points`` per unit per tick); ``python
-tests/test_lockstep.py "<commit>"`` is how it was written, from a clone
-of that commit (``PYTHONPATH=<clone>/src``).  If the pin moves, explain
-which point changed — do not re-pin.
+them (threads, one ``run_points`` per unit per tick); ``python -m
+tests.identity lockstep`` is how it was written, from a clone of that
+commit (``PYTHONPATH=<clone>/src``).  If the pin moves, explain which
+point changed before re-pinning.
 """
 
 import filecmp
 import json
-import sys
-import tempfile
-from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -32,9 +29,9 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.exec import Engine, ResultCache
+from tests.identity import load, population_artifacts
 
-PATH = Path(__file__).parent / "lockstep_identity.json"
-IDENTITY = json.loads(PATH.read_text())
+IDENTITY = load("lockstep")
 
 FLOWS = 8
 BUFFERS = [1, 2, 3, 5]
@@ -287,21 +284,11 @@ def test_completion_and_merge_order_do_not_depend_on_timing(tmp_path):
 # -- the population pin ------------------------------------------------------
 
 
-def population_artifacts(out):
-    """Run the pinned campaign into ``out``; its CSV and error map."""
-    spec = population_spec()
-    run_campaign(spec, out, engine=Engine())
-    return {
-        "csv": (Path(out) / spec.csv_name).read_text(),
-        "error_map": (Path(out) / "error_map.json").read_text(),
-    }
-
-
 def test_population_campaign_is_pinned(tmp_path):
     """Two regions: one the model serves after its calibration round
     (it finishes on its second advance), one escalated to a fluid
     batch per tick."""
-    got = population_artifacts(tmp_path / "out")
+    got = population_artifacts(IDENTITY["spec"], tmp_path / "out")
     assert got["csv"] == IDENTITY["csv"]
     assert got["error_map"] == IDENTITY["error_map"]
     tiers = {
@@ -310,8 +297,3 @@ def test_population_campaign_is_pinned(tmp_path):
     }
     assert sorted(tiers.values()) == [0, 1]
 
-
-if __name__ == "__main__":  # pragma: no cover - provenance, not a test
-    IDENTITY["generated_at"] = sys.argv[1]
-    IDENTITY.update(population_artifacts(tempfile.mkdtemp()))
-    PATH.write_text(json.dumps(IDENTITY, indent=1) + "\n")

@@ -3,9 +3,6 @@
 These run the full packet-level stack on small links so they stay fast.
 """
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.check import Checker
@@ -20,14 +17,10 @@ from repro.sim.network import (
 from repro.sim.packet import Packet
 from repro.sim.stats import FlowStats
 from repro.util.config import LinkConfig
+from tests.identity import load
 
 #: Inputs, and outputs at the commit before the two-event model.
-PINNED = {
-    case["name"]: case
-    for case in json.loads(
-        (Path(__file__).parent / "sim_identity.json").read_text()
-    )["cases"]
-}
+PINNED = {case["name"]: case for case in load("sim")["cases"]}
 
 
 @pytest.fixture(scope="module")

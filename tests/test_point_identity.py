@@ -7,12 +7,9 @@ fingerprint and the sha256 of the cached payload file of a spread of
 points, and the group payoffs the old private ``run_fluid`` trial loop
 measured.  Recomputing them here proves that every point that could be
 asked before still has its cache identity and its payload bytes, and
-that the group game measures what it measured.
+that the group game measures what it measured.  The recomputation is
+:mod:`tests.identity`'s, which also rewrites the file.
 """
-
-import hashlib
-import json
-from pathlib import Path
 
 import pytest
 
@@ -20,49 +17,30 @@ from repro.check import use as use_check
 from repro.exec import Engine, ResultCache, ScenarioPoint
 from repro.experiments.runner import (
     class_label,
-    group_payoff_fn,
     run_mix,
     run_mix_batch,
     runs_vectorized,
 )
 from repro.obs.trace import Tracer
 from repro.util.config import LinkConfig
+from tests.identity import FIXTURES, group_payoff, load, point_pins
 
-IDENTITY = json.loads(
-    (Path(__file__).parent / "point_identity.json").read_text()
-)
+IDENTITY = load("point")
 GROUP = IDENTITY["group_game"]
-
-
-def _point(entry):
-    return ScenarioPoint(
-        link=LinkConfig.from_mbps_ms(**entry["link"]),
-        mix=tuple(tuple(e) for e in entry["mix"]),
-        **entry["kwargs"],
-    )
 
 
 @pytest.mark.parametrize(
     "entry", IDENTITY["points"], ids=lambda entry: entry["name"]
 )
 def test_fingerprint_and_cached_payload_bytes_are_pinned(entry, tmp_path):
-    point = _point(entry)
-    assert point.fingerprint() == entry["fingerprint"]
-    cache = ResultCache(tmp_path)
-    Engine(cache=cache).run_points([point])
-    stored = cache.path_for(point.fingerprint()).read_bytes()
-    assert hashlib.sha256(stored).hexdigest() == entry["payload_sha256"]
+    assert point_pins(entry, tmp_path) == {
+        "fingerprint": entry["fingerprint"],
+        "payload_sha256": entry["payload_sha256"],
+    }
 
 
 def _group_payoff(engine=None, trials=1):
-    return group_payoff_fn(
-        LinkConfig.from_mbps_ms(**GROUP["link"]),
-        GROUP["group_rtts"],
-        GROUP["group_sizes"],
-        duration=GROUP["duration"],
-        trials=trials,
-        engine=engine,
-    )
+    return group_payoff(GROUP, engine=engine, trials=trials)
 
 
 def test_group_payoffs_bit_equal_to_the_private_trial_loop():
@@ -76,12 +54,14 @@ def test_group_payoffs_bit_equal_to_the_private_trial_loop():
 
 def test_group_payoffs_over_trials_match_the_pooled_mean():
     # Per-trial-then-mean may differ from the old pooled mean in the
-    # last ulp; no shipped caller passes trials.
+    # last ulp (the fixture's named exception); no shipped caller
+    # passes trials.
+    rel = FIXTURES["point"].exceptions["pooled_mean_rel"]
     payoff = _group_payoff(trials=3)
     for golden in GROUP["by_trials"]["3"]:
         [pairs] = payoff(tuple(golden["state"]))
         for measured, pinned in zip(pairs, golden["payoffs"]):
-            assert measured == pytest.approx(pinned, rel=1e-12)
+            assert measured == pytest.approx(pinned, rel=rel)
 
 
 def test_group_game_state_is_one_engine_point(tmp_path):

@@ -49,7 +49,8 @@ def small_link(mbps=10, rtt=20, bdp=5, **scenario):
 
 
 @pytest.mark.parametrize(
-    "spelling", ["droptail", "drop-tail", "drop_tail", "tail", "none", "DropTail"]
+    "spelling",
+    ["droptail", "drop-tail", "drop_tail", "tail", "none", "DropTail"],
 )
 def test_parse_aqm_droptail_spellings(spelling):
     assert parse_aqm(spelling) == DROP_TAIL
@@ -59,7 +60,9 @@ def test_parse_aqm_none_is_droptail():
     assert parse_aqm(None) is DROP_TAIL
 
 
-@pytest.mark.parametrize("spelling,cls", [("red", REDSpec), ("CoDel", CoDelSpec)])
+@pytest.mark.parametrize(
+    "spelling,cls", [("red", REDSpec), ("CoDel", CoDelSpec)]
+)
 def test_parse_aqm_kind_strings(spelling, cls):
     assert parse_aqm(spelling) == cls()
 
