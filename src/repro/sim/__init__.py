@@ -2,14 +2,15 @@
 
 This subpackage is the substrate replacing the paper's emulated-link
 testbed: a deterministic event loop (:mod:`repro.sim.engine`), a drop-tail
-bottleneck link (:mod:`repro.sim.link`), bulk senders with Linux-style
+bottleneck link that decides each packet as it arrives
+(:mod:`repro.sim.link`), bulk senders with Linux-style
 delivery-rate sampling (:mod:`repro.sim.endpoints`), and a dumbbell
 topology builder that also owns each flow's fixed post-bottleneck path
 and receiver (:mod:`repro.sim.network`).
 """
 
 from repro.sim.aqm import RED, CoDel, CoDelConfig, REDConfig
-from repro.sim.engine import EventLoop
+from repro.sim.engine import EventBudgetExceeded, EventLoop
 from repro.sim.link import Link, LinkStats
 from repro.sim.network import (
     DumbbellNetwork,
@@ -19,7 +20,7 @@ from repro.sim.network import (
     SimulationResult,
     run_dumbbell,
 )
-from repro.sim.packet import Ack, LossEvent, Packet, RateSample
+from repro.sim.packet import LossEvent, Packet, RateSample
 from repro.sim.stats import FlowStats
 from repro.sim.trace import CwndTracer, TraceSample
 
@@ -30,6 +31,7 @@ __all__ = [
     "CoDelConfig",
     "CwndTracer",
     "TraceSample",
+    "EventBudgetExceeded",
     "EventLoop",
     "Link",
     "LinkStats",
@@ -39,7 +41,6 @@ __all__ = [
     "FlowSpec",
     "SimulationResult",
     "run_dumbbell",
-    "Ack",
     "LossEvent",
     "Packet",
     "RateSample",

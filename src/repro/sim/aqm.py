@@ -8,7 +8,9 @@ packet-level bottleneck can run on top of its drop-tail buffer: classic
 RED (tail early-drop on an averaged queue *size*) and CoDel (head drop
 on packet *sojourn time*, RFC 8289).  Both expose the same two-hook
 interface the :class:`repro.sim.link.Link` calls:
-``on_enqueue(queue_bytes)`` and ``on_dequeue(now, sojourn)``.
+``on_enqueue(queue_bytes)`` and ``on_dequeue(now, sojourn)``, and say
+which of the two they act on (``acts_on_enqueue`` /
+``acts_on_dequeue``), so the link calls only that one.
 
 RED:
 
@@ -112,9 +114,11 @@ class RED:
 
     # -- unified AQM interface used by the Link --------------------------
 
-    def on_enqueue(self, queue_bytes: float) -> bool:
-        """RED drops at enqueue time (tail drop with early detection)."""
-        return self.should_drop(queue_bytes)
+    #: RED acts at the tail (early detection), never at the head.
+    acts_on_enqueue = True
+    acts_on_dequeue = False
+
+    on_enqueue = should_drop
 
     def on_dequeue(self, now: float, sojourn: float) -> bool:
         """RED never drops at dequeue."""
@@ -162,6 +166,10 @@ class CoDel:
         self._dropping = False
         self._drop_next = 0.0
         self._count = 0
+
+    #: CoDel acts at the head (sojourn time), never at the tail.
+    acts_on_enqueue = False
+    acts_on_dequeue = True
 
     def on_enqueue(self, queue_bytes: float) -> bool:
         """CoDel never drops at enqueue (head-drop discipline)."""

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 from repro.cc.base import CongestionControl
 from repro.cc.laws.base import smooth_rtt
 from repro.sim.engine import EventLoop
-from repro.sim.packet import Ack, LossEvent, Packet, RateSample
+from repro.sim.packet import LossEvent, Packet, RateSample
 from repro.sim.stats import FlowStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,7 +89,6 @@ class Sender:
         self._srtt: Optional[float] = None
         self._last_ack_time = start_time
         self._rto_pending = False
-        self._highest_acked = -1
         self._last_ecn_reaction = float("-inf")
 
         loop.call_at(start_time, self._on_start)
@@ -128,49 +127,41 @@ class Sender:
             if rate is not None and rate > 0:
                 next_send = self._next_send_time
                 if now < next_send:
-                    self._arm_send_timer(next_send)
+                    if not self._send_timer_pending:
+                        self._send_timer_pending = True
+                        self.loop.call_at(next_send, self._on_send_timer)
                     return
                 gap = mss / rate
                 self._next_send_time = max(next_send, now - gap) + gap
-            self._send_packet(now)
-
-    def _arm_send_timer(self, when: float) -> None:
-        if self._send_timer_pending:
-            return
-        self._send_timer_pending = True
-        self.loop.call_at(when, self._on_send_timer)
+            seq = self._next_seq
+            packet = Packet(
+                self.flow_id,
+                seq,
+                mss,
+                now,
+                self._delivered,
+                self._delivered_time,
+                False,  # app_limited: a bulk source always has data.
+                False,  # is_retransmit
+            )
+            self._next_seq = seq + 1
+            self._outstanding[seq] = packet
+            self._order.append(seq)
+            self._in_flight_bytes += mss
+            self.stats.sent_packets += 1
+            self.transmit(packet)
 
     def _on_send_timer(self) -> None:
         self._send_timer_pending = False
         self._maybe_send()
 
-    def _send_packet(self, now: float) -> None:
-        seq = self._next_seq
-        size = self.mss
-        packet = Packet(
-            self.flow_id,
-            seq,
-            size,
-            now,
-            self._delivered,
-            self._delivered_time,
-            False,  # app_limited: a bulk source always has data.
-            False,  # is_retransmit
-        )
-        self._next_seq = seq + 1
-        self._outstanding[seq] = packet
-        self._order.append(seq)
-        self._in_flight_bytes += size
-        self.stats.sent_packets += 1
-        self.transmit(packet)
-
     # -- acknowledgements ------------------------------------------------
 
-    def on_ack(self, ack: Ack) -> None:
-        """Process an ACK delivered by the reverse path."""
-        seq = ack.seq
-        packet = self._outstanding.pop(seq, None)
-        if packet is None:
+    def on_ack(self, packet: Packet) -> None:
+        """Process the ACK of ``packet``, delivered by the reverse path
+        (the packet is its own ACK)."""
+        seq = packet.seq
+        if self._outstanding.pop(seq, None) is None:
             return  # ACK for a packet already declared lost.
         now = self.loop.now
         size = packet.size
@@ -179,8 +170,6 @@ class Sender:
         delivered = self._delivered + size
         self._delivered = delivered
         self._delivered_time = now
-        if seq > self._highest_acked:
-            self._highest_acked = seq
 
         rtt = now - packet.sent_time
         self._srtt = smooth_rtt(self._srtt, rtt)
@@ -195,8 +184,12 @@ class Sender:
                 delivered - packet.delivered_at_send
             ) / interval
 
-        self._detect_losses(seq)
-        if ack.ecn:
+        order = self._order
+        if order[0] == seq:
+            order.popleft()  # In order: nothing ahead of it is missing.
+        else:
+            self._detect_losses(seq)
+        if packet.ecn:
             self._on_ecn_echo(now)
 
         cc = self.cc

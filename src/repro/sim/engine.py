@@ -1,11 +1,14 @@
 """Discrete-event simulation core.
 
 A minimal, fast event loop built on :mod:`heapq`.  Events are ``(time,
-sequence, callback, args)`` entries; the sequence number breaks ties so
-that events scheduled earlier run earlier, which keeps runs fully
-deterministic.  The callback's positional arguments ride in the entry,
-so per-packet callers schedule a bound method and its packet without
-allocating a closure.
+origin, sequence, callback, args)`` entries.  Simultaneous events run in
+the order of their *origin* — the simulated instant that caused them,
+which is the instant they were scheduled unless the caller says
+otherwise (:meth:`EventLoop.call_at_from`) — and then of their sequence
+number, i.e. in scheduling order, which keeps runs fully deterministic.
+The callback's positional arguments ride in the entry, so per-packet
+callers schedule a bound method and its packet without allocating a
+closure.
 """
 
 from __future__ import annotations
@@ -20,6 +23,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.bus import Telemetry
 
 
+class EventBudgetExceeded(RuntimeError):
+    """A run needed more events than its budget: a runaway, stopped.
+
+    Attributes:
+        time: Simulation time of the last event run.
+        events: Events the run processed before it was stopped.
+        budget: The budget it exceeded.
+    """
+
+    def __init__(self, time: float, events: int, budget: int) -> None:
+        super().__init__(
+            f"event budget of {budget} exceeded at t={time:.6f}s "
+            f"({events} events run)"
+        )
+        self.time = time
+        self.events = events
+        self.budget = budget
+
+    def __reduce__(self):
+        return type(self), (self.time, self.events, self.budget)
+
+
 class EventLoop:
     """A deterministic discrete-event scheduler.
 
@@ -27,7 +52,7 @@ class EventLoop:
 
         loop = EventLoop()
         loop.call_at(0.0, start_flow)
-        loop.call_later(0.5, link.set_capacity, 2.5e6)
+        loop.call_later(0.5, sender.on_ack, packet)
         loop.run_until(120.0)
 
     Args:
@@ -48,7 +73,7 @@ class EventLoop:
         check: Optional["Checker"] = None,
     ) -> None:
         self._queue: List[
-            Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
+            Tuple[float, float, int, Callable[..., None], Tuple[Any, ...]]
         ] = []
         self._counter = itertools.count()
         #: Current simulation time in seconds.  A plain attribute (it is
@@ -71,7 +96,27 @@ class EventLoop:
                 f"cannot schedule event in the past: {when} < {self.now}"
             )
         heapq.heappush(
-            self._queue, (when, next(self._counter), callback, args)
+            self._queue, (when, self.now, next(self._counter), callback, args)
+        )
+
+    def call_at_from(
+        self,
+        when: float,
+        origin: float,
+        callback: Callable[..., None],
+        *args: Any,
+    ) -> None:
+        """Schedule ``callback(*args)`` at ``when``, ordered among
+        simultaneous events as if it had been scheduled at ``origin``
+        (``now <= origin <= when``): the instant that causes it, when
+        the caller knows that instant before it comes."""
+        if not when >= origin >= self.now:
+            raise ValueError(
+                f"need now <= origin <= when, got {self.now}, {origin}, "
+                f"{when}"
+            )
+        heapq.heappush(
+            self._queue, (when, origin, next(self._counter), callback, args)
         )
 
     def call_later(
@@ -84,10 +129,12 @@ class EventLoop:
         # than re-check (and re-pack ``args``) through ``call_at``.
         heapq.heappush(
             self._queue,
-            (self.now + delay, next(self._counter), callback, args),
+            (self.now + delay, self.now, next(self._counter), callback, args),
         )
 
-    def run_until(self, end_time: float) -> None:
+    def run_until(
+        self, end_time: float, max_events: Optional[int] = None
+    ) -> None:
         """Run events in order until the clock reaches ``end_time``.
 
         Events scheduled exactly at ``end_time`` are executed.  The clock is
@@ -95,6 +142,9 @@ class EventLoop:
         :meth:`stop` left events at or before ``end_time`` queued, in
         which case it stays at the last event run, so that a later
         ``run_until`` resumes without the clock going backwards.
+
+        ``max_events`` bounds the events this call may run; one more
+        raises :class:`EventBudgetExceeded`.
         """
         self._running = True
         queue = self._queue
@@ -102,12 +152,15 @@ class EventLoop:
         obs = self.obs
         check = self.check
         wall_start = time.perf_counter() if obs is not None else 0.0
+        budget = -1 if max_events is None else max_events
         processed = 0
         try:
             while queue and self._running:
-                when, _seq, callback, args = queue[0]
+                when, _origin, _seq, callback, args = queue[0]
                 if when > end_time:
                     break
+                if processed == budget:
+                    raise EventBudgetExceeded(self.now, processed, budget)
                 heappop(queue)
                 if check is not None:
                     check.event_loop_tick(when, self.now, len(queue))
@@ -126,7 +179,8 @@ class EventLoop:
     def run_all(self, max_events: int = 10_000_000) -> int:
         """Run until the queue is empty; returns the number of events run.
 
-        ``max_events`` guards against runaway self-rescheduling loops.
+        ``max_events`` guards against runaway self-rescheduling loops,
+        as in :meth:`run_until`.
         """
         self._running = True
         count = 0
@@ -136,16 +190,14 @@ class EventLoop:
         wall_start = time.perf_counter() if obs is not None else 0.0
         try:
             while queue and self._running:
-                when, _seq, callback, args = heapq.heappop(queue)
+                if count == max_events:
+                    raise EventBudgetExceeded(self.now, count, max_events)
+                when, _origin, _seq, callback, args = heapq.heappop(queue)
                 if check is not None:
                     check.event_loop_tick(when, self.now, len(queue))
                 self.now = when
                 callback(*args)
                 count += 1
-                if count >= max_events:
-                    raise RuntimeError(
-                        f"event loop exceeded {max_events} events"
-                    )
         finally:
             self._running = False
             self.events_processed += count

@@ -5,11 +5,12 @@ bottleneck link and drop-tail buffer; each flow's base RTT is realized by
 fixed per-flow propagation delays on the data and ACK paths, so flows may
 have distinct base RTTs (as in the paper's §4.5 multi-RTT experiments).
 
-A forwarded packet costs two events: its service completion at the
-bottleneck and its ACK's arrival at the sender.  Everything between the
-two is a fixed delay on a path that neither drops, queues nor reorders,
-so :class:`FlowPath` computes both remaining timestamps at service
-completion instead of walking the packet through them event by event.
+A forwarded packet costs one event: its ACK's arrival at the sender.
+The bottleneck decides the packet's fate and departure when it arrives
+(:mod:`repro.sim.link`), and everything after the bottleneck is a fixed
+delay on a path that neither drops, queues nor reorders, so
+:class:`FlowPath` computes the remaining timestamps from the departure
+instead of walking the packet through them event by event.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,9 +37,15 @@ from repro.cc.base import make_controller
 from repro.sim.endpoints import Sender
 from repro.sim.engine import EventLoop
 from repro.sim.link import Link
-from repro.sim.packet import Ack, Packet
+from repro.sim.packet import Packet
 from repro.sim.stats import FlowStats
 from repro.util.config import LinkConfig
+
+#: Events a run may process per packet its bottleneck can carry before
+#: it is stopped as a runaway
+#: (:class:`~repro.sim.engine.EventBudgetExceeded`).  A healthy
+#: run needs one to three: the ACK, pacing and RTO timers.
+EVENTS_PER_PACKET_BUDGET = 32
 
 
 @dataclass
@@ -115,13 +123,15 @@ class FlowPath:
     A packet leaving the bottleneck at ``t`` reaches the receiver at
     ``t + rtt/2`` and its ACK reaches the sender at ``(t + rtt/2) +
     rtt/2`` (in that association: the timestamps a hop-by-hop walk
-    would produce).  :meth:`forward` therefore builds the ACK at once
-    and schedules only ``on_ack``.  The receiver's delivery accounting
-    is binned at *arrival* time, which no event marks any more; ACKs
-    whose delivery is not yet on record wait in a FIFO that is settled,
-    by arrival time, on every later packet and by :meth:`settle` when a
-    run ends — so packets that reached the receiver but whose ACK is
-    still under way count exactly as if the receiver had fired.
+    would produce).  The bottleneck knows ``t`` when the packet arrives
+    there, so :meth:`forward` stamps the packet's ``recv_time`` and
+    schedules only ``on_ack``, with the packet as its own ACK.  The
+    receiver's delivery accounting is binned at *arrival* time, which
+    no event marks; packets whose delivery is not yet on record wait in
+    a FIFO that is settled, by arrival time, on every later packet and
+    by :meth:`settle` when a run ends — so packets that reached the
+    receiver but whose ACK is still under way count exactly as if the
+    receiver had fired, and packets still queued at the end do not.
 
     Args:
         loop: The event loop driving the simulation.
@@ -137,7 +147,7 @@ class FlowPath:
         loop: EventLoop,
         rtt: float,
         stats: FlowStats,
-        on_ack: Callable[[Ack], None],
+        on_ack: Callable[[Packet], None],
     ) -> None:
         if rtt <= 0:
             raise ValueError(
@@ -147,36 +157,27 @@ class FlowPath:
         self.half_rtt = rtt / 2.0
         self.stats = stats
         self.on_ack = on_ack
-        self._unrecorded: Deque[Ack] = deque()
+        self._unrecorded: Deque[Packet] = deque()
 
-    def forward(self, packet: Packet) -> None:
-        """Carry a packet that just left the bottleneck to its receiver
-        and its ACK back to the sender."""
+    def forward(self, packet: Packet, departure: float) -> None:
+        """Carry a packet that leaves the bottleneck at ``departure`` to
+        its receiver and its ACK back to the sender."""
         loop = self.loop
-        now = loop.now
-        self.settle(now)
+        self.settle(loop.now)
         half_rtt = self.half_rtt
-        arrival = now + half_rtt
-        ack = Ack(
-            packet.flow_id,
-            packet.seq,
-            packet.size,
-            packet.sent_time,
-            packet.delivered_at_send,
-            packet.delivered_time_at_send,
-            packet.app_limited,
-            arrival,
-            packet.ecn,
-        )
-        self._unrecorded.append(ack)
-        loop.call_at(arrival + half_rtt, self.on_ack, ack)
+        arrival = departure + half_rtt
+        packet.recv_time = arrival
+        self._unrecorded.append(packet)
+        # The ACK stems from the departure: among simultaneous events it
+        # runs where an event scheduled at the departure would.
+        loop.call_at_from(arrival + half_rtt, departure, self.on_ack, packet)
 
     def settle(self, now: float) -> None:
         """Record every delivery that reached the receiver by ``now``."""
         unrecorded = self._unrecorded
         while unrecorded and unrecorded[0].recv_time <= now:
-            ack = unrecorded.popleft()
-            self.stats.record_delivery(ack.recv_time, ack.size)
+            packet = unrecorded.popleft()
+            self.stats.record_delivery(packet.recv_time, packet.size)
 
 
 class DumbbellNetwork:
@@ -195,7 +196,7 @@ class DumbbellNetwork:
             from ``link.aqm`` — the canonical scenario-schema path; the
             explicit arguments exist for direct experimentation and
             override the spec.  A non-constant ``link.capacity_trace``
-            schedules bottleneck capacity changes on the event loop.
+            becomes the bottleneck's capacity steps.
         obs: Optional telemetry bus, threaded through the event loop,
             bottleneck link, senders, and congestion controllers.  When
             the bus has a ``sample_interval``, a
@@ -259,26 +260,30 @@ class DumbbellNetwork:
         elif codel is not None:
             aqm = CoDel(codel)
         trace = getattr(link, "capacity_trace", None)
-        dynamic = trace is not None and not trace.is_constant
-        initial_scale = trace.scale_at(0.0) if dynamic else 1.0
+        steps: List[Tuple[float, float]] = []
+        capacity = link.capacity
+        if trace is not None and not trace.is_constant:
+            capacity = link.capacity * trace.scale_at(0.0)
+            steps = [
+                (when, link.capacity * scale)
+                for when, scale in trace.change_events()
+            ]
+        # The fastest the bottleneck ever serializes: the event budget's
+        # packet rate.
+        self._peak_capacity = max([capacity] + [c for _, c in steps])
+        # Filled with each flow's FlowPath.forward, indexed by flow id.
+        forward: List[Callable[[Packet, float], None]] = []
         self.bottleneck = Link(
             loop=self.loop,
-            capacity=link.capacity * initial_scale
-            if dynamic
-            else link.capacity,
+            capacity=capacity,
             buffer_bytes=link.buffer_bytes,
-            deliver=self._route_data,
+            deliver=forward,
             aqm=aqm,
             ecn=ecn,
+            capacity_steps=steps,
             obs=obs,
             check=check,
         )
-        if dynamic:
-            base = link.capacity
-            for when, scale in trace.change_events():
-                self.loop.call_at(
-                    when, self.bottleneck.set_capacity, base * scale
-                )
 
         self.senders: List[Sender] = []
         self.stats: List[FlowStats] = []
@@ -302,9 +307,9 @@ class DumbbellNetwork:
                 obs=obs,
                 check=check,
             )
-            self._paths.append(
-                FlowPath(self.loop, rtt, stats, sender.on_ack)
-            )
+            path = FlowPath(self.loop, rtt, stats, sender.on_ack)
+            forward.append(path.forward)
+            self._paths.append(path)
             self.senders.append(sender)
             self.stats.append(stats)
 
@@ -317,15 +322,23 @@ class DumbbellNetwork:
         else:
             self.tracer = None
 
-    def _route_data(self, packet: Packet) -> None:
-        self._paths[packet.flow_id].forward(packet)
+    def event_budget(self, duration: float) -> int:
+        """The most events a ``duration``-second run may process:
+        :data:`EVENTS_PER_PACKET_BUDGET` per packet the bottleneck can
+        carry in that time, and per flow."""
+        packets = self._peak_capacity * duration / self.mss
+        return int(
+            EVENTS_PER_PACKET_BUDGET * (packets + len(self.flow_specs))
+        )
 
     def run(self, duration: float, warmup: float = 0.0) -> SimulationResult:
         """Run for ``duration`` seconds; measure over ``[warmup, duration]``.
 
         The paper's experiments average over the full 2-minute flow
         lifetime, which corresponds to ``warmup=0``; passing a positive
-        warm-up excludes the startup transient instead.
+        warm-up excludes the startup transient instead.  A run that needs
+        more than :meth:`event_budget` events raises
+        :class:`~repro.sim.engine.EventBudgetExceeded`.
         """
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
@@ -333,7 +346,10 @@ class DumbbellNetwork:
             raise ValueError(
                 f"warmup must lie in [0, duration), got {warmup}"
             )
-        self.loop.run_until(duration)
+        self.loop.run_until(
+            duration, max_events=self.event_budget(duration)
+        )
+        self.bottleneck.settle(duration)
         for path in self._paths:
             path.settle(self.loop.now)
         flows = []

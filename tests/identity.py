@@ -48,7 +48,7 @@ from repro.core.game import GroupGame, ThroughputTable, bisect_nash
 from repro.exec import Engine, ResultCache, ScenarioPoint
 from repro.experiments.runner import distribution_payoff_fn, group_payoff_fn
 from repro.scenario import BottleneckSpec
-from repro.sim import FlowSpec, run_dumbbell
+from repro.sim import DumbbellNetwork, FlowSpec
 from repro.util.config import LinkConfig
 from tests.conftest import CountingEngine
 
@@ -187,15 +187,18 @@ def campaign_table():
 # -- sim_identity.json: full packet-substrate results ------------------------
 
 
-def sim_result(case):
-    """Everything one pinned dumbbell run returns except the event
-    count, floats hexed."""
-    result = run_dumbbell(
+def run_case(case):
+    """One pinned dumbbell run: the network and its result."""
+    net = DumbbellNetwork(
         BottleneckSpec.from_mbps_ms(**case["link"]),
         [FlowSpec(**flow) for flow in case["flows"]],
-        duration=case["duration"],
-        warmup=case.get("warmup", 0.0),
     )
+    return net, net.run(case["duration"], case.get("warmup", 0.0))
+
+
+def sim_result(result):
+    """Everything a dumbbell run returns except the event count, floats
+    hexed."""
     doc = dataclasses.asdict(result)
     del doc["events_processed"]
     return hexed(doc)
@@ -203,7 +206,7 @@ def sim_result(case):
 
 def build_sim(doc):
     for case in doc["cases"]:
-        case["result"] = sim_result(case)
+        case["result"] = sim_result(run_case(case)[1])
     return doc
 
 

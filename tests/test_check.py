@@ -450,8 +450,8 @@ def test_fail_filters_recent_by_flow():
 class LeakyLink(Link):
     """A broken bottleneck that under-counts one byte per drop."""
 
-    def _record_drop(self, packet):
-        super()._record_drop(packet)
+    def _record_drop(self, packet, now, aqm=False):
+        super()._record_drop(packet, now, aqm)
         self.stats.dropped_bytes -= 1  # The seeded accounting leak.
 
 

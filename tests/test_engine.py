@@ -1,8 +1,10 @@
 """Discrete-event loop: ordering, determinism, control."""
 
+import pickle
+
 import pytest
 
-from repro.sim.engine import EventLoop
+from repro.sim.engine import EventBudgetExceeded, EventLoop
 
 
 def test_events_run_in_time_order():
@@ -22,6 +24,26 @@ def test_ties_break_by_scheduling_order():
         loop.call_at(1.0, lambda n=name: order.append(n))
     loop.run_until(2.0)
     assert order == ["a", "b", "c"]
+
+
+def test_ties_break_by_origin_before_scheduling_order():
+    # An ACK scheduled at t=0 for its departure at 0.5 takes the place
+    # of an event scheduled at 0.5: after a timer armed at 0.2, before
+    # one armed at 0.7.
+    loop = EventLoop()
+    order = []
+    loop.call_at_from(1.0, 0.5, order.append, "ack")
+    loop.call_at(0.2, loop.call_at, 1.0, order.append, "armed at 0.2")
+    loop.call_at(0.7, loop.call_at, 1.0, order.append, "armed at 0.7")
+    loop.run_until(2.0)
+    assert order == ["armed at 0.2", "ack", "armed at 0.7"]
+
+
+def test_an_origin_lies_between_now_and_the_event():
+    loop = EventLoop()
+    for when, origin in ((1.0, -0.1), (1.0, 1.5), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            loop.call_at_from(when, origin, print)
 
 
 def test_run_until_stops_at_deadline():
@@ -160,8 +182,38 @@ def test_run_all_guards_against_runaway():
         loop.call_later(0.001, forever)
 
     loop.call_at(0.0, forever)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(EventBudgetExceeded) as excinfo:
         loop.run_all(max_events=100)
+    assert isinstance(excinfo.value, RuntimeError)
+    assert (excinfo.value.events, excinfo.value.budget) == (100, 100)
+
+
+def test_run_until_stops_a_runaway_at_its_budget():
+    loop = EventLoop()
+    ran = []
+
+    def forever():
+        ran.append(loop.now)
+        loop.call_later(0.25, forever)
+
+    loop.call_at(0.0, forever)
+    with pytest.raises(EventBudgetExceeded) as excinfo:
+        loop.run_until(100.0, max_events=8)
+    exc = excinfo.value
+    assert (exc.time, exc.events, exc.budget) == (1.75, 8, 8)
+    assert len(ran) == 8 and loop.events_processed == 8
+    assert "budget of 8" in str(exc)
+    clone = pickle.loads(pickle.dumps(exc))  # Crosses a worker pool.
+    assert (clone.time, clone.events, clone.budget) == (1.75, 8, 8)
+
+
+def test_run_until_budget_counts_only_events_it_runs():
+    loop = EventLoop()
+    for t in (1.0, 2.0, 3.0):
+        loop.call_at(t, lambda: None)
+    loop.run_until(2.0, max_events=2)  # Exactly the budget: no error.
+    loop.run_until(3.0, max_events=1)  # Per call.
+    assert loop.events_processed == 3
 
 
 def test_peek_time():

@@ -46,6 +46,7 @@ def test_top_level_exports():
                 "CoDel",
                 "CwndTracer",
                 "EventLoop",
+                "EventBudgetExceeded",
             ],
         ),
         (
@@ -83,6 +84,17 @@ def test_subpackage_exports(module, names):
     for name in names:
         assert hasattr(mod, name), f"{module}.{name}"
         assert name in mod.__all__, f"{name} missing from {module}.__all__"
+
+
+def test_the_packet_is_its_own_ack():
+    """``Ack`` is gone: the receiver stamps ``recv_time`` on the packet,
+    which travels back to the sender as its ACK."""
+    import repro.sim
+    import repro.sim.packet
+
+    assert not hasattr(repro.sim, "Ack")
+    assert not hasattr(repro.sim.packet, "Ack")
+    assert "recv_time" in repro.sim.Packet.__dataclass_fields__
 
 
 def test_every_figure_id_is_callable():

@@ -106,7 +106,7 @@ def test_flow_path_is_order_preserving(items, horizon):
     acks = []
     path = FlowPath(loop, 1.0, stats, lambda a: acks.append((loop.now, a)))
     for seq, (when, size) in enumerate(items):
-        loop.call_at(when, path.forward, make_packet(seq, size))
+        loop.call_at(when, path.forward, make_packet(seq, size), when)
     loop.run_until(horizon)
     path.settle(loop.now)
     assert stats.delivered_bytes == sum(

@@ -445,8 +445,8 @@ def test_fluid_trace_emits_capacity_change_events():
 class SplitCorruptingLink(Link):
     """A broken link that double-counts AQM drops in the split."""
 
-    def _record_drop(self, packet, aqm=False):
-        super()._record_drop(packet, aqm=aqm)
+    def _record_drop(self, packet, now, aqm=False):
+        super()._record_drop(packet, now, aqm=aqm)
         if aqm:
             # The seeded defect: aqm_dropped_bytes outruns dropped_bytes.
             self.stats.aqm_dropped_bytes += packet.size
@@ -455,8 +455,8 @@ class SplitCorruptingLink(Link):
 class MarkCorruptingLink(Link):
     """A broken link whose ECN-mark counter runs wild."""
 
-    def _record_mark(self, packet):
-        super()._record_mark(packet)
+    def _record_mark(self, packet, now):
+        super()._record_mark(packet, now)
         self.stats.marked_bytes += 10**12  # More than ever passed through.
 
 

@@ -3,9 +3,10 @@
 Each test reads the tree (AST or text, well under a second) and fails
 on a *second* way of doing something the repo does one way.  They pin
 decisions, not style: one route from a request to a substrate, one
-game, an event-driven packet path without per-packet closures, a
-campaign layer with no concurrency of its own (a stage's units advance
-in rounds through one ``Engine.run_points`` batch —
+game, an event-driven packet path without per-packet closures and a
+bottleneck that schedules no event, a campaign layer with no
+concurrency of its own (a stage's units advance in rounds through one
+``Engine.run_points`` batch —
 ``repro.campaign.vocab._in_rounds``), and one NE bisection, as a round
 generator.  The last gate keeps CI from growing gates of its own: a
 check belongs here, or in ``tests/smoke.py``.
@@ -116,6 +117,18 @@ def test_the_packet_path_schedules_no_closures():
         tree = tree_of(relative)
         lambdas = [n for n in ast.walk(tree) if isinstance(n, ast.Lambda)]
         assert not lambdas, f"{relative}: {len(lambdas)} lambda(s)"
+
+
+def test_the_bottleneck_schedules_no_event():
+    """The link decides a packet's fate and departure at arrival and
+    hands the departure to the flow's path: nothing in it is an event."""
+    scheduling = ("call_at", "call_later", "heappush")
+    found = [
+        ast.unparse(call)
+        for call in calls(tree_of("sim/link.py"))
+        if called_name(call) in scheduling
+    ]
+    assert not found, found
 
 
 # -- one game ----------------------------------------------------------------

@@ -112,3 +112,25 @@ def test_packet_rate_stays_near_capacity_in_a_shallow_codel_buffer():
     )
     net.loop.run_until(2.6)
     assert net.senders[0].cc.rate <= 4 * link.capacity
+
+
+def test_the_runaway_point_is_stopped_by_its_event_budget():
+    """The same point run for 6 s does not hang: past its event budget
+    (capacity × duration / MSS, times a constant) the run raises."""
+    import time
+
+    from repro.scenario import BottleneckSpec
+    from repro.sim import EventBudgetExceeded, FlowSpec, run_dumbbell
+
+    link = BottleneckSpec.from_mbps_ms(10, 20, 0.5, aqm="codel")
+    start = time.perf_counter()
+    with pytest.raises(EventBudgetExceeded) as excinfo:
+        run_dumbbell(
+            link,
+            [FlowSpec("vivace"), FlowSpec("bbr"), FlowSpec("cubic")],
+            duration=6.0,
+        )
+    assert time.perf_counter() - start < 30.0  # Minutes without it.
+    exc = excinfo.value
+    assert exc.events == exc.budget
+    assert 2.6 < exc.time < 6.0
