@@ -1,8 +1,10 @@
 """Congestion control algorithms, re-implemented from their publications.
 
-Importing this package registers every algorithm with the name registry in
-:mod:`repro.cc.base`, so ``make_controller("bbr")`` etc. work after a plain
-``import repro.cc``.
+``make_controller("bbr")`` etc. resolve every canonical algorithm
+through the :mod:`repro.cc.laws` table, which imports the adapter on
+first use.  The names below are re-exported lazily, so loading the law
+modules (as both fluid substrates do) does not load the per-ACK
+adapters.
 
 Algorithms:
 
@@ -18,30 +20,23 @@ Algorithms:
   literature the paper cites in §6).
 """
 
-from repro.cc.base import (
-    CongestionControl,
-    available_algorithms,
-    make_controller,
-    register,
-)
-from repro.cc.bbr import BBRv1
-from repro.cc.bbr2 import BBRv2
-from repro.cc.copa import Copa
-from repro.cc.cubic import Cubic
-from repro.cc.reno import Reno
-from repro.cc.vegas import Vegas
-from repro.cc.vivace import Vivace
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "CongestionControl",
-    "available_algorithms",
-    "make_controller",
-    "register",
-    "BBRv1",
-    "BBRv2",
-    "Copa",
-    "Cubic",
-    "Reno",
-    "Vegas",
-    "Vivace",
-]
+_EXPORTS = {
+    "repro.cc.base": (
+        "CongestionControl",
+        "available_algorithms",
+        "make_controller",
+        "register",
+    ),
+    "repro.cc.bbr": ("BBRv1",),
+    "repro.cc.bbr2": ("BBRv2",),
+    "repro.cc.copa": ("Copa",),
+    "repro.cc.cubic": ("Cubic",),
+    "repro.cc.reno": ("Reno",),
+    "repro.cc.vegas": ("Vegas",),
+    "repro.cc.vivace": ("Vivace",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

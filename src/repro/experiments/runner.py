@@ -35,10 +35,7 @@ from typing import (
 )
 
 from repro.exec.fingerprint import ScenarioPoint
-from repro.fluidsim.core import FluidSpec, run_fluid
-from repro.fluidsim.vec import BatchPoint, run_fluid_vec_batch
 from repro.scenario import BACKENDS, expand_mix
-from repro.sim.network import FlowSpec, run_dumbbell
 from repro.util.config import LinkConfig
 from repro.util.rounds import PointRounds, T
 
@@ -234,6 +231,8 @@ def run_mix_batch(
     check = resolve_check(None)
     pooled = None
     if runs_vectorized(points, obs):
+        from repro.fluidsim.vec import BatchPoint, run_fluid_vec_batch
+
         batch = [
             BatchPoint(**_fluid_trial(point, trial))
             for point in points
@@ -268,6 +267,8 @@ def _fluid_trial(point: ScenarioPoint, trial: int) -> Dict[str, Any]:
     """Trial ``trial`` of a fluid point as :func:`run_fluid` arguments
     (equally :class:`BatchPoint` fields); it runs with ``seed + trial``
     on either implementation."""
+    from repro.fluidsim.core import FluidSpec
+
     return {
         "link": point.link,
         "flows": [
@@ -284,8 +285,11 @@ def _fluid_trial(point: ScenarioPoint, trial: int) -> Dict[str, Any]:
 def _run_trial(
     point: ScenarioPoint, trial: int, obs: Optional["Telemetry"]
 ) -> Any:
-    """One trial on a scalar substrate."""
+    """One trial on a scalar substrate, imported here: a request loads
+    only the substrate it runs on."""
     if point.backend == "packet":
+        from repro.sim.network import FlowSpec, run_dumbbell
+
         specs = [
             FlowSpec(cc=cc, rtt=rtt) for cc, rtt in expand_mix(point.mix)
         ]
@@ -296,6 +300,8 @@ def _run_trial(
             warmup=point.warmup,
             obs=obs,
         )
+    from repro.fluidsim.core import run_fluid
+
     return run_fluid(obs=obs, **_fluid_trial(point, trial))
 
 

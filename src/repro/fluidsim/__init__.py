@@ -6,52 +6,40 @@ See :mod:`repro.fluidsim.core` for the model and its relation to §2.4's
 synchronization bounds, and :mod:`repro.fluidsim.vec` for the
 vectorized (numpy array-of-flows, multi-point batched) substrate that
 reproduces the scalar trajectories bit for bit.
+
+The names below are re-exported lazily: importing the vectorized
+substrate does not load the scalar per-tick adapters, nor the reverse.
 """
 
-from repro.fluidsim.core import (
-    LOSS_MODES,
-    FluidSimulation,
-    FluidSpec,
-    TickContext,
-    run_fluid,
-)
-from repro.fluidsim.vec import (
-    BatchPoint,
-    VecFluidSim,
-    run_fluid_vec,
-    run_fluid_vec_batch,
-)
-from repro.fluidsim.flows import (
-    FluidBBR,
-    FluidBBR2,
-    FluidCopa,
-    FluidCubic,
-    FluidFlow,
-    FluidReno,
-    FluidVegas,
-    FluidVivace,
-    available_fluid_algorithms,
-    make_fluid_flow,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "LOSS_MODES",
-    "FluidSimulation",
-    "FluidSpec",
-    "TickContext",
-    "run_fluid",
-    "BatchPoint",
-    "VecFluidSim",
-    "run_fluid_vec",
-    "run_fluid_vec_batch",
-    "FluidBBR",
-    "FluidBBR2",
-    "FluidCopa",
-    "FluidCubic",
-    "FluidFlow",
-    "FluidReno",
-    "FluidVegas",
-    "FluidVivace",
-    "available_fluid_algorithms",
-    "make_fluid_flow",
-]
+_EXPORTS = {
+    "repro.fluidsim.core": (
+        "LOSS_MODES",
+        "FluidSimulation",
+        "FluidSpec",
+        "TickContext",
+        "run_fluid",
+    ),
+    "repro.fluidsim.vec": (
+        "BatchPoint",
+        "VecFluidSim",
+        "run_fluid_vec",
+        "run_fluid_vec_batch",
+    ),
+    "repro.fluidsim.flows": (
+        "FluidBBR",
+        "FluidBBR2",
+        "FluidCopa",
+        "FluidCubic",
+        "FluidFlow",
+        "FluidReno",
+        "FluidVegas",
+        "FluidVivace",
+        "available_fluid_algorithms",
+        "make_fluid_flow",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

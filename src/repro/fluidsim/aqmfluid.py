@@ -30,7 +30,6 @@ from repro.scenario.spec import (
     DropTailSpec,
     REDSpec,
 )
-from repro.sim.aqm import CoDel, CoDelConfig
 
 
 class FluidRed:
@@ -86,6 +85,9 @@ class FluidCodel:
     """
 
     def __init__(self, spec: CoDelSpec, mss: float) -> None:
+        # Imported here: only a CoDel point needs the packet substrate.
+        from repro.sim.aqm import CoDel, CoDelConfig
+
         self.ecn = spec.ecn
         self.mss = float(mss)
         self._codel = CoDel(

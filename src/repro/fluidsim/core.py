@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.fluidsim.aqmfluid import make_fluid_aqm
 from repro.scenario import LOSS_MODES
-from repro.sim.network import FlowResult, SimulationResult
+from repro.scenario.result import FlowResult, SimulationResult
 from repro.util.config import LinkConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

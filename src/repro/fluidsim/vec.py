@@ -45,15 +45,31 @@ import math
 import random
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.cc.laws import registry as laws_registry
 from repro.fluidsim.aqmfluid import make_fluid_aqm
 from repro.fluidsim.core import LOSS_MODES, FluidSpec
 from repro.fluidsim.mathops import np
 from repro.fluidsim.vec_laws import TickState, VecKernel
-from repro.sim.network import FlowResult, SimulationResult
+from repro.scenario.result import FlowResult, SimulationResult
 from repro.util.config import LinkConfig
+
+
+class _Points(NamedTuple):
+    """Whole points of a batch and their flow rows, point-major: every
+    point (index views) or the points a congestion signal hit on one
+    tick (index arrays).  ``local`` (each row's position among
+    ``pts``) and ``slots`` (each row's cell in a zero-padded ``[k,
+    width]`` block) are built only for batches that need them —
+    ragged, unequal-RTT or desync ones."""
+
+    pts: Union[slice, np.ndarray]
+    rows: Union[slice, np.ndarray]
+    pf: np.ndarray  # owning point (batch index) per row
+    k: int
+    local: Optional[np.ndarray]
+    slots: Optional[np.ndarray]
 
 
 @dataclass
@@ -136,6 +152,7 @@ class VecFluidSim:
         n_points = len(self.points)
         self.n_points = n_points
         self._rngs = [random.Random(p.seed) for p in self.points]
+        self._draws = [rng.random for rng in self._rngs]
 
         # ---- flatten flows (point, flow)-major -----------------------
         pf: List[int] = []  # owning point per flow row
@@ -185,8 +202,8 @@ class VecFluidSim:
         self._flow_ids = np.array(flow_ids, dtype=np.int64)
         self._cc_of_row = cc_of_row
         self._starts_p = np.array(starts_p, dtype=np.int64)
+        self._counts_p = np.array(counts_p, dtype=np.int64)
         self._counts_py = counts_p
-        self._arange_f = np.arange(n_flows, dtype=np.int64)
 
         # ---- per-point scalars ---------------------------------------
         dts: List[float] = []
@@ -277,6 +294,7 @@ class VecFluidSim:
             if self._aqms[p].ecn:
                 lo = starts_p[p]
                 self._aqm_ecn_f[lo : lo + counts_p[p]] = True
+        self._any_ecn = bool(self._aqm_ecn_f.any())
         #: Per-point AQM byte accounting (fluid analogue of LinkStats).
         self.aqm_dropped_bytes = np.zeros(n_points)
         self.marked_bytes = np.zeros(n_points)
@@ -294,6 +312,10 @@ class VecFluidSim:
             by_cc.setdefault(cc, []).append(row)
         self.kernels: List[VecKernel] = []
         self._loss_based = np.zeros(n_flows, dtype=bool)
+        # Which kernel owns a row, and the row's index inside it: the
+        # overflow path hands kernels their own victims' local indices.
+        self._kernel_of = np.zeros(n_flows, dtype=np.int64)
+        self._kernel_pos = np.zeros(n_flows, dtype=np.int64)
         for cc, rows in by_cc.items():
             cls = laws_registry.vec_class(cc)
             idx = np.array(rows, dtype=np.int64)
@@ -305,8 +327,24 @@ class VecFluidSim:
                 rtt_ticks[idx],
                 steps_f[idx],
             )
+            self._kernel_of[idx] = len(self.kernels)
+            self._kernel_pos[idx] = np.arange(len(idx))
             self.kernels.append(kernel)
             self._loss_based[idx] = kernel.loss_based
+        # Only kernels that override a signal handler are called with it.
+        self._drop_kernels = [
+            (k, kernel)
+            for k, kernel in enumerate(self.kernels)
+            if type(kernel).on_drop is not VecKernel.on_drop
+        ]
+        self._loss_kernels = [
+            (k, kernel)
+            for k, kernel in enumerate(self.kernels)
+            if type(kernel).on_loss is not VecKernel.on_loss
+        ]
+        self._drop_rows = np.zeros(n_flows, dtype=bool)
+        for _, kernel in self._drop_kernels:
+            self._drop_rows[kernel.rows] = True
 
         modes = [p.loss_mode for p in self.points]
         self._sync_p = np.array([m == "sync" for m in modes], dtype=bool)
@@ -327,13 +365,24 @@ class VecFluidSim:
         # [points, flows] block as they stand; ragged batches scatter
         # into a zero-padded one (slot j of point p at p * width + j).
         width = max(counts_p)
-        self._sum_shape = (n_points, width)
+        self._width = width
+        self._col = np.arange(n_flows) - self._starts_p[self._pf]
         self._pad: Optional[np.ndarray] = None
+        pad_slots = None
         if min(counts_p) < width:
             self._pad = np.zeros(n_points * width)
-            self._pad_slots = (
-                self._pf * width + self._arange_f - self._starts_p[self._pf]
-            )
+            pad_slots = self._pf * width + self._col
+        self._all = _Points(
+            pts=slice(None),
+            rows=slice(None),
+            pf=self._pf,
+            k=n_points,
+            local=self._pf,
+            slots=pad_slots,
+        )
+        self._need_local = (
+            self._pad is not None or self._any_uneq or self._has_desync
+        )
 
         # ---- mutable run state ---------------------------------------
         self._inflight = np.zeros(n_flows)
@@ -350,8 +399,10 @@ class VecFluidSim:
         self._measure_start = np.zeros(n_points)
         self.queue_bytes = np.zeros(n_points)
         self._has_run = False
-        #: Per point, per flow: congestion-backoff times (seconds).
-        self.loss_events: List[List[List[float]]] = [
+        # One (victim rows, times) pair per tick with victims; read
+        # through ``loss_events``.
+        self._loss_log: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._loss_events: List[List[List[float]]] = [
             [[] for _ in range(counts_p[p])] for p in range(n_points)
         ]
         #: Per point: (time, [inflight per flow], queue_bytes) rows.
@@ -361,8 +412,24 @@ class VecFluidSim:
 
     # -- sequential reductions --------------------------------------------
 
-    def _segment_sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-point left-to-right sum of a per-flow column.
+    def _select(self, mask: np.ndarray) -> _Points:
+        """The points ``mask`` selects, with their rows."""
+        pts = mask.nonzero()[0]
+        rows = mask[self._pf].nonzero()[0]
+        pf = self._pf[rows]
+        local = slots = None
+        if self._need_local:
+            local = (np.cumsum(mask) - 1)[pf]
+            if self._pad is not None:
+                slots = local * self._width + self._col[rows]
+        return _Points(pts, rows, pf, len(pts), local, slots)
+
+    def _segment_sum(
+        self, values: np.ndarray, sel: Optional[_Points] = None
+    ) -> np.ndarray:
+        """Per-point left-to-right sum of a per-flow column — of every
+        point, or of the points ``sel`` selects (``values`` then holds
+        just their rows).
 
         Bitwise-identical to the scalar path's ``sum()`` over each
         point's flow list: float addition is not associative, so numpy's
@@ -374,19 +441,28 @@ class VecFluidSim:
         ``+0.0`` after a point's last flow, which is exact for these
         non-negative accumulators.
         """
+        if sel is None:
+            sel = self._all
         if self._pad is not None:
-            self._pad[self._pad_slots] = values
-            values = self._pad
-        return np.add.accumulate(values.reshape(self._sum_shape), axis=1)[
-            :, -1
-        ]
+            pad = (
+                self._pad
+                if sel is self._all
+                else np.zeros(sel.k * self._width)
+            )
+            pad[sel.slots] = values
+            values = pad
+        return np.add.accumulate(
+            values.reshape(sel.k, self._width), axis=1
+        )[:, -1]
 
     # -- queue solving ----------------------------------------------------
 
     def _solve_queue(
-        self, w: np.ndarray
+        self, w: np.ndarray, sel: Optional[_Points] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-point queue (bytes) implied by in-flight columns ``w``.
+        """Per-point queue (bytes) implied by in-flight columns ``w``,
+        for every point or the points ``sel`` selects (``w`` then holds
+        just their rows).
 
         Returns ``(queue, total)`` — the total is the same sequential
         sum the scalar path computes, reused by the overflow handler.
@@ -395,16 +471,19 @@ class VecFluidSim:
         ``lo``/``hi`` stop moving exactly when the scalar loop would
         have ``break``-ed, so iteration counts — and bits — match).
         """
-        cap = self._capacity
-        total = self._segment_sum(w)
-        queue = np.maximum(0.0, total - self._bdp)
+        if sel is None:
+            sel = self._all
+        cap = self._capacity[sel.pts]
+        total = self._segment_sum(w, sel)
+        queue = np.maximum(0.0, total - self._bdp[sel.pts])
         if self._any_uneq:
-            uneq = ~self._eq_rtt
-            demand = self._segment_sum(np.where(w > 0, w / self._rtt, 0.0))
+            uneq = ~self._eq_rtt[sel.pts]
+            rtt = self._rtt[sel.rows]
+            demand = self._segment_sum(np.where(w > 0, w / rtt, 0.0), sel)
             queue = np.where(uneq, 0.0, queue)
             bis = uneq & (demand > cap)
             if np.count_nonzero(bis):
-                lo = np.zeros(self.n_points)
+                lo = np.zeros(sel.k)
                 hi = total.copy()
                 live = bis.copy()
                 for _ in range(50):
@@ -412,10 +491,8 @@ class VecFluidSim:
                         break
                     mid = (lo + hi) / 2.0
                     qd = mid / cap
-                    terms = np.where(
-                        w > 0, w / (self._rtt + qd[self._pf]), 0.0
-                    )
-                    rate = self._segment_sum(terms)
+                    terms = np.where(w > 0, w / (rtt + qd[sel.local]), 0.0)
+                    rate = self._segment_sum(terms, sel)
                     go_lo = live & (rate > cap)
                     lo = np.where(go_lo, mid, lo)
                     hi = np.where(live & ~go_lo, mid, hi)
@@ -464,12 +541,14 @@ class VecFluidSim:
         # Fast-path flags (value-neutral: the skipped expressions are
         # exact identities for batches with these shapes).
         uniform = int(self._steps_p.min()) == max_steps
-        plain = (
-            not self._start.any()
-            and bool(np.isinf(self._stop).all())
-            and bool(np.isinf(self._size).all())
+        endless = bool(np.isinf(self._stop).all()) and bool(
+            np.isinf(self._size).all()
         )
         all_started = bool(measure_started.all())
+        # Clocks only advance, so in a uniform batch of flows that never
+        # stop or finish, a tick on which every row is live is followed
+        # by such ticks only: from then on no live-row mask is built.
+        live_for_good = False
         p_true = np.ones(self.n_points, dtype=bool)
         f_true = np.ones(self.n_flows, dtype=bool)
         for step in range(max_steps):
@@ -494,8 +573,8 @@ class VecFluidSim:
                     all_started = bool(measure_started.all())
 
             now_f = now_p[pf]
-            if uniform and plain:
-                act = f_true  # sizes are infinite: nothing finishes
+            if live_for_good:
+                act = f_true
             else:
                 act = (
                     p_act[pf]
@@ -503,6 +582,9 @@ class VecFluidSim:
                     & (now_f >= self._start)
                     & (now_f < self._stop)
                 )
+                if uniform and endless and act.all():
+                    live_for_good = True
+                    act = f_true
 
             # 1. Flows update their in-flight targets.
             state.now = now_f
@@ -510,12 +592,15 @@ class VecFluidSim:
             state.queue_delay = queue_delay[pf]
             state.rtt_measured = self._rtt + state.queue_delay
             state.active = act
+            state.all_live = act is f_true
             for kernel in self.kernels:
                 kernel.tick(state)
             if act is f_true:
                 lost_tick.fill(0.0)
+                w = state.inflight.copy()
             else:
                 lost_tick[act] = 0.0
+                w = np.where(act, state.inflight, 0.0)
             if check is not None:
                 check.fluid_vec_flows(
                     now_f,
@@ -525,19 +610,15 @@ class VecFluidSim:
                     self._cc_of_row,
                 )
 
-            w = np.where(act, state.inflight, 0.0)
-
             # 2-3. Solve the queue; handle overflow.
             queue, total = self._solve_queue(w)
             over = queue > self._buffer
             if np.count_nonzero(over):
-                queue, w = self._handle_overflow(
+                self._handle_overflow(
                     state, now_p, w, queue, total, over, lost_tick
                 )
             if self._any_aqm:
-                queue, w = self._apply_aqm(
-                    state, now_p, w, queue, lost_tick
-                )
+                self._apply_aqm(state, now_p, w, queue, lost_tick)
             self.queue_bytes = queue
             queue_delay = queue / self._capacity
 
@@ -549,8 +630,14 @@ class VecFluidSim:
                     )
                     self._record_trace(due, now_p, w, queue, prev_rate, act)
 
-            # 4. Integrate throughput.
-            rate = np.where(w > 0, w / (self._rtt + queue_delay[pf]), 0.0)
+            # 4. Integrate throughput.  Every row of ``w`` is >= +0.0
+            # (not live: +0.0; live: a positive window, trimmed by drops
+            # to no less than +0.0, backed off to the minimum of two
+            # positives) and the denominator is a positive base RTT plus
+            # a non-negative delay, so ``w / d`` is exactly +0.0 where
+            # ``w`` is: bit for bit the scalar loop's rate-0 branch for
+            # flows with nothing in flight.
+            rate = w / (self._rtt + queue_delay[pf])
             prev_rate = rate
             contrib = rate * state.dt
             self._delivered += contrib
@@ -560,7 +647,7 @@ class VecFluidSim:
                 self._delivered_window += np.where(
                     measure_started[pf], contrib, 0.0
                 )
-            if not plain:
+            if not endless:
                 done = (w > 0) & (self._delivered >= self._size)
                 if np.count_nonzero(done):
                     self._finished = self._finished | done
@@ -587,6 +674,25 @@ class VecFluidSim:
                     tally, self._dt, 0.0
                 )
 
+    @property
+    def loss_events(self) -> List[List[List[float]]]:
+        """Per point, per flow: congestion-backoff times (seconds).
+
+        Built from the per-tick victim log when read, so a run whose
+        caller never asks pays one small array pair per tick for them.
+        """
+        if self._loss_log:
+            rows = np.concatenate([rows for rows, _ in self._loss_log])
+            times = np.concatenate([times for _, times in self._loss_log])
+            for p, flow_id, now in zip(
+                self._pf[rows].tolist(),
+                self._flow_ids[rows].tolist(),
+                times.tolist(),
+            ):
+                self._loss_events[p][flow_id].append(now)
+            self._loss_log.clear()
+        return self._loss_events
+
     # -- overflow ---------------------------------------------------------
 
     def _handle_overflow(
@@ -598,16 +704,18 @@ class VecFluidSim:
         total: np.ndarray,
         over: np.ndarray,
         lost_tick: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Drop each overflowing point's excess; victims back off."""
-        pf = self._pf
+    ) -> None:
+        """Drop each overflowing point's excess; victims back off.
+        Updates ``queue`` and ``w`` in place."""
         excess = queue - self._buffer
         dead = over & (total <= 0)
-        dropping_pts = over & (total > 0)
-        if not np.count_nonzero(dropping_pts):
-            return np.where(dead, self._buffer, queue), w
+        if np.count_nonzero(dead):
+            np.copyto(queue, self._buffer, where=dead)
+        dropping = over & (total > 0)
+        if not np.count_nonzero(dropping):
+            return
         if self.obs is not None:
-            for p in np.nonzero(dropping_pts)[0]:
+            for p in np.nonzero(dropping)[0]:
                 exc = float(excess[p])
                 self.obs.count(
                     "link.dropped_packets",
@@ -620,101 +728,154 @@ class VecFluidSim:
                     dropped_bytes=exc,
                     queued_bytes=float(self._buffer[p]),
                 )
+        self._signal(
+            state, now_p, w, queue, total, dropping, excess, lost_tick
+        )
 
-        # Drops land in proportion to in-flight (= queue) share.
-        dropping_f = dropping_pts[pf]
-        shares = np.where(dropping_f, w / total[pf], 0.0)
-        hit = dropping_f & (w > 0)
-        dropped = np.where(hit, excess[pf] * shares, 0.0)
-        np.copyto(w, np.maximum(w - dropped, 0.0), where=hit)
-        for kernel in self.kernels:
-            kernel.on_drop(state, dropped, hit)
-        self._lost += dropped
-        lost_tick += dropped
-        self._drop_accumulator += dropped
+    def _signal(
+        self,
+        state: TickState,
+        now_p: np.ndarray,
+        w: np.ndarray,
+        queue: np.ndarray,
+        total: np.ndarray,
+        fired: np.ndarray,
+        volume: np.ndarray,
+        lost_tick: np.ndarray,
+        marks: bool = False,
+    ) -> None:
+        """Land ``volume[p]`` bytes of congestion signal on every point
+        ``fired`` selects, back its victims off and re-solve its queue —
+        touching only those points' rows.
 
-        responsive = self._loss_based & (w > 0) & dropping_f
+        A point's flows take the signal in proportion to their in-flight
+        share (Assumption 3 of §2.3).  It is dropped — trimmed from
+        ``w`` and counted lost — except, with ``marks`` (an AQM signal),
+        on ECN points, where it is only marked.  Dropped or marked, it
+        feeds loss perception.  The rows are gathered once and written
+        back once; per row the arithmetic is the full-width masked
+        expressions', so the bits are too: ``w`` is >= +0.0 and a fired
+        point's total is positive, so a flow with nothing in flight gets
+        a share and an amount of exactly +0.0, which adding, trimming
+        and clamping at 0.0 leave as the masks did.  Updates ``queue``
+        and ``w`` in place.
+        """
+        sel = self._select(fired)
+        rows = sel.rows
+        w_r = w[rows]
+        shares = w_r / total[sel.pf]
+        amount = volume[sel.pf] * shares
+        acc_r = self._drop_accumulator[rows] + amount
+        dropped = amount
+        kept = None  # ECN rows: marked, not dropped
+        if marks and self._any_ecn:
+            kept = self._aqm_ecn_f[rows]
+            dropped = np.where(kept, 0.0, amount)
+        if self._drop_kernels:
+            hit = self._drop_rows[rows] & (w_r > 0)
+            if kept is not None:
+                hit &= ~kept
+            hit = hit.nonzero()[0]
+            for kernel, mine, loc in self._split(
+                self._drop_kernels, rows[hit]
+            ):
+                kernel.on_drop(state, loc, dropped[hit[mine]])
+        w_r = np.maximum(w_r - dropped, 0.0)
+        self._lost[rows] += dropped
+        lost_tick[rows] += dropped
+
+        responsive = self._loss_based[rows] & (w_r > 0)
         self._backoff_victims(
-            state, now_p, w, shares, responsive, dropping_pts
+            state, now_p, sel, w_r, shares, responsive, acc_r
         )
+        self._drop_accumulator[rows] = acc_r
+        w[rows] = w_r
 
-        solved, _ = self._solve_queue(w)
-        np.copyto(
-            queue, np.minimum(solved, self._buffer), where=dropping_pts
-        )
-        if np.count_nonzero(dead):
-            np.copyto(queue, self._buffer, where=dead)
-        return queue, w
+        solved, _ = self._solve_queue(w_r, sel)
+        queue[sel.pts] = np.minimum(solved, self._buffer[sel.pts])
+
+    def _split(self, kernels, rows: np.ndarray):
+        """``(kernel, positions in rows, its local rows)`` for each of
+        ``kernels`` owning some of ``rows`` — rows only they own."""
+        if len(kernels) == 1:
+            return [(kernels[0][1], slice(None), self._kernel_pos[rows])]
+        owner = self._kernel_of[rows]
+        split = []
+        for k, kernel in kernels:
+            mine = (owner == k).nonzero()[0]
+            if len(mine):
+                split.append((kernel, mine, self._kernel_pos[rows[mine]]))
+        return split
 
     def _backoff_victims(
         self,
         state: TickState,
         now_p: np.ndarray,
-        w: np.ndarray,
+        sel: _Points,
+        w_r: np.ndarray,
         shares: np.ndarray,
         responsive: np.ndarray,
-        pts: np.ndarray,
+        acc_r: np.ndarray,
     ) -> None:
-        """Select and back off loss victims among ``responsive`` rows.
+        """Select and back off loss victims among the ``responsive``
+        rows of the signalled points ``sel``.
 
-        ``pts`` masks the points where a congestion signal fired this
-        tick (overflow or AQM); the sync/desync/proportional admission
-        logic — and its RNG draw order — is the scalar substrate's
+        ``w_r``, ``shares``, ``responsive`` and ``acc_r`` (the
+        loss-perception accumulators) are columns over ``sel``'s rows;
+        the sync/desync/proportional admission logic — and its RNG draw
+        order — is the scalar substrate's
         :meth:`repro.fluidsim.core.FluidSimulation._pick_victims`.
-        Mutates ``w`` in place for admitted victims.
+        Kernels back off only their victims, by local index.  Mutates
+        ``w_r`` and ``acc_r`` for admitted victims.
         """
-        pf = self._pf
-        victims = np.zeros(self.n_flows, dtype=bool)
-        if self._has_sync:
-            victims |= responsive & self._sync_p[pf]
-        desync = (
-            pts & self._desync_p
-            if self._has_desync
-            else None
-        )
-        if desync is not None and np.count_nonzero(desync):
-            scores = np.where(responsive, shares, -np.inf)
-            best = np.maximum.reduceat(scores, self._starts_p)
-            # Ties break to the lowest index, like Python's max().
-            cand = responsive & (scores == best[pf])
-            first = np.minimum.reduceat(
-                np.where(cand, self._arange_f, self.n_flows),
-                self._starts_p,
-            )
-            sel = first[desync]
-            victims[sel[sel < self.n_flows]] = True
-        if self._has_prop:
-            prop = (
-                responsive
-                if self._all_prop
-                else responsive
-                & ~self._sync_p[pf]
-                & ~self._desync_p[pf]
-            )
-            ready = prop & (
-                self._drop_accumulator >= self._drop_threshold
-            )
-            rows = np.nonzero(ready)[0]
-            if len(rows):
-                victims[rows] = True
-                self._drop_accumulator[rows] = 0.0
-                # Jitter the next loss-perception threshold (scalar
-                # draw order: per admitted victim, ascending flow id).
-                self._drop_threshold[rows] = [
-                    self._link_mss[p] * (0.5 + self._rngs[p].random())
-                    for p in pf[rows].tolist()
-                ]
+        rows, pf = sel.rows, sel.pf
+        if self._all_prop:
+            hit = self._perceived(sel, responsive, acc_r)
+        else:
+            victims = np.zeros(len(pf), dtype=bool)
+            if self._has_sync:
+                victims |= responsive & self._sync_p[pf]
+            desync = self._desync_p[sel.pts] if self._has_desync else None
+            if desync is not None and np.count_nonzero(desync):
+                counts = self._counts_p[sel.pts]
+                starts = np.cumsum(counts) - counts
+                scores = np.where(responsive, shares, -np.inf)
+                best = np.maximum.reduceat(scores, starts)
+                # Ties break to the lowest index, like Python's max().
+                cand = responsive & (scores == best[sel.local])
+                first = np.minimum.reduceat(
+                    np.where(cand, np.arange(len(pf)), len(pf)), starts
+                )[desync]
+                victims[first[first < len(pf)]] = True
+            if self._has_prop:
+                prop = responsive & ~self._sync_p[pf] & ~self._desync_p[pf]
+                victims[self._perceived(sel, prop, acc_r)] = True
+            hit = victims.nonzero()[0]
+        if not len(hit):
+            return
+        vrows = rows[hit]
+        for kernel, _, loc in self._split(self._loss_kernels, vrows):
+            kernel.on_loss(state, loc)
+        w_r[hit] = np.minimum(w_r[hit], state.inflight[vrows])
+        self._loss_log.append((vrows, now_p[pf[hit]]))
 
-        rows = np.nonzero(victims)[0]
-        if len(rows):
-            for kernel in self.kernels:
-                kernel.on_loss(state, victims)
-            np.minimum(w, state.inflight, out=w, where=victims)
-            now = now_p.tolist()
-            for p, flow_id in zip(
-                pf[rows].tolist(), self._flow_ids[rows].tolist()
-            ):
-                self.loss_events[p][flow_id].append(now[p])
+    def _perceived(
+        self, sel: _Points, prop: np.ndarray, acc_r: np.ndarray
+    ) -> np.ndarray:
+        """Proportional mode: the ``prop`` rows (positions among
+        ``sel``'s rows) whose accumulated drops reached their
+        loss-perception threshold.  Each gets a fresh jittered
+        threshold — scalar draw order: per admitted victim, ascending
+        flow id — and its accumulator (in ``acc_r``) is reset."""
+        ready = prop & (acc_r >= self._drop_threshold[sel.rows])
+        ready = ready.nonzero()[0]
+        if len(ready):
+            acc_r[ready] = 0.0
+            mss, draw = self._link_mss, self._draws
+            self._drop_threshold[sel.rows[ready]] = [
+                mss[p] * (0.5 + draw[p]()) for p in sel.pf[ready].tolist()
+            ]
+        return ready
 
     def _apply_capacity_steps(self, now_p: np.ndarray) -> None:
         """Apply due capacity-trace steps to traced points.
@@ -759,8 +920,8 @@ class VecFluidSim:
         w: np.ndarray,
         queue: np.ndarray,
         lost_tick: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Apply this tick's AQM decisions; returns (queue, w).
+    ) -> None:
+        """Apply this tick's AQM decisions to ``queue`` and ``w``.
 
         The per-point decision objects are the *same* pure-Python
         classes the scalar substrate ticks (:mod:`repro.fluidsim
@@ -768,7 +929,6 @@ class VecFluidSim:
         applied with the overflow handler's exact arithmetic — which is
         what keeps scalar and vec AQM trajectories bit-identical.
         """
-        pf = self._pf
         vol = np.zeros(self.n_points)
         fired = False
         for p in self._aqm_points:
@@ -782,27 +942,12 @@ class VecFluidSim:
                 vol[p] = v
                 fired = True
         if not fired:
-            return queue, w
+            return
         total = self._segment_sum(w)
         firing = (vol > 0.0) & (total > 0.0)
         if not np.count_nonzero(firing):
-            return queue, w
-        vol = np.where(firing, np.minimum(vol, total), 0.0)
-
-        firing_f = firing[pf]
-        shares = np.where(firing_f, w / total[pf], 0.0)
-        aff = firing_f & (w > 0)
-        amount = np.where(aff, vol[pf] * shares, 0.0)
-        # Marks and drops alike feed loss perception (RFC 3168: a mark
-        # elicits the same control response as a loss).
-        self._drop_accumulator += amount
-        drop_hit = aff & ~self._aqm_ecn_f
-        dropped = np.where(drop_hit, amount, 0.0)
-        np.copyto(w, np.maximum(w - dropped, 0.0), where=drop_hit)
-        for kernel in self.kernels:
-            kernel.on_drop(state, dropped, drop_hit)
-        self._lost += dropped
-        lost_tick += dropped
+            return
+        vol = np.minimum(vol, total)
 
         for p in np.nonzero(firing)[0]:
             p = int(p)
@@ -838,15 +983,12 @@ class VecFluidSim:
                         queued_bytes=float(queue[p]),
                         aqm=True,
                     )
-
-        responsive = self._loss_based & (w > 0) & firing_f
-        self._backoff_victims(state, now_p, w, shares, responsive, firing)
-
-        solved, _ = self._solve_queue(w)
-        np.copyto(
-            queue, np.minimum(solved, self._buffer), where=firing
+        # Marks and drops alike feed loss perception (RFC 3168: a mark
+        # elicits the same control response as a loss).
+        self._signal(
+            state, now_p, w, queue, total, firing, vol, lost_tick,
+            marks=True,
         )
-        return queue, w
 
     # -- tracing ----------------------------------------------------------
 

@@ -18,9 +18,17 @@ Rules that keep the mirror exact:
   and :meth:`repro.fluidsim.vec.VecFluidSim.run` silences the floating-
   point warnings once, around the whole tick loop, not per kernel call;
 * optional scalar state (``w_max``, ``epoch_start``, ``probe_rtt_until``,
-  monitor-interval start, the loss-gate timestamp) is NaN-encoded;
+  monitor-interval start) is NaN-encoded, the loss-gate timestamp
+  ``-inf``-encoded;
 * windowed filters are ring buffers with monotonic-deque semantics
   matching :class:`repro.util.filters.WindowedFilter` pop-for-pop.
+
+A tick pays for its events, not its rows: when every row of the batch
+is live, kernels apply no live-row mask at all (:func:`_and`,
+:func:`_pick`), and the congestion signals (``on_drop``, ``on_loss``)
+reach a kernel as the local indices of the rows they hit — the
+arithmetic is elementwise, so the subset's bits are the full-width
+masked expressions' bits.
 
 Kernels do not emit per-flow telemetry events (``cc.backoff``,
 ``cc.state``): the vectorized substrate trades per-flow event streams
@@ -57,6 +65,8 @@ class TickState:
     array kernels own — the simulator's working copy (trimmed by drops)
     lives in :class:`repro.fluidsim.vec.VecFluidSim`, exactly like the
     scalar loop's ``inflights`` list is distinct from ``flow.inflight``.
+    ``all_live`` says every row of the batch is active this tick, so a
+    kernel need not gather or apply ``active`` at all.
     """
 
     __slots__ = (
@@ -67,6 +77,7 @@ class TickState:
         "queue_delay",
         "lost_bytes",
         "active",
+        "all_live",
         "inflight",
     )
 
@@ -78,14 +89,31 @@ class TickState:
         self.queue_delay = np.zeros(n)
         self.lost_bytes = np.zeros(n)
         self.active = np.zeros(n, dtype=bool)
+        self.all_live = False
         self.inflight = np.zeros(n)
+
+
+# A kernel's live-row mask is an array, or ``True`` when every row is
+# live (TickState.all_live): numpy's ``where=True`` is already the
+# unmasked path, and these two skip the mask where an operator or
+# ``np.where`` would apply it.
+
+
+def _and(act, mask: np.ndarray) -> np.ndarray:
+    """``act & mask``."""
+    return mask if act is True else act & mask
+
+
+def _pick(act, live: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``np.where(act, live, other)``."""
+    return live if act is True else np.where(act, live, other)
 
 
 class VecWindowedFilter:
     """Row-parallel sliding-window best-value filter.
 
     The vectorized :class:`repro.util.filters.WindowedFilter`: one
-    monotonic deque per row, stored as ring buffers in one flat array
+    monotonic deque per row, stored as ring buffers in flat arrays
     with absolute int64 head/tail counters.  Each row has its *own*
     capacity (a power of two, so wrapping is a per-row bitmask) and
     its own base offset: a row whose window holds 60 samples does not
@@ -99,6 +127,13 @@ class VecWindowedFilter:
     worst row would otherwise gate every row's progress.  The
     surviving entries, and therefore the returned estimates, match the
     scalar deque bitwise.
+
+    The values ring is *mirrored*: row ``r`` owns ``2 * cap[r]`` value
+    slots and every push is written at slot ``k`` and ``k + cap``, so
+    the ``j``-th live entry (``j <= cap``) sits at the plain offset
+    ``(head - 1) & wrap`` + ``j`` — the search probes with one add, no
+    per-step wrap.  Times are read at the head only and are not
+    mirrored.
 
     Args:
         depth: Per row, the number of samples the ring must hold; a
@@ -123,29 +158,33 @@ class VecWindowedFilter:
         # Smallest power of two >= depth (and >= 2), per row.
         cap = 1 << np.frexp(np.maximum(depth, 2) - 1)[1].astype(np.int64)
         self._layout(cap)
+        #: Whether every row holds a sample (a row, once pushed, is
+        #: never emptied: see :meth:`update`).
+        self._filled = False
         # Scratch buffers: update() runs every tick, so its index
         # arithmetic writes into preallocated arrays (``out=``) rather
         # than allocating ~a dozen temporaries per search iteration.
         self._i1 = np.zeros(n, dtype=np.int64)
         self._i2 = np.zeros(n, dtype=np.int64)
         self._i3 = np.zeros(n, dtype=np.int64)
+        self._i4 = np.zeros(n, dtype=np.int64)
         self._lo = np.zeros(n, dtype=np.int64)
-        self._count = np.zeros(n, dtype=np.int64)
         self._f1 = np.zeros(n)
         self._m1 = np.zeros(n, dtype=bool)
         self._m2 = np.zeros(n, dtype=bool)
-        self._m3 = np.zeros(n, dtype=bool)
 
     def _layout(self, cap: np.ndarray) -> None:
-        """Flat storage for per-row capacities ``cap``: row ``r`` owns
-        ``[base[r], base[r] + cap[r])`` and absolute position ``k`` of
-        its deque lives at ``base[r] + (k & wrap[r])``."""
+        """Flat storage for per-row capacities ``cap``: absolute
+        position ``k`` of row ``r``'s deque has its time at
+        ``base[r] + (k & wrap[r])`` and its value at ``vbase[r] +
+        (k & wrap[r])``, mirrored ``cap[r]`` slots further on."""
         self.cap = cap
         self._wrap = cap - 1
         self._base = np.cumsum(cap) - cap
+        self._vbase = 2 * self._base
         total = int(cap.sum())
         self.times = np.zeros(total)
-        self.values = np.zeros(total)
+        self.values = np.zeros(2 * total)
 
     def _grow(self, full: np.ndarray) -> None:
         """Double the capacity of the ``full`` rows, and only theirs.
@@ -155,16 +194,19 @@ class VecWindowedFilter:
         changes.  Every row's live entries move in one gather/scatter.
         """
         times, values = self.times, self.values
-        base, wrap = self._base, self._wrap
         count = self.tail - self.head
         row = np.repeat(np.arange(self.n), count)
         first = np.cumsum(count) - count
         k = self.head[row] + (np.arange(len(row)) - first[row])
-        src = base[row] + (k & wrap[row])
+        slot = k & self._wrap[row]
+        moved_times = times[self._base[row] + slot]
+        moved_values = values[self._vbase[row] + slot]
         self._layout(np.where(full, self.cap * 2, self.cap))
-        dst = self._base[row] + (k & self._wrap[row])
-        self.times[dst] = times[src]
-        self.values[dst] = values[src]
+        slot = k & self._wrap[row]
+        self.times[self._base[row] + slot] = moved_times
+        dst = self._vbase[row] + slot
+        self.values[dst] = moved_values
+        self.values[dst + self.cap[row]] = moved_values
         self.reallocations += 1
 
     def update(
@@ -173,77 +215,92 @@ class VecWindowedFilter:
         now: np.ndarray,
         value: np.ndarray,
         window: np.ndarray,
-    ) -> np.ndarray:
-        """Push ``value`` at ``now`` for masked rows; return the best."""
+    ) -> None:
+        """Push ``value`` at ``now`` for masked rows and expire their
+        entries older than ``now - window``; :meth:`get` reads the best.
+
+        The push comes first: shadowing drops a suffix of the deque by
+        value and expiry a prefix by time, so the order does not change
+        what survives, and once pushed a row holds a sample inside its
+        window — expiry stops there without asking whether the deque
+        is empty.  (The ring bound covers the entries that are about to
+        expire: they are still within the previous tick's window.)
+        """
         base, wrap = self._base, self._wrap
         head, tail = self.head, self.tail
-        idx, mid = self._i1, self._i2
-        f1, stale, cut, exists = self._f1, self._m1, self._m2, self._m3
-        horizon = now - window
-        while True:  # expire stale heads (amortized: one per push)
-            np.bitwise_and(head, wrap, out=idx)
-            np.add(idx, base, out=idx)
-            self.times.take(idx, out=f1)
-            np.less(f1, horizon, out=stale)
-            np.less(head, tail, out=cut)  # has entries
-            np.logical_and(stale, cut, out=stale)
-            np.logical_and(stale, mask, out=stale)
-            if not np.count_nonzero(stale):
-                break
-            head += stale
+        idx, probe, last, lo = self._i1, self._i2, self._i3, self._lo
+        at = self._i4
+        f1, stale, cut = self._f1, self._m1, self._m2
         # New tail by binary search: live values run strictly best-to-
         # worst from head, so the entries the new sample does not
         # shadow are exactly a prefix.  Its length is built bit by bit,
-        # highest first: ``lo + step`` entries survive iff that many
-        # exist and the last of them still beats the sample (samples
-        # are finite, so "not shadowed" is a strict comparison).  The
-        # trip count is the deepest row's bit length for every row, so
-        # no per-row "still searching" mask is needed.
-        lo, count, last = self._lo, self._count, self._i3
-        lo.fill(0)
-        np.subtract(tail, head, out=count)
-        np.subtract(head, 1, out=idx)  # the j-th entry sits at head-1+j
-        step = (1 << int(count.max()).bit_length()) >> 1
+        # highest first, as a pointer into the mirrored values: entry
+        # ``j`` of a row sits at ``first + j`` and its last entry at
+        # ``last``.  Probing at ``min(lo + step, last)`` asks "does the
+        # entry there still beat the sample?" (samples are finite, so
+        # "not shadowed" is a strict comparison): below ``last`` that is
+        # the plain bit test, and at ``last`` a yes means every entry
+        # survives, which the final clamp to ``last`` records — so no
+        # "that many entries exist" mask is needed.  The trip count is
+        # the deepest row's bit length for every row.
+        beats = np.less if self.is_max else np.greater
+        np.subtract(head, 1, out=idx)
+        np.bitwise_and(idx, wrap, out=idx)
+        np.add(idx, self._vbase, out=idx)  # first: entry 0's slot
+        np.subtract(tail, head, out=last)
+        step = (1 << int(last.max()).bit_length()) >> 1
+        np.add(last, idx, out=last)
+        np.copyto(lo, idx)
         while step:
-            np.add(lo, step, out=mid)
-            np.add(idx, mid, out=last)
-            np.bitwise_and(last, wrap, out=last)
-            np.add(last, base, out=last)
-            self.values.take(last, out=f1)
-            if self.is_max:
-                np.less(value, f1, out=cut)
-            else:
-                np.greater(value, f1, out=cut)
-            np.less_equal(mid, count, out=exists)
-            np.logical_and(cut, exists, out=cut)
-            np.copyto(lo, mid, where=cut)
+            np.add(lo, step, out=probe)
+            np.minimum(probe, last, out=at)
+            self.values.take(at, out=f1)
+            beats(value, f1, out=cut)
+            np.copyto(lo, probe, where=cut)
             step >>= 1
-        np.add(head, lo, out=idx)
-        np.copyto(tail, idx, where=mask)
+        np.minimum(lo, last, out=lo)
+        np.subtract(lo, idx, out=lo)  # entries that survive
+        np.add(head, lo, out=lo)
+        np.copyto(tail, lo, where=mask)
         np.subtract(tail, head, out=idx)
         np.greater_equal(idx, self.cap, out=cut)
         if np.count_nonzero(cut):
             self._grow(cut)
             base, wrap = self._base, self._wrap
         np.bitwise_and(tail, wrap, out=idx)
-        np.add(idx, base, out=idx)
+        np.add(idx, base, out=probe)
+        np.add(idx, self._vbase, out=idx)
+        horizon = now - window
         if np.count_nonzero(mask) == self.n:
-            self.times[idx] = now
+            self.times[probe] = now
+            self.values[idx] = value
+            idx += self.cap
             self.values[idx] = value
             tail += 1
+            self._filled = True
         else:
             sel = idx[mask]
-            self.times[sel] = now[mask]
+            self.times[probe[mask]] = now[mask]
+            self.values[sel] = value[mask]
+            sel += self.cap[mask]
             self.values[sel] = value[mask]
             tail += mask
-        np.bitwise_and(head, wrap, out=idx)
-        np.add(idx, base, out=idx)
-        return self.values.take(idx)
+            horizon = np.where(mask, horizon, -np.inf)
+        while True:  # expire stale heads (amortized: one per push)
+            np.bitwise_and(head, wrap, out=idx)
+            np.add(idx, base, out=idx)
+            self.times.take(idx, out=f1)
+            np.less(f1, horizon, out=stale)
+            if not np.count_nonzero(stale):
+                break
+            head += stale
 
     def get(self) -> np.ndarray:
         """Per-row best in window (0.0 for empty rows), no expiry —
         matching ``WindowedFilter.get()`` without a clock."""
-        best = self.values.take(self._base + (self.head & self._wrap))
+        best = self.values.take(self._vbase + (self.head & self._wrap))
+        if self._filled:
+            return best
         return np.where(self.tail > self.head, best, 0.0)
 
 
@@ -298,29 +355,40 @@ class VecKernel:
         self.initial_inflight = np.asarray(
             INITIAL_CWND_SEGMENTS * mss, dtype=np.float64
         )
-        # CongestionEventGate, NaN-encoded: admit when no prior event or
-        # at least one (last-measured) RTT has passed since the last.
-        self._gate_last = np.full(self.n, np.nan)
+        # CongestionEventGate: admit when no prior event or at least one
+        # (last-measured) RTT has passed since the last.  "No prior
+        # event" is -inf, which every finite RTT has passed.
+        self._gate_last = np.full(self.n, -np.inf)
         self._last_rtt = rtt.copy()
 
-    def _admit(self, now: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        ok = mask & (
-            np.isnan(self._gate_last)
-            | (now - self._gate_last >= self._last_rtt)
-        )
-        np.copyto(self._gate_last, now, where=ok)
-        return ok
+    def _live(self, state: TickState):
+        """This kernel's live-row mask, or ``True`` when every row is
+        live (see :func:`_and`)."""
+        return True if state.all_live else state.active[self.rows]
+
+    def _admit(self, state: TickState, loc: np.ndarray) -> np.ndarray:
+        """The victims among ``loc`` (local rows) that the gate admits,
+        stamped with this tick's time."""
+        now = state.now[self.rows[loc]]
+        ok = now - self._gate_last[loc] >= self._last_rtt[loc]
+        loc = loc[ok]
+        self._gate_last[loc] = now[ok]
+        return loc
 
     def tick(self, state: TickState) -> None:
         raise NotImplementedError
 
     def on_drop(
-        self, state: TickState, dropped: np.ndarray, mask: np.ndarray
+        self, state: TickState, loc: np.ndarray, dropped: np.ndarray
     ) -> None:
-        """Physical drop of fluid (loss-agnostic flows just lose bytes)."""
+        """Physical drop of ``dropped`` bytes on local rows ``loc``
+        (loss-agnostic flows just lose bytes).  The simulator calls it
+        only on kernels that override it."""
 
-    def on_loss(self, state: TickState, victims: np.ndarray) -> None:
-        """Congestion backoff for masked victim rows (gate applies)."""
+    def on_loss(self, state: TickState, loc: np.ndarray) -> None:
+        """Congestion backoff for the victims ``loc`` (local rows,
+        ascending; the gate applies).  The simulator calls it only on
+        kernels that override it."""
 
     def state_labels(self) -> Optional[List[str]]:
         """Per-row state-machine labels for sampling; None if stateless."""
@@ -339,30 +407,28 @@ class VecReno(VecKernel):
 
     def tick(self, state: TickState) -> None:
         idx = self.rows
-        act = state.active[idx]
-        if not np.count_nonzero(act):
+        act = self._live(state)
+        if act is not True and not np.count_nonzero(act):
             return
         rttm = state.rtt_measured[idx]
         dt = state.dt[idx]
         w = state.inflight[idx]
-        self._last_rtt = np.where(act, rttm, self._last_rtt)
+        self._last_rtt = _pick(act, rttm, self._last_rtt)
         grown = np.where(
             self.in_slow_start,
             w * mathops.exp2(dt / rttm),
             w + self.mss * dt / rttm,
         )
-        state.inflight[idx] = np.where(act, grown, w)
+        state.inflight[idx] = _pick(act, grown, w)
 
-    def on_loss(self, state: TickState, victims: np.ndarray) -> None:
-        idx = self.rows
-        hit = victims[idx]
-        if not np.count_nonzero(hit):
-            return
-        adm = self._admit(state.now[idx], hit)
-        w = state.inflight[idx]
-        cut = np.maximum(w * reno_laws.BETA, self.min_inflight)
-        state.inflight[idx] = np.where(adm, cut, w)
-        self.in_slow_start = np.where(adm, False, self.in_slow_start)
+    def on_loss(self, state: TickState, loc: np.ndarray) -> None:
+        loc = self._admit(state, loc)
+        rows = self.rows[loc]
+        w = state.inflight[rows]
+        state.inflight[rows] = np.maximum(
+            w * reno_laws.BETA, self.min_inflight[loc]
+        )
+        self.in_slow_start[loc] = False
 
 
 class VecCubic(VecKernel):
@@ -384,8 +450,8 @@ class VecCubic(VecKernel):
 
     def tick(self, state: TickState) -> None:
         idx = self.rows
-        act = state.active[idx]
-        if not np.count_nonzero(act):
+        act = self._live(state)
+        if act is not True and not np.count_nonzero(act):
             return
         now = state.now[idx]
         rttm = state.rtt_measured[idx]
@@ -393,21 +459,20 @@ class VecCubic(VecKernel):
         dt = state.dt[idx]
         w = state.inflight[idx]
         np.copyto(self._last_rtt, rttm, where=act)
-        ca = act & ~self.in_slow_start
-        begin = ca & np.isnan(self.epoch_start)
-        if np.count_nonzero(begin):
-            np.copyto(self.epoch_start, now, where=begin)
-            cwnd_seg = w / self.mss
-            anchor = begin & (
-                np.isnan(self.w_max_pkts) | (self.w_max_pkts < cwnd_seg)
-            )
-            np.copyto(self.w_max_pkts, cwnd_seg, where=anchor)
-            np.copyto(self.k, 0.0, where=anchor)
-            rebase = begin & ~anchor
-            if np.count_nonzero(rebase):
-                # cubic_k is elementwise, so computing it on just the
-                # rebasing rows matches the full-width np.where bitwise
-                # while skipping np.power everywhere else.
+        ca = _and(act, ~self.in_slow_start)
+        # New epochs (cubic_laws.begin_epoch), on their rows only: the
+        # arithmetic is elementwise, so it matches the full-width masked
+        # form bitwise while skipping np.power everywhere else.
+        begin = (ca & np.isnan(self.epoch_start)).nonzero()[0]
+        if len(begin):
+            self.epoch_start[begin] = now[begin]
+            cwnd_seg = w[begin] / self.mss[begin]
+            w_max = self.w_max_pkts[begin]
+            anchor = np.isnan(w_max) | (w_max < cwnd_seg)
+            self.w_max_pkts[begin[anchor]] = cwnd_seg[anchor]
+            self.k[begin[anchor]] = 0.0
+            rebase = begin[~anchor]
+            if len(rebase):
                 self.k[rebase] = mathops.cubic_k(self.w_max_pkts[rebase])
         t = now - self.epoch_start
         target_pkts = mathops.cubic_window(t, self.k, self.w_max_pkts)
@@ -415,38 +480,35 @@ class VecCubic(VecKernel):
         max_growth = np.maximum(thr * dt, self.mss * dt / rttm)
         grown = np.minimum(target, w + max_growth)
         np.copyto(grown, w, where=~ca)
-        ss = act & self.in_slow_start
+        ss = _and(act, self.in_slow_start)
         if np.count_nonzero(ss):
             np.copyto(grown, w * mathops.exp2(dt / rttm), where=ss)
         state.inflight[idx] = grown
 
-    def on_loss(self, state: TickState, victims: np.ndarray) -> None:
-        idx = self.rows
-        hit = victims[idx]
-        if not np.count_nonzero(hit):
+    def on_loss(self, state: TickState, loc: np.ndarray) -> None:
+        loc = self._admit(state, loc)
+        if not len(loc):
             return
-        adm = self._admit(state.now[idx], hit)
-        if not np.count_nonzero(adm):
-            return
-        w = state.inflight[idx]
-        cwnd_seg = w / self.mss
-        shrink = (
-            self.fast_convergence
-            & ~np.isnan(self.w_max_pkts)
-            & (cwnd_seg < self.w_max_pkts)
+        rows = self.rows[loc]
+        w = state.inflight[rows]
+        cwnd_seg = w / self.mss[loc]
+        # cubic_laws.reduce_w_max; a NaN (no W_max yet) compares False.
+        shrink = self.fast_convergence[loc] & (
+            cwnd_seg < self.w_max_pkts[loc]
         )
-        new_w_max = np.where(
+        self.w_max_pkts[loc] = np.where(
             shrink,
             cwnd_seg * (2.0 - cubic_laws.BETA_CUBIC) / 2.0,
             cwnd_seg,
         )
-        np.copyto(self.w_max_pkts, new_w_max, where=adm)
-        self.k[adm] = mathops.cubic_k(self.w_max_pkts[adm])
-        cut = np.maximum(w * cubic_laws.BETA_CUBIC, self.min_inflight)
-        np.copyto(w, cut, where=adm)
-        state.inflight[idx] = w
-        np.copyto(self.epoch_start, np.nan, where=adm)
-        np.copyto(self.in_slow_start, False, where=adm)
+        # K is not refreshed here: the epoch the next congestion-
+        # avoidance tick begins sets it (anchor or rebase) before any
+        # read, to the value it would have had.
+        state.inflight[rows] = np.maximum(
+            w * cubic_laws.BETA_CUBIC, self.min_inflight[loc]
+        )
+        self.epoch_start[loc] = np.nan
+        self.in_slow_start[loc] = False
 
 
 class VecVegas(VecKernel):
@@ -462,14 +524,14 @@ class VecVegas(VecKernel):
 
     def tick(self, state: TickState) -> None:
         idx = self.rows
-        act = state.active[idx]
-        if not np.count_nonzero(act):
+        act = self._live(state)
+        if act is not True and not np.count_nonzero(act):
             return
         rttm = state.rtt_measured[idx]
         dt = state.dt[idx]
         w = state.inflight[idx]
-        self._last_rtt = np.where(act, rttm, self._last_rtt)
-        self.base_rtt = np.where(
+        self._last_rtt = _pick(act, rttm, self._last_rtt)
+        self.base_rtt = _pick(
             act, np.minimum(self.base_rtt, rttm), self.base_rtt
         )
         # vegas_laws.queued_packets; base_rtt is finite and rttm > 0
@@ -479,13 +541,13 @@ class VecVegas(VecKernel):
         diff = (expected - actual) * self.base_rtt / self.mss
         per_rtt = self.mss * dt / rttm
         was_ss = self.in_slow_start.copy()
-        ss = act & was_ss
+        ss = _and(act, was_ss)
         leave = ss & (diff > vegas_laws.GAMMA_PACKETS)
         self.in_slow_start = np.where(leave, False, self.in_slow_start)
         stay = ss & ~leave
         w_ss = w * mathops.exp2(dt / (2 * rttm))
         # Exiting slow start falls through to the CA rules this tick.
-        ca = act & (~was_ss | leave)
+        ca = _and(act, ~was_ss | leave)
         inc = ca & (diff < vegas_laws.ALPHA_PACKETS)
         dec = ca & (diff > vegas_laws.BETA_PACKETS)
         grown = np.where(
@@ -503,16 +565,14 @@ class VecVegas(VecKernel):
         )
         state.inflight[idx] = grown
 
-    def on_loss(self, state: TickState, victims: np.ndarray) -> None:
-        idx = self.rows
-        hit = victims[idx]
-        if not np.count_nonzero(hit):
-            return
-        adm = self._admit(state.now[idx], hit)
-        self.in_slow_start = np.where(adm, False, self.in_slow_start)
-        w = state.inflight[idx]
-        cut = np.maximum(w * vegas_laws.LOSS_BETA, self.min_inflight)
-        state.inflight[idx] = np.where(adm, cut, w)
+    def on_loss(self, state: TickState, loc: np.ndarray) -> None:
+        loc = self._admit(state, loc)
+        self.in_slow_start[loc] = False
+        rows = self.rows[loc]
+        w = state.inflight[rows]
+        state.inflight[rows] = np.maximum(
+            w * vegas_laws.LOSS_BETA, self.min_inflight[loc]
+        )
 
 
 class VecCopa(VecKernel):
@@ -537,6 +597,7 @@ class VecCopa(VecKernel):
             np.full(self.n, 16), is_max=False
         )
         self._rtt_min_window = np.full(self.n, copa_laws.RTT_MIN_WINDOW)
+        self._every_row = np.ones(self.n, dtype=bool)
         self.velocity = np.ones(self.n)
         self.direction = np.zeros(self.n)
         self.same_direction = np.zeros(self.n, dtype=np.int64)
@@ -544,28 +605,32 @@ class VecCopa(VecKernel):
 
     def tick(self, state: TickState) -> None:
         idx = self.rows
-        act = state.active[idx]
-        if not np.count_nonzero(act):
+        act = self._live(state)
+        if act is not True and not np.count_nonzero(act):
             return
         now = state.now[idx]
         rttm = state.rtt_measured[idx]
         thr = state.throughput[idx]
         dt = state.dt[idx]
         w = state.inflight[idx]
-        self._last_rtt = np.where(act, rttm, self._last_rtt)
-        rtt_min = self.rtt_min_filter.update(
-            act, now, rttm, self._rtt_min_window
+        self._last_rtt = _pick(act, rttm, self._last_rtt)
+        self.rtt_min_filter.update(
+            self._every_row if act is True else act,
+            now,
+            rttm,
+            self._rtt_min_window,
         )
+        rtt_min = self.rtt_min_filter.get()
         dq = np.maximum(rttm - rtt_min, 0.0)
         target_rate = np.where(
             dq <= 1e-9, np.inf, self.mss / (self.delta * dq)
         )
         current_rate = w / rttm
         direction = np.where(current_rate <= target_rate, 1.0, -1.0)
-        flip = act & (direction != self.direction)
+        flip = _and(act, direction != self.direction)
         self.velocity = np.where(flip, 1.0, self.velocity)
         self.same_direction = np.where(flip, 0, self.same_direction)
-        due = act & ~flip & (now >= self.next_velocity_update)
+        due = _and(act, ~flip & (now >= self.next_velocity_update))
         self.next_velocity_update = np.where(
             due, now + rttm, self.next_velocity_update
         )
@@ -590,19 +655,17 @@ class VecCopa(VecKernel):
         )
         step = np.minimum(step, w)
         grown = np.maximum(w + direction * step, self.min_inflight)
-        self.direction = np.where(act, direction, self.direction)
-        state.inflight[idx] = np.where(act, grown, w)
+        self.direction = _pick(act, direction, self.direction)
+        state.inflight[idx] = _pick(act, grown, w)
 
-    def on_loss(self, state: TickState, victims: np.ndarray) -> None:
-        idx = self.rows
-        hit = victims[idx]
-        if not np.count_nonzero(hit):
-            return
-        adm = self._admit(state.now[idx], hit)
-        w = state.inflight[idx]
-        cut = np.maximum(w * copa_laws.LOSS_BETA, self.min_inflight)
-        state.inflight[idx] = np.where(adm, cut, w)
-        self.velocity = np.where(adm, 1.0, self.velocity)
+    def on_loss(self, state: TickState, loc: np.ndarray) -> None:
+        loc = self._admit(state, loc)
+        rows = self.rows[loc]
+        w = state.inflight[rows]
+        state.inflight[rows] = np.maximum(
+            w * copa_laws.LOSS_BETA, self.min_inflight[loc]
+        )
+        self.velocity[loc] = 1.0
 
 
 class VecBBR(VecKernel):
@@ -643,8 +706,8 @@ class VecBBR(VecKernel):
 
     def tick(self, state: TickState) -> None:
         idx = self.rows
-        act = state.active[idx]
-        if not np.count_nonzero(act):
+        act = self._live(state)
+        if act is not True and not np.count_nonzero(act):
             return
         now = state.now[idx]
         rttm = state.rtt_measured[idx]
@@ -653,14 +716,14 @@ class VecBBR(VecKernel):
         w = state.inflight[idx]
         np.copyto(self._last_rtt, rttm, where=act)
         window = bbr_laws.BTLBW_FILTER_ROUNDS * rttm
-        self.bw_filter.update(act & (thr > 0.0), now, thr, window)
+        self.bw_filter.update(_and(act, thr > 0.0), now, thr, window)
         # _update_rtt_min: new minima refresh estimate and stamp;
         # while probing, track the best RTT seen draining.
         probing = ~np.isnan(self.probe_rtt_until)
-        new_min = act & (rttm <= self.rtt_min_est)
+        new_min = _and(act, rttm <= self.rtt_min_est)
         np.copyto(self.rtt_min_est, rttm, where=new_min)
         np.copyto(self.rtt_min_stamp, now, where=new_min)
-        drain_min = act & ~new_min & probing
+        drain_min = _and(act, ~new_min & probing)
         if np.count_nonzero(drain_min):
             np.minimum(
                 self.rtt_min_est,
@@ -669,7 +732,7 @@ class VecBBR(VecKernel):
                 where=drain_min,
             )
 
-        in_probe = act & probing
+        in_probe = _and(act, probing)
         hold = in_probe & (now < self.probe_rtt_until)
         np.copyto(w, self.probe_rtt_floor, where=hold)
         leave = in_probe & ~hold
@@ -679,7 +742,7 @@ class VecBBR(VecKernel):
             np.copyto(self.cycle_stamp, now, where=leave)
             np.copyto(w, self.inflight_before_probe, where=leave)
 
-        run = act & ~hold
+        run = _and(act, ~hold)
         expire = run & (
             now - self.rtt_min_stamp > self._probe_rtt_interval
         )
@@ -797,8 +860,8 @@ class VecBBR2(VecBBR):
     def tick(self, state: TickState) -> None:
         super().tick(state)
         idx = self.rows
-        act = state.active[idx]
-        if not np.count_nonzero(act):
+        act = self._live(state)
+        if act is not True and not np.count_nonzero(act):
             return
         now = state.now[idx]
         rttm = state.rtt_measured[idx]
@@ -812,13 +875,13 @@ class VecBBR2(VecBBR):
             out=self.round_delivered,
             where=act,
         )
-        roll = act & (now >= self.round_end)
+        roll = _and(act, now >= self.round_end)
         if np.count_nonzero(roll):
             np.copyto(self.round_end, now + rttm, where=roll)
             np.copyto(self.round_lost, 0.0, where=roll)
             np.copyto(self.round_delivered, 0.0, where=roll)
         # Rows still in (or just entering) ProbeRTT stop here.
-        post = act & np.isnan(self.probe_rtt_until)
+        post = _and(act, np.isnan(self.probe_rtt_until))
         up = (
             post
             & (now >= self.next_probe_up)
@@ -844,41 +907,27 @@ class VecBBR2(VecBBR):
             state.inflight[idx] = w
 
     def on_drop(
-        self, state: TickState, dropped: np.ndarray, mask: np.ndarray
+        self, state: TickState, loc: np.ndarray, dropped: np.ndarray
     ) -> None:
-        idx = self.rows
-        hit = mask[idx]
-        if not np.count_nonzero(hit):
-            return
-        self.round_lost = np.where(
-            hit, self.round_lost + dropped[idx], self.round_lost
-        )
+        self.round_lost[loc] += dropped
 
-    def on_loss(self, state: TickState, victims: np.ndarray) -> None:
-        idx = self.rows
-        hit = victims[idx]
-        if not np.count_nonzero(hit):
+    def on_loss(self, state: TickState, loc: np.ndarray) -> None:
+        lost = self.round_lost[loc]
+        total = self.round_delivered[loc] + lost
+        loss_rate = np.where(total > 0, lost / total, 0.0)
+        loc = self._admit(state, loc[loss_rate > bbr2_laws.LOSS_THRESH])
+        if not len(loc):
             return
-        now = state.now[idx]
-        total = self.round_delivered + self.round_lost
-        loss_rate = np.where(
-            total > 0, self.round_lost / total, 0.0
-        )
-        over = hit & (loss_rate > bbr2_laws.LOSS_THRESH)
-        adm = self._admit(now, over)
-        if not np.count_nonzero(adm):
-            return
-        w = state.inflight[idx]
-        bound = np.minimum(self.inflight_hi, w)
+        rows = self.rows[loc]
+        w = state.inflight[rows]
+        bound = np.minimum(self.inflight_hi[loc], w)
         cut = np.maximum(
-            bound * (1.0 - bbr2_laws.BETA), self.min_inflight
+            bound * (1.0 - bbr2_laws.BETA), self.min_inflight[loc]
         )
-        self.inflight_hi = np.where(adm, cut, self.inflight_hi)
-        state.inflight[idx] = np.where(
-            adm, np.minimum(w, self.inflight_hi), w
-        )
-        self.next_probe_up = np.where(
-            adm, now + bbr2_laws.PROBE_UP_INTERVAL, self.next_probe_up
+        self.inflight_hi[loc] = cut
+        state.inflight[rows] = np.minimum(w, cut)
+        self.next_probe_up[loc] = (
+            state.now[rows] + bbr2_laws.PROBE_UP_INTERVAL
         )
 
 
@@ -919,8 +968,8 @@ class VecVivace(VecKernel):
 
     def tick(self, state: TickState) -> None:
         idx = self.rows
-        act = state.active[idx]
-        if not np.count_nonzero(act):
+        act = self._live(state)
+        if act is not True and not np.count_nonzero(act):
             return
         now = state.now[idx]
         rttm = state.rtt_measured[idx]
@@ -928,16 +977,16 @@ class VecVivace(VecKernel):
         dt = state.dt[idx]
         qd = state.queue_delay[idx]
         lost = state.lost_bytes[idx]
-        self._last_rtt = np.where(act, rttm, self._last_rtt)
-        begin = act & np.isnan(self.mi_start)
+        self._last_rtt = _pick(act, rttm, self._last_rtt)
+        begin = _and(act, np.isnan(self.mi_start))
         self._begin_mi(begin, now, rttm, dt, qd)
-        self.mi_delivered = np.where(
+        self.mi_delivered = _pick(
             act, self.mi_delivered + thr * dt, self.mi_delivered
         )
-        self.mi_lost = np.where(act, self.mi_lost + lost, self.mi_lost)
-        self.last_qd = np.where(act, qd, self.last_qd)
+        self.mi_lost = _pick(act, self.mi_lost + lost, self.mi_lost)
+        self.last_qd = _pick(act, qd, self.last_qd)
 
-        fin = act & (now >= self.mi_end)
+        fin = _and(act, now >= self.mi_end)
         if np.count_nonzero(fin):
             elapsed = np.maximum(now - self.mi_start, 1e-6)
             gradient = (self.last_qd - self.mi_qd_start) / elapsed
@@ -992,9 +1041,7 @@ class VecVivace(VecKernel):
         grown = np.maximum(
             self.rate * factor * rttm, self.min_inflight
         )
-        state.inflight[idx] = np.where(
-            act, grown, state.inflight[idx]
-        )
+        state.inflight[idx] = _pick(act, grown, state.inflight[idx])
 
     def _begin_mi(self, mask, now, rttm, dt, qd) -> None:
         if not np.count_nonzero(mask):
@@ -1008,12 +1055,6 @@ class VecVivace(VecKernel):
         self.mi_qd_start = np.where(mask, qd, self.mi_qd_start)
 
     def on_drop(
-        self, state: TickState, dropped: np.ndarray, mask: np.ndarray
+        self, state: TickState, loc: np.ndarray, dropped: np.ndarray
     ) -> None:
-        idx = self.rows
-        hit = mask[idx]
-        if not np.count_nonzero(hit):
-            return
-        self.mi_lost = np.where(
-            hit, self.mi_lost + dropped[idx], self.mi_lost
-        )
+        self.mi_lost[loc] += dropped

@@ -34,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.aqm import CoDelConfig, REDConfig
 
 from repro.cc.base import make_controller
+from repro.scenario.result import FlowResult, SimulationResult
 from repro.sim.endpoints import Sender
 from repro.sim.engine import EventLoop
 from repro.sim.link import Link
@@ -66,54 +67,6 @@ class FlowSpec:
     start_time: float = 0.0
     max_bytes: Optional[int] = None
     cc_kwargs: Dict[str, object] = field(default_factory=dict)
-
-
-@dataclass
-class FlowResult:
-    """Measured outcome for one flow over the measurement interval."""
-
-    flow_id: int
-    cc: str
-    throughput: float  # bytes/second
-    mean_rtt: Optional[float]
-    min_rtt: Optional[float]
-    loss_rate: float
-    delivered_bytes: int
-    retransmits: int = 0
-
-    @property
-    def throughput_mbps(self) -> float:
-        """Throughput in Mbps, the unit used in the paper's figures."""
-        return self.throughput * 8.0 / 1e6
-
-
-@dataclass
-class SimulationResult:
-    """Outcome of one dumbbell run."""
-
-    flows: List[FlowResult]
-    duration: float
-    warmup: float
-    mean_queue_bytes: float
-    mean_queuing_delay: float
-    drop_rate: float
-    events_processed: int = 0
-
-    def by_cc(self, cc: str) -> List[FlowResult]:
-        """All flow results running algorithm ``cc``."""
-        return [f for f in self.flows if f.cc == cc.lower()]
-
-    def mean_throughput(self, cc: Optional[str] = None) -> float:
-        """Mean per-flow throughput (bytes/s), optionally filtered by CCA."""
-        flows = self.by_cc(cc) if cc else self.flows
-        if not flows:
-            return 0.0
-        return sum(f.throughput for f in flows) / len(flows)
-
-    def aggregate_throughput(self, cc: Optional[str] = None) -> float:
-        """Total throughput (bytes/s), optionally filtered by CCA."""
-        flows = self.by_cc(cc) if cc else self.flows
-        return sum(f.throughput for f in flows)
 
 
 class FlowPath:

@@ -794,7 +794,7 @@ def substrate_calls(monkeypatch):
     with no checker live (also when the suite runs under
     ``REPRO_CHECK=1``) so only the rows decide."""
     from repro.check import use as use_check
-    from repro.experiments import runner
+    from repro.fluidsim import core, vec
 
     calls = {"scalar": 0, "vec": 0}
 
@@ -805,11 +805,12 @@ def substrate_calls(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(runner, "run_fluid", spy("scalar", runner.run_fluid))
+    # The runner imports each substrate where it dispatches to it.
+    monkeypatch.setattr(core, "run_fluid", spy("scalar", core.run_fluid))
     monkeypatch.setattr(
-        runner,
+        vec,
         "run_fluid_vec_batch",
-        spy("vec", runner.run_fluid_vec_batch),
+        spy("vec", vec.run_fluid_vec_batch),
     )
     with use_check(None):
         yield calls

@@ -8,7 +8,7 @@ that contract across every CCA x loss mode x RTT regime, plus the
 batching property the execution engine relies on: running N points in
 one ndarray block equals running them one at a time.
 
-Everything here compares :class:`repro.sim.network.SimulationResult`
+Everything here compares :class:`repro.scenario.result.SimulationResult`
 dataclasses with ``==`` — exact floats, no tolerances.
 """
 
@@ -23,6 +23,7 @@ from repro.check import Checker, InvariantViolation
 from repro.fluidsim import (
     LOSS_MODES,
     BatchPoint,
+    FluidSimulation,
     FluidSpec,
     run_fluid,
     run_fluid_vec,
@@ -30,7 +31,7 @@ from repro.fluidsim import (
 )
 from repro.fluidsim.mathops import np
 from repro.fluidsim.vec import VecFluidSim
-from repro.fluidsim.vec_laws import VecWindowedFilter
+from repro.fluidsim.vec_laws import VecCubic, VecWindowedFilter
 from repro.util.config import LinkConfig
 from repro.util.filters import WindowedMax, WindowedMin
 
@@ -215,6 +216,117 @@ def test_run_mix_batch_equals_per_request_calls():
         assert run_mix_batch(points[1:]) == solo[1:]
 
 
+# -- what a tick pays for ----------------------------------------------------
+# Kernels skip the live-row mask once every row is live for good, and a
+# congestion signal touches only the rows of the points it hits.
+
+
+def _watch_ticks(monkeypatch):
+    """Record, per tick: whether kernels saw every row live, whether
+    last tick's rates had a sign bit, and how many points each
+    congestion signal hit."""
+    seen = {"all_live": set(), "signed_rate": False, "signalled": []}
+    tick, select = VecCubic.tick, VecFluidSim._select
+
+    def watch_tick(self, state):
+        seen["all_live"].add(state.all_live)
+        seen["signed_rate"] |= bool(np.signbit(state.throughput).any())
+        tick(self, state)
+
+    def watch_select(self, mask):
+        seen["signalled"].append(int(np.count_nonzero(mask)))
+        return select(self, mask)
+
+    monkeypatch.setattr(VecCubic, "tick", watch_tick)
+    monkeypatch.setattr(VecFluidSim, "_select", watch_select)
+    return seen
+
+
+#: One flow of every kind the signal path treats apart: loss-based
+#: kernels that back off (CUBIC, Reno, BBRv2), kernels that also count
+#: dropped bytes (BBRv2, Vivace) and a kernel that ignores both (BBR).
+SIGNAL_MIX = ("cubic", "reno", "bbr2", "vivace", "bbr")
+
+
+@pytest.mark.parametrize("loss_mode", LOSS_MODES)
+def test_all_live_batch_signals_only_its_overflowing_points(
+    loss_mode, monkeypatch
+):
+    """Flows that start at 0 and never stop, so every row is live on
+    every tick, and buffers from 0.5 to 4 BDP, so on many ticks only
+    some points overflow."""
+    points = [
+        BatchPoint(
+            link=LinkConfig.from_mbps_ms(20, 20, buffer),
+            flows=[FluidSpec(cc=cc) for cc in SIGNAL_MIX],
+            duration=6.0,
+            warmup=1.0,
+            loss_mode=loss_mode,
+            seed=seed,
+        )
+        for seed, buffer in enumerate((0.5, 4.0, 1.0))
+    ]
+    seen = _watch_ticks(monkeypatch)
+    assert run_fluid_vec_batch(points) == [_scalar(p) for p in points]
+    assert seen["all_live"] == {True}
+    assert 0 < min(seen["signalled"]) < len(points)
+    assert not seen["signed_rate"]
+
+
+@pytest.mark.parametrize("loss_mode", LOSS_MODES)
+def test_staggered_batch_masks_its_rows(loss_mode, monkeypatch):
+    """Staggered starts, a flow that stops and points of two lengths:
+    rows are live and not, tick by tick, so kernels apply the mask."""
+    points = [
+        BatchPoint(
+            link=LinkConfig.from_mbps_ms(20, 20, 1.0),
+            flows=[
+                FluidSpec(cc=cc, start_time=0.5 * i)
+                for i, cc in enumerate(SIGNAL_MIX)
+            ]
+            + [FluidSpec(cc="cubic", start_time=1.0, stop_time=3.0)],
+            duration=duration,
+            warmup=1.0,
+            loss_mode=loss_mode,
+            seed=7,
+            start_jitter=0.2,
+        )
+        for duration in (5.0, 6.0)
+    ]
+    seen = _watch_ticks(monkeypatch)
+    assert run_fluid_vec_batch(points) == [_scalar(p) for p in points]
+    assert seen["all_live"] == {False}
+    assert not seen["signed_rate"]
+
+
+def test_loss_events_match_scalar():
+    """Backoff times are logged per tick and read back per flow."""
+    points = [
+        BatchPoint(
+            link=LinkConfig.from_mbps_ms(20, 20, 1.0),
+            flows=[FluidSpec(cc=cc) for cc in SIGNAL_MIX],
+            duration=5.0,
+            loss_mode=mode,
+            seed=3,
+            start_jitter=0.2,
+        )
+        for mode in LOSS_MODES
+    ]
+    sim = VecFluidSim(points)
+    sim.run()
+    for p, point in enumerate(points):
+        scalar = FluidSimulation(
+            point.link,
+            point.flows,
+            loss_mode=point.loss_mode,
+            seed=point.seed,
+            start_jitter=point.start_jitter,
+        )
+        scalar.run(point.duration)
+        assert sim.loss_events[p] == scalar.loss_events
+        assert any(scalar.loss_events)
+
+
 # -- batch shapes ------------------------------------------------------------
 # Segment sums used to take one of three code paths by batch shape
 # (< 8 points, >= 8 same-width points, >= 32 ragged points); every
@@ -324,6 +436,21 @@ def test_segment_sum_is_python_sum_bitwise(columns):
 # -- filter rings ------------------------------------------------------------
 
 
+def _assert_ring_layout(ring):
+    """The ring layout: per row ``cap`` time slots and ``2 * cap`` value
+    slots (each value is written at ``k`` and its mirror ``k + cap``), so
+    the live entries' values read back from either copy."""
+    slots = int(ring.cap.sum())
+    assert ring.times.nbytes == 8 * slots
+    assert ring.values.nbytes == 16 * slots
+    for row in range(ring.n):
+        cap = int(ring.cap[row])
+        vbase = 2 * int(ring.cap[:row].sum())
+        for k in range(int(ring.head[row]), int(ring.tail[row])):
+            slot = vbase + (k & (cap - 1))
+            assert ring.values[slot] == ring.values[slot + cap]
+
+
 def _bbr_filter(sim):
     [kernel] = [k for k in sim.kernels if k.name == "bbr"]
     return kernel.bw_filter
@@ -364,19 +491,19 @@ def test_vec_filter_matches_scalar_deques_while_rows_grow(data):
             [rng.choice([now, -now, rng.random()]) for _ in range(n)]
         )
         value[quiet] = now if is_max else -now
-        best = vec.update(mask, np.full(n, now), value, np.full(n, window))
+        vec.update(mask, np.full(n, now), value, np.full(n, window))
+        best = vec.get()
         for row in range(n):
             if mask[row]:
                 assert best[row] == scalar[row].update(now, value[row])
                 deepest[row] = max(deepest[row], len(scalar[row]))
-        got = vec.get()
-        for row in range(n):
-            assert got[row] == (scalar[row].get() or 0.0)
+            else:
+                assert best[row] == (scalar[row].get() or 0.0)
         assert (vec.tail - vec.head).tolist() == [len(f) for f in scalar]
     assert vec.cap[quiet] == 2
     for row in range(n):
         assert deepest[row] <= vec.cap[row] <= max(2, 2 * deepest[row])
-    assert vec.times.nbytes == vec.values.nbytes == 8 * int(vec.cap.sum())
+    _assert_ring_layout(vec)
 
 
 def test_ring_bytes_are_the_sum_of_per_row_capacities():
@@ -391,11 +518,10 @@ def test_ring_bytes_are_the_sum_of_per_row_capacities():
         ring = _bbr_filter(sim)
         # 10 RTTs of (20 ms + buffer drain) at 5 ms ticks, + 3, as 2^k.
         assert ring.cap.tolist() == [64, 64, 2048, 2048]
-        assert ring.values.nbytes == ring.times.nbytes == 8 * (
-            2 * 64 + 2 * 2048
-        )
+        assert ring.times.nbytes == 8 * (2 * 64 + 2 * 2048)
         sim.run()
         assert ring.reallocations == 0
+        _assert_ring_layout(ring)
         sizes.add((ring.values.nbytes, tuple(ring.cap.tolist())))
     assert len(sizes) == 1
 
@@ -438,7 +564,7 @@ def test_violated_ring_bound_grows_only_the_full_rows():
     # one doubling for the first traced row, two for the second.
     assert ring.reallocations == 3
     assert ring.cap.tolist() == [512, 512, 1024, 2048]
-    assert ring.values.nbytes == 8 * int(ring.cap.sum())
+    _assert_ring_layout(ring)
 
 
 # -- registry ----------------------------------------------------------------

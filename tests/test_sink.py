@@ -190,6 +190,7 @@ def test_campaign_sink_rejects_duplicate_index(tmp_path):
     sink.add(2, [{"i": 2}])
     with pytest.raises(SinkError, match="already written"):
         sink.add(2, [{"i": 2}])
+    sink.close()
 
 
 def test_campaign_sink_counts_buffered_rows(tmp_path):
