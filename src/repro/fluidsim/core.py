@@ -5,19 +5,21 @@ throughputs for up to 50 concurrent 2-minute flows, across thousands of
 scenario combinations — far beyond what a packet-level simulator can sweep
 in reasonable time.  This module models each flow as a *fluid*: a window
 (or in-flight target) evolving in discrete time steps, sharing one
-drop-tail bottleneck.
+bottleneck — drop-tail, or RED / CoDel (:mod:`repro.fluidsim.aqmfluid`),
+with a capacity that may follow a trace.
 
 Per tick:
 
-1. every active flow observes last tick's throughput/RTT and updates its
+1. every sending flow observes last tick's throughput/RTT and updates its
    in-flight target (its congestion-control law);
 2. the shared queue is solved from the in-flight totals (closed form for
    equal RTTs, bisection otherwise);
-3. if the queue exceeds the buffer, a loss event fires: victims are chosen
-   by the configured synchronization mode and cut their windows, and any
-   remaining excess is dropped (trimming non-responsive flows' realized
-   in-flight);
-4. per-flow throughput ``λ_i = inflight_i / (rtt_i + Q/C)`` is integrated.
+3. if the queue exceeds the buffer, the excess is dropped in proportion to
+   in-flight share, and the loss-based flows the synchronization mode
+   picks as victims cut their windows;
+4. an AQM, if any, turns the queue into a drop (or ECN-mark) volume,
+   shared out and answered the same way;
+5. per-flow throughput ``λ_i = inflight_i / (rtt_i + Q/C)`` is integrated.
 
 The *synchronization mode* mirrors §2.4's two boundary cases: ``"sync"``
 makes every loss-based flow back off on each overflow (Equation 21's
@@ -76,7 +78,8 @@ class FluidSpec:
 
 
 class TickContext:
-    """Per-flow observations handed to a fluid flow each tick."""
+    """Observations handed to a fluid flow each tick: ``now``, ``dt`` and
+    ``queue_delay`` are the tick's, the rest the flow's own."""
 
     __slots__ = (
         "now",
@@ -84,7 +87,6 @@ class TickContext:
         "throughput",
         "rtt_measured",
         "queue_delay",
-        "base_rtt",
         "lost_bytes",
     )
 
@@ -94,7 +96,6 @@ class TickContext:
         self.throughput = 0.0
         self.rtt_measured = 0.0
         self.queue_delay = 0.0
-        self.base_rtt = 0.0
         self.lost_bytes = 0.0
 
 
@@ -141,7 +142,7 @@ class FluidSimulation:
         check: Optional["Checker"] = None,
     ) -> None:
         from repro.check import resolve as resolve_check
-        from repro.fluidsim.flows import make_fluid_flow
+        from repro.fluidsim.flows import FluidFlow, make_fluid_flow
 
         if not flows:
             raise ValueError("at least one flow is required")
@@ -191,6 +192,12 @@ class FluidSimulation:
             flow.obs = obs
             flow.check = check
             self.flows.append(flow)
+        self._loss_based = [f.loss_based for f in self.flows]
+        #: Flows whose ``on_drop`` counts dropped bytes (BBRv2, Vivace);
+        #: everyone else's is a no-op and is not called.
+        self._counts_drops = [
+            type(f).on_drop is not FluidFlow.on_drop for f in self.flows
+        ]
 
         min_rtt = min(f.rtt for f in self.flows)
         self.dt = dt if dt is not None else min_rtt / 4.0
@@ -333,8 +340,15 @@ class FluidSimulation:
         capacity = self.capacity_now
         buffer_bytes = self.link.buffer_bytes
         check = self.check
+        obs = self.obs
+        trace_interval = self.trace_interval
         dt = self.dt
-        n = len(self.flows)
+        flows = self.flows
+        n = len(flows)
+        rtts = [f.rtt for f in flows]
+        sizes = [spec.size_bytes for spec in self.specs]
+        delivered_total = self._delivered
+        delivered_window = self._delivered_window
         ctx = TickContext()
         ctx.dt = dt
 
@@ -342,6 +356,15 @@ class FluidSimulation:
         prev_rate = [0.0] * n
         lost_this_tick = [0.0] * n
         queue_delay = 0.0
+
+        # Which flows send is decided once per tick.  It changes only at
+        # a start, a stop or a finished transfer, so without stop times
+        # and sizes it is settled for good once every flow has started.
+        lifetimes = any(
+            spec.stop_time is not None or spec.size_bytes is not None
+            for spec in self.specs
+        )
+        settled = False
 
         now = 0.0
         measure_started = warmup == 0.0
@@ -353,29 +376,32 @@ class FluidSimulation:
             if not measure_started and now >= warmup:
                 measure_started = True
                 self._measure_start = now
-                self._delivered_window = [0.0] * n
+                delivered_window = self._delivered_window = [0.0] * n
+            if not settled:
+                active = [i for i in range(n) if self._is_active(i, now)]
+                settled = len(active) == n and not lifetimes
 
             # 1. Flows update their in-flight targets.
-            for i, flow in enumerate(self.flows):
-                if not self._is_active(i, now):
-                    continue
-                ctx.now = now
+            ctx.now = now
+            ctx.queue_delay = queue_delay
+            for i in active:
+                flow = flows[i]
                 ctx.throughput = prev_rate[i]
-                ctx.base_rtt = flow.rtt
-                ctx.queue_delay = queue_delay
-                ctx.rtt_measured = flow.rtt + queue_delay
+                ctx.rtt_measured = rtts[i] + queue_delay
                 ctx.lost_bytes = lost_this_tick[i]
                 flow.tick(ctx)
                 lost_this_tick[i] = 0.0
                 if check is not None:
                     check.fluid_flow(now, flow)
 
-            inflights = [
-                f.inflight if self._is_active(i, now) else 0.0
-                for i, f in enumerate(self.flows)
-            ]
+            if settled:
+                inflights = [f.inflight for f in flows]
+            else:
+                inflights = [0.0] * n
+                for i in active:
+                    inflights[i] = flows[i].inflight
 
-            # 2-3. Solve the queue; handle overflow, then the AQM.
+            # 2-4. Solve the queue; handle overflow, then the AQM.
             queue = self._solve_queue(inflights)
             if queue > buffer_bytes:
                 queue = self._handle_overflow(
@@ -385,21 +411,16 @@ class FluidSimulation:
                 queue = self._apply_aqm(
                     now, inflights, queue, lost_this_tick
                 )
-            self.queue_bytes = queue
             queue_delay = queue / capacity
 
-            if (
-                self.trace_interval is not None
-                and now >= self._next_trace
-            ):
-                self._next_trace = now + self.trace_interval
+            if trace_interval is not None and now >= self._next_trace:
+                self._next_trace = now + trace_interval
                 self.trace.append((now, list(inflights), queue))
-                if self.obs is not None:
-                    self.obs.gauge("link.queue_bytes", queue)
-                    for i, flow in enumerate(self.flows):
-                        if not self._is_active(i, now):
-                            continue
-                        self.obs.sample(
+                if obs is not None:
+                    obs.gauge("link.queue_bytes", queue)
+                    for i in active:
+                        flow = flows[i]
+                        obs.sample(
                             now,
                             flow.flow_id,
                             cc=flow.name,
@@ -409,22 +430,21 @@ class FluidSimulation:
                             state=flow.state,
                         )
 
-            # 4. Integrate throughput.
+            # 5. Integrate throughput.
             utilization = 0.0
-            for i, flow in enumerate(self.flows):
-                w = inflights[i]
+            for i, w in enumerate(inflights):
                 if w <= 0:
                     prev_rate[i] = 0.0
                     continue
-                rate = w / (flow.rtt + queue_delay)
+                rate = w / (rtts[i] + queue_delay)
                 prev_rate[i] = rate
                 delivered = rate * dt
-                self._delivered[i] += delivered
+                delivered_total[i] += delivered
                 if measure_started:
-                    self._delivered_window[i] += delivered
+                    delivered_window[i] += delivered
                 utilization += rate
-                size = self.specs[i].size_bytes
-                if size is not None and self._delivered[i] >= size:
+                size = sizes[i]
+                if size is not None and delivered_total[i] >= size:
                     self._finished[i] = True
             if check is not None:
                 # Overflow ticks (queue clamped at the buffer) are
@@ -443,10 +463,11 @@ class FluidSimulation:
                 self._queue_integral += queue * dt
                 self._time_simulated += dt
 
+        self.queue_bytes = queue
         self._steps_run = steps
-        if self.obs is not None:
-            self.obs.count("fluid.steps", steps)
-            self.obs.record_time("sim.run", perf_counter() - wall_start)
+        if obs is not None:
+            obs.count("fluid.steps", steps)
+            obs.record_time("sim.run", perf_counter() - wall_start)
         return self._build_result(duration, warmup)
 
     def _handle_overflow(
@@ -477,30 +498,54 @@ class FluidSimulation:
                 queued_bytes=buffer_bytes,
             )
 
-        # Assumption 3 of §2.3: packets are uniformly mixed in the buffer,
-        # so drops land on flows in proportion to their in-flight share.
         queue_shares = [w / total_inflight for w in inflights]
-        for i, flow in enumerate(self.flows):
-            if inflights[i] <= 0:
-                continue
-            drop = excess * queue_shares[i]
-            inflights[i] = max(inflights[i] - drop, 0.0)
-            flow.on_drop(now, drop)
-            self._lost[i] += drop
-            lost_this_tick[i] += drop
-            self._drop_accumulator[i] += drop
+        self._drop(now, inflights, excess, queue_shares, lost_this_tick)
+        return self._back_off(now, inflights, queue_shares)
 
+    def _drop(
+        self,
+        now: float,
+        inflights: List[float],
+        volume: float,
+        queue_shares: List[float],
+        lost_this_tick: List[float],
+    ) -> None:
+        """Drop ``volume`` bytes from the sending flows.
+
+        Assumption 3 of §2.3: packets are uniformly mixed in the buffer,
+        so drops land on flows in proportion to their in-flight share.
+        """
+        flows = self.flows
+        counts_drops = self._counts_drops
+        lost = self._lost
+        accumulator = self._drop_accumulator
+        for i, w in enumerate(inflights):
+            if w <= 0:
+                continue
+            drop = volume * queue_shares[i]
+            left = w - drop
+            inflights[i] = 0.0 if left < 0.0 else left  # max(left, 0.0)
+            if counts_drops[i]:
+                flows[i].on_drop(now, drop)
+            lost[i] += drop
+            lost_this_tick[i] += drop
+            accumulator[i] += drop
+
+    def _back_off(
+        self, now: float, inflights: List[float], queue_shares: List[float]
+    ) -> float:
+        """Back off the victims the loss mode picks among the sending
+        loss-based flows; returns the re-solved queue."""
+        loss_based = self._loss_based
         responsive = [
-            i
-            for i, f in enumerate(self.flows)
-            if f.loss_based and inflights[i] > 0
+            i for i, w in enumerate(inflights) if loss_based[i] and w > 0
         ]
         for i in self._pick_victims(queue_shares, responsive):
-            self.flows[i].on_loss(now)
-            inflights[i] = min(inflights[i], self.flows[i].inflight)
+            flow = self.flows[i]
+            flow.on_loss(now)
+            inflights[i] = min(inflights[i], flow.inflight)
             self.loss_events[i].append(now)
-
-        return min(self._solve_queue(inflights), buffer_bytes)
+        return min(self._solve_queue(inflights), self.link.buffer_bytes)
 
     def _apply_capacity_steps(self, now: float) -> float:
         """Apply due capacity-trace steps; returns the current capacity.
@@ -558,17 +603,12 @@ class FluidSimulation:
         ecn = self._aqm.ecn
         mss = self.link.mss
         queue_shares = [w / total_inflight for w in inflights]
-        for i, flow in enumerate(self.flows):
-            if inflights[i] <= 0:
-                continue
-            amount = volume * queue_shares[i]
-            self._drop_accumulator[i] += amount
-            if not ecn:
-                inflights[i] = max(inflights[i] - amount, 0.0)
-                flow.on_drop(now, amount)
-                self._lost[i] += amount
-                lost_this_tick[i] += amount
         if ecn:
+            accumulator = self._drop_accumulator
+            for i, w in enumerate(inflights):
+                if w <= 0:
+                    continue
+                accumulator[i] += volume * queue_shares[i]
             self.marked_bytes += volume
             if self.obs is not None:
                 self.obs.count(
@@ -581,6 +621,7 @@ class FluidSimulation:
                     queued_bytes=queue,
                 )
         else:
+            self._drop(now, inflights, volume, queue_shares, lost_this_tick)
             self.aqm_dropped_bytes += volume
             if self.obs is not None:
                 self.obs.count(
@@ -597,16 +638,7 @@ class FluidSimulation:
                     queued_bytes=queue,
                     aqm=True,
                 )
-        responsive = [
-            i
-            for i, f in enumerate(self.flows)
-            if f.loss_based and inflights[i] > 0
-        ]
-        for i in self._pick_victims(queue_shares, responsive):
-            self.flows[i].on_loss(now)
-            inflights[i] = min(inflights[i], self.flows[i].inflight)
-            self.loss_events[i].append(now)
-        return min(self._solve_queue(inflights), self.link.buffer_bytes)
+        return self._back_off(now, inflights, queue_shares)
 
     def _build_result(
         self, duration: float, warmup: float

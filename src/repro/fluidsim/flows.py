@@ -16,8 +16,9 @@ enforces the resulting agreement end to end.
 
 Power functions (slow-start doubling, CUBIC's cube and cube root,
 Vivace's utility exponent) are evaluated through
-:mod:`repro.fluidsim.mathops` so this scalar path and the vectorized
-one (:mod:`repro.fluidsim.vec`) round identically and stay *bitwise*
+:mod:`repro.fluidsim.mathops` — CUBIC's per-tick cube as its
+``np.power`` inline — so this scalar path and the vectorized one
+(:mod:`repro.fluidsim.vec`) round identically and stay *bitwise*
 comparable; see that module for why.
 """
 
@@ -41,6 +42,7 @@ from repro.cc.laws.base import (
 )
 from repro.fluidsim import mathops
 from repro.fluidsim.core import TickContext
+from repro.fluidsim.mathops import np
 from repro.util.filters import WindowedMax, WindowedMin
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -153,32 +155,38 @@ class FluidCubic(FluidFlow):
         self._k = 0.0
 
     def tick(self, ctx: TickContext) -> None:
-        self._last_rtt_measured = ctx.rtt_measured
+        rtt_measured = ctx.rtt_measured
+        self._last_rtt_measured = rtt_measured
         if self._in_slow_start:
-            self.inflight *= float(mathops.exp2(ctx.dt / ctx.rtt_measured))
+            self.inflight *= float(mathops.exp2(ctx.dt / rtt_measured))
             return
         now = ctx.now
+        mss = self.mss
         if self._epoch_start is None:
             # cubic_laws.begin_epoch, with K through the shared kernel.
             self._epoch_start = now
-            cwnd_segments = self.inflight / self.mss
+            cwnd_segments = self.inflight / mss
             if self._w_max_pkts is None or self._w_max_pkts < cwnd_segments:
                 self._w_max_pkts, self._k = cwnd_segments, 0.0
             else:
                 self._k = float(mathops.cubic_k(self._w_max_pkts))
-        t = now - self._epoch_start
-        target_pkts = float(
-            mathops.cubic_window(t, self._k, self._w_max_pkts)
-        )
-        target = max(target_pkts * self.mss, self.min_inflight)
+        # mathops.cubic_window with numpy for the power only: C·p + W_max
+        # in Python floats rounds exactly as on numpy scalars.
+        cube = float(np.power(now - self._epoch_start - self._k, 3.0))
+        target = (cubic_laws.C_CUBIC * cube + self._w_max_pkts) * mss
+        if self.min_inflight > target:
+            target = self.min_inflight
         # The window is ack-clocked: it cannot grow faster than one extra
         # packet per delivered packet (slow-start bound), with a floor of
-        # one segment per RTT so a starved flow can still probe.
-        max_growth = max(
-            ctx.throughput * ctx.dt,
-            self.mss * ctx.dt / ctx.rtt_measured,
-        )
-        self.inflight = min(target, self.inflight + max_growth)
+        # one segment per RTT so a starved flow can still probe.  (The
+        # conditionals are max / min with the builtins' tie rule.)
+        dt = ctx.dt
+        growth = ctx.throughput * dt
+        probe = mss * dt / rtt_measured
+        if probe > growth:
+            growth = probe
+        grown = self.inflight + growth
+        self.inflight = grown if grown < target else target
 
     def on_loss(self, now: float) -> None:
         if not self._loss_guard(now):
@@ -281,17 +289,14 @@ class FluidBBR(FluidFlow):
         self._cycler = bbr_laws.GainCycler()
         self._probe_rtt_until: Optional[float] = None
         self._inflight_before_probe = 0.0
+        #: In-flight floor while draining in PROBE_RTT, bytes.
+        self.probe_rtt_floor = bbr_laws.PROBE_RTT_CWND_SEGMENTS * mss
 
     @property
     def bw_est(self) -> float:
         """Current bottleneck-bandwidth estimate (bytes/second)."""
         value = self._bw_filter.get()
         return value if value is not None else 0.0
-
-    @property
-    def probe_rtt_floor(self) -> float:
-        """In-flight floor while draining in PROBE_RTT, bytes."""
-        return bbr_laws.PROBE_RTT_CWND_SEGMENTS * self.mss
 
     @property
     def state(self) -> str:
@@ -303,14 +308,23 @@ class FluidBBR(FluidFlow):
 
     def tick(self, ctx: TickContext) -> None:
         now = ctx.now
-        self._last_rtt_measured = ctx.rtt_measured
+        rtt_measured = ctx.rtt_measured
+        throughput = ctx.throughput
+        self._last_rtt_measured = rtt_measured
         # 10 packet-timed rounds at the current RTT (queueing included).
-        self._bw_filter.window = (
-            bbr_laws.BTLBW_FILTER_ROUNDS * ctx.rtt_measured
-        )
-        if ctx.throughput > 0:
-            self._bw_filter.update(now, ctx.throughput)
-        self._update_rtt_min(now, ctx.rtt_measured)
+        bw_filter = self._bw_filter
+        bw_filter.window = bbr_laws.BTLBW_FILTER_ROUNDS * rtt_measured
+        if throughput > 0:
+            bw = bw_filter.update(now, throughput)
+        else:
+            bw = self.bw_est
+        # New minima refresh the estimate and the stamp (while draining
+        # in ProbeRTT too, with our own queue share gone); expiry is
+        # handled by entering ProbeRTT (which re-measures with the queue
+        # drained), never by silently accepting a bloated sample.
+        if rtt_measured <= self.rtt_min_est:
+            self.rtt_min_est = rtt_measured
+            self._rtt_min_stamp = now
 
         if self._probe_rtt_until is not None:
             if now < self._probe_rtt_until:
@@ -328,41 +342,38 @@ class FluidBBR(FluidFlow):
         if now - self._rtt_min_stamp > self._probe_rtt_interval:
             # RTprop filter expired: drain to re-measure (state 4 of §2.1).
             self._enter_probe_rtt(now)
-            self.rtt_min_est = ctx.rtt_measured
+            self.rtt_min_est = rtt_measured
             return
 
-        gain = self._current_gain(now)
-        bw = self.bw_est
+        in_startup = self._in_startup
+        if in_startup:
+            gain = bbr_laws.HIGH_GAIN
+        elif self.gain_cycling:
+            gain = self._cycler.advance(now, self.rtt_min_est)
+        else:
+            gain = 1.0
         pacing = gain * bw
         if pacing <= 0:
             # No estimate yet: pace the initial window over one RTT.
             pacing = INITIAL_CWND_SEGMENTS * self.mss / self.rtt
-        # Sent-minus-delivered fluid balance.
-        self.inflight += (pacing - ctx.throughput) * ctx.dt
-        cap_gain = (
-            bbr_laws.HIGH_GAIN if self._in_startup else bbr_laws.CWND_GAIN
-        )
+        # Sent-minus-delivered fluid balance, capped at gain × estimated
+        # BDP and floored at the ProbeRTT window (min / max written as
+        # conditionals with the builtins' tie rule).
+        inflight = self.inflight + (pacing - throughput) * ctx.dt
+        cap_gain = bbr_laws.HIGH_GAIN if in_startup else bbr_laws.CWND_GAIN
         cap = cap_gain * bw * self.rtt_min_est
-        if cap > 0:
-            self.inflight = min(self.inflight, cap)
-        self.inflight = max(self.inflight, self.probe_rtt_floor)
+        if 0 < cap < inflight:
+            inflight = cap
+        floor = self.probe_rtt_floor
+        self.inflight = floor if floor > inflight else inflight
 
-        if self._in_startup:
-            self._check_startup_exit(ctx)
+        if in_startup and now >= self._next_growth_check:
+            self._check_startup_exit(now, rtt_measured, bw)
 
-    def _current_gain(self, now: float) -> float:
-        if self._in_startup:
-            return bbr_laws.HIGH_GAIN
-        if not self.gain_cycling:
-            return 1.0
-        return self._cycler.advance(now, self.rtt_min_est)
-
-    def _check_startup_exit(self, ctx: TickContext) -> None:
-        now = ctx.now
-        if now < self._next_growth_check:
-            return
-        self._next_growth_check = now + ctx.rtt_measured
-        bw = self.bw_est
+    def _check_startup_exit(
+        self, now: float, rtt_measured: float, bw: float
+    ) -> None:
+        self._next_growth_check = now + rtt_measured
         if self._full_pipe.update(bw):
             self._in_startup = False
             self._cycler.reset(now)
@@ -372,18 +383,6 @@ class FluidBBR(FluidFlow):
             self.inflight = min(
                 self.inflight, max(target, self.probe_rtt_floor)
             )
-
-    def _update_rtt_min(self, now: float, rtt_measured: float) -> None:
-        # New minima refresh the estimate and the stamp; expiry is handled
-        # by entering ProbeRTT (which re-measures with the queue drained),
-        # never by silently accepting a bloated sample.
-        if rtt_measured <= self.rtt_min_est:
-            self.rtt_min_est = rtt_measured
-            self._rtt_min_stamp = now
-        elif self._probe_rtt_until is not None:
-            # During ProbeRTT our own queue share is gone; track the best
-            # (smallest) RTT observed while draining.
-            self.rtt_min_est = min(self.rtt_min_est, rtt_measured)
 
     def _enter_probe_rtt(self, now: float) -> None:
         old = self.state

@@ -10,42 +10,29 @@ used by both :class:`repro.cc.bbr.BBRv1` and the fluid BBR flow.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 
 class WindowedFilter:
     """Track the best value seen within a sliding time window.
 
-    Samples are ``(time, value)`` pairs; ``update`` keeps a monotonic deque
-    so that queries are O(1) amortized.  ``better(a, b)`` returns True when
-    ``a`` should shadow ``b`` (e.g. ``a >= b`` for a max filter).
+    Samples are ``(time, value)`` pairs kept in a monotonic deque, so
+    queries are O(1) amortized.  A subclass's ``update(now, value)``
+    inserts a sample and returns the current best, with its shadowing
+    test written inline (``>=`` for a max, ``<=`` for a min: an equal
+    value shadows too), since it runs on BBR's every tick.  The deque
+    is ordered by time, so a ``now`` behind the newest sample would
+    silently corrupt expiry: ``update`` clamps it to the newest sample
+    time (the sanitizer independently flags the non-monotonic event
+    loop that would cause one).
     """
 
-    def __init__(self, window: float, better: Callable[[float, float], bool]):
+    def __init__(self, window: float):
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         self.window = window
-        self._better = better
         self._samples: Deque[Tuple[float, float]] = deque()
-        self._latest: Optional[float] = None
-
-    def update(self, now: float, value: float) -> float:
-        """Insert a sample taken at ``now`` and return the current best.
-
-        The deque is ordered by time, so a ``now`` behind the newest
-        sample would silently corrupt expiry.  Non-monotonic clocks are
-        clamped to the newest sample time (the sanitizer independently
-        flags the non-monotonic event loop that would cause one).
-        """
-        if self._latest is not None and now < self._latest:
-            now = self._latest
-        else:
-            self._latest = now
-        self._expire(now)
-        while self._samples and self._better(value, self._samples[-1][1]):
-            self._samples.pop()
-        self._samples.append((now, value))
-        return self._samples[0][1]
+        self._latest = float("-inf")
 
     def get(self, now: Optional[float] = None) -> Optional[float]:
         """Return the best value in the window, or None if empty.
@@ -74,15 +61,39 @@ class WindowedFilter:
 class WindowedMax(WindowedFilter):
     """Windowed maximum (BBR's bottleneck-bandwidth filter)."""
 
-    def __init__(self, window: float):
-        super().__init__(window, lambda a, b: a >= b)
+    def update(self, now: float, value: float) -> float:
+        """Insert a sample taken at ``now``; return the window's max."""
+        if now < self._latest:
+            now = self._latest
+        else:
+            self._latest = now
+        samples = self._samples
+        horizon = now - self.window
+        while samples and samples[0][0] < horizon:
+            samples.popleft()
+        while samples and value >= samples[-1][1]:
+            samples.pop()
+        samples.append((now, value))
+        return samples[0][1]
 
 
 class WindowedMin(WindowedFilter):
     """Windowed minimum (BBR's RTT_min filter)."""
 
-    def __init__(self, window: float):
-        super().__init__(window, lambda a, b: a <= b)
+    def update(self, now: float, value: float) -> float:
+        """Insert a sample taken at ``now``; return the window's min."""
+        if now < self._latest:
+            now = self._latest
+        else:
+            self._latest = now
+        samples = self._samples
+        horizon = now - self.window
+        while samples and samples[0][0] < horizon:
+            samples.popleft()
+        while samples and value <= samples[-1][1]:
+            samples.pop()
+        samples.append((now, value))
+        return samples[0][1]
 
 
 class Ewma:

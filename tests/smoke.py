@@ -378,18 +378,29 @@ def population_runs_converge_and_escalate(work):
 
 
 def e2e_benchmark(work):
-    """The repo benchmark's quick run, ``vec_grid`` as one vectorized
-    batch (a re-split batch fails here), and its own smoke test."""
+    """The repo benchmark's quick run; ``vec_grid`` as one vectorized
+    batch (a re-split batch fails here) and ``ne_search`` as one scalar
+    run per point simulated; and the benchmark's own smoke test."""
     bench = [sys.executable, ROOT / "benchmarks" / "e2e" / "run.py"]
     done = run(ROOT, bench + ["--quick"])
     assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
-    done = run(ROOT, bench + "--quick --workload vec_grid --trace 1".split())
-    metrics = json.loads(done.stdout.splitlines()[-1])["metrics"]
-    calls = {
-        layer: metrics[f"trace.fluidsim.{layer}.calls"]["value"]
-        for layer in ("vec", "scalar")
-    }
+
+    def traced(workload):
+        args = f"--quick --workload {workload} --trace 1".split()
+        done = run(ROOT, bench + args)
+        metrics = json.loads(done.stdout.splitlines()[-1])["metrics"]
+        values = {name: metric["value"] for name, metric in metrics.items()}
+        calls = {
+            layer: values[f"trace.fluidsim.{layer}.calls"]
+            for layer in ("vec", "scalar")
+        }
+        return values, calls
+
+    _, calls = traced("vec_grid")
     assert calls == {"vec": 1, "scalar": 0}, calls
+    values, calls = traced("ne_search")
+    points = values["exec.points_simulated"]
+    assert points > 0 and calls == {"vec": 0, "scalar": points}, calls
     run(ROOT, PYTEST + [ROOT / "benchmarks" / "e2e" / "test_e2e_smoke.py"])
 
 

@@ -1,8 +1,65 @@
 """Windowed min/max filters and EWMA (BBR's estimators)."""
 
+import operator
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.util.filters import Ewma, WindowedMax, WindowedMin
+
+#: One filter step: a clock move (negative = a regressed clock), the
+#: window in force (FluidBBR resizes it every tick), a sample value
+#: from a small set so equal values are common, and whether the step
+#: is an ``update`` or a clocked ``get``.
+steps = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 2.5, -0.5, -3.0]),
+        st.sampled_from([0.3, 1.0, 2.0, 5.0]),
+        st.integers(min_value=0, max_value=4).map(float),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@pytest.mark.parametrize(
+    "cls, pick, beats",
+    [(WindowedMax, max, operator.gt), (WindowedMin, min, operator.lt)],
+)
+@given(stream=steps)
+def test_filter_equals_brute_force_window(cls, pick, beats, stream):
+    """Every step against a brute force over every unexpired sample.
+
+    Each step expires the samples its horizon (its clock minus the
+    window then in force) has passed; an update's clock is first
+    clamped to the newest sample's.  Of the samples left, the deque
+    holds those no later sample equals or beats.
+    """
+    f = cls(1.0)
+    live = []  # (time, value) of every sample not yet expired
+    latest = float("-inf")  # the newest sample's (clamped) time
+    now = 0.0
+    for move, window, value, is_update in stream:
+        now += move
+        f.window = window
+        at = max(now, latest) if is_update else now
+        live = [(t, v) for t, v in live if t >= at - window]
+        if is_update:
+            latest = at
+            live.append((at, value))
+            got = f.update(now, value)
+            assert got == f.get()
+        else:
+            got = f.get(now)
+        assert got == (pick(v for _, v in live) if live else None)
+        kept = [
+            v
+            for k, (_, v) in enumerate(live)
+            if all(beats(v, later) for _, later in live[k + 1:])
+        ]
+        assert len(f) == len(kept)
 
 
 class TestWindowedMax:

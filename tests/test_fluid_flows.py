@@ -20,7 +20,6 @@ def ctx(now, dt=0.01, throughput=1e6, rtt=0.04, qd=0.0, lost=0.0):
     c.now = now
     c.dt = dt
     c.throughput = throughput
-    c.base_rtt = rtt
     c.queue_delay = qd
     c.rtt_measured = rtt + qd
     c.lost_bytes = lost
@@ -172,7 +171,7 @@ class TestFluidBBR:
         for _ in range(200):
             now += 0.01
             f.tick(ctx(now, throughput=2e6))
-            gains.add(f._current_gain(now))
+            gains.add(f._cycler.gain)
         assert 1.25 in gains and 0.75 in gains
 
 

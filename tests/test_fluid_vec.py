@@ -110,6 +110,64 @@ def test_flow_kwargs_and_lifetimes_match_scalar():
     assert vec == scalar
 
 
+#: Flow lifetimes the scalar loop decides activity for: staggered starts
+#: only, after which the sending set is settled for good; and a flow
+#: that stops and one that finishes its transfer, both still sending
+#: when the last flow starts, so it never is.
+LIFETIMES = {
+    "staggered": [
+        FluidSpec(cc=cc, start_time=0.8 * i)
+        for i, cc in enumerate(("cubic", "bbr", "reno", "bbr2", "vivace"))
+    ],
+    "bounded": [
+        FluidSpec(cc="cubic"),
+        FluidSpec(cc="bbr", start_time=1.0),
+        FluidSpec(cc="cubic", start_time=0.5, stop_time=6.0),
+        FluidSpec(cc="reno", start_time=0.3, size_bytes=1_000_000),
+    ],
+}
+
+
+@pytest.mark.parametrize("loss_mode", LOSS_MODES)
+@pytest.mark.parametrize("lifetime", sorted(LIFETIMES))
+def test_activity_settles_after_the_last_start(
+    lifetime, loss_mode, monkeypatch
+):
+    """The scalar loop stops asking which flows send once the answer
+    cannot change (every flow started, none can stop or finish): the
+    last ``_is_active`` call is on the first tick after the last start,
+    and with a stop time or a size it is on the last tick."""
+    calls = []
+    is_active = FluidSimulation._is_active
+
+    def watch(self, i, now):
+        calls.append(now)
+        return is_active(self, i, now)
+
+    monkeypatch.setattr(FluidSimulation, "_is_active", watch)
+    flows = LIFETIMES[lifetime]
+    sim = FluidSimulation(
+        LINK, flows, loss_mode=loss_mode, seed=6, start_jitter=JITTER
+    )
+    scalar = sim.run(DURATION, WARMUP)
+    vec = run_fluid_vec(
+        LINK,
+        flows,
+        duration=DURATION,
+        warmup=WARMUP,
+        loss_mode=loss_mode,
+        seed=6,
+        start_jitter=JITTER,
+    )
+    assert vec == scalar
+    last_start = max(flow.start_time for flow in sim.flows)
+    if lifetime == "staggered":
+        assert last_start <= calls[-1] < last_start + sim.dt
+    else:
+        assert calls[-1] > DURATION - sim.dt
+        assert sim._finished[3] and not sim._is_active(2, DURATION)
+
+
 def test_batched_points_equal_point_at_a_time():
     """The engine-facing property: one ndarray block == N solo runs."""
     points = []
