@@ -331,23 +331,38 @@ def _aggregate_trials(
             per_flow.setdefault(label, []).append(total / len(flows))
             aggregate.setdefault(label, []).append(total)
             loss.setdefault(label, []).append(
-                mean(f.loss_rate for f in flows)
+                _mean([f.loss_rate for f in flows])
             )
             retx.setdefault(label, []).append(
-                mean(f.retransmits for f in flows)
+                _mean([f.retransmits for f in flows])
             )
 
     def over_trials(samples: Dict[str, List[float]]) -> Dict[str, float]:
-        return {label: mean(values) for label, values in samples.items()}
+        return {label: _mean(values) for label, values in samples.items()}
 
     return ScenarioResult(
         per_flow=over_trials(per_flow),
         aggregate=over_trials(aggregate),
-        mean_queuing_delay=mean(r.mean_queuing_delay for r in trial_results),
+        mean_queuing_delay=_mean(
+            [r.mean_queuing_delay for r in trial_results]
+        ),
         loss_rate=over_trials(loss),
         retransmits=over_trials(retx),
-        drop_rate=mean(r.drop_rate for r in trial_results),
+        drop_rate=_mean([r.drop_rate for r in trial_results]),
     )
+
+
+def _mean(values: List[Any]) -> Any:
+    """``statistics.mean(values)``, where one value is its own mean.
+
+    With one trial, and one flow per class, that is almost every call,
+    and ``mean`` spends ~10 µs on it in exact fractions.  ``+ 0``
+    returns what ``mean`` does: the same type (an int stays int), NaN
+    and inf as they are, and ``-0.0`` as ``0.0``.
+    """
+    if len(values) == 1:
+        return values[0] + 0
+    return mean(values)
 
 
 def _payoff_fn(

@@ -216,6 +216,11 @@ class VecFluidSim:
             dts.append(step)
         self._dt_py = dts
         self._dt = np.array(dts)
+        #: The batch's one tick length when every point shares it: the
+        #: kernels then read one clock, a float (``TickState.now``).
+        self._uniform_dt = (
+            float(dts[0]) if dts.count(dts[0]) == n_points else None
+        )
         self._capacity = np.array(
             [p.link.capacity for p in self.points], dtype=np.float64
         )
@@ -345,6 +350,9 @@ class VecFluidSim:
         self._drop_rows = np.zeros(n_flows, dtype=bool)
         for _, kernel in self._drop_kernels:
             self._drop_rows[kernel.rows] = True
+        reads = {column for kernel in self.kernels for column in kernel.reads}
+        self._reads_queue_delay = "queue_delay" in reads
+        self._reads_lost_bytes = "lost_bytes" in reads
 
         modes = [p.loss_mode for p in self.points]
         self._sync_p = np.array([m == "sync" for m in modes], dtype=bool)
@@ -527,11 +535,21 @@ class VecFluidSim:
         check = self.check
         pf = self._pf
         state = TickState(self.n_flows)
-        state.dt = self._dt[pf]
+        # A uniform clock is one float: every running point's time is
+        # the same sum of the same ``dt``s (a point that stopped early
+        # has no live row left to read it).
+        dt = self._uniform_dt
+        clock = None if dt is None else 0.0
+        state.dt = self._dt[pf] if dt is None else dt
         state.inflight = self._inflight
-        lost_tick = state.lost_bytes  # shared buffer, scalar's list
+        # Shared buffer, the scalar loop's list; kept only for kernels
+        # that read it.
+        lost_tick = state.lost_bytes if self._reads_lost_bytes else None
         prev_rate = np.zeros(self.n_flows)
         queue_delay = np.zeros(self.n_points)
+        # One RTT denominator per tick: the rate at the end of tick t
+        # and the RTT a flow measures at the start of tick t + 1.
+        rtt_measured = self._rtt + queue_delay[pf]
         now_p = np.zeros(self.n_points)
         measure_started = self._warmup == 0.0
         next_trace = np.zeros(self.n_points)
@@ -558,6 +576,8 @@ class VecFluidSim:
             else:
                 p_act = self._steps_p > step
                 now_p = np.where(p_act, now_p + self._dt, now_p)
+            if clock is not None:
+                clock += dt
             if self._any_trace:
                 self._apply_capacity_steps(now_p)
             if not all_started:
@@ -572,7 +592,7 @@ class VecFluidSim:
                     self._delivered_window[newly[pf]] = 0.0
                     all_started = bool(measure_started.all())
 
-            now_f = now_p[pf]
+            now_f = now_p[pf] if clock is None else clock
             if live_for_good:
                 act = f_true
             else:
@@ -589,21 +609,24 @@ class VecFluidSim:
             # 1. Flows update their in-flight targets.
             state.now = now_f
             state.throughput = prev_rate
-            state.queue_delay = queue_delay[pf]
-            state.rtt_measured = self._rtt + state.queue_delay
+            if self._reads_queue_delay:
+                state.queue_delay = queue_delay[pf]
+            state.rtt_measured = rtt_measured
             state.active = act
             state.all_live = act is f_true
             for kernel in self.kernels:
                 kernel.tick(state)
             if act is f_true:
-                lost_tick.fill(0.0)
                 w = state.inflight.copy()
+                if lost_tick is not None:
+                    lost_tick.fill(0.0)
             else:
-                lost_tick[act] = 0.0
                 w = np.where(act, state.inflight, 0.0)
+                if lost_tick is not None:
+                    lost_tick[act] = 0.0
             if check is not None:
                 check.fluid_vec_flows(
-                    now_f,
+                    now_p[pf],
                     state.inflight,
                     act,
                     self._flow_ids,
@@ -637,7 +660,8 @@ class VecFluidSim:
             # a non-negative delay, so ``w / d`` is exactly +0.0 where
             # ``w`` is: bit for bit the scalar loop's rate-0 branch for
             # flows with nothing in flight.
-            rate = w / (self._rtt + queue_delay[pf])
+            rtt_measured = self._rtt + queue_delay[pf]
+            rate = w / rtt_measured
             prev_rate = rate
             contrib = rate * state.dt
             self._delivered += contrib
@@ -703,7 +727,7 @@ class VecFluidSim:
         queue: np.ndarray,
         total: np.ndarray,
         over: np.ndarray,
-        lost_tick: np.ndarray,
+        lost_tick: Optional[np.ndarray],
     ) -> None:
         """Drop each overflowing point's excess; victims back off.
         Updates ``queue`` and ``w`` in place."""
@@ -741,7 +765,7 @@ class VecFluidSim:
         total: np.ndarray,
         fired: np.ndarray,
         volume: np.ndarray,
-        lost_tick: np.ndarray,
+        lost_tick: Optional[np.ndarray],
         marks: bool = False,
     ) -> None:
         """Land ``volume[p]`` bytes of congestion signal on every point
@@ -782,7 +806,8 @@ class VecFluidSim:
                 kernel.on_drop(state, loc, dropped[hit[mine]])
         w_r = np.maximum(w_r - dropped, 0.0)
         self._lost[rows] += dropped
-        lost_tick[rows] += dropped
+        if lost_tick is not None:
+            lost_tick[rows] += dropped
 
         responsive = self._loss_based[rows] & (w_r > 0)
         self._backoff_victims(
@@ -919,7 +944,7 @@ class VecFluidSim:
         now_p: np.ndarray,
         w: np.ndarray,
         queue: np.ndarray,
-        lost_tick: np.ndarray,
+        lost_tick: Optional[np.ndarray],
     ) -> None:
         """Apply this tick's AQM decisions to ``queue`` and ``w``.
 

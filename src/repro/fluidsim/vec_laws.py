@@ -28,7 +28,13 @@ is live, kernels apply no live-row mask at all (:func:`_and`,
 :func:`_pick`), and the congestion signals (``on_drop``, ``on_loss``)
 reach a kernel as the local indices of the rows they hit — the
 arithmetic is elementwise, so the subset's bits are the full-width
-masked expressions' bits.
+masked expressions' bits.  The same holds for phases: BBR's STARTUP
+and ProbeRTT rows are counted at their transitions and worked on by
+index while any exist, and CUBIC drops its slow-start masks once no
+row is in slow start, so a cruising tick pays only for the phase its
+rows are in.  A batch whose points share one ``dt`` has one clock:
+``TickState.now`` / ``.dt`` are then floats, broadcast into the same
+IEEE operations (:func:`_at`).
 
 Kernels do not emit per-flow telemetry events (``cc.backoff``,
 ``cc.state``): the vectorized substrate trades per-flow event streams
@@ -54,6 +60,8 @@ from repro.fluidsim import mathops
 from repro.fluidsim.mathops import np
 
 _GAIN_CYCLE = np.array(bbr_laws.GAIN_CYCLE)
+#: The gain-cycle phase after each phase: the advance as one lookup.
+_NEXT_PHASE = np.roll(np.arange(len(bbr_laws.GAIN_CYCLE)), -1)
 
 
 class TickState:
@@ -61,12 +69,16 @@ class TickState:
 
     The vectorized analogue of :class:`repro.fluidsim.core.TickContext`:
     every attribute is a length-``n_flows`` float array (``active`` is
-    bool), indexed by global flow row.  ``inflight`` is the *state*
+    bool), indexed by global flow row — except that ``now`` and ``dt``
+    are floats when every point of the batch ticks by the same ``dt``
+    (read them through :func:`_at`).  ``inflight`` is the *state*
     array kernels own — the simulator's working copy (trimmed by drops)
     lives in :class:`repro.fluidsim.vec.VecFluidSim`, exactly like the
     scalar loop's ``inflights`` list is distinct from ``flow.inflight``.
-    ``all_live`` says every row of the batch is active this tick, so a
-    kernel need not gather or apply ``active`` at all.
+    ``queue_delay`` and ``lost_bytes`` are kept only when some kernel
+    reads them (:attr:`VecKernel.reads`).  ``all_live`` says every row
+    of the batch is active this tick, so a kernel need not gather or
+    apply ``active`` at all.
     """
 
     __slots__ = (
@@ -107,6 +119,12 @@ def _and(act, mask: np.ndarray) -> np.ndarray:
 def _pick(act, live: np.ndarray, other: np.ndarray) -> np.ndarray:
     """``np.where(act, live, other)``."""
     return live if act is True else np.where(act, live, other)
+
+
+def _at(column, idx):
+    """``column[idx]``, where a uniform clock (a float) is the same for
+    every row."""
+    return column if column.__class__ is float else column[idx]
 
 
 class VecWindowedFilter:
@@ -280,7 +298,7 @@ class VecWindowedFilter:
             self._filled = True
         else:
             sel = idx[mask]
-            self.times[probe[mask]] = now[mask]
+            self.times[probe[mask]] = _at(now, mask)
             self.values[sel] = value[mask]
             sel += self.cap[mask]
             self.values[sel] = value[mask]
@@ -334,6 +352,10 @@ class VecKernel:
 
     name = "fluid-vec"
     loss_based = True
+    #: The optional ``TickState`` columns :meth:`tick` reads
+    #: (``"queue_delay"``, ``"lost_bytes"``); the simulator keeps a
+    #: column only when some kernel of the batch reads it.
+    reads: Sequence[str] = ()
     _allowed_kwargs: Sequence[str] = ()
 
     def __init__(
@@ -369,10 +391,10 @@ class VecKernel:
     def _admit(self, state: TickState, loc: np.ndarray) -> np.ndarray:
         """The victims among ``loc`` (local rows) that the gate admits,
         stamped with this tick's time."""
-        now = state.now[self.rows[loc]]
+        now = _at(state.now, self.rows[loc])
         ok = now - self._gate_last[loc] >= self._last_rtt[loc]
         loc = loc[ok]
-        self._gate_last[loc] = now[ok]
+        self._gate_last[loc] = _at(now, ok)
         return loc
 
     def tick(self, state: TickState) -> None:
@@ -411,7 +433,7 @@ class VecReno(VecKernel):
         if act is not True and not np.count_nonzero(act):
             return
         rttm = state.rtt_measured[idx]
-        dt = state.dt[idx]
+        dt = _at(state.dt, idx)
         w = state.inflight[idx]
         self._last_rtt = _pick(act, rttm, self._last_rtt)
         grown = np.where(
@@ -444,6 +466,8 @@ class VecCubic(VecKernel):
             [bool(k.get("fast_convergence", True)) for k in cc_kwargs]
         )
         self.in_slow_start = np.ones(self.n, dtype=bool)
+        #: Rows still in slow start; it only ever falls (``on_loss``).
+        self.slow_rows = self.n
         self.w_max_pkts = np.full(self.n, np.nan)
         self.epoch_start = np.full(self.n, np.nan)
         self.k = np.zeros(self.n)
@@ -453,36 +477,44 @@ class VecCubic(VecKernel):
         act = self._live(state)
         if act is not True and not np.count_nonzero(act):
             return
-        now = state.now[idx]
+        now = _at(state.now, idx)
         rttm = state.rtt_measured[idx]
         thr = state.throughput[idx]
-        dt = state.dt[idx]
+        dt = _at(state.dt, idx)
         w = state.inflight[idx]
-        np.copyto(self._last_rtt, rttm, where=act)
-        ca = _and(act, ~self.in_slow_start)
+        self._last_rtt = _pick(act, rttm, self._last_rtt)
+        ca = _and(act, ~self.in_slow_start) if self.slow_rows else act
         # New epochs (cubic_laws.begin_epoch), on their rows only: the
         # arithmetic is elementwise, so it matches the full-width masked
         # form bitwise while skipping np.power everywhere else.
-        begin = (ca & np.isnan(self.epoch_start)).nonzero()[0]
+        begin = _and(ca, np.isnan(self.epoch_start)).nonzero()[0]
         if len(begin):
-            self.epoch_start[begin] = now[begin]
+            self.epoch_start[begin] = _at(now, begin)
             cwnd_seg = w[begin] / self.mss[begin]
             w_max = self.w_max_pkts[begin]
-            anchor = np.isnan(w_max) | (w_max < cwnd_seg)
-            self.w_max_pkts[begin[anchor]] = cwnd_seg[anchor]
-            self.k[begin[anchor]] = 0.0
-            rebase = begin[~anchor]
-            if len(rebase):
-                self.k[rebase] = mathops.cubic_k(self.w_max_pkts[rebase])
+            # Rebase K below W_max; anchor at the window where there is
+            # no W_max yet (NaN compares False) or the window passed it.
+            # After a backoff the window is below W_max: a rare anchor.
+            rebase = w_max >= cwnd_seg
+            if np.count_nonzero(rebase) < len(begin):
+                anchor = begin[~rebase]
+                self.w_max_pkts[anchor] = cwnd_seg[~rebase]
+                self.k[anchor] = 0.0
+                begin, w_max = begin[rebase], w_max[rebase]
+            if len(begin):
+                self.k[begin] = mathops.cubic_k(w_max)
         t = now - self.epoch_start
         target_pkts = mathops.cubic_window(t, self.k, self.w_max_pkts)
         target = np.maximum(target_pkts * self.mss, self.min_inflight)
         max_growth = np.maximum(thr * dt, self.mss * dt / rttm)
         grown = np.minimum(target, w + max_growth)
-        np.copyto(grown, w, where=~ca)
-        ss = _and(act, self.in_slow_start)
-        if np.count_nonzero(ss):
-            np.copyto(grown, w * mathops.exp2(dt / rttm), where=ss)
+        if self.slow_rows:
+            np.copyto(grown, w, where=~ca)
+            ss = _and(act, self.in_slow_start)
+            if np.count_nonzero(ss):
+                np.copyto(grown, w * mathops.exp2(dt / rttm), where=ss)
+        elif act is not True:
+            np.copyto(grown, w, where=~act)
         state.inflight[idx] = grown
 
     def on_loss(self, state: TickState, loc: np.ndarray) -> None:
@@ -508,7 +540,9 @@ class VecCubic(VecKernel):
             w * cubic_laws.BETA_CUBIC, self.min_inflight[loc]
         )
         self.epoch_start[loc] = np.nan
-        self.in_slow_start[loc] = False
+        if self.slow_rows:
+            self.in_slow_start[loc] = False
+            self.slow_rows = int(np.count_nonzero(self.in_slow_start))
 
 
 class VecVegas(VecKernel):
@@ -528,7 +562,7 @@ class VecVegas(VecKernel):
         if act is not True and not np.count_nonzero(act):
             return
         rttm = state.rtt_measured[idx]
-        dt = state.dt[idx]
+        dt = _at(state.dt, idx)
         w = state.inflight[idx]
         self._last_rtt = _pick(act, rttm, self._last_rtt)
         self.base_rtt = _pick(
@@ -608,10 +642,10 @@ class VecCopa(VecKernel):
         act = self._live(state)
         if act is not True and not np.count_nonzero(act):
             return
-        now = state.now[idx]
+        now = _at(state.now, idx)
         rttm = state.rtt_measured[idx]
         thr = state.throughput[idx]
-        dt = state.dt[idx]
+        dt = _at(state.dt, idx)
         w = state.inflight[idx]
         self._last_rtt = _pick(act, rttm, self._last_rtt)
         self.rtt_min_filter.update(
@@ -703,129 +737,141 @@ class VecBBR(VecKernel):
         self.probe_rtt_floor = bbr_laws.PROBE_RTT_CWND_SEGMENTS * mss
         # No-estimate fallback: pace the initial window over one base RTT.
         self._initial_pacing = INITIAL_CWND_SEGMENTS * mss / rtt
+        #: Rows in STARTUP (it only ever falls) and in ProbeRTT, counted
+        #: at the transitions: a tick with neither runs PROBE_BW alone.
+        self.startup_rows = self.n
+        self.probing_rows = 0
+        self._fixed_gain = (~self.gain_cycling).nonzero()[0]
 
     def tick(self, state: TickState) -> None:
         idx = self.rows
         act = self._live(state)
         if act is not True and not np.count_nonzero(act):
             return
-        now = state.now[idx]
+        now = _at(state.now, idx)
         rttm = state.rtt_measured[idx]
         thr = state.throughput[idx]
-        dt = state.dt[idx]
+        dt = _at(state.dt, idx)
         w = state.inflight[idx]
-        np.copyto(self._last_rtt, rttm, where=act)
         window = bbr_laws.BTLBW_FILTER_ROUNDS * rttm
         self.bw_filter.update(_and(act, thr > 0.0), now, thr, window)
-        # _update_rtt_min: new minima refresh estimate and stamp;
-        # while probing, track the best RTT seen draining.
-        probing = ~np.isnan(self.probe_rtt_until)
+        # _update_rtt_min: a sample at or below the estimate replaces it
+        # and refreshes the stamp (in ProbeRTT too); min(estimate,
+        # sample) is that replacement.
         new_min = _and(act, rttm <= self.rtt_min_est)
-        np.copyto(self.rtt_min_est, rttm, where=new_min)
         np.copyto(self.rtt_min_stamp, now, where=new_min)
-        drain_min = _and(act, ~new_min & probing)
-        if np.count_nonzero(drain_min):
-            np.minimum(
-                self.rtt_min_est,
-                rttm,
-                out=self.rtt_min_est,
-                where=drain_min,
-            )
+        np.minimum(self.rtt_min_est, rttm, out=self.rtt_min_est, where=act)
 
-        in_probe = _and(act, probing)
-        hold = in_probe & (now < self.probe_rtt_until)
-        np.copyto(w, self.probe_rtt_floor, where=hold)
-        leave = in_probe & ~hold
-        if np.count_nonzero(leave):
-            np.copyto(self.probe_rtt_until, np.nan, where=leave)
-            np.copyto(self.rtt_min_stamp, now, where=leave)
-            np.copyto(self.cycle_stamp, now, where=leave)
-            np.copyto(w, self.inflight_before_probe, where=leave)
+        # The rare phases work on their live rows by index.  ``held``
+        # rows hold the ProbeRTT floor or enter ProbeRTT this tick, and
+        # do not run the PROBE_BW update below.
+        startup = held = None
+        if self.startup_rows:
+            startup = self._live_rows(act, self.in_startup)
+        if self.probing_rows:
+            probe = self._live_rows(act, ~np.isnan(self.probe_rtt_until))
+            hold = _at(now, probe) < self.probe_rtt_until[probe]
+            held = probe[hold]
+            w[held] = self.probe_rtt_floor[held]
+            leave = probe[~hold]
+            if len(leave):
+                now_l = _at(now, leave)
+                self.probe_rtt_until[leave] = np.nan
+                self.rtt_min_stamp[leave] = now_l
+                self.cycle_stamp[leave] = now_l
+                w[leave] = self.inflight_before_probe[leave]
+                self.probing_rows -= len(leave)
 
-        run = _and(act, ~hold)
-        expire = run & (
-            now - self.rtt_min_stamp > self._probe_rtt_interval
+        expire = _and(
+            act, now - self.rtt_min_stamp > self._probe_rtt_interval
         )
+        if held is not None:
+            expire[held] = False
         if np.count_nonzero(expire):
-            np.copyto(
-                self.probe_rtt_until,
-                now + bbr_laws.PROBE_RTT_DURATION,
-                where=expire,
+            entered = expire.nonzero()[0]
+            self.probe_rtt_until[entered] = (
+                _at(now, entered) + bbr_laws.PROBE_RTT_DURATION
             )
-            np.copyto(self.inflight_before_probe, w, where=expire)
-            np.copyto(w, self.probe_rtt_floor, where=expire)
-            np.copyto(self.rtt_min_est, rttm, where=expire)
+            self.inflight_before_probe[entered] = w[entered]
+            w[entered] = self.probe_rtt_floor[entered]
+            self.rtt_min_est[entered] = rttm[entered]
+            self.probing_rows += len(entered)
+            held = (
+                entered if held is None else np.concatenate((held, entered))
+            )
 
-        go = run & ~expire
-        advance = (
-            go
-            & ~self.in_startup
-            & self.gain_cycling
-            & (now - self.cycle_stamp > self.rtt_min_est)
-        )
+        advance = _and(act, now - self.cycle_stamp > self.rtt_min_est)
+        for out in (held, startup, self._fixed_gain):
+            if out is not None and len(out):
+                advance[out] = False
         if np.count_nonzero(advance):
-            np.copyto(
-                self.cycle_index,
-                (self.cycle_index + 1) % len(bbr_laws.GAIN_CYCLE),
-                where=advance,
-            )
-            np.copyto(self.cycle_stamp, now, where=advance)
-        gain = np.where(
-            self.in_startup,
-            bbr_laws.HIGH_GAIN,
-            np.where(
-                self.gain_cycling, _GAIN_CYCLE[self.cycle_index], 1.0
-            ),
-        )
+            turn = advance.nonzero()[0]
+            self.cycle_index[turn] = _NEXT_PHASE.take(self.cycle_index[turn])
+            self.cycle_stamp[turn] = _at(now, turn)
+        # A row with gain cycling off never leaves the neutral phase,
+        # whose gain is 1.0: the lookup is its gain too.
+        gain = _GAIN_CYCLE.take(self.cycle_index)
         bw = self.bw_filter.get()
+        cap = bbr_laws.CWND_GAIN * bw
+        if startup is not None:
+            gain[startup] = bbr_laws.HIGH_GAIN
+            cap[startup] = bbr_laws.HIGH_GAIN * bw[startup]
         pacing = gain * bw
-        np.copyto(pacing, self._initial_pacing, where=pacing <= 0)
+        idle = pacing <= 0  # no bandwidth sample yet
+        if np.count_nonzero(idle):
+            np.copyto(pacing, self._initial_pacing, where=idle)
         w_go = w + (pacing - thr) * dt
-        cap_gain = np.where(
-            self.in_startup, bbr_laws.HIGH_GAIN, bbr_laws.CWND_GAIN
-        )
-        cap = cap_gain * bw * self.rtt_min_est
-        np.minimum(w_go, cap, out=w_go, where=cap > 0)
+        cap *= self.rtt_min_est
+        capped = cap > 0  # every row, once every row has a sample
+        if np.count_nonzero(capped) == self.n:
+            capped = True
+        np.minimum(w_go, cap, out=w_go, where=capped)
         np.maximum(w_go, self.probe_rtt_floor, out=w_go)
-        np.copyto(w, w_go, where=go)
+        if held is not None and len(held):
+            w_go[held] = w[held]
+        if act is True:
+            w = w_go
+        else:
+            # Masked-off rows of ``w`` still hold their gathered values,
+            # so the scatter below leaves them as they were.
+            np.copyto(w, w_go, where=act)
 
-        # _check_startup_exit, once per RTT (FullPipeDetector law).
-        chk = go & self.in_startup & (now >= self.next_growth_check)
-        if np.count_nonzero(chk):
-            np.copyto(self.next_growth_check, now + rttm, where=chk)
-            grow = chk & (
-                bw >= self.best_bw * bbr_laws.STARTUP_GROWTH_THRESH
-            )
-            np.copyto(self.best_bw, bw, where=grow)
-            np.copyto(self.plateau, 0, where=grow)
-            stall = chk & ~grow
-            self.plateau += stall
-            full = stall & (
-                self.plateau >= bbr_laws.STARTUP_PLATEAU_ROUNDS
-            )
-            if np.count_nonzero(full):
-                np.copyto(self.in_startup, False, where=full)
-                np.copyto(
-                    self.cycle_index,
-                    bbr_laws.PROBE_BW_NEUTRAL_PHASE,
-                    where=full,
-                )
-                np.copyto(self.cycle_stamp, now, where=full)
-                drain_target = bw * self.rtt_min_est
-                np.copyto(
-                    w,
-                    np.minimum(
-                        w,
-                        np.maximum(
-                            drain_target, self.probe_rtt_floor
-                        ),
-                    ),
-                    where=full,
-                )
-        # Every mask above is a subset of ``act``, so inactive rows of
-        # ``w`` still hold their gathered values: a plain scatter equals
-        # the old masked merge.
+        if startup is not None:
+            self._check_startup_exit(now, rttm, bw, w, startup, held)
         state.inflight[idx] = w
+
+    @staticmethod
+    def _live_rows(act, mask: np.ndarray) -> np.ndarray:
+        """The local rows ``mask`` selects that are live this tick."""
+        return _and(act, mask).nonzero()[0]
+
+    def _check_startup_exit(self, now, rttm, bw, w, startup, held) -> None:
+        """FullPipeDetector, once per RTT, on the live STARTUP rows that
+        ran the PROBE_BW update (``startup`` less ``held``); a row whose
+        bandwidth plateaued leaves STARTUP and drains ``w``."""
+        if held is not None and len(held):
+            startup = np.setdiff1d(startup, held, assume_unique=True)
+        chk = startup[_at(now, startup) >= self.next_growth_check[startup]]
+        if not len(chk):
+            return
+        self.next_growth_check[chk] = _at(now, chk) + rttm[chk]
+        bw_c = bw[chk]
+        grow = bw_c >= self.best_bw[chk] * bbr_laws.STARTUP_GROWTH_THRESH
+        self.best_bw[chk[grow]] = bw_c[grow]
+        self.plateau[chk[grow]] = 0
+        stall = chk[~grow]
+        self.plateau[stall] += 1
+        full = stall[self.plateau[stall] >= bbr_laws.STARTUP_PLATEAU_ROUNDS]
+        if not len(full):
+            return
+        self.in_startup[full] = False
+        self.startup_rows -= len(full)
+        self.cycle_index[full] = bbr_laws.PROBE_BW_NEUTRAL_PHASE
+        self.cycle_stamp[full] = _at(now, full)
+        drain_target = bw[full] * self.rtt_min_est[full]
+        w[full] = np.minimum(
+            w[full], np.maximum(drain_target, self.probe_rtt_floor[full])
+        )
 
     def state_labels(self) -> List[str]:
         labels = []
@@ -845,12 +891,12 @@ class VecBBR2(VecBBR):
 
     name = "bbr2"
     loss_based = True
+    reads = ("lost_bytes",)
     _allowed_kwargs = ()
     _probe_rtt_interval = bbr2_laws.PROBE_RTT_INTERVAL
 
     def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
         super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
-        self.gain_cycling = np.ones(self.n, dtype=bool)
         self.inflight_hi = np.full(self.n, np.inf)
         self.next_probe_up = np.zeros(self.n)
         self.round_lost = np.zeros(self.n)
@@ -863,11 +909,13 @@ class VecBBR2(VecBBR):
         act = self._live(state)
         if act is not True and not np.count_nonzero(act):
             return
-        now = state.now[idx]
+        now = _at(state.now, idx)
         rttm = state.rtt_measured[idx]
         thr = state.throughput[idx]
-        dt = state.dt[idx]
+        dt = _at(state.dt, idx)
         lost = state.lost_bytes[idx]
+        # The congestion-event gate's RTT (BBR itself never backs off).
+        self._last_rtt = _pick(act, rttm, self._last_rtt)
         np.add(self.round_lost, lost, out=self.round_lost, where=act)
         np.add(
             self.round_delivered,
@@ -881,7 +929,9 @@ class VecBBR2(VecBBR):
             np.copyto(self.round_lost, 0.0, where=roll)
             np.copyto(self.round_delivered, 0.0, where=roll)
         # Rows still in (or just entering) ProbeRTT stop here.
-        post = _and(act, np.isnan(self.probe_rtt_until))
+        post = act
+        if self.probing_rows:
+            post = _and(act, np.isnan(self.probe_rtt_until))
         up = (
             post
             & (now >= self.next_probe_up)
@@ -927,7 +977,7 @@ class VecBBR2(VecBBR):
         self.inflight_hi[loc] = cut
         state.inflight[rows] = np.minimum(w, cut)
         self.next_probe_up[loc] = (
-            state.now[rows] + bbr2_laws.PROBE_UP_INTERVAL
+            _at(state.now, rows) + bbr2_laws.PROBE_UP_INTERVAL
         )
 
 
@@ -936,6 +986,7 @@ class VecVivace(VecKernel):
 
     name = "vivace"
     loss_based = False
+    reads = ("queue_delay", "lost_bytes")
     _allowed_kwargs = ("initial_rate", "latency_coeff", "loss_coeff")
 
     def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
@@ -971,10 +1022,10 @@ class VecVivace(VecKernel):
         act = self._live(state)
         if act is not True and not np.count_nonzero(act):
             return
-        now = state.now[idx]
+        now = _at(state.now, idx)
         rttm = state.rtt_measured[idx]
         thr = state.throughput[idx]
-        dt = state.dt[idx]
+        dt = _at(state.dt, idx)
         qd = state.queue_delay[idx]
         lost = state.lost_bytes[idx]
         self._last_rtt = _pick(act, rttm, self._last_rtt)

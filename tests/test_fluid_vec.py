@@ -31,7 +31,7 @@ from repro.fluidsim import (
 )
 from repro.fluidsim.mathops import np
 from repro.fluidsim.vec import VecFluidSim
-from repro.fluidsim.vec_laws import VecCubic, VecWindowedFilter
+from repro.fluidsim.vec_laws import VecBBR, VecCubic, VecWindowedFilter
 from repro.util.config import LinkConfig
 from repro.util.filters import WindowedMax, WindowedMin
 
@@ -383,6 +383,138 @@ def test_loss_events_match_scalar():
         scalar.run(point.duration)
         assert sim.loss_events[p] == scalar.loss_events
         assert any(scalar.loss_events)
+
+
+# -- what a tick pays for, by phase ------------------------------------------
+# BBR's STARTUP and ProbeRTT rows are worked on by index while any exist,
+# CUBIC drops its slow-start masks once no row is in slow start, and a
+# batch whose points share one dt reads one float clock.
+
+
+def _watch_phases(monkeypatch):
+    """Record, per kernel name, the phase counts its ticks started from
+    — ``(startup_rows, probing_rows)`` for BBR / BBRv2, ``slow_rows``
+    for CUBIC — as a list of the values in the order they changed; the
+    clock types kernels saw; and the gain-cycling-off row counts."""
+    seen = {"bbr": [], "bbr2": [], "cubic": [], "clock": set(), "fixed": set()}
+    bbr_tick, cubic_tick = VecBBR.tick, VecCubic.tick
+
+    def log(name, phase, state):
+        runs = seen[name]
+        if not runs or runs[-1] != phase:
+            runs.append(phase)
+        seen["clock"].add(type(state.now))
+
+    def watch_bbr(self, state):
+        log(self.name, (self.startup_rows, self.probing_rows), state)
+        seen["fixed"].add(len(self._fixed_gain))
+        bbr_tick(self, state)
+
+    def watch_cubic(self, state):
+        log("cubic", self.slow_rows, state)
+        cubic_tick(self, state)
+
+    monkeypatch.setattr(VecBBR, "tick", watch_bbr)
+    monkeypatch.setattr(VecCubic, "tick", watch_cubic)
+    return seen
+
+
+def _phase_point(buffer_bdp, flows, seed, duration=12.0, rtt_ms=20):
+    return BatchPoint(
+        link=LinkConfig.from_mbps_ms(20, rtt_ms, buffer_bdp),
+        flows=flows,
+        duration=duration,
+        warmup=1.0,
+        seed=seed,
+    )
+
+
+def test_one_bbr_row_probes_rtt_while_the_others_cruise(monkeypatch):
+    """The deep point's queue never drains, so its BBR row's RTprop
+    expires at t = 10 s: it alone holds the ProbeRTT floor for 200 ms
+    and leaves, while the shallow point's rows stay in PROBE_BW."""
+    points = [
+        _phase_point(0.5, [FluidSpec(cc="bbr")] * 2, seed=1),
+        _phase_point(8, [FluidSpec(cc="cubic"), FluidSpec(cc="bbr")], 2),
+    ]
+    seen = _watch_phases(monkeypatch)
+    assert run_fluid_vec_batch(points) == [_scalar(p) for p in points]
+    runs = seen["bbr"]
+    assert runs[:3] == [(3, 0), (1, 0), (0, 0)]
+    alone = runs.index((0, 1))
+    assert runs[alone - 1] == runs[alone + 1] == (0, 0)
+    assert runs[-1] == (0, 0)
+    assert seen["clock"] == {float}
+
+
+def test_bbr_row_in_startup_beside_cruising_rows(monkeypatch):
+    """A BBR flow that starts at 10.5 s runs STARTUP next to one that
+    left it at 0.2 s.  Its RTprop stamp is the run's start and the
+    queue is standing, so it enters ProbeRTT on its first tick, still
+    in STARTUP, and leaves it 200 ms later to finish STARTUP; the early
+    row's own ProbeRTT (at 10 s) comes first.  CUBIC's late flow is in
+    slow start beside the first one's congestion avoidance."""
+    flows = [
+        FluidSpec(cc="cubic"),
+        FluidSpec(cc="bbr"),
+        FluidSpec(cc="bbr", start_time=10.5),
+        FluidSpec(cc="cubic", start_time=10.5),
+    ]
+    points = [_phase_point(8, flows, seed=4, duration=13.0)]
+    seen = _watch_phases(monkeypatch)
+    assert run_fluid_vec_batch(points) == [_scalar(p) for p in points]
+    assert seen["bbr"] == [
+        (2, 0), (1, 0), (1, 1), (1, 0), (1, 1), (1, 0), (0, 0)
+    ]
+    assert seen["cubic"] == [2, 1, 0]
+
+
+def test_gain_cycling_off_rows_beside_cycling_rows(monkeypatch):
+    """Rows with ``gain_cycling=False`` pace at gain 1 in the same
+    kernel as cycling rows, through STARTUP, ProbeRTT and cruise."""
+    flows = [
+        FluidSpec(cc="cubic"),
+        FluidSpec(cc="bbr"),
+        FluidSpec(cc="bbr", cc_kwargs={"gain_cycling": False}),
+    ]
+    points = [_phase_point(b, flows, seed=5) for b in (1, 8)]
+    seen = _watch_phases(monkeypatch)
+    assert run_fluid_vec_batch(points) == [_scalar(p) for p in points]
+    assert seen["fixed"] == {2}
+    assert (0, 0) in seen["bbr"] and max(p for _, p in seen["bbr"]) > 0
+
+
+def test_bbr2_and_cubic_slow_start_beside_cruising_rows(monkeypatch):
+    """BBRv2 inherits BBR's tick: STARTUP rows leave one by one, and
+    ProbeRTT (every 5 s) is entered and left beside cruising rows.  The
+    shallow point's CUBIC rows leave slow start before the deep point's:
+    the masked slow-start path runs until the last one does, then the
+    tick without it."""
+    flows = [FluidSpec(cc="cubic"), FluidSpec(cc="bbr2")] * 2
+    points = [_phase_point(b, flows, seed=3, duration=8.0) for b in (0.5, 4)]
+    seen = _watch_phases(monkeypatch)
+    assert run_fluid_vec_batch(points) == [_scalar(p) for p in points]
+    runs = seen["bbr2"]
+    assert runs[0] == (4, 0) and runs[-1] == (0, 0)
+    assert any(0 < s < 4 for s, _ in runs)
+    assert any(p for _, p in runs)
+    runs = seen["cubic"]
+    assert runs[0] == 4 and runs[-1] == 0
+    assert any(0 < s < 4 for s in runs)
+
+
+def test_two_tick_lengths_keep_an_array_clock(monkeypatch):
+    """Points at 20 and 40 ms tick every 5 and 10 ms: kernels read the
+    per-row clock (and ``dt``) arrays."""
+    flows = [FluidSpec(cc="cubic"), FluidSpec(cc="bbr")]
+    points = [
+        _phase_point(2, flows, seed=6, duration=6.0, rtt_ms=rtt)
+        for rtt in (20, 40)
+    ]
+    seen = _watch_phases(monkeypatch)
+    assert run_fluid_vec_batch(points) == [_scalar(p) for p in points]
+    assert seen["clock"] == {np.ndarray}
+    assert seen["bbr"][-1] == (0, 0) and seen["cubic"][-1] == 0
 
 
 # -- batch shapes ------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Scenario runner: backend dispatch, trials, throughput functions."""
 
+import math
+import statistics
+
 import pytest
 
 from repro.core.game import GroupGame
 from repro.experiments.runner import (
+    _aggregate_trials,
     distribution_payoff_fn,
     expand_mix,
     group_payoff_fn,
     run_mix,
     spaced_seed,
 )
+from repro.scenario.result import FlowResult, SimulationResult
 from repro.util.config import LinkConfig
 
 
@@ -60,6 +65,100 @@ def test_multi_trial_averaging_differs_from_single():
     one = run_mix(link(), [("cubic", 2), ("bbr", 2)], trials=1, **kwargs)
     three = run_mix(link(), [("cubic", 2), ("bbr", 2)], trials=3, **kwargs)
     assert one.per_flow["bbr"] != three.per_flow["bbr"]
+
+
+def _trial(rows, queuing_delay, drop_rate):
+    """A SimulationResult of ``(cc, throughput, loss_rate, retransmits)``
+    flow rows."""
+    return SimulationResult(
+        flows=[
+            FlowResult(i, cc, thr, None, None, loss, 0, retx)
+            for i, (cc, thr, loss, retx) in enumerate(rows)
+        ],
+        duration=10.0,
+        warmup=1.0,
+        mean_queue_bytes=0.0,
+        mean_queuing_delay=queuing_delay,
+        drop_rate=drop_rate,
+    )
+
+
+def _reference_aggregate(mix, trials):
+    """``_aggregate_trials`` as it reads with ``statistics.mean`` on
+    every sample list, one value or many."""
+    mean = statistics.mean
+    labels = [cc for cc, _ in mix]
+    counts = dict(mix)
+    per_flow, aggregate, loss, retx = {}, {}, {}, {}
+    for label in labels:
+        first = sum(counts[c] for c in labels[: labels.index(label)])
+        cols = range(first, first + counts[label])
+        flows = [[t.flows[i] for i in cols] for t in trials]
+        totals = [sum(f.throughput for f in fs) for fs in flows]
+        per_flow[label] = mean([x / counts[label] for x in totals])
+        aggregate[label] = mean(totals)
+        loss[label] = mean([mean([f.loss_rate for f in fs]) for fs in flows])
+        retx[label] = mean(
+            [mean([f.retransmits for f in fs]) for fs in flows]
+        )
+    return dict(
+        per_flow=per_flow,
+        aggregate=aggregate,
+        mean_queuing_delay=mean([t.mean_queuing_delay for t in trials]),
+        loss_rate=loss,
+        retransmits=retx,
+        drop_rate=mean([t.drop_rate for t in trials]),
+    )
+
+
+def _same(a, b):
+    """Equal value and type; NaN equals NaN, and 0.0 is not -0.0."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return repr(a) == repr(b)
+
+
+@pytest.mark.parametrize(
+    "mix, trials",
+    [
+        # One trial, one flow per class: every mean is of one value,
+        # which is returned as it is (an int stays int, NaN and inf
+        # pass through, -0.0 becomes 0.0 as in ``statistics.mean``).
+        (
+            [("cubic", 1), ("bbr", 1)],
+            [_trial([("cubic", 0.1, -0.0, 3), ("bbr", 1e7 / 3, 0.25, 0)],
+                    1e-3, float("nan"))],
+        ),
+        (
+            [("cubic", 1), ("bbr", 1)],
+            [_trial([("cubic", float("inf"), float("nan"), 0),
+                     ("bbr", 0.0, 1 / 3, 7)], -0.0, float("inf"))],
+        ),
+        # Three trials of 2 + 1 flows: pooled means keep
+        # ``statistics.mean``'s exact rounding.
+        (
+            [("cubic", 2), ("bbr", 1)],
+            [
+                _trial(
+                    [("cubic", 0.1 * t, 0.01, t), ("cubic", 0.2, 0.03, 1),
+                     ("bbr", 1 / (t + 3), 0.0, 2 * t)],
+                    0.001 * (t + 1),
+                    1 / (t + 7),
+                )
+                for t in range(3)
+            ],
+        ),
+    ],
+)
+def test_aggregate_trials_means_equal_statistics_mean(mix, trials):
+    result = _aggregate_trials(mix, trials)
+    expected = _reference_aggregate(mix, trials)
+    for name, value in expected.items():
+        assert _same(getattr(result, name), value), name
 
 
 def test_per_flow_mbps_helper():
