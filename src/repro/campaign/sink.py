@@ -235,11 +235,6 @@ class CampaignSink:
         self._next = start_index
 
     @property
-    def next_index(self) -> int:
-        """The lowest unit index not yet written."""
-        return self._next
-
-    @property
     def pending_units(self) -> int:
         """Out-of-order outcomes currently buffered."""
         return len(self._pending)

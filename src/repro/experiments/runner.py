@@ -76,9 +76,9 @@ def runs_vectorized(
     wins only once the batch is :data:`VEC_MIN_ROWS` flow rows wide (one
     row per flow per trial).  Instrumented runs — a live telemetry bus
     (``obs`` or the process default) or a live invariant checker —
-    always take the scalar loop: per-flow ``cc.*`` events and the
-    law-object checks exist only there.  Both paths produce the same
-    bits, so this decides wall time only.
+    always take the scalar loop: telemetry and the law-object checks
+    exist only there.  Both paths produce the same bits, so this decides
+    wall time only.
     """
     from repro.check import resolve as resolve_check
     from repro.obs.bus import resolve

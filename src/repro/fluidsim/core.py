@@ -169,10 +169,6 @@ class FluidSimulation:
             self._cap_events = []
             self.capacity_now = link.capacity
         self._cap_cursor = 0
-        #: AQM byte accounting (fluid analogue of LinkStats).
-        self.aqm_dropped_bytes = 0.0
-        self.marked_bytes = 0.0
-        self.capacity_changes = 0
 
         self.specs = list(flows)
         self.flows = []
@@ -561,7 +557,6 @@ class FluidSimulation:
             scale = events[cursor][1]
             cursor += 1
             self.capacity_now = base * scale
-            self.capacity_changes += 1
             if self.obs is not None:
                 self.obs.count("link.capacity_changes")
                 self.obs.event(
@@ -609,7 +604,6 @@ class FluidSimulation:
                 if w <= 0:
                     continue
                 accumulator[i] += volume * queue_shares[i]
-            self.marked_bytes += volume
             if self.obs is not None:
                 self.obs.count(
                     "link.ecn_marks", max(int(volume / mss), 1)
@@ -622,7 +616,6 @@ class FluidSimulation:
                 )
         else:
             self._drop(now, inflights, volume, queue_shares, lost_this_tick)
-            self.aqm_dropped_bytes += volume
             if self.obs is not None:
                 self.obs.count(
                     "link.aqm_drops", max(int(volume / mss), 1)

@@ -31,12 +31,13 @@ trajectory.  Three disciplines make that possible:
   time, then proportional-mode loss thresholds per admitted victim), so
   the proportional loss mode stays seed-compatible and batch-invariant.
 
-Telemetry and invariant checks integrate at the same seams as the
-scalar loop (overflow drop counters, trace-tick samples, per-tick
-in-flight bounds and rate conservation on array state); per-flow typed
-events (``cc.backoff`` etc.) and per-CCA law-object checks are scalar-
-substrate-only, which is why the runner keeps every instrumented run
-on the scalar path.
+This substrate does no instrumentation: no telemetry bus, no trace
+snapshots, no loss-event log.  The scalar loop is the one instrumented
+implementation of the fluid model, and the runner sends every run with
+a live bus or checker there (:func:`repro.experiments.runner
+.runs_vectorized`).  The invariant checker's array-state hooks stay —
+per-tick in-flight bounds, rate conservation and capacity steps — so a
+direct call under a live checker still runs them.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.cc.laws import registry as laws_registry
@@ -117,12 +117,6 @@ class VecFluidSim:
     Args:
         points: Scenario points; each evolves exactly as its own
             :class:`repro.fluidsim.core.FluidSimulation` would.
-        trace_interval: As in the scalar simulator, applied batch-wide;
-            inherits ``obs.sample_interval`` when unset.
-        obs: Optional telemetry bus shared by the whole batch.  Counter
-            and gauge totals match a scalar run per point; with more
-            than one point the *interleaving* of emissions differs from
-            running the points back to back.
         check: Optional invariant checker (defaults to the process-wide
             one); runs the array-state fluid checks each tick.
     """
@@ -130,8 +124,6 @@ class VecFluidSim:
     def __init__(
         self,
         points: Sequence[BatchPoint],
-        trace_interval: Optional[float] = None,
-        obs=None,
         check=None,
     ) -> None:
         from repro.check import resolve as resolve_check
@@ -139,15 +131,7 @@ class VecFluidSim:
         if not points:
             raise ValueError("at least one point is required")
         self.points = list(points)
-        self.obs = obs
         self.check = resolve_check(check)
-        if trace_interval is None and obs is not None:
-            trace_interval = obs.sample_interval
-        if trace_interval is not None and trace_interval <= 0:
-            raise ValueError(
-                f"trace_interval must be positive, got {trace_interval}"
-            )
-        self.trace_interval = trace_interval
 
         n_points = len(self.points)
         self.n_points = n_points
@@ -300,10 +284,6 @@ class VecFluidSim:
                 lo = starts_p[p]
                 self._aqm_ecn_f[lo : lo + counts_p[p]] = True
         self._any_ecn = bool(self._aqm_ecn_f.any())
-        #: Per-point AQM byte accounting (fluid analogue of LinkStats).
-        self.aqm_dropped_bytes = np.zeros(n_points)
-        self.marked_bytes = np.zeros(n_points)
-        self.capacity_changes = [0] * n_points
 
         # ---- kernels: one per control law present in the batch -------
         # A row's measured RTT never exceeds its base RTT plus a full
@@ -405,18 +385,7 @@ class VecFluidSim:
         self._queue_integral = np.zeros(n_points)
         self._time_simulated = np.zeros(n_points)
         self._measure_start = np.zeros(n_points)
-        self.queue_bytes = np.zeros(n_points)
         self._has_run = False
-        # One (victim rows, times) pair per tick with victims; read
-        # through ``loss_events``.
-        self._loss_log: List[Tuple[np.ndarray, np.ndarray]] = []
-        self._loss_events: List[List[List[float]]] = [
-            [[] for _ in range(counts_p[p])] for p in range(n_points)
-        ]
-        #: Per point: (time, [inflight per flow], queue_bytes) rows.
-        self.trace: List[List[Tuple[float, List[float], float]]] = [
-            [] for _ in range(n_points)
-        ]
 
     # -- sequential reductions --------------------------------------------
 
@@ -519,16 +488,11 @@ class VecFluidSim:
                 "another trial"
             )
         self._has_run = True
-        wall_start = perf_counter()
         # Masked-off rows divide by zero and compare NaNs by design
         # (vec_laws, "Rules that keep the mirror exact"); the warnings
         # are silenced once here rather than per kernel call per tick.
         with np.errstate(all="ignore"):
             self._run_ticks()
-        if self.obs is not None:
-            for p in range(self.n_points):
-                self.obs.count("fluid.steps", int(self._steps_p[p]))
-            self.obs.record_time("sim.run", perf_counter() - wall_start)
         return self._build_results()
 
     def _run_ticks(self) -> None:
@@ -552,8 +516,6 @@ class VecFluidSim:
         rtt_measured = self._rtt + queue_delay[pf]
         now_p = np.zeros(self.n_points)
         measure_started = self._warmup == 0.0
-        next_trace = np.zeros(self.n_points)
-        trace_on = self.trace_interval is not None
 
         max_steps = int(self._steps_p.max())
         # Fast-path flags (value-neutral: the skipped expressions are
@@ -638,20 +600,11 @@ class VecFluidSim:
             over = queue > self._buffer
             if np.count_nonzero(over):
                 self._handle_overflow(
-                    state, now_p, w, queue, total, over, lost_tick
+                    state, w, queue, total, over, lost_tick
                 )
             if self._any_aqm:
                 self._apply_aqm(state, now_p, w, queue, lost_tick)
-            self.queue_bytes = queue
             queue_delay = queue / self._capacity
-
-            if trace_on:
-                due = p_act & (now_p >= next_trace)
-                if np.count_nonzero(due):
-                    next_trace = np.where(
-                        due, now_p + self.trace_interval, next_trace
-                    )
-                    self._record_trace(due, now_p, w, queue, prev_rate, act)
 
             # 4. Integrate throughput.  Every row of ``w`` is >= +0.0
             # (not live: +0.0; live: a positive window, trimmed by drops
@@ -698,31 +651,11 @@ class VecFluidSim:
                     tally, self._dt, 0.0
                 )
 
-    @property
-    def loss_events(self) -> List[List[List[float]]]:
-        """Per point, per flow: congestion-backoff times (seconds).
-
-        Built from the per-tick victim log when read, so a run whose
-        caller never asks pays one small array pair per tick for them.
-        """
-        if self._loss_log:
-            rows = np.concatenate([rows for rows, _ in self._loss_log])
-            times = np.concatenate([times for _, times in self._loss_log])
-            for p, flow_id, now in zip(
-                self._pf[rows].tolist(),
-                self._flow_ids[rows].tolist(),
-                times.tolist(),
-            ):
-                self._loss_events[p][flow_id].append(now)
-            self._loss_log.clear()
-        return self._loss_events
-
     # -- overflow ---------------------------------------------------------
 
     def _handle_overflow(
         self,
         state: TickState,
-        now_p: np.ndarray,
         w: np.ndarray,
         queue: np.ndarray,
         total: np.ndarray,
@@ -738,28 +671,11 @@ class VecFluidSim:
         dropping = over & (total > 0)
         if not np.count_nonzero(dropping):
             return
-        if self.obs is not None:
-            for p in np.nonzero(dropping)[0]:
-                exc = float(excess[p])
-                self.obs.count(
-                    "link.dropped_packets",
-                    max(int(exc / self._link_mss[p]), 1),
-                )
-                self.obs.count("link.dropped_bytes", int(exc))
-                self.obs.event(
-                    "link.drop",
-                    time=float(now_p[p]),
-                    dropped_bytes=exc,
-                    queued_bytes=float(self._buffer[p]),
-                )
-        self._signal(
-            state, now_p, w, queue, total, dropping, excess, lost_tick
-        )
+        self._signal(state, w, queue, total, dropping, excess, lost_tick)
 
     def _signal(
         self,
         state: TickState,
-        now_p: np.ndarray,
         w: np.ndarray,
         queue: np.ndarray,
         total: np.ndarray,
@@ -810,9 +726,7 @@ class VecFluidSim:
             lost_tick[rows] += dropped
 
         responsive = self._loss_based[rows] & (w_r > 0)
-        self._backoff_victims(
-            state, now_p, sel, w_r, shares, responsive, acc_r
-        )
+        self._backoff_victims(state, sel, w_r, shares, responsive, acc_r)
         self._drop_accumulator[rows] = acc_r
         w[rows] = w_r
 
@@ -835,7 +749,6 @@ class VecFluidSim:
     def _backoff_victims(
         self,
         state: TickState,
-        now_p: np.ndarray,
         sel: _Points,
         w_r: np.ndarray,
         shares: np.ndarray,
@@ -882,7 +795,6 @@ class VecFluidSim:
         for kernel, _, loc in self._split(self._loss_kernels, vrows):
             kernel.on_loss(state, loc)
         w_r[hit] = np.minimum(w_r[hit], state.inflight[vrows])
-        self._loss_log.append((vrows, now_p[pf[hit]]))
 
     def _perceived(
         self, sel: _Points, prop: np.ndarray, acc_r: np.ndarray
@@ -923,12 +835,6 @@ class VecFluidSim:
                 cursor += 1
                 cap = base * scale
                 self._capacity[p] = cap
-                self.capacity_changes[p] += 1
-                if self.obs is not None:
-                    self.obs.count("link.capacity_changes")
-                    self.obs.event(
-                        "link.capacity_change", time=now, capacity=cap
-                    )
                 if self.check is not None:
                     self.check.capacity_change(now, cap)
                 moved = True
@@ -973,88 +879,11 @@ class VecFluidSim:
         if not np.count_nonzero(firing):
             return
         vol = np.minimum(vol, total)
-
-        for p in np.nonzero(firing)[0]:
-            p = int(p)
-            volume = float(vol[p])
-            mss = self._link_mss[p]
-            if self._aqms[p].ecn:
-                self.marked_bytes[p] += volume
-                if self.obs is not None:
-                    self.obs.count(
-                        "link.ecn_marks", max(int(volume / mss), 1)
-                    )
-                    self.obs.event(
-                        "link.mark",
-                        time=float(now_p[p]),
-                        marked_bytes=volume,
-                        queued_bytes=float(queue[p]),
-                    )
-            else:
-                self.aqm_dropped_bytes[p] += volume
-                if self.obs is not None:
-                    self.obs.count(
-                        "link.aqm_drops", max(int(volume / mss), 1)
-                    )
-                    self.obs.count(
-                        "link.dropped_packets",
-                        max(int(volume / mss), 1),
-                    )
-                    self.obs.count("link.dropped_bytes", int(volume))
-                    self.obs.event(
-                        "link.drop",
-                        time=float(now_p[p]),
-                        dropped_bytes=volume,
-                        queued_bytes=float(queue[p]),
-                        aqm=True,
-                    )
         # Marks and drops alike feed loss perception (RFC 3168: a mark
         # elicits the same control response as a loss).
         self._signal(
-            state, now_p, w, queue, total, firing, vol, lost_tick,
-            marks=True,
+            state, w, queue, total, firing, vol, lost_tick, marks=True
         )
-
-    # -- tracing ----------------------------------------------------------
-
-    def _record_trace(
-        self,
-        due: np.ndarray,
-        now_p: np.ndarray,
-        w: np.ndarray,
-        queue: np.ndarray,
-        prev_rate: np.ndarray,
-        act: np.ndarray,
-    ) -> None:
-        labels: List[Optional[str]] = [None] * self.n_flows
-        if self.obs is not None:
-            for kernel in self.kernels:
-                names = kernel.state_labels()
-                if names is not None:
-                    for row, name in zip(kernel.rows, names):
-                        labels[int(row)] = name
-        w_list = w.tolist()
-        for p in np.nonzero(due)[0]:
-            p = int(p)
-            lo = int(self._starts_p[p])
-            hi = lo + self._counts_py[p]
-            now = float(now_p[p])
-            self.trace[p].append((now, w_list[lo:hi], float(queue[p])))
-            if self.obs is None:
-                continue
-            self.obs.gauge("link.queue_bytes", float(queue[p]))
-            for row in range(lo, hi):
-                if not act[row]:
-                    continue
-                self.obs.sample(
-                    now,
-                    int(self._flow_ids[row]),
-                    cc=self._cc_of_row[row],
-                    cwnd=w_list[row],
-                    in_flight=w_list[row],
-                    pacing_rate=float(prev_rate[row]),
-                    state=labels[row],
-                )
 
     # -- results ----------------------------------------------------------
 
@@ -1101,8 +930,6 @@ class VecFluidSim:
                 if total_sent > 0
                 else 0.0
             )
-            if self.obs is not None:
-                self.obs.gauge("link.mean_queue_bytes", mean_queue)
             results.append(
                 SimulationResult(
                     flows=flows,
@@ -1119,18 +946,14 @@ class VecFluidSim:
 
 def run_fluid_vec_batch(
     points: Sequence[BatchPoint],
-    obs=None,
     check=None,
 ) -> List[SimulationResult]:
     """Run a batch of fluid points through the vectorized substrate.
 
-    ``obs``/``check`` default to the process-wide bus and checker like
+    ``check`` defaults to the process-wide checker like
     :func:`repro.fluidsim.core.run_fluid`.
     """
-    from repro.obs.bus import resolve
-
-    sim = VecFluidSim(points, obs=resolve(obs), check=check)
-    return sim.run()
+    return VecFluidSim(points, check=check).run()
 
 
 def run_fluid_vec(
@@ -1142,11 +965,11 @@ def run_fluid_vec(
     loss_mode: str = "proportional",
     seed: int = 0,
     start_jitter: float = 0.0,
-    obs=None,
     check=None,
 ) -> SimulationResult:
-    """Drop-in vectorized counterpart of :func:`repro.fluidsim.core
-    .run_fluid` — same arguments, bitwise-identical result."""
+    """Vectorized counterpart of :func:`repro.fluidsim.core.run_fluid`:
+    its arguments minus the instrumentation ones (the telemetry bus and
+    the trace interval), bitwise-identical result."""
     return run_fluid_vec_batch(
         [
             BatchPoint(
@@ -1160,6 +983,5 @@ def run_fluid_vec(
                 start_jitter=start_jitter,
             )
         ],
-        obs=obs,
         check=check,
     )[0]

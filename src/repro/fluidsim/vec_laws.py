@@ -36,14 +36,15 @@ rows are in.  A batch whose points share one ``dt`` has one clock:
 ``TickState.now`` / ``.dt`` are then floats, broadcast into the same
 IEEE operations (:func:`_at`).
 
-Kernels do not emit per-flow telemetry events (``cc.backoff``,
-``cc.state``): the vectorized substrate trades per-flow event streams
-for throughput, and the simulator-level counters and samples remain.
+Kernels carry no telemetry: no per-flow events (``cc.backoff``,
+``cc.state``), no state labels, no samples.  Instrumented runs take the
+scalar loop (:func:`repro.experiments.runner.runs_vectorized`), the one
+instrumented implementation of the fluid model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.cc.laws import bbr as bbr_laws
 from repro.cc.laws import bbr2 as bbr2_laws
@@ -411,10 +412,6 @@ class VecKernel:
         """Congestion backoff for the victims ``loc`` (local rows,
         ascending; the gate applies).  The simulator calls it only on
         kernels that override it."""
-
-    def state_labels(self) -> Optional[List[str]]:
-        """Per-row state-machine labels for sampling; None if stateless."""
-        return None
 
 
 class VecReno(VecKernel):
@@ -872,18 +869,6 @@ class VecBBR(VecKernel):
         w[full] = np.minimum(
             w[full], np.maximum(drain_target, self.probe_rtt_floor[full])
         )
-
-    def state_labels(self) -> List[str]:
-        labels = []
-        probing = ~np.isnan(self.probe_rtt_until)
-        for i in range(self.n):
-            if probing[i]:
-                labels.append(bbr_laws.PROBE_RTT)
-            elif self.in_startup[i]:
-                labels.append(bbr_laws.STARTUP)
-            else:
-                labels.append(bbr_laws.PROBE_BW)
-        return labels
 
 
 class VecBBR2(VecBBR):

@@ -357,34 +357,6 @@ def test_staggered_batch_masks_its_rows(loss_mode, monkeypatch):
     assert not seen["signed_rate"]
 
 
-def test_loss_events_match_scalar():
-    """Backoff times are logged per tick and read back per flow."""
-    points = [
-        BatchPoint(
-            link=LinkConfig.from_mbps_ms(20, 20, 1.0),
-            flows=[FluidSpec(cc=cc) for cc in SIGNAL_MIX],
-            duration=5.0,
-            loss_mode=mode,
-            seed=3,
-            start_jitter=0.2,
-        )
-        for mode in LOSS_MODES
-    ]
-    sim = VecFluidSim(points)
-    sim.run()
-    for p, point in enumerate(points):
-        scalar = FluidSimulation(
-            point.link,
-            point.flows,
-            loss_mode=point.loss_mode,
-            seed=point.seed,
-            start_jitter=point.start_jitter,
-        )
-        scalar.run(point.duration)
-        assert sim.loss_events[p] == scalar.loss_events
-        assert any(scalar.loss_events)
-
-
 # -- what a tick pays for, by phase ------------------------------------------
 # BBR's STARTUP and ProbeRTT rows are worked on by index while any exist,
 # CUBIC drops its slow-start masks once no row is in slow start, and a

@@ -7,9 +7,10 @@ game, an event-driven packet path without per-packet closures and a
 bottleneck that schedules no event, a campaign layer with no
 concurrency of its own (a stage's units advance in rounds through one
 ``Engine.run_points`` batch —
-``repro.campaign.vocab._in_rounds``), and one NE bisection, as a round
-generator.  The last gate keeps CI from growing gates of its own: a
-check belongs here, or in ``tests/smoke.py``.
+``repro.campaign.vocab._in_rounds``), one NE bisection, as a round
+generator, and one instrumented fluid loop, the scalar one.  The last
+gate keeps CI from growing gates of its own: a check belongs here, or
+in ``tests/smoke.py``.
 """
 
 import ast
@@ -129,6 +130,23 @@ def test_the_bottleneck_schedules_no_event():
         if called_name(call) in scheduling
     ]
     assert not found, found
+
+
+def test_the_vectorized_fluid_substrate_does_no_instrumentation():
+    """Telemetry, trace snapshots and state labels live in the scalar
+    loop only; the runner sends every instrumented run there."""
+    banned = re.compile(r"\b(obs|trace_interval|state_labels)\b")
+    for relative in ("fluidsim/vec.py", "fluidsim/vec_laws.py"):
+        text = SOURCES[SRC / "repro" / relative]
+        found = sorted(set(banned.findall(text)))
+        assert not found, f"{relative}: {found}"
+    (batch,) = [
+        fn
+        for fn in functions(tree_of("fluidsim/vec.py"))
+        if fn.name == "run_fluid_vec_batch"
+    ]
+    params = [arg.arg for arg in batch.args.args + batch.args.kwonlyargs]
+    assert params == ["points", "check"]
 
 
 # -- one game ----------------------------------------------------------------
