@@ -11,7 +11,6 @@ toward BBR (i.e. *fewer* CUBIC flows at the NE than under drop-tail).
 """
 
 from repro.core.game import GroupGame, bisect_nash
-from repro.sim.aqm import CoDelConfig, REDConfig
 from repro.sim.network import FlowSpec, run_dumbbell
 from repro.util.config import LinkConfig
 
@@ -20,25 +19,14 @@ DURATION = 60.0
 
 
 def _ne_search(discipline: str):
-    link = LinkConfig.from_mbps_ms(10, 20, 6)
-    red_config = (
-        REDConfig.for_buffer(link.buffer_bytes)
-        if discipline == "red"
-        else None
-    )
-    codel_config = CoDelConfig() if discipline == "codel" else None
+    link = LinkConfig.from_mbps_ms(10, 20, 6).with_aqm(discipline)
 
     def fn(k: int):
         flows = [FlowSpec("cubic") for _ in range(N_FLOWS - k)] + [
             FlowSpec("bbr") for _ in range(k)
         ]
         result = run_dumbbell(
-            link,
-            flows,
-            duration=DURATION,
-            warmup=DURATION / 6,
-            red=red_config,
-            codel=codel_config,
+            link, flows, duration=DURATION, warmup=DURATION / 6
         )
         cubic = result.by_cc("cubic")
         bbr = result.by_cc("bbr")

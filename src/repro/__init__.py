@@ -13,9 +13,9 @@ The package provides:
 
 Quick start::
 
-    from repro import LinkConfig, predict_two_flow, predict_nash
+    from repro import BottleneckSpec, predict_nash, predict_two_flow
 
-    link = LinkConfig.from_mbps_ms(100, 40, buffer_bdp=5)
+    link = BottleneckSpec.from_mbps_ms(100, 40, buffer_bdp=5)
     print(predict_two_flow(link).bbr_fraction)     # BBR's share vs CUBIC
     print(predict_nash(link, n_flows=50))          # NE distribution
 """
@@ -30,11 +30,13 @@ from repro.core import (
     predict_two_flow,
     ware_prediction,
 )
+from repro.scenario.spec import BottleneckSpec
 from repro.util.config import LinkConfig
 
 __version__ = "1.0.0"
 
 __all__ = [
+    "BottleneckSpec",
     "LinkConfig",
     "ModelPrediction",
     "MultiFlowPrediction",

@@ -37,7 +37,7 @@ from repro.exec.fingerprint import (
     fingerprint_payload,
     link_params,
 )
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 __all__ = ["Unit", "expand_axes", "expand_units"]
 
@@ -58,7 +58,7 @@ class Unit:
     stage: str
     kind: str
     combo: Tuple[Tuple[str, Any], ...]
-    link: LinkConfig
+    link: BottleneckSpec
     duration: float
     backend: str
     trials: int
@@ -136,10 +136,10 @@ def expand_axes(spec: CampaignSpec) -> List[Tuple[Tuple[str, Any], ...]]:
     return [tuple(zip(names, row)) for row in rows]
 
 
-def _resolve_link(spec: CampaignSpec, combo: Dict[str, Any]) -> LinkConfig:
+def _resolve_link(spec: CampaignSpec, combo: Dict[str, Any]) -> BottleneckSpec:
     base = spec.link
     if "bandwidth_mbps" in combo or "rtt_ms" in combo:
-        link = LinkConfig.from_mbps_ms(
+        link = BottleneckSpec.from_mbps_ms(
             combo.get("bandwidth_mbps", base.capacity_mbps),
             combo.get("rtt_ms", base.rtt_ms),
             combo.get("buffer_bdp", base.buffer_bdp),

@@ -45,7 +45,7 @@ from repro.campaign.vocab import (
 )
 from repro.exec.fingerprint import fingerprint_payload
 from repro.scenario import parse_aqm, parse_capacity_trace
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 __all__ = [
     "Axis",
@@ -139,7 +139,7 @@ class CampaignSpec:
 
     name: str
     description: str
-    link: LinkConfig
+    link: BottleneckSpec
     duration: float
     backend: str
     trials: int
@@ -316,7 +316,7 @@ def parse_spec(data: Any, source: str = "spec") -> CampaignSpec:
 
     set_ = _parse_section(data, "link", LINK_PARAMS, source)
     try:
-        link = LinkConfig.from_mbps_ms(
+        link = BottleneckSpec.from_mbps_ms(
             set_["bandwidth_mbps"],
             set_["rtt_ms"],
             set_["buffer_bdp"],

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.campaign.spec import CampaignSpec, parse_spec
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 __all__ = [
     "bundled_campaign_dir",
@@ -51,7 +51,7 @@ def _ne_study(
     flows = 50 if full else 20
     # Built the way every figure builds its links, so the CLI's
     # --aqm/--ecn/--capacity-trace overrides reach the study.
-    base = LinkConfig.from_mbps_ms(capacity_mbps, rtt_ms, 1.0)
+    base = BottleneckSpec.from_mbps_ms(capacity_mbps, rtt_ms, 1.0)
     data = {
         "name": name,
         "description": description.format(flows=flows),

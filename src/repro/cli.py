@@ -52,14 +52,14 @@ import os
 import sys
 from contextlib import ExitStack, contextmanager
 from time import perf_counter
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.cc import available_algorithms
 from repro.core import predict_multi_flow, predict_nash, predict_two_flow
 from repro.core.ware import ware_prediction
 from repro.exec import ScenarioPoint
 from repro.experiments.figures import FIGURES
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 
 def _add_link_args(parser: argparse.ArgumentParser) -> None:
@@ -109,8 +109,8 @@ def _scenario_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
-def _link_from(args: argparse.Namespace) -> LinkConfig:
-    return LinkConfig.from_mbps_ms(
+def _link_from(args: argparse.Namespace) -> BottleneckSpec:
+    return BottleneckSpec.from_mbps_ms(
         args.mbps, args.rtt_ms, args.buffer_bdp, **_scenario_kwargs(args)
     )
 
@@ -134,13 +134,10 @@ def _positive_int(value: str) -> int:
 def _add_session_args(
     parser: argparse.ArgumentParser,
     telemetry: bool = False,
-    span_aliases: Sequence[str] = (),
 ) -> None:
     """The flags :func:`run_session` reads, for a simulating command.
 
-    ``telemetry`` adds the event-bus flags (``simulate``/``figure``);
-    ``span_aliases`` are older spellings of ``--spans-out`` the parser
-    still accepts (``--trace-out`` on ``campaign run``/``resume``).
+    ``telemetry`` adds the event-bus flags (``simulate``/``figure``).
     """
     if telemetry:
         parser.add_argument(
@@ -163,7 +160,6 @@ def _add_session_args(
         )
     parser.add_argument(
         "--spans-out",
-        *span_aliases,
         default=None,
         metavar="PATH",
         help="write hierarchical wall-clock spans as Chrome "
@@ -660,7 +656,7 @@ def _population_cells(args: argparse.Namespace):
     if args.rtt_classes:
         return [
             CellSpec(
-                link=LinkConfig.from_mbps_ms(
+                link=BottleneckSpec.from_mbps_ms(
                     args.mbps, rtt, args.buffer_bdp
                 ),
                 n_flows=args.flows,
@@ -1366,7 +1362,7 @@ def build_parser() -> argparse.ArgumentParser:
         "interrupted campaign; exit code 3)",
     )
     _add_scenario_args(cp)
-    _add_session_args(cp, span_aliases=("--trace-out",))
+    _add_session_args(cp)
     cp.set_defaults(func=_run_campaign_cmd)
 
     cp = campaign_sub.add_parser(
@@ -1380,7 +1376,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="stop cleanly after N newly executed units (exit code 3)",
     )
-    _add_session_args(cp, span_aliases=("--trace-out",))
+    _add_session_args(cp)
     cp.set_defaults(func=_run_campaign_cmd)
 
     cp = campaign_sub.add_parser(

@@ -27,7 +27,7 @@ from repro.core.two_flow import (
     DEEP_BUFFER_LIMIT_BDP,
     solve_bbr_buffer_share,
 )
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 
 def desync_backoff(n_cubic: int) -> float:
@@ -104,7 +104,7 @@ class MultiFlowPrediction:
 
 
 def aggregate_bbr_bandwidth(
-    link: LinkConfig, n_cubic: int, backoff: float
+    link: BottleneckSpec, n_cubic: int, backoff: float
 ) -> float:
     """Aggregate BBR bandwidth ``λ̄_b`` for a given CUBIC backoff factor.
 
@@ -119,7 +119,7 @@ def aggregate_bbr_bandwidth(
 
 
 def predict_multi_flow(
-    link: LinkConfig, n_cubic: int, n_bbr: int
+    link: BottleneckSpec, n_cubic: int, n_bbr: int
 ) -> MultiFlowPrediction:
     """Predict aggregate/per-flow bandwidth bounds for a flow mix (§2.4)."""
     if n_cubic < 0 or n_bbr < 0:

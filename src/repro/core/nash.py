@@ -26,7 +26,7 @@ from repro.core.multi_flow import (
     desync_backoff,
 )
 from repro.core.two_flow import CUBIC_BACKOFF, DEEP_BUFFER_LIMIT_BDP
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class NashPrediction:
         )
 
 
-def _solve_fixed_point_desync(link: LinkConfig, n_flows: int) -> float:
+def _solve_fixed_point_desync(link: BottleneckSpec, n_flows: int) -> float:
     """Find ``N_b`` with λ̄_b(N_b)/N_b = C/N under the desync bound.
 
     ``λ̄_b`` depends on ``N_c = N − N_b`` through the aggregate backoff
@@ -97,7 +97,7 @@ def _solve_fixed_point_desync(link: LinkConfig, n_flows: int) -> float:
     return n_b
 
 
-def predict_nash(link: LinkConfig, n_flows: int) -> NashPrediction:
+def predict_nash(link: BottleneckSpec, n_flows: int) -> NashPrediction:
     """Predict the NE distribution of CUBIC and BBR flows (Eq. 25)."""
     if n_flows < 1:
         raise ValueError(f"n_flows must be >= 1, got {n_flows}")
@@ -142,7 +142,7 @@ class NashRegionPoint:
 
 
 def nash_region(
-    link: LinkConfig, n_flows: int, buffer_bdps: Iterable[float]
+    link: BottleneckSpec, n_flows: int, buffer_bdps: Iterable[float]
 ) -> List[NashRegionPoint]:
     """The predicted Nash Region across a buffer-depth sweep (Figure 9)."""
     points = []

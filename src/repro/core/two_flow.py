@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 #: CUBIC's multiplicative-decrease survival factor (backs off *to* 0.7).
 CUBIC_BACKOFF = 0.7
@@ -67,7 +67,7 @@ class ModelPrediction:
 
 
 def solve_bbr_buffer_share(
-    link: LinkConfig,
+    link: BottleneckSpec,
     backoff: float = CUBIC_BACKOFF,
     cwnd_gain: float = 2.0,
 ) -> float:
@@ -132,7 +132,7 @@ def solve_bbr_buffer_share(
 
 
 def predict_two_flow(
-    link: LinkConfig, cwnd_gain: float = 2.0
+    link: BottleneckSpec, cwnd_gain: float = 2.0
 ) -> ModelPrediction:
     """Predict the bandwidth split of one CUBIC vs. one BBR flow (§2.3).
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class WarePrediction:
 
 
 def ware_prediction(
-    link: LinkConfig,
+    link: BottleneckSpec,
     n_bbr: int = 1,
     duration: float = 120.0,
 ) -> WarePrediction:

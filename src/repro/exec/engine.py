@@ -86,8 +86,8 @@ from typing import (
 from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import ScenarioPoint
 from repro.obs.trace import span
+from repro.scenario.spec import BottleneckSpec
 from repro.util.ambient import ProcessDefault
-from repro.util.config import LinkConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily at runtime: repro.experiments imports repro.exec
@@ -679,7 +679,10 @@ class Engine:
         return results  # type: ignore[return-value]  # all filled above
 
     def run_mix(
-        self, link: LinkConfig, mix: Sequence[Tuple[Any, ...]], **scenario: Any
+        self,
+        link: BottleneckSpec,
+        mix: Sequence[Tuple[Any, ...]],
+        **scenario: Any,
     ) -> "ScenarioResult":
         """Cached, engine-routed equivalent of
         :func:`repro.experiments.runner.run_mix`: ``scenario`` names the

@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro import __version__
 from repro.scenario import LOSS_MODES, canonical_backend, expand_mix
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -44,7 +44,7 @@ CACHE_SCHEMA = 4  # v4: spec-derived link identity (AQM / capacity trace).
 REPRO_VERSION = __version__
 
 
-def link_params(link: LinkConfig) -> Dict[str, Any]:
+def link_params(link: BottleneckSpec) -> Dict[str, Any]:
     """The JSON-serializable identity of a bottleneck configuration.
 
     Derived from the spec's own canonical form
@@ -95,7 +95,7 @@ class ScenarioPoint:
     substrate, so it is part of the scenario's identity.
     """
 
-    link: LinkConfig
+    link: BottleneckSpec
     mix: Tuple[Tuple[Any, ...], ...]
     duration: float = 60.0
     warmup: Optional[float] = None

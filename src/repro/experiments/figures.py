@@ -30,7 +30,7 @@ from repro.experiments.runner import group_payoff_fn
 from repro.experiments.validation import validate_two_flow
 from repro.obs.trace import resolve as resolve_tracer
 from repro.obs.trace import span
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 SCALES = ("quick", "full")
 
@@ -62,7 +62,7 @@ def _two_flow_figure(
     """BBR's bandwidth per buffer depth: ``series`` names columns of
     the §3.1 validation sweep, which is this experiment."""
     report = validate_two_flow(
-        LinkConfig.from_mbps_ms(capacity_mbps, rtt_ms, 1),
+        BottleneckSpec.from_mbps_ms(capacity_mbps, rtt_ms, 1),
         buffers,
         duration=duration,
         backend="packet",
@@ -163,7 +163,7 @@ def figure4(
         xlabel="buffer (BDP)",
         ylabel="per-flow bandwidth (Mbps)",
     )
-    links = [LinkConfig.from_mbps_ms(100, 40, depth) for depth in buffers]
+    links = [BottleneckSpec.from_mbps_ms(100, 40, depth) for depth in buffers]
     results = resolve_engine(engine).run_points(
         [
             ScenarioPoint(
@@ -215,7 +215,7 @@ def figure5(
     counts = list(range(1, n_flows + 1, step))
     if counts[-1] != n_flows:
         counts.append(n_flows)
-    link = LinkConfig.from_mbps_ms(100, 40, buffer_bdp)
+    link = BottleneckSpec.from_mbps_ms(100, 40, buffer_bdp)
     fig = FigureResult(
         figure_id=f"fig5-{n_flows}flows-{buffer_bdp:g}bdp",
         title=(
@@ -263,7 +263,7 @@ def figure6(
     model so the A→B line and the crossing point C are concrete.
     """
     _check_scale(scale)
-    link = LinkConfig.from_mbps_ms(100, 40, buffer_bdp)
+    link = BottleneckSpec.from_mbps_ms(100, 40, buffer_bdp)
     counts = list(range(1, n_flows + 1))
     fair = _mbps(link.capacity) / n_flows
     fig = FigureResult(
@@ -304,7 +304,7 @@ def figure7(
     n_flows = 10
     duration = 120.0 if full else 60.0
     trials = 3 if full else 1
-    link = LinkConfig.from_mbps_ms(100, 40, 2)
+    link = BottleneckSpec.from_mbps_ms(100, 40, 2)
     fair = _mbps(link.capacity) / n_flows
     fig = FigureResult(
         figure_id="fig7",
@@ -350,7 +350,7 @@ def figure8(
     n_flows = 10
     duration = 120.0 if full else 60.0
     trials = 3 if full else 1
-    link = LinkConfig.from_mbps_ms(100, 40, 2)
+    link = BottleneckSpec.from_mbps_ms(100, 40, 2)
     counts = list(range(0, n_flows + 1))
     results = resolve_engine(engine).run_points(
         [
@@ -448,7 +448,7 @@ def figure9(
         xlabel="buffer (BDP)",
         ylabel="# CUBIC flows at NE",
     )
-    base = LinkConfig.from_mbps_ms(capacity_mbps, rtt_ms, 1)
+    base = BottleneckSpec.from_mbps_ms(capacity_mbps, rtt_ms, 1)
     region = nash_region(base, n_flows, buffers)
     fig.add("sync-bound", buffers, [p.n_cubic_sync for p in region])
     fig.add("desync-bound", buffers, [p.n_cubic_desync for p in region])
@@ -493,7 +493,7 @@ def figure10(
     rtts = [0.010, 0.030, 0.050]
     sizes = [group_size] * 3
     # Buffer normalized to the BDP of the shortest-RTT flow, as in §4.5.
-    base = LinkConfig.from_mbps_ms(100, 10, 1)
+    base = BottleneckSpec.from_mbps_ms(100, 10, 1)
 
     fig = FigureResult(
         figure_id="fig10",
@@ -550,7 +550,7 @@ def figure11(
         xlabel="buffer (BDP)",
         ylabel="# CUBIC flows at NE",
     )
-    base = LinkConfig.from_mbps_ms(capacity_mbps, 40, 1)
+    base = BottleneckSpec.from_mbps_ms(capacity_mbps, 40, 1)
     region = nash_region(base, n_flows, buffers)
     fig.add("bbr-sync-bound", buffers, [p.n_cubic_sync for p in region])
     fig.add(

@@ -36,7 +36,7 @@ from typing import (
 
 from repro.exec.fingerprint import ScenarioPoint
 from repro.scenario import BACKENDS, expand_mix
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 from repro.util.rounds import PointRounds, T
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -161,7 +161,7 @@ class ScenarioResult:
 
 
 def run_mix(
-    link: LinkConfig,
+    link: BottleneckSpec,
     mix: Sequence[Tuple[Any, ...]],
     duration: float = 60.0,
     warmup: Optional[float] = None,
@@ -437,7 +437,7 @@ def point_rounds(
 
 
 def distribution_payoff_fn(
-    link: LinkConfig,
+    link: BottleneckSpec,
     n_flows: int,
     challenger: str = "bbr",
     incumbent: str = "cubic",
@@ -486,7 +486,7 @@ def distribution_payoff_fn(
 
 
 def group_payoff_fn(
-    link: LinkConfig,
+    link: BottleneckSpec,
     group_rtts: Sequence[float],
     group_sizes: Sequence[int],
     challenger: str = "bbr",

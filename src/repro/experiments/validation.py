@@ -21,7 +21,7 @@ from repro.core.two_flow import predict_two_flow
 from repro.core.ware import ware_prediction
 from repro.exec import Engine, ScenarioPoint
 from repro.exec import resolve as resolve_engine
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class ValidationRow:
 class ValidationReport:
     """A scored model-vs-baseline-vs-measurement sweep."""
 
-    link: LinkConfig
+    link: BottleneckSpec
     backend: str
     duration: float
     rows: List[ValidationRow]
@@ -111,7 +111,7 @@ class ValidationReport:
 
 
 def validate_two_flow(
-    link: LinkConfig,
+    link: BottleneckSpec,
     buffer_bdps: Sequence[float],
     duration: float = 120.0,
     backend: str = "packet",

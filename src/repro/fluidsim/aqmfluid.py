@@ -86,13 +86,11 @@ class FluidCodel:
 
     def __init__(self, spec: CoDelSpec, mss: float) -> None:
         # Imported here: only a CoDel point needs the packet substrate.
-        from repro.sim.aqm import CoDel, CoDelConfig
+        from repro.sim.aqm import CoDel
 
         self.ecn = spec.ecn
         self.mss = float(mss)
-        self._codel = CoDel(
-            CoDelConfig(target=spec.target, interval=spec.interval)
-        )
+        self._codel = CoDel(spec)
 
     def tick(
         self, now: float, queue: float, capacity: float, dt: float
@@ -114,8 +112,8 @@ def make_fluid_aqm(
     link: BottleneckSpec, dt: float
 ) -> Union[FluidAqm, None]:
     """The fluid AQM decision object for ``link``, or None for drop-tail."""
-    aqm = getattr(link, "aqm", None)
-    if aqm is None or isinstance(aqm, DropTailSpec):
+    aqm = link.aqm
+    if isinstance(aqm, DropTailSpec):
         return None
     if isinstance(aqm, REDSpec):
         return FluidRed(

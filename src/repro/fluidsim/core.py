@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.fluidsim.aqmfluid import make_fluid_aqm
 from repro.scenario import LOSS_MODES
 from repro.scenario.result import FlowResult, SimulationResult
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.core import Checker
@@ -131,7 +131,7 @@ class FluidSimulation:
 
     def __init__(
         self,
-        link: LinkConfig,
+        link: BottleneckSpec,
         flows: Sequence[FluidSpec],
         dt: Optional[float] = None,
         loss_mode: str = "proportional",
@@ -158,11 +158,11 @@ class FluidSimulation:
 
         # Scenario extensions (repro.scenario): a non-constant capacity
         # trace schedules piecewise-constant capacity steps, an AQM spec
-        # adds deterministic per-tick drop/mark volumes.  Both are None
-        # on the drop-tail/constant default, leaving the historical tick
-        # loop untouched bit for bit.
-        trace = getattr(link, "capacity_trace", None)
-        if trace is not None and not trace.is_constant:
+        # adds deterministic per-tick drop/mark volumes.  The drop-tail/
+        # constant default has no steps and no AQM object, leaving the
+        # tick loop untouched bit for bit.
+        trace = link.capacity_trace
+        if not trace.is_constant:
             self._cap_events = list(trace.change_events())
             self.capacity_now = link.capacity * trace.scale_at(0.0)
         else:
@@ -676,7 +676,7 @@ class FluidSimulation:
 
 
 def run_fluid(
-    link: LinkConfig,
+    link: BottleneckSpec,
     flows: Sequence[FluidSpec],
     duration: float,
     warmup: float = 0.0,

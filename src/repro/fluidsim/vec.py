@@ -53,7 +53,7 @@ from repro.fluidsim.core import LOSS_MODES, FluidSpec
 from repro.fluidsim.mathops import np
 from repro.fluidsim.vec_laws import TickState, VecKernel
 from repro.scenario.result import FlowResult, SimulationResult
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 
 class _Points(NamedTuple):
@@ -82,7 +82,7 @@ class BatchPoint:
     this point's trajectory depends on.
     """
 
-    link: LinkConfig
+    link: BottleneckSpec
     flows: Sequence[FluidSpec]
     duration: float
     warmup: float = 0.0
@@ -252,8 +252,8 @@ class VecFluidSim:
         trace_points: List[int] = []
         min_capacity = self._capacity.copy()
         for p, point in enumerate(self.points):
-            trace = getattr(point.link, "capacity_trace", None)
-            if trace is not None and not trace.is_constant:
+            trace = point.link.capacity_trace
+            if not trace.is_constant:
                 self._cap_events.append(list(trace.change_events()))
                 self._capacity[p] = (
                     point.link.capacity * trace.scale_at(0.0)
@@ -957,7 +957,7 @@ def run_fluid_vec_batch(
 
 
 def run_fluid_vec(
-    link: LinkConfig,
+    link: BottleneckSpec,
     flows: Sequence[FluidSpec],
     duration: float,
     warmup: float = 0.0,

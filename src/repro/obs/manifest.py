@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.obs.bus import Telemetry
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 from repro.util.jsonfile import write_json_atomic
 
 #: Manifest schema identifier; bump on incompatible changes.
@@ -59,7 +59,7 @@ class RunManifest:
     def build(
         cls,
         label: str,
-        link: LinkConfig,
+        link: BottleneckSpec,
         mix: Sequence[Tuple[str, int]],
         backend: str,
         duration: float,

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.util.config import LinkConfig
+from repro.scenario.spec import BottleneckSpec
 
 __all__ = [
     "CellSpec",
@@ -44,11 +44,11 @@ class CellSpec:
     """One homogeneous population cell: a bottleneck class x RTT class.
 
     All ``n_flows`` flows of a cell share the same bottleneck
-    (:class:`LinkConfig`, which carries the RTT class) and differ only
+    (:class:`BottleneckSpec`, which carries the RTT class) and differ only
     in which strategy (CCA) they currently play.
     """
 
-    link: LinkConfig
+    link: BottleneckSpec
     n_flows: int
     label: str = ""
 

@@ -111,8 +111,9 @@ class REDSpec:
 
     Thresholds are *fractions* rather than bytes so the same spec
     composes with buffer-depth sweeps: a campaign axis over
-    ``buffer_bdp`` rescales the RED thresholds with the buffer, exactly
-    like :meth:`repro.sim.aqm.REDConfig.for_buffer`.
+    ``buffer_bdp`` rescales the RED thresholds with the buffer.  The
+    defaults are Floyd's rule of thumb, min at 1/6 of the buffer and
+    max at 1/2 (max = 3 × min).
 
     Attributes:
         min_frac: ``min_threshold = min_frac × buffer_bytes``.
@@ -191,8 +192,11 @@ class CoDelSpec:
         object.__setattr__(self, "ecn", bool(self.ecn))
         if self.target <= 0:
             raise ValueError(f"target must be positive, got {self.target}")
-        if self.interval <= 0:
-            raise ValueError(f"interval must be positive, got {self.interval}")
+        if self.interval <= self.target:
+            raise ValueError(
+                "interval must exceed target, got "
+                f"interval={self.interval} target={self.target}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical JSON form (all fields, explicit)."""
@@ -574,9 +578,11 @@ class BottleneckSpec:
     """A single bottleneck, as in Figure 2 of the paper — plus scenario
     extensions (AQM/ECN, time-varying capacity) beyond it.
 
-    The drop-tail/constant default is exactly the historical
-    ``LinkConfig`` (which is now an alias of this class), and every
-    layer treats that default as the bit-identical fast path.
+    The drop-tail/constant default is the paper's setting, and every
+    layer treats it as the bit-identical fast path.  Every substrate
+    reads the whole bottleneck from this one object: the packet
+    dumbbell builds its RED / CoDel, ECN flag, MSS and capacity steps
+    from it, and the fluid substrates their per-tick AQM and capacity.
 
     Attributes:
         capacity: Link capacity in bytes per second (the *base* capacity
@@ -671,7 +677,7 @@ class BottleneckSpec:
         """Short label for grouping results (``droptail``/``red``/...)."""
         return self.aqm.kind
 
-    # -- derived quantities (unchanged from the legacy LinkConfig) ----
+    # -- derived quantities -------------------------------------------
 
     @property
     def bdp_bytes(self) -> float:

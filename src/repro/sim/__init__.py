@@ -9,7 +9,7 @@ topology builder that also owns each flow's fixed post-bottleneck path
 and receiver (:mod:`repro.sim.network`).
 """
 
-from repro.sim.aqm import RED, CoDel, CoDelConfig, REDConfig
+from repro.sim.aqm import RED, CoDel
 from repro.sim.engine import EventBudgetExceeded, EventLoop
 from repro.sim.link import Link, LinkStats
 from repro.sim.network import (
@@ -26,9 +26,7 @@ from repro.sim.trace import CwndTracer, TraceSample
 
 __all__ = [
     "RED",
-    "REDConfig",
     "CoDel",
-    "CoDelConfig",
     "CwndTracer",
     "TraceSample",
     "EventBudgetExceeded",

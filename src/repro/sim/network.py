@@ -31,16 +31,16 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.core import Checker
     from repro.obs.bus import Telemetry
-    from repro.sim.aqm import CoDelConfig, REDConfig
 
 from repro.cc.base import make_controller
 from repro.scenario.result import FlowResult, SimulationResult
+from repro.scenario.spec import BottleneckSpec, CoDelSpec, REDSpec
+from repro.sim.aqm import RED, CoDel
 from repro.sim.endpoints import Sender
 from repro.sim.engine import EventLoop
 from repro.sim.link import Link
 from repro.sim.packet import Packet
 from repro.sim.stats import FlowStats
-from repro.util.config import LinkConfig
 
 #: Events a run may process per packet its bottleneck can carry before
 #: it is stopped as a runaway
@@ -137,19 +137,13 @@ class DumbbellNetwork:
     """N senders → shared drop-tail bottleneck → N receivers.
 
     Args:
-        link: Bottleneck configuration (capacity, base RTT, buffer depth).
+        link: The bottleneck: capacity, base RTT and buffer depth, the
+            segment size every flow uses (``link.mss``), the queue
+            discipline with its ECN flag (``link.aqm``: drop-tail, or
+            RED / CoDel for the paper's §5 "Taming the Zoo" direction),
+            and the capacity trace (a non-constant one becomes the
+            bottleneck's capacity steps).
         flows: One :class:`FlowSpec` per flow.
-        mss: Segment size in bytes for all flows.
-        red: Optional :class:`repro.sim.aqm.REDConfig` to run the
-            bottleneck with RED instead of pure drop-tail (the paper's
-            §5 "Taming the Zoo" direction).
-        codel: Optional :class:`repro.sim.aqm.CoDelConfig` for CoDel at
-            the bottleneck.  Mutually exclusive with ``red``.
-            When neither is given, the AQM (and its ECN flag) is derived
-            from ``link.aqm`` — the canonical scenario-schema path; the
-            explicit arguments exist for direct experimentation and
-            override the spec.  A non-constant ``link.capacity_trace``
-            becomes the bottleneck's capacity steps.
         obs: Optional telemetry bus, threaded through the event loop,
             bottleneck link, senders, and congestion controllers.  When
             the bus has a ``sample_interval``, a
@@ -163,59 +157,33 @@ class DumbbellNetwork:
 
     def __init__(
         self,
-        link: LinkConfig,
+        link: BottleneckSpec,
         flows: Sequence[FlowSpec],
-        mss: Optional[int] = None,
-        red: Optional["REDConfig"] = None,
-        codel: Optional["CoDelConfig"] = None,
         obs: Optional["Telemetry"] = None,
         check: Optional["Checker"] = None,
     ) -> None:
         from repro.check import resolve as resolve_check
-        from repro.scenario import CoDelSpec, REDSpec
-        from repro.sim.aqm import RED, CoDel, CoDelConfig, REDConfig
 
         if not flows:
             raise ValueError("at least one flow is required")
-        if red is not None and codel is not None:
-            raise ValueError("choose at most one AQM (red or codel)")
         check = resolve_check(check)
         self.link_config = link
         self.flow_specs = list(flows)
-        self.mss = mss if mss is not None else link.mss
+        self.mss = link.mss
         self.obs = obs
         self.check = check
         self.loop = EventLoop(obs=obs, check=check)
 
-        # Derive the AQM from the scenario spec unless explicit configs
-        # override it (the legacy direct-experimentation path).
+        aqm: Optional[object] = None
         ecn = False
-        spec_aqm = getattr(link, "aqm", None)
-        if red is None and codel is None and spec_aqm is not None:
-            if isinstance(spec_aqm, REDSpec):
-                red = REDConfig(
-                    min_threshold=spec_aqm.min_frac * link.buffer_bytes,
-                    max_threshold=spec_aqm.max_frac * link.buffer_bytes,
-                    max_p=spec_aqm.max_p,
-                    weight=spec_aqm.weight,
-                    seed=spec_aqm.seed,
-                )
-                ecn = spec_aqm.ecn
-            elif isinstance(spec_aqm, CoDelSpec):
-                codel = CoDelConfig(
-                    target=spec_aqm.target, interval=spec_aqm.interval
-                )
-                ecn = spec_aqm.ecn
-
-        aqm = None
-        if red is not None:
-            aqm = RED(red)
-        elif codel is not None:
-            aqm = CoDel(codel)
-        trace = getattr(link, "capacity_trace", None)
+        if isinstance(link.aqm, REDSpec):
+            aqm, ecn = RED(link.aqm, link.buffer_bytes), link.aqm.ecn
+        elif isinstance(link.aqm, CoDelSpec):
+            aqm, ecn = CoDel(link.aqm), link.aqm.ecn
+        trace = link.capacity_trace
         steps: List[Tuple[float, float]] = []
         capacity = link.capacity
-        if trace is not None and not trace.is_constant:
+        if not trace.is_constant:
             capacity = link.capacity * trace.scale_at(0.0)
             steps = [
                 (when, link.capacity * scale)
@@ -338,13 +306,10 @@ class DumbbellNetwork:
 
 
 def run_dumbbell(
-    link: LinkConfig,
+    link: BottleneckSpec,
     flows: Sequence[FlowSpec],
     duration: float,
     warmup: float = 0.0,
-    mss: Optional[int] = None,
-    red: Optional["REDConfig"] = None,
-    codel: Optional["CoDelConfig"] = None,
     obs: Optional["Telemetry"] = None,
     check: Optional["Checker"] = None,
 ) -> SimulationResult:
@@ -358,11 +323,5 @@ def run_dumbbell(
     from repro.obs.bus import resolve
 
     return DumbbellNetwork(
-        link,
-        flows,
-        mss=mss,
-        red=red,
-        codel=codel,
-        obs=resolve(obs),
-        check=check,
+        link, flows, obs=resolve(obs), check=check
     ).run(duration, warmup)

@@ -1,20 +1,16 @@
-"""Bottleneck link configuration — compatibility alias.
+"""``LinkConfig``: the public short name of the bottleneck spec.
 
-The canonical scenario schema now lives in :mod:`repro.scenario`:
-:class:`~repro.scenario.BottleneckSpec` carries capacity/RTT/buffer/MSS
-plus the AQM discipline and capacity trace.  ``LinkConfig`` remains the
-historical name for the drop-tail/constant special case — it *is*
-``BottleneckSpec`` (default AQM/trace), so existing four-field
-constructor calls, ``from_mbps_ms``, and every derived property keep
-working unchanged.
+The bottleneck is one class, :class:`repro.scenario.spec.BottleneckSpec`
+(capacity, base RTT, buffer depth, MSS, AQM and capacity trace), and
+every module inside the package names it so.  ``LinkConfig`` is the
+same class under the name scripts, examples and tests import from
+:mod:`repro` and :mod:`repro.util`.
 """
 
 from __future__ import annotations
 
 from repro.scenario.spec import BottleneckSpec
 
-#: Historical alias; constructing ``LinkConfig(capacity, rtt, buffer_bdp)``
-#: yields the drop-tail/constant-capacity bottleneck the paper studies.
 LinkConfig = BottleneckSpec
 
 __all__ = ["LinkConfig"]

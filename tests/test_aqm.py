@@ -2,41 +2,43 @@
 
 import pytest
 
-from repro.sim.aqm import RED, REDConfig
+from repro.scenario import REDSpec
+from repro.sim.aqm import RED
 from repro.sim.network import FlowSpec, run_dumbbell
 from repro.util.config import LinkConfig
 
 
-class TestREDConfig:
+class TestREDSpec:
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
-            REDConfig(min_threshold=10, max_threshold=10)
+            REDSpec(min_frac=0.5, max_frac=0.5)
         with pytest.raises(ValueError):
-            REDConfig(min_threshold=0, max_threshold=10)
+            REDSpec(min_frac=0, max_frac=0.5)
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
-            REDConfig(1, 2, max_p=0)
+            REDSpec(max_p=0)
         with pytest.raises(ValueError):
-            REDConfig(1, 2, weight=1.5)
+            REDSpec(weight=1.5)
 
-    def test_for_buffer_rule_of_thumb(self):
-        cfg = REDConfig.for_buffer(600_000)
-        assert cfg.min_threshold == pytest.approx(100_000)
-        assert cfg.max_threshold == pytest.approx(300_000)
+    def test_rule_of_thumb_thresholds(self):
+        red = RED(REDSpec(), 600_000)
+        assert red.min_threshold == pytest.approx(100_000)
+        assert red.max_threshold == pytest.approx(300_000)
 
 
 class TestREDBehaviour:
     def make(self, **kwargs):
         defaults = dict(
-            min_threshold=10_000,
-            max_threshold=30_000,
+            min_frac=0.1,
+            max_frac=0.3,
             max_p=0.1,
             weight=0.5,  # Fast-moving average for unit tests.
             seed=1,
         )
         defaults.update(kwargs)
-        return RED(REDConfig(**defaults))
+        # Thresholds of 10 000 and 30 000 bytes.
+        return RED(REDSpec(**defaults), 100_000)
 
     def test_no_drops_below_min_threshold(self):
         red = self.make()
@@ -74,11 +76,7 @@ class TestREDEndToEnd:
         flows = [FlowSpec("cubic"), FlowSpec("cubic")]
         plain = run_dumbbell(link, flows, duration=30, warmup=5)
         red = run_dumbbell(
-            link,
-            flows,
-            duration=30,
-            warmup=5,
-            red=REDConfig.for_buffer(link.buffer_bytes),
+            link.with_aqm("red"), flows, duration=30, warmup=5
         )
         assert red.mean_queuing_delay < plain.mean_queuing_delay
         # Early drops happen while the physical buffer still has room.
@@ -87,11 +85,10 @@ class TestREDEndToEnd:
     def test_red_sustains_utilization(self):
         link = LinkConfig.from_mbps_ms(10, 20, 8)
         result = run_dumbbell(
-            link,
+            link.with_aqm("red"),
             [FlowSpec("cubic"), FlowSpec("cubic")],
             duration=30,
             warmup=5,
-            red=REDConfig.for_buffer(link.buffer_bytes),
         )
         total = result.aggregate_throughput() * 8 / 1e6
         assert total > 8.0
@@ -103,11 +100,7 @@ class TestREDEndToEnd:
         flows = [FlowSpec("cubic"), FlowSpec("bbr")]
         plain = run_dumbbell(link, flows, duration=60, warmup=10)
         red = run_dumbbell(
-            link,
-            flows,
-            duration=60,
-            warmup=10,
-            red=REDConfig.for_buffer(link.buffer_bytes),
+            link.with_aqm("red"), flows, duration=60, warmup=10
         )
         bbr_share_plain = plain.flows[1].throughput
         bbr_share_red = red.flows[1].throughput

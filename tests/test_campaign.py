@@ -704,6 +704,15 @@ def test_bad_aqm_axis_value_is_a_spec_error():
         _spec(axes=[{"name": "ecn", "values": [1]}])
 
 
+def test_codel_interval_not_above_target_is_a_spec_error():
+    """A CoDel no substrate can run fails at parse time, naming the
+    field, not mid-run in a unit."""
+    data = json.loads(json.dumps(BASE))
+    data["link"]["aqm"] = {"kind": "codel", "target": 0.2, "interval": 0.1}
+    with pytest.raises(SpecError, match=r"link\.aqm: interval must exceed"):
+        parse_spec(data)
+
+
 def test_ecn_axis_without_aqm_is_a_spec_error():
     spec = _spec(axes=[{"name": "ecn", "values": [True]}])
     with pytest.raises(SpecError, match="ECN marking requires an AQM"):

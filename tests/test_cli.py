@@ -851,31 +851,20 @@ def test_campaign_trace_progress_status_top_cycle(tmp_path, capsys):
     assert "3/3" in top_out and "eta" in top_out
 
 
-def test_campaign_trace_out_is_an_alias_of_spans_out(tmp_path, capsys):
-    """``--trace-out`` on campaign run/resume is a second spelling of
-    the one ``--spans-out`` argument: same dest, same span file."""
-    from repro.obs import read_chrome_trace
-
+def test_campaign_rejects_trace_out(tmp_path, capsys):
+    """``--trace-out`` means the bus JSONL of ``simulate``/``figure``
+    only; campaign run/resume write spans with ``--spans-out``."""
     spec = _write_smoke_spec(tmp_path)
-    names = {}
-    for flag in ("--spans-out", "--trace-out"):
-        out_dir = tmp_path / flag.strip("-")
-        path = tmp_path / f"{flag.strip('-')}.json"
-        argv = ["campaign", "run", str(spec), "--out", str(out_dir)]
-        args = build_parser().parse_args(argv + [flag, str(path)])
-        assert args.spans_out == str(path)
-        assert not hasattr(args, "trace_out")
-        assert main(argv + [flag, str(path)]) == 0
-        assert "span events" in capsys.readouterr().out
-        names[flag] = sorted(
-            span.name for span in read_chrome_trace(str(path)).spans
-        )
-    assert names["--spans-out"] == names["--trace-out"]
-    assert "campaign" in names["--spans-out"]
-    args = build_parser().parse_args(
-        ["campaign", "resume", str(tmp_path), "--trace-out", "x.json"]
-    )
-    assert args.spans_out == "x.json"
+    for argv in (
+        ["campaign", "run", str(spec), "--out", str(tmp_path / "out")],
+        ["campaign", "resume", str(tmp_path / "out")],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--trace-out", str(tmp_path / "x.json")])
+        assert exit_info.value.code == 2
+        assert "--trace-out" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_top_midrun_journal_renders_finite_eta(tmp_path, capsys):
@@ -1108,12 +1097,13 @@ def test_campaign_report_without_compare_axis(tmp_path, capsys):
 
 def test_parser_surface_matches_snapshot():
     """Every (sub)command accepts exactly the options of
-    ``tests/cli_options.json`` (generated at the commit before the
-    session flags became one group)."""
+    ``tests/cli_options.json`` (``python -m tests.identity
+    cli_options``); ``--trace-out`` is the bus JSONL flag of
+    ``simulate``/``figure`` alone."""
     snapshot = load("cli_options")
     assert parser_surface(build_parser()) == snapshot
-    assert "--trace-out" in snapshot["campaign run"]
-    assert "--trace-out" in snapshot["campaign resume"]
+    assert "--trace-out" not in snapshot["campaign run"]
+    assert "--trace-out" not in snapshot["campaign resume"]
 
 
 def _ambient_state():

@@ -2,22 +2,23 @@
 
 import pytest
 
-from repro.sim.aqm import CoDel, CoDelConfig
-from repro.sim.network import DumbbellNetwork, FlowSpec, run_dumbbell
+from repro.scenario import CoDelSpec
+from repro.sim.aqm import CoDel
+from repro.sim.network import FlowSpec, run_dumbbell
 from repro.util.config import LinkConfig
 
 
-class TestCoDelConfig:
+class TestCoDelSpec:
     def test_defaults(self):
-        cfg = CoDelConfig()
-        assert cfg.target == pytest.approx(0.005)
-        assert cfg.interval == pytest.approx(0.100)
+        codel = CoDel()
+        assert codel.target == pytest.approx(0.005)
+        assert codel.interval == pytest.approx(0.100)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CoDelConfig(target=0.0)
-        with pytest.raises(ValueError):
-            CoDelConfig(target=0.1, interval=0.05)
+            CoDelSpec(target=0.0)
+        with pytest.raises(ValueError, match="interval must exceed"):
+            CoDelSpec(target=0.1, interval=0.05)
 
 
 class TestCoDelStateMachine:
@@ -82,11 +83,7 @@ class TestCoDelEndToEnd:
             link, [FlowSpec("cubic")], duration=30, warmup=10
         )
         codel = run_dumbbell(
-            link,
-            [FlowSpec("cubic")],
-            duration=30,
-            warmup=10,
-            codel=CoDelConfig(),
+            link.with_aqm("codel"), [FlowSpec("cubic")], 30, warmup=10
         )
         # Drop-tail CUBIC bloats the 200 ms buffer; CoDel holds the
         # standing queue within a small multiple of its 5 ms target.
@@ -96,25 +93,12 @@ class TestCoDelEndToEnd:
     def test_codel_preserves_reasonable_utilization(self):
         link = LinkConfig.from_mbps_ms(10, 20, 10)
         result = run_dumbbell(
-            link,
+            link.with_aqm("codel"),
             [FlowSpec("cubic")],
             duration=30,
             warmup=10,
-            codel=CoDelConfig(),
         )
         assert result.flows[0].throughput_mbps > 7.0
-
-    def test_mutually_exclusive_aqms(self):
-        from repro.sim.aqm import REDConfig
-
-        link = LinkConfig.from_mbps_ms(10, 20, 5)
-        with pytest.raises(ValueError):
-            DumbbellNetwork(
-                link,
-                [FlowSpec("cubic")],
-                red=REDConfig.for_buffer(link.buffer_bytes),
-                codel=CoDelConfig(),
-            )
 
     def test_bbr_wins_harder_under_codel(self):
         """CoDel removes CUBIC's buffer-filling advantage: BBR's share
@@ -123,6 +107,6 @@ class TestCoDelEndToEnd:
         flows = [FlowSpec("cubic"), FlowSpec("bbr")]
         plain = run_dumbbell(link, flows, duration=60, warmup=10)
         codel = run_dumbbell(
-            link, flows, duration=60, warmup=10, codel=CoDelConfig()
+            link.with_aqm("codel"), flows, duration=60, warmup=10
         )
         assert codel.flows[1].throughput > plain.flows[1].throughput

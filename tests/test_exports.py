@@ -16,6 +16,7 @@ def test_top_level_exports():
     import repro
 
     for name in (
+        "BottleneckSpec",
         "LinkConfig",
         "predict_two_flow",
         "predict_multi_flow",

@@ -8,7 +8,8 @@ touched or settled.
 
 import pytest
 
-from repro.sim.aqm import CoDel, CoDelConfig
+from repro.scenario import CoDelSpec
+from repro.sim.aqm import CoDel
 from repro.sim.engine import EventLoop
 from repro.sim.link import Link
 from repro.sim.network import FlowPath
@@ -178,7 +179,7 @@ def test_arrival_at_the_last_departure_waits_for_it():
 
 def test_codel_head_drop_of_the_last_queued_packet_leaves_the_link_idle():
     loop = EventLoop()
-    codel = CoDel(CoDelConfig(target=0.005, interval=0.1))
+    codel = CoDel(CoDelSpec(target=0.005, interval=0.1))
     # Sojourns above target for a full interval put CoDel in its
     # dropping state, next drop due at 0.3.
     codel.on_dequeue(0.0, 0.01)

@@ -32,7 +32,10 @@ aqms = st.one_of(
         seed=st.integers(0, 9),
     ),
     st.builds(
-        CoDelSpec, target=positive, interval=positive, ecn=st.booleans()
+        CoDelSpec,
+        target=st.floats(min_value=1e-3, max_value=1.0),
+        interval=st.floats(min_value=1.5, max_value=1e3),
+        ecn=st.booleans(),
     ),
 )
 traces = st.one_of(

@@ -8,7 +8,8 @@ bottleneck that schedules no event, a campaign layer with no
 concurrency of its own (a stage's units advance in rounds through one
 ``Engine.run_points`` batch —
 ``repro.campaign.vocab._in_rounds``), one NE bisection, as a round
-generator, and one instrumented fluid loop, the scalar one.  The last
+generator, one instrumented fluid loop, the scalar one, and one
+declaration of a bottleneck, ``BottleneckSpec``.  The last
 gate keeps CI from growing gates of its own: a check belongs here, or
 in ``tests/smoke.py``.
 """
@@ -39,6 +40,10 @@ def functions(tree):
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
+
+
+def parameters(fn):
+    return [arg.arg for arg in fn.args.args + fn.args.kwonlyargs]
 
 
 def called_name(call):
@@ -147,6 +152,59 @@ def test_the_vectorized_fluid_substrate_does_no_instrumentation():
     ]
     params = [arg.arg for arg in batch.args.args + batch.args.kwonlyargs]
     assert params == ["points", "check"]
+
+
+# -- one declaration of a bottleneck -----------------------------------------
+
+
+def test_a_bottleneck_is_declared_once():
+    """AQM, ECN, MSS and capacity trace reach a substrate through
+    ``BottleneckSpec`` alone: no second config type, no per-call
+    override, one name inside ``src/`` and no fallback for links that
+    lack the spec's fields."""
+    aqm = tree_of("sim/aqm.py")
+    configs = [
+        node.name
+        for node in ast.walk(aqm)
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+    ]
+    assert not configs, configs
+
+    network = tree_of("sim/network.py")
+    (run,) = [fn for fn in functions(network) if fn.name == "run_dumbbell"]
+    assert parameters(run) == [
+        "link", "flows", "duration", "warmup", "obs", "check"
+    ]
+    (dumbbell,) = [
+        node
+        for node in ast.walk(network)
+        if isinstance(node, ast.ClassDef) and node.name == "DumbbellNetwork"
+    ]
+    (init,) = [fn for fn in functions(dumbbell) if fn.name == "__init__"]
+    assert parameters(init) == ["self", "link", "flows", "obs", "check"]
+
+    public = {"util/config.py", "util/__init__.py", "__init__.py"}
+    named = [
+        where
+        for path, text in SOURCES.items()
+        if (where := path.relative_to(SRC / "repro").as_posix()) not in public
+        and "LinkConfig" in text
+    ]
+    assert not named, named
+
+    # The CLI's parsed ``args`` lack the scenario flags on commands
+    # without them; a link never lacks the fields.
+    fallbacks = [
+        f"{path.name}: {ast.unparse(call)}"
+        for path, tree in TREES.items()
+        for call in calls(tree)
+        if called_name(call) == "getattr"
+        and len(call.args) >= 2
+        and isinstance(call.args[1], ast.Constant)
+        and call.args[1].value in ("aqm", "capacity_trace")
+        and ast.unparse(call.args[0]) != "args"
+    ]
+    assert not fallbacks, fallbacks
 
 
 # -- one game ----------------------------------------------------------------
