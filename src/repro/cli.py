@@ -36,12 +36,11 @@ location ``~/.cache/repro-bbr`` when DIR is omitted, or
 ``$REPRO_CACHE_DIR``) and ``--no-cache`` (see docs/PERFORMANCE.md);
 ``--check`` (equivalently ``REPRO_CHECK=1``), the runtime invariant
 sanitizer of docs/CHECKS.md; ``--progress`` (live done/total, cache-hit
-rate, points/s, EWMA-smoothed ETA on stderr); ``--profile-points [N]``
-(cProfile the N slowest points); and ``--spans-out PATH``, a span
-export producing Chrome trace-event JSON for Perfetto /
+rate, points/s, EWMA-smoothed ETA on stderr); and ``--spans-out
+PATH``, a span export producing Chrome trace-event JSON for Perfetto /
 ``chrome://tracing`` and ``repro-bbr trace report``.  ``simulate`` and
-``figure`` also accept ``--profile`` (print telemetry counters/timers
-after the run) and ``--trace-out PATH`` (write a run manifest plus a
+``figure`` also accept ``--profile`` (print telemetry counters after
+the run) and ``--trace-out PATH`` (write a run manifest plus a
 JSONL event/sample trace).
 """
 
@@ -143,7 +142,7 @@ def _add_session_args(
         parser.add_argument(
             "--profile",
             action="store_true",
-            help="collect telemetry and print counters/timers after the run",
+            help="collect telemetry and print its counters after the run",
         )
         parser.add_argument(
             "--trace-out",
@@ -165,17 +164,6 @@ def _add_session_args(
         help="write hierarchical wall-clock spans as Chrome "
         "trace-event JSON to PATH (loadable in Perfetto or "
         "chrome://tracing; a .gz suffix compresses)",
-    )
-    parser.add_argument(
-        "--profile-points",
-        type=_positive_int,
-        nargs="?",
-        const=5,
-        default=None,
-        metavar="N",
-        help="cProfile every executed point and keep hotspots for the "
-        "N slowest (default 5); hotspots ride along in the span "
-        "export for 'repro-bbr trace report'",
     )
     parser.add_argument(
         "--progress",
@@ -256,10 +244,10 @@ def run_session(
     its process default: ``--check`` a checker and ``--spans-out`` a
     tracer (both exported as ``REPRO_CHECK`` / ``REPRO_TRACE`` too, so
     ``--jobs`` workers inherit them), ``--profile``/``--trace-out`` a
-    telemetry bus, and always an engine from ``--jobs``,
-    ``--profile-points`` and the cache flags (``--cache-dir``, bare for
-    the default root, or ``$REPRO_CACHE_DIR``; ``--no-cache`` wins; by
-    default nothing is persisted).  Under ``--progress`` the engine's
+    telemetry bus, and always an engine from ``--jobs`` and the cache
+    flags (``--cache-dir``, bare for the default root, or
+    ``$REPRO_CACHE_DIR``; ``--no-cache`` wins; by default nothing is
+    persisted).  Under ``--progress`` the engine's
     points feed a tracker named ``label``, drawn on stderr; a command
     that draws its own coarser progress (population ticks, campaign
     units) passes None and gets an engine with its callbacks free.
@@ -325,7 +313,6 @@ def run_session(
                 cache=cache,
                 progress=on_points if tracker else None,
                 heartbeat=tracker.heartbeat if tracker else None,
-                profile_slowest=args.profile_points or 0,
             )
         )
         stack.enter_context(exec_.use(engine))
@@ -357,9 +344,7 @@ def run_session(
                 print(f"  wrote manifest to {sibling}")
         if tracer is not None:
             try:
-                events = obs.write_chrome_trace(
-                    args.spans_out, tracer.spans, hotspots=engine.hotspots()
-                )
+                events = obs.write_chrome_trace(args.spans_out, tracer.spans)
             except OSError as exc:
                 raise _CliError(f"cannot write spans: {exc}") from None
             print(f"(wrote {events} span events to {args.spans_out})")
@@ -368,11 +353,6 @@ def run_session(
             print("profile:")
             for name, value in sorted(snap["counters"].items()):
                 print(f"  {name:<28} {value:g}")
-            for name, timer in sorted(snap["timers"].items()):
-                print(
-                    f"  {name:<28} {timer['calls']} calls, "
-                    f"{timer['total_s']:.3f}s total"
-                )
             if snap["dropped_records"]:
                 print(f"  (dropped {snap['dropped_records']} records at cap)")
 
@@ -1080,7 +1060,7 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"malformed trace: {exc}", file=sys.stderr)
         return 2
-    print(render_span_report(parsed.spans, parsed.hotspots))
+    print(render_span_report(parsed.spans))
     return 0
 
 

@@ -11,10 +11,10 @@ the one place that happens:
   (:class:`ResultCache`);
 * :mod:`repro.exec.engine` — :class:`Engine`, which answers points from
   the cache and fans misses out over worker processes (``jobs > 1``),
-  with ``exec.*`` telemetry counters and per-point wall timers.
+  counting what it did in :attr:`Engine.stats`.
 
-Defaults preserve historical behavior: no cache, sequential execution.
-The CLI wires ``--jobs/--cache-dir/--no-cache`` into an engine and
+By default there is no cache and execution is sequential.  The CLI
+wires ``--jobs/--cache-dir/--no-cache`` into an engine and
 installs it as the process default (:func:`use`), which the figure
 generators and NE throughput functions pick up via :func:`resolve`.
 """

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.fluidsim.aqmfluid import make_fluid_aqm
@@ -332,7 +331,6 @@ class FluidSimulation:
         if not 0 <= warmup < duration:
             raise ValueError(f"warmup must lie in [0, duration)")
         self._has_run = True
-        wall_start = perf_counter()
         capacity = self.capacity_now
         buffer_bytes = self.link.buffer_bytes
         check = self.check
@@ -463,7 +461,6 @@ class FluidSimulation:
         self._steps_run = steps
         if obs is not None:
             obs.count("fluid.steps", steps)
-            obs.record_time("sim.run", perf_counter() - wall_start)
         return self._build_result(duration, warmup)
 
     def _handle_overflow(

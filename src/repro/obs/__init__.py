@@ -1,7 +1,7 @@
 """repro.obs — unified telemetry across both simulator substrates.
 
-A low-overhead structured telemetry layer: a bus of counters, gauges,
-timers, and typed events (:mod:`repro.obs.bus`); per-run JSON manifests
+A low-overhead structured telemetry layer: a bus of counters, gauges
+and typed events (:mod:`repro.obs.bus`); per-run JSON manifests
 (:mod:`repro.obs.manifest`); a unified JSONL trace format joining
 periodic controller samples with the event stream
 (:mod:`repro.obs.export`); run-summary reports rendered from a
@@ -22,7 +22,6 @@ from repro.obs.bus import (
     GaugeStat,
     Telemetry,
     TelemetryEvent,
-    TimerStat,
     get_default,
     resolve,
     set_default,
@@ -64,7 +63,6 @@ __all__ = [
     "GaugeStat",
     "Telemetry",
     "TelemetryEvent",
-    "TimerStat",
     "get_default",
     "resolve",
     "set_default",

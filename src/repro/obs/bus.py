@@ -1,4 +1,4 @@
-"""Structured telemetry bus: counters, gauges, timers, and typed events.
+"""Structured telemetry bus: counters, gauges, and typed events.
 
 Instrumented code throughout both simulator substrates holds an optional
 :class:`Telemetry` reference (``obs``).  The convention that keeps the hot
@@ -9,14 +9,13 @@ and no string formatting.  A run with telemetry enabled accumulates
 everything in memory; nothing is written unless the caller exports it
 (see :mod:`repro.obs.export`).
 
-Four primitives:
+Three primitives, all about what the simulation *did* (wall time is the
+span tracer's, :mod:`repro.obs.trace`):
 
 * **counters** — monotonically accumulated floats (``count``), e.g.
   ``link.dropped_packets``;
 * **gauges**   — sampled values with running min/max/mean (``gauge``),
   e.g. ``link.queue_bytes``;
-* **timers**   — accumulated wall-clock durations (``timeit`` /
-  ``record_time``), measured with :func:`time.perf_counter`;
 * **events**   — typed, timestamped records (``event``), e.g. a BBR
   ``STARTUP → DRAIN`` transition, and periodic **samples** (``sample``),
   the event-stream form of :class:`repro.sim.trace.TraceSample`.
@@ -29,10 +28,8 @@ else None.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.util.ambient import ProcessDefault
 
@@ -40,7 +37,6 @@ __all__ = [
     "Telemetry",
     "TelemetryEvent",
     "GaugeStat",
-    "TimerStat",
     "get_default",
     "set_default",
     "resolve",
@@ -53,7 +49,7 @@ class TelemetryEvent:
     """One typed, timestamped occurrence on the bus.
 
     ``time`` is *simulation* time in seconds (wall-clock durations belong
-    to timers).  ``fields`` carries arbitrary JSON-serializable payload.
+    to spans).  ``fields`` carries arbitrary JSON-serializable payload.
     """
 
     name: str
@@ -86,21 +82,6 @@ class GaugeStat:
         return self.total / self.count if self.count else 0.0
 
 
-@dataclass
-class TimerStat:
-    """Accumulated wall-clock time under one timer name."""
-
-    calls: int = 0
-    total_s: float = 0.0
-    max_s: float = 0.0
-
-    def update(self, elapsed: float) -> None:
-        self.calls += 1
-        self.total_s += elapsed
-        if elapsed > self.max_s:
-            self.max_s = elapsed
-
-
 class Telemetry:
     """An in-memory telemetry bus.
 
@@ -111,8 +92,8 @@ class Telemetry:
             run cannot exhaust memory.
         sample_interval: When set, simulator front-ends attach periodic
             per-flow state samplers at this period (seconds); None means
-            "no periodic sampling", which leaves only counters, gauges,
-            timers, and sparse events.
+            "no periodic sampling", which leaves only counters, gauges
+            and sparse events.
     """
 
     def __init__(
@@ -133,7 +114,6 @@ class Telemetry:
         self.sample_interval = sample_interval
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, GaugeStat] = {}
-        self.timers: Dict[str, TimerStat] = {}
         self.events: List[TelemetryEvent] = []
         self.samples: List[Dict[str, Any]] = []
         self.dropped_records = 0
@@ -154,24 +134,6 @@ class Telemetry:
         if stat is None:
             stat = self.gauges[name] = GaugeStat()
         stat.update(value)
-
-    # -- timers ------------------------------------------------------------
-
-    def record_time(self, name: str, elapsed_s: float) -> None:
-        """Accumulate ``elapsed_s`` wall-clock seconds under ``name``."""
-        stat = self.timers.get(name)
-        if stat is None:
-            stat = self.timers[name] = TimerStat()
-        stat.update(elapsed_s)
-
-    @contextmanager
-    def timeit(self, name: str) -> Iterator[None]:
-        """Context manager timing its body with ``perf_counter``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record_time(name, time.perf_counter() - start)
 
     # -- events / samples ---------------------------------------------------
 
@@ -216,14 +178,6 @@ class Telemetry:
                     "count": g.count,
                 }
                 for name, g in self.gauges.items()
-            },
-            "timers": {
-                name: {
-                    "calls": t.calls,
-                    "total_s": t.total_s,
-                    "max_s": t.max_s,
-                }
-                for name, t in self.timers.items()
             },
             "events": len(self.events),
             "samples": len(self.samples),

@@ -52,7 +52,6 @@ class RunManifest:
     seed: int
     wall_time_s: float = 0.0
     counters: Dict[str, float] = field(default_factory=dict)
-    timers: Dict[str, Any] = field(default_factory=dict)
     flows: List[Dict[str, Any]] = field(default_factory=list)
 
     @classmethod
@@ -71,12 +70,7 @@ class RunManifest:
         flows: Optional[List[Dict[str, Any]]] = None,
     ) -> "RunManifest":
         """Assemble a manifest from a run's configuration and telemetry."""
-        counters: Dict[str, float] = {}
-        timers: Dict[str, Any] = {}
-        if obs is not None:
-            snap = obs.snapshot()
-            counters = snap["counters"]
-            timers = snap["timers"]
+        counters = dict(obs.counters) if obs is not None else {}
         return cls(
             schema=SCHEMA,
             version=__version__,
@@ -96,7 +90,6 @@ class RunManifest:
             seed=seed,
             wall_time_s=wall_time_s,
             counters=counters,
-            timers=timers,
             flows=flows or [],
         )
 

@@ -289,10 +289,7 @@ def _close(
     agg.update(span.dur_s, max(0.0, span.dur_s - child_total))
 
 
-def render_span_report(
-    spans: Sequence[Span],
-    hotspots: Optional[Sequence[Dict[str, Any]]] = None,
-) -> str:
+def render_span_report(spans: Sequence[Span]) -> str:
     """The ``repro-bbr trace report`` table: per-span self/total time."""
     lines: List[str] = []
     pids = sorted({span.pid for span in spans})
@@ -326,15 +323,6 @@ def render_span_report(
             lines.append(
                 f"  {rows:>7} {n:>7} {len(durs):>7} {sum(durs):>10.3f}"
             )
-    if hotspots:
-        lines.append("")
-        lines.append("profiled hotspots (cumulative seconds):")
-        for row in hotspots:
-            lines.append(
-                f"  {row.get('cum_s', 0.0):>8.3f}s "
-                f"{row.get('tot_s', 0.0):>8.3f}s "
-                f"x{row.get('calls', 0):<8} {row.get('func', '?')}"
-            )
     return "\n".join(lines)
 
 
@@ -344,14 +332,12 @@ def render_span_report(
 def write_chrome_trace(
     path: str,
     spans: Sequence[Span],
-    hotspots: Optional[Sequence[Dict[str, Any]]] = None,
     main_pid: Optional[int] = None,
 ) -> int:
     """Write spans as Chrome trace-event JSON; returns the event count.
 
-    The object form (``{"traceEvents": [...]}``) is used so hotspot
-    metadata can ride along under ``"reproHotspots"`` — viewers ignore
-    unknown top-level keys.  A ``.gz`` suffix compresses transparently.
+    The object form (``{"traceEvents": [...]}``) is used; a ``.gz``
+    suffix compresses transparently.
     """
     main = main_pid if main_pid is not None else os.getpid()
     events: List[Dict[str, Any]] = []
@@ -367,20 +353,18 @@ def write_chrome_trace(
             }
         )
     events.extend(span.to_chrome_event() for span in spans)
-    payload: Dict[str, Any] = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-    }
-    if hotspots:
-        payload["reproHotspots"] = list(hotspots)
     with open_maybe_gzip(path, "w") as handle:
-        json.dump(payload, handle)
+        json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
         handle.write("\n")
     return len(events)
 
 
 def read_chrome_trace(path: str) -> "ChromeTrace":
-    """Parse a Chrome trace-event JSON file written by this module."""
+    """Parse a Chrome trace-event JSON file written by this module.
+
+    Top-level keys other than ``traceEvents`` are ignored, as trace
+    viewers ignore them.
+    """
     with open_maybe_gzip(path, "r") as handle:
         data = json.load(handle)
     if not isinstance(data, dict) or "traceEvents" not in data:
@@ -407,8 +391,7 @@ def read_chrome_trace(path: str) -> "ChromeTrace":
                 args=dict(event.get("args", {})),
             )
         )
-    hotspots = data.get("reproHotspots") or []
-    return ChromeTrace(spans=spans, hotspots=list(hotspots))
+    return ChromeTrace(spans=spans)
 
 
 @dataclass
@@ -416,7 +399,6 @@ class ChromeTrace:
     """Parsed contents of one Chrome trace-event JSON file."""
 
     spans: List[Span] = field(default_factory=list)
-    hotspots: List[Dict[str, Any]] = field(default_factory=list)
 
     def named(self, name: str) -> List[Span]:
         return [span for span in self.spans if span.name == name]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,8 +57,7 @@ class EventLoop:
     Args:
         obs: Optional :class:`repro.obs.bus.Telemetry` bus.  When set,
             each ``run_until``/``run_all`` records its processed-event
-            count (counter ``sim.events``) and wall-clock time (timer
-            ``sim.run``).  The loop always maintains
+            count (counter ``sim.events``).  The loop always maintains
             :attr:`events_processed` regardless, so runs are auditable
             even with telemetry disabled.
         check: Optional :class:`repro.check.Checker`.  When set, every
@@ -151,7 +149,6 @@ class EventLoop:
         heappop = heapq.heappop
         obs = self.obs
         check = self.check
-        wall_start = time.perf_counter() if obs is not None else 0.0
         budget = -1 if max_events is None else max_events
         processed = 0
         try:
@@ -172,7 +169,6 @@ class EventLoop:
             self.events_processed += processed
             if obs is not None:
                 obs.count("sim.events", processed)
-                obs.record_time("sim.run", time.perf_counter() - wall_start)
         if self.now < end_time and not (queue and queue[0][0] <= end_time):
             self.now = end_time
 
@@ -187,7 +183,6 @@ class EventLoop:
         queue = self._queue
         obs = self.obs
         check = self.check
-        wall_start = time.perf_counter() if obs is not None else 0.0
         try:
             while queue and self._running:
                 if count == max_events:
@@ -203,7 +198,6 @@ class EventLoop:
             self.events_processed += count
             if obs is not None:
                 obs.count("sim.events", count)
-                obs.record_time("sim.run", time.perf_counter() - wall_start)
         return count
 
     def stop(self) -> None:

@@ -34,9 +34,7 @@ ENV = {
     ),
 }
 #: Every flag ``cli.run_session`` handles but the exports.
-SESSION = (
-    "--jobs 2 --cache-dir cache --check --progress --profile-points 2"
-).split()
+SESSION = "--jobs 2 --cache-dir cache --check --progress".split()
 EXEC = re.compile(r"exec: (\d+) points, (\d+) cache hits, (\d+) simulated")
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
 

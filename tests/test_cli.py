@@ -754,7 +754,6 @@ def test_simulate_spans_out_and_trace_report(tmp_path, capsys):
             "10",
             "--spans-out",
             str(spans),
-            "--profile-points",
         ]
     )
     assert code == 0
@@ -766,13 +765,63 @@ def test_simulate_spans_out_and_trace_report(tmp_path, capsys):
     parsed = read_chrome_trace(str(spans))
     names = {span.name for span in parsed.spans}
     assert {"point", "simulate"} <= names
-    assert parsed.hotspots  # --profile-points rode along
 
     assert main(["trace", "report", str(spans)]) == 0
     report = capsys.readouterr().out
     assert "simulate" in report
     assert "self_s" in report
-    assert "profiled hotspots" in report
+
+
+def test_older_span_exports_and_manifests_still_read(tmp_path, capsys):
+    """Earlier releases wrote a ``reproHotspots`` list beside the span
+    events and a ``timers`` table into run manifests; both files still
+    parse and render, the extra keys ignored."""
+    import json
+
+    from repro import BottleneckSpec
+    from repro.obs import RunManifest, read_chrome_trace
+
+    spans = tmp_path / "spans.json"
+    spans.write_text(
+        json.dumps(
+            {
+                "traceEvents": [
+                    {"name": "process_name", "ph": "M", "pid": 7,
+                     "tid": 0, "args": {"name": "main"}},
+                    {"name": "simulate", "cat": "exec", "ph": "X",
+                     "ts": 1e6, "dur": 5e5, "pid": 7, "tid": 0,
+                     "args": {"backend": "fluid"}},
+                ],
+                "displayTimeUnit": "ms",
+                "reproHotspots": [
+                    {"func": "core.py:1(run)", "calls": 1,
+                     "tot_s": 0.1, "cum_s": 0.5},
+                ],
+            }
+        )
+    )
+    parsed = read_chrome_trace(str(spans))
+    assert [(s.name, s.dur_s) for s in parsed.spans] == [("simulate", 0.5)]
+    assert main(["trace", "report", str(spans)]) == 0
+    report = capsys.readouterr().out
+    assert "1 spans from 1 process(es): 7" in report
+    assert "core.py" not in report
+
+    older = RunManifest.build(
+        label="older",
+        link=BottleneckSpec.from_mbps_ms(20, 20, 2),
+        mix=[("cubic", 1), ("bbr", 1)],
+        backend="fluid",
+        duration=10.0,
+        seed=0,
+        flows=[{"flow_id": 0, "cc": "cubic"}, {"flow_id": 1, "cc": "bbr"}],
+    ).to_dict()
+    older["timers"] = {"sim.run": {"calls": 1, "total_s": 0.5, "max_s": 0.5}}
+    assert RunManifest.from_dict(older).label == "older"
+    trace = tmp_path / "run.jsonl"
+    trace.write_text(json.dumps({"kind": "manifest", **older}) + "\n")
+    assert main(["report", str(trace)]) == 0
+    assert "== run: older (20 Mbps, 20 ms, 2 BDP)" in capsys.readouterr().out
 
 
 def test_simulate_progress_line(capsys):

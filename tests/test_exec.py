@@ -23,6 +23,7 @@ from repro.experiments.runner import (
     run_mix,
 )
 from repro.obs import Telemetry
+from repro.obs import use as use_obs
 from repro.util.config import LinkConfig
 
 
@@ -318,16 +319,21 @@ def test_corrupt_cache_entry_counts_error_and_reruns(tmp_path):
 
 
 def test_engine_records_obs_counters(tmp_path):
+    """The engine counts into ``stats`` only; a live bus gets the
+    simulation's counters, never an ``exec.*`` one."""
     obs = Telemetry()
-    engine = Engine(cache=ResultCache(tmp_path), obs=obs)
-    engine.run_points(points(2))
-    engine.run_points(points(2))
-    assert obs.counter("exec.points.submitted") == 4
-    assert obs.counter("exec.points.simulated") == 2
-    assert obs.counter("exec.cache.hits") == 2
-    assert obs.counter("exec.cache.misses") == 2
-    assert obs.counter("exec.cache.stores") == 2
-    assert obs.timers["exec.point.wall"].calls == 2
+    engine = Engine(cache=ResultCache(tmp_path))
+    with use_obs(obs):
+        engine.run_points(points(2))
+        engine.run_points(points(2))
+    stats = engine.stats
+    assert stats["submitted"] == stats["done"] == 4
+    assert stats["simulated"] == 2
+    assert stats["cache_hits"] == 2
+    assert stats["cache_misses"] == 2
+    assert len(ResultCache(tmp_path)) == 2
+    assert obs.counter("fluid.steps") > 0
+    assert not [name for name in obs.counters if name.startswith("exec.")]
 
 
 def test_engine_progress_callback_is_cumulative():
@@ -340,8 +346,15 @@ def test_engine_progress_callback_is_cumulative():
 
 
 def test_engine_run_mix_matches_runner_run_mix():
-    result = Engine().run_mix(
-        link(), [("cubic", 2), ("bbr", 2)], duration=10, seed=3
+    [result] = Engine().run_points(
+        [
+            ScenarioPoint(
+                link=link(),
+                mix=(("cubic", 2), ("bbr", 2)),
+                duration=10,
+                seed=3,
+            )
+        ]
     )
     direct = run_mix(
         link(), [("cubic", 2), ("bbr", 2)], duration=10, seed=3
@@ -352,6 +365,22 @@ def test_engine_run_mix_matches_runner_run_mix():
 def test_engine_jobs_validation():
     with pytest.raises(ValueError):
         Engine(jobs=0)
+
+
+def test_unbindable_engine_arguments_are_a_plain_type_error(monkeypatch):
+    """Arguments that do not bind fail before ``__init__`` runs, so the
+    half-built object has no pool; finalizing it must be silent rather
+    than an unraisable error from ``__del__``."""
+    import gc
+    import sys
+
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    for kwargs in ({"bogus": 1}, {"obs": None}, {"tracer": None}):
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            Engine(**kwargs)
+        gc.collect()
+    assert [str(hook.exc_value) for hook in unraisable] == []
 
 
 def test_default_engine_install_and_resolve():
@@ -416,7 +445,7 @@ def test_group_payoff_fn_cached(tmp_path):
 # -- worker-death hardening --------------------------------------------------
 
 
-def _die_in_worker(points, profile):
+def _die_in_worker(points):
     """Replacement worker entry that kills the process abruptly."""
     import os
 
@@ -435,13 +464,10 @@ def test_broken_pool_retries_lost_points_inline(monkeypatch):
 
     engine = Engine(jobs=2)
     monkeypatch.setattr(engine_mod, "_worker_unit", _die_in_worker)
-    obs = Telemetry()
-    engine._obs = obs
     results = engine.run_points(batch)
 
     assert engine.worker_failures == 1
     assert engine.stats["worker_failures"] == 1
-    assert obs.snapshot()["counters"].get("exec.worker_failures") == 1
     # Every point was recovered inline with identical numbers.
     assert [r.to_dict() for r in results] == [
         r.to_dict() for r in expected
@@ -761,13 +787,6 @@ def test_dispatch_units_keep_expensive_points_solo():
     assert sorted(len(unit) for unit in units) == [1, 2, 2]
 
 
-def test_dispatch_units_profiling_means_solo():
-    pending = {p.fingerprint(): p for p in points(5)}
-    units = Engine(jobs=2, profile_slowest=2)._dispatch_units(pending)
-    assert all(len(unit) == 1 for unit in units)
-    assert len(units) == 5
-
-
 def test_chunked_inline_vec_pooling_matches_unchunked(tmp_path):
     cache = ResultCache(tmp_path)
     baseline = solo_runs(vec_points(), cache=cache)
@@ -831,7 +850,7 @@ def row_points(rows, flows=1):
     [
         lambda pts: Engine().run_points(pts),
         # A pool worker's chunk, executed here so the spies see it.
-        lambda pts: list(engine_mod._execute_unit(pts, None, None, False)),
+        lambda pts: list(engine_mod._execute_unit(pts, None)),
     ],
     ids=["inline-pool", "worker-chunk"],
 )
@@ -887,7 +906,6 @@ def test_instrumented_pool_stays_scalar(substrate_calls, instrument):
     """A live bus or checker keeps even a 640-row pool on the scalar
     substrate — the only one with per-flow cc.* events and law checks."""
     from repro.check import Checker, use as use_check
-    from repro.obs import use as use_obs
 
     obs = Telemetry()
     pool = row_points(640, flows=20)

@@ -97,7 +97,8 @@ def test_tracing_changes_nothing_and_is_free_when_off():
 
     def on():
         tracers.append(Tracer())
-        return Engine(tracer=tracers[-1]).run_points(points)
+        with use_tracer(tracers[-1]):
+            return Engine().run_points(points)
 
     plain, traced, off_s, on_s = race(
         lambda: Engine().run_points(points), on

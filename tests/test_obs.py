@@ -40,17 +40,6 @@ class TestTelemetryBus:
         assert stat.last == 5.0
         assert stat.mean == pytest.approx(5.0)
 
-    def test_timer_contextmanager(self):
-        obs = Telemetry()
-        with obs.timeit("work"):
-            pass
-        with obs.timeit("work"):
-            pass
-        timer = obs.timers["work"]
-        assert timer.calls == 2
-        assert timer.total_s >= 0.0
-        assert timer.max_s <= timer.total_s
-
     def test_events_are_typed_and_queryable(self):
         obs = Telemetry()
         obs.event("cc.state", time=1.5, cc="bbr", **{"from": "STARTUP",
@@ -72,8 +61,6 @@ class TestTelemetryBus:
         obs = Telemetry()
         obs.count("c", 3)
         obs.gauge("g", 1.0)
-        with obs.timeit("t"):
-            pass
         obs.event("e", time=0.0)
         obs.sample(0.0, 0, cwnd=10.0)
         snap = obs.snapshot()

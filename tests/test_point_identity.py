@@ -22,6 +22,7 @@ from repro.experiments.runner import (
     runs_vectorized,
 )
 from repro.obs.trace import Tracer
+from repro.obs.trace import use as use_tracer
 from repro.util.config import LinkConfig
 from tests.identity import FIXTURES, group_payoff, load, point_pins
 
@@ -65,15 +66,12 @@ def test_group_payoffs_over_trials_match_the_pooled_mean():
 
 
 def test_group_game_state_is_one_engine_point(tmp_path):
-    tracer = Tracer()
-    cold = Engine(
-        cache=ResultCache(tmp_path), tracer=tracer, profile_slowest=1
-    )
-    [first] = _group_payoff(cold)((1, 2))
+    cold = Engine(cache=ResultCache(tmp_path))
+    with use_tracer(Tracer()) as tracer:
+        [first] = _group_payoff(cold)((1, 2))
     assert cold.stats["submitted"] == cold.stats["simulated"] == 1
     assert "simulate" in {span.name for span in tracer.spans}
-    [profile] = cold.profiled
-    assert profile["rows"]
+    [point_span] = [span for span in tracer.spans if span.name == "point"]
 
     # The state is the point anyone can build: per group, challenger
     # entry then incumbent entry at the group's RTT.
@@ -87,7 +85,7 @@ def test_group_game_state_is_one_engine_point(tmp_path):
         ),
         duration=GROUP["duration"],
     )
-    assert profile["fingerprint"] == point.fingerprint()
+    assert point_span.args["fingerprint"] == point.fingerprint()[:12]
 
     warm = Engine(cache=ResultCache(tmp_path))
     assert _group_payoff(warm)((1, 2)) == [first]

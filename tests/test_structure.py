@@ -9,7 +9,8 @@ concurrency of its own (a stage's units advance in rounds through one
 ``Engine.run_points`` batch —
 ``repro.campaign.vocab._in_rounds``), one NE bisection, as a round
 generator, one instrumented fluid loop, the scalar one, and one
-declaration of a bottleneck, ``BottleneckSpec``.  The last
+declaration of a bottleneck, ``BottleneckSpec``, and an engine that
+runs and counts points once, with wall time left to spans.  The last
 gate keeps CI from growing gates of its own: a check belongs here, or
 in ``tests/smoke.py``.
 """
@@ -152,6 +153,45 @@ def test_the_vectorized_fluid_substrate_does_no_instrumentation():
     ]
     params = [arg.arg for arg in batch.args.args + batch.args.kwonlyargs]
     assert params == ["points", "check"]
+
+
+# -- one execution record, one wall-time record -----------------------------
+
+
+def test_the_engine_counts_once_and_profiles_nothing():
+    """``Engine.stats`` is the engine's one record and spans are the one
+    timing record: no per-point profiler (it forced units of one, a
+    program normal runs never execute), no ``exec.*`` bus counters, no
+    bus timers, no knobs for any of them."""
+    from repro.exec import Engine
+    from repro.obs import Telemetry
+
+    (init,) = [
+        fn
+        for fn in functions(tree_of("exec/engine.py"))
+        if fn.name == "__init__"
+    ]
+    assert parameters(init) == [
+        "self", "jobs", "cache", "progress", "heartbeat"
+    ]
+    engine = Engine()
+    for name in ("run_mix", "hotspots", "profiled"):
+        assert not hasattr(engine, name), name
+    bus = Telemetry()
+    for name in ("timers", "record_time", "timeit"):
+        assert not hasattr(bus, name), name
+
+    banned = (
+        "cProfile", "profile_slowest", "hotspots", "record_time(",
+        'obs.count("exec.',
+    )
+    found = [
+        f"{path.relative_to(SRC).as_posix()}: {word}"
+        for path, text in SOURCES.items()
+        for word in banned
+        if word in text
+    ]
+    assert not found, found
 
 
 # -- one declaration of a bottleneck -----------------------------------------

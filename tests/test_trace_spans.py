@@ -7,11 +7,13 @@ with each result, and merged parent-side with per-worker pid lanes.
 
 import json
 import os
+from contextlib import contextmanager
 
 import pytest
 
 from repro.exec import Engine, ScenarioPoint
 from repro.obs import Telemetry
+from repro.obs import use as use_obs
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -19,6 +21,7 @@ from repro.obs.trace import (
     enabled_from_env,
     read_chrome_trace,
     render_span_report,
+    use,
     write_chrome_trace,
 )
 from repro.util.config import LinkConfig
@@ -124,12 +127,11 @@ def test_aggregate_keeps_lanes_separate():
     assert by_name["b"].self_s == pytest.approx(2.0)
 
 
-def test_render_span_report_lists_pids_and_hotspots():
+def test_render_span_report_lists_pids():
     spans = [Span("x", "t", start_s=0.0, dur_s=1.0, pid=7, tid=0)]
-    hotspots = [{"func": "f.py:1(g)", "calls": 3, "cum_s": 0.5}]
-    text = render_span_report(spans, hotspots)
+    text = render_span_report(spans)
     assert "1 spans from 1 process(es): 7" in text
-    assert "f.py:1(g)" in text
+    assert text.splitlines()[-1].split()[:2] == ["x", "1"]
 
 
 def test_render_span_report_says_how_wide_each_batch_was():
@@ -149,8 +151,8 @@ def test_render_span_report_says_how_wide_each_batch_was():
         )
         for i in range(3)
     ]
-    with use_check(None):  # a live checker keeps points scalar
-        Engine(tracer=tracer).run_points(points)
+    with use_check(None), use(tracer):  # a checker keeps points scalar
+        Engine().run_points(points)
     [batch] = [s for s in tracer.spans if s.name == "point_batch"]
     assert batch.args == {"n": 3, "rows": 96, "backend": "fluid"}
     text = render_span_report(tracer.spans + [batch])
@@ -167,15 +169,13 @@ def test_chrome_roundtrip(tmp_path, suffix):
     with tracer.span("outer", cat="t"):
         pass
     path = str(tmp_path / f"trace.{suffix}")
-    hotspots = [{"func": "f", "calls": 1, "cum_s": 0.1, "tot_s": 0.1}]
-    events = write_chrome_trace(path, tracer.spans, hotspots=hotspots)
+    events = write_chrome_trace(path, tracer.spans)
     assert events == 2  # one metadata + one span
     parsed = read_chrome_trace(path)
     assert [span.name for span in parsed.spans] == ["outer"]
     assert parsed.spans[0].dur_s == pytest.approx(
         tracer.spans[0].dur_s, abs=1e-6
     )
-    assert parsed.hotspots == hotspots
     assert parsed.pids() == [os.getpid()]
 
 
@@ -207,10 +207,12 @@ def test_read_chrome_trace_rejects_non_trace(tmp_path):
 # -- live worker pools -------------------------------------------------------
 
 
-def _engine_with_tracing(monkeypatch, jobs, obs=None):
+@contextmanager
+def _tracing(monkeypatch):
+    """A fresh process tracer, exported so pool workers trace too."""
     monkeypatch.setenv("REPRO_TRACE", "1")
-    tracer = Tracer()
-    return Engine(jobs=jobs, obs=obs, tracer=tracer), tracer
+    with use(Tracer()) as tracer:
+        yield tracer
 
 
 def _span_names(tracer):
@@ -223,8 +225,7 @@ def _span_names(tracer):
 def test_pool_merges_worker_spans(monkeypatch):
     """Spans recorded inside pool workers come back merged, well-formed,
     and monotonically timed, with worker pids as separate lanes."""
-    engine, tracer = _engine_with_tracing(monkeypatch, jobs=2)
-    with engine:
+    with _tracing(monkeypatch) as tracer, Engine(jobs=2) as engine:
         engine.run_points(points(3))
 
     spans = list(tracer.spans)
@@ -253,28 +254,27 @@ def test_pool_merges_worker_spans(monkeypatch):
 def test_span_structure_stable_across_jobs(monkeypatch):
     """jobs=1 and jobs=4 record the same span names and counts; only
     the pids differ (inline vs worker lanes)."""
-    inline_engine, inline_tracer = _engine_with_tracing(monkeypatch, 1)
-    inline_engine.run_points(points(3))
-    pool_engine, pool_tracer = _engine_with_tracing(monkeypatch, 4)
-    with pool_engine:
-        pool_engine.run_points(points(3))
+    with _tracing(monkeypatch) as inline_tracer:
+        Engine(jobs=1).run_points(points(3))
+    with _tracing(monkeypatch) as pool_tracer, Engine(jobs=4) as engine:
+        engine.run_points(points(3))
     assert _span_names(inline_tracer) == _span_names(pool_tracer)
     assert {s.pid for s in inline_tracer.spans} == {os.getpid()}
     assert len({s.pid for s in pool_tracer.spans}) > 1
 
 
 def test_telemetry_snapshot_under_pool(monkeypatch):
-    """Engine counters on the parent's bus stay exact with live workers
-    (worker-side telemetry is disabled, not double-counted)."""
+    """The engine's counts stay exact with live workers, and the
+    parent's bus records nothing (worker-side telemetry is disabled,
+    not double-counted)."""
     obs = Telemetry()
-    engine, tracer = _engine_with_tracing(monkeypatch, 2, obs=obs)
-    with engine:
-        engine.run_points(points(3))
-    snap = obs.snapshot()
-    assert snap["counters"]["exec.points.submitted"] == 3
-    assert snap["counters"]["exec.points.simulated"] == 3
-    assert "exec.cache.hits" not in snap["counters"]
-    assert snap["timers"]["exec.point.wall"]["calls"] == 3
+    with _tracing(monkeypatch) as tracer, use_obs(obs):
+        with Engine(jobs=2) as engine:
+            engine.run_points(points(3))
+    stats = engine.stats
+    assert stats["submitted"] == stats["simulated"] == 3
+    assert stats["cache_hits"] == 0
+    assert obs.snapshot()["counters"] == {}
     assert tracer.snapshot()["spans"] == len(tracer.spans)
 
 
@@ -289,25 +289,3 @@ def test_pool_heartbeats_reach_parent(monkeypatch):
     assert len(beats) == 2
     assert all(pid != os.getpid() for pid, _rss in beats)
     assert all(rss > 0 for _pid, rss in beats)
-
-
-def test_profile_slowest_collects_hotspots():
-    engine = Engine(profile_slowest=1)
-    engine.run_points(points(2))
-    assert len(engine.profiled) == 1  # only the slowest kept
-    hotspots = engine.hotspots()
-    assert hotspots
-    assert all(
-        {"func", "calls", "tot_s", "cum_s"} <= set(row) for row in hotspots
-    )
-
-
-def test_profile_slowest_reaches_pool_workers():
-    """Profiling is an argument the parent passes with each unit, so an
-    engine built from Python profiles in its workers with nothing
-    exported to the environment."""
-    engine = Engine(jobs=2, profile_slowest=2)
-    with engine:
-        engine.run_points(points(2))
-    assert len(engine.profiled) == 2
-    assert engine.hotspots()
