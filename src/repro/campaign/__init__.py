@@ -27,7 +27,6 @@ from repro.campaign.run import (
 from repro.campaign.sink import (
     CampaignSink,
     CsvSink,
-    JsonlSink,
     SinkError,
     resolve_artifact,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "Journal",
     "JournalError",
     "JournalRecord",
-    "JsonlSink",
     "ModelErrorReport",
     "SinkError",
     "SpecError",

@@ -5,6 +5,7 @@
     <out>/spec.json       frozen copy of the validated spec + fingerprint
     <out>/journal.jsonl   checkpoint journal (one line per finished unit)
     <out>/<csv>           derived-metric table, streamed unit-by-unit
+                          (the one record of the result rows)
     <out>/manifest.json   campaign manifest (repro.obs)
 
 How a stage's units execute is its kind's ``run``
@@ -64,7 +65,7 @@ from typing import (
 
 from repro.campaign.expand import Unit, expand_units
 from repro.campaign.journal import Journal, JournalError, JournalRecord
-from repro.campaign.sink import CampaignSink, CsvSink, JsonlSink
+from repro.campaign.sink import CampaignSink, CsvSink
 from repro.campaign.spec import CampaignSpec, parse_spec
 from repro.campaign.vocab import KINDS, StageRun
 from repro.exec.engine import Engine, resolve as resolve_engine
@@ -320,10 +321,7 @@ def run_campaign(
             "match the spec expansion; refusing to mix studies"
         )
 
-    sink = CampaignSink(
-        CsvSink(out / spec.csv_name),
-        JsonlSink(out / spec.jsonl_name) if spec.jsonl_name else None,
-    )
+    sink = CampaignSink(CsvSink(out / spec.csv_name))
     if resume:
         # Pass 2: rebuild the partial CSV from the journal, row-at-a-
         # time.  The journal is the authoritative record; whatever

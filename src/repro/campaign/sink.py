@@ -6,11 +6,12 @@ end" shape — peak memory grew linearly with campaign size and a crash
 after hour ten lost the whole CSV.  This module is the bounded-memory
 replacement:
 
-* :class:`CsvSink` / :class:`JsonlSink` — incremental writers.  Rows are
-  appended (and flushed) as they arrive and are *not* retained; the CSV
-  writer reproduces the seed's collect-then-write CSV byte-for-byte
-  (``tests/test_sink.py`` keeps that writer as the reference),
-  including its first-seen column order.  A row that introduces a
+* :class:`CsvSink` — the incremental writer of ``results.csv``, a
+  campaign's one row record.  Rows are appended (and flushed) as they
+  arrive and are *not* retained; it reproduces the seed's
+  collect-then-write CSV byte-for-byte (``tests/test_sink.py`` keeps
+  that writer as the reference), including its first-seen column
+  order.  A row that introduces a
   column the header has not seen triggers a streaming rewrite of the
   file (row-at-a-time through a temp file + ``os.replace``), which
   happens at most once per stage-shaped column change, never per row.
@@ -21,7 +22,7 @@ replacement:
   buffers only the out-of-order frontier (bounded by ``jobs`` in a
   sweep and by the stage's unit count in a lock-step stage, never by
   campaign size) and drains every contiguous run of units to the
-  writers the moment its gap closes.
+  writer the moment its gap closes.
 
 Durability contract (see ``docs/CAMPAIGNS.md``): the checkpoint journal
 is the authoritative record — a unit is committed when its journal line
@@ -38,7 +39,6 @@ uninterrupted run's.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
@@ -46,7 +46,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 __all__ = [
     "CampaignSink",
     "CsvSink",
-    "JsonlSink",
     "SinkError",
     "resolve_artifact",
 ]
@@ -168,54 +167,11 @@ class CsvSink:
         self._closed = True
 
 
-class JsonlSink:
-    """Incremental JSONL writer: one result row per line.
-
-    The row-stream mirror of the CSV — machine-friendly, append-only,
-    and (unlike CSV) schema-free, so downstream consumers of a huge
-    campaign can tail it without caring about column order.  Key order
-    is preserved (no ``sort_keys``), matching the journal encoding.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self.rows_written = 0
-        self._handle: Optional[Any] = None
-        self._closed = False
-
-    def append(self, rows: Iterable[Dict[str, Any]]) -> None:
-        if self._closed:
-            raise SinkError(f"{self.path}: sink is closed")
-        if self._handle is None:
-            self._handle = open(self.path, "w", encoding="utf-8")
-        for row in rows:
-            self._handle.write(
-                json.dumps(row, separators=(",", ":"), allow_nan=False)
-                + "\n"
-            )
-            self.rows_written += 1
-
-    def flush(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        if self._handle is None:
-            self._handle = open(self.path, "w", encoding="utf-8")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._handle.close()
-        self._handle = None
-        self._closed = True
-
-
 class CampaignSink:
-    """Feeds completion-order outcomes to the writers in unit order.
+    """Feeds completion-order outcomes to the writer in unit order.
 
     :meth:`add` accepts ``(unit index, rows)`` in any order; rows are
-    handed to every writer as soon as all lower indices have arrived,
+    handed to the writer as soon as all lower indices have arrived,
     then dropped.  Only the out-of-order frontier is buffered —
     proportional to completion skew (worker count, or the units of one
     lock-step stage), independent of campaign size.  ``rows_seen``
@@ -224,12 +180,8 @@ class CampaignSink:
     ``rows_written`` counts rows actually on disk.
     """
 
-    def __init__(
-        self,
-        *writers: Any,
-        start_index: int = 0,
-    ) -> None:
-        self.writers = [w for w in writers if w is not None]
+    def __init__(self, writer: CsvSink, start_index: int = 0) -> None:
+        self.writer = writer
         self.rows_seen = 0
         self._pending: Dict[int, Any] = {}
         self._next = start_index
@@ -241,7 +193,7 @@ class CampaignSink:
 
     @property
     def rows_written(self) -> int:
-        return self.writers[0].rows_written if self.writers else 0
+        return self.writer.rows_written
 
     def add(self, index: int, rows: Sequence[Dict[str, Any]]) -> None:
         """Accept one unit's rows; drain every now-contiguous unit."""
@@ -253,22 +205,18 @@ class CampaignSink:
         self._pending[index] = tuple(rows)
         self.rows_seen += len(rows)
         while self._next in self._pending:
-            ready = self._pending.pop(self._next)
-            for writer in self.writers:
-                writer.append(ready)
+            self.writer.append(self._pending.pop(self._next))
             self._next += 1
 
     def flush(self) -> None:
-        for writer in self.writers:
-            writer.flush()
+        self.writer.flush()
 
     def close(self) -> None:
-        """Close the writers.
+        """Close the writer.
 
         Buffered out-of-order rows (possible only when the run was
         interrupted with a gap in front of them) are *not* written —
         they are already safe in the journal, and the resume rebuild
         will place them at their correct offsets.
         """
-        for writer in self.writers:
-            writer.close()
+        self.writer.close()

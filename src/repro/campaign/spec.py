@@ -69,16 +69,17 @@ def _bare_name(value: str, where: str) -> str:
     return value
 
 
-#: The top-level scalar keys and the ``[output]`` keys.  ``jsonl`` is
-#: the optional row-stream mirror of the CSV.
+#: The top-level scalar keys and the ``[output]`` keys.
 TOP_PARAMS = (
     Param("description", str, ""),
     Param("expand", str, "grid", check=one_of("expand", EXPAND_MODES)),
 )
-OUTPUT_PARAMS = (
-    Param("csv", str, "results.csv", check=_bare_name),
-    Param("jsonl", str, None, check=_bare_name),
-)
+OUTPUT_PARAMS = (Param("csv", str, "results.csv", check=_bare_name),)
+
+#: Every key a spec may set at its top level.
+TOP_KEYS = (
+    "name", "link", "defaults", "axes", "stages", "metrics", "output",
+) + tuple(param.name for param in TOP_PARAMS)
 
 
 def _check_metric(name: str, where: str) -> str:
@@ -151,9 +152,6 @@ class CampaignSpec:
     stages: Tuple[Stage, ...]
     metrics: Tuple[str, ...]
     csv_name: str = "results.csv"
-    #: Optional JSONL mirror of the result rows (``output.jsonl``);
-    #: None means no mirror is written.
-    jsonl_name: Optional[str] = None
 
     def axis(self, name: str) -> Optional[Axis]:
         """The axis named ``name``, or None when it is not swept."""
@@ -185,11 +183,6 @@ class CampaignSpec:
             "metrics": list(self.metrics),
             "output": {"csv": self.csv_name},
         }
-        if self.jsonl_name is not None:
-            # Added only when set: the key's absence keeps fingerprints
-            # (and therefore existing journals) of csv-only campaigns
-            # stable across versions.
-            data["output"]["jsonl"] = self.jsonl_name
         if self.mix is not None:
             data["defaults"]["mix"] = [list(e) for e in self.mix]
         return data
@@ -206,15 +199,22 @@ def _get_table(data: Dict[str, Any], key: str, source: str) -> Dict[str, Any]:
     return table
 
 
+def _check_keys(
+    table: Dict[str, Any], known: Sequence[str], where: str
+) -> None:
+    """A typo'd key is an error, never a silently dropped value."""
+    for name in table:
+        if name not in known:
+            raise SpecError(f"{where} has unknown key {name!r}")
+
+
 def _parse_section(
     data: Dict[str, Any], key: str, params: Sequence[Any], source: str
 ) -> Dict[str, Any]:
     """The ``[key]`` table validated against its declared parameters."""
     table = _get_table(data, key, source)
     known = [param.name for param in params]
-    for name in table:
-        if name not in known:
-            raise SpecError(f"{source}: [{key}] has unknown key {name!r}")
+    _check_keys(table, known, f"{source}: [{key}]")
     return parse_table(table, params, f"{source}: {key}")
 
 
@@ -222,6 +222,7 @@ def _parse_axis(entry: Any, index: int, source: str) -> Axis:
     where = f"{source}: axes[{index}]"
     if not isinstance(entry, dict):
         raise SpecError(f"{where}: each [[axes]] entry must be a table")
+    _check_keys(entry, ("name", "values"), where)
     name = entry.get("name")
     if name not in AXES:
         raise SpecError(
@@ -252,11 +253,9 @@ def _parse_stage(entry: Any, index: int, source: str) -> Stage:
             f"{where}.type: {kind!r} is not a stage type "
             f"(choose from: {', '.join(KINDS)})"
         )
-    options = parse_table(
-        entry,
-        (Param("name", str, f"stage{index}"),) + KINDS[kind].options,
-        where,
-    )
+    params = (Param("name", str, f"stage{index}"),) + KINDS[kind].options
+    _check_keys(entry, ["type"] + [param.name for param in params], where)
+    options = parse_table(entry, params, where)
     if "challenger" in options and (
         options["challenger"] == options["incumbent"]
     ):
@@ -312,6 +311,7 @@ def parse_spec(data: Any, source: str = "spec") -> CampaignSpec:
     name = data.get("name")
     if not isinstance(name, str) or not name.strip():
         raise SpecError(f"{source}: 'name' is required and must be a string")
+    _check_keys(data, TOP_KEYS, f"{source}: spec")
     top = parse_table(data, TOP_PARAMS, source)
 
     set_ = _parse_section(data, "link", LINK_PARAMS, source)
@@ -382,6 +382,7 @@ def parse_spec(data: Any, source: str = "spec") -> CampaignSpec:
 
     raw_metrics = data.get("metrics", {})
     if isinstance(raw_metrics, dict):
+        _check_keys(raw_metrics, ("columns",), f"{source}: [metrics]")
         raw_metrics = raw_metrics.get("columns", None)
     if raw_metrics is None:
         metrics: Tuple[str, ...] = (
@@ -396,9 +397,7 @@ def parse_spec(data: Any, source: str = "spec") -> CampaignSpec:
             _check_metric(m, f"{source}: metrics") for m in raw_metrics
         )
 
-    output = parse_table(
-        _get_table(data, "output", source), OUTPUT_PARAMS, f"{source}: output"
-    )
+    output = _parse_section(data, "output", OUTPUT_PARAMS, source)
 
     return CampaignSpec(
         name=name.strip(),
@@ -407,7 +406,6 @@ def parse_spec(data: Any, source: str = "spec") -> CampaignSpec:
         stages=stages,
         metrics=metrics,
         csv_name=output["csv"],
-        jsonl_name=output["jsonl"],
         **top,
         **defaults,
     )

@@ -148,8 +148,8 @@ def _add_session_args(
             "--trace-out",
             default=None,
             metavar="PATH",
-            help="write a JSONL event/sample trace (plus a sibling "
-            "<stem>.manifest.json run manifest) to PATH",
+            help="write a JSONL event/sample trace (its first record "
+            "the run manifest) to PATH",
         )
         parser.add_argument(
             "--trace-interval",
@@ -208,12 +208,10 @@ class _CliError(Exception):
 class _Session:
     """What :func:`run_session` hands the command it wraps."""
 
-    def __init__(self, engine, obs) -> None:
+    def __init__(self, engine) -> None:
         self.engine = engine
-        #: The telemetry bus of ``--profile``/``--trace-out``, or None.
-        self.obs = obs
         #: A :class:`repro.obs.RunManifest` for ``--trace-out`` to
-        #: embed and to write next to the trace (``simulate`` has one).
+        #: embed as the trace's first record (``simulate`` has one).
         self.manifest = None
         #: Whether exit prints the ``exec:`` line; cleared by commands
         #: that never printed one (``simulate``, a figure that ran no
@@ -316,7 +314,7 @@ def run_session(
             )
         )
         stack.enter_context(exec_.use(engine))
-        session = _Session(engine, bus)
+        session = _Session(engine)
         try:
             yield session
         finally:
@@ -331,9 +329,6 @@ def run_session(
         if trace_out:
             manifest = session.manifest
             try:
-                if manifest is not None:
-                    sibling = obs.manifest_path_for(trace_out)
-                    manifest.write(sibling)
                 records = obs.write_trace(trace_out, bus, manifest=manifest)
             except OSError as exc:
                 raise _CliError(f"cannot write trace: {exc}") from None
@@ -341,7 +336,6 @@ def run_session(
                 print(f"(wrote {records} trace records to {trace_out})")
             else:
                 print(f"  wrote {records} trace records to {trace_out}")
-                print(f"  wrote manifest to {sibling}")
         if tracer is not None:
             try:
                 events = obs.write_chrome_trace(args.spans_out, tracer.spans)
@@ -457,13 +451,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         if args.trace_out:
             session.manifest = _simulate_manifest(
-                args, link, mix, point.warmup, result, session.obs, wall_time
+                args, link, mix, point.warmup, result, wall_time
             )
     return 0
 
 
 def _simulate_manifest(
-    args: argparse.Namespace, link, mix, warmup, result, obs, wall_time: float
+    args: argparse.Namespace, link, mix, warmup, result, wall_time: float
 ):
     """The run manifest of an instrumented simulate run."""
     from repro.obs import RunManifest
@@ -492,7 +486,6 @@ def _simulate_manifest(
         seed=args.seed,
         trials=args.trials,
         warmup=warmup,
-        obs=obs,
         wall_time_s=wall_time,
         flows=flow_rows,
     )

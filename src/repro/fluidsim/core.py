@@ -411,7 +411,6 @@ class FluidSimulation:
                 self._next_trace = now + trace_interval
                 self.trace.append((now, list(inflights), queue))
                 if obs is not None:
-                    obs.gauge("link.queue_bytes", queue)
                     for i in active:
                         flow = flows[i]
                         obs.sample(
@@ -659,8 +658,6 @@ class FluidSimulation:
         )
         total_sent = sum(self._delivered) + sum(self._lost)
         drop_rate = sum(self._lost) / total_sent if total_sent > 0 else 0.0
-        if self.obs is not None:
-            self.obs.gauge("link.mean_queue_bytes", mean_queue)
         return SimulationResult(
             flows=flows,
             duration=duration,

@@ -1,11 +1,11 @@
 """repro.obs — unified telemetry across both simulator substrates.
 
-A low-overhead structured telemetry layer: a bus of counters, gauges
-and typed events (:mod:`repro.obs.bus`); per-run JSON manifests
-(:mod:`repro.obs.manifest`); a unified JSONL trace format joining
-periodic controller samples with the event stream
-(:mod:`repro.obs.export`); run-summary reports rendered from a
-manifest + trace (:mod:`repro.obs.report`); hierarchical wall-clock
+A low-overhead structured telemetry layer: a bus of counters, typed
+events and periodic samples (:mod:`repro.obs.bus`); run manifests
+(:mod:`repro.obs.manifest`); a unified JSONL trace — the one record of
+an instrumented run, manifest first, then samples, events and counters
+(:mod:`repro.obs.export`); run-summary reports rendered from that trace
+(:mod:`repro.obs.report`); hierarchical wall-clock
 *spans* exported as Chrome trace-event JSON (:mod:`repro.obs.trace`);
 and live progress/ETA/worker-health tracking
 (:mod:`repro.obs.progress`).
@@ -19,7 +19,6 @@ what ``repro-bbr simulate --trace-out``/``--profile`` do.
 """
 
 from repro.obs.bus import (
-    GaugeStat,
     Telemetry,
     TelemetryEvent,
     get_default,
@@ -31,7 +30,6 @@ from repro.obs.export import (
     TraceData,
     open_maybe_gzip,
     read_trace,
-    tracer_samples,
     write_trace,
 )
 from repro.obs.manifest import (
@@ -39,7 +37,6 @@ from repro.obs.manifest import (
     SCHEMA,
     CampaignManifest,
     RunManifest,
-    manifest_path_for,
 )
 from repro.obs.progress import (
     ProgressTracker,
@@ -60,7 +57,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "GaugeStat",
     "Telemetry",
     "TelemetryEvent",
     "get_default",
@@ -70,7 +66,6 @@ __all__ = [
     "TraceData",
     "open_maybe_gzip",
     "read_trace",
-    "tracer_samples",
     "write_trace",
     "ChromeTrace",
     "Span",
@@ -88,7 +83,6 @@ __all__ = [
     "CAMPAIGN_SCHEMA",
     "CampaignManifest",
     "RunManifest",
-    "manifest_path_for",
     "FlowReport",
     "RunReport",
     "load_report",

@@ -1,4 +1,4 @@
-"""Structured telemetry bus: counters, gauges, and typed events.
+"""Structured telemetry bus: counters, typed events and samples.
 
 Instrumented code throughout both simulator substrates holds an optional
 :class:`Telemetry` reference (``obs``).  The convention that keeps the hot
@@ -14,8 +14,6 @@ span tracer's, :mod:`repro.obs.trace`):
 
 * **counters** — monotonically accumulated floats (``count``), e.g.
   ``link.dropped_packets``;
-* **gauges**   — sampled values with running min/max/mean (``gauge``),
-  e.g. ``link.queue_bytes``;
 * **events**   — typed, timestamped records (``event``), e.g. a BBR
   ``STARTUP → DRAIN`` transition, and periodic **samples** (``sample``),
   the event-stream form of :class:`repro.sim.trace.TraceSample`.
@@ -36,7 +34,6 @@ from repro.util.ambient import ProcessDefault
 __all__ = [
     "Telemetry",
     "TelemetryEvent",
-    "GaugeStat",
     "get_default",
     "set_default",
     "resolve",
@@ -57,31 +54,6 @@ class TelemetryEvent:
     fields: Dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
-class GaugeStat:
-    """Running statistics over one gauge's samples."""
-
-    last: float = 0.0
-    min: float = float("inf")
-    max: float = float("-inf")
-    total: float = 0.0
-    count: int = 0
-
-    def update(self, value: float) -> None:
-        self.last = value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.total += value
-        self.count += 1
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of all samples (0.0 before any sample)."""
-        return self.total / self.count if self.count else 0.0
-
-
 class Telemetry:
     """An in-memory telemetry bus.
 
@@ -92,8 +64,8 @@ class Telemetry:
             run cannot exhaust memory.
         sample_interval: When set, simulator front-ends attach periodic
             per-flow state samplers at this period (seconds); None means
-            "no periodic sampling", which leaves only counters, gauges
-            and sparse events.
+            "no periodic sampling", which leaves only counters and
+            sparse events.
     """
 
     def __init__(
@@ -113,12 +85,11 @@ class Telemetry:
         self.max_events = max_events
         self.sample_interval = sample_interval
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, GaugeStat] = {}
         self.events: List[TelemetryEvent] = []
         self.samples: List[Dict[str, Any]] = []
         self.dropped_records = 0
 
-    # -- counters / gauges -------------------------------------------------
+    # -- counters -----------------------------------------------------------
 
     def count(self, name: str, n: float = 1) -> None:
         """Add ``n`` to counter ``name`` (created at 0 on first use)."""
@@ -127,13 +98,6 @@ class Telemetry:
     def counter(self, name: str) -> float:
         """Current value of counter ``name`` (0.0 if never counted)."""
         return self.counters.get(name, 0.0)
-
-    def gauge(self, name: str, value: float) -> None:
-        """Record one sample of gauge ``name``."""
-        stat = self.gauges.get(name)
-        if stat is None:
-            stat = self.gauges[name] = GaugeStat()
-        stat.update(value)
 
     # -- events / samples ---------------------------------------------------
 
@@ -169,16 +133,6 @@ class Telemetry:
         """A JSON-serializable summary of every aggregate on the bus."""
         return {
             "counters": dict(self.counters),
-            "gauges": {
-                name: {
-                    "last": g.last,
-                    "min": g.min,
-                    "max": g.max,
-                    "mean": g.mean,
-                    "count": g.count,
-                }
-                for name, g in self.gauges.items()
-            },
             "events": len(self.events),
             "samples": len(self.samples),
             "dropped_records": self.dropped_records,

@@ -1,6 +1,8 @@
 """JSONL trace export: one unified stream of samples, events, counters.
 
-The trace format is line-delimited JSON; every record carries a ``kind``:
+The trace file is the one record of an instrumented run: nothing about
+the run is written beside it.  The format is line-delimited JSON; every
+record carries a ``kind``:
 
 * ``manifest`` — the embedded :class:`repro.obs.manifest.RunManifest`
   (always the first line when present);
@@ -11,7 +13,9 @@ The trace format is line-delimited JSON; every record carries a ``kind``:
   ``name``, and the payload nested under ``fields`` so payload keys can
   never collide with the record envelope);
 * ``counter``  — one final-value counter (``name``, ``value``), written
-  at export time so a trace is self-contained.
+  at export time so a trace is self-contained.  When the bus hit its
+  ``max_events`` cap, the count of records it dropped is written as the
+  counter :data:`DROPPED_RECORDS`, so a truncated trace says so.
 
 Records are time-ordered within each kind but *not* globally merged;
 :func:`read_trace` hands back the three streams separately, which is what
@@ -23,18 +27,21 @@ from __future__ import annotations
 import gzip
 import json
 from dataclasses import dataclass, field
-from typing import IO, Any, Dict, Iterable, List, Optional
+from typing import IO, Any, Dict, List, Optional
 
 from repro.obs.bus import Telemetry, TelemetryEvent
 from repro.obs.manifest import RunManifest
 
 __all__ = [
+    "DROPPED_RECORDS",
     "TraceData",
     "open_maybe_gzip",
     "write_trace",
     "read_trace",
-    "tracer_samples",
 ]
+
+#: The counter record that carries :attr:`Telemetry.dropped_records`.
+DROPPED_RECORDS = "obs.dropped_records"
 
 
 def open_maybe_gzip(path: str, mode: str) -> IO[str]:
@@ -84,40 +91,21 @@ class TraceData:
         return latest
 
 
-def tracer_samples(tracer: object) -> Iterable[Dict[str, Any]]:
-    """Convert :class:`repro.sim.trace.CwndTracer` samples to dict records.
-
-    Accepts any object with a ``samples`` list of
-    :class:`~repro.sim.trace.TraceSample`-shaped items.
-    """
-    for s in getattr(tracer, "samples", []):
-        yield {
-            "time": s.time,
-            "flow_id": s.flow_id,
-            "cwnd": s.cwnd,
-            "in_flight": s.in_flight,
-            "pacing_rate": s.pacing_rate,
-            "state": s.state,
-        }
-
-
 def write_trace(
-    path: str,
-    obs: Telemetry,
-    manifest: Optional[RunManifest] = None,
-    extra_samples: Optional[Iterable[Dict[str, Any]]] = None,
+    path: str, obs: Telemetry, manifest: Optional[RunManifest] = None
 ) -> int:
     """Write a unified JSONL trace; returns the number of records written.
 
-    The stream is: manifest (if any), then all samples — the bus's own
-    periodic samples unified with ``extra_samples`` (e.g. converted
-    :class:`~repro.sim.trace.CwndTracer` output), time-sorted — then all
-    events, then final counter values.
+    The stream is: manifest (if any), then the bus's periodic samples,
+    time-sorted, then all events, then final counter values (plus
+    :data:`DROPPED_RECORDS` when the bus dropped any).
     """
-    samples: List[Dict[str, Any]] = list(obs.samples)
-    if extra_samples is not None:
-        samples.extend(extra_samples)
-    samples.sort(key=lambda s: (s.get("time", 0.0), s.get("flow_id", -1)))
+    samples = sorted(
+        obs.samples, key=lambda s: (s.get("time", 0.0), s.get("flow_id", -1))
+    )
+    counters = dict(obs.counters)
+    if obs.dropped_records:
+        counters[DROPPED_RECORDS] = obs.dropped_records
 
     written = 0
     with open_maybe_gzip(path, "w") as f:
@@ -138,14 +126,10 @@ def write_trace(
             }
             f.write(json.dumps(record) + "\n")
             written += 1
-        for name in sorted(obs.counters):
+        for name in sorted(counters):
             f.write(
                 json.dumps(
-                    {
-                        "kind": "counter",
-                        "name": name,
-                        "value": obs.counters[name],
-                    }
+                    {"kind": "counter", "name": name, "value": counters[name]}
                 )
                 + "\n"
             )

@@ -1,11 +1,15 @@
-"""Per-run manifests: the reproducibility record written next to results.
+"""Run manifests: the reproducibility record of one run.
 
 A :class:`RunManifest` captures everything needed to re-run (and audit) a
 simulation: the link configuration, flow mix, seed, backend, package
-version, plus outcome aggregates — wall time, event counts, and a compact
-per-flow summary.  It is written as JSON next to the trace (and embedded
-as the first record *inside* the JSONL trace, so a trace file is
-self-describing even when moved).
+version, plus outcome aggregates — wall time and a compact per-flow
+summary.  It has one home: the first record of the JSONL trace
+(:func:`repro.obs.export.write_trace`), so a trace file is
+self-describing even when moved.  The run's counters are the trace's
+``counter`` records, not a copy here.
+
+A :class:`CampaignManifest` is the campaign directory's
+``manifest.json``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
-from repro.obs.bus import Telemetry
 from repro.scenario.spec import BottleneckSpec
 from repro.util.jsonfile import write_json_atomic
 
@@ -31,7 +34,6 @@ __all__ = [
     "CAMPAIGN_SCHEMA",
     "RunManifest",
     "SCHEMA",
-    "manifest_path_for",
 ]
 
 
@@ -51,7 +53,6 @@ class RunManifest:
     trials: int
     seed: int
     wall_time_s: float = 0.0
-    counters: Dict[str, float] = field(default_factory=dict)
     flows: List[Dict[str, Any]] = field(default_factory=list)
 
     @classmethod
@@ -65,12 +66,10 @@ class RunManifest:
         seed: int,
         trials: int = 1,
         warmup: Optional[float] = None,
-        obs: Optional[Telemetry] = None,
         wall_time_s: float = 0.0,
         flows: Optional[List[Dict[str, Any]]] = None,
     ) -> "RunManifest":
-        """Assemble a manifest from a run's configuration and telemetry."""
-        counters = dict(obs.counters) if obs is not None else {}
+        """Assemble a manifest from a run's configuration and outcome."""
         return cls(
             schema=SCHEMA,
             version=__version__,
@@ -89,7 +88,6 @@ class RunManifest:
             trials=trials,
             seed=seed,
             wall_time_s=wall_time_s,
-            counters=counters,
             flows=flows or [],
         )
 
@@ -97,25 +95,19 @@ class RunManifest:
         """Plain-dict form (JSON-ready)."""
         return asdict(self)
 
-    def write(self, path: str) -> None:
-        """Write the manifest as pretty-printed JSON to ``path``."""
-        write_json_atomic(path, self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunManifest":
-        """Rebuild a manifest from its dict form (ignores unknown keys)."""
+        """Rebuild a manifest from its dict form.
+
+        Unknown keys are ignored, so a record from an older writer (one
+        that still carried ``counters``) loads.
+        """
         known = {f for f in cls.__dataclass_fields__}  # noqa: C416
         kwargs = {k: v for k, v in data.items() if k in known}
         kwargs["mix"] = [
             (cc, int(count)) for cc, count in kwargs.get("mix", [])
         ]
         return cls(**kwargs)
-
-    @classmethod
-    def load(cls, path: str) -> "RunManifest":
-        """Read a manifest previously written with :meth:`write`."""
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
     def cc_of_flow(self, flow_id: int) -> Optional[str]:
         """CCA name of ``flow_id`` from the per-flow summary, if known."""
@@ -191,15 +183,3 @@ class CampaignManifest:
             data = json.load(f)
         known = {f for f in cls.__dataclass_fields__}  # noqa: C416
         return cls(**{k: v for k, v in data.items() if k in known})
-
-
-def manifest_path_for(trace_path: str) -> str:
-    """The sibling manifest path for a JSONL trace path.
-
-    ``run.jsonl`` → ``run.manifest.json`` (extension-insensitive: any
-    final suffix is replaced; a bare name gets ``.manifest.json``).
-    """
-    dot = trace_path.rfind(".")
-    slash = max(trace_path.rfind("/"), trace_path.rfind("\\"))
-    stem = trace_path[:dot] if dot > slash else trace_path
-    return stem + ".manifest.json"

@@ -1,8 +1,9 @@
-"""Run-summary reports rendered from a manifest + JSONL trace.
+"""Run-summary reports rendered from one JSONL trace.
 
 ``repro-bbr report run.jsonl`` lands here: given a trace written by
-:func:`repro.obs.export.write_trace` (and, when available, its sibling
-manifest), build a per-flow table of throughput, losses, retransmits, and
+:func:`repro.obs.export.write_trace` (its embedded manifest, when
+present, supplies the header and per-flow outcomes), build a per-flow
+table of throughput, losses, retransmits, and
 congestion-controller phase dwell times — the §2.1/§3.2 evidence (how
 long each BBR flow spent in PROBE_BW, how often each CUBIC flow took a
 0.7 backoff) that raw mean throughputs hide.
@@ -10,12 +11,10 @@ long each BBR flow spent in PROBE_BW, how often each CUBIC flow took a
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.obs.export import TraceData, read_trace
-from repro.obs.manifest import RunManifest, manifest_path_for
+from repro.obs.export import DROPPED_RECORDS, TraceData, read_trace
 
 __all__ = ["FlowReport", "RunReport", "load_report"]
 
@@ -167,6 +166,12 @@ class RunReport:
             )
             if manifest.wall_time_s:
                 lines.append(f"wall time: {manifest.wall_time_s:.2f}s")
+        dropped = self.trace.counters.get(DROPPED_RECORDS)
+        if dropped:
+            lines.append(
+                f"warning: {dropped:g} events/samples were dropped at the "
+                "telemetry cap; per-flow counts are partial"
+            )
 
         header = (
             f"{'flow':>4} {'cc':>8} {'mbps':>8} {'loss%':>7} "
@@ -205,14 +210,5 @@ class RunReport:
 
 
 def load_report(trace_path: str) -> RunReport:
-    """Read a trace (plus its sibling manifest, if present) and reduce it.
-
-    The manifest embedded in the JSONL stream is used when present; a
-    sibling ``<stem>.manifest.json`` overrides it (it may have been
-    regenerated with richer per-flow summaries).
-    """
-    trace = read_trace(trace_path)
-    sibling = manifest_path_for(trace_path)
-    if os.path.exists(sibling):
-        trace.manifest = RunManifest.load(sibling)
-    return RunReport.from_trace(trace)
+    """Read a trace and reduce it to a :class:`RunReport`."""
+    return RunReport.from_trace(read_trace(trace_path))

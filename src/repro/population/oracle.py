@@ -28,6 +28,10 @@ Regions whose error exceeds ``error_threshold`` escalate to tier 1.
 The classic case is the shallow-buffer regime (``buffer <= 1 BDP``)
 where the model predicts total CUBIC starvation but the fluid substrate
 still grants CUBIC a trickle.
+
+:attr:`TieredOracle.stats` is the one record of the oracle's work
+(``PopulationResult.oracle``, the CLI's ``oracle:`` line); the error map
+is written once, as ``error_map.json``.
 """
 
 from __future__ import annotations
@@ -129,8 +133,6 @@ class TieredOracle:
         trials: Trials per simulation point.
         seed: Base seed for simulation points (fixed across ticks so
             identical mixes share one cached result).
-        obs: Telemetry bus for the ``population.oracle.*`` counters;
-            None resolves the process default at each call.
         error_map: Start from (and keep recording into) an existing
             error map.
         force_tier: Pin every region to tier 0 or 1, skipping
@@ -145,7 +147,6 @@ class TieredOracle:
         duration: float = 30.0,
         trials: int = 1,
         seed: int = 0,
-        obs: Any = None,
         error_map: Optional[ErrorMap] = None,
         force_tier: Optional[int] = None,
     ) -> None:
@@ -169,7 +170,6 @@ class TieredOracle:
         self.seed = seed
         self.error_map = error_map if error_map is not None else ErrorMap()
         self.force_tier = force_tier
-        self._obs = obs
         #: region key -> assigned tier (0 or 1).
         self._tiers: Dict[str, int] = {}
         #: (region, strategies, counts, bound) -> payoff vector.
@@ -185,7 +185,8 @@ class TieredOracle:
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Cumulative oracle accounting (independent of telemetry)."""
+        """Cumulative oracle accounting: the one record of the oracle's
+        work (``PopulationResult.oracle``, the CLI's ``oracle:`` line)."""
         return {
             "queries": self.queries,
             "tier0": self.tier0_queries,
@@ -194,11 +195,6 @@ class TieredOracle:
             "calibrations": self.calibrations,
             "sim_points": self.sim_points,
         }
-
-    def _resolve_obs(self) -> Any:
-        from repro.obs.bus import resolve as resolve_obs
-
-        return resolve_obs(self._obs)
 
     def run_points(self, points: List[ScenarioPoint]) -> List[Any]:
         """One round answered by the oracle's own engine (resolved per
@@ -272,14 +268,11 @@ class TieredOracle:
         cell: Any,
         counts: Tuple[int, ...],
         strategies: Tuple[str, ...],
-        obs: Any,
     ) -> np.ndarray:
         key = (cell.region_key(), strategies, counts, self.bound)
         cached = self._memo.get(key)
         if cached is not None:
             self.memo_hits += 1
-            if obs is not None:
-                obs.count("population.oracle.memo_hits")
             return cached
         value = np.asarray(
             self._model_payoffs(cell.link, counts, strategies),
@@ -336,7 +329,7 @@ class TieredOracle:
     def _region(self, cell: Any) -> str:
         return cell.region_key()
 
-    def _calibration_rounds(self, state: PopulationState, obs: Any):
+    def _calibration_rounds(self, state: PopulationState):
         """Assign a tier to every region the state touches; the regions
         still to calibrate are one round."""
         if self.force_tier is not None:
@@ -397,8 +390,6 @@ class TieredOracle:
             tier = 1 if rel_error > self.error_threshold else 0
             self._tiers[key] = tier
             self.calibrations += 1
-            if obs is not None:
-                obs.count("population.oracle.calibrations")
             self.error_map.record(
                 key,
                 {
@@ -439,8 +430,7 @@ class TieredOracle:
         scenario points, pooled, one more — each a single batched
         ``Engine.run_points`` submission.
         """
-        obs = self._resolve_obs()
-        yield from self._calibration_rounds(state, obs)
+        yield from self._calibration_rounds(state)
         counts = state.counts()
         out = np.zeros(
             (state.n_cells, state.n_strategies), dtype=np.float64
@@ -449,22 +439,13 @@ class TieredOracle:
         reads: List[Tuple[int, int, int]] = []  # (cell, strategy, point)
         for i, cell in enumerate(state.cells):
             self.queries += 1
-            if obs is not None:
-                obs.count("population.oracle.queries")
             if self._tiers[self._region(cell)] == 0:
                 self.tier0_queries += 1
-                if obs is not None:
-                    obs.count("population.oracle.tier0")
                 out[i] = self._tier0(
-                    cell,
-                    tuple(int(c) for c in counts[i]),
-                    state.strategies,
-                    obs,
+                    cell, tuple(int(c) for c in counts[i]), state.strategies
                 )
             else:
                 self.tier1_queries += 1
-                if obs is not None:
-                    obs.count("population.oracle.tier1")
                 points, slots = self._tier1_points(
                     cell, counts[i], state.strategies
                 )
@@ -473,8 +454,6 @@ class TieredOracle:
         if batch:
             results = yield batch
             self.sim_points += len(batch)
-            if obs is not None:
-                obs.count("population.oracle.sim_points", len(batch))
             for i, s, at in reads:
                 out[i, s] = results[at].per_flow.get(state.strategies[s], 0.0)
         return out

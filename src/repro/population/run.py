@@ -104,7 +104,6 @@ class PopulationResult:
             "max_recent_delta": self.max_recent_delta,
             "ne": self.ne,
             "oracle": dict(self.oracle),
-            "error_map": self.error_map.to_dict(),
         }
 
 
@@ -135,7 +134,6 @@ def run_population(
     init_share: float = 0.1,
     oracle: Optional[TieredOracle] = None,
     engine: Any = None,
-    obs: Any = None,
     check: Any = None,
     tracer: Any = None,
     progress: Optional[Callable[[int, int], None]] = None,
@@ -154,7 +152,6 @@ def run_population(
         init_share: Initial challenger share in every cell.
         oracle: Payoff oracle; built from ``engine`` when omitted.
         engine: Execution engine for a default-built oracle.
-        obs: Telemetry bus (None resolves the process default).
         check: Invariant checker (None resolves the process default).
         tracer: Span tracer (None resolves the process default).
         progress: Optional ``(ticks done, ticks total)`` callback.
@@ -165,7 +162,7 @@ def run_population(
     from repro.obs.trace import span
 
     if oracle is None:
-        oracle = TieredOracle(engine=engine, obs=obs)
+        oracle = TieredOracle(engine=engine)
     config = dynamics if dynamics is not None else DynamicsConfig()
     with span(
         resolve_tracer(tracer),
@@ -184,7 +181,6 @@ def run_population(
                 seed=seed,
                 strategies=strategies,
                 init_share=init_share,
-                obs=obs,
                 check=check,
                 progress=progress,
                 convergence_tol=convergence_tol,
@@ -201,7 +197,6 @@ def population_rounds(
     seed: int = 0,
     strategies: Tuple[str, ...] = DEFAULT_STRATEGIES,
     init_share: float = 0.1,
-    obs: Any = None,
     check: Any = None,
     progress: Optional[Callable[[int, int], None]] = None,
     convergence_tol: float = 0.005,
@@ -214,9 +209,7 @@ def population_rounds(
     if ticks < 1:
         raise ValueError(f"ticks must be >= 1, got {ticks}")
     from repro.check import resolve as resolve_check
-    from repro.obs.bus import resolve as resolve_obs
 
-    obs = resolve_obs(obs)
     check = resolve_check(check)
 
     state = PopulationState.from_share(cells, init_share, strategies)
@@ -228,8 +221,6 @@ def population_rounds(
     deltas: List[float] = []
     for tick in range(ticks):
         payoffs = yield from oracle.payoff_rounds(state)
-        if obs is not None:
-            obs.count("population.ticks")
         if check is not None:
             check.population_state(tick, state.shares)
             stats = oracle.stats

@@ -121,9 +121,7 @@ class Link:
             of the queue.
         obs: Optional telemetry bus.  When set, each drop emits a
             ``link.drop`` event and bumps the ``link.dropped_packets`` /
-            ``link.dropped_bytes`` counters, and the queue depth is
-            sampled into the ``link.queue_bytes`` gauge on every
-            accepted arrival.
+            ``link.dropped_bytes`` counters.
         check: Optional :class:`repro.check.Checker`.  When set, every
             arrival and every departure runs a byte-conservation
             audit: offered bytes must equal forwarded + dropped +
@@ -266,8 +264,6 @@ class Link:
             self._serving_bytes = size
             self._free_at = departure
             self.deliver[packet.flow_id](packet, departure)
-        if self.obs is not None:
-            self.obs.gauge("link.queue_bytes", self._queued_bytes)
         if check is not None:
             self._audit(check, now)
         return True

@@ -293,7 +293,6 @@ class DumbbellNetwork:
             self.obs.count(
                 "link.forwarded_packets", link_stats.forwarded_packets
             )
-            self.obs.gauge("link.mean_queue_bytes", mean_queue)
         return SimulationResult(
             flows=flows,
             duration=duration,

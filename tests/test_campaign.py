@@ -145,6 +145,64 @@ def test_parse_rejects_with_actionable_message(mutate, message):
         parse_spec(data)
 
 
+@pytest.mark.parametrize(
+    "mutate, where, key",
+    [
+        (lambda d: d.update(descripton="typo"), r"t: spec", "descripton"),
+        (
+            lambda d: d.update(metric={"columns": ["drop_rate"]}),
+            r"t: spec",
+            "metric",
+        ),
+        (
+            lambda d: d["axes"][0].update(value=[4]),
+            r"t: axes\[0\]",
+            "value",
+        ),
+        (
+            lambda d: d.update(
+                stages=[{"type": "adaptive", "flows": 4, "searchs": 4}]
+            ),
+            r"t: stages\[0\]",
+            "searchs",
+        ),
+        (
+            lambda d: d.update(stages=[{"type": "sweep", "flows": 4}]),
+            r"t: stages\[0\]",
+            "flows",
+        ),
+        (
+            lambda d: d.update(metrics={"colums": ["drop_rate"]}),
+            r"t: \[metrics\]",
+            "colums",
+        ),
+        (
+            lambda d: d.update(output={"cvs": "r.csv"}),
+            r"t: \[output\]",
+            "cvs",
+        ),
+        (
+            lambda d: d.update(output={"jsonl": "r.jsonl"}),
+            r"t: \[output\]",
+            "jsonl",
+        ),
+    ],
+    ids=[
+        "top-level", "top-level-table", "axis", "adaptive-stage",
+        "sweep-stage", "metrics", "output", "output-removed-jsonl",
+    ],
+)
+def test_unknown_spec_keys_are_errors(mutate, where, key):
+    """A typo'd key fails in one line instead of being dropped (a
+    misspelt ``searches`` used to run one search)."""
+    data = json.loads(json.dumps(BASE))
+    mutate(data)
+    with pytest.raises(
+        SpecError, match=rf"^{where} has unknown key '{key}'$"
+    ):
+        parse_spec(data, source="t")
+
+
 def test_spec_error_messages_name_the_source():
     with pytest.raises(SpecError, match="myfile.toml"):
         parse_spec({"name": "x"}, source="myfile.toml")

@@ -112,7 +112,7 @@ EVERY_SWEEP = {
     ],
     "stages": [{"name": "a", "type": "sweep"}, {"name": "b"}],
     "metrics": {"columns": ["loss_rate:bbr", "drop_rate"]},
-    "output": {"csv": "every.csv", "jsonl": "every.jsonl"},
+    "output": {"csv": "every.csv"},
 }
 EVERY_ADAPTIVE = {
     "name": "every-adaptive",

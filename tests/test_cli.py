@@ -248,8 +248,9 @@ def test_simulate_trace_out_and_report_round_trip(tmp_path, capsys):
     assert "profile:" in out
     assert "fluid.steps" in out
     assert trace.exists()
-    manifest = tmp_path / "run.manifest.json"
-    assert manifest.exists()
+    # The trace is the one record: no sibling manifest beside it.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.jsonl"]
+    assert "wrote manifest" not in out
 
     # The trace must contain BBR phase transitions and drop counters.
     import json
@@ -271,6 +272,8 @@ def test_simulate_trace_out_and_report_round_trip(tmp_path, capsys):
     code = main(["report", str(trace)])
     assert code == 0
     out = capsys.readouterr().out
+    # The header comes from the manifest embedded in the trace.
+    assert out.startswith("== run: simulate (20 Mbps")
     assert "phase dwell" in out
     assert "bbr" in out
     assert "PROBE_BW" in out

@@ -8,11 +8,10 @@ import pytest
 
 from repro.campaign import parse_spec
 from repro.campaign import run as campaign_run
-from repro.obs.manifest import CampaignManifest, RunManifest
+from repro.obs.manifest import CampaignManifest
 from repro.obs.progress import ProgressTracker
 from repro.population import ErrorMap
 from repro.util import jsonfile
-from repro.util.config import LinkConfig
 from repro.util.jsonfile import write_json_atomic
 
 
@@ -68,14 +67,6 @@ def _spec():
 WRITERS = {
     "campaign-manifest": lambda path: CampaignManifest.build(
         "t", "f" * 64, 2, 0, 2, 2, 0.1, "results.csv"
-    ).write(str(path)),
-    "run-manifest": lambda path: RunManifest.build(
-        "t",
-        LinkConfig.from_mbps_ms(20, 20, 2),
-        [("cubic", 1)],
-        "fluid",
-        5.0,
-        seed=0,
     ).write(str(path)),
     "error-map": lambda path: ErrorMap().save(str(path)),
     "progress-sidecar": lambda path: ProgressTracker(total=1).write_sidecar(

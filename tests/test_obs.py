@@ -9,16 +9,14 @@ from repro.obs import (
     Telemetry,
     get_default,
     load_report,
-    manifest_path_for,
     read_trace,
     resolve,
     set_default,
-    tracer_samples,
     use,
     write_trace,
 )
+from repro.obs.report import RunReport
 from repro.sim.network import DumbbellNetwork, FlowSpec, run_dumbbell
-from repro.sim.trace import CwndTracer
 from repro.util.config import LinkConfig
 
 
@@ -29,16 +27,6 @@ class TestTelemetryBus:
         obs.count("x", 4)
         assert obs.counter("x") == 5
         assert obs.counter("never") == 0.0
-
-    def test_gauges_track_min_max_mean(self):
-        obs = Telemetry()
-        for v in (2.0, 8.0, 5.0):
-            obs.gauge("q", v)
-        stat = obs.gauges["q"]
-        assert stat.min == 2.0
-        assert stat.max == 8.0
-        assert stat.last == 5.0
-        assert stat.mean == pytest.approx(5.0)
 
     def test_events_are_typed_and_queryable(self):
         obs = Telemetry()
@@ -60,7 +48,6 @@ class TestTelemetryBus:
     def test_snapshot_is_json_serializable(self):
         obs = Telemetry()
         obs.count("c", 3)
-        obs.gauge("g", 1.0)
         obs.event("e", time=0.0)
         obs.sample(0.0, 0, cwnd=10.0)
         snap = obs.snapshot()
@@ -143,23 +130,22 @@ class TestInstrumentedPacketRun:
 
 class TestTraceRoundTrip:
     def test_tracer_and_events_unify_in_jsonl(self, tmp_path):
-        # A standalone CwndTracer (no obs mirroring) merges into the
-        # trace via extra_samples, exercising the unification path.
-        obs = Telemetry()
+        # A bus with a sample interval attaches a CwndTracer that
+        # mirrors its polls onto the bus: samples and events share the
+        # one trace file.
+        obs = Telemetry(sample_interval=0.1)
         link = LinkConfig.from_mbps_ms(5, 20, 2)
         net = DumbbellNetwork(link, [FlowSpec("cubic"), FlowSpec("bbr")],
                               obs=obs)
-        tracer = CwndTracer(net, interval=0.1)
         net.run(duration=10.0)
 
         path = str(tmp_path / "run.jsonl")
-        written = write_trace(
-            path, obs, extra_samples=tracer_samples(tracer)
-        )
+        written = write_trace(path, obs)
         assert written > 0
 
         trace = read_trace(path)
-        assert len(trace.samples) == len(tracer.samples)
+        assert trace.samples
+        assert len(trace.samples) == len(net.tracer.samples)
         assert trace.events_named("cc.state")
         assert trace.counters["link.dropped_packets"] > 0
         assert trace.flow_ids() == [0, 1]
@@ -179,6 +165,30 @@ class TestTraceRoundTrip:
         (event,) = trace.events
         assert event.fields["kind"] == "multiplicative_decrease"
 
+    def test_dropped_records_are_written_and_reported(self, tmp_path):
+        # A capped bus writes a partial trace; the file says so, and
+        # the report warns instead of presenting it as a whole run.
+        obs = Telemetry(max_events=1)
+        for t in (1.0, 2.0):
+            obs.event("cc.backoff", time=t, flow_id=0, cc="cubic")
+        path = str(tmp_path / "capped.jsonl")
+        write_trace(path, obs)
+        trace = read_trace(path)
+        assert len(trace.events) == 1
+        assert trace.counters["obs.dropped_records"] == 1
+        assert "per-flow counts are partial" in RunReport.from_trace(
+            trace
+        ).render()
+
+    def test_uncapped_trace_has_no_dropped_records(self, tmp_path):
+        obs = Telemetry()
+        obs.event("cc.backoff", time=1.0, flow_id=0, cc="cubic")
+        path = str(tmp_path / "whole.jsonl")
+        write_trace(path, obs)
+        trace = read_trace(path)
+        assert "obs.dropped_records" not in trace.counters
+        assert "partial" not in RunReport.from_trace(trace).render()
+
     def test_read_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "nope"}\n')
@@ -190,36 +200,40 @@ class TestTraceRoundTrip:
 
 
 class TestManifest:
-    def test_round_trip(self, tmp_path):
-        obs = Telemetry()
-        obs.count("sim.events", 42)
-        link = LinkConfig.from_mbps_ms(100, 40, 5)
-        manifest = RunManifest.build(
+    @staticmethod
+    def _manifest():
+        return RunManifest.build(
             label="test",
-            link=link,
+            link=LinkConfig.from_mbps_ms(100, 40, 5),
             mix=[("cubic", 2), ("bbr", 1)],
             backend="fluid",
             duration=30.0,
             seed=7,
-            obs=obs,
             flows=[{"flow_id": 0, "cc": "cubic"}],
         )
-        path = str(tmp_path / "run.manifest.json")
-        manifest.write(path)
-        loaded = RunManifest.load(path)
+
+    def test_round_trip(self):
+        manifest = self._manifest()
+        data = json.loads(json.dumps(manifest.to_dict()))
+        assert "counters" not in data
+        loaded = RunManifest.from_dict(data)
+        assert loaded == manifest
         assert loaded.mix == [("cubic", 2), ("bbr", 1)]
-        assert loaded.counters["sim.events"] == 42
         assert loaded.seed == 7
         assert loaded.cc_of_flow(0) == "cubic"
         assert loaded.cc_of_flow(99) is None
 
-    def test_sibling_path_convention(self):
-        assert manifest_path_for("run.jsonl") == "run.manifest.json"
-        assert manifest_path_for("a/b/run.jsonl") == "a/b/run.manifest.json"
-        assert manifest_path_for("noext") == "noext.manifest.json"
-        assert (
-            manifest_path_for("dir.v1/trace") == "dir.v1/trace.manifest.json"
-        )
+    def test_record_with_counters_still_loads(self, tmp_path):
+        # Traces written when the manifest still copied the bus's
+        # counters carry a "counters" key; it is ignored on load.
+        record = {"kind": "manifest", **self._manifest().to_dict(),
+                  "counters": {"sim.events": 42.0}}
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        manifest = read_trace(str(path)).manifest
+        assert manifest.label == "test"
+        assert manifest.seed == 7
+        assert not hasattr(manifest, "counters")
 
 
 class TestReport:
@@ -233,7 +247,7 @@ class TestReport:
         manifest = RunManifest.build(
             label="report-test", link=link,
             mix=[("cubic", 1), ("bbr", 1)], backend="packet",
-            duration=15.0, seed=0, obs=obs,
+            duration=15.0, seed=0,
             flows=[
                 {
                     "flow_id": f.flow_id,
@@ -257,19 +271,3 @@ class TestReport:
         assert "report-test" in rendered
         assert "phase dwell" in rendered
         assert "STARTUP" in rendered
-
-    def test_sibling_manifest_overrides_embedded(self, tmp_path):
-        obs = Telemetry()
-        obs.event("cc.state", time=1.0, flow_id=0, cc="bbr",
-                  **{"from": "STARTUP", "to": "DRAIN"})
-        path = str(tmp_path / "run.jsonl")
-        write_trace(path, obs)
-        link = LinkConfig.from_mbps_ms(10, 10, 2)
-        RunManifest.build(
-            label="sibling", link=link, mix=[("bbr", 1)],
-            backend="packet", duration=5.0, seed=0,
-        ).write(manifest_path_for(path))
-        report = load_report(path)
-        assert report.trace.manifest is not None
-        assert report.trace.manifest.label == "sibling"
-        assert "sibling" in report.render()

@@ -27,7 +27,6 @@ from repro.campaign import (
     CampaignSink,
     CsvSink,
     Journal,
-    JsonlSink,
     SinkError,
     expand_units,
     parse_spec,
@@ -151,18 +150,6 @@ def test_csv_sink_rejects_rows_after_close(tmp_path):
     sink.close()
     with pytest.raises(SinkError, match="closed"):
         sink.append([{"a": 1}])
-
-
-def test_jsonl_sink_round_trips_rows(tmp_path):
-    sink = JsonlSink(tmp_path / "r.jsonl")
-    rows = [{"a": 1, "b": "x"}, {"b": "y", "a": 2}]
-    sink.append(rows)
-    sink.close()
-    lines = (tmp_path / "r.jsonl").read_text().splitlines()
-    assert [json.loads(line) for line in lines] == rows
-    # Key order is preserved, not sorted.
-    assert lines[1].startswith('{"b"')
-    assert sink.rows_written == 2
 
 
 # -- CampaignSink ordering ---------------------------------------------------
@@ -298,35 +285,6 @@ def test_resume_with_corrupt_partial_csv(tmp_path):
         tmp_path / "ref" / "results.csv",
         tmp_path / "out" / "results.csv",
         shallow=False,
-    )
-
-
-def test_jsonl_mirror_written_and_rebuilt_on_resume(tmp_path):
-    data = json.loads(json.dumps(BASE))
-    data["output"] = {"jsonl": "results.jsonl"}
-    spec = parse_spec(data)
-
-    ref_engine = Engine(cache=ResultCache(tmp_path / "cache-ref"))
-    run_campaign(spec, tmp_path / "ref", engine=ref_engine)
-    ref_jsonl = tmp_path / "ref" / "results.jsonl"
-    assert len(ref_jsonl.read_text().splitlines()) == 3
-
-    cache = tmp_path / "cache"
-    run_campaign(
-        spec,
-        tmp_path / "out",
-        engine=Engine(cache=ResultCache(cache)),
-        stop_after=2,
-    )
-    resumed = run_campaign(
-        spec,
-        tmp_path / "out",
-        engine=Engine(cache=ResultCache(cache)),
-        resume=True,
-    )
-    assert not resumed.interrupted
-    assert filecmp.cmp(
-        ref_jsonl, tmp_path / "out" / "results.jsonl", shallow=False
     )
 
 

@@ -9,8 +9,9 @@ concurrency of its own (a stage's units advance in rounds through one
 ``Engine.run_points`` batch —
 ``repro.campaign.vocab._in_rounds``), one NE bisection, as a round
 generator, one instrumented fluid loop, the scalar one, and one
-declaration of a bottleneck, ``BottleneckSpec``, and an engine that
-runs and counts points once, with wall time left to spans.  The last
+declaration of a bottleneck, ``BottleneckSpec``, an engine that runs
+and counts points once, with wall time left to spans, and each run
+fact written to one record.  The last
 gate keeps CI from growing gates of its own: a check belongs here, or
 in ``tests/smoke.py``.
 """
@@ -189,6 +190,47 @@ def test_the_engine_counts_once_and_profiles_nothing():
         f"{path.relative_to(SRC).as_posix()}: {word}"
         for path, text in SOURCES.items()
         for word in banned
+        if word in text
+    ]
+    assert not found, found
+
+
+# -- one record per run fact ------------------------------------------------
+
+
+def test_each_run_fact_is_written_once():
+    """``results.csv`` is a campaign's one row record, the JSONL trace a
+    run's one record (manifest and counters included), the bus keeps no
+    write-only gauges, and ``TieredOracle.stats`` is the one record of
+    the oracle's work."""
+    import inspect
+
+    from repro import campaign, obs
+    from repro.campaign import CampaignSpec
+    from repro.obs import RunManifest, Telemetry, write_trace
+    from repro.population import TieredOracle, run_population
+    from repro.population.run import population_rounds
+
+    assert not hasattr(campaign, "JsonlSink")
+    assert "jsonl_name" not in CampaignSpec.__dataclass_fields__
+    bus = Telemetry()
+    for name in ("gauge", "gauges"):
+        assert not hasattr(bus, name), name
+    for name in ("GaugeStat", "tracer_samples", "manifest_path_for"):
+        assert not hasattr(obs, name), name
+    assert "counters" not in RunManifest.__dataclass_fields__
+    for name in ("write", "load"):
+        assert not hasattr(RunManifest, name), name
+    assert list(inspect.signature(write_trace).parameters) == [
+        "path", "obs", "manifest"
+    ]
+    for fn in (TieredOracle.__init__, run_population, population_rounds):
+        assert "obs" not in inspect.signature(fn).parameters, fn
+
+    found = [
+        f"{path.relative_to(SRC).as_posix()}: {word}"
+        for path, text in SOURCES.items()
+        for word in ("obs.gauge(", 'count("population.')
         if word in text
     ]
     assert not found, found
