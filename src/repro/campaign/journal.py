@@ -19,8 +19,8 @@ finished from a journal writes a byte-identical CSV to one that never
 stopped.
 
 Reading is streaming: :meth:`Journal.iter_records` yields one record at
-a time from an open handle, so resume/status/``top`` over a million-unit
-journal never materialize the whole file.
+a time from an open handle, so resume and ``status`` over a
+million-unit journal never materialize the whole file.
 Reads are gzip-transparent — an archived ``journal.jsonl.gz`` resolves
 wherever the plain name would — and an append to one is a complete gzip
 member of its own, so a reader that opens the file mid-run never meets
@@ -185,7 +185,7 @@ class Journal:
         """Stream completed-unit records row-at-a-time.
 
         Memory stays flat no matter how long the journal is — this is
-        what resume, ``status``, and ``top`` consume.  A final line
+        what resume and ``status`` consume.  A final line
         that fails to decode is treated as the torn write of a killed
         process and dropped; anything malformed before the end raises
         :class:`JournalError`.  When ``expect_fingerprint`` is given, a

@@ -40,9 +40,9 @@ spans nest inside.
 A :class:`repro.obs.progress.ProgressTracker` (created internally unless
 one is passed) counts units done/total per stage after every unit, and
 an atomically-replaced ``progress.json`` sidecar next to the journal —
-the feed for ``repro-bbr top`` — is written when the run starts, at most
-once per :data:`SIDECAR_INTERVAL_S` while it runs, and once more on the
-way out, however the run ends.
+the feed for ``repro-bbr campaign status`` — is written when the run
+starts, at most once per :data:`SIDECAR_INTERVAL_S` while it runs, and
+once more on the way out, however the run ends.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ MANIFEST_NAME = "manifest.json"
 SPEC_FILE_SCHEMA = 1
 
 #: Least time between two ``progress.json`` writes inside a run.  The
-#: sidecar is read by people and pollers (``repro-bbr top --follow``
-#: refreshes every 2 s; ``campaign status`` calls a sidecar live for
+#: sidecar is read by people and pollers (``repro-bbr campaign status
+#: --follow`` refreshes every 2 s and calls a sidecar live for
 #: ``status.SIDECAR_FRESH_S`` = 300 s) and unit counts come from the
 #: journal, so a warm unit — ~100 us of work — does not pay a JSON dump
 #: and a rename to announce itself.

@@ -59,7 +59,7 @@ def resolve_artifact(path: Union[str, Path]) -> Optional[Path]:
     """``path`` if it exists, else its ``.gz`` sibling, else None.
 
     Long-finished campaigns get gzipped for archival; every artifact
-    *reader* (``campaign report``/``status``, ``repro-bbr top``) resolves
+    *reader* (``campaign report``/``status``) resolves
     through here so ``results.csv.gz``/``journal.jsonl.gz`` keep working.
     """
     path = Path(path)

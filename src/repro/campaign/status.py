@@ -1,4 +1,4 @@
-"""Campaign progress inspection: one backend for ``status``/``top``.
+"""Campaign progress inspection: the backend of ``campaign status``.
 
 :func:`campaign_progress` reconstructs a campaign directory's progress
 from its durable artifacts — the frozen spec, the checkpoint journal,
@@ -9,9 +9,9 @@ counts are taken from the journal and only rate, elapsed time and worker
 health from the sidecar.  The ETA comes from the *same*
 :func:`repro.obs.progress.eta_seconds` formula the live ``--progress``
 display uses: the sidecar's EWMA rate when one is available, the
-journal's cumulative mean otherwise.  ``repro-bbr campaign status
---json`` and ``repro-bbr top`` are both thin renderings of this one
-dict — there is no second ETA implementation to drift.
+journal's cumulative mean otherwise.  ``repro-bbr campaign status``
+(``--json``, ``--follow``) renders this one dict — there is no second
+ETA implementation to drift.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ def campaign_progress(out_dir: Union[str, Path]) -> Dict[str, Any]:
         stage_total[unit.stage] = stage_total.get(unit.stage, 0) + 1
 
     # One streaming pass over the journal — counters only, no record
-    # list.  ``top`` over a million-unit journal stays flat in memory.
+    # list.  ``status --follow`` over a million-unit journal stays flat
+    # in memory.
     done = 0
     rows = 0
     journal_wall = 0.0
@@ -165,8 +166,9 @@ def campaign_progress(out_dir: Union[str, Path]) -> Dict[str, Any]:
     }
 
 
-def render_status(status: Dict[str, Any]) -> str:
-    """Human rendering of :func:`campaign_progress` (``repro-bbr top``)."""
+def render_status(status: Dict[str, Any], description: str = "") -> str:
+    """Human rendering of :func:`campaign_progress` (``repro-bbr
+    campaign status``), under the spec's ``description``."""
     units = status["units"]
     pct = (
         f" ({units['done'] / units['total'] * 100:.0f}%)"
@@ -174,10 +176,15 @@ def render_status(status: Dict[str, Any]) -> str:
         else ""
     )
     lines = [
-        f"campaign '{status['name']}' [{status['state']}]"
-        + (" (live)" if status.get("live") else ""),
-        f"  units: {units['done']}/{units['total']}{pct}, "
-        f"{status['rows']} rows",
+        f"campaign '{status['name']}' ({status['state']})"
+        + (" [live]" if status.get("live") else "")
+    ]
+    if description:
+        lines.append(f"  {description}")
+    lines += [
+        f"  fingerprint: {status['fingerprint']}",
+        f"  units: {units['done']}/{units['total']} completed{pct}, "
+        f"{status['rows']} rows journaled",
     ]
     for name, counts in status["stages"].items():
         lines.append(
@@ -200,5 +207,9 @@ def render_status(status: Dict[str, Any]) -> str:
         lines.append(
             f"  worker {pid}: {points} point(s), "
             f"rss {rss // 1024} MiB, seen {age:.0f}s ago"
+        )
+    if status["state"] != "complete":
+        lines.append(
+            f"  resume with: repro-bbr campaign resume {status['out_dir']}"
         )
     return "\n".join(lines)

@@ -10,11 +10,11 @@ Subcommands:
 * ``evolve``   — play the CCA-selection game via best-response dynamics.
 * ``population`` — evolve internet-scale CCA adoption dynamics under a
   tiered payoff oracle (``run``, ``plot``; see docs/POPULATION.md).
-* ``report``   — summarize a JSONL trace written with ``--trace-out``.
+* ``report``   — summarize a JSONL trace written by ``simulate
+  --trace-out``.
 * ``campaign`` — run/resume/inspect declarative scenario campaigns
   (``run``, ``resume``, ``status``, ``validate``, ``report``; see
-  docs/CAMPAIGNS.md).
-* ``top``      — follow a campaign directory's live progress/ETA.
+  docs/CAMPAIGNS.md); ``campaign status --follow`` follows a live run.
 * ``trace``    — inspect exported span traces (``report``).
 * ``cc``       — inspect the canonical congestion-control table
   (``list``: every algorithm, its substrates, and law parameters).
@@ -38,10 +38,11 @@ location ``~/.cache/repro-bbr`` when DIR is omitted, or
 sanitizer of docs/CHECKS.md; ``--progress`` (live done/total, cache-hit
 rate, points/s, EWMA-smoothed ETA on stderr); and ``--spans-out
 PATH``, a span export producing Chrome trace-event JSON for Perfetto /
-``chrome://tracing`` and ``repro-bbr trace report``.  ``simulate`` and
-``figure`` also accept ``--profile`` (print telemetry counters after
-the run) and ``--trace-out PATH`` (write a run manifest plus a
-JSONL event/sample trace).
+``chrome://tracing`` and ``repro-bbr trace report``.  ``simulate``
+also accepts ``--trace-out PATH``: its one point then runs in this
+process, uncached, with a telemetry bus that records it, and the run
+manifest plus the bus's samples, events and counters go to PATH as
+JSONL (read back by ``repro-bbr report``).
 """
 
 from __future__ import annotations
@@ -130,33 +131,8 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-def _add_session_args(
-    parser: argparse.ArgumentParser,
-    telemetry: bool = False,
-) -> None:
-    """The flags :func:`run_session` reads, for a simulating command.
-
-    ``telemetry`` adds the event-bus flags (``simulate``/``figure``).
-    """
-    if telemetry:
-        parser.add_argument(
-            "--profile",
-            action="store_true",
-            help="collect telemetry and print its counters after the run",
-        )
-        parser.add_argument(
-            "--trace-out",
-            default=None,
-            metavar="PATH",
-            help="write a JSONL event/sample trace (its first record "
-            "the run manifest) to PATH",
-        )
-        parser.add_argument(
-            "--trace-interval",
-            type=_positive_float,
-            default=0.1,
-            help="per-flow sampling period in seconds for --trace-out",
-        )
+def _add_session_args(parser: argparse.ArgumentParser) -> None:
+    """The flags :func:`run_session` reads, for a simulating command."""
     parser.add_argument(
         "--spans-out",
         default=None,
@@ -210,9 +186,6 @@ class _Session:
 
     def __init__(self, engine) -> None:
         self.engine = engine
-        #: A :class:`repro.obs.RunManifest` for ``--trace-out`` to
-        #: embed as the trace's first record (``simulate`` has one).
-        self.manifest = None
         #: Whether exit prints the ``exec:`` line; cleared by commands
         #: that never printed one (``simulate``, a figure that ran no
         #: point, an interrupted campaign).
@@ -241,20 +214,18 @@ def run_session(
     Entry builds what the session flags ask for and installs each as
     its process default: ``--check`` a checker and ``--spans-out`` a
     tracer (both exported as ``REPRO_CHECK`` / ``REPRO_TRACE`` too, so
-    ``--jobs`` workers inherit them), ``--profile``/``--trace-out`` a
-    telemetry bus, and always an engine from ``--jobs`` and the cache
-    flags (``--cache-dir``, bare for the default root, or
-    ``$REPRO_CACHE_DIR``; ``--no-cache`` wins; by default nothing is
-    persisted).  Under ``--progress`` the engine's
+    ``--jobs`` workers inherit them), and always an engine from
+    ``--jobs`` and the cache flags (``--cache-dir``, bare for the
+    default root, or ``$REPRO_CACHE_DIR``; ``--no-cache`` wins; by
+    default nothing is persisted).  Under ``--progress`` the engine's
     points feed a tracker named ``label``, drawn on stderr; a command
     that draws its own coarser progress (population ticks, campaign
     units) passes None and gets an engine with its callbacks free.
 
-    A clean exit ends the live line, prints the exec summary, writes
-    ``--trace-out`` then ``--spans-out`` (unwritable: exit 2) and
-    prints ``--profile``, in that order.  Every exit -- clean, error or
-    invariant violation -- closes the engine and puts back each default
-    and environment variable the session replaced.
+    A clean exit ends the live line, prints the exec summary and writes
+    ``--spans-out`` (unwritable: exit 2), in that order.  Every exit --
+    clean, error or invariant violation -- closes the engine and puts
+    back each default and environment variable the session replaced.
     """
     from repro import check, obs
     from repro import exec as exec_
@@ -284,14 +255,6 @@ def run_session(
         if args.spans_out:
             export("REPRO_TRACE")
             tracer = stack.enter_context(trace.use(trace.Tracer()))
-        bus = None
-        trace_out = getattr(args, "trace_out", None)
-        profile = getattr(args, "profile", False)
-        if trace_out or profile:
-            interval = args.trace_interval if trace_out else None
-            bus = stack.enter_context(
-                obs.use(obs.Telemetry(sample_interval=interval))
-            )
         tracker = None
         if args.progress and label is not None:
             tracker = obs.ProgressTracker(label=label)
@@ -326,29 +289,12 @@ def run_session(
                 f"{stats['cache_hits']} cache hits, "
                 f"{stats['simulated']} simulated, jobs={engine.jobs}"
             )
-        if trace_out:
-            manifest = session.manifest
-            try:
-                records = obs.write_trace(trace_out, bus, manifest=manifest)
-            except OSError as exc:
-                raise _CliError(f"cannot write trace: {exc}") from None
-            if manifest is None:
-                print(f"(wrote {records} trace records to {trace_out})")
-            else:
-                print(f"  wrote {records} trace records to {trace_out}")
         if tracer is not None:
             try:
                 events = obs.write_chrome_trace(args.spans_out, tracer.spans)
             except OSError as exc:
                 raise _CliError(f"cannot write spans: {exc}") from None
             print(f"(wrote {events} span events to {args.spans_out})")
-        if profile:
-            snap = bus.snapshot()
-            print("profile:")
-            for name, value in sorted(snap["counters"].items()):
-                print(f"  {name:<28} {value:g}")
-            if snap["dropped_records"]:
-                print(f"  (dropped {snap['dropped_records']} records at cap)")
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -407,10 +353,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"bad mix entry {item!r}; use name:count", file=sys.stderr)
             return 2
+    if args.trace_out and args.trials > 1:
+        # Flow ids restart with every trial: a trace of N would merge N.
+        print("--trace-out records one trial; drop --trials", file=sys.stderr)
+        return 2
     with run_session(args, "simulate") as session:
         # One point: the "cache:" line below is its whole exec summary.
         session.exec_summary = False
         engine = session.engine
+        bus = None
+        if args.trace_out:
+            from repro.obs import Telemetry, write_trace
+
+            bus = Telemetry(sample_interval=args.trace_interval)
         wall_start = perf_counter()
         try:
             point = ScenarioPoint(
@@ -422,7 +377,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 trials=args.trials,
                 seed=args.seed,
             )
-            [result] = engine.run_points([point])
+            if bus is None:
+                [result] = engine.run_points([point])
+            else:
+                # The bus records this simulation, here and uncached:
+                # a worker or a cache hit would leave it empty.
+                from repro.experiments.runner import run_mix_batch
+
+                [result] = run_mix_batch([point], obs=bus)
         except ValueError as exc:
             raise _CliError(f"bad scenario: {exc}") from None
         wall_time = perf_counter() - wall_start
@@ -444,15 +406,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(line)
         print(f"  queuing delay: {result.mean_queuing_delay * 1e3:.1f} ms")
         print(f"  drop rate: {result.drop_rate * 100:.2f}%")
-        if engine.cache is not None:
+        if bus is None and engine.cache is not None:
             hit = engine.hits > 0
             print(
                 f"  cache: {'hit' if hit else 'miss'} ({engine.cache.root})"
             )
-        if args.trace_out:
-            session.manifest = _simulate_manifest(
+        if bus is not None:
+            manifest = _simulate_manifest(
                 args, link, mix, point.warmup, result, wall_time
             )
+            try:
+                records = write_trace(args.trace_out, bus, manifest=manifest)
+            except OSError as exc:
+                raise _CliError(f"cannot write trace: {exc}") from None
+            print(f"  wrote {records} trace records to {args.trace_out}")
     return 0
 
 
@@ -501,8 +468,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         return 2
     from repro.scenario import scenario_overrides
 
-    # Figures drive the engine internally without obs/engine parameters;
-    # they pick both up as the process defaults the session installed,
+    # Figures drive the engine internally without an engine parameter;
+    # they pick it up as the process default the session installed,
     # and the scenario flags reach their internally built links the
     # same way.
     with run_session(args, key) as session:
@@ -956,29 +923,36 @@ def _run_campaign_cmd(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Refresh period of ``campaign status --follow`` (seconds).
+FOLLOW_INTERVAL_S = 2.0
+
+
 @_campaign_errors
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    from repro.campaign import campaign_progress, load_campaign
+    import json
+    from time import sleep
 
-    status = campaign_progress(args.dir)
-    if args.json:
-        import json
-
-        print(json.dumps(status, indent=2))
-        return 0
-    units = status["units"]
-    print(f"campaign '{status['name']}' ({status['state']})")
-    description = load_campaign(args.dir).description
-    if description:
-        print(f"  {description}")
-    print(f"  fingerprint: {status['fingerprint']}")
-    print(
-        f"  units: {units['done']}/{units['total']} completed, "
-        f"{status['rows']} rows journaled"
+    from repro.campaign import (
+        campaign_progress,
+        load_campaign,
+        render_status,
     )
-    if status["state"] != "complete":
-        print(f"  resume with: repro-bbr campaign resume {args.dir}")
-    return 0
+
+    description = load_campaign(args.dir).description
+    try:
+        while True:
+            status = campaign_progress(args.dir)
+            if args.json:
+                print(json.dumps(status, indent=2))
+            else:
+                print(render_status(status, description))
+            if not args.follow or status["state"] == "complete":
+                return 0
+            sleep(FOLLOW_INTERVAL_S)
+            print()
+    except KeyboardInterrupt:
+        print()
+        return 0
 
 
 @_campaign_errors
@@ -1021,25 +995,6 @@ def _cmd_campaign_validate(args: argparse.Namespace) -> int:
     )
     print(f"  units: {len(units)}")
     return 0
-
-
-@_campaign_errors
-def _cmd_top(args: argparse.Namespace) -> int:
-    from time import sleep
-
-    from repro.campaign import campaign_progress, render_status
-
-    try:
-        while True:
-            status = campaign_progress(args.dir)
-            print(render_status(status))
-            if args.once or status["state"] == "complete":
-                return 0
-            sleep(args.interval)
-            print()
-    except KeyboardInterrupt:
-        print()
-        return 0
 
 
 def _cmd_trace_report(args: argparse.Namespace) -> int:
@@ -1135,8 +1090,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="PATH",
+        help="run the one trial here, uncached, and write its JSONL "
+        "event/sample/counter trace (first record: the run manifest) "
+        "to PATH",
+    )
+    p.add_argument(
+        "--trace-interval",
+        type=_positive_float,
+        default=0.1,
+        help="per-flow sampling period in seconds for --trace-out",
+    )
     _add_scenario_args(p)
-    _add_session_args(p, telemetry=True)
+    _add_session_args(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
@@ -1151,7 +1120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--csv-dir", default=None, help="also write CSVs to this directory"
     )
     _add_scenario_args(p)
-    _add_session_args(p, telemetry=True)
+    _add_session_args(p)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser(
@@ -1305,7 +1274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report",
-        help="summarize a JSONL trace written with --trace-out",
+        help="summarize a JSONL trace written by simulate --trace-out",
     )
     p.add_argument("trace", help="path to the JSONL trace file")
     p.set_defaults(func=_cmd_report)
@@ -1362,6 +1331,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="print machine-readable progress (elapsed, per-stage "
         "done/total, rate, ETA) as JSON",
     )
+    cp.add_argument(
+        "--follow",
+        action="store_true",
+        help=f"refresh every {FOLLOW_INTERVAL_S:g}s until the campaign "
+        "is complete (Ctrl-C stops following)",
+    )
     cp.set_defaults(func=_cmd_campaign_status)
 
     cp = campaign_sub.add_parser(
@@ -1396,25 +1371,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: bbr)",
     )
     cp.set_defaults(func=_cmd_campaign_report)
-
-    p = sub.add_parser(
-        "top",
-        help="follow a campaign directory's live progress/ETA",
-    )
-    p.add_argument("dir", help="campaign output directory")
-    p.add_argument(
-        "--once",
-        action="store_true",
-        help="print one snapshot and exit instead of following",
-    )
-    p.add_argument(
-        "--interval",
-        type=_positive_float,
-        default=2.0,
-        metavar="SECONDS",
-        help="refresh period in follow mode (default 2s)",
-    )
-    p.set_defaults(func=_cmd_top)
 
     p = sub.add_parser(
         "trace",

@@ -56,11 +56,11 @@ Results are returned in submission order regardless of completion
 order, and a batch containing duplicate points simulates each distinct
 point once.
 
-A process-wide *default engine* mirrors the telemetry bus convention
-(:mod:`repro.obs.bus`): call chains that do not thread an engine
-explicitly (the figure generators, the NE throughput functions) pick up
-the installed default via :func:`resolve`, and fall back to a shared
-sequential, cache-less engine.
+A process-wide *default engine* (:mod:`repro.util.ambient`): call
+chains that do not thread an engine explicitly (the figure generators,
+the NE throughput functions) pick up the installed default via
+:func:`resolve`, and fall back to a shared sequential, cache-less
+engine.
 """
 
 from __future__ import annotations
@@ -151,8 +151,6 @@ def _execute_unit(
     its wall time evenly.  Every other point is a batch of one, yielded
     before the next one starts, so a consumer that stores each result as
     it arrives checkpoints per point even inside a multi-point unit.
-    Points run under the process telemetry bus, resolved by
-    ``run_mix_batch``.
     """
     from repro.experiments.runner import run_mix_batch, runs_vectorized
 
@@ -187,22 +185,18 @@ def _execute_unit(
 def _worker_unit(
     points: Sequence[ScenarioPoint],
 ) -> Tuple[List[Tuple[int, "ScenarioResult", float]], Dict]:
-    """Pool entry: run one dispatch unit, telemetry disabled.
+    """Pool entry: run one dispatch unit.
 
     Returns ``(executed, extras)``: everything :func:`_execute_unit`
     yielded (wall times are measured inside the worker so queueing delay
     is not attributed to the simulation), and the worker's pid, max RSS
     and drained trace spans (when ``REPRO_TRACE`` is inherited).
     """
-    from repro.obs import bus, trace
+    from repro.obs import trace
     from repro.obs.progress import rss_self_kb
 
-    # Fork-start workers inherit the parent's default telemetry bus;
-    # recording into that copy would be silently discarded, so run dark.
-    # Tracing is different: spans recorded here are shipped back with
-    # the unit, so a fresh local tracer is installed when the parent
-    # exported REPRO_TRACE.
-    bus.set_default(None)
+    # Spans recorded here are shipped back with the unit, so a fresh
+    # local tracer is installed when the parent exported REPRO_TRACE.
     tracer = trace.Tracer() if trace.enabled_from_env() else None
     trace.set_default(tracer)
 

@@ -74,16 +74,14 @@ def runs_vectorized(
 
     The vectorized substrate pays a fixed numpy cost per tick, so it
     wins only once the batch is :data:`VEC_MIN_ROWS` flow rows wide (one
-    row per flow per trial).  Instrumented runs — a live telemetry bus
-    (``obs`` or the process default) or a live invariant checker —
-    always take the scalar loop: telemetry and the law-object checks
-    exist only there.  Both paths produce the same bits, so this decides
-    wall time only.
+    row per flow per trial).  Instrumented runs — a telemetry bus handed
+    in as ``obs`` or a live invariant checker — always take the scalar
+    loop: telemetry and the law-object checks exist only there.  Both
+    paths produce the same bits, so this decides wall time only.
     """
     from repro.check import resolve as resolve_check
-    from repro.obs.bus import resolve
 
-    if resolve(obs) is not None or resolve_check(None) is not None:
+    if obs is not None or resolve_check(None) is not None:
         return False
     rows = sum(point.rows for point in points if point.backend == "fluid")
     return rows >= VEC_MIN_ROWS
@@ -193,8 +191,8 @@ def run_mix(
         trials: Trials to average; trial ``t`` uses seed ``seed + t``.
         seed: Base RNG seed (fluid backend jitter / loss lottery).
         loss_mode: Fluid-backend CUBIC synchronization mode.
-        obs: Optional telemetry bus threaded into the substrate;
-            defaults to the process-wide bus (usually disabled).
+        obs: Optional telemetry bus that records the run (every
+            trial; None, the default, records nothing).
     """
     point = ScenarioPoint(
         link=link,
@@ -222,12 +220,10 @@ def run_mix_batch(
     across whole sweeps.  Otherwise, and for packet points, each trial
     is one scalar substrate run.  The vectorized substrate is
     batch-invariant bit for bit, so the results are identical either
-    way.
+    way.  ``obs``, when given, records every trial of every point.
     """
     from repro.check import resolve as resolve_check
-    from repro.obs.bus import resolve
 
-    obs = resolve(obs)
     check = resolve_check(None)
     pooled = None
     if runs_vectorized(points, obs):

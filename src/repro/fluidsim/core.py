@@ -683,13 +683,10 @@ def run_fluid(
 ) -> SimulationResult:
     """Convenience one-shot fluid simulation run.
 
-    ``obs`` defaults to the process-wide telemetry bus (usually None,
-    i.e. disabled); pass one explicitly to instrument a single run.
-    ``check`` likewise defaults to the process-wide invariant checker
-    (see :mod:`repro.check`).
+    ``obs`` is the telemetry bus that records this run (None: nothing
+    is recorded).  ``check`` defaults to the process-wide invariant
+    checker (see :mod:`repro.check`).
     """
-    from repro.obs.bus import resolve
-
     sim = FluidSimulation(
         link,
         flows,
@@ -697,7 +694,7 @@ def run_fluid(
         loss_mode=loss_mode,
         seed=seed,
         start_jitter=start_jitter,
-        obs=resolve(obs),
+        obs=obs,
         check=check,
     )
     return sim.run(duration, warmup)

@@ -13,19 +13,12 @@ and live progress/ETA/worker-health tracking
 Telemetry is **disabled by default** and is a strict no-op when disabled:
 every instrumentation site in the packet simulator, the fluid simulator,
 and the congestion controllers guards on ``obs is not None``.  Enable it
-by passing a :class:`Telemetry` instance (``run_mix(..., obs=bus)``) or
-by installing a process default (``with obs.use(bus): ...``), which is
-what ``repro-bbr simulate --trace-out``/``--profile`` do.
+for one simulation by handing it a :class:`Telemetry` instance
+(``run_mix(..., obs=bus)``), which is what ``repro-bbr simulate
+--trace-out`` does; there is no process-wide bus.
 """
 
-from repro.obs.bus import (
-    Telemetry,
-    TelemetryEvent,
-    get_default,
-    resolve,
-    set_default,
-    use,
-)
+from repro.obs.bus import Telemetry, TelemetryEvent
 from repro.obs.export import (
     TraceData,
     open_maybe_gzip,
@@ -59,10 +52,6 @@ from repro.obs.trace import (
 __all__ = [
     "Telemetry",
     "TelemetryEvent",
-    "get_default",
-    "resolve",
-    "set_default",
-    "use",
     "TraceData",
     "open_maybe_gzip",
     "read_trace",

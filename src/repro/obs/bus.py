@@ -18,10 +18,9 @@ span tracer's, :mod:`repro.obs.trace`):
   ``STARTUP → DRAIN`` transition, and periodic **samples** (``sample``),
   the event-stream form of :class:`repro.sim.trace.TraceSample`.
 
-A module-level *default* bus supports instrumenting call chains that do
-not thread ``obs`` explicitly (e.g. ``repro-bbr figure --profile``):
-:func:`resolve` returns the explicit argument if given, else the default,
-else None.
+A bus records one simulation: it is handed to that run (``run_mix(...,
+obs=bus)``, ``repro-bbr simulate --trace-out``), never installed for the
+process, so no run records into a bus it was not given.
 """
 
 from __future__ import annotations
@@ -29,16 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.util.ambient import ProcessDefault
-
-__all__ = [
-    "Telemetry",
-    "TelemetryEvent",
-    "get_default",
-    "set_default",
-    "resolve",
-    "use",
-]
+__all__ = ["Telemetry", "TelemetryEvent"]
 
 
 @dataclass
@@ -144,11 +134,3 @@ class Telemetry:
             f"events={len(self.events)} samples={len(self.samples)}>"
         )
 
-
-#: The process-wide default bus; None means telemetry is disabled.
-_DEFAULT = ProcessDefault()
-
-get_default = _DEFAULT.get
-set_default = _DEFAULT.set
-resolve = _DEFAULT.resolve
-use = _DEFAULT.use

@@ -8,8 +8,8 @@ math used everywhere a done/total pair is shown to a human or a machine:
   and per-worker heartbeats);
 * the ``progress.json`` sidecar written next to a campaign's checkpoint
   journal (:meth:`ProgressTracker.write_sidecar`);
-* ``repro-bbr top`` and ``repro-bbr campaign status --json``, which
-  reconstruct a tracker from the journal and call the same
+* ``repro-bbr campaign status`` (text, ``--json``, ``--follow``), which
+  reconstructs a tracker from the journal and calls the same
   :func:`eta_seconds` the live path uses.
 
 The point rate is EWMA-smoothed (:attr:`ProgressTracker.ewma_alpha`) so
@@ -61,8 +61,8 @@ def eta_seconds(
 ) -> Optional[float]:
     """Seconds until ``total`` at the given (or implied) rate.
 
-    The single ETA formula shared by the live tracker, ``campaign
-    status --json``, and ``repro-bbr top``: with no explicit rate the
+    The single ETA formula shared by the live tracker and ``campaign
+    status``: with no explicit rate the
     cumulative mean ``done / elapsed`` is used.  None means "cannot
     estimate" (no total, nothing done yet, or a zero rate).
     """
@@ -296,6 +296,6 @@ class ProgressTracker:
 
     def write_sidecar(self, path: str) -> None:
         """Atomically write :meth:`snapshot` to ``path``, so a reader
-        (``repro-bbr top`` following a live campaign) never sees a torn
+        (``campaign status --follow`` on a live campaign) never sees a torn
         JSON document."""
         write_json_atomic(path, self.snapshot())

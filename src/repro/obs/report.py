@@ -152,7 +152,7 @@ class RunReport:
         )
 
     def render(self) -> str:
-        """Terminal rendering: header, per-flow table, link counters."""
+        """Terminal rendering: header, per-flow table, every counter."""
         lines: List[str] = []
         manifest = self.trace.manifest
         if manifest is not None:
@@ -196,15 +196,10 @@ class RunReport:
                 f"{fr.dwell_summary()}"
             )
 
-        drop_counters = {
-            name: value
-            for name, value in sorted(self.trace.counters.items())
-            if name.startswith(("link.", "sim.", "fluid."))
-        }
-        if drop_counters:
+        if self.trace.counters:
             lines.append("")
-            lines.append("link/substrate counters:")
-            for name, value in drop_counters.items():
+            lines.append("counters:")
+            for name, value in sorted(self.trace.counters.items()):
                 lines.append(f"  {name:<28} {value:g}")
         return "\n".join(lines)
 

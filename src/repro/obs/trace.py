@@ -11,7 +11,7 @@ Enabling mirrors :mod:`repro.check`:
 
 * pass or install a :class:`Tracer` (:func:`set_default` / :func:`use`);
 * set ``REPRO_TRACE=1`` in the environment — which is exactly what the
-  CLI's ``--trace-out``/``--progress`` flags do, so ``--jobs`` worker
+  CLI's ``--spans-out`` flag does, so ``--jobs`` worker
   processes inherit tracing.  Workers record into a fresh local tracer
   and ship their finished spans back with each result; the engine merges
   them parent-side, where each worker's ``pid`` becomes its own lane.

@@ -314,13 +314,10 @@ def run_dumbbell(
 ) -> SimulationResult:
     """Convenience one-shot: build a dumbbell, run it, return the result.
 
-    ``obs`` defaults to the process-wide telemetry bus (usually None,
-    i.e. disabled); pass one explicitly to instrument a single run.
-    ``check`` likewise defaults to the process-wide invariant checker
-    (see :mod:`repro.check`).
+    ``obs`` is the telemetry bus that records this run (None: nothing
+    is recorded).  ``check`` defaults to the process-wide invariant
+    checker (see :mod:`repro.check`).
     """
-    from repro.obs.bus import resolve
-
-    return DumbbellNetwork(
-        link, flows, obs=resolve(obs), check=check
-    ).run(duration, warmup)
+    return DumbbellNetwork(link, flows, obs=obs, check=check).run(
+        duration, warmup
+    )

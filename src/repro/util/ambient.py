@@ -1,14 +1,14 @@
 """Process-wide defaults for ambient run state (``repro.util.ambient``).
 
-The telemetry bus (:mod:`repro.obs.bus`), the span tracer
-(:mod:`repro.obs.trace`), the invariant checker (:mod:`repro.check`) and
-the execution engine (:mod:`repro.exec`) are all *ambient*: call chains
-that do not thread one explicitly pick up whatever is installed for the
-process.  :class:`ProcessDefault` is the one implementation of that
-registry; each of the four modules holds one instance and binds its
-methods to the public names it has always exported (``get_default``,
-``set_default``, ``clear_default``, ``resolve``, ``use``,
-``enabled_from_env``).
+The span tracer (:mod:`repro.obs.trace`), the invariant checker
+(:mod:`repro.check`) and the execution engine (:mod:`repro.exec`) are
+*ambient*: call chains that do not thread one explicitly pick up
+whatever is installed for the process.  :class:`ProcessDefault` is the
+one implementation of that registry; each of the three modules holds
+one instance and binds its methods to the public names it has always
+exported (``get_default``, ``set_default``, ``clear_default``,
+``resolve``, ``use``, ``enabled_from_env``).  The telemetry bus is not
+ambient: it is handed to the one simulation it records.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class ProcessDefault:
             (at most one per process, dropped by :meth:`clear`).  With
             ``env`` it is what :meth:`get` returns while the variable
             is on; without ``env`` it is the last resort of
-            :meth:`resolve` only.  None: the slot never creates.
+            :meth:`resolve` only.
         env: Name of the environment variable that switches the lazy
             instance on (``REPRO_CHECK``, ``REPRO_TRACE``).
 
@@ -40,7 +40,7 @@ class ProcessDefault:
 
     def __init__(
         self,
-        factory: Optional[Callable[[], Any]] = None,
+        factory: Callable[[], Any],
         env: Optional[str] = None,
     ) -> None:
         self._factory = factory
@@ -72,7 +72,7 @@ class ProcessDefault:
         """
         if self._explicit is not _UNSET:
             return self._explicit
-        if self._factory is not None and self.enabled_from_env():
+        if self.enabled_from_env():
             return self._shared()
         return None
 
@@ -88,12 +88,12 @@ class ProcessDefault:
 
     def resolve(self, value: Any) -> Any:
         """An explicit ``value`` wins; otherwise the process default;
-        otherwise, for a slot with a factory and no environment switch,
-        the shared lazily created instance."""
+        otherwise, for a slot with no environment switch, the shared
+        lazily created instance."""
         if value is not None:
             return value
         default = self.get()
-        if default is None and self._factory is not None and not self._env:
+        if default is None and not self._env:
             return self._shared()
         return default
 

@@ -300,12 +300,12 @@ def session_flags_on_every_command(work):
     }
     for name, command in commands.items():
         exports = ["--spans-out", f"{name}-s.json"]
-        if name in ("sim", "fig"):
-            exports += ["--profile", "--trace-out", f"{name}-t.jsonl"]
+        if name == "sim":
+            exports += ["--trace-out", f"{name}-t.jsonl"]
         cli(work, *command.split(), *SESSION, *exports)
         cli(work, "trace", "report", f"{name}-s.json")
-        if name in ("sim", "fig"):
-            cli(work, "report", f"{name}-t.jsonl")
+        if name == "sim":
+            assert "cc.state_transitions" in cli(work, "report", "sim-t.jsonl")
 
 
 def figure_answers_from_cache(work):
@@ -350,7 +350,7 @@ def fig9_campaign_sanitized_and_traced(work):
     assert len(pids("point_batch") - pids("campaign")) >= 2
 
     cli(work, "trace", "report", "trace.json")
-    assert "14/14" in cli(work, "top", "traced", "--once")
+    assert "14/14" in cli(work, "campaign", "status", "traced", "--follow")
     found = status(work, "traced")
     assert found["state"] == "complete" and found["eta_s"] == 0.0
     assert found["units"] == {"done": 14, "total": 14, "remaining": 0}

@@ -1,18 +1,17 @@
 """The one process-default registry (``repro.util.ambient``) behind the
-telemetry bus, the span tracer, the invariant checker and the engine."""
+span tracer, the invariant checker and the engine."""
 
 import pytest
 
 from repro.check import core as check_core
 from repro.exec import engine as engine_mod
-from repro.obs import bus, trace
+from repro.obs import trace
 from repro.util.ambient import _UNSET
 
 #: module -> the environment switch of its slot (None: it has none).
 SLOTS = {
     "check": (check_core, "REPRO_CHECK"),
     "trace": (trace, "REPRO_TRACE"),
-    "bus": (bus, None),
     "exec": (engine_mod, None),
 }
 

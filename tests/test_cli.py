@@ -240,13 +240,11 @@ def test_simulate_trace_out_and_report_round_trip(tmp_path, capsys):
             "fluid",
             "--trace-out",
             str(trace),
-            "--profile",
         ]
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "profile:" in out
-    assert "fluid.steps" in out
+    assert f"trace records to {trace}" in out
     assert trace.exists()
     # The trace is the one record: no sibling manifest beside it.
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.jsonl"]
@@ -277,6 +275,55 @@ def test_simulate_trace_out_and_report_round_trip(tmp_path, capsys):
     assert "phase dwell" in out
     assert "bbr" in out
     assert "PROBE_BW" in out
+    assert "fluid.steps" in out  # Every counter, in the one view.
+
+
+def _traced_records(path):
+    """A trace's records after its manifest, and the manifest without
+    its clocks (the one thing two runs of one point may differ in)."""
+    import json
+
+    manifest, *records = [
+        json.loads(line) for line in path.read_text().splitlines()
+    ]
+    for clock in ("created_unix", "wall_time_s"):
+        manifest.pop(clock)
+    return manifest, records
+
+
+def test_traced_simulate_records_the_same_run_anywhere(tmp_path, capsys):
+    """A traced point runs here, uncached: ``--jobs 2`` and a warm
+    cache write the records of a cold ``--jobs 1`` run, and print no
+    ``cache:`` line."""
+    argv = "simulate cubic:1 bbr:1 --duration 20 --trace-out".split()
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    # Warm the cache with the untraced point first.
+    assert main(argv[:-1] + cache) == 0
+    assert "cache: miss" in capsys.readouterr().out
+    runs = {
+        "cold": [],
+        "jobs2": ["--jobs", "2"],
+        "warm": cache,
+    }
+    traces = {}
+    for name, flags in runs.items():
+        path = tmp_path / f"{name}.jsonl"
+        assert main(argv + [str(path)] + flags) == 0
+        assert "cache:" not in capsys.readouterr().out
+        traces[name] = _traced_records(path)
+    manifest, records = traces["cold"]
+    assert traces["jobs2"] == traces["warm"] == (manifest, records)
+    names = {r["name"] for r in records if r["kind"] in ("event", "counter")}
+    assert {"cc.state", "fluid.steps"} <= names
+
+
+def test_traced_simulate_refuses_trials(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    argv = "simulate cubic:1 bbr:1 --duration 5 --trials 2 --trace-out"
+    assert main(argv.split() + [str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err == "--trace-out records one trial; drop --trials\n"
+    assert not trace.exists()
 
 
 def test_report_missing_file(tmp_path, capsys):
@@ -897,15 +944,15 @@ def test_campaign_trace_progress_status_top_cycle(tmp_path, capsys):
     assert status["eta_s"] == 0.0
     assert "stage0" in status["stages"]
 
-    # top --once renders the same snapshot for humans.
-    assert main(["top", str(out_dir), "--once"]) == 0
-    top_out = capsys.readouterr().out
-    assert "3/3" in top_out and "eta" in top_out
+    # Without --json, the same snapshot for humans.
+    assert main(["campaign", "status", str(out_dir)]) == 0
+    text = capsys.readouterr().out
+    assert "3/3" in text and "eta" in text
 
 
 def test_campaign_rejects_trace_out(tmp_path, capsys):
-    """``--trace-out`` means the bus JSONL of ``simulate``/``figure``
-    only; campaign run/resume write spans with ``--spans-out``."""
+    """``--trace-out`` means the bus JSONL of ``simulate`` only;
+    campaign run/resume write spans with ``--spans-out``."""
     spec = _write_smoke_spec(tmp_path)
     for argv in (
         ["campaign", "run", str(spec), "--out", str(tmp_path / "out")],
@@ -919,7 +966,7 @@ def test_campaign_rejects_trace_out(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_top_midrun_journal_renders_finite_eta(tmp_path, capsys):
+def test_campaign_status_midrun_renders_finite_eta(tmp_path, capsys):
     spec = _write_smoke_spec(tmp_path)
     out_dir = tmp_path / "camp"
     code = main(
@@ -936,16 +983,43 @@ def test_top_midrun_journal_renders_finite_eta(tmp_path, capsys):
     assert code == 3
     capsys.readouterr()
 
-    assert main(["top", str(out_dir), "--once"]) == 0
+    assert main(["campaign", "status", str(out_dir)]) == 0
     out = capsys.readouterr().out
     assert "2/3" in out
     assert "eta" in out and "eta ?" not in out  # finite estimate
     assert "resumable" in out
+    assert f"resume with: repro-bbr campaign resume {out_dir}" in out
 
 
-def test_top_rejects_non_campaign_dir(tmp_path, capsys):
-    assert main(["top", str(tmp_path), "--once"]) == 2
-    assert "campaign error" in capsys.readouterr().err
+def test_campaign_status_follows_until_complete(
+    tmp_path, capsys, monkeypatch
+):
+    """``--follow`` redraws every interval until the campaign is
+    complete: here a resume finishes it during the first sleep."""
+    import repro.cli as cli
+
+    spec = _write_smoke_spec(tmp_path)
+    out_dir = tmp_path / "camp"
+    argv = ["campaign", "run", str(spec), "--out", str(out_dir)]
+    assert main(argv + ["--stop-after", "2"]) == 3
+    naps = []
+
+    def resume_while_asleep(seconds):
+        naps.append(seconds)
+        assert main(["campaign", "resume", str(out_dir)]) == 0
+
+    monkeypatch.setattr("time.sleep", resume_while_asleep)
+    capsys.readouterr()
+    assert main(["campaign", "status", str(out_dir), "--follow"]) == 0
+    assert naps == [cli.FOLLOW_INTERVAL_S]
+    out = capsys.readouterr().out
+    assert out.index("(resumable)") < out.index("(complete)")
+
+
+def test_campaign_status_rejects_non_campaign_dir(tmp_path, capsys):
+    for flags in ([], ["--follow"]):
+        assert main(["campaign", "status", str(tmp_path), *flags]) == 2
+        assert "campaign error" in capsys.readouterr().err
 
 
 # -- scenario flags (--aqm / --ecn / --capacity-trace) ----------------------
@@ -1151,7 +1225,7 @@ def test_parser_surface_matches_snapshot():
     """Every (sub)command accepts exactly the options of
     ``tests/cli_options.json`` (``python -m tests.identity
     cli_options``); ``--trace-out`` is the bus JSONL flag of
-    ``simulate``/``figure`` alone."""
+    ``simulate`` alone."""
     snapshot = load("cli_options")
     assert parser_surface(build_parser()) == snapshot
     assert "--trace-out" not in snapshot["campaign run"]
@@ -1163,13 +1237,12 @@ def _ambient_state():
 
     from repro import check
     from repro import exec as exec_
-    from repro.obs import bus, trace
+    from repro.obs import trace
 
     return (
         dict(os.environ),
         check.get_default(),
         trace.get_default(),
-        bus.get_default(),
         exec_.get_default(),
     )
 
@@ -1232,13 +1305,15 @@ def test_session_restores_ambient_state(
 
 
 def test_session_epilogue_order(tmp_path, capsys):
-    """exec summary, then --trace-out, then --spans-out, then
-    --profile: one order for every command."""
+    """simulate's output lines, then its --trace-out, then the
+    session's --spans-out."""
     code = main(
         [
-            "figure",
-            "6",
-            "--profile",
+            "simulate",
+            "cubic:1",
+            "bbr:1",
+            "--duration",
+            "5",
             "--trace-out",
             str(tmp_path / "t.jsonl"),
             "--spans-out",
@@ -1248,9 +1323,9 @@ def test_session_epilogue_order(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     marks = [
+        out.index("drop rate:"),
         out.index("trace records to"),
         out.index("span events to"),
-        out.index("profile:"),
     ]
     assert marks == sorted(marks)
-    assert "exec:" not in out  # Figure 6 runs no point.
+    assert "exec:" not in out  # simulate prints no exec summary.

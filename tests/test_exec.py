@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     run_mix,
 )
 from repro.obs import Telemetry
-from repro.obs import use as use_obs
 from repro.util.config import LinkConfig
 
 
@@ -319,21 +318,16 @@ def test_corrupt_cache_entry_counts_error_and_reruns(tmp_path):
 
 
 def test_engine_records_obs_counters(tmp_path):
-    """The engine counts into ``stats`` only; a live bus gets the
-    simulation's counters, never an ``exec.*`` one."""
-    obs = Telemetry()
+    """The engine counts into ``stats``, its one record."""
     engine = Engine(cache=ResultCache(tmp_path))
-    with use_obs(obs):
-        engine.run_points(points(2))
-        engine.run_points(points(2))
+    engine.run_points(points(2))
+    engine.run_points(points(2))
     stats = engine.stats
     assert stats["submitted"] == stats["done"] == 4
     assert stats["simulated"] == 2
     assert stats["cache_hits"] == 2
     assert stats["cache_misses"] == 2
     assert len(ResultCache(tmp_path)) == 2
-    assert obs.counter("fluid.steps") > 0
-    assert not [name for name in obs.counters if name.startswith("exec.")]
 
 
 def test_engine_progress_callback_is_cumulative():
@@ -901,19 +895,27 @@ def test_substrate_follows_trial_rows_of_one_point(substrate_calls):
     assert substrate_calls == {"scalar": 7, "vec": 1}
 
 
-@pytest.mark.parametrize("instrument", ["telemetry", "checker"])
-def test_instrumented_pool_stays_scalar(substrate_calls, instrument):
-    """A live bus or checker keeps even a 640-row pool on the scalar
-    substrate — the only one with per-flow cc.* events and law checks."""
+def test_a_checked_pool_stays_scalar(substrate_calls):
+    """A live checker keeps even a 640-row pool on the scalar
+    substrate — the only one with law checks."""
     from repro.check import Checker, use as use_check
 
-    obs = Telemetry()
-    pool = row_points(640, flows=20)
-    with use_obs(obs) if instrument == "telemetry" else use_check(Checker()):
-        Engine().run_points(pool)
+    with use_check(Checker()):
+        Engine().run_points(row_points(640, flows=20))
     assert substrate_calls == {"scalar": 32, "vec": 0}
-    if instrument == "telemetry":
-        assert any(e.name.startswith("cc.") for e in obs.events)
+
+
+def test_a_traced_fluid_request_stays_scalar(substrate_calls):
+    """A bus handed to a 64-row fluid request keeps it on the scalar
+    loop — the only one with per-flow cc.* events — and moves no bit."""
+    mix = [("cubic", 4), ("bbr", 4)]
+    plain = run_mix(link(), mix, duration=2.0, trials=8)
+    assert substrate_calls == {"scalar": 0, "vec": 1}
+    obs = Telemetry()
+    traced = run_mix(link(), mix, duration=2.0, trials=8, obs=obs)
+    assert substrate_calls == {"scalar": 8, "vec": 1}
+    assert traced == plain
+    assert any(e.name.startswith("cc.") for e in obs.events)
 
 
 def test_lost_vec_unit_is_rerun_as_a_vec_batch(substrate_calls, monkeypatch):

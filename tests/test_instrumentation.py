@@ -21,7 +21,6 @@ from repro.check import use as use_check
 from repro.exec import Engine, ScenarioPoint
 from repro.fluidsim import FluidSpec, run_fluid
 from repro.obs import Telemetry
-from repro.obs import use as use_obs
 from repro.obs.trace import Tracer
 from repro.obs.trace import use as use_tracer
 from repro.sim.network import FlowSpec, run_dumbbell
@@ -35,7 +34,7 @@ PACKET_FLOWS = [FlowSpec("cubic"), FlowSpec("bbr")]
 @pytest.fixture(autouse=True)
 def nothing_ambient():
     """Off means off, also under ``REPRO_CHECK=1``."""
-    with use_check(None), use_obs(None), use_tracer(None):
+    with use_check(None), use_tracer(None):
         yield
 
 

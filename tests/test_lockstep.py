@@ -122,7 +122,6 @@ def rounds_and_batches(tracer):
 
 def test_a_round_picks_its_substrate_by_its_rows(tmp_path):
     from repro.check import Checker, use as use_check
-    from repro.obs import Telemetry, use as use_obs
     from repro.obs.trace import Tracer, use as use_tracer
 
     spec = adaptive_spec()
@@ -142,20 +141,16 @@ def test_a_round_picks_its_substrate_by_its_rows(tmp_path):
     assert narrow and set(narrow) == {0}
     assert not [s for s in tracer.spans if s.name == "unit"]
 
-    # Instrumented, every round stays on the scalar loop: same bytes.
-    for name, instrument in (
-        ("telemetry", use_obs(Telemetry())),
-        ("checked", use_check(Checker())),
-    ):
-        tracer = Tracer()
-        with instrument, use_tracer(tracer):
-            run_campaign(spec, tmp_path / name, engine=Engine())
-        assert not [s for s in tracer.spans if s.name == "point_batch"]
-        assert filecmp.cmp(
-            tmp_path / "plain" / "results.csv",
-            tmp_path / name / "results.csv",
-            shallow=False,
-        )
+    # Checked, every round stays on the scalar loop: same bytes.
+    tracer = Tracer()
+    with use_check(Checker()), use_tracer(tracer):
+        run_campaign(spec, tmp_path / "checked", engine=Engine())
+    assert not [s for s in tracer.spans if s.name == "point_batch"]
+    assert filecmp.cmp(
+        tmp_path / "plain" / "results.csv",
+        tmp_path / "checked" / "results.csv",
+        shallow=False,
+    )
 
 
 # -- kill, resume, stop ------------------------------------------------------

@@ -7,12 +7,8 @@ import pytest
 from repro.obs import (
     RunManifest,
     Telemetry,
-    get_default,
     load_report,
     read_trace,
-    resolve,
-    set_default,
-    use,
     write_trace,
 )
 from repro.obs.report import RunReport
@@ -61,27 +57,6 @@ class TestTelemetryBus:
             Telemetry(max_events=0)
         with pytest.raises(ValueError):
             Telemetry(sample_interval=-0.1)
-
-
-class TestDefaultBus:
-    def test_resolve_prefers_explicit(self):
-        explicit = Telemetry()
-        installed = Telemetry()
-        set_default(installed)
-        try:
-            assert resolve(explicit) is explicit
-            assert resolve(None) is installed
-        finally:
-            set_default(None)
-        assert resolve(None) is None
-
-    def test_use_restores_previous(self):
-        bus = Telemetry()
-        assert get_default() is None
-        with use(bus) as active:
-            assert active is bus
-            assert get_default() is bus
-        assert get_default() is None
 
 
 class TestInstrumentedPacketRun:
@@ -271,3 +246,20 @@ class TestReport:
         assert "report-test" in rendered
         assert "phase dwell" in rendered
         assert "STARTUP" in rendered
+
+    def test_every_counter_is_printed(self, tmp_path):
+        """The report is the one view of a run's counters: controller
+        and flow counters print beside the link's."""
+        obs = Telemetry()
+        run_dumbbell(
+            LinkConfig.from_mbps_ms(5, 20, 2),
+            [FlowSpec("cubic"), FlowSpec("bbr")],
+            duration=10.0,
+            obs=obs,
+        )
+        path = str(tmp_path / "run.jsonl")
+        write_trace(path, obs)
+        rendered = load_report(path).render()
+        assert obs.counter("cc.state_transitions") > 0
+        for name in obs.counters:
+            assert f"  {name} " in rendered, name

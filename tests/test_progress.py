@@ -188,7 +188,7 @@ def test_campaign_progress_midrun_has_finite_eta(tmp_path):
     assert status["units"]["done"] == 1
     assert status["units"]["remaining"] == 2
     # The live sidecar (fresh) or journal fallback must yield a finite,
-    # positive ETA — the 'top' acceptance criterion.
+    # positive ETA — what campaign status shows a resumable run.
     assert status["eta_s"] is not None
     assert status["eta_s"] > 0
     rendered = render_status(status)

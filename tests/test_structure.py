@@ -156,6 +156,43 @@ def test_the_vectorized_fluid_substrate_does_no_instrumentation():
     assert params == ["points", "check"]
 
 
+# -- one bus per simulation ---------------------------------------------------
+
+AMBIENT = ("use", "set_default", "get_default", "resolve")
+
+
+def test_the_bus_is_handed_to_one_run():
+    """A telemetry bus is an argument of the one simulation it records,
+    never a process default: no point can run dark in a worker or from
+    the cache, and no trace merges points or trials under one flow id.
+    Only ``simulate`` writes a bus trace, and ``report`` is the one view
+    of its counters (no ``--profile``)."""
+    from repro import obs
+    from repro.cli import build_parser
+    from repro.obs import bus
+    from tests.identity import parser_surface
+
+    for module in (bus, obs):
+        found = [name for name in AMBIENT if hasattr(module, name)]
+        assert not found, f"{module.__name__}: {found}"
+    imports = [
+        f"{path.relative_to(SRC).as_posix()}: {alias.name}"
+        for path, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("repro.obs", "repro.obs.bus")
+        for alias in node.names
+        if alias.name in AMBIENT
+    ]
+    assert not imports, imports
+
+    surface = parser_surface(build_parser()).items()
+    assert [cmd for cmd, opts in surface if "--trace-out" in opts] == [
+        "simulate"
+    ]
+    assert not [cmd for cmd, opts in surface if "--profile" in opts]
+
+
 # -- one execution record, one wall-time record -----------------------------
 
 
