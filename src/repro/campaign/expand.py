@@ -81,7 +81,7 @@ class Unit:
 
     def scenario(self) -> Dict[str, Any]:
         """The resolved scenario-point scalars, by ``POINT_PARAMS`` name
-        (the keywords ``ScenarioPoint`` and the runner builders take)."""
+        (the keywords the runner builders take)."""
         return {p.name: getattr(self, p.name) for p in POINT_PARAMS}
 
     def params(self) -> Dict[str, Any]:
@@ -111,12 +111,14 @@ class Unit:
         return unit_id
 
     def to_point(self) -> ScenarioPoint:
-        """The scenario point a mix-running (``sweep``) unit executes."""
+        """The point a mix-running (``sweep``) unit runs at ``seed``."""
         if self.mix is None:
             raise ValueError(
                 f"unit {self.index} is {self.kind!r}, not a sweep point"
             )
-        return ScenarioPoint(link=self.link, mix=self.mix, **self.scenario())
+        scenario = self.scenario()
+        del scenario["trials"]
+        return ScenarioPoint(link=self.link, mix=self.mix, **scenario)
 
 
 def expand_axes(spec: CampaignSpec) -> List[Tuple[Tuple[str, Any], ...]]:

@@ -338,11 +338,23 @@ def _sweep_rows(spec: "CampaignSpec", unit: "Unit", result: Any) -> Rows:
 
 def _run_sweep(run: StageRun, units: List["Unit"]) -> Outcomes:
     """Sweep units are scenario points: one ``Engine.iter_points``
-    batch (parallel fan-out, content-addressed cache)."""
-    points = [unit.to_point() for unit in units]
-    for position, result, wall in run.engine.iter_points(points):
-        unit = units[position]
-        yield unit, _sweep_rows(run.spec, unit, result), wall
+    batch of their seed points (parallel fan-out, content-addressed
+    cache).  A unit is yielded when its last seed arrives, with its
+    seeds' mean (in seed order) and summed walls."""
+    from repro.experiments.runner import mean_result, seed_points
+
+    seeds = [seed_points([unit.to_point()], unit.trials) for unit in units]
+    owner = [u for u, points in enumerate(seeds) for _ in points]
+    arrived: List[Dict[int, Any]] = [{} for _ in units]
+    walls = [0.0] * len(units)
+    batch = [point for points in seeds for point in points]
+    for index, result, wall in run.engine.iter_points(batch):
+        u, unit = owner[index], units[owner[index]]
+        arrived[u][index] = result
+        walls[u] += wall
+        if len(arrived[u]) == unit.trials:
+            mean = mean_result([arrived[u][i] for i in sorted(arrived[u])])
+            yield unit, _sweep_rows(run.spec, unit, mean), walls[u]
 
 
 @dataclass

@@ -59,6 +59,7 @@ from repro.core import predict_multi_flow, predict_nash, predict_two_flow
 from repro.core.ware import ware_prediction
 from repro.exec import ScenarioPoint
 from repro.experiments.figures import FIGURES
+from repro.experiments.runner import run_mix_batch, run_trials
 from repro.scenario.spec import BottleneckSpec
 
 
@@ -358,7 +359,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print("--trace-out records one trial; drop --trials", file=sys.stderr)
         return 2
     with run_session(args, "simulate") as session:
-        # One point: the "cache:" line below is its whole exec summary.
+        # One point, at --trials seeds: the "cache:" line is its summary.
         session.exec_summary = False
         engine = session.engine
         bus = None
@@ -374,16 +375,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 duration=args.duration,
                 warmup=args.warmup,
                 backend=args.backend,
-                trials=args.trials,
                 seed=args.seed,
             )
             if bus is None:
-                [result] = engine.run_points([point])
+                [result] = run_trials([point], args.trials, engine)
             else:
                 # The bus records this simulation, here and uncached:
                 # a worker or a cache hit would leave it empty.
-                from repro.experiments.runner import run_mix_batch
-
                 [result] = run_mix_batch([point], obs=bus)
         except ValueError as exc:
             raise _CliError(f"bad scenario: {exc}") from None
@@ -407,7 +405,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"  queuing delay: {result.mean_queuing_delay * 1e3:.1f} ms")
         print(f"  drop rate: {result.drop_rate * 100:.2f}%")
         if bus is None and engine.cache is not None:
-            hit = engine.hits > 0
+            hit = engine.hits == engine.submitted
             print(
                 f"  cache: {'hit' if hit else 'miss'} ({engine.cache.root})"
             )

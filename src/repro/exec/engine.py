@@ -110,15 +110,15 @@ ProgressFn = Callable[[int, int, int], None]
 #: Worker-health callback: ``(pid, rss_kb)`` after each executed unit.
 HeartbeatFn = Callable[[int, int], None]
 
-#: Points whose estimated cost (flow count x duration x trials, in
+#: Points whose estimated cost (flow count x duration, in
 #: flow-seconds) falls below this are *cheap*: per-point dispatch
 #: overhead (a future, a pickle round-trip, a worker wakeup) is
 #: comparable to the simulation itself, so cheap points are grouped
 #: into per-worker units instead of submitted one per future.
 CHUNK_COST_THRESHOLD = 20_000.0
 
-#: Upper bound on a unit's width in flow rows (flows x trials, summed
-#: over its points) — the memory guard of the vectorized batch path,
+#: Upper bound on a unit's width in flow rows (flows, summed over its
+#: points) — the memory guard of the vectorized batch path,
 #: in the unit that path allocates by.  Measured (docs/PERFORMANCE.md,
 #: "Tick cost", the row-cap curve): a unit's fluid points become one
 #: array block costing ~5.6 MiB of RSS per 1 000 rows, while the time
@@ -128,7 +128,7 @@ UNIT_MAX_ROWS = 2048
 
 
 def _point_cost(point: ScenarioPoint) -> float:
-    """Estimated cost of a point in flow-seconds (x trials)."""
+    """Estimated cost of a point in flow-seconds."""
     return point.duration * point.rows
 
 

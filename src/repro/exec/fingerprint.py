@@ -2,7 +2,7 @@
 
 A *fingerprint* is a stable content hash of everything that determines a
 scenario's numeric outcome: the link, the expanded flow mix (per-entry
-RTTs included), durations, backend, trials, seed, the fluid loss mode,
+RTTs included), durations, backend, seed, the fluid loss mode,
 the cache schema, and the package version.  Two :class:`ScenarioPoint`
 instances that would produce byte-identical simulator inputs hash to the
 same fingerprint even when they were *spelled* differently (mixed-case
@@ -78,7 +78,8 @@ def fingerprint_payload(kind: str, params: Dict[str, Any]) -> str:
 @dataclass(frozen=True)
 class ScenarioPoint:
     """One scenario request, in canonical form — what every figure,
-    campaign and game hands the engine, and the engine the runner.
+    campaign and game hands the engine, and the engine the runner: one
+    simulation at one seed (``runner.seed_points`` repeats it).
 
     A mix entry is ``(cc, count)`` or ``(cc, count, rtt_seconds)``: the
     entry's flows run at that base RTT instead of the link's (one CCA at
@@ -100,7 +101,6 @@ class ScenarioPoint:
     duration: float = 60.0
     warmup: Optional[float] = None
     backend: str = "fluid"
-    trials: int = 1
     seed: int = 0
     loss_mode: str = "proportional"
 
@@ -113,8 +113,6 @@ class ScenarioPoint:
                 f"loss_mode must be one of {LOSS_MODES}, "
                 f"got {self.loss_mode!r}"
             )
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.duration <= 0:
             raise ValueError(
                 f"duration must be positive, got {self.duration}"
@@ -159,9 +157,9 @@ class ScenarioPoint:
 
     @property
     def rows(self) -> int:
-        """Flow rows: flows x trials — this point's width in a
-        vectorized batch, and with ``duration`` its cost."""
-        return self.trials * sum(entry[1] for entry in self.mix)
+        """Flow rows: this point's flows — its width in a vectorized
+        batch, and with ``duration`` its cost."""
+        return sum(entry[1] for entry in self.mix)
 
     def params(self) -> Dict[str, Any]:
         """The task descriptor hashed by :meth:`fingerprint`."""
@@ -174,7 +172,6 @@ class ScenarioPoint:
             "duration": self.duration,
             "warmup": self.warmup,
             "backend": self.backend,
-            "trials": self.trials,
             "seed": self.seed,
             "loss_mode": self.loss_mode,
         }

@@ -24,9 +24,12 @@ from repro.core.multi_flow import predict_multi_flow
 from repro.core.nash import nash_region, predict_nash
 from repro.core.ware import ware_prediction
 from repro.exec import Engine, ScenarioPoint
-from repro.exec import resolve as resolve_engine
 from repro.experiments.results import FigureResult
-from repro.experiments.runner import group_payoff_fn
+from repro.experiments.runner import (
+    ScenarioResult,
+    group_payoff_fn,
+    run_trials,
+)
 from repro.experiments.validation import validate_two_flow
 from repro.obs.trace import resolve as resolve_tracer
 from repro.obs.trace import span
@@ -43,6 +46,22 @@ def _check_scale(scale: str) -> bool:
 
 def _mbps(x: float) -> float:
     return x * 8.0 / 1e6
+
+
+def _fluid_means(
+    cases: Sequence[Tuple[BottleneckSpec, Tuple[Tuple[str, int], ...]]],
+    duration: float,
+    trials: int,
+    seed: int,
+    engine: Optional[Engine],
+) -> List[ScenarioResult]:
+    """Each ``(link, mix)`` case as a fluid point at ``seed``, averaged
+    over ``trials`` seeds; every seed of every case is one batch."""
+    points = [
+        ScenarioPoint(link, mix, duration, backend="fluid", seed=seed)
+        for link, mix in cases
+    ]
+    return run_trials(points, trials, engine)
 
 
 # -- Figures 1, 3, 12: the 1-CUBIC-vs-1-BBR buffer sweep ----------------------
@@ -164,19 +183,9 @@ def figure4(
         ylabel="per-flow bandwidth (Mbps)",
     )
     links = [BottleneckSpec.from_mbps_ms(100, 40, depth) for depth in buffers]
-    results = resolve_engine(engine).run_points(
-        [
-            ScenarioPoint(
-                link=link,
-                mix=(("cubic", n_per_class), ("bbr", n_per_class)),
-                duration=duration,
-                backend="fluid",
-                trials=trials,
-                seed=seed,
-            )
-            for link in links
-        ]
-    )
+    mix = (("cubic", n_per_class), ("bbr", n_per_class))
+    cases = [(link, mix) for link in links]
+    results = _fluid_means(cases, duration, trials, seed, engine)
     sync, desync, ware = [], [], []
     for link in links:
         pred = predict_multi_flow(link, n_per_class, n_per_class)
@@ -226,19 +235,8 @@ def figure5(
         ylabel="per-flow bandwidth (Mbps)",
     )
     fair = _mbps(link.capacity) / n_flows
-    results = resolve_engine(engine).run_points(
-        [
-            ScenarioPoint(
-                link=link,
-                mix=(("cubic", n_flows - n_bbr), ("bbr", n_bbr)),
-                duration=duration,
-                backend="fluid",
-                trials=trials,
-                seed=seed,
-            )
-            for n_bbr in counts
-        ]
-    )
+    cases = [(link, (("cubic", n_flows - k), ("bbr", k))) for k in counts]
+    results = _fluid_means(cases, duration, trials, seed, engine)
     sync, desync = [], []
     for n_bbr in counts:
         pred = predict_multi_flow(link, n_flows - n_bbr, n_bbr)
@@ -316,19 +314,8 @@ def figure7(
     # One flat point grid over (algorithm × count); the engine fans the
     # whole grid out at once instead of one algorithm at a time.
     grid = [(algo, k) for algo in algorithms for k in counts]
-    results = resolve_engine(engine).run_points(
-        [
-            ScenarioPoint(
-                link=link,
-                mix=(("cubic", n_flows - k), (algo, k)),
-                duration=duration,
-                backend="fluid",
-                trials=trials,
-                seed=seed,
-            )
-            for algo, k in grid
-        ]
-    )
+    cases = [(link, (("cubic", n_flows - k), (a, k))) for a, k in grid]
+    results = _fluid_means(cases, duration, trials, seed, engine)
     by_algo: Dict[str, List[float]] = {algo: [] for algo in algorithms}
     for (algo, _k), result in zip(grid, results):
         by_algo[algo].append(result.per_flow_mbps(algo))
@@ -352,19 +339,8 @@ def figure8(
     trials = 3 if full else 1
     link = BottleneckSpec.from_mbps_ms(100, 40, 2)
     counts = list(range(0, n_flows + 1))
-    results = resolve_engine(engine).run_points(
-        [
-            ScenarioPoint(
-                link=link,
-                mix=(("cubic", n_flows - k), ("bbr", k)),
-                duration=duration,
-                backend="fluid",
-                trials=trials,
-                seed=seed,
-            )
-            for k in counts
-        ]
-    )
+    cases = [(link, (("cubic", n_flows - k), ("bbr", k))) for k in counts]
+    results = _fluid_means(cases, duration, trials, seed, engine)
     cubic, bbr, delay = [], [], []
     for k, result in zip(counts, results):
         cubic.append(result.per_flow_mbps("cubic") if k < n_flows else 0.0)

@@ -4,23 +4,23 @@ The experiment harness asks one question over and over: *given a link and
 a mix of flows, what per-flow throughput does each CCA class get?*  This
 module answers it against either backend — ``backend="packet"`` for the
 high-fidelity discrete-event simulator (1–2 flow validation figures) or
-``backend="fluid"`` for the fluid model (large NE sweeps) — with
-multi-trial averaging and seeded per-trial jitter, mirroring the
-paper's 10-trial methodology.
+``backend="fluid"`` for the fluid model (large NE sweeps).
 
-The request is a :class:`~repro.exec.fingerprint.ScenarioPoint` —
-:func:`run_mix_batch` executes them, :func:`run_mix` is the keyword
-convenience that builds one.  The fluid model has two bitwise-identical
-implementations, the scalar per-flow loop and the vectorized batch
-substrate; which one runs is decided here, per group of points, by
-:func:`runs_vectorized`.
+The request is a :class:`~repro.exec.fingerprint.ScenarioPoint`, one
+simulation at one seed — :func:`run_mix_batch` executes them,
+:func:`run_mix` is the keyword convenience that builds one.  The fluid
+model has two bitwise-identical implementations, the scalar per-flow
+loop and the vectorized batch substrate; which one runs is decided
+here, per group of points, by :func:`runs_vectorized`.
+
+Repetition lives here alone: :func:`seed_points` expands a point into
+its seed points and :func:`seed_means` averages their results back.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass, field, replace
 from statistics import mean
 from typing import (
     TYPE_CHECKING,
@@ -51,14 +51,18 @@ __all__ = [
     "distribution_payoff_fn",
     "expand_mix",
     "group_payoff_fn",
+    "mean_result",
     "point_rounds",
     "run_mix",
     "run_mix_batch",
+    "run_trials",
     "runs_vectorized",
+    "seed_means",
+    "seed_points",
     "spaced_seed",
 ]
 
-#: Flow rows (flows x trials, summed over a group of fluid requests)
+#: Flow rows (flows, summed over a group of fluid requests)
 #: from which one vectorized batch beats the scalar loop.  Measured,
 #: not tuned: the crossover sits at the same row count for every
 #: flows-per-point x points shape tried (docs/PERFORMANCE.md,
@@ -74,7 +78,7 @@ def runs_vectorized(
 
     The vectorized substrate pays a fixed numpy cost per tick, so it
     wins only once the batch is :data:`VEC_MIN_ROWS` flow rows wide (one
-    row per flow per trial).  Instrumented runs — a telemetry bus handed
+    row per flow).  Instrumented runs — a telemetry bus handed
     in as ``obs`` or a live invariant checker — always take the scalar
     loop: telemetry and the law-object checks exist only there.  Both
     paths produce the same bits, so this decides wall time only.
@@ -94,23 +98,19 @@ def class_label(cc: str, rtt: Optional[float] = None) -> str:
 
 
 def spaced_seed(seed: int, k: int) -> int:
-    """A collision-free per-point base seed for distribution sweeps.
-
-    Trial ``t`` of point ``k`` runs with ``spaced_seed(seed, k) + t``.
-    The old ``seed + 1000 * k`` spacing collided with the per-trial
-    offsets whenever ``trials > 1000`` (or when adjacent ``k`` grids
-    were combined), silently reusing jitter between points.  Hashing
-    into a 2**56 space keeps any realistic trial count disjoint while
-    remaining deterministic in ``(seed, k)``.
-    """
+    """A collision-free per-point base seed for distribution sweeps:
+    seed point ``t`` of point ``k`` (:func:`seed_points`) runs at
+    ``spaced_seed(seed, k) + t``, and hashing ``(seed, k)`` into a
+    2**56 space keeps any realistic trial count disjoint (the old
+    ``seed + 1000 * k`` reused jitter once ``trials > 1000``)."""
     digest = hashlib.sha256(f"{seed}:{k}".encode("ascii")).digest()
     return int.from_bytes(digest[:7], "big")
 
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Per-class scenario aggregates, averaged over trials.  A class
-    is a CCA, or a CCA at an explicit entry RTT (:func:`class_label`).
+    """Per-class scenario aggregates of one run, or a mean of runs.  A
+    class is a CCA, or a CCA at an explicit entry RTT (:func:`class_label`).
 
     Attributes:
         per_flow: Mean per-flow throughput by class (bytes/second).
@@ -137,25 +137,14 @@ class ScenarioResult:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serializable form (the result-cache payload)."""
         return {
-            "per_flow": dict(self.per_flow),
-            "aggregate": dict(self.aggregate),
-            "mean_queuing_delay": self.mean_queuing_delay,
-            "loss_rate": dict(self.loss_rate),
-            "retransmits": dict(self.retransmits),
-            "drop_rate": self.drop_rate,
+            name: dict(value) if isinstance(value, dict) else value
+            for name, value in vars(self).items()
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioResult":
         """Rebuild a result from :meth:`to_dict` output (exact floats)."""
-        return cls(
-            per_flow=dict(data["per_flow"]),
-            aggregate=dict(data["aggregate"]),
-            mean_queuing_delay=data["mean_queuing_delay"],
-            loss_rate=dict(data.get("loss_rate", {})),
-            retransmits=dict(data.get("retransmits", {})),
-            drop_rate=data.get("drop_rate", 0.0),
-        )
+        return cls(**data)
 
 
 def run_mix(
@@ -173,7 +162,7 @@ def run_mix(
 
     The keyword convenience over :func:`run_mix_batch`: builds the one
     :class:`~repro.exec.fingerprint.ScenarioPoint` (which validates the
-    arguments) and runs it, uncached.
+    arguments) and runs its ``trials`` seed points, uncached.
 
     Args:
         link: Bottleneck configuration.
@@ -182,17 +171,15 @@ def run_mix(
             allowed and skipped; an entry with an RTT runs its flows at
             that base RTT and reports them as class ``cc@rtt``
             (:func:`class_label`).
-        duration: Flow lifetime per trial (the paper uses 120 s).
+        duration: Flow lifetime per run (the paper uses 120 s).
         warmup: Measurement exclusion window; defaults to ``duration/6``
             to skip the startup transient.
-        backend: ``"packet"`` or ``"fluid"``.  A fluid request whose
-            trials are wide enough (:func:`runs_vectorized`) advances
-            them as one vectorized batch.
-        trials: Trials to average; trial ``t`` uses seed ``seed + t``.
+        backend: ``"packet"`` or ``"fluid"``.
+        trials: Runs to average; run ``t`` uses seed ``seed + t``.
         seed: Base RNG seed (fluid backend jitter / loss lottery).
         loss_mode: Fluid-backend CUBIC synchronization mode.
         obs: Optional telemetry bus that records the run (every
-            trial; None, the default, records nothing).
+            seed; None, the default, records nothing).
     """
     point = ScenarioPoint(
         link=link,
@@ -200,27 +187,26 @@ def run_mix(
         duration=duration,
         warmup=warmup,
         backend=backend,
-        trials=trials,
         seed=seed,
         loss_mode=loss_mode,
     )
-    return run_mix_batch([point], obs=obs)[0]
+    return mean_result(run_mix_batch(seed_points([point], trials), obs=obs))
 
 
 def run_mix_batch(
     points: Sequence[ScenarioPoint], obs: Optional["Telemetry"] = None
 ) -> List[ScenarioResult]:
-    """Run scenario points, pooling the fluid ones; results come back
-    in point order.
+    """Run scenario points — one substrate run each, at the point's
+    seed — pooling the fluid ones; results come back in point order.
 
     When the fluid points together are wide enough
-    (:func:`runs_vectorized`), every trial of every one of them is
-    pooled into a *single* vectorized simulation — the execution
-    engine's chunked dispatch relies on this to amortize tick overhead
-    across whole sweeps.  Otherwise, and for packet points, each trial
-    is one scalar substrate run.  The vectorized substrate is
-    batch-invariant bit for bit, so the results are identical either
-    way.  ``obs``, when given, records every trial of every point.
+    (:func:`runs_vectorized`), all of them are pooled into a *single*
+    vectorized simulation — the execution engine's chunked dispatch
+    relies on this to amortize tick overhead across whole sweeps.
+    Otherwise, and for packet points, each point is one scalar
+    substrate run.  The vectorized substrate is batch-invariant bit for
+    bit, so the results are identical either way.  ``obs``, when given,
+    records every point.
     """
     from repro.check import resolve as resolve_check
 
@@ -230,16 +216,15 @@ def run_mix_batch(
         from repro.fluidsim.vec import BatchPoint, run_fluid_vec_batch
 
         batch = [
-            BatchPoint(**_fluid_trial(point, trial))
+            BatchPoint(**_fluid_trial(point))
             for point in points
             if point.backend == "fluid"
-            for trial in range(point.trials)
         ]
         pooled = iter(run_fluid_vec_batch(batch))
     results = []
     for point in points:
         if pooled is not None and point.backend == "fluid":
-            trial_results = list(islice(pooled, point.trials))
+            run = next(pooled)
         else:
             if check is not None:
                 # What a violation raised inside this point reports.
@@ -251,18 +236,15 @@ def run_mix_batch(
                     warmup=point.warmup,
                     seed=point.seed,
                 )
-            trial_results = [
-                _run_trial(point, trial, obs)
-                for trial in range(point.trials)
-            ]
-        results.append(_aggregate_trials(point.mix, trial_results))
+            run = _run_trial(point, obs)
+        results.append(_one_run(point.mix, run))
     return results
 
 
-def _fluid_trial(point: ScenarioPoint, trial: int) -> Dict[str, Any]:
-    """Trial ``trial`` of a fluid point as :func:`run_fluid` arguments
-    (equally :class:`BatchPoint` fields); it runs with ``seed + trial``
-    on either implementation."""
+def _fluid_trial(point: ScenarioPoint) -> Dict[str, Any]:
+    """A fluid point as :func:`run_fluid` arguments (equally
+    :class:`BatchPoint` fields); it runs with the point's seed on
+    either implementation."""
     from repro.fluidsim.core import FluidSpec
 
     return {
@@ -273,15 +255,13 @@ def _fluid_trial(point: ScenarioPoint, trial: int) -> Dict[str, Any]:
         "duration": point.duration,
         "warmup": point.warmup,
         "loss_mode": point.loss_mode,
-        "seed": point.seed + trial,
+        "seed": point.seed,
         "start_jitter": min(1.0, point.duration / 30.0),
     }
 
 
-def _run_trial(
-    point: ScenarioPoint, trial: int, obs: Optional["Telemetry"]
-) -> Any:
-    """One trial on a scalar substrate, imported here: a request loads
+def _run_trial(point: ScenarioPoint, obs: Optional["Telemetry"]) -> Any:
+    """One point on a scalar substrate, imported here: a request loads
     only the substrate it runs on."""
     if point.backend == "packet":
         from repro.sim.network import FlowSpec, run_dumbbell
@@ -298,60 +278,61 @@ def _run_trial(
         )
     from repro.fluidsim.core import run_fluid
 
-    return run_fluid(obs=obs, **_fluid_trial(point, trial))
+    return run_fluid(obs=obs, **_fluid_trial(point))
 
 
-def _aggregate_trials(
-    mix: Sequence[Tuple[Any, ...]], trial_results: Sequence[Any]
-) -> ScenarioResult:
-    """Average per-trial simulation results into a ScenarioResult.
+def _one_run(mix: Sequence[Tuple[Any, ...]], run: Any) -> ScenarioResult:
+    """One simulation's result, its values as :func:`_mean` reads them
+    (a sum is never ``-0.0``), so that it is the mean of its one seed.
 
-    A trial's flows come back in mix order; entries with one
+    The run's flows come back in mix order; entries with one
     :func:`class_label` are one class.
     """
-    members: Dict[str, List[int]] = {}  # class -> its flow positions
-    cursor = 0
+    classes: Dict[str, List[Any]] = {}  # class -> its flows
+    flows = iter(run.flows)
     for cc, count, *rtt in mix:
-        members.setdefault(class_label(cc, *rtt), []).extend(
-            range(cursor, cursor + count)
+        classes.setdefault(class_label(cc, *rtt), []).extend(
+            next(flows) for _ in range(count)
         )
-        cursor += count
-    per_flow: Dict[str, List[float]] = {}
-    aggregate: Dict[str, List[float]] = {}
-    loss: Dict[str, List[float]] = {}
-    retx: Dict[str, List[float]] = {}
-    for result in trial_results:
-        for label, positions in members.items():
-            flows = [result.flows[i] for i in positions]
-            total = sum(f.throughput for f in flows)
-            per_flow.setdefault(label, []).append(total / len(flows))
-            aggregate.setdefault(label, []).append(total)
-            loss.setdefault(label, []).append(
-                _mean([f.loss_rate for f in flows])
-            )
-            retx.setdefault(label, []).append(
-                _mean([f.retransmits for f in flows])
-            )
-
-    def over_trials(samples: Dict[str, List[float]]) -> Dict[str, float]:
-        return {label: _mean(values) for label, values in samples.items()}
-
+    totals = {
+        label: sum(f.throughput for f in members)
+        for label, members in classes.items()
+    }
     return ScenarioResult(
-        per_flow=over_trials(per_flow),
-        aggregate=over_trials(aggregate),
-        mean_queuing_delay=_mean(
-            [r.mean_queuing_delay for r in trial_results]
-        ),
-        loss_rate=over_trials(loss),
-        retransmits=over_trials(retx),
-        drop_rate=_mean([r.drop_rate for r in trial_results]),
+        per_flow={c: totals[c] / len(m) for c, m in classes.items()},
+        aggregate=totals,
+        mean_queuing_delay=_mean([run.mean_queuing_delay]),
+        loss_rate={
+            c: _mean([f.loss_rate for f in m]) for c, m in classes.items()
+        },
+        retransmits={
+            c: _mean([f.retransmits for f in m]) for c, m in classes.items()
+        },
+        drop_rate=_mean([run.drop_rate]),
     )
+
+
+def mean_result(results: Sequence[ScenarioResult]) -> ScenarioResult:
+    """The field-by-field :func:`_mean` of ``results`` (one point's
+    seeds, in seed order); one result is its own mean."""
+    if len(results) == 1:
+        return results[0]
+    fields = {}
+    for name, first in vars(results[0]).items():
+        if isinstance(first, dict):
+            fields[name] = {
+                c: _mean([getattr(r, name)[c] for r in results])
+                for c in first
+            }
+        else:
+            fields[name] = _mean([getattr(r, name) for r in results])
+    return ScenarioResult(**fields)
 
 
 def _mean(values: List[Any]) -> Any:
     """``statistics.mean(values)``, where one value is its own mean.
 
-    With one trial, and one flow per class, that is almost every call,
+    With one seed, and one flow per class, that is almost every call,
     and ``mean`` spends ~10 µs on it in exact fractions.  ``+ 0``
     returns what ``mean`` does: the same type (an int stays int), NaN
     and inf as they are, and ``-0.0`` as ``0.0``.
@@ -361,17 +342,54 @@ def _mean(values: List[Any]) -> Any:
     return mean(values)
 
 
+def seed_points(
+    points: Sequence[ScenarioPoint], trials: int
+) -> List[ScenarioPoint]:
+    """Each of ``points`` at its seeds ``seed … seed + trials − 1``, in
+    point order; :func:`seed_means` averages their results back."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return [
+        replace(point, seed=point.seed + t) if t else point
+        for point in points
+        for t in range(trials)
+    ]
+
+
+def seed_means(results: Sequence[Any], trials: int) -> List[ScenarioResult]:
+    """The results of :func:`seed_points`, one mean per point."""
+    return [
+        mean_result(results[i : i + trials])
+        for i in range(0, len(results), trials)
+    ]
+
+
+def run_trials(
+    points: Sequence[ScenarioPoint],
+    trials: int,
+    engine: Optional["Engine"] = None,
+) -> List[ScenarioResult]:
+    """Each of ``points`` averaged over ``trials`` seeds, all seeds one
+    batch on ``engine`` (None: the process default)."""
+    from repro.exec.engine import resolve as resolve_engine
+
+    batch = seed_points(points, trials)
+    return seed_means(resolve_engine(engine).run_points(batch), trials)
+
+
 def _payoff_fn(
     point_of: Callable[[Tuple[int, ...]], ScenarioPoint],
     incumbent: str,
     challenger: str,
     rtts: Sequence[Optional[float]],
     engine: Optional["Engine"],
+    trials: int,
     weight: float = 0.0,
 ):
     """The one game evaluator: ``payoff(*states)`` for
     :class:`repro.core.game.GroupGame`, a round of states being one
-    ``run_points`` batch of ``point_of(state)`` points.
+    ``run_points`` batch of the ``trials`` seed points of each
+    ``point_of(state)``, read off their mean.
 
     Group ``g``'s payoff pair is read from the result classes of
     (``incumbent``, ``challenger``) at ``rtts[g]`` — lower-case, as
@@ -389,11 +407,11 @@ def _payoff_fn(
     ]
 
     def points(states: Sequence[Tuple[int, ...]]) -> List[ScenarioPoint]:
-        return [point_of(state) for state in states]
+        return seed_points([point_of(state) for state in states], trials)
 
     def read(results: Sequence[ScenarioResult]):
         payoffs = []
-        for result in results:
+        for result in seed_means(results, trials):
             penalty = weight * result.mean_queuing_delay
             payoffs.append(
                 [
@@ -469,7 +487,6 @@ def distribution_payoff_fn(
             mix=((incumbent, n_flows - k), (challenger, k)),
             duration=duration,
             backend=backend,
-            trials=trials,
             seed=spaced_seed(seed, k),
             loss_mode=loss_mode,
         )
@@ -477,7 +494,7 @@ def distribution_payoff_fn(
     # Mbps-per-100ms → (bytes/s) per second-of-delay.
     weight = delay_weight * (1e6 / 8.0) / 0.1
     return _payoff_fn(
-        point_of, incumbent, challenger, [None], engine, weight
+        point_of, incumbent, challenger, [None], engine, trials, weight
     )
 
 
@@ -513,8 +530,9 @@ def group_payoff_fn(
             link=link,
             mix=tuple(mix),
             duration=duration,
-            trials=trials,
             seed=seed,
         )
 
-    return _payoff_fn(point_of, incumbent, challenger, group_rtts, engine)
+    return _payoff_fn(
+        point_of, incumbent, challenger, group_rtts, engine, trials
+    )

@@ -20,7 +20,7 @@ from repro.analysis.metrics import (
 from repro.core.two_flow import predict_two_flow
 from repro.core.ware import ware_prediction
 from repro.exec import Engine, ScenarioPoint
-from repro.exec import resolve as resolve_engine
+from repro.experiments.runner import run_trials
 from repro.scenario.spec import BottleneckSpec
 
 
@@ -121,25 +121,18 @@ def validate_two_flow(
 ) -> ValidationReport:
     """Run the §3.1 validation sweep and score both models.
 
-    The buffer sweep is one batch on ``engine`` (None: the process
-    default), so ``--jobs`` and the result cache apply to it.
+    The buffer sweep's seed points are one batch on ``engine`` (None:
+    the process default), so ``--jobs`` and the result cache apply.
     """
     if not buffer_bdps:
         raise ValueError("at least one buffer depth is required")
     links = [link.with_buffer_bdp(depth) for depth in buffer_bdps]
-    results = resolve_engine(engine).run_points(
-        [
-            ScenarioPoint(
-                link=cfg,
-                mix=(("cubic", 1), ("bbr", 1)),
-                duration=duration,
-                backend=backend,
-                trials=trials,
-                seed=seed,
-            )
-            for cfg in links
-        ]
-    )
+    mix = (("cubic", 1), ("bbr", 1))
+    points = [
+        ScenarioPoint(cfg, mix, duration, backend=backend, seed=seed)
+        for cfg in links
+    ]
+    results = run_trials(points, trials, engine)
     rows = [
         ValidationRow(
             buffer_bdp=depth,

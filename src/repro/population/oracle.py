@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.core.multi_flow import predict_multi_flow
 from repro.exec.fingerprint import ScenarioPoint, link_params
+from repro.experiments.runner import seed_means, seed_points
 from repro.population.state import PopulationState
 from repro.util.jsonfile import write_json_atomic
 from repro.util.rounds import PointRounds, drive
@@ -130,7 +131,7 @@ class TieredOracle:
         bound: Which model bound tier 0 reports — ``"sync"``,
             ``"desync"``, or ``"mid"`` (their average).
         duration: Simulated seconds per tier-1/calibration point.
-        trials: Trials per simulation point.
+        trials: Seeds each simulation point is averaged over.
         seed: Base seed for simulation points (fixed across ticks so
             identical mixes share one cached result).
         error_map: Start from (and keep recording into) an existing
@@ -294,7 +295,6 @@ class TieredOracle:
             mix=tuple(zip(strategies, counts)),
             duration=self.duration,
             backend="fluid",
-            trials=self.trials,
             seed=self.seed,
         )
 
@@ -369,10 +369,12 @@ class TieredOracle:
             )
         if not plans:
             return
-        results = yield [
+        points = [
             self._point(cell, counts, state.strategies)
             for cell, counts in plans.values()
         ]
+        results = yield seed_points(points, self.trials)
+        results = seed_means(results, self.trials)
         self.sim_points += len(plans)
         for (key, (cell, counts)), result in zip(plans.items(), results):
             model = self._model_payoffs(
@@ -452,7 +454,8 @@ class TieredOracle:
                 reads += [(i, s, len(batch) + at) for s, at in slots]
                 batch += points
         if batch:
-            results = yield batch
+            results = yield seed_points(batch, self.trials)
+            results = seed_means(results, self.trials)
             self.sim_points += len(batch)
             for i, s, at in reads:
                 out[i, s] = results[at].per_flow.get(state.strategies[s], 0.0)

@@ -106,16 +106,18 @@ def driver_factory():
 
 
 class CountingEngine(Engine):
-    """A sequential, cache-less engine that remembers what each
-    ``run_points`` call carried: ``calls[i]`` lists the fingerprints of
-    the i-th call's points."""
+    """A sequential engine (cache-less unless handed one) that
+    remembers what each ``run_points`` call carried: ``batches[i]``
+    lists the i-th call's points, ``calls[i]`` their fingerprints."""
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, cache=None) -> None:
+        super().__init__(cache=cache)
+        self.batches = []
         self.calls = []
 
     def run_points(self, points):
         points = list(points)
+        self.batches.append(points)
         self.calls.append([point.fingerprint() for point in points])
         return super().run_points(points)
 

@@ -45,8 +45,17 @@ from repro.campaign import (
 )
 from repro.cli import build_parser
 from repro.core.game import GroupGame, ThroughputTable, bisect_nash
-from repro.exec import Engine, ResultCache, ScenarioPoint
-from repro.experiments.runner import distribution_payoff_fn, group_payoff_fn
+from repro.exec import (
+    Engine,
+    ResultCache,
+    ScenarioPoint,
+    fingerprint_payload,
+)
+from repro.experiments.runner import (
+    distribution_payoff_fn,
+    group_payoff_fn,
+    run_trials,
+)
 from repro.scenario import BottleneckSpec
 from repro.sim import DumbbellNetwork, FlowSpec
 from repro.util.config import LinkConfig
@@ -213,23 +222,40 @@ def build_sim(doc):
 # -- point_identity.json: fingerprints, payload bytes, group payoffs ---------
 
 
+def pinned_fingerprint(point, trials=1):
+    """``point``'s fingerprint as the pins record it, asked ``trials``
+    times.  Every pin predates points losing ``trials`` (repetition
+    became seed points above the engine), when the hashed descriptor
+    carried the key: that key is the one named exception of a pinned
+    fingerprint, and the rest of the descriptor must not have moved."""
+    return fingerprint_payload(
+        "run_mix", {**point.params(), "trials": trials}
+    )
+
+
 def scenario_point(entry):
+    """An entry's point; its ``trials`` are :func:`point_pins`'."""
+    kwargs = {k: v for k, v in entry["kwargs"].items() if k != "trials"}
     return ScenarioPoint(
         link=LinkConfig.from_mbps_ms(**entry["link"]),
         mix=tuple(tuple(e) for e in entry["mix"]),
-        **entry["kwargs"],
+        **kwargs,
     )
 
 
 def point_pins(entry, cache_dir):
-    """A point's fingerprint and the sha256 of the payload file a cold
-    run writes under ``cache_dir``."""
+    """A point's pinned fingerprint, and the sha256 of the cache entry
+    of its result under that fingerprint: the mean of its seed points,
+    read back from the entries a cold run stored under ``cache_dir``."""
     point = scenario_point(entry)
+    trials = entry["kwargs"].get("trials", 1)
     cache = ResultCache(cache_dir)
-    Engine(cache=cache).run_points([point])
-    stored = cache.path_for(point.fingerprint()).read_bytes()
+    run_trials([point], trials, Engine(cache=cache))
+    [result] = run_trials([point], trials, Engine(cache=cache))
+    fingerprint = pinned_fingerprint(point, trials)
+    stored = cache.put(fingerprint, result.to_dict()).read_bytes()
     return {
-        "fingerprint": point.fingerprint(),
+        "fingerprint": fingerprint,
         "payload_sha256": hashlib.sha256(stored).hexdigest(),
     }
 
@@ -322,8 +348,17 @@ def measured_search(pinned, engine):
     return {
         "ne": found,
         "evaluated": sorted(evaluated),
-        "fingerprints": sorted(sum(engine.calls, [])),
+        "fingerprints": submitted(engine),
     }
+
+
+def submitted(engine):
+    """The pinned fingerprints of every point ``engine`` was sent."""
+    return sorted(
+        pinned_fingerprint(point)
+        for batch in engine.batches
+        for point in batch
+    )
 
 
 def measured_group_walk(pinned, engine):
@@ -336,7 +371,7 @@ def measured_group_walk(pinned, engine):
     return {
         "paths": [group_walk(game, start) for start in starts],
         "ne": [list(s) for s in game.settle(starts)],
-        "fingerprints": sorted(sum(engine.calls, [])),
+        "fingerprints": submitted(engine),
     }
 
 
@@ -430,8 +465,9 @@ FIXTURES = {
         "point_identity.json",
         build_point,
         # trials=3 payoffs are per-trial-then-mean now, the pooled mean
-        # then: equal to the last ulps.
-        {"pooled_mean_rel": 1e-12},
+        # then: equal to the last ulps.  Fingerprints are pinned with
+        # the trials key points no longer carry.
+        {"pooled_mean_rel": 1e-12, "fingerprint": pinned_fingerprint},
     ),
     "game": Fixture(
         "game_identity.json",
@@ -439,7 +475,13 @@ FIXTURES = {
         # The larger gain wins where both directions pay; a walk stops
         # at the first state it visits twice (it ran all 1 000 steps
         # around a cycle, so the file records the prefix + 1 001).
-        {"larger_gain": LARGER_GAIN, "cycle_length": 1001},
+        # Submitted fingerprints are pinned with the trials key points
+        # no longer carry.
+        {
+            "larger_gain": LARGER_GAIN,
+            "cycle_length": 1001,
+            "fingerprint": pinned_fingerprint,
+        },
     ),
     "lockstep": Fixture("lockstep_identity.json", build_lockstep),
 }

@@ -463,6 +463,33 @@ def test_resume_killed_mid_unit_hits_cache(tmp_path):
     assert second.hits == 1
 
 
+def test_sweep_row_is_the_mean_of_its_seed_points(tmp_path):
+    """A ``trials = N`` unit is N seed points, each cached on its own,
+    and its row their mean: what ``run_trials`` gives for its point.
+    Raising ``trials`` reruns none of the seeds already cached."""
+    import csv
+
+    from repro.experiments.runner import run_trials
+
+    def rows(trials, out):
+        spec = _spec(defaults={**BASE["defaults"], "trials": trials})
+        engine = Engine(cache=cache)
+        summary = run_campaign(spec, tmp_path / out, engine=engine)
+        with open(summary.csv_path, newline="") as handle:
+            return spec, engine, list(csv.DictReader(handle))
+
+    cache = ResultCache(tmp_path / "cache")
+    spec, two, got = rows(2, "two")
+    assert two.stats["simulated"] == 3 * 2
+    means = run_trials([u.to_point() for u in expand_units(spec)], 2)
+    assert [float(row["per_flow_mbps:bbr"]) for row in got] == [
+        mean.per_flow_mbps("bbr") for mean in means
+    ]
+    _spec3, three, _rows = rows(3, "three")
+    assert three.stats["simulated"] == 3
+    assert three.stats["cache_hits"] == 3 * 2
+
+
 def test_fresh_run_refuses_existing_journal(tmp_path):
     spec = _spec()
     run_campaign(spec, tmp_path / "out", engine=_engine(tmp_path))

@@ -361,6 +361,20 @@ def test_simulate_cache_dir_miss_then_hit(tmp_path, capsys):
     assert sim and sim == [l for l in warm.splitlines() if "Mbps/flow" in l]
 
 
+def test_simulate_trials_hit_only_when_every_seed_is_cached(
+    tmp_path, capsys
+):
+    argv = "simulate cubic:1 bbr:1 --duration 5 --cache-dir".split()
+    argv.append(str(tmp_path))
+    assert main(argv + ["--trials", "2"]) == 0
+    assert "cache: miss" in capsys.readouterr().out
+    # Seeds 0 and 1 are cached; seed 2 is not.
+    assert main(argv + ["--trials", "3"]) == 0
+    assert "cache: miss" in capsys.readouterr().out
+    assert main(argv + ["--trials", "3"]) == 0
+    assert "cache: hit" in capsys.readouterr().out
+
+
 def test_simulate_prints_same_bytes_with_and_without_cache(tmp_path, capsys):
     """A plain simulate is an inline, cache-less engine unit of one: the
     same route a cached run takes, so only the ``cache:`` line differs."""

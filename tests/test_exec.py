@@ -21,9 +21,11 @@ from repro.experiments.runner import (
     distribution_payoff_fn,
     group_payoff_fn,
     run_mix,
+    seed_points,
 )
 from repro.obs import Telemetry
 from repro.util.config import LinkConfig
+from tests.identity import pinned_fingerprint
 
 
 def link(bdp=3, mbps=20, rtt=20):
@@ -66,9 +68,10 @@ def test_fingerprint_canonicalizes_spelling():
     assert spelled == base
     assert spelled.backend == "fluid"
     assert spelled.fingerprint() == base.fingerprint()
-    # Pinned at the commit before "fluid-vec" stopped being a backend:
-    # caches written for declared-fluid points then are still hit.
-    assert base.fingerprint() == (
+    # Pinned at the commit before "fluid-vec" stopped being a backend,
+    # with the trials key points carried until they became one seed:
+    # the rest of a declared-fluid point's descriptor has not moved.
+    assert pinned_fingerprint(base) == (
         "2e3545b39be2261588ec123fe57213751a0c943836953a21ae5a93f2490cd01a"
     )
 
@@ -105,7 +108,7 @@ def test_entry_without_rtt_equals_entry_with_none():
     "change",
     [
         {"seed": 1},
-        {"trials": 2},
+        {"mix": (("cubic", 2), ("bbr", 2))},  # A count.
         {"duration": 31.0},
         {"warmup": 2.5},
         {"backend": "packet"},
@@ -144,8 +147,11 @@ def test_scenario_point_validation():
         ScenarioPoint(link=link(), mix=(("cubic", 0),))
     with pytest.raises(ValueError):
         ScenarioPoint(link=link(), mix=(("cubic", 1),), backend="ns3")
-    with pytest.raises(ValueError):
-        ScenarioPoint(link=link(), mix=(("cubic", 1),), trials=0)
+    with pytest.raises(TypeError, match="trials"):
+        # A point is one seed; repetition is seed_points'.
+        ScenarioPoint(link=link(), mix=(("cubic", 1),), trials=2)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        seed_points([ScenarioPoint(link=link(), mix=(("cubic", 1),))], 0)
     with pytest.raises(ValueError):
         ScenarioPoint(link=link(), mix=(("cubic", 1),), duration=0)
 
@@ -754,14 +760,14 @@ def test_dispatch_units_split_exactly_at_the_row_cap():
         [cap - 2],
         [3],
     ]
-    # Trials are rows too, and a point wider than the cap cannot be cut.
-    trials = ScenarioPoint(
-        link=link(), mix=(("cubic", 5),), duration=0.5, trials=cap // 4
+    # A point wider than the cap cannot be cut.
+    wider = ScenarioPoint(
+        link=link(), mix=(("cubic", 5 * cap // 4),), duration=0.5
     )
-    assert trials.rows == 5 * (cap // 4)
-    assert unit_rows([wide_point(1), trials, wide_point(1, seed=2)]) == [
+    assert wider.rows == 5 * cap // 4
+    assert unit_rows([wide_point(1), wider, wide_point(1, seed=2)]) == [
         [1],
-        [trials.rows],
+        [wider.rows],
         [1],
     ]
 
@@ -769,9 +775,8 @@ def test_dispatch_units_split_exactly_at_the_row_cap():
 def test_dispatch_units_keep_expensive_points_solo():
     expensive = ScenarioPoint(
         link=link(),
-        mix=(("cubic", 25), ("bbr", 25)),
+        mix=(("cubic", 125), ("bbr", 125)),
         duration=120.0,
-        trials=10,
     )
     pending = {expensive.fingerprint(): expensive}
     for point in points(4):

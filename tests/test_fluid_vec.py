@@ -224,9 +224,11 @@ def test_run_mix_batch_equals_per_request_calls():
     from repro.check import use as use_check
     from repro.exec import ScenarioPoint
     from repro.experiments.runner import (
+        mean_result,
         run_mix,
         run_mix_batch,
         runs_vectorized,
+        seed_points,
     )
 
     requests = [
@@ -261,16 +263,20 @@ def test_run_mix_batch_equals_per_request_calls():
         ),
     ]
     points = [
-        ScenarioPoint(**{**r, "mix": tuple(r["mix"])}) for r in requests
+        ScenarioPoint(**{k: v for k, v in r.items() if k != "trials"})
+        for r in requests
     ]
-    # Wide enough to pool (the first point alone is 60 rows), while the
-    # narrow ones on their own run scalar: same bits either way.  No
-    # checker, so the rows decide also under REPRO_CHECK=1.
+    # Wide enough to pool (the first point's two seeds alone are 60
+    # rows), while the narrow ones on their own run scalar: same bits
+    # either way.  No checker, so the rows decide also under
+    # REPRO_CHECK=1.
+    batch = seed_points(points[:1], 2) + points[1:]
     with use_check(None):
-        assert runs_vectorized(points)
+        assert runs_vectorized(batch)
         assert not runs_vectorized(points[1:])
         solo = [run_mix(**r) for r in requests]
-        assert run_mix_batch(points) == solo
+        pooled = run_mix_batch(batch)
+        assert [mean_result(pooled[:2])] + pooled[2:] == solo
         assert run_mix_batch(points[1:]) == solo[1:]
 
 

@@ -6,8 +6,12 @@ per-CCA ``rtts`` mapping, the §4.5 group game becoming points): the
 fingerprint and the sha256 of the cached payload file of a spread of
 points, and the group payoffs the old private ``run_fluid`` trial loop
 measured.  Recomputing them here proves that every point that could be
-asked before still has its cache identity and its payload bytes, and
-that the group game measures what it measured.  The recomputation is
+asked before still has its descriptor and its payload bytes, and that
+the group game measures what it measured.  A point with ``trials`` is
+now its seed points: its payload is their mean, and every pinned
+fingerprint is the descriptor plus the ``trials`` key points carried
+then (the named exception ``tests.identity.pinned_fingerprint``; the
+cache identity itself moved).  The recomputation is
 :mod:`tests.identity`'s, which also rewrites the file.
 """
 

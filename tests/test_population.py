@@ -386,6 +386,26 @@ def test_trajectory_bit_identical_cold_warm_and_jobs(tmp_path):
     assert warm_engine.hits > 0  # The warm run really reused results.
 
 
+def test_tier1_payoffs_are_seed_means_in_one_round():
+    """``trials`` seeds per tier-1 point: one ``run_points`` call of
+    every seed point, each payoff the mean over its point's seeds."""
+    from repro.experiments.runner import run_trials
+    from tests.conftest import CountingEngine
+
+    engine = CountingEngine()
+    oracle = TieredOracle(
+        engine=engine, force_tier=1, duration=3.0, trials=3, seed=4
+    )
+    state = PopulationState.from_share([_cell(link=TINY_LINK, n=4)], 0.5)
+    payoffs = oracle.payoffs(state)
+    [batch] = engine.batches
+    assert [p.seed for p in batch] == [4, 5, 6]
+    [mean] = run_trials([batch[0]], 3)
+    assert payoffs[0].tolist() == [
+        mean.per_flow[s] for s in state.strategies
+    ]
+
+
 def test_shallow_buffer_region_escalates_to_tier1():
     # Calibration at 40 flows x 6 s: the model predicts total CUBIC
     # starvation at 0.5 BDP but the fluid substrate still grants CUBIC

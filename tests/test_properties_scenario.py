@@ -89,7 +89,6 @@ scalars = st.fixed_dictionaries(
     {
         "duration": st.floats(min_value=1.0, max_value=300.0),
         "backend": st.sampled_from(["fluid", "packet"]),
-        "trials": st.integers(1, 5),
         "seed": st.integers(0, 2**40),
         "loss_mode": st.sampled_from(["sync", "desync", "proportional"]),
     }
@@ -120,7 +119,6 @@ def test_point_fingerprint_is_invariant_under_spelling(point, data):
         duration=point.duration,
         warmup=data.draw(st.sampled_from([None, point.duration / 6.0])),
         backend="fluid-vec" if point.backend == "fluid" else "packet",
-        trials=point.trials,
         seed=point.seed,
         loss_mode=point.loss_mode,
     )
@@ -136,7 +134,6 @@ def test_point_fingerprint_is_sensitive_to_every_input(point, data):
         {"duration": point.duration + 1.0},
         {"warmup": point.warmup / 2.0},
         {"backend": "packet" if point.backend == "fluid" else "fluid"},
-        {"trials": point.trials + 1},
         {"seed": point.seed + 1},
         {"loss_mode": "desync" if point.loss_mode == "sync" else "sync"},
         {"link": LINK.with_buffer_bdp(4)},

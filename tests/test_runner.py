@@ -1,21 +1,29 @@
-"""Scenario runner: backend dispatch, trials, throughput functions."""
+"""Scenario runner: backend dispatch, seed points, throughput
+functions."""
 
+import json
 import math
 import statistics
 
 import pytest
 
 from repro.core.game import GroupGame
+from repro.exec import ResultCache, ScenarioPoint
 from repro.experiments.runner import (
-    _aggregate_trials,
+    _one_run,
     distribution_payoff_fn,
     expand_mix,
     group_payoff_fn,
+    mean_result,
     run_mix,
+    run_mix_batch,
+    run_trials,
+    seed_points,
     spaced_seed,
 )
 from repro.scenario.result import FlowResult, SimulationResult
 from repro.util.config import LinkConfig
+from tests.conftest import CountingEngine
 
 
 def link(bdp=3, mbps=20, rtt=20):
@@ -67,6 +75,47 @@ def test_multi_trial_averaging_differs_from_single():
     assert one.per_flow["bbr"] != three.per_flow["bbr"]
 
 
+def _bits(result):
+    """A result's exact bits: equal floats that differ in sign or NaN
+    payload differ here."""
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def test_raising_trials_runs_only_the_new_seeds(tmp_path):
+    point = ScenarioPoint(
+        link=link(), mix=(("cubic", 2), ("bbr", 2)), duration=5.0, seed=3
+    )
+    engine = CountingEngine(cache=ResultCache(tmp_path))
+    run_trials([point], 3, engine)
+    assert engine.stats["simulated"] == 3
+    [warm] = run_trials([point], 10, engine)
+    assert engine.stats["simulated"] == 3 + 7
+    assert engine.stats["cache_hits"] == 3
+    # Each request is one batch of its seed points, seed … seed + 9.
+    assert [p.seed for p in engine.batches[1]] == list(range(3, 13))
+    [cold] = run_trials([point], 10, CountingEngine())
+    assert _bits(warm) == _bits(cold)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP item 16(a): run_dumbbell takes no seed, so at 5 Mbps / "
+        "20 ms / 3 BDP, 4 s, seeds 0, 1 and 2 all give per_flow "
+        "{'cubic': 123750.0, 'bbr': 513900.0}"
+    ),
+)
+def test_packet_seed_points_differ():
+    point = ScenarioPoint(
+        link=LinkConfig.from_mbps_ms(5, 20, 3),
+        mix=(("cubic", 1), ("bbr", 1)),
+        duration=4.0,
+        backend="packet",
+    )
+    results = run_mix_batch(seed_points([point], 3))
+    assert len({_bits(result) for result in results}) == 3
+
+
 def _trial(rows, queuing_delay, drop_rate):
     """A SimulationResult of ``(cc, throughput, loss_rate, retransmits)``
     flow rows."""
@@ -84,8 +133,9 @@ def _trial(rows, queuing_delay, drop_rate):
 
 
 def _reference_aggregate(mix, trials):
-    """``_aggregate_trials`` as it reads with ``statistics.mean`` on
-    every sample list, one value or many."""
+    """The mean over ``trials`` of each run's per-class values, as it
+    reads with ``statistics.mean`` on every sample list, one value or
+    many."""
     mean = statistics.mean
     labels = [cc for cc, _ in mix]
     counts = dict(mix)
@@ -155,7 +205,7 @@ def _same(a, b):
     ],
 )
 def test_aggregate_trials_means_equal_statistics_mean(mix, trials):
-    result = _aggregate_trials(mix, trials)
+    result = mean_result([_one_run(mix, trial) for trial in trials])
     expected = _reference_aggregate(mix, trials)
     for name, value in expected.items():
         assert _same(getattr(result, name), value), name

@@ -10,8 +10,9 @@ concurrency of its own (a stage's units advance in rounds through one
 ``repro.campaign.vocab._in_rounds``), one NE bisection, as a round
 generator, one instrumented fluid loop, the scalar one, and one
 declaration of a bottleneck, ``BottleneckSpec``, an engine that runs
-and counts points once, with wall time left to spans, and each run
-fact written to one record.  The last
+and counts points once, with wall time left to spans, each run fact
+written to one record, and a point that is one seed, repeated only by
+the runner.  The last
 gate keeps CI from growing gates of its own: a check belongs here, or
 in ``tests/smoke.py``.
 """
@@ -154,6 +155,44 @@ def test_the_vectorized_fluid_substrate_does_no_instrumentation():
     ]
     params = [arg.arg for arg in batch.args.args + batch.args.kwonlyargs]
     assert params == ["points", "check"]
+
+
+# -- one place repeats a point -----------------------------------------------
+
+RUNNER = SRC / "repro" / "experiments" / "runner.py"
+
+
+def test_a_point_is_one_seed():
+    """A point is one simulation at one seed: ``ScenarioPoint`` has no
+    ``trials``, the runner runs each point once (no ``islice`` over a
+    pooled batch, no ``_aggregate_trials``), and only the runner builds
+    the seed offsets of repeated runs (``seed_points``) — a loop over
+    ``trials`` or a ``seed=`` computed by arithmetic anywhere else is a
+    second way to repeat."""
+    from dataclasses import fields
+
+    from repro.exec import ScenarioPoint
+
+    assert "trials" not in {f.name for f in fields(ScenarioPoint)}
+    for name in ("islice", "_aggregate_trials"):
+        assert name not in SOURCES[RUNNER], name
+    found = []
+    for path, tree in TREES.items():
+        if path == RUNNER:
+            continue
+        where = path.relative_to(SRC).as_posix()
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and called_name(node) == "range"
+                and "trials" in ast.unparse(node)
+            ) or (
+                isinstance(node, ast.keyword)
+                and node.arg == "seed"
+                and isinstance(node.value, ast.BinOp)
+            ):
+                found.append(f"{where}: {ast.unparse(node)}")
+    assert not found, found
 
 
 # -- one bus per simulation ---------------------------------------------------

@@ -143,9 +143,8 @@ def test_render_span_report_says_how_wide_each_batch_was():
     points = [
         ScenarioPoint(
             link=LinkConfig.from_mbps_ms(20, 20, 1 + i),
-            mix=(("cubic", 8), ("bbr", 8)),
+            mix=(("cubic", 16), ("bbr", 16)),
             duration=1.0,
-            trials=2,
         )
         for i in range(3)
     ]
