@@ -466,6 +466,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         return 2
     from repro.scenario import scenario_overrides
 
+    if args.csv_dir:
+        try:
+            os.makedirs(args.csv_dir, exist_ok=True)
+        except OSError as exc:
+            raise _CliError(f"cannot write --csv-dir: {exc}") from None
     # Figures drive the engine internally without an engine parameter;
     # they pick it up as the process default the session installed,
     # and the scenario flags reach their internally built links the
@@ -488,10 +493,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             print(fig.render())
             print()
             if args.csv_dir:
-                os.makedirs(args.csv_dir, exist_ok=True)
-                path = f"{args.csv_dir}/{fig.figure_id}.csv"
-                fig.to_csv(path)
-                print(f"(wrote {path})")
+                fig.save(args.csv_dir)
+                print(f"(wrote {args.csv_dir}/{fig.figure_id}.csv, .txt)")
     return 0
 
 
@@ -1115,7 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="quick = CI-sized, full = paper parameters",
     )
     p.add_argument(
-        "--csv-dir", default=None, help="also write CSVs to this directory"
+        "--csv-dir", default=None, help="also write CSVs and renderings here"
     )
     _add_scenario_args(p)
     _add_session_args(p)

@@ -4,15 +4,15 @@ Each ``figureN*`` function reruns the corresponding experiment and returns
 one :class:`~repro.experiments.results.FigureResult` (or a list, for
 multi-panel figures).  Two fidelity presets are provided:
 
-* ``scale="quick"`` — reduced durations/point counts/flow counts sized for
-  CI and ``pytest-benchmark`` runs (seconds to a few minutes per figure);
+* ``scale="quick"`` — reduced durations/point counts/flow counts
+  (seconds to a few minutes per figure); the checked-in ``results/``;
 * ``scale="full"``  — the paper's parameters (2-minute flows, 10 trials,
   dense sweeps; expect hours for Figures 9–11).
 
-Quick mode preserves every qualitative property the paper reports (who
-wins, crossover locations in BDP, region containment); absolute numbers
-shift slightly with the shorter averaging windows.  Figure 2 is a network
-schematic and Table 1 a notation table — nothing to regenerate.
+``tests/test_claims.py`` checks the paper's claims over the quick
+``results/``; figure 3's "~5 %" and figure 9's deep buffers on three
+panels are strict xfails there.  Figure 2 is a network schematic and
+Table 1 a notation table — nothing to regenerate.
 """
 
 from __future__ import annotations

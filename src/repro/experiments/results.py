@@ -2,15 +2,17 @@
 
 Every paper figure regenerated by this repo is expressed as a
 :class:`FigureResult`: named series over a common x-axis semantic, with
-CSV export and a terminal rendering.  Benchmarks assert on the series;
-the CLI prints them.
+CSV export and a terminal rendering.  The CLI prints them and writes
+them to ``results/`` (:meth:`FigureResult.save`); the paper's claims
+assert on the saved series (``tests/test_claims.py``).
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.experiments.ascii_plot import render_plot, render_table
 
@@ -63,11 +65,6 @@ class FigureResult:
             f"have {[s.name for s in self.series]}"
         )
 
-    @property
-    def names(self) -> List[str]:
-        """Series names, in insertion order."""
-        return [s.name for s in self.series]
-
     def render(self, width: int = 72, height: int = 18) -> str:
         """Terminal rendering: an ASCII plot followed by the data table."""
         header = f"== {self.figure_id}: {self.title} =="
@@ -91,6 +88,13 @@ class FigureResult:
             parts.append(self.notes)
         return "\n".join(parts)
 
+    def save(self, directory: str) -> None:
+        """Write ``<figure_id>.csv`` and its rendering, ``.txt``."""
+        stem = os.path.join(directory, self.figure_id)
+        self.to_csv(f"{stem}.csv")
+        with open(f"{stem}.txt", "w", encoding="utf-8") as f:
+            f.write(self.render() + "\n")
+
     def to_csv(self, path: str) -> None:
         """Write all series in long form (series, x, y)."""
         with open(path, "w", newline="") as f:
@@ -99,10 +103,3 @@ class FigureResult:
             for s in self.series:
                 for xv, yv in zip(s.x, s.y):
                     writer.writerow([s.name, xv, yv])
-
-    def summary(self) -> Dict[str, float]:
-        """Mean y per series — a compact record for EXPERIMENTS.md."""
-        return {
-            s.name: (sum(s.y) / len(s.y) if s.y else 0.0)
-            for s in self.series
-        }

@@ -403,24 +403,18 @@ def e2e_benchmark(work):
 
 #: The quick figures ``tests.smoke`` regenerates and compares byte for
 #: byte with ``results/`` (1, 3, 9 and 10 take minutes each).
-FIGURES = ("04", "05", "06", "07", "08", "11", "12")
+FIGURES = ("4", "5", "6", "7", "8", "11", "12")
 
 
 def figures_match_results(work):
-    """``results/`` is the code's output: the same writer
-    (``benchmarks/conftest.py``'s ``save_figure``) regenerates these
-    figures into ``work`` byte for byte."""
-    tests = [
-        path
-        for number in FIGURES
-        for path in (ROOT / "benchmarks").glob(f"test_fig{number}_*.py")
-    ]
-    assert len(tests) == len(FIGURES)
-    pytest = PYTEST + ["--benchmark-disable", *tests]
-    run(ROOT, pytest, env={"REPRO_RESULTS_DIR": str(work)})
-    written = sorted(p.name for p in work.iterdir())
+    """``results/`` is the code's output: ``figure N --csv-dir``, its
+    one writer, regenerates these figures into ``work`` byte for
+    byte."""
+    for number in FIGURES:
+        cli(work, "figure", number, "--csv-dir", "out")
+    written = sorted(p.name for p in (work / "out").iterdir())
     assert len(written) >= 2 * len(FIGURES), written
-    same_bytes(work, ROOT / "results", written)
+    same_bytes(work / "out", ROOT / "results", written)
 
 
 SEQUENCES = [

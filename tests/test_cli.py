@@ -1,4 +1,7 @@
-"""CLI subcommands (fast paths only; figures are covered by benchmarks)."""
+"""CLI subcommands (fast paths only: ``tests.smoke`` regenerates the
+figures, and ``tests/test_claims.py`` checks what they show)."""
+
+from pathlib import Path
 
 import pytest
 
@@ -74,7 +77,19 @@ def test_figure_fig6_renders_and_exports(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "fig6" in out
-    assert (tmp_path / "fig6.csv").exists()
+    results = Path(__file__).resolve().parents[1] / "results"
+    for name in ("fig6.csv", "fig6.txt"):
+        assert (tmp_path / name).read_bytes() == (results / name).read_bytes()
+
+
+def test_figure_csv_dir_is_checked_before_the_figure_runs(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["figure", "6", "--csv-dir", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # Nothing ran, nothing rendered.
+    assert captured.err.startswith("cannot write --csv-dir: ")
+    assert str(taken) in captured.err and captured.err.count("\n") == 1
 
 
 def test_figure_accepts_bare_number(capsys):

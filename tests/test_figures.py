@@ -1,5 +1,6 @@
-"""Figure-generator plumbing (fast paths only; heavy figures run in
-benchmarks/)."""
+"""Figure-generator plumbing (fast paths only: ``repro-bbr figure``
+regenerates the heavy figures into ``results/``, and
+``tests/test_claims.py`` checks the paper's claims there)."""
 
 import pytest
 
@@ -40,7 +41,7 @@ def test_invalid_scale_rejected():
 def test_figure6_is_pure_model_and_fast():
     fig = figure6()
     assert fig.figure_id == "fig6"
-    assert "fair-share" in fig.names
+    assert fig.get("fair-share").y == [10.0] * 10
     assert len(fig.get("bbr-per-flow-sync").y) == 10
     assert "N_b" in fig.notes
 

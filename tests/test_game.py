@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.game import GroupGame, ThroughputTable, bisect_nash
+from repro.core.multi_flow import predict_multi_flow
+from repro.util.config import LinkConfig
 
 
 def linear_table(n=10, capacity=100.0, crossing=6):
@@ -18,6 +20,18 @@ def linear_table(n=10, capacity=100.0, crossing=6):
         lambda_a.append(a)
         lambda_b.append(b)
     return ThroughputTable(n_flows=n, lambda_a=lambda_a, lambda_b=lambda_b)
+
+
+def figure6_game(n=10):
+    """The game the model implies at Figure 6's link, 100 Mbps / 40 ms
+    / 3 BDP: each side's per-flow sync-bound bandwidth (§4.1 case 2)."""
+    link = LinkConfig.from_mbps_ms(100, 40, 3)
+
+    def payoff(k):
+        pred = predict_multi_flow(link, n - k, k)
+        return (pred.per_flow_cubic_sync, pred.per_flow_bbr_sync)
+
+    return GroupGame([n], per_state(payoff), 1e-9)
 
 
 def equilibria(table, tolerance=0.0):
@@ -59,6 +73,8 @@ class TestThroughputTable:
         found = equilibria(linear_table(crossing=6))
         assert found, "an NE must exist (§4.1)"
         assert all(4 <= k <= 8 for k in found)
+        # Figure 6's crossing C is an interior NE of the model's game.
+        assert any(0 < k < 10 for (k,) in figure6_game().nash_equilibria())
 
     def test_ne_condition_definition(self):
         """§4.4: at an NE, no BBR flow gains from switching to CUBIC and
@@ -84,10 +100,10 @@ class TestThroughputTable:
         assert strict < loose
 
     def test_best_response_converges_to_ne(self):
-        game = linear_table(crossing=6).game()
-        for start in (0, 3, 10):
-            path = game.best_response_path((start,))
-            assert game.is_nash(path[-1])
+        for game in (linear_table(crossing=6).game(), figure6_game()):
+            for start in (0, 3, 10):
+                path = game.best_response_path((start,))
+                assert game.is_nash(path[-1])
 
     def test_best_response_moves_toward_crossing(self):
         game = linear_table(crossing=6).game()

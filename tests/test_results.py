@@ -39,9 +39,6 @@ class TestFigureResult:
         with pytest.raises(KeyError):
             fig.get("nope")
 
-    def test_names(self):
-        assert self.make().names == ["model", "actual"]
-
     def test_render_contains_title_and_data(self):
         text = self.make().render()
         assert "figX" in text
@@ -54,17 +51,12 @@ class TestFigureResult:
 
     def test_csv_roundtrip(self, tmp_path):
         fig = self.make()
-        path = tmp_path / "fig.csv"
-        fig.to_csv(str(path))
-        lines = path.read_text().strip().splitlines()
+        fig.save(str(tmp_path))
+        assert (tmp_path / "figX.txt").read_text() == fig.render() + "\n"
+        lines = (tmp_path / "figX.csv").read_text().strip().splitlines()
         assert lines[0] == "series,buffer (BDP),Mbps"
         assert len(lines) == 1 + 6
         assert "model,1,30.0" in lines
-
-    def test_summary_means(self):
-        summary = self.make().summary()
-        assert summary["model"] == pytest.approx(25.0)
-        assert summary["actual"] == pytest.approx(74 / 3)
 
 
 class TestAsciiPlot:

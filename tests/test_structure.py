@@ -11,8 +11,8 @@ concurrency of its own (a stage's units advance in rounds through one
 generator, one instrumented fluid loop, the scalar one, and one
 declaration of a bottleneck, ``BottleneckSpec``, an engine that runs
 and counts points once, with wall time left to spans, each run fact
-written to one record, and a point that is one seed, repeated only by
-the runner.  The last
+written to one record, a point that is one seed, repeated only by
+the runner, and one writer of ``results/``.  The last
 gate keeps CI from growing gates of its own: a check belongs here, or
 in ``tests/smoke.py``.
 """
@@ -310,6 +310,47 @@ def test_each_run_fact_is_written_once():
         if word in text
     ]
     assert not found, found
+
+
+# -- one writer of results/ --------------------------------------------------
+
+#: The environment knobs of the retired pytest path that wrote results/.
+RETIRED_KNOBS = ("REPRO_SCALE", "REPRO_RESULTS_DIR")
+
+
+def program_files():
+    """Every file a program here reads: code, specs, CI."""
+    yield from ROOT.glob("*.py")
+    yield from ROOT.glob("*.toml")
+    for top in ("src", "tests", "benchmarks", "examples", ".github"):
+        for path in (ROOT / top).rglob("*"):
+            if path.suffix in (".py", ".toml", ".yml"):
+                yield path
+
+
+def test_results_have_one_writer():
+    """``FigureResult.save``, behind ``figure --csv-dir``, writes
+    ``results/``: no benchmark regenerates a figure through fixtures or
+    knobs of its own, and nothing else in ``src/`` writes a figure CSV.
+    The paper's claims over it live in ``tests/test_claims.py``."""
+    bench = ROOT / "benchmarks"
+    strays = [*bench.glob("test_fig*.py"), *bench.glob("conftest.py")]
+    assert not strays, strays
+    here = Path(__file__).resolve()
+    readers = [
+        path.relative_to(ROOT).as_posix()
+        for path in program_files()
+        if path != here
+        and any(knob in path.read_text() for knob in RETIRED_KNOBS)
+    ]
+    assert not readers, readers
+    writers = [
+        (path.relative_to(SRC).as_posix(), fn.name)
+        for path, tree in TREES.items()
+        for fn in functions(tree)
+        if any(called_name(call) == "to_csv" for call in calls(fn))
+    ]
+    assert writers == [("repro/experiments/results.py", "save")], writers
 
 
 # -- one declaration of a bottleneck -----------------------------------------

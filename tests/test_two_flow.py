@@ -86,10 +86,13 @@ def test_deep_buffer_asymptote():
 
 def test_scale_invariance_in_bdp_units():
     """§4.4: once the buffer is normalized to BDP, predictions depend on
-    neither C nor RTT individually."""
-    a = predict_two_flow(link(10, mbps=100, rtt=40))
-    b = predict_two_flow(link(10, mbps=50, rtt=80))
-    assert a.bbr_fraction == pytest.approx(b.bbr_fraction, rel=1e-9)
+    neither C nor RTT individually (Figure 3's four panels)."""
+    for bdp in (2, 10, 25):
+        fractions = [
+            predict_two_flow(link(bdp, mbps=c, rtt=r)).bbr_fraction
+            for c, r in ((50, 40), (50, 80), (100, 40), (100, 80))
+        ]
+        assert max(fractions) - min(fractions) < 1e-12
 
 
 def test_rtt_plus_matches_equation9():
