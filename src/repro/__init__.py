@@ -18,33 +18,26 @@ Quick start::
     link = BottleneckSpec.from_mbps_ms(100, 40, buffer_bdp=5)
     print(predict_two_flow(link).bbr_fraction)     # BBR's share vs CUBIC
     print(predict_nash(link, n_flows=50))          # NE distribution
+
+Like every package here but :mod:`repro.scenario`, this one resolves
+its names on first use (:mod:`repro.util.lazy`): ``import repro``
+loads no model, and ``repro.predict_nash`` loads only what it needs.
 """
 
-from repro.core import (
-    ModelPrediction,
-    MultiFlowPrediction,
-    NashPrediction,
-    ThroughputTable,
-    predict_multi_flow,
-    predict_nash,
-    predict_two_flow,
-    ware_prediction,
-)
-from repro.scenario.spec import BottleneckSpec
-from repro.util.config import LinkConfig
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BottleneckSpec",
-    "LinkConfig",
-    "ModelPrediction",
-    "MultiFlowPrediction",
-    "NashPrediction",
-    "ThroughputTable",
-    "predict_multi_flow",
-    "predict_nash",
-    "predict_two_flow",
-    "ware_prediction",
-    "__version__",
-]
+_EXPORTS = {
+    "repro.core.game": ("ThroughputTable",),
+    "repro.core.multi_flow": ("MultiFlowPrediction", "predict_multi_flow"),
+    "repro.core.nash": ("NashPrediction", "predict_nash"),
+    "repro.core.two_flow": ("ModelPrediction", "predict_two_flow"),
+    "repro.core.ware": ("ware_prediction",),
+    "repro.scenario.spec": ("BottleneckSpec",),
+    "repro.util.config": ("LinkConfig",),
+}
+
+__all__ = ["__version__"]
+__all__ += [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -29,7 +29,6 @@ an unterminated member.
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from pathlib import Path
 from typing import IO, Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro import __version__
-from repro.obs.export import open_maybe_gzip
+from repro.util.jsonfile import open_maybe_gzip
 
 __all__ = ["Journal", "JournalError", "JournalRecord"]
 
@@ -136,6 +135,8 @@ class Journal:
         """
         data = (record.to_line() + "\n").encode("utf-8")
         if self._gzip:
+            import gzip
+
             data = gzip.compress(data)
         handle = self._handle
         if handle is None:

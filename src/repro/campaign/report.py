@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.campaign.run import CampaignError, load_campaign
 from repro.campaign.sink import resolve_artifact
-from repro.obs.export import open_maybe_gzip
+from repro.util.jsonfile import open_maybe_gzip
 
 #: Metric prefix whose per-CC columns define the share denominator.
 SHARE_METRIC = "aggregate_mbps"

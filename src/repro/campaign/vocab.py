@@ -43,12 +43,12 @@ from repro.scenario import (
     parse_aqm,
     parse_capacity_trace,
 )
-from repro.util.rounds import PointRounds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.campaign.expand import Unit
     from repro.campaign.spec import CampaignSpec
     from repro.exec.engine import Engine
+    from repro.util.rounds import PointRounds
 
 ERROR_MAP_NAME = "error_map.json"
 

@@ -17,38 +17,28 @@ adapter classes; both substrate registries derive from it.
 See ``docs/ARCHITECTURE.md`` for the layering.
 """
 
-from repro.cc.laws.base import (
-    INITIAL_CWND_SEGMENTS,
-    MIN_CWND_SEGMENTS,
-    SRTT_GAIN,
-    CongestionEventGate,
-    Signals,
-    smooth_rtt,
-)
-from repro.cc.laws.registry import (
-    ALGORITHMS,
-    AlgorithmSpec,
-    canonical_names,
-    fluid_class,
-    get_spec,
-    kernel_parameters,
-    packet_class,
-    state_names,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ALGORITHMS",
-    "AlgorithmSpec",
-    "CongestionEventGate",
-    "INITIAL_CWND_SEGMENTS",
-    "MIN_CWND_SEGMENTS",
-    "SRTT_GAIN",
-    "Signals",
-    "canonical_names",
-    "fluid_class",
-    "get_spec",
-    "kernel_parameters",
-    "packet_class",
-    "smooth_rtt",
-    "state_names",
-]
+_EXPORTS = {
+    "repro.cc.laws.base": (
+        "INITIAL_CWND_SEGMENTS",
+        "MIN_CWND_SEGMENTS",
+        "SRTT_GAIN",
+        "CongestionEventGate",
+        "Signals",
+        "smooth_rtt",
+    ),
+    "repro.cc.laws.registry": (
+        "ALGORITHMS",
+        "AlgorithmSpec",
+        "canonical_names",
+        "fluid_class",
+        "get_spec",
+        "kernel_parameters",
+        "packet_class",
+        "state_names",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

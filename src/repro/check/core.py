@@ -11,7 +11,8 @@ Enabling:
 
 * pass ``check=Checker()`` to ``run_dumbbell`` / ``run_fluid`` /
   ``DumbbellNetwork`` / ``FluidSimulation``;
-* install a process default via :func:`set_default` / :func:`use`; or
+* install a process default via :func:`repro.check.set_default` /
+  :func:`repro.check.use`; or
 * set ``REPRO_CHECK=1`` in the environment (the CLI's ``--check`` flag
   does exactly this, so engine worker processes inherit it).
 
@@ -29,7 +30,6 @@ from typing import Any, Deque, Dict, Optional
 
 from repro.check import laws as check_laws
 from repro.check.errors import InvariantViolation, RecentEvent
-from repro.util.ambient import ProcessDefault
 
 #: Pending-event ceiling for the event-loop boundedness check.  Far
 #: above anything a legitimate dumbbell run enqueues (the loop keeps at
@@ -483,18 +483,3 @@ class Checker:
                 time=float(tick),
             )
 
-
-# -- process-wide default ----------------------------------------------------
-
-#: An explicit :func:`set_default` always wins (including an explicit
-#: ``None``, which disables checking even under ``REPRO_CHECK=1``);
-#: otherwise the environment decides, with one shared lazily-created
-#: checker per process.
-_DEFAULT = ProcessDefault(factory=Checker, env="REPRO_CHECK")
-
-enabled_from_env = _DEFAULT.enabled_from_env
-get_default = _DEFAULT.get
-set_default = _DEFAULT.set
-clear_default = _DEFAULT.clear
-resolve = _DEFAULT.resolve
-use = _DEFAULT.use

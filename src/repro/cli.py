@@ -54,12 +54,8 @@ from contextlib import ExitStack, contextmanager
 from time import perf_counter
 from typing import Iterator, List, Optional
 
-from repro.cc import available_algorithms
-from repro.core import predict_multi_flow, predict_nash, predict_two_flow
-from repro.core.ware import ware_prediction
-from repro.exec import ScenarioPoint
-from repro.experiments.figures import FIGURES
-from repro.experiments.runner import run_mix_batch, run_trials
+# Each command imports what it runs: ``import repro.cli`` loads no
+# model, simulator, figure generator or process pool.
 from repro.scenario.spec import BottleneckSpec
 
 
@@ -182,6 +178,16 @@ class _CliError(Exception):
     """A one-line diagnostic for stderr; :func:`main` exits 2."""
 
 
+@contextmanager
+def _scenario_errors() -> Iterator[None]:
+    """A ``ValueError`` from building or running a scenario becomes one
+    ``bad scenario:`` line (exit 2), the same for every command."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _CliError(f"bad scenario: {exc}") from None
+
+
 class _Session:
     """What :func:`run_session` hands the command it wraps."""
 
@@ -299,10 +305,21 @@ def run_session(
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    link = _link_from(args)
+    from repro.core import (
+        predict_multi_flow,
+        predict_two_flow,
+        ware_prediction,
+    )
+
+    two_flow = args.cubic == 1 and args.bbr == 1
+    with _scenario_errors():
+        link = _link_from(args)
+        if two_flow:
+            pred = predict_two_flow(link)
+        else:
+            pred = predict_multi_flow(link, args.cubic, args.bbr)
     print(f"link: {link.describe()}")
-    if args.cubic == 1 and args.bbr == 1:
-        pred = predict_two_flow(link)
+    if two_flow:
         print(
             f"2-flow model: BBR {pred.bbr_bandwidth * 8 / 1e6:.2f} Mbps "
             f"({pred.bbr_fraction * 100:.1f}%), "
@@ -314,23 +331,27 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             f"valid={pred.in_validity_range}"
         )
     else:
-        pred = predict_multi_flow(link, args.cubic, args.bbr)
         lo, hi = pred.per_flow_bbr_bounds()
         print(
             f"multi-flow model ({args.cubic} CUBIC vs {args.bbr} BBR): "
             f"per-flow BBR in [{lo * 8 / 1e6:.2f}, {hi * 8 / 1e6:.2f}] Mbps"
         )
-    ware = ware_prediction(link, n_bbr=args.bbr)
-    print(
-        f"ware et al. baseline: aggregate BBR "
-        f"{ware.bbr_bandwidth * 8 / 1e6:.2f} Mbps"
-    )
+    if args.cubic >= 1 and args.bbr >= 1:
+        # Ware et al. model BBR against CUBIC: no baseline for one CCA.
+        ware = ware_prediction(link, n_bbr=args.bbr)
+        print(
+            f"ware et al. baseline: aggregate BBR "
+            f"{ware.bbr_bandwidth * 8 / 1e6:.2f} Mbps"
+        )
     return 0
 
 
 def _cmd_nash(args: argparse.Namespace) -> int:
-    link = _link_from(args)
-    pred = predict_nash(link, args.flows)
+    from repro.core import predict_nash
+
+    with _scenario_errors():
+        link = _link_from(args)
+        pred = predict_nash(link, args.flows)
     print(f"link: {link.describe()}, {args.flows} flows")
     print(
         f"predicted NE: {pred.n_cubic_low:.1f}-{pred.n_cubic_high:.1f} "
@@ -341,11 +362,11 @@ def _cmd_nash(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
+    from repro.exec import ScenarioPoint
+    from repro.experiments.runner import run_mix_batch, run_trials
+
+    with _scenario_errors():
         link = _link_from(args)
-    except ValueError as exc:
-        print(f"bad scenario: {exc}", file=sys.stderr)
-        return 2
     mix = []
     for item in args.mix:
         try:
@@ -368,7 +389,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
             bus = Telemetry(sample_interval=args.trace_interval)
         wall_start = perf_counter()
-        try:
+        with _scenario_errors():
             point = ScenarioPoint(
                 link=link,
                 mix=tuple(mix),
@@ -383,8 +404,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 # The bus records this simulation, here and uncached:
                 # a worker or a cache hit would leave it empty.
                 [result] = run_mix_batch([point], obs=bus)
-        except ValueError as exc:
-            raise _CliError(f"bad scenario: {exc}") from None
         wall_time = perf_counter() - wall_start
         session.end_line()
         print(f"link: {link.describe()}  backend={args.backend}")
@@ -457,13 +476,16 @@ def _simulate_manifest(
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments import FIGURE_IDS
+
     key = args.id if args.id.startswith("fig") else f"fig{args.id}"
-    if key not in FIGURES:
+    if key not in FIGURE_IDS:
         print(
-            f"unknown figure {args.id!r}; available: {sorted(FIGURES)}",
+            f"unknown figure {args.id!r}; available: {sorted(FIGURE_IDS)}",
             file=sys.stderr,
         )
         return 2
+    from repro.experiments.figures import FIGURES
     from repro.scenario import scenario_overrides
 
     if args.csv_dir:
@@ -481,11 +503,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             engine.progress = lambda done, submitted, hits: session.draw(
                 f"  points {done}/{submitted} ({hits} cached)"
             )
-        try:
-            with scenario_overrides(**_scenario_kwargs(args)):
-                produced = FIGURES[key](scale=args.scale)
-        except ValueError as exc:
-            raise _CliError(f"bad scenario: {exc}") from None
+        with _scenario_errors(), scenario_overrides(**_scenario_kwargs(args)):
+            produced = FIGURES[key](scale=args.scale)
         session.end_line()
         session.exec_summary = engine.done > 0
         figures = produced if isinstance(produced, list) else [produced]
@@ -516,15 +535,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.experiments.validation import validate_two_flow
 
-    link = _link_from(args)
-    report = validate_two_flow(
-        link,
-        buffer_bdps=args.buffers,
-        duration=args.duration,
-        backend=args.backend,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    with _scenario_errors():
+        report = validate_two_flow(
+            _link_from(args),
+            buffer_bdps=args.buffers,
+            duration=args.duration,
+            backend=args.backend,
+            trials=args.trials,
+            seed=args.seed,
+        )
     print(report.render())
     return 0
 
@@ -533,7 +552,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     from repro.core.game import GroupGame
     from repro.experiments.runner import distribution_payoff_fn
 
-    try:
+    with _scenario_errors():
         link = _link_from(args)
         payoff = distribution_payoff_fn(
             link,
@@ -553,8 +572,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         # One round: the start is asked for with the whole table, so a
         # start outside the game is rejected before anything runs.
         game.payoffs((args.start,), *game.states())
-    except ValueError as exc:
-        raise _CliError(f"bad scenario: {exc}") from None
     path = [k for (k,) in game.best_response_path((args.start,))]
     print(f"best-response path (#{args.challenger} flows): " +
           " -> ".join(str(k) for k in path))
@@ -810,8 +827,10 @@ def _cmd_population_plot(args: argparse.Namespace) -> int:
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     from repro.campaign import bundled_campaign_dir, list_bundled_campaigns
+    from repro.cc import available_algorithms
+    from repro.experiments import FIGURE_IDS
 
-    print("figures:", ", ".join(sorted(FIGURES)))
+    print("figures:", ", ".join(sorted(FIGURE_IDS)))
     print("congestion controls:", ", ".join(available_algorithms()))
     specs = list_bundled_campaigns()
     if specs:

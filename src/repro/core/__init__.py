@@ -12,51 +12,36 @@
   or one group per RTT class (§4.5).
 """
 
-from repro.core.game import (
-    GroupGame,
-    ThroughputTable,
-    bisect_nash,
-    ne_existence_conditions,
-)
-from repro.core.multi_flow import (
-    MultiFlowPrediction,
-    aggregate_bbr_bandwidth,
-    desync_backoff,
-    predict_multi_flow,
-)
-from repro.core.nash import (
-    NashPrediction,
-    NashRegionPoint,
-    nash_region,
-    predict_nash,
-)
-from repro.core.two_flow import (
-    CUBIC_BACKOFF,
-    DEEP_BUFFER_LIMIT_BDP,
-    ModelPrediction,
-    predict_two_flow,
-    solve_bbr_buffer_share,
-)
-from repro.core.ware import WarePrediction, ware_prediction
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "GroupGame",
-    "ThroughputTable",
-    "bisect_nash",
-    "ne_existence_conditions",
-    "MultiFlowPrediction",
-    "aggregate_bbr_bandwidth",
-    "desync_backoff",
-    "predict_multi_flow",
-    "NashPrediction",
-    "NashRegionPoint",
-    "nash_region",
-    "predict_nash",
-    "CUBIC_BACKOFF",
-    "DEEP_BUFFER_LIMIT_BDP",
-    "ModelPrediction",
-    "predict_two_flow",
-    "solve_bbr_buffer_share",
-    "WarePrediction",
-    "ware_prediction",
-]
+_EXPORTS = {
+    "repro.core.game": (
+        "GroupGame",
+        "ThroughputTable",
+        "bisect_nash",
+        "ne_existence_conditions",
+    ),
+    "repro.core.multi_flow": (
+        "MultiFlowPrediction",
+        "aggregate_bbr_bandwidth",
+        "desync_backoff",
+        "predict_multi_flow",
+    ),
+    "repro.core.nash": (
+        "NashPrediction",
+        "NashRegionPoint",
+        "nash_region",
+        "predict_nash",
+    ),
+    "repro.core.two_flow": (
+        "CUBIC_BACKOFF",
+        "DEEP_BUFFER_LIMIT_BDP",
+        "ModelPrediction",
+        "predict_two_flow",
+        "solve_bbr_buffer_share",
+    ),
+    "repro.core.ware": ("WarePrediction", "ware_prediction"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,31 +19,24 @@ installs it as the process default (:func:`use`), which the figure
 generators and NE throughput functions pick up via :func:`resolve`.
 """
 
-from repro.exec.cache import ResultCache, default_cache_root
-from repro.exec.engine import (
-    Engine,
-    get_default,
-    resolve,
-    set_default,
-    use,
-)
-from repro.exec.fingerprint import (
-    CACHE_SCHEMA,
-    ScenarioPoint,
-    fingerprint_payload,
-    link_params,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA",
-    "Engine",
-    "ResultCache",
-    "ScenarioPoint",
-    "default_cache_root",
-    "fingerprint_payload",
-    "get_default",
-    "link_params",
-    "resolve",
-    "set_default",
-    "use",
-]
+_EXPORTS = {
+    "repro.exec.cache": ("ResultCache", "default_cache_root"),
+    "repro.exec.engine": (
+        "Engine",
+        "get_default",
+        "resolve",
+        "set_default",
+        "use",
+    ),
+    "repro.exec.fingerprint": (
+        "CACHE_SCHEMA",
+        "ScenarioPoint",
+        "fingerprint_payload",
+        "link_params",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

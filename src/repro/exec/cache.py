@@ -21,7 +21,6 @@ explicit ``--cache-dir``.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import tempfile
 from pathlib import Path
@@ -31,7 +30,12 @@ from repro.exec.fingerprint import CACHE_SCHEMA, REPRO_VERSION
 
 __all__ = ["ResultCache", "default_cache_root"]
 
-logger = logging.getLogger("repro.exec.cache")
+
+def _warn(message: str, *args: Any) -> None:
+    """Log an entry read as a miss; ``logging`` loads only for one."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -113,7 +117,7 @@ class ResultCache:
         except FileNotFoundError:
             return None, False
         except OSError as exc:
-            logger.warning("cache read failed for %s: %s", path, exc)
+            _warn("cache read failed for %s: %s", path, exc)
             return None, True
         payload = self._decode(raw, fingerprint, path)
         return payload, payload is None
@@ -127,7 +131,7 @@ class ResultCache:
         try:
             entry = json.loads(raw)
             if entry["schema"] != CACHE_SCHEMA:
-                logger.warning(
+                _warn(
                     "cache entry %s has schema %r (want %r); ignoring",
                     path,
                     entry["schema"],
@@ -135,16 +139,16 @@ class ResultCache:
                 )
                 return None
             if entry["fingerprint"] != fingerprint:
-                logger.warning(
+                _warn(
                     "cache entry %s does not match its key; ignoring", path
                 )
                 return None
             payload = entry["payload"]
         except (ValueError, KeyError, TypeError) as exc:
-            logger.warning("corrupt cache entry %s: %s", path, exc)
+            _warn("corrupt cache entry %s: %s", path, exc)
             return None
         if not isinstance(payload, dict):
-            logger.warning("corrupt cache entry %s: non-dict payload", path)
+            _warn("corrupt cache entry %s: non-dict payload", path)
             return None
         return payload
 

@@ -66,8 +66,6 @@ engine.
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from threading import Lock
 from time import perf_counter
 from typing import (
@@ -89,6 +87,8 @@ from repro.obs.trace import span
 from repro.util.ambient import ProcessDefault
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
+
     # Imported lazily at runtime: repro.experiments imports repro.exec
     # (for the figure sweeps), so the reverse edge must stay deferred.
     from repro.experiments.runner import ScenarioResult
@@ -290,6 +290,9 @@ class Engine:
             ) from exc
 
     def _pool(self) -> ProcessPoolExecutor:
+        # Imported here: only a jobs > 1 batch loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with self._lock:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(max_workers=self.jobs)
@@ -480,6 +483,9 @@ class Engine:
         their results as units come back.  On ``BrokenProcessPool`` the
         units still in ``waiting`` are re-run through
         :meth:`_inline_units` (see the module docstring)."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         waiting = dict(enumerate(units))
         try:
             pool = self._pool()

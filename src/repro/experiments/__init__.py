@@ -22,5 +22,10 @@ _EXPORTS = {
     ),
 }
 
-__all__ = [name for names in _EXPORTS.values() for name in names]
+#: The keys of ``figures.FIGURES``, known without loading a generator
+#: (``repro-bbr list``, ``figure``'s argument check).
+FIGURE_IDS = tuple(f"fig{n}" for n in (1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12))
+
+__all__ = ["FIGURE_IDS"]
+__all__ += [name for names in _EXPORTS.values() for name in names]
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -245,7 +245,7 @@ def _fluid_trial(point: ScenarioPoint) -> Dict[str, Any]:
     """A fluid point as :func:`run_fluid` arguments (equally
     :class:`BatchPoint` fields); it runs with the point's seed on
     either implementation."""
-    from repro.fluidsim.core import FluidSpec
+    from repro.fluidsim.spec import FluidSpec
 
     return {
         "link": point.link,

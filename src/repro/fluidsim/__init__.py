@@ -14,13 +14,9 @@ substrate does not load the scalar per-tick adapters, nor the reverse.
 from repro.util.lazy import lazy_exports
 
 _EXPORTS = {
-    "repro.fluidsim.core": (
-        "LOSS_MODES",
-        "FluidSimulation",
-        "FluidSpec",
-        "TickContext",
-        "run_fluid",
-    ),
+    "repro.fluidsim.core": ("FluidSimulation", "TickContext", "run_fluid"),
+    "repro.fluidsim.spec": ("FluidSpec",),
+    "repro.scenario.spec": ("LOSS_MODES",),
     "repro.fluidsim.vec": (
         "BatchPoint",
         "VecFluidSim",

@@ -49,9 +49,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.cc.laws import registry as laws_registry
 from repro.fluidsim.aqmfluid import make_fluid_aqm
-from repro.fluidsim.core import LOSS_MODES, FluidSpec
 from repro.fluidsim.mathops import np
+from repro.fluidsim.spec import FluidSpec
 from repro.fluidsim.vec_laws import TickState, VecKernel
+from repro.scenario import LOSS_MODES
 from repro.scenario.result import FlowResult, SimulationResult
 from repro.scenario.spec import BottleneckSpec
 

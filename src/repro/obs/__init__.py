@@ -15,64 +15,41 @@ every instrumentation site in the packet simulator, the fluid simulator,
 and the congestion controllers guards on ``obs is not None``.  Enable it
 for one simulation by handing it a :class:`Telemetry` instance
 (``run_mix(..., obs=bus)``), which is what ``repro-bbr simulate
---trace-out`` does; there is no process-wide bus.
+--trace-out`` does; there is no process-wide bus.  The names below
+are re-exported lazily: the span tracer loads without the trace
+exporter.
 """
 
-from repro.obs.bus import Telemetry, TelemetryEvent
-from repro.obs.export import (
-    TraceData,
-    open_maybe_gzip,
-    read_trace,
-    write_trace,
-)
-from repro.obs.manifest import (
-    CAMPAIGN_SCHEMA,
-    SCHEMA,
-    CampaignManifest,
-    RunManifest,
-)
-from repro.obs.progress import (
-    ProgressTracker,
-    eta_seconds,
-    format_duration,
-    rss_self_kb,
-)
-from repro.obs.report import FlowReport, RunReport, load_report
-from repro.obs.trace import (
-    ChromeTrace,
-    Span,
-    SpanAggregate,
-    Tracer,
-    aggregate_spans,
-    read_chrome_trace,
-    render_span_report,
-    write_chrome_trace,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Telemetry",
-    "TelemetryEvent",
-    "TraceData",
-    "open_maybe_gzip",
-    "read_trace",
-    "write_trace",
-    "ChromeTrace",
-    "Span",
-    "SpanAggregate",
-    "Tracer",
-    "aggregate_spans",
-    "read_chrome_trace",
-    "render_span_report",
-    "write_chrome_trace",
-    "ProgressTracker",
-    "eta_seconds",
-    "format_duration",
-    "rss_self_kb",
-    "SCHEMA",
-    "CAMPAIGN_SCHEMA",
-    "CampaignManifest",
-    "RunManifest",
-    "FlowReport",
-    "RunReport",
-    "load_report",
-]
+_EXPORTS = {
+    "repro.obs.bus": ("Telemetry", "TelemetryEvent"),
+    "repro.obs.export": ("TraceData", "read_trace", "write_trace"),
+    "repro.util.jsonfile": ("open_maybe_gzip",),
+    "repro.obs.manifest": (
+        "CAMPAIGN_SCHEMA",
+        "SCHEMA",
+        "CampaignManifest",
+        "RunManifest",
+    ),
+    "repro.obs.progress": (
+        "ProgressTracker",
+        "eta_seconds",
+        "format_duration",
+        "rss_self_kb",
+    ),
+    "repro.obs.report": ("FlowReport", "RunReport", "load_report"),
+    "repro.obs.trace": (
+        "ChromeTrace",
+        "Span",
+        "SpanAggregate",
+        "Tracer",
+        "aggregate_spans",
+        "read_chrome_trace",
+        "render_span_report",
+        "write_chrome_trace",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

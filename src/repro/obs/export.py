@@ -24,38 +24,23 @@ Records are time-ordered within each kind but *not* globally merged;
 
 from __future__ import annotations
 
-import gzip
 import json
 from dataclasses import dataclass, field
-from typing import IO, Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.bus import Telemetry, TelemetryEvent
 from repro.obs.manifest import RunManifest
+from repro.util.jsonfile import open_maybe_gzip
 
 __all__ = [
     "DROPPED_RECORDS",
     "TraceData",
-    "open_maybe_gzip",
     "write_trace",
     "read_trace",
 ]
 
 #: The counter record that carries :attr:`Telemetry.dropped_records`.
 DROPPED_RECORDS = "obs.dropped_records"
-
-
-def open_maybe_gzip(path: str, mode: str) -> IO[str]:
-    """Open ``path`` for text I/O, gzip-compressed when it ends ``.gz``.
-
-    Long-campaign traces compress ~10x; every trace read and write path
-    (JSONL telemetry traces, Chrome span traces, ``repro-bbr report``)
-    routes through here so ``.jsonl.gz``/``.json.gz`` work everywhere.
-    """
-    if mode not in ("r", "w", "a"):
-        raise ValueError(f"mode must be r, w, or a, got {mode!r}")
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
 
 
 @dataclass

@@ -34,8 +34,8 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.obs.export import open_maybe_gzip
 from repro.util.ambient import ProcessDefault
+from repro.util.jsonfile import open_maybe_gzip
 
 __all__ = [
     "Span",

@@ -8,31 +8,23 @@ model where it is trusted, batched fluid simulation where the
 recorded model error is high.  See ``docs/POPULATION.md``.
 """
 
-from repro.population.dynamics import (
-    DYNAMICS,
-    DynamicsConfig,
-    step_shares,
-)
-from repro.population.oracle import BOUNDS, ErrorMap, TieredOracle
-from repro.population.run import PopulationResult, run_population
-from repro.population.state import (
-    DEFAULT_STRATEGIES,
-    CellSpec,
-    PopulationState,
-    quantize_counts,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "BOUNDS",
-    "DEFAULT_STRATEGIES",
-    "DYNAMICS",
-    "CellSpec",
-    "DynamicsConfig",
-    "ErrorMap",
-    "PopulationResult",
-    "PopulationState",
-    "TieredOracle",
-    "run_population",
-    "step_shares",
-    "quantize_counts",
-]
+_EXPORTS = {
+    "repro.population.dynamics": (
+        "DYNAMICS",
+        "DynamicsConfig",
+        "step_shares",
+    ),
+    "repro.population.oracle": ("BOUNDS", "ErrorMap", "TieredOracle"),
+    "repro.population.run": ("PopulationResult", "run_population"),
+    "repro.population.state": (
+        "DEFAULT_STRATEGIES",
+        "CellSpec",
+        "PopulationState",
+        "quantize_counts",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -9,38 +9,24 @@ topology builder that also owns each flow's fixed post-bottleneck path
 and receiver (:mod:`repro.sim.network`).
 """
 
-from repro.sim.aqm import RED, CoDel
-from repro.sim.engine import EventBudgetExceeded, EventLoop
-from repro.sim.link import Link, LinkStats
-from repro.sim.network import (
-    DumbbellNetwork,
-    FlowPath,
-    FlowResult,
-    FlowSpec,
-    SimulationResult,
-    run_dumbbell,
-)
-from repro.sim.packet import LossEvent, Packet, RateSample
-from repro.sim.stats import FlowStats
-from repro.sim.trace import CwndTracer, TraceSample
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "RED",
-    "CoDel",
-    "CwndTracer",
-    "TraceSample",
-    "EventBudgetExceeded",
-    "EventLoop",
-    "Link",
-    "LinkStats",
-    "DumbbellNetwork",
-    "FlowPath",
-    "FlowResult",
-    "FlowSpec",
-    "SimulationResult",
-    "run_dumbbell",
-    "LossEvent",
-    "Packet",
-    "RateSample",
-    "FlowStats",
-]
+_EXPORTS = {
+    "repro.sim.aqm": ("RED", "CoDel"),
+    "repro.sim.engine": ("EventBudgetExceeded", "EventLoop"),
+    "repro.sim.link": ("Link", "LinkStats"),
+    "repro.sim.network": (
+        "DumbbellNetwork",
+        "FlowPath",
+        "FlowResult",
+        "FlowSpec",
+        "SimulationResult",
+        "run_dumbbell",
+    ),
+    "repro.sim.packet": ("LossEvent", "Packet", "RateSample"),
+    "repro.sim.stats": ("FlowStats",),
+    "repro.sim.trace": ("CwndTracer", "TraceSample"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.fluidsim.core import FluidSpec
+from repro.fluidsim.spec import FluidSpec
 from repro.sim.network import FlowSpec
 
 

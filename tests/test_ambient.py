@@ -3,14 +3,14 @@ span tracer, the invariant checker and the engine."""
 
 import pytest
 
-from repro.check import core as check_core
+import repro.check
 from repro.exec import engine as engine_mod
 from repro.obs import trace
 from repro.util.ambient import _UNSET
 
 #: module -> the environment switch of its slot (None: it has none).
 SLOTS = {
-    "check": (check_core, "REPRO_CHECK"),
+    "check": (repro.check, "REPRO_CHECK"),
     "trace": (trace, "REPRO_TRACE"),
     "exec": (engine_mod, None),
 }

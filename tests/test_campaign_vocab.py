@@ -7,9 +7,6 @@ fingerprints and unit ids key journals, so they must never move.
 """
 
 import json
-import os
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -357,32 +354,3 @@ def test_spec_round_trips_and_expands_deterministically(data):
     ids = [unit.unit_id() for unit in expand_units(spec)]
     assert ids == [unit.unit_id() for unit in expand_units(again)]
     assert len(set(ids)) == len(ids) > 0
-
-
-# -- import hygiene ----------------------------------------------------------
-
-
-def test_campaign_imports_stay_numpy_free():
-    """Declaring and validating a study loads no simulator: it is what
-    keeps ``campaign validate`` instant and the benchmark's ``setup_s``
-    small."""
-    heavy = (
-        "numpy",
-        "repro.fluidsim",
-        "repro.population",
-        "repro.experiments",
-    )
-    code = (
-        "import sys; import repro.campaign, repro.exec, repro.scenario; "
-        f"print([m for m in {heavy!r} if m in sys.modules])"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
-

@@ -35,6 +35,33 @@ def test_predict_multi_flow(capsys):
     assert "per-flow BBR in [" in out
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["predict", "--mbps", "0"], 2),
+        (["predict", "--rtt-ms", "-5"], 2),
+        (["predict", "--buffer-bdp", "-1"], 2),
+        (["predict", "--cubic", "-1"], 2),
+        (["predict", "--cubic", "0", "--bbr", "0"], 2),
+        (["nash", "--flows", "0"], 2),
+        (["nash", "--buffer-bdp", "0"], 2),
+        (["validate", "--buffer-bdp", "0"], 2),
+        (["predict", "--cubic", "2", "--bbr", "0"], 0),
+        (["predict", "--cubic", "0", "--bbr", "2"], 0),
+    ],
+)
+def test_model_commands_reject_bad_input_in_one_line(argv, code, capsys):
+    """Bad input takes the one ``bad scenario:`` path of simulate and
+    evolve (exit 2, one line, no traceback); a one-CCA mix is legal and
+    gets no Ware et al. line, a model of BBR against CUBIC."""
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err.startswith("bad scenario: ") and err.count("\n") == 1
+    else:
+        assert "multi-flow model" in out and "ware" not in out
+
+
 def test_nash(capsys):
     code = main(["nash", "--flows", "50", "--buffer-bdp", "10"])
     assert code == 0
@@ -1292,9 +1319,9 @@ def test_session_restores_ambient_state(
     """Whatever a checked, traced, parallel command installs — process
     defaults, REPRO_CHECK / REPRO_TRACE — is gone when main() returns,
     however it returns."""
-    import repro.cli as cli
     from repro.check import InvariantViolation
     from repro.exec import Engine
+    from repro.experiments import figures
 
     paths = {
         "SPEC": str(_write_smoke_spec(tmp_path)),
@@ -1310,7 +1337,7 @@ def test_session_restores_ambient_state(
             raise InvariantViolation("injected")
 
         monkeypatch.setattr(Engine, "iter_points", violate)
-        monkeypatch.setitem(cli.FIGURES, "fig6", violate)
+        monkeypatch.setitem(figures.FIGURES, "fig6", violate)
 
     closed = []  # jobs of each closed engine (a count; no reference).
     close = Engine.close

@@ -106,8 +106,9 @@ def test_the_packet_is_its_own_ack():
 
 
 def test_every_figure_id_is_callable():
-    from repro.experiments import FIGURES
+    from repro.experiments import FIGURE_IDS, FIGURES
 
+    assert tuple(FIGURES) == FIGURE_IDS
     for key, fn in FIGURES.items():
         assert callable(fn), key
 
@@ -118,9 +119,14 @@ def test_console_script_entry_point():
     assert callable(main)
 
 
-@pytest.mark.parametrize(
-    "package", ["repro.cc", "repro.experiments", "repro.fluidsim"]
+#: Every package (``repro.scenario`` re-exports eagerly, the rest lazily).
+PACKAGES = sorted(
+    ".".join(path.relative_to(SRC).parent.parts)
+    for path in SRC.rglob("__init__.py")
 )
+
+
+@pytest.mark.parametrize("package", PACKAGES)
 def test_every_lazy_export_resolves(package):
     """The packages resolve their re-exports on first use: every name
     in ``__all__`` is reachable and listed, and a typo still fails."""
@@ -141,44 +147,129 @@ def test_result_types_have_one_home():
     assert SimFlowResult is FlowResult
 
 
-# -- what a request imports ---------------------------------------------------
+# -- what an entry point imports ---------------------------------------------
 
-#: Runs one batch through a fresh engine in a fresh interpreter (so the
-#: test process's own imports do not count) and prints which of the
-#: watched modules it loaded.
-REQUEST = """
-import sys
-from repro.exec import Engine, ScenarioPoint
+#: The benchmark's setup line (``benchmarks/e2e/workloads.py``).
+SETUP = """
+from repro.campaign import parse_spec, run_campaign
+from repro.exec import Engine, ResultCache, ScenarioPoint
 from repro.scenario import BottleneckSpec
-
-backend, points, flows = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-Engine().run_points([
-    ScenarioPoint(
-        link=BottleneckSpec.from_mbps_ms(10.0, 20.0, 1.0),
-        mix=(("cubic", flows - 1), ("bbr", 1)),
-        duration=1.0,
-        backend=backend,
-        seed=seed,
-    )
-    for seed in range(points)
-])
-watched = (
-    "numpy", "repro.sim", "repro.experiments.figures",
-    "repro.fluidsim", "repro.fluidsim.flows", "repro.fluidsim.vec",
-)
-print(" ".join(name for name in watched if name in sys.modules))
 """
 
 
-def _loaded(backend, points, flows):
+def _batch(backend, points, flows):
+    """One batch of ``points`` points through a fresh engine."""
+    return SETUP + f"""
+Engine().run_points([
+    ScenarioPoint(
+        link=BottleneckSpec.from_mbps_ms(10.0, 20.0, 1.0),
+        mix=(("cubic", {flows - 1}), ("bbr", 1)),
+        duration=1.0,
+        backend={backend!r},
+        seed=seed,
+    )
+    for seed in range({points})
+])
+"""
+
+
+#: What a ``jobs=1`` run never uses: the process pool, ``logging`` and
+#: ``gzip``, the model, the trace exporter, the campaign's inspection
+#: commands, the checker and the figures.
+POOL = ("multiprocessing", "concurrent.futures")
+UNUSED_BY_A_RUN = POOL + (
+    "logging",
+    "gzip",
+    "repro.core",
+    "repro.obs.report",
+    "repro.obs.export",
+    "repro.obs.manifest",
+    "repro.obs.bus",
+    "repro.campaign.report",
+    "repro.campaign.status",
+    "repro.campaign.studies",
+    "repro.check.core",
+    "repro.experiments.figures",
+)
+
+#: id -> (code, environment it adds, modules it must load, modules it
+#: must not load -- a package stands for its submodules too).
+ENTRY_POINTS = {
+    "setup": (
+        SETUP,
+        {},
+        ("repro.campaign.run", "repro.exec.engine"),
+        UNUSED_BY_A_RUN
+        + (
+            "numpy",
+            "repro.experiments",
+            "repro.fluidsim",
+            "repro.population",
+            "repro.sim",
+        ),
+    ),
+    "predict_nash": (
+        "import repro; repro.predict_nash",
+        {},
+        ("repro.core.nash",),
+        ("numpy", "repro.core.game", "repro.exec", "repro.cc"),
+    ),
+    "packet_point": (
+        _batch("packet", 1, 2),
+        {},
+        ("repro.sim.network",),
+        UNUSED_BY_A_RUN + ("numpy", "repro.fluidsim"),
+    ),
+    "fluid_point": (
+        _batch("fluid", 1, 2),
+        {},
+        ("numpy", "repro.fluidsim.core", "repro.fluidsim.flows"),
+        UNUSED_BY_A_RUN + ("repro.fluidsim.vec", "repro.sim"),
+    ),
+    # 4 points x 20 flows: 80 rows, one vectorized batch.
+    "vec_batch": (
+        _batch("fluid", 4, 20),
+        {},
+        ("numpy", "repro.fluidsim.vec"),
+        UNUSED_BY_A_RUN
+        + ("repro.fluidsim.core", "repro.fluidsim.flows", "repro.sim"),
+    ),
+    "cli": (
+        "import repro.cli",
+        {},
+        ("repro.cli",),
+        POOL
+        + (
+            "numpy",
+            "repro.core.game",
+            "repro.experiments.figures",
+            "repro.experiments.runner",
+        ),
+    ),
+    "checked_packet_point": (
+        _batch("packet", 1, 2),
+        {"REPRO_CHECK": "1"},
+        ("repro.check.core", "repro.sim.network"),
+        ("numpy", "repro.fluidsim"),
+    ),
+}
+
+#: ``repro`` modules the setup line may load (37 before every package
+#: re-exported lazily).
+SETUP_MAX_MODULES = 22
+
+
+def _modules_after(code, environ):
+    """Every module a fresh interpreter holds after running ``code``,
+    with no ``REPRO_*`` variable but those in ``environ``."""
     env = {
         key: value
         for key, value in os.environ.items()
         if not key.startswith("REPRO_")
     }
-    env["PYTHONPATH"] = str(SRC)
+    env.update(environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", REQUEST, backend, str(points), str(flows)],
+        [sys.executable, "-c", code + "\nprint(*sorted(sys.modules))"],
         env=env,
         capture_output=True,
         text=True,
@@ -188,22 +279,20 @@ def _loaded(backend, points, flows):
     return set(done.stdout.split())
 
 
-def test_a_fluid_point_loads_the_scalar_substrate_only():
-    assert _loaded("fluid", 1, 2) == {
-        "numpy",
-        "repro.fluidsim",
-        "repro.fluidsim.flows",
-    }
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_an_entry_point_loads_only_what_it_runs(entry):
+    code, environ, needed, unused = ENTRY_POINTS[entry]
+    loaded = _modules_after("import sys\n" + code, environ)
+    assert set(needed) <= loaded
+    extra = sorted(
+        name
+        for name in loaded
+        if any(name == u or name.startswith(u + ".") for u in unused)
+    )
+    assert not extra, f"{entry} loads {extra}"
 
 
-def test_a_fluid_batch_loads_the_vectorized_substrate_only():
-    # 4 points x 20 flows: 80 rows, one vectorized batch.
-    assert _loaded("fluid", 4, 20) == {
-        "numpy",
-        "repro.fluidsim",
-        "repro.fluidsim.vec",
-    }
-
-
-def test_a_packet_point_loads_neither_numpy_nor_the_fluid_model():
-    assert _loaded("packet", 1, 2) == {"repro.sim"}
+def test_the_setup_line_loads_few_repro_modules():
+    loaded = _modules_after("import sys\n" + SETUP, {})
+    repro = sorted(name for name in loaded if name.startswith("repro"))
+    assert len(repro) <= SETUP_MAX_MODULES, repro

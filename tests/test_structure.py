@@ -12,7 +12,8 @@ generator, one instrumented fluid loop, the scalar one, and one
 declaration of a bottleneck, ``BottleneckSpec``, an engine that runs
 and counts points once, with wall time left to spans, each run fact
 written to one record, a point that is one seed, repeated only by
-the runner, and one writer of ``results/``.  The last
+the runner, one writer of ``results/``, and package ``__init__``s
+that import none of their submodules.  The last
 gate keeps CI from growing gates of its own: a check belongs here, or
 in ``tests/smoke.py``.
 """
@@ -479,6 +480,29 @@ def test_stage_run_has_no_sequential_field():
 
 #: What a CI step may not run: a ``grep`` / ``cmp`` / ``diff`` gate, a
 #: ``test "$(...)"`` count, or inline Python.
+#: What a package ``__init__`` may import of its own subtree: the
+#: loader.  ``repro.scenario`` re-exports its one module eagerly.
+INIT_LOADER = "repro.util.lazy"
+
+
+def test_no_package_init_imports_its_submodules():
+    """Every package re-exports lazily (``repro.util.lazy``), so a
+    process that imports one submodule does not load its siblings."""
+    eager = []
+    for path, tree in TREES.items():
+        package = ".".join(path.relative_to(SRC).parent.parts)
+        if path.name != "__init__.py" or package == "repro.scenario":
+            continue
+        eager += [
+            f"{package}: {module}"
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for module in imported_modules(node)
+            if module.startswith(package + ".") and module != INIT_LOADER
+        ]
+    assert not eager, "\n".join(eager)
+
+
 CI_GATES = re.compile(
     r"""\b(grep|cmp|diff)\b|test "\$\(|python3?\s+-(c\b|\s|$)"""
 )
