@@ -11,6 +11,11 @@ shows the population converging to the mixed NE instead of going
 all-BBR.
 
 Run:  python examples/internet_evolution.py
+
+Unlike the other examples, ``tests.smoke`` does not run this one: it
+takes about 80 s on two cores, and its payoffs come from the tiered
+oracle, which ROADMAP item 17 replaces with played payoff tables.  Its
+claim is checked once that lands.
 """
 
 from repro import LinkConfig, predict_nash

@@ -314,6 +314,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     two_flow = args.cubic == 1 and args.bbr == 1
     with _scenario_errors():
         link = _link_from(args)
+        if args.cubic < 1 or args.bbr < 1:
+            # The models split a link between BBR and CUBIC flows.
+            raise ValueError(
+                "predict needs at least one CUBIC and one BBR flow, got "
+                f"--cubic {args.cubic} --bbr {args.bbr}"
+            )
         if two_flow:
             pred = predict_two_flow(link)
         else:
@@ -336,13 +342,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             f"multi-flow model ({args.cubic} CUBIC vs {args.bbr} BBR): "
             f"per-flow BBR in [{lo * 8 / 1e6:.2f}, {hi * 8 / 1e6:.2f}] Mbps"
         )
-    if args.cubic >= 1 and args.bbr >= 1:
-        # Ware et al. model BBR against CUBIC: no baseline for one CCA.
-        ware = ware_prediction(link, n_bbr=args.bbr)
-        print(
-            f"ware et al. baseline: aggregate BBR "
-            f"{ware.bbr_bandwidth * 8 / 1e6:.2f} Mbps"
-        )
+    ware = ware_prediction(link, n_bbr=args.bbr)
+    print(
+        f"ware et al. baseline: aggregate BBR "
+        f"{ware.bbr_bandwidth * 8 / 1e6:.2f} Mbps"
+    )
     return 0
 
 
@@ -478,7 +482,7 @@ def _simulate_manifest(
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments import FIGURE_IDS
 
-    key = args.id if args.id.startswith("fig") else f"fig{args.id}"
+    key = args.id if args.id in FIGURE_IDS else f"fig{args.id}"
     if key not in FIGURE_IDS:
         print(
             f"unknown figure {args.id!r}; available: {sorted(FIGURE_IDS)}",

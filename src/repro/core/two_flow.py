@@ -88,7 +88,7 @@ def solve_bbr_buffer_share(
     approximation pins ``b_cmin = (B − (γ−1)·K)/γ``; the paper's model is
     the ``γ = 2`` case.  §5 notes the true in-flight level averages
     between 1 and 2 BDP, so sweeping γ quantifies the assumption's cost
-    (see ``benchmarks/test_ablations.py``).
+    (``tests/test_two_flow.py::test_cwnd_gain_monotone``).
 
     Returns ``b_b`` clamped to ``[0, B]``.  When the buffer is too small
     for the premises (``B ≤ (γ−1)·BDP``), the full buffer is attributed

@@ -13,6 +13,12 @@ multi-panel figures).  Two fidelity presets are provided:
 ``results/``; figure 3's "~5 %" and figure 9's deep buffers on three
 panels are strict xfails there.  Figure 2 is a network schematic and
 Table 1 a notation table — nothing to regenerate.
+
+Two extensions go beyond the paper's figures and are registered and
+checked the same way: ``ext-aqm`` (the game under RED and CoDel) and
+``ext-transitions`` (§5's Reno→CUBIC→BBR transition games, with the
+shared delay that §4.3's utility conjecture needs as ``ext-utility``).
+Each records its whole payoff table; the claims play it.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from repro.experiments.runner import (
     ScenarioResult,
     group_payoff_fn,
     run_trials,
+    spaced_seed,
 )
 from repro.experiments.validation import validate_two_flow
 from repro.obs.trace import resolve as resolve_tracer
@@ -575,6 +582,113 @@ def figure12(
     )
 
 
+# -- Extensions: the game beyond the paper's figures --------------------------
+
+
+def _payoff_table(
+    fig: FigureResult,
+    prefix: str,
+    pair: Sequence[str],
+    counts: Sequence[int],
+    results: Sequence[ScenarioResult],
+) -> None:
+    """One played game's table: per-flow Mbps of each class of ``pair``
+    (incumbent, challenger) at each challenger count, as the series
+    ``<prefix>:<class>`` (0 where the class has no flow)."""
+    for cc in pair:
+        mbps = [result.per_flow_mbps(cc) for result in results]
+        fig.add(f"{prefix}:{cc}", counts, mbps)
+
+
+def ext_aqm(scale: str = "quick") -> FigureResult:
+    """The CUBIC/BBR game under drop-tail, RED and CoDel (after Chien &
+    Sinclair, from the paper's related work): 6 flows at 10 Mbps /
+    20 ms with a 6 BDP buffer, 60 s packet runs, every distribution.
+
+    Both AQMs punish the standing queue that loss-based CUBIC builds and
+    BBRv1 ignores, so their NE should hold no fewer BBR flows.  The
+    scale does not change this figure.
+    """
+    _check_scale(scale)
+    n_flows = 6
+    disciplines = ("droptail", "red", "codel")
+    base = BottleneckSpec.from_mbps_ms(10, 20, 6)
+    counts = list(range(n_flows + 1))
+    points = [
+        ScenarioPoint(
+            base.with_aqm(discipline),
+            (("cubic", n_flows - k), ("bbr", k)),
+            60.0,
+            backend="packet",
+        )
+        for discipline in disciplines
+        for k in counts
+    ]
+    results = run_trials(points, 1)
+    fig = FigureResult(
+        figure_id="ext-aqm",
+        title=(
+            f"CUBIC vs BBR under drop-tail / RED / CoDel, {n_flows} flows, "
+            "10 Mbps / 20 ms, 6 BDP"
+        ),
+        xlabel="# BBR flows",
+        ylabel="per-flow bandwidth (Mbps)",
+    )
+    for i, discipline in enumerate(disciplines):
+        rows = results[i * len(counts) : (i + 1) * len(counts)]
+        _payoff_table(fig, discipline, ("cubic", "bbr"), counts, rows)
+    return fig
+
+
+#: §5's transitions as (incumbent, challenger) games: CUBIC replaced
+#: Reno, Vegas never did, and BBR meets CUBIC.
+TRANSITIONS = (("reno", "cubic"), ("reno", "vegas"), ("cubic", "bbr"))
+
+
+def ext_transitions(scale: str = "quick") -> Tuple[FigureResult, FigureResult]:
+    """§5's transition games, played whole: 8 flows at 100 Mbps /
+    40 ms with a 3 BDP buffer, 100 s fluid runs at the seeds
+    ``distribution_payoff_fn(seed=21)`` gives, every distribution of
+    each :data:`TRANSITIONS` pair.  (a) Each class's per-flow Mbps and
+    (b) the shared queuing delay, which §4.3's utility conjecture
+    weighs against throughput.  The scale does not change this figure.
+    """
+    _check_scale(scale)
+    n_flows = 8
+    link = BottleneckSpec.from_mbps_ms(100, 40, 3)
+    counts = list(range(n_flows + 1))
+    points = [
+        ScenarioPoint(
+            link,
+            ((incumbent, n_flows - k), (challenger, k)),
+            100.0,
+            seed=spaced_seed(21, k),
+        )
+        for incumbent, challenger in TRANSITIONS
+        for k in counts
+    ]
+    results = run_trials(points, 1)
+    setting = f"{n_flows} flows, 100 Mbps / 40 ms, 3 BDP"
+    fig_a = FigureResult(
+        figure_id="ext-transitions",
+        title=f"Transition games: per-flow throughput, {setting}",
+        xlabel="# challenger flows",
+        ylabel="per-flow bandwidth (Mbps)",
+    )
+    fig_b = FigureResult(
+        figure_id="ext-utility",
+        title=f"Transition games: shared queuing delay, {setting}",
+        xlabel="# challenger flows",
+        ylabel="queuing delay (ms)",
+    )
+    for i, pair in enumerate(TRANSITIONS):
+        rows = results[i * len(counts) : (i + 1) * len(counts)]
+        game = "-".join(pair)
+        _payoff_table(fig_a, game, pair, counts, rows)
+        fig_b.add(game, counts, [r.mean_queuing_delay * 1e3 for r in rows])
+    return fig_a, fig_b
+
+
 #: Registry used by the CLI: figure id → zero-argument quick generator.
 def _traced_figure(fig_id: str, fn):
     """Bracket one figure runner in a ``figure`` span when tracing is on.
@@ -615,6 +729,8 @@ _FIGURES_RAW: Dict[str, object] = {
         figure11(100, scale),
     ],
     "fig12": figure12,
+    "ext-aqm": ext_aqm,
+    "ext-transitions": lambda scale="quick": list(ext_transitions(scale)),
 }
 
 FIGURES: Dict[str, object] = {

@@ -384,7 +384,6 @@ def _payoff_fn(
     rtts: Sequence[Optional[float]],
     engine: Optional["Engine"],
     trials: int,
-    weight: float = 0.0,
 ):
     """The one game evaluator: ``payoff(*states)`` for
     :class:`repro.core.game.GroupGame`, a round of states being one
@@ -393,13 +392,13 @@ def _payoff_fn(
 
     Group ``g``'s payoff pair is read from the result classes of
     (``incumbent``, ``challenger``) at ``rtts[g]`` — lower-case, as
-    :class:`ScenarioPoint` normalises the mix — less ``weight`` × the
-    shared queuing delay.  The engine (explicit, installed default, or
-    the sequential fallback) is resolved per round: identical states
-    are reused across games when a result cache is configured, and a
-    round's misses fan out over ``--jobs`` workers.  The call's two
-    halves are its attributes ``points`` (states to scenario points) and
-    ``read`` (their results to payoffs), for :func:`point_rounds`.
+    :class:`ScenarioPoint` normalises the mix.  The engine (explicit,
+    installed default, or the sequential fallback) is resolved per
+    round: identical states are reused across games when a result cache
+    is configured, and a round's misses fan out over ``--jobs``
+    workers.  The call's two halves are its attributes ``points``
+    (states to scenario points) and ``read`` (their results to
+    payoffs), for :func:`point_rounds`.
     """
     labels = [
         [class_label(cc.lower(), rtt) for cc in (incumbent, challenger)]
@@ -410,16 +409,13 @@ def _payoff_fn(
         return seed_points([point_of(state) for state in states], trials)
 
     def read(results: Sequence[ScenarioResult]):
-        payoffs = []
-        for result in seed_means(results, trials):
-            penalty = weight * result.mean_queuing_delay
-            payoffs.append(
-                [
-                    tuple(result.per_flow.get(c, 0.0) - penalty for c in pair)
-                    for pair in labels
-                ]
-            )
-        return payoffs
+        return [
+            [
+                tuple(result.per_flow.get(c, 0.0) for c in pair)
+                for pair in labels
+            ]
+            for result in seed_means(results, trials)
+        ]
 
     def payoff(*states: Tuple[int, ...]):
         from repro.exec.engine import resolve as resolve_engine
@@ -461,24 +457,14 @@ def distribution_payoff_fn(
     seed: int = 0,
     engine: Optional["Engine"] = None,
     loss_mode: str = "proportional",
-    delay_weight: float = 0.0,
 ):
     """Payoffs of the same-RTT game (§4.1, §4.4): a one-group
     :class:`repro.core.game.GroupGame` over ``n_flows`` flows.
 
     State ``(k,)`` is the scenario point ``((incumbent, n_flows − k),
     (challenger, k))`` at ``spaced_seed(seed, k)``; its payoff pair is
-    the (incumbent, challenger) per-flow throughput.  A positive
-    ``delay_weight`` makes it the §4.3 utility game ``U = throughput −
-    w·delay``: the *shared* queuing delay, in "Mbps of throughput a user
-    would trade for 100 ms of delay" — common to both CCAs at any
-    distribution, which is why the paper conjectures the NE structure is
-    throughput-driven.
+    the (incumbent, challenger) per-flow throughput.
     """
-    if delay_weight < 0:
-        raise ValueError(
-            f"delay_weight must be non-negative, got {delay_weight}"
-        )
 
     def point_of(state: Tuple[int, ...]) -> ScenarioPoint:
         (k,) = state
@@ -491,10 +477,8 @@ def distribution_payoff_fn(
             loss_mode=loss_mode,
         )
 
-    # Mbps-per-100ms → (bytes/s) per second-of-delay.
-    weight = delay_weight * (1e6 / 8.0) / 0.1
     return _payoff_fn(
-        point_of, incumbent, challenger, [None], engine, trials, weight
+        point_of, incumbent, challenger, [None], engine, trials
     )
 
 

@@ -139,7 +139,6 @@ class FluidSimulation:
             self.capacity_now = link.capacity
         self._cap_cursor = 0
 
-        self.specs = list(flows)
         self.flows = []
         for flow_id, spec in enumerate(flows):
             rtt = spec.rtt if spec.rtt is not None else link.rtt
@@ -197,9 +196,6 @@ class FluidSimulation:
         self.trace: List[Tuple[float, List[float], float]] = []
         self._next_trace = 0.0
 
-        # Short-flow completion tracking.
-        self._finished = [False] * len(self.flows)
-
         # Measurement accumulators.
         self._delivered = [0.0] * len(self.flows)
         self._delivered_window = [0.0] * len(self.flows)
@@ -210,16 +206,6 @@ class FluidSimulation:
         self.queue_bytes = 0.0
         self._has_run = False
         self._steps_run = 0
-
-    def _is_active(self, i: int, now: float) -> bool:
-        """Whether flow ``i`` is currently sending."""
-        if self._finished[i]:
-            return False
-        flow = self.flows[i]
-        if now < flow.start_time:
-            return False
-        stop = self.specs[i].stop_time
-        return stop is None or now < stop
 
     # -- queue solving ----------------------------------------------------
 
@@ -310,7 +296,6 @@ class FluidSimulation:
         flows = self.flows
         n = len(flows)
         rtts = [f.rtt for f in flows]
-        sizes = [spec.size_bytes for spec in self.specs]
         delivered_total = self._delivered
         delivered_window = self._delivered_window
         ctx = TickContext()
@@ -321,13 +306,8 @@ class FluidSimulation:
         lost_this_tick = [0.0] * n
         queue_delay = 0.0
 
-        # Which flows send is decided once per tick.  It changes only at
-        # a start, a stop or a finished transfer, so without stop times
-        # and sizes it is settled for good once every flow has started.
-        lifetimes = any(
-            spec.stop_time is not None or spec.size_bytes is not None
-            for spec in self.specs
-        )
+        # Which flows send is decided once per tick until every flow
+        # has started; a flow sends from its start to the end of the run.
         settled = False
 
         now = 0.0
@@ -342,8 +322,8 @@ class FluidSimulation:
                 self._measure_start = now
                 delivered_window = self._delivered_window = [0.0] * n
             if not settled:
-                active = [i for i in range(n) if self._is_active(i, now)]
-                settled = len(active) == n and not lifetimes
+                active = [i for i in range(n) if now >= flows[i].start_time]
+                settled = len(active) == n
 
             # 1. Flows update their in-flight targets.
             ctx.now = now
@@ -406,9 +386,6 @@ class FluidSimulation:
                 if measure_started:
                     delivered_window[i] += delivered
                 utilization += rate
-                size = sizes[i]
-                if size is not None and delivered_total[i] >= size:
-                    self._finished[i] = True
             if check is not None:
                 # Overflow ticks (queue clamped at the buffer) are
                 # exempt from the strict ≤-capacity bound: the clamped

@@ -143,8 +143,6 @@ class VecFluidSim:
         pf: List[int] = []  # owning point per flow row
         rtt: List[float] = []
         start: List[float] = []
-        stop: List[float] = []
-        size: List[float] = []
         mss: List[float] = []
         flow_ids: List[int] = []
         cc_of_row: List[str] = []
@@ -163,14 +161,6 @@ class VecFluidSim:
                 pf.append(p)
                 rtt.append(base)
                 start.append(begin)
-                stop.append(
-                    spec.stop_time if spec.stop_time is not None
-                    else math.inf
-                )
-                size.append(
-                    spec.size_bytes if spec.size_bytes is not None
-                    else math.inf
-                )
                 mss.append(float(point.link.mss))
                 flow_ids.append(flow_id)
                 cc_of_row.append(point.cc_names[flow_id])
@@ -181,8 +171,6 @@ class VecFluidSim:
         self._pf = np.array(pf, dtype=np.int64)
         self._rtt = np.array(rtt)
         self._start = np.array(start)
-        self._stop = np.array(stop)
-        self._size = np.array(size)
         self._mss = np.array(mss)
         self._flow_ids = np.array(flow_ids, dtype=np.int64)
         self._cc_of_row = cc_of_row
@@ -377,7 +365,6 @@ class VecFluidSim:
         self._inflight = np.zeros(n_flows)
         for kernel in self.kernels:
             self._inflight[kernel.rows] = kernel.initial_inflight
-        self._finished = np.zeros(n_flows, dtype=bool)
         self._delivered = np.zeros(n_flows)
         self._delivered_window = np.zeros(n_flows)
         self._lost = np.zeros(n_flows)
@@ -522,13 +509,11 @@ class VecFluidSim:
         # Fast-path flags (value-neutral: the skipped expressions are
         # exact identities for batches with these shapes).
         uniform = int(self._steps_p.min()) == max_steps
-        endless = bool(np.isinf(self._stop).all()) and bool(
-            np.isinf(self._size).all()
-        )
         all_started = bool(measure_started.all())
-        # Clocks only advance, so in a uniform batch of flows that never
-        # stop or finish, a tick on which every row is live is followed
-        # by such ticks only: from then on no live-row mask is built.
+        # Clocks only advance and a flow sends from its start to the
+        # end, so in a uniform batch a tick on which every row is live
+        # is followed by such ticks only: from then on no live-row mask
+        # is built.
         live_for_good = False
         p_true = np.ones(self.n_points, dtype=bool)
         f_true = np.ones(self.n_flows, dtype=bool)
@@ -559,13 +544,8 @@ class VecFluidSim:
             if live_for_good:
                 act = f_true
             else:
-                act = (
-                    p_act[pf]
-                    & ~self._finished
-                    & (now_f >= self._start)
-                    & (now_f < self._stop)
-                )
-                if uniform and endless and act.all():
+                act = p_act[pf] & (now_f >= self._start)
+                if uniform and act.all():
                     live_for_good = True
                     act = f_true
 
@@ -625,10 +605,6 @@ class VecFluidSim:
                 self._delivered_window += np.where(
                     measure_started[pf], contrib, 0.0
                 )
-            if not endless:
-                done = (w > 0) & (self._delivered >= self._size)
-                if np.count_nonzero(done):
-                    self._finished = self._finished | done
             if check is not None:
                 check.fluid_vec_conservation(
                     now_p,

@@ -62,19 +62,15 @@ class Sender:
         transmit: Callable[[Packet], None],
         stats: FlowStats,
         start_time: float = 0.0,
-        max_bytes: Optional[int] = None,
         obs: Optional["Telemetry"] = None,
         check: Optional["Checker"] = None,
     ) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.loop = loop
         self.flow_id = flow_id
         self.cc = cc
         self.transmit = transmit
         self.stats = stats
         self.mss = cc.mss
-        self.max_bytes = max_bytes
         self.obs = obs
         self.check = check
 
@@ -106,23 +102,12 @@ class Sender:
 
     # -- transmission ----------------------------------------------------
 
-    @property
-    def done_sending(self) -> bool:
-        """True once a finite flow has transmitted its whole transfer."""
-        return (
-            self.max_bytes is not None
-            and self._next_seq * self.mss >= self.max_bytes
-        )
-
     def _maybe_send(self) -> None:
         """Send packets while cwnd (and the pacer) permit."""
         now = self.loop.now
         cc = self.cc
         mss = self.mss
-        max_bytes = self.max_bytes
-        while (
-            max_bytes is None or self._next_seq * mss < max_bytes
-        ) and self._in_flight_bytes + mss <= cc.cwnd:
+        while self._in_flight_bytes + mss <= cc.cwnd:
             rate = cc.pacing_rate
             if rate is not None and rate > 0:
                 next_send = self._next_send_time
@@ -306,8 +291,6 @@ class Sender:
 
     def _on_rto_timer(self) -> None:
         self._rto_pending = False
-        if self.done_sending and not self._outstanding:
-            return  # Finite flow complete: stop rearming the timer.
         now = self.loop.now
         idle = now - self._last_ack_time
         if self._outstanding and idle >= self._rto_interval():

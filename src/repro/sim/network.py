@@ -56,16 +56,14 @@ class FlowSpec:
     Attributes:
         cc: Registered congestion-control algorithm name (e.g. ``"cubic"``).
         rtt: Base RTT in seconds; None means "use the link config's RTT".
-        start_time: When the flow begins sending, in seconds.
-        max_bytes: Optional transfer size — the flow stops sending once
-            it has transmitted this much (short-flow workloads).
+        start_time: When the flow begins sending, in seconds; it then
+            sends until the run ends.
         cc_kwargs: Extra keyword arguments for the controller constructor.
     """
 
     cc: str
     rtt: Optional[float] = None
     start_time: float = 0.0
-    max_bytes: Optional[int] = None
     cc_kwargs: Dict[str, object] = field(default_factory=dict)
 
 
@@ -224,7 +222,6 @@ class DumbbellNetwork:
                 transmit=self.bottleneck.enqueue,
                 stats=stats,
                 start_time=spec.start_time,
-                max_bytes=spec.max_bytes,
                 obs=obs,
                 check=check,
             )

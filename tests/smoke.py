@@ -265,9 +265,9 @@ def sanitized_aqm_kill_and_resume(work):
 
 
 def bad_input_exits_2(work):
-    """Every bundled spec validates; a bad one, and a game start outside
-    the game, are one ``bad ...:`` line and exit 2 before any
-    simulation."""
+    """Every bundled spec validates; a bad one, a game start outside the
+    game and a one-CCA mix to ``predict`` are one ``bad ...:`` line and
+    exit 2 before any simulation."""
     for spec in sorted(SPECS.glob("*.toml")):
         cli(work, "campaign", "validate", spec)
     bad = re.sub(
@@ -282,8 +282,11 @@ def bad_input_exits_2(work):
     done = run(work, argv + ["campaign", "validate", "bad.toml"], code=2)
     assert "loss_mode" in done.stderr, done.stderr
     evolve = ["evolve", "--flows", "4", "--duration", "5", "--start", "9"]
-    done = run(work, argv + evolve, code=2)
-    assert done.stderr.startswith("bad scenario: "), done.stderr
+    predict = ["predict", "--cubic", "2", "--bbr", "0"]
+    for command in (evolve, predict):
+        done = run(work, argv + command, code=2)
+        assert done.stderr.startswith("bad scenario: "), done.stderr
+        assert done.stderr.count("\n") == 1, done.stderr
 
 
 def session_flags_on_every_command(work):
@@ -403,7 +406,7 @@ def e2e_benchmark(work):
 
 #: The quick figures ``tests.smoke`` regenerates and compares byte for
 #: byte with ``results/`` (1, 3, 9 and 10 take minutes each).
-FIGURES = ("4", "5", "6", "7", "8", "11", "12")
+FIGURES = ("4", "5", "6", "7", "8", "11", "12", "ext-aqm", "ext-transitions")
 
 
 def figures_match_results(work):
@@ -415,6 +418,24 @@ def figures_match_results(work):
     written = sorted(p.name for p in (work / "out").iterdir())
     assert len(written) >= 2 * len(FIGURES), written
     same_bytes(work / "out", ROOT / "results", written)
+
+
+#: Each example ``tests.smoke`` runs, with a line its output must hold:
+#: the claim it prints.  ``internet_evolution.py`` is left out (its
+#: docstring says why).
+EXAMPLES = {
+    "quickstart.py": r"predicted mix: [\d.]+-[\d.]+ CUBIC flows, the rest BBR",
+    "buffer_sizing.py": r"^\s+30\.0\s+\|",
+    "bbr_anatomy.py": r"-> PROBE_BW$",
+    "cdn_fairness.py": r"^\s+bbr\s.*<-- beats fair share$",
+}
+
+
+def examples_print_their_claims(work):
+    """The examples run to exit 0 and print what they claim."""
+    for name, line in EXAMPLES.items():
+        done = run(work, [sys.executable, ROOT / "examples" / name])
+        assert re.search(line, done.stdout, re.MULTILINE), (name, line)
 
 
 SEQUENCES = [
@@ -429,6 +450,7 @@ SEQUENCES = [
     fig9_campaign_sanitized_and_traced,
     e2e_benchmark,
     figures_match_results,
+    examples_print_their_claims,
 ]
 
 

@@ -2,10 +2,11 @@
 
 ``results/`` is the code's quick-scale output, written by ``repro-bbr
 figure N --csv-dir results/`` (``tests.smoke`` regenerates figures 4-8,
-11 and 12 and compares them byte for byte).  ``CLAIMS`` maps each
-figure id -- a CSV stem there -- to the paper's claims about it, one
-function each over the figure's series, citing its figure and section.
-Nothing is simulated.
+11 and 12 and the two extensions and compares them byte for byte).
+``CLAIMS`` maps each figure id -- a CSV stem there -- to the paper's
+claims about it, one function each over the figure's series, citing its
+figure and section.  An extension's claims play its recorded payoff
+table (``ThroughputTable``).  Nothing is simulated.
 
 No threshold is read from the series a claim tests.  A claim the repo
 does not reproduce is a strict xfail in ``NOT_REPRODUCED``, with the
@@ -357,6 +358,92 @@ def shallow_buffers_stay_in_the_valid_range(fig):
     assert fig.get("actual").y[0] > 0.5 * fig.get("model").y[0]
 
 
+# -- Extensions: played payoff tables ----------------------------------------
+
+
+def played(fig, game, tolerance, penalty=None):
+    """The NE of ``game``'s recorded table (series ``<game>:<class>``,
+    incumbent first), each class's payoff less ``penalty[k]`` if given:
+    the challenger counts from which no flow gains over ``tolerance``
+    by switching."""
+    incumbent, challenger = (
+        s.name for s in fig.series if s.name.startswith(f"{game}:")
+    )
+    lambda_a, lambda_b = fig.get(incumbent).y, fig.get(challenger).y
+    if penalty is not None:
+        lambda_a = [y - p for y, p in zip(lambda_a, penalty)]
+        lambda_b = [y - p for y, p in zip(lambda_b, penalty)]
+    table = ThroughputTable(len(lambda_a) - 1, lambda_a, lambda_b)
+    return [k for (k,) in table.game(tolerance).nash_equilibria()]
+
+
+def aqm_ne(fig, discipline):
+    """The NE under ``discipline`` at 3 % of capacity: packet runs at
+    one seed are that noisy."""
+    return played(fig, discipline, 0.03 * panel(fig, " Mbps"))
+
+
+def transition_ne(fig, game, penalty=None):
+    """The NE of a transition game at 2 % of fair share."""
+    fair = panel(fig, " Mbps") / panel(fig, " flows")
+    return played(fig, game, 0.02 * fair, penalty)
+
+
+def ne_exists_under_every_discipline(fig):
+    """Extension (after Chien & Sinclair): the CUBIC/BBR game keeps an
+    NE under drop-tail, RED and CoDel."""
+    for discipline in ("droptail", "red", "codel"):
+        assert aqm_ne(fig, discipline), discipline
+
+
+def aqm_moves_the_ne_toward_bbr(fig):
+    """Extension: RED and CoDel drop from the standing queue CUBIC
+    builds and BBRv1 ignores, so their largest NE holds no fewer BBR
+    flows than drop-tail's."""
+    droptail = max(aqm_ne(fig, "droptail"))
+    assert max(aqm_ne(fig, "red")) >= droptail
+    assert max(aqm_ne(fig, "codel")) >= droptail
+
+
+def cubic_replaces_reno(fig):
+    """§5: a CUBIC flow gains over a Reno flow at every mix, so the
+    Reno-vs-CUBIC game's only NE is all-CUBIC."""
+    reno, cubic = fig.get("reno-cubic:reno"), fig.get("reno-cubic:cubic")
+    assert all(c > r for c, r in zip(cubic.y[1:-1], reno.y[1:-1]))
+    assert transition_ne(fig, "reno-cubic") == [len(cubic.y) - 1]
+
+
+def vegas_never_pays_against_reno(fig):
+    """§5: switching from Reno to Vegas never pays: all-Reno is an NE
+    and no mixed distribution is."""
+    equilibria = transition_ne(fig, "reno-vegas")
+    last = len(fig.get("reno-vegas:reno").y) - 1
+    assert 0 in equilibria
+    assert not any(0 < k < last for k in equilibria)
+
+
+def cubic_and_bbr_coexist(fig):
+    """§5, the paper's thesis: the CUBIC-vs-BBR game has a mixed NE."""
+    last = len(fig.get("cubic-bbr:bbr").y) - 1
+    assert any(0 < k < last for k in transition_ne(fig, "cubic-bbr"))
+
+
+def ne_survives_delay_in_the_utility(fig):
+    """§4.3's conjecture: with ``U = throughput - w * delay`` (w Mbps
+    per 100 ms of the shared queuing delay), CUBIC vs BBR keeps an NE
+    at w = 0, 2 and 10, and w = 2 moves it by at most one flow."""
+    throughput = load("ext-transitions")
+    delay = fig.get("cubic-bbr").y
+
+    def equilibria(weight):
+        penalty = [weight * ms / 100.0 for ms in delay]
+        return transition_ne(throughput, "cubic-bbr", penalty)
+
+    plain, moderate, heavy = map(equilibria, (0.0, 2.0, 10.0))
+    assert plain and moderate and heavy
+    assert any(abs(a - b) <= 1 for a in plain for b in moderate)
+
+
 FIG3 = (
     model_beats_ware,
     model_error_under_15_percent_of_capacity,
@@ -424,6 +511,13 @@ CLAIMS = {
         model_overestimates_past_100_bdp,
         shallow_buffers_stay_in_the_valid_range,
     ),
+    "ext-aqm": (ne_exists_under_every_discipline, aqm_moves_the_ne_toward_bbr),
+    "ext-transitions": (
+        cubic_replaces_reno,
+        vegas_never_pays_against_reno,
+        cubic_and_bbr_coexist,
+    ),
+    "ext-utility": (ne_survives_delay_in_the_utility,),
 }
 
 FIG3_GAP = (

@@ -81,10 +81,6 @@ def test_top_level_exports():
             "repro.analysis",
             ["jains_index", "synchronization_index", "classify_regime"],
         ),
-        (
-            "repro.workloads",
-            ["poisson_short_flows", "on_off_flows", "long_lived"],
-        ),
     ],
 )
 def test_subpackage_exports(module, names):

@@ -14,8 +14,11 @@ from repro.experiments.figures import (
 
 def test_registry_covers_every_evaluation_figure():
     # Figure 2 is a schematic and Table 1 the notation table; everything
-    # else in the paper's evaluation must be regenerable.
+    # else in the paper's evaluation must be regenerable, and the
+    # extensions beyond it are registered the same way.
     expected = {
+        "ext-aqm",
+        "ext-transitions",
         "fig1",
         "fig3",
         "fig4",

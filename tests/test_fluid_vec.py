@@ -97,58 +97,53 @@ def test_mixed_rtt_mixed_cca_matches_scalar_bitwise(loss_mode):
 
 
 def test_flow_kwargs_and_lifetimes_match_scalar():
-    """Spec kwargs, staggered starts, and byte-limited flows."""
+    """Spec kwargs and staggered starts."""
     flows = [
         FluidSpec(cc="cubic", cc_kwargs={"fast_convergence": False}),
         FluidSpec(cc="copa", cc_kwargs={"delta": 0.25}),
         FluidSpec(cc="bbr", cc_kwargs={"gain_cycling": False}),
         FluidSpec(cc="vivace", start_time=2.0),
-        FluidSpec(cc="reno", stop_time=8.0),
-        FluidSpec(cc="vegas", size_bytes=400_000),
+        FluidSpec(cc="reno", start_time=8.0),
+        FluidSpec(cc="vegas"),
     ]
     scalar, vec = _run_both(flows, "proportional", seed=3)
     assert vec == scalar
 
 
-#: Flow lifetimes the scalar loop decides activity for: staggered starts
-#: only, after which the sending set is settled for good; and a flow
-#: that stops and one that finishes its transfer, both still sending
-#: when the last flow starts, so it never is.
+#: Flow starts the scalar loop decides activity for: spread out by the
+#: specs, or by the start jitter alone.  Either way the sending set is
+#: settled for good once the last flow has started.
 LIFETIMES = {
     "staggered": [
         FluidSpec(cc=cc, start_time=0.8 * i)
         for i, cc in enumerate(("cubic", "bbr", "reno", "bbr2", "vivace"))
     ],
-    "bounded": [
-        FluidSpec(cc="cubic"),
-        FluidSpec(cc="bbr", start_time=1.0),
-        FluidSpec(cc="cubic", start_time=0.5, stop_time=6.0),
-        FluidSpec(cc="reno", start_time=0.3, size_bytes=1_000_000),
-    ],
+    "jittered": [FluidSpec(cc=cc) for cc in ("cubic", "bbr", "reno")],
 }
 
 
 @pytest.mark.parametrize("loss_mode", LOSS_MODES)
 @pytest.mark.parametrize("lifetime", sorted(LIFETIMES))
-def test_activity_settles_after_the_last_start(
-    lifetime, loss_mode, monkeypatch
-):
+def test_activity_settles_after_the_last_start(lifetime, loss_mode):
     """The scalar loop stops asking which flows send once the answer
-    cannot change (every flow started, none can stop or finish): the
-    last ``_is_active`` call is on the first tick after the last start,
-    and with a stop time or a size it is on the last tick."""
+    cannot change: its last look at a start time is on the first tick
+    after the last start."""
     calls = []
-    is_active = FluidSimulation._is_active
 
-    def watch(self, i, now):
-        calls.append(now)
-        return is_active(self, i, now)
+    class Start(float):
+        """A start time that records each clock it is compared with
+        (``now >= start`` asks the subclass's ``__le__`` first)."""
 
-    monkeypatch.setattr(FluidSimulation, "_is_active", watch)
+        def __le__(self, now):
+            calls.append(now)
+            return float.__le__(self, now)
+
     flows = LIFETIMES[lifetime]
     sim = FluidSimulation(
         LINK, flows, loss_mode=loss_mode, seed=6, start_jitter=JITTER
     )
+    for flow in sim.flows:
+        flow.start_time = Start(flow.start_time)
     scalar = sim.run(DURATION, WARMUP)
     vec = run_fluid_vec(
         LINK,
@@ -161,11 +156,7 @@ def test_activity_settles_after_the_last_start(
     )
     assert vec == scalar
     last_start = max(flow.start_time for flow in sim.flows)
-    if lifetime == "staggered":
-        assert last_start <= calls[-1] < last_start + sim.dt
-    else:
-        assert calls[-1] > DURATION - sim.dt
-        assert sim._finished[3] and not sim._is_active(2, DURATION)
+    assert last_start <= calls[-1] < last_start + sim.dt
 
 
 def test_batched_points_equal_point_at_a_time():
@@ -339,8 +330,9 @@ def test_all_live_batch_signals_only_its_overflowing_points(
 
 @pytest.mark.parametrize("loss_mode", LOSS_MODES)
 def test_staggered_batch_masks_its_rows(loss_mode, monkeypatch):
-    """Staggered starts, a flow that stops and points of two lengths:
-    rows are live and not, tick by tick, so kernels apply the mask."""
+    """Staggered starts, a late one among them, and points of two
+    lengths: rows are live and not, tick by tick, so kernels apply the
+    mask."""
     points = [
         BatchPoint(
             link=LinkConfig.from_mbps_ms(20, 20, 1.0),
@@ -348,7 +340,7 @@ def test_staggered_batch_masks_its_rows(loss_mode, monkeypatch):
                 FluidSpec(cc=cc, start_time=0.5 * i)
                 for i, cc in enumerate(SIGNAL_MIX)
             ]
-            + [FluidSpec(cc="cubic", start_time=1.0, stop_time=3.0)],
+            + [FluidSpec(cc="cubic", start_time=3.0)],
             duration=duration,
             warmup=1.0,
             loss_mode=loss_mode,

@@ -69,9 +69,16 @@ def test_region_scale_invariant_in_bdp_units():
 
 
 def test_ne_scales_linearly_with_flow_count():
+    """The NE fraction does not depend on the population size, so the
+    paper's 50-flow results scale up (checked from 10 to 1 000 flows)."""
     a = predict_nash(link(10), 25)
     b = predict_nash(link(10), 50)
     assert b.n_cubic_sync == pytest.approx(2 * a.n_cubic_sync, rel=1e-6)
+    fractions = [
+        predict_nash(link(10), n).n_cubic_sync / n
+        for n in (10, 50, 200, 1000)
+    ]
+    assert max(fractions) - min(fractions) < 1e-9
 
 
 def test_contains_n_cubic():

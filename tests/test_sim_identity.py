@@ -7,11 +7,11 @@ runs.  The e2e digests and ``point_identity.json`` cover only
 class-averaged throughput, loss and queue fields; these runs also pin
 ``mean_rtt`` / ``min_rtt`` / ``delivered_bytes`` / ``retransmits`` per
 flow, across every AQM, ECN, capacity traces (a step down under a
-standing queue among them), finite and staggered flows, mixed base
-RTTs, a warm-up, each packet-capable CCA, CoDel head drops that empty
-the queue and a link dense in exact ties.
+standing queue among them), staggered flows, mixed base RTTs, a
+warm-up, each packet-capable CCA, CoDel head drops that empty the queue
+and a link dense in exact ties.
 
-The first sixteen were generated before the packet substrate went from
+The first fifteen were generated before the packet substrate went from
 four events per forwarded packet to two, the last three before it went
 from two to one (the bottleneck deciding each packet at arrival).
 Event ties break by scheduling sequence, which removing events

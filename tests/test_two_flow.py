@@ -127,11 +127,21 @@ def test_shallow_buffer_gives_bbr_everything():
 def test_generalized_backoff_monotone():
     """Larger aggregate backoff factor (de-synchronized CUBIC) keeps more
     packets in the buffer and raises BBR's share — the ordering behind
-    the multi-flow bounds."""
+    the multi-flow bounds.  So a gentler backoff leaves fewer CUBIC
+    flows at the 50-flow NE: Reno's β = 0.5 would have resisted BBR
+    harder than CUBIC's 0.7, or a gentler 0.85."""
     cfg = link(10)
     b_sync = solve_bbr_buffer_share(cfg, backoff=0.7)
     b_desync = solve_bbr_buffer_share(cfg, backoff=0.94)
     assert b_desync > b_sync
+    for depth in (5, 20):
+        cfg = link(depth)
+        shares = [
+            solve_bbr_buffer_share(cfg, backoff=beta) / cfg.buffer_bytes
+            for beta in (0.5, 0.7, 0.85)
+        ]
+        n_cubic = [50 - 50 * share for share in shares]
+        assert n_cubic[0] > n_cubic[1] > n_cubic[2]
 
 
 def test_backoff_validation():
@@ -156,13 +166,24 @@ def test_cwnd_gain_default_matches_paper_model():
 
 def test_cwnd_gain_monotone():
     """§5: a smaller in-flight cap (closer to 1 BDP) means less BBR
-    bandwidth — the model's γ = 2 choice is its aggressive edge."""
+    bandwidth — the model's γ = 2 choice is its aggressive edge — at
+    every depth, and the cap matters less in deep buffers, where CUBIC
+    dominates anyway."""
     cfg = link(7)
     shares = [
         predict_two_flow(cfg, cwnd_gain=g).bbr_fraction
         for g in (1.2, 1.5, 2.0)
     ]
     assert shares[0] < shares[1] < shares[2]
+    spreads = []
+    for depth in (2, 5, 10, 30):
+        low, mid, high = (
+            predict_two_flow(link(depth), cwnd_gain=g).bbr_fraction
+            for g in (1.25, 1.5, 2.0)
+        )
+        assert low < mid < high
+        spreads.append(high - low)
+    assert spreads[-1] < spreads[0]
 
 
 def test_cwnd_gain_generalized_b_cmin():
