@@ -567,14 +567,20 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             backend="fluid",
             seed=args.seed,
         )
-        game = GroupGame([args.flows], payoff)
-        print(
-            f"link: {link.describe()}, {args.flows} flows "
-            f"({args.incumbent} vs {args.challenger})"
-        )
-        print("measuring all distributions (fluid simulator)...")
+
+        def announced(*states):
+            payoff.points(states)  # an unknown CCA is rejected here
+            print(
+                f"link: {link.describe()}, {args.flows} flows "
+                f"({args.incumbent} vs {args.challenger})"
+            )
+            print("measuring all distributions (fluid simulator)...")
+            return payoff(*states)
+
+        game = GroupGame([args.flows], announced)
         # One round: the start is asked for with the whole table, so a
-        # start outside the game is rejected before anything runs.
+        # start outside the game is rejected before anything is
+        # announced or run.
         game.payoffs((args.start,), *game.states())
     path = [k for (k,) in game.best_response_path((args.start,))]
     print(f"best-response path (#{args.challenger} flows): " +

@@ -20,8 +20,10 @@ Rules that keep the mirror exact:
 * optional scalar state (``w_max``, ``epoch_start``, ``probe_rtt_until``,
   monitor-interval start) is NaN-encoded, the loss-gate timestamp
   ``-inf``-encoded;
-* windowed filters are ring buffers with monotonic-deque semantics
-  matching :class:`repro.util.filters.WindowedFilter` pop-for-pop.
+* windowed filters answer window for window: a row's estimate is the
+  best of its samples inside the window the scalar
+  :class:`repro.util.filters.WindowedFilter` holds after the same
+  pushes, and best-of is exact, so the floats are the scalar filter's.
 
 A tick pays for its events, not its rows: when every row of the batch
 is live, kernels apply no live-row mask at all (:func:`_and`,
@@ -128,199 +130,265 @@ def _at(column, idx):
     return column if column.__class__ is float else column[idx]
 
 
+#: The ``room`` of a row that never pushed, or froze: not checked.
+_UNCHECKED = 1 << 62
+
+
 class VecWindowedFilter:
     """Row-parallel sliding-window best-value filter.
 
-    The vectorized :class:`repro.util.filters.WindowedFilter`: one
-    monotonic deque per row, stored as ring buffers in flat arrays
-    with absolute int64 head/tail counters.  Each row has its *own*
-    capacity (a power of two, so wrapping is a per-row bitmask) and
-    its own base offset: a row whose window holds 60 samples does not
-    pay for a batch-mate whose window holds 800.  ``update`` expires
-    stale heads, discards tail entries shadowed by the new sample,
-    pushes, and returns the per-row best.  Shadow removal exploits the
-    deque invariant — the live values are strictly ordered
-    best-to-worst from head to tail — so the shadowed entries form a
-    suffix found with one *batched binary search* (a handful of
-    full-width ops) instead of the scalar's pop-at-a-time loop, whose
-    worst row would otherwise gate every row's progress.  The
-    surviving entries, and therefore the returned estimates, match the
-    scalar deque bitwise.
+    The vectorized :class:`repro.util.filters.WindowedFilter`, window
+    for window: after a push, the scalar answer is the best of the
+    row's samples taken at or after the running max of ``now - window``
+    over its pushes, and best-of is exact, so a structure that keeps
+    the window's samples and answers a range best returns the scalar
+    floats.  Per row, a dense ring holds one sample per tick (``update``
+    call) on the shared tick counter (-inf for a max, +inf for a min on
+    a tick the row does not push), in blocks of ``block`` ticks: a
+    completed block's samples become their suffix bests (one reversed
+    ``accumulate`` for every row), and ``blocks`` holds per block the
+    best of the complete blocks after it.  With the open block's running
+    best (``prefix``), the estimate over ticks ``[s, now]`` is
+    ``best(ring[s], blocks[block(s)], prefix)``: some twenty array
+    operations a tick, none scaling with the window.  The head ``s`` is
+    one ``searchsorted`` on the tick times for a float clock, and an
+    expiry walk over per-row tick times (``times``) for an array.
 
-    The values ring is *mirrored*: row ``r`` owns ``2 * cap[r]`` value
-    slots and every push is written at slot ``k`` and ``k + cap``, so
-    the ``j``-th live entry (``j <= cap``) sits at the plain offset
-    ``(head - 1) & wrap`` + ``j`` — the search probes with one add, no
-    per-step wrap.  Times are read at the head only and are not
-    mirrored.
+    Rings are laid out one after another, each a power of two of two
+    blocks or more sized from the row's own bound (a row whose window
+    spans 60 ticks does not pay for a batch-mate whose window spans
+    800), so a row's block entries are its ring slots shifted right by
+    the block's bit length.  A row keeps one spare slot: the tick being
+    stored never overwrites its head.  A pushing row whose window
+    outgrows its ring doubles, so a wrong bound costs a relayout, never
+    a sample; a row that does not push keeps its estimate, and freezes
+    (stores into a scratch block after the rings) before its ring would
+    overwrite its head, until it pushes again (:meth:`_relayout`).
 
     Args:
-        depth: Per row, the number of samples the ring must hold; a
-            caller that knows its window passes the bound and never
-            reallocates.  A row that fills up regardless doubles (only
-            it — see :meth:`_grow`), so a wrong bound costs a relayout,
-            never a sample.
-        is_max: Max filter (``>=`` shadows) or min filter (``<=``).
+        depth: Per row, a bound on the ticks its window spans, plus
+            one.  The block is the largest power of two at most the
+            smallest bound (2 to 64 ticks).
+        is_max: Max filter or min filter.
 
     The scalar filter clamps non-monotonic clocks; the fluid tick loop
-    only ever feeds monotonic times, so the clamp is omitted here.
+    only ever feeds increasing times, so the clamp is omitted here.
     """
 
     def __init__(self, depth: np.ndarray, is_max: bool) -> None:
-        n = len(depth)
-        self.n = n
-        self.is_max = is_max
-        self.head = np.zeros(n, dtype=np.int64)
-        self.tail = np.zeros(n, dtype=np.int64)
-        #: Times the storage was re-laid out because a row filled up.
+        n = self.n = len(depth)
+        self._best_of = np.maximum if is_max else np.minimum
+        self._none = -np.inf if is_max else np.inf
+        self._lb = max(2, int(np.min(depth, initial=64))).bit_length() - 1
+        self.block = 1 << self._lb
+        #: Times the storage was re-laid out (a ring grew or thawed).
         self.reallocations = 0
-        # Smallest power of two >= depth (and >= 2), per row.
-        cap = 1 << np.frexp(np.maximum(depth, 2) - 1)[1].astype(np.int64)
-        self._layout(cap)
-        #: Whether every row holds a sample (a row, once pushed, is
-        #: never emptied: see :meth:`update`).
-        self._filled = False
-        # Scratch buffers: update() runs every tick, so its index
-        # arithmetic writes into preallocated arrays (``out=``) rather
-        # than allocating ~a dozen temporaries per search iteration.
-        self._i1 = np.zeros(n, dtype=np.int64)
-        self._i2 = np.zeros(n, dtype=np.int64)
-        self._i3 = np.zeros(n, dtype=np.int64)
-        self._i4 = np.zeros(n, dtype=np.int64)
-        self._lo = np.zeros(n, dtype=np.int64)
-        self._f1 = np.zeros(n)
-        self._m1 = np.zeros(n, dtype=bool)
-        self._m2 = np.zeros(n, dtype=bool)
+        self.tick = 0  # the next tick's index
+        self.horizon = np.full(n, -np.inf)
+        self.head = np.zeros(n, dtype=np.int64)  # first tick in window
+        self.best = np.zeros(n)
+        self.prefix = np.full(n, self._none)
+        self._hist = np.empty(64)  # the float clock's tick times
+        self.times = None
+        self._fresh = np.ones(n, dtype=bool)  # never pushed
+        self._frozen = np.zeros(n, dtype=bool)
+        self._fresh_rows, self._frozen_rows = n, 0
+        self._stop = np.zeros(n, dtype=np.int64)  # the tick it froze at
+        self._room = np.full(n, _UNCHECKED, dtype=np.int64)
+        cap = np.maximum(depth, 2 * self.block)
+        self._layout(1 << np.frexp(cap - 1)[1].astype(np.int64), 0)
+        # Scratch for the per-tick index arithmetic (``out=``).
+        self._slot, self._at = np.zeros((2, n), dtype=np.int64)
+        self._f1, self._f2 = np.zeros((2, n))
 
-    def _layout(self, cap: np.ndarray) -> None:
-        """Flat storage for per-row capacities ``cap``: absolute
-        position ``k`` of row ``r``'s deque has its time at
-        ``base[r] + (k & wrap[r])`` and its value at ``vbase[r] +
-        (k & wrap[r])``, mirrored ``cap[r]`` slots further on."""
-        self.cap = cap
-        self._wrap = cap - 1
+    def _layout(self, cap: np.ndarray, c: int) -> None:
+        """Storage for capacities ``cap`` at tick ``c``: row ``r``'s tick
+        ``j`` sits at ``base[r] + (j & wrap[r])``."""
+        self.cap, self._wrap = cap, cap - 1
         self._base = np.cumsum(cap) - cap
-        self._vbase = 2 * self._base
-        total = int(cap.sum())
-        self.times = np.zeros(total)
-        self.values = np.zeros(2 * total)
+        self._brow = np.repeat(np.arange(self.n), cap >> self._lb)
+        self.values = np.full(int(cap.sum()) + self.block, self._none)
+        self.blocks = np.full(len(self._brow), self._none)
+        if self.times is not None:
+            self.times = np.full(len(self.values), -np.inf)
+        self._open_block(c)
 
-    def _grow(self, full: np.ndarray) -> None:
-        """Double the capacity of the ``full`` rows, and only theirs.
-
-        Head and tail are absolute counters, so a live entry keeps its
-        position ``k``; only where ``k`` lands in the flat storage
-        changes.  Every row's live entries move in one gather/scatter.
-        """
-        times, values = self.times, self.values
-        count = self.tail - self.head
-        row = np.repeat(np.arange(self.n), count)
-        first = np.cumsum(count) - count
-        k = self.head[row] + (np.arange(len(row)) - first[row])
-        slot = k & self._wrap[row]
-        moved_times = times[self._base[row] + slot]
-        moved_values = values[self._vbase[row] + slot]
-        self._layout(np.where(full, self.cap * 2, self.cap))
-        slot = k & self._wrap[row]
-        self.times[self._base[row] + slot] = moved_times
-        dst = self._vbase[row] + slot
-        self.values[dst] = moved_values
-        self.values[dst + self.cap[row]] = moved_values
-        self.reallocations += 1
+    def _open_block(self, c: int) -> None:
+        """Per row, where tick ``c``'s block starts (a frozen row's is
+        the scratch block)."""
+        opened = self._base + ((c & -self.block) & self._wrap)
+        scratch = len(self.values) - self.block
+        self._open = np.where(self._frozen, scratch, opened)
 
     def update(
         self,
         mask: np.ndarray,
-        now: np.ndarray,
+        now,
         value: np.ndarray,
         window: np.ndarray,
     ) -> None:
         """Push ``value`` at ``now`` for masked rows and expire their
-        entries older than ``now - window``; :meth:`get` reads the best.
+        samples older than ``now - window``; :meth:`get` reads the
+        best."""
+        c = self.tick
+        self.tick = c + 1
+        every = np.count_nonzero(mask) == self.n
+        horizon, head, at = self.horizon, self.head, self._at
+        np.maximum(horizon, now - window, out=horizon, where=every or mask)
+        if self._fresh_rows:
+            # A first push opens the window at its own tick.
+            first = mask & self._fresh
+            if np.count_nonzero(first):
+                self._fresh &= ~first
+                self._fresh_rows = int(np.count_nonzero(self._fresh))
+                horizon[first] = _at(now, first)
+                head[first] = c
+                self._room[first] = self._wrap[first]
+        uniform = now.__class__ is float
+        if uniform:
+            if c == len(self._hist):
+                self._hist = np.concatenate((self._hist, self._hist))
+            self._hist[c] = now
+        elif self.times is None:
+            self.times = np.full(len(self.values), -np.inf)
+        if self._frozen_rows and np.count_nonzero(mask & self._frozen):
+            self._relayout(mask & self._frozen, c)
+        slot = self._store_slot(c, now)
+        if uniform:
+            head = self.head = np.searchsorted(self._hist[: c + 1], horizon)
+        else:  # walk the heads past the expired ticks
+            while True:
+                np.bitwise_and(head, self._wrap, out=at)
+                np.add(at, self._base, out=at)
+                stale = self.times.take(at, out=self._f1) < horizon
+                if not np.count_nonzero(stale):
+                    break
+                head += stale
+        np.add(head, self._room, out=at)
+        if at.min() <= c:  # a ring would overwrite its head
+            full = at <= c
+            freeze = full & ~mask
+            if np.count_nonzero(freeze):
+                self._frozen |= freeze
+                self._frozen_rows = int(np.count_nonzero(self._frozen))
+                self._stop[freeze] = c
+                self._room[freeze] = _UNCHECKED
+                self._open_block(c)
+            if np.count_nonzero(full & mask):
+                self._relayout(full & mask, c)
+            slot = self._store_slot(c, now)
 
-        The push comes first: shadowing drops a suffix of the deque by
-        value and expiry a prefix by time, so the order does not change
-        what survives, and once pushed a row holds a sample inside its
-        window — expiry stops there without asking whether the deque
-        is empty.  (The ring bound covers the entries that are about to
-        expire: they are still within the previous tick's window.)
-        """
-        base, wrap = self._base, self._wrap
-        head, tail = self.head, self.tail
-        idx, probe, last, lo = self._i1, self._i2, self._i3, self._lo
-        at = self._i4
-        f1, stale, cut = self._f1, self._m1, self._m2
-        # New tail by binary search: live values run strictly best-to-
-        # worst from head, so the entries the new sample does not
-        # shadow are exactly a prefix.  Its length is built bit by bit,
-        # highest first, as a pointer into the mirrored values: entry
-        # ``j`` of a row sits at ``first + j`` and its last entry at
-        # ``last``.  Probing at ``min(lo + step, last)`` asks "does the
-        # entry there still beat the sample?" (samples are finite, so
-        # "not shadowed" is a strict comparison): below ``last`` that is
-        # the plain bit test, and at ``last`` a yes means every entry
-        # survives, which the final clamp to ``last`` records — so no
-        # "that many entries exist" mask is needed.  The trip count is
-        # the deepest row's bit length for every row.
-        beats = np.less if self.is_max else np.greater
-        np.subtract(head, 1, out=idx)
-        np.bitwise_and(idx, wrap, out=idx)
-        np.add(idx, self._vbase, out=idx)  # first: entry 0's slot
-        np.subtract(tail, head, out=last)
-        step = (1 << int(last.max()).bit_length()) >> 1
-        np.add(last, idx, out=last)
-        np.copyto(lo, idx)
-        while step:
-            np.add(lo, step, out=probe)
-            np.minimum(probe, last, out=at)
-            self.values.take(at, out=f1)
-            beats(value, f1, out=cut)
-            np.copyto(lo, probe, where=cut)
-            step >>= 1
-        np.minimum(lo, last, out=lo)
-        np.subtract(lo, idx, out=lo)  # entries that survive
-        np.add(head, lo, out=lo)
-        np.copyto(tail, lo, where=mask)
-        np.subtract(tail, head, out=idx)
-        np.greater_equal(idx, self.cap, out=cut)
-        if np.count_nonzero(cut):
-            self._grow(cut)
-            base, wrap = self._base, self._wrap
-        np.bitwise_and(tail, wrap, out=idx)
-        np.add(idx, base, out=probe)
-        np.add(idx, self._vbase, out=idx)
-        horizon = now - window
-        if np.count_nonzero(mask) == self.n:
-            self.times[probe] = now
-            self.values[idx] = value
-            idx += self.cap
-            self.values[idx] = value
-            tail += 1
-            self._filled = True
-        else:
-            sel = idx[mask]
-            self.times[probe[mask]] = _at(now, mask)
-            self.values[sel] = value[mask]
-            sel += self.cap[mask]
-            self.values[sel] = value[mask]
-            tail += mask
-            horizon = np.where(mask, horizon, -np.inf)
-        while True:  # expire stale heads (amortized: one per push)
-            np.bitwise_and(head, wrap, out=idx)
-            np.add(idx, base, out=idx)
-            self.times.take(idx, out=f1)
-            np.less(f1, horizon, out=stale)
-            if not np.count_nonzero(stale):
-                break
-            head += stale
+        best_of, values, prefix = self._best_of, self.values, self.prefix
+        sample = value if every else np.where(mask, value, self._none)
+        values[slot] = sample
+        best_of(prefix, sample, out=prefix)
+        est = self.best if every else self._f2
+        np.bitwise_and(head, self._wrap, out=at)
+        np.add(at, self._base, out=at)
+        values.take(at, out=est)
+        np.right_shift(at, self._lb, out=at)
+        self.blocks.take(at, out=self._f1)
+        best_of(est, self._f1, out=est)
+        best_of(est, prefix, out=est)
+        opened = c & -self.block
+        if head.max() >= opened:  # heads inside the open block
+            rows = (head >= opened).nonzero()[0]
+            ticks = np.arange(self.block)
+            idx = self._base[rows] + (opened & self._wrap[rows])
+            live = (ticks >= (head[rows] - opened)[:, None]) & (
+                ticks <= c - opened
+            )
+            samples = values[idx[:, None] + ticks]
+            est[rows] = best_of.reduce(
+                np.where(live, samples, self._none), axis=1
+            )
+        if not every:
+            np.copyto(self.best, est, where=mask)
+        if (c + 1) % self.block == 0:
+            # The block is complete: suffix bests, and its best joins
+            # every earlier block's entry.
+            idx = self._open[:, None] + np.arange(self.block)
+            values[idx] = best_of.accumulate(values[idx][:, ::-1], axis=1)[
+                :, ::-1
+            ]
+            best_of(self.blocks, prefix.take(self._brow), out=self.blocks)
+            entry = (self._base + (opened & self._wrap)) >> self._lb
+            self.blocks[entry] = self._none
+            prefix.fill(self._none)
+            self._open_block(c + 1)
 
     def get(self) -> np.ndarray:
-        """Per-row best in window (0.0 for empty rows), no expiry —
-        matching ``WindowedFilter.get()`` without a clock."""
-        best = self.values.take(self._vbase + (self.head & self._wrap))
-        if self._filled:
-            return best
-        return np.where(self.tail > self.head, best, 0.0)
+        """Per-row best in window as of its last push (0.0 before any):
+        ``WindowedFilter.get()`` without a clock.  The array is the
+        filter's own, valid until the next :meth:`update`."""
+        return self.best
+
+    def _store_slot(self, c: int, now) -> np.ndarray:
+        """Where tick ``c`` is stored, per row; an array clock's time is
+        stored there at once (the expiry walk reads it)."""
+        np.add(self._open, c & (self.block - 1), out=self._slot)
+        if self.times is not None:
+            self.times[self._slot] = now
+        return self._slot
+
+    def _relayout(self, grow: np.ndarray, c: int) -> None:
+        """Lay every row out anew at tick ``c`` (not stored yet) from its
+        window ``[head, c)`` (to where it froze, for a frozen row not in
+        ``grow``; none, for a row that never pushed), doubling the rings
+        of ``grow`` until window and spare slot fit.  A thawed row's
+        ticks since it froze read as not pushed (times -inf: every walk
+        passes them); the block it froze in becomes suffix bests."""
+        lb, none, best_of = self._lb, self._none, self._best_of
+        cap, windows = self.cap.copy(), []
+        thaw = grow & self._frozen
+        for r in range(self.n):
+            stop = self._stop[r] if self._frozen[r] else c
+            ticks = np.arange(self.head[r], c if thaw[r] else stop)
+            if self._fresh[r]:
+                ticks = ticks[:0]
+            slots = self._base[r] + (ticks & self._wrap[r])
+            kept = ticks < stop
+            samples = np.where(kept, self.values[slots], none)
+            times = self._hist[ticks] if self.times is None else (
+                np.where(kept, self.times[slots], -np.inf)
+            )
+            if thaw[r]:  # its head: where the walk stops
+                i = np.argmax(np.append(times >= self.horizon[r], True))
+                ticks, samples, times = ticks[i:], samples[i:], times[i:]
+                self.head[r] = ticks[0] if len(ticks) else c
+                froze_in = (ticks >> lb) == stop >> lb
+                if stop >> lb < c >> lb:
+                    samples[froze_in] = best_of.accumulate(
+                        samples[froze_in][::-1]
+                    )[::-1]
+            windows.append((ticks, samples, times))
+            while grow[r] and cap[r] < len(ticks) + 2:
+                cap[r] *= 2
+        self._frozen &= ~thaw
+        self._frozen_rows = int(np.count_nonzero(self._frozen))
+        self._layout(cap, c)
+        opened = c >> lb
+        for r, (ticks, samples, times) in enumerate(windows):
+            slots = self._base[r] + (ticks & self._wrap[r])
+            self.values[slots] = samples
+            if self.times is not None:
+                self.times[slots] = times
+            if self._frozen[r] or self._fresh[r]:
+                continue
+            # Per block from the head's to the last complete one, the
+            # best of the complete blocks after it.
+            starts = np.arange(int(self.head[r]) >> lb, opened) << lb
+            if len(starts):
+                after = np.full(len(starts), none)
+                tops = samples[starts[1:] - self.head[r]][::-1]
+                after[:-1] = best_of.accumulate(tops)[::-1]
+                starts = self._base[r] + (starts & self._wrap[r])
+                self.blocks[starts >> lb] = after
+            self.prefix[r] = best_of.reduce(
+                samples[ticks >= opened << lb], initial=none
+            )
+        self._room[grow] = self._wrap[grow]
+        self.reallocations += 1
 
 
 def _pop_kwargs(
@@ -622,10 +690,11 @@ class VecCopa(VecKernel):
             if delta <= 0:
                 raise ValueError(f"delta must be positive, got {delta}")
         self.delta = np.array(deltas)
-        # The 10 s window bounds nothing useful (2 000+ ticks): rows
-        # start small and the ones whose RTT ramps that long grow.
+        # One sample per tick over the 10 s window (rtt_ticks / rtt
+        # bounds the ticks a second), never more than the run has.
+        window = copa_laws.RTT_MIN_WINDOW * rtt_ticks / rtt
         self.rtt_min_filter = VecWindowedFilter(
-            np.full(self.n, 16), is_max=False
+            np.minimum(window.astype(np.int64) + 3, steps + 1), is_max=False
         )
         self._rtt_min_window = np.full(self.n, copa_laws.RTT_MIN_WINDOW)
         self._every_row = np.ones(self.n, dtype=bool)

@@ -287,6 +287,7 @@ def bad_input_exits_2(work):
         done = run(work, argv + command, code=2)
         assert done.stderr.startswith("bad scenario: "), done.stderr
         assert done.stderr.count("\n") == 1, done.stderr
+        assert done.stdout == "", done.stdout
 
 
 def session_flags_on_every_command(work):

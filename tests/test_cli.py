@@ -227,9 +227,10 @@ def test_evolve_reads_cca_names_case_insensitively(evolve):
 def test_evolve_rejects_bad_input_before_simulating(
     evolve, counting_engine, argv
 ):
-    code, _out, err = evolve(*argv)
+    code, out, err = evolve(*argv)
     assert code == 2
     assert err.startswith("bad scenario: ") and err.count("\n") == 1
+    assert out == ""
     assert counting_engine.stats["simulated"] == 0
 
 

@@ -597,18 +597,15 @@ def test_segment_sum_is_python_sum_bitwise(columns):
 
 
 def _assert_ring_layout(ring):
-    """The ring layout: per row ``cap`` time slots and ``2 * cap`` value
-    slots (each value is written at ``k`` and its mirror ``k + cap``), so
-    the live entries' values read back from either copy."""
+    """The ring layout: one value slot per tick of every row's ring
+    (each a power of two, two blocks at least), one block of scratch a
+    frozen row stores into, and one entry per block of ring."""
     slots = int(ring.cap.sum())
-    assert ring.times.nbytes == 8 * slots
-    assert ring.values.nbytes == 16 * slots
-    for row in range(ring.n):
-        cap = int(ring.cap[row])
-        vbase = 2 * int(ring.cap[:row].sum())
-        for k in range(int(ring.head[row]), int(ring.tail[row])):
-            slot = vbase + (k & (cap - 1))
-            assert ring.values[slot] == ring.values[slot + cap]
+    assert (ring.cap % (2 * ring.block) == 0).all()
+    assert (ring.cap & ring.cap - 1 == 0).all()
+    assert ring.values.nbytes == 8 * (slots + ring.block)
+    assert ring.blocks.nbytes == 8 * slots // ring.block
+    assert ring.times is None or ring.times.nbytes == ring.values.nbytes
 
 
 def _bbr_filter(sim):
@@ -627,43 +624,109 @@ def _bbr_point(buffer_bdp, duration=6.0, seed=0, n=2, **link_kwargs):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_vec_filter_matches_scalar_deques_while_rows_grow(data):
-    """Rows fed independent sample streams, from rings of 2: every
-    estimate equals the scalar filter's, and a row that never filled
-    keeps its capacity however often its neighbours double."""
-    n = data.draw(st.integers(1, 5))
+def test_vec_filter_matches_scalar_filters_window_for_window(data):
+    """Rows fed independent sample streams: every row's estimate equals
+    the scalar filter's at every tick — on a float clock and on an
+    array clock of two tick lengths, under windows redrawn every tick
+    (so the horizon also moves back) from shorter than one block to
+    longer than the initial ring, through a row that never pushes (0.0)
+    and one that stops for longer than its ring and pushes again.  Each
+    row's capacity comes from its own bound, and only a row whose window
+    outgrew its ring grows, by no more than the doubling that fits it."""
+    n = data.draw(st.integers(2, 6))
     is_max = data.draw(st.booleans())
-    window = data.draw(st.sampled_from([0.05, 0.4, 3.0]))
+    uniform = data.draw(st.booleans())
     rng = random.Random(data.draw(st.integers(0, 2**16)))
-    vec = VecWindowedFilter(np.full(n, 2), is_max=is_max)
+    depth = np.array([rng.choice([2, 8, 16, 40]) for _ in range(n)])
+    vec = VecWindowedFilter(depth, is_max=is_max)
+    block, first_cap = vec.block, vec.cap.copy()
+    assert first_cap.tolist() == [
+        1 << (max(d, 2 * block) - 1).bit_length() for d in depth.tolist()
+    ]
     scalar_cls = WindowedMax if is_max else WindowedMin
-    scalar = [scalar_cls(window) for _ in range(n)]
-    quiet = rng.randrange(n)  # one row only ever holds one sample
-    deepest = [0] * n
-    now = 0.0
-    for _ in range(120):
-        now += 0.01
-        mask = np.array([rng.random() < 0.8 for _ in range(n)])
-        # Mostly monotone ramps (deep deques), sometimes a reset.
-        value = np.array(
-            [rng.choice([now, -now, rng.random()]) for _ in range(n)]
+    scalar = [scalar_cls(1.0) for _ in range(n)]
+    dts = [0.01 if uniform else rng.choice([0.01, 0.025]) for _ in range(n)]
+    silent, paused = 0, 1  # never pushes; stops at tick 30 for 90 ticks
+    times = [[] for _ in range(n)]
+    # The scalar filter's running max of now - window, and the first
+    # tick at or after the row's first push that it has not expired.
+    horizon = [-np.inf] * n
+    start = [None] * n
+    deepest = [0] * n  # the most ticks a row's window spanned at a push
+    clock = 0.0
+    for tick in range(8 * block + 150):
+        clock += 0.01
+        now = clock if uniform else np.array(
+            [dts[row] * (tick + 1) for row in range(n)]
         )
-        value[quiet] = now if is_max else -now
-        vec.update(mask, np.full(n, now), value, np.full(n, window))
+        mask = np.array([rng.random() < 0.85 for _ in range(n)])
+        mask[silent] = False
+        mask[paused] = not 30 <= tick < 120
+        # Ramps (long-lived bests), resets and noise.
+        value = np.array(
+            [rng.choice([tick, -tick, rng.random()]) for _ in range(n)],
+            dtype=float,
+        )
+        window = np.array(
+            [
+                rng.choice([0.3 * block, 2, 8, 3 * first_cap[row]])
+                * dts[row]
+                for row in range(n)
+            ]
+        )
+        vec.update(mask, now, value, window)
         best = vec.get()
         for row in range(n):
-            if mask[row]:
-                assert best[row] == scalar[row].update(now, value[row])
-                deepest[row] = max(deepest[row], len(scalar[row]))
-            else:
+            at = now if uniform else float(now[row])
+            times[row].append(at)
+            scalar[row].window = float(window[row])
+            if not mask[row]:
                 assert best[row] == (scalar[row].get() or 0.0)
-        assert (vec.tail - vec.head).tolist() == [len(f) for f in scalar]
-    assert vec.cap[quiet] == 2
+                continue
+            assert best[row] == scalar[row].update(at, value[row])
+            horizon[row] = max(horizon[row], at - float(window[row]))
+            if start[row] is None:
+                start[row] = tick
+            while times[row][start[row]] < horizon[row]:
+                start[row] += 1
+            deepest[row] = max(deepest[row], tick - start[row] + 1)
+    assert deepest[silent] == 0 and vec.cap[silent] == first_cap[silent]
     for row in range(n):
-        assert deepest[row] <= vec.cap[row] <= max(2, 2 * deepest[row])
+        if deepest[row] < first_cap[row]:
+            assert vec.cap[row] == first_cap[row]
+        else:
+            assert vec.cap[row] <= 2 * deepest[row]
     _assert_ring_layout(vec)
+
+
+def test_a_thawed_row_reads_the_block_it_froze_in():
+    """A row pushes a ramp under an endless window for 28 ticks, then
+    pauses: with 16-tick blocks and a 32-slot ring it freezes at tick
+    31, inside a block then open.  It pushes again at tick 36 with a
+    window reaching back to tick 20, into that block, now closed: the
+    estimate is the ramp's top, as the scalar filter's is."""
+    vec = VecWindowedFilter(np.array([16]), is_max=True)
+    scalar = WindowedMax(1.0)
+    assert (vec.block, vec.cap.tolist()) == (16, [32])
+    now = 0.0
+    for tick in range(37):
+        now += 0.01
+        push = tick < 28 or tick == 36
+        window = 0.165 if tick == 36 else 1e9
+        value = -1.0 if tick == 36 else float(tick)
+        vec.update(
+            np.array([push]), now, np.array([value]), np.array([window])
+        )
+        if push:
+            scalar.window = window
+            assert vec.get()[0] == scalar.update(now, value)
+        if tick == 31:
+            assert vec._frozen[0]
+    assert vec.get()[0] == 27.0 and vec.head[0] == 20
+    # Thawing re-lays the storage out once; 17 ticks still fit 32 slots.
+    assert vec.reallocations == 1 and vec.cap.tolist() == [32]
 
 
 def test_ring_bytes_are_the_sum_of_per_row_capacities():
@@ -676,9 +739,11 @@ def test_ring_bytes_are_the_sum_of_per_row_capacities():
             [_bbr_point(0.5, seed=seed), _bbr_point(32, seed=seed)]
         )
         ring = _bbr_filter(sim)
-        # 10 RTTs of (20 ms + buffer drain) at 5 ms ticks, + 3, as 2^k.
+        # 10 RTTs of (20 ms + buffer drain) at 5 ms ticks, + 3, as 2^k;
+        # one tick length, so no per-row times; one block of scratch.
         assert ring.cap.tolist() == [64, 64, 2048, 2048]
-        assert ring.times.nbytes == 8 * (2 * 64 + 2 * 2048)
+        assert ring.times is None
+        assert ring.values.nbytes == 8 * (2 * 64 + 2 * 2048 + ring.block)
         sim.run()
         assert ring.reallocations == 0
         _assert_ring_layout(ring)
@@ -720,11 +785,35 @@ def test_violated_ring_bound_grows_only_the_full_rows():
         np.full(4, 512), is_max=True
     )
     assert sim.run() == [_scalar(plain), _scalar(traced)]
-    # Deepest deques: ~315 samples untraced, 975 and 1 264 traced —
-    # one doubling for the first traced row, two for the second.
-    assert ring.reallocations == 3
-    assert ring.cap.tolist() == [512, 512, 1024, 2048]
+    # Widest windows: 360 ticks untraced, 1 320 traced.  A point's rows
+    # share its RTT, so both traced rings double together, twice.
+    assert ring.reallocations == 2
+    assert ring.cap.tolist() == [512, 512, 2048, 2048]
     _assert_ring_layout(ring)
+
+
+def test_a_stopped_point_keeps_its_estimates_and_its_rings():
+    """A 2 s and a 20 s point of one tick length: the short point's BBR
+    rows stop pushing at 2 s.  Their estimates stay as they were, their
+    rings freeze at their bound's size and never grow, and the batch
+    equals the two scalar runs bit for bit."""
+    short, long = _bbr_point(8, duration=2.0), _bbr_point(8, duration=20.0)
+    sim = VecFluidSim([short, long])
+    ring = _bbr_filter(sim)
+    caps = ring.cap.tolist()
+    seen = []
+    update = ring.update
+
+    def watch(*args):
+        update(*args)
+        seen.append(ring.get()[:2].tolist())
+
+    ring.update = watch
+    assert sim.run() == [_scalar(short), _scalar(long)]
+    assert ring.cap.tolist() == caps and ring.reallocations == 0
+    assert ring._frozen.tolist() == [True, True, False, False]
+    stopped = int(round(2.0 / sim._dt[0]))
+    assert seen[stopped:] == [seen[stopped - 1]] * (len(seen) - stopped)
 
 
 # -- registry ----------------------------------------------------------------

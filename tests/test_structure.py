@@ -8,7 +8,8 @@ bottleneck that schedules no event, a campaign layer with no
 concurrency of its own (a stage's units advance in rounds through one
 ``Engine.run_points`` batch —
 ``repro.campaign.vocab._in_rounds``), one NE bisection, as a round
-generator, one instrumented fluid loop, the scalar one, and one
+generator, one instrumented fluid loop, the scalar one, one vectorized
+windowed filter, and one
 declaration of a bottleneck, ``BottleneckSpec``, an engine that runs
 and counts points once, with wall time left to spans, each run fact
 written to one record, a point that is one seed, repeated only by
@@ -156,6 +157,43 @@ def test_the_vectorized_fluid_substrate_does_no_instrumentation():
     ]
     params = [arg.arg for arg in batch.args.args + batch.args.kwonlyargs]
     assert params == ["points", "check"]
+
+
+def test_the_vectorized_windowed_filter_exists_once():
+    """``vec_laws`` holds one windowed-filter class, built by every
+    kernel with a time window (BBR's bandwidth filter, BBRv2's through
+    BBR, Copa's RTT_min filter); no deque and no shadow search are kept
+    beside it as a fallback."""
+    tree = tree_of("fluidsim/vec_laws.py")
+    classes = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    filters = [
+        name
+        for name, node in classes.items()
+        if any(fn.name == "update" for fn in functions(node))
+    ]
+    assert filters == ["VecWindowedFilter"]
+    builders = [
+        name
+        for name, node in classes.items()
+        if any(called_name(call) in filters for call in calls(node))
+    ]
+    assert builders == ["VecCopa", "VecBBR"]
+    assert [ast.unparse(base) for base in classes["VecBBR2"].bases] == [
+        "VecBBR"
+    ]
+    names = {fn.name for fn in functions(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    banned = re.compile(r"deque|shadow|popleft|appendleft", re.IGNORECASE)
+    assert not sorted(name for name in names if banned.search(name))
+    assert "collections" not in set(imported_modules(tree))
 
 
 # -- one place repeats a point -----------------------------------------------
