@@ -14,10 +14,11 @@ Run:  python examples/bbr_anatomy.py
 """
 
 from repro import LinkConfig, predict_two_flow
+from repro.obs import Telemetry
 from repro.sim.network import DumbbellNetwork, FlowSpec
-from repro.sim.trace import CwndTracer
 
 DURATION = 60.0
+INTERVAL = 0.25
 
 
 def main() -> None:
@@ -25,19 +26,23 @@ def main() -> None:
     print(f"bottleneck: {link.describe()}")
     print("flows: 1 CUBIC vs 1 BBR, 60 s\n")
 
-    net = DumbbellNetwork(link, [FlowSpec("cubic"), FlowSpec("bbr")])
-    tracer = CwndTracer(net, interval=0.25)
+    obs = Telemetry(sample_interval=INTERVAL)
+    net = DumbbellNetwork(
+        link, [FlowSpec("cubic"), FlowSpec("bbr")], obs=obs
+    )
     result = net.run(DURATION, warmup=10)
 
     # 1. State timeline, compressed to transitions.
     print("BBR state timeline:")
-    samples = tracer.for_flow(1)
+    samples = [s for s in obs.samples if s["flow_id"] == 1]
     last_state = None
+    durations = {}
     for sample in samples:
-        if sample.state != last_state:
-            print(f"  {sample.time:7.2f}s  -> {sample.state}")
-            last_state = sample.state
-    durations = tracer.state_durations(1)
+        state = sample["state"]
+        if state != last_state:
+            print(f"  {sample['time']:7.2f}s  -> {state}")
+            last_state = state
+        durations[state] = durations.get(state, 0.0) + INTERVAL
     total = sum(durations.values())
     print("\ntime in each state:")
     for state, seconds in sorted(durations.items(), key=lambda kv: -kv[1]):
@@ -59,9 +64,9 @@ def main() -> None:
     # 3. The cap vs the model (steady-state cwnd: max over the last
     #    half of the run, avoiding a post-ProbeRTT rebuild snapshot).
     steady = [
-        s.cwnd
+        s["cwnd"]
         for s in samples
-        if s.time > DURATION / 2 and s.state == "PROBE_BW"
+        if s["time"] > DURATION / 2 and s["state"] == "PROBE_BW"
     ]
     cap = max(steady) if steady else bbr.cwnd
     print(

@@ -1,5 +1,6 @@
-"""Analysis utilities: fairness/error metrics, synchronization detection,
-and trace time-series helpers.
+"""Analysis utilities: fairness/error metrics and synchronization
+detection over a run's recorded backoff times (the ``cc.backoff``
+events on its telemetry bus).
 
 These mechanize the judgements the paper makes when reading its
 experiments — "within 5% error", "the CUBIC flows were indeed generally
@@ -22,12 +23,6 @@ _EXPORTS = {
         "classify_regime",
         "cluster_loss_events",
         "synchronization_index",
-    ),
-    "repro.analysis.timeseries": (
-        "detect_sawtooth_peaks",
-        "moving_average",
-        "resample",
-        "sawtooth_period",
     ),
 }
 

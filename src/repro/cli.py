@@ -391,7 +391,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.trace_out:
             from repro.obs import Telemetry, write_trace
 
-            bus = Telemetry(sample_interval=args.trace_interval)
+            bus = Telemetry(sample_interval=args.sample_interval)
         wall_start = perf_counter()
         with _scenario_errors():
             point = ScenarioPoint(
@@ -1130,6 +1130,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--trace-interval",
+        dest="sample_interval",
+        metavar="SECONDS",
         type=_positive_float,
         default=0.1,
         help="per-flow sampling period in seconds for --trace-out",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.fluidsim.aqmfluid import make_fluid_aqm
 from repro.fluidsim.spec import FluidSpec
@@ -79,17 +79,15 @@ class FluidSimulation:
         seed: RNG seed for the proportional loss mode and start jitter.
         start_jitter: Uniform random extra delay (seconds) added to each
             flow's start time, emulating testbed trial-to-trial variation.
-        trace_interval: If set, record per-flow in-flight snapshots (and
-            the queue) every ``trace_interval`` seconds into
-            :attr:`trace`; per-flow backoff times are always recorded in
-            :attr:`loss_events`.  This is how the paper "checked the
-            traces" for CUBIC synchronization (§3.2, §5).
-        obs: Optional telemetry bus, attached to every fluid flow (so
-            BBR phase transitions and backoffs become typed events) and
-            fed overflow/drop counters.  When the bus has a
-            ``sample_interval`` and ``trace_interval`` is unset, trace
-            snapshots run at that interval and are mirrored onto the bus
-            as per-flow ``sample`` records.
+        obs: Optional telemetry bus, the one recorder of the run:
+            attached to every fluid flow (so BBR phase transitions and
+            backoffs become typed ``cc.state`` / ``cc.backoff`` events)
+            and fed overflow/drop counters.  When the bus has a
+            ``sample_interval``, every sending flow's in-flight, rate
+            and state are written to it as a per-flow ``sample`` at that
+            period.  The backoff times are how the paper "checked the
+            traces" for CUBIC synchronization (§3.2, §5;
+            :mod:`repro.analysis.sync`).
         check: Optional :class:`repro.check.Checker`, attached to every
             fluid flow (validating BBR phase transitions) and run each
             tick for in-flight bounds and rate conservation (flow rates
@@ -106,7 +104,6 @@ class FluidSimulation:
         loss_mode: str = "proportional",
         seed: int = 0,
         start_jitter: float = 0.0,
-        trace_interval: Optional[float] = None,
         obs: Optional["Telemetry"] = None,
         check: Optional["Checker"] = None,
     ) -> None:
@@ -177,24 +174,6 @@ class FluidSimulation:
         # Loss-perception state for the proportional mode.
         self._drop_accumulator = [0.0] * len(self.flows)
         self._drop_threshold = [float(link.mss)] * len(self.flows)
-
-        # Optional tracing.  An instrumented run with a sampling cadence
-        # inherits it as the trace interval, so fluid snapshots land in
-        # the same unified JSONL stream as packet-sim tracer samples.
-        if trace_interval is None and obs is not None:
-            trace_interval = obs.sample_interval
-        if trace_interval is not None and trace_interval <= 0:
-            raise ValueError(
-                f"trace_interval must be positive, got {trace_interval}"
-            )
-        self.trace_interval = trace_interval
-        #: Per-flow lists of congestion-backoff times (seconds).
-        self.loss_events: List[List[float]] = [
-            [] for _ in range(len(self.flows))
-        ]
-        #: Snapshot rows: (time, [inflight per flow], queue_bytes).
-        self.trace: List[Tuple[float, List[float], float]] = []
-        self._next_trace = 0.0
 
         # Measurement accumulators.
         self._delivered = [0.0] * len(self.flows)
@@ -291,7 +270,8 @@ class FluidSimulation:
         buffer_bytes = self.link.buffer_bytes
         check = self.check
         obs = self.obs
-        trace_interval = self.trace_interval
+        sample_interval = obs.sample_interval if obs is not None else None
+        next_sample = 0.0
         dt = self.dt
         flows = self.flows
         n = len(flows)
@@ -357,21 +337,19 @@ class FluidSimulation:
                 )
             queue_delay = queue / capacity
 
-            if trace_interval is not None and now >= self._next_trace:
-                self._next_trace = now + trace_interval
-                self.trace.append((now, list(inflights), queue))
-                if obs is not None:
-                    for i in active:
-                        flow = flows[i]
-                        obs.sample(
-                            now,
-                            flow.flow_id,
-                            cc=flow.name,
-                            cwnd=inflights[i],
-                            in_flight=inflights[i],
-                            pacing_rate=prev_rate[i],
-                            state=flow.state,
-                        )
+            if sample_interval is not None and now >= next_sample:
+                next_sample = now + sample_interval
+                for i in active:
+                    flow = flows[i]
+                    obs.sample(
+                        now,
+                        flow.flow_id,
+                        cc=flow.name,
+                        cwnd=inflights[i],
+                        in_flight=inflights[i],
+                        pacing_rate=prev_rate[i],
+                        state=flow.state,
+                    )
 
             # 5. Integrate throughput.
             utilization = 0.0
@@ -483,7 +461,6 @@ class FluidSimulation:
             flow = self.flows[i]
             flow.on_loss(now)
             inflights[i] = min(inflights[i], flow.inflight)
-            self.loss_events[i].append(now)
         return min(self._solve_queue(inflights), self.link.buffer_bytes)
 
     def _apply_capacity_steps(self, now: float) -> float:

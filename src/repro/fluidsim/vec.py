@@ -31,8 +31,8 @@ trajectory.  Three disciplines make that possible:
   time, then proportional-mode loss thresholds per admitted victim), so
   the proportional loss mode stays seed-compatible and batch-invariant.
 
-This substrate does no instrumentation: no telemetry bus, no trace
-snapshots, no loss-event log.  The scalar loop is the one instrumented
+This substrate does no instrumentation: no telemetry bus, so no
+samples and no backoff events.  The scalar loop is the one instrumented
 implementation of the fluid model, and the runner sends every run with
 a live bus or checker there (:func:`repro.experiments.runner
 .runs_vectorized`).  The invariant checker's array-state hooks stay —
@@ -945,8 +945,7 @@ def run_fluid_vec(
     check=None,
 ) -> SimulationResult:
     """Vectorized counterpart of :func:`repro.fluidsim.core.run_fluid`:
-    its arguments minus the instrumentation ones (the telemetry bus and
-    the trace interval), bitwise-identical result."""
+    its arguments minus the telemetry bus, bitwise-identical result."""
     return run_fluid_vec_batch(
         [
             BatchPoint(

@@ -15,12 +15,17 @@ span tracer's, :mod:`repro.obs.trace`):
 * **counters** — monotonically accumulated floats (``count``), e.g.
   ``link.dropped_packets``;
 * **events**   — typed, timestamped records (``event``), e.g. a BBR
-  ``STARTUP → DRAIN`` transition, and periodic **samples** (``sample``),
-  the event-stream form of :class:`repro.sim.trace.TraceSample`.
+  ``STARTUP → DRAIN`` transition or a CUBIC ``cc.backoff``, and periodic
+  per-flow **samples** (``sample``) of a controller's ``cwnd``,
+  ``in_flight``, ``pacing_rate`` and ``state``.
 
 A bus records one simulation: it is handed to that run (``run_mix(...,
 obs=bus)``, ``repro-bbr simulate --trace-out``), never installed for the
-process, so no run records into a bus it was not given.
+process, so no run records into a bus it was not given.  It is the only
+recorder of a run's time series: the packet simulator and the scalar
+fluid loop write their samples here at the bus's ``sample_interval``
+and their backoffs as events, and readers filter
+:attr:`Telemetry.samples` / :meth:`events_named`.
 """
 
 from __future__ import annotations
@@ -52,10 +57,10 @@ class Telemetry:
             independently).  Once reached, further records are counted in
             :attr:`dropped_records` instead of stored, so a pathological
             run cannot exhaust memory.
-        sample_interval: When set, simulator front-ends attach periodic
-            per-flow state samplers at this period (seconds); None means
-            "no periodic sampling", which leaves only counters and
-            sparse events.
+        sample_interval: When set, the simulators write every flow's
+            state to :attr:`samples` at this period (seconds); None
+            means "no periodic sampling", which leaves only counters
+            and sparse events.
     """
 
     def __init__(

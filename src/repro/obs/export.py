@@ -6,9 +6,9 @@ record carries a ``kind``:
 
 * ``manifest`` — the embedded :class:`repro.obs.manifest.RunManifest`
   (always the first line when present);
-* ``sample``   — a periodic per-flow state snapshot (the event-stream
-  form of :class:`repro.sim.trace.TraceSample`): ``time``, ``flow_id``,
-  then controller fields such as ``cwnd``/``inflight``/``state``;
+* ``sample``   — a periodic per-flow state snapshot
+  (:meth:`repro.obs.bus.Telemetry.sample`): ``time``, ``flow_id``,
+  then controller fields such as ``cwnd``/``in_flight``/``state``;
 * ``event``    — a typed :class:`repro.obs.bus.TelemetryEvent` (``time``,
   ``name``, and the payload nested under ``fields`` so payload keys can
   never collide with the record envelope);

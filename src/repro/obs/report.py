@@ -33,7 +33,7 @@ class FlowReport:
     flow_id: int
     cc: str = "?"
     samples: int = 0
-    loss_events: int = 0
+    losses: int = 0
     lost_packets: int = 0
     retransmits: int = 0
     drops: int = 0
@@ -104,7 +104,7 @@ class RunReport:
             elif e.name == BACKOFF_EVENT:
                 fr.backoffs += 1
             elif e.name == LOSS_EVENT:
-                fr.loss_events += 1
+                fr.losses += 1
                 fr.lost_packets += int(e.fields.get("lost_packets", 1))
             elif e.name == RETX_EVENT:
                 fr.retransmits += int(e.fields.get("packets", 1))

@@ -25,7 +25,6 @@ _EXPORTS = {
     ),
     "repro.sim.packet": ("LossEvent", "Packet", "RateSample"),
     "repro.sim.stats": ("FlowStats",),
-    "repro.sim.trace": ("CwndTracer", "TraceSample"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -144,9 +144,11 @@ class DumbbellNetwork:
         flows: One :class:`FlowSpec` per flow.
         obs: Optional telemetry bus, threaded through the event loop,
             bottleneck link, senders, and congestion controllers.  When
-            the bus has a ``sample_interval``, a
-            :class:`repro.sim.trace.CwndTracer` is attached that streams
-            periodic controller samples onto the bus.
+            the bus has a ``sample_interval``, every sender's ``cc``,
+            ``cwnd``, ``in_flight``, ``pacing_rate`` and ``state``
+            (None for a controller without a state machine) are
+            written to it as a per-flow ``sample`` at that period — the
+            kernel's ``ss -i`` polling that testbed studies read.
         check: Optional :class:`repro.check.Checker`, threaded through
             the same components as ``obs``.  Defaults to the
             process-wide checker (installed by ``--check`` or
@@ -232,13 +234,25 @@ class DumbbellNetwork:
             self.stats.append(stats)
 
         if obs is not None and obs.sample_interval is not None:
-            from repro.sim.trace import CwndTracer
+            self.loop.call_later(obs.sample_interval, self._sample)
 
-            self.tracer: Optional[CwndTracer] = CwndTracer(
-                self, obs.sample_interval, obs=obs
+    def _sample(self) -> None:
+        """Write every sender's controller state to the bus, then poll
+        again one ``sample_interval`` on."""
+        obs = self.obs
+        now = self.loop.now
+        for sender in self.senders:
+            cc = sender.cc
+            obs.sample(
+                now,
+                sender.flow_id,
+                cc=cc.name,
+                cwnd=cc.cwnd,
+                in_flight=sender.in_flight_bytes,
+                pacing_rate=cc.pacing_rate,
+                state=getattr(cc, "state", None),
             )
-        else:
-            self.tracer = None
+        self.loop.call_later(obs.sample_interval, self._sample)
 
     def event_budget(self, duration: float) -> int:
         """The most events a ``duration``-second run may process:

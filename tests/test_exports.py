@@ -52,7 +52,6 @@ def test_top_level_exports():
                 "FlowSpec",
                 "RED",
                 "CoDel",
-                "CwndTracer",
                 "EventLoop",
                 "EventBudgetExceeded",
             ],

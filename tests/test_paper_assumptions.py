@@ -8,32 +8,36 @@ that silently breaks an assumption fails loudly here.
 import pytest
 
 from repro.fluidsim import FluidSimulation, FluidSpec
+from repro.obs import Telemetry
 from repro.sim.network import DumbbellNetwork, FlowSpec, run_dumbbell
-from repro.sim.trace import CwndTracer
 from repro.util.config import LinkConfig
 
 
 @pytest.fixture(scope="module")
 def traced_mixed_run():
-    """1 CUBIC vs 1 BBR on a 20 Mbps / 40 ms / 5 BDP link, 60 s."""
+    """1 CUBIC vs 1 BBR on a 20 Mbps / 40 ms / 5 BDP link, 60 s, with
+    the BBR flow's samples every 0.2 s."""
     link = LinkConfig.from_mbps_ms(20, 40, 5)
-    net = DumbbellNetwork(link, [FlowSpec("cubic"), FlowSpec("bbr")])
-    tracer = CwndTracer(net, interval=0.2)
+    obs = Telemetry(sample_interval=0.2)
+    net = DumbbellNetwork(
+        link, [FlowSpec("cubic"), FlowSpec("bbr")], obs=obs
+    )
     result = net.run(60, warmup=10)
-    return link, net, tracer, result
+    bbr = [s for s in obs.samples if s["flow_id"] == 1]
+    return link, net, bbr, result
 
 
 def test_assumption1_link_fully_utilized(traced_mixed_run):
     """Assumption 1: with a ≥1 BDP buffer and a CUBIC flow present, the
     link stays (nearly) fully utilized."""
-    link, _net, _tracer, result = traced_mixed_run
+    link, _net, _bbr, result = traced_mixed_run
     assert result.aggregate_throughput() >= 0.92 * link.capacity
 
 
 def test_assumption1_buffer_never_empty(traced_mixed_run):
     """...and there are always packets in the buffer (on average a
     substantial fraction of it)."""
-    link, net, _tracer, _result = traced_mixed_run
+    link, net, _bbr, _result = traced_mixed_run
     mean_queue = net.bottleneck.stats.mean_occupancy(60)
     assert mean_queue > 0.2 * link.buffer_bytes
 
@@ -41,7 +45,7 @@ def test_assumption1_buffer_never_empty(traced_mixed_run):
 def test_assumption2_bbr_cwnd_bound(traced_mixed_run):
     """Assumption 2: competing with CUBIC, BBR is cwnd-bound with about
     2×(estimated BDP) in flight — equivalently cwnd ≈ 2·bw_est·RTT⁺."""
-    _link, net, tracer, _result = traced_mixed_run
+    _link, net, samples, _result = traced_mixed_run
     bbr = net.senders[1].cc
     assert bbr.rtprop is not None and bbr.btl_bw > 0
     expected_cap = 2.0 * bbr.btl_bw * bbr.rtprop
@@ -49,9 +53,9 @@ def test_assumption2_bbr_cwnd_bound(traced_mixed_run):
     # And the sender actually rides the cap: median in-flight within a
     # factor of the cwnd in steady state.
     steady = [
-        s for s in tracer.for_flow(1) if s.time > 20 and s.state == "PROBE_BW"
+        s for s in samples if s["time"] > 20 and s["state"] == "PROBE_BW"
     ]
-    riding = sum(1 for s in steady if s.in_flight >= 0.5 * s.cwnd)
+    riding = sum(1 for s in steady if s["in_flight"] >= 0.5 * s["cwnd"])
     assert riding >= 0.6 * len(steady)
 
 
@@ -72,10 +76,9 @@ def test_assumption4_bbr_loss_agnostic():
 def test_assumption5_probe_rtt_time_negligible(traced_mixed_run):
     """Assumption 5: ProbeRTT occupies ~200 ms per 10 s — a few percent
     of the flow's lifetime."""
-    _link, _net, tracer, _result = traced_mixed_run
-    durations = tracer.state_durations(1)
-    total = sum(durations.values())
-    probe_fraction = durations.get("PROBE_RTT", 0.0) / total
+    _link, _net, samples, _result = traced_mixed_run
+    probe_rtt = sum(1 for s in samples if s["state"] == "PROBE_RTT")
+    probe_fraction = probe_rtt / len(samples)
     assert probe_fraction < 0.12  # Generous: sampling quantizes at 0.2 s.
     assert probe_fraction > 0.0   # But it does happen.
 

@@ -8,7 +8,8 @@ bottleneck that schedules no event, a campaign layer with no
 concurrency of its own (a stage's units advance in rounds through one
 ``Engine.run_points`` batch —
 ``repro.campaign.vocab._in_rounds``), one NE bisection, as a round
-generator, one instrumented fluid loop, the scalar one, one vectorized
+generator, one instrumented fluid loop, the scalar one, one recorder
+of a run's time series, its telemetry bus, one vectorized
 windowed filter, and one
 declaration of a bottleneck, ``BottleneckSpec``, an engine that runs
 and counts points once, with wall time left to spans, each run fact
@@ -269,6 +270,40 @@ def test_the_bus_is_handed_to_one_run():
         "simulate"
     ]
     assert not [cmd for cmd, opts in surface if "--profile" in opts]
+
+
+RETIRED_RECORDERS = re.compile(
+    r"\b(?:CwndTracer|TraceSample|trace_interval|loss_events)\b"
+    r"|repro\.analysis\.timeseries"
+)
+
+
+def test_a_run_is_recorded_on_its_bus():
+    """A run's time series are the samples and events on the bus it is
+    handed: no packet tracer beside it, no fluid snapshot list or
+    victim log, no second sampling knob, no time-series helpers over
+    them."""
+    found = [
+        f"{path.relative_to(SRC).as_posix()}: {match}"
+        for path, text in SOURCES.items()
+        for match in sorted(set(RETIRED_RECORDERS.findall(text)))
+    ]
+    assert not found, found
+    assert not (SRC / "repro" / "analysis" / "timeseries.py").exists()
+    core = tree_of("fluidsim/core.py")
+    (init,) = [
+        fn
+        for node in ast.walk(core)
+        if isinstance(node, ast.ClassDef) and node.name == "FluidSimulation"
+        for fn in node.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+    ]
+    (run_fluid,) = [fn for fn in functions(core) if fn.name == "run_fluid"]
+    knobs = ["dt", "loss_mode", "seed", "start_jitter", "obs", "check"]
+    assert parameters(init) == ["self", "link", "flows", *knobs]
+    assert parameters(run_fluid) == [
+        "link", "flows", "duration", "warmup", *knobs
+    ]
 
 
 # -- one execution record, one wall-time record -----------------------------

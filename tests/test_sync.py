@@ -74,24 +74,31 @@ def test_validation():
 
 def test_fluid_sync_mode_is_detected_as_synchronized():
     """End-to-end: the fluid simulator's imposed sync mode must be
-    classified as synchronized from its own loss events, and desync as
-    de-synchronized — closing the loop on §2.4's bounds."""
+    classified as synchronized from its flows' ``cc.backoff`` events,
+    and desync as de-synchronized — closing the loop on §2.4's bounds."""
     from repro.fluidsim import FluidSimulation, FluidSpec
+    from repro.obs import Telemetry
     from repro.util.config import LinkConfig
 
     link = LinkConfig.from_mbps_ms(50, 40, 4)
-    labels = {}
+    labels, index = {}, {}
     for mode in ("sync", "desync"):
+        obs = Telemetry()
         sim = FluidSimulation(
             link,
             [FluidSpec("cubic") for _ in range(4)],
             loss_mode=mode,
             seed=1,
+            obs=obs,
         )
         sim.run(60)
+        backoffs = [[] for _ in range(4)]
+        for event in obs.events_named("cc.backoff"):
+            backoffs[event.fields["flow_id"]].append(event.time)
         rtt = 0.04 + sim.queue_bytes / link.capacity
-        labels[mode] = classify_regime(
-            sim.loss_events[:4], n_flows=4, window=2 * rtt
-        )
+        labels[mode] = classify_regime(backoffs, n_flows=4, window=2 * rtt)
+        index[mode] = synchronization_index(backoffs, 4, 2 * rtt)
     assert labels["sync"] == "synchronized"
     assert labels["desync"] == "de-synchronized"
+    assert index["sync"] == 1.0
+    assert index["desync"] == pytest.approx(0.264, abs=5e-4)

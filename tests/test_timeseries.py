@@ -1,106 +1,17 @@
-"""Trace time-series helpers."""
+"""A fluid run's time series, read from its telemetry bus."""
 
-import pytest
-
-from repro.analysis.timeseries import (
-    detect_sawtooth_peaks,
-    moving_average,
-    resample,
-    sawtooth_period,
-)
-
-
-class TestMovingAverage:
-    def test_growing_head(self):
-        assert moving_average([2.0, 4.0, 6.0], window=2) == [2.0, 3.0, 5.0]
-
-    def test_window_one_is_identity(self):
-        values = [3.0, 1.0, 4.0]
-        assert moving_average(values, window=1) == values
-
-    def test_smooths_constant(self):
-        assert moving_average([5.0] * 10, window=4) == [5.0] * 10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            moving_average([1.0], window=0)
-
-
-class TestResample:
-    def test_step_function(self):
-        out = resample([0.0, 1.0], [10.0, 20.0], interval=0.5, end=1.5)
-        assert out == [10.0, 10.0, 20.0, 20.0]
-
-    def test_before_first_sample(self):
-        out = resample([1.0], [7.0], interval=0.5, end=1.0)
-        assert out == [7.0, 7.0, 7.0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            resample([0.0], [1.0, 2.0], 0.5, 1.0)
-        with pytest.raises(ValueError):
-            resample([], [], 0.5, 1.0)
-        with pytest.raises(ValueError):
-            resample([0.0], [1.0], 0.0, 1.0)
-
-
-class TestSawtooth:
-    def make_sawtooth(self, n_epochs=4, peak=100.0, drop=0.3):
-        """A CUBIC-like sawtooth: ramp to peak, multiplicative drop."""
-        times, values = [], []
-        t = 0.0
-        value = peak * (1 - drop)
-        for _ in range(n_epochs):
-            while value < peak:
-                times.append(t)
-                values.append(value)
-                value += 5.0
-                t += 0.1
-            times.append(t)
-            values.append(peak)
-            value = peak * (1 - drop)
-            t += 0.1
-        return times, values
-
-    def test_detects_all_completed_peaks(self):
-        # The final epoch ends at its peak without a drop, so n_epochs−1
-        # peaks complete the peak→drop signature.
-        times, values = self.make_sawtooth(n_epochs=4)
-        peaks = detect_sawtooth_peaks(times, values, min_drop=0.2)
-        assert len(peaks) == 3
-        assert all(v == pytest.approx(100.0) for _t, v in peaks)
-
-    def test_small_dips_ignored(self):
-        values = [100.0, 95.0, 100.0, 96.0, 100.0]
-        times = [float(i) for i in range(5)]
-        assert detect_sawtooth_peaks(times, values, min_drop=0.2) == []
-
-    def test_period(self):
-        times, values = self.make_sawtooth(n_epochs=3)
-        peaks = detect_sawtooth_peaks(times, values)
-        period = sawtooth_period(peaks)
-        assert period > 0
-        assert sawtooth_period(peaks[:1]) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            detect_sawtooth_peaks([0.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            detect_sawtooth_peaks([0.0], [1.0], min_drop=0.0)
+from tests.test_trace import assert_cubic_sawtooth
 
 
 def test_fluid_cubic_trace_shows_sawtooth():
-    """End-to-end: a CUBIC fluid flow's recorded in-flight trace exhibits
-    a multiplicative-decrease sawtooth with the 0.3 drop."""
+    """End-to-end: a CUBIC fluid flow's recorded backoffs show the
+    multiplicative-decrease sawtooth with the 0.3 drop."""
     from repro.fluidsim import FluidSimulation, FluidSpec
+    from repro.obs import Telemetry
     from repro.util.config import LinkConfig
 
     link = LinkConfig.from_mbps_ms(50, 40, 3)
-    sim = FluidSimulation(
-        link, [FluidSpec("cubic")], trace_interval=0.1
-    )
+    obs = Telemetry()
+    sim = FluidSimulation(link, [FluidSpec("cubic")], obs=obs)
     sim.run(60)
-    times = [row[0] for row in sim.trace]
-    inflight = [row[1][0] for row in sim.trace]
-    peaks = detect_sawtooth_peaks(times, inflight, min_drop=0.2)
-    assert len(peaks) >= 2
+    assert_cubic_sawtooth(obs, floor=2 * link.mss)
