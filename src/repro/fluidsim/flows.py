@@ -16,10 +16,11 @@ enforces the resulting agreement end to end.
 
 Power functions (slow-start doubling, CUBIC's cube and cube root,
 Vivace's utility exponent) are evaluated through
-:mod:`repro.fluidsim.mathops` — CUBIC's per-tick cube as its
-``np.power`` inline — so this scalar path and the vectorized one
-(:mod:`repro.fluidsim.vec`) round identically and stay *bitwise*
-comparable; see that module for why.
+:mod:`repro.fluidsim.mathops` — CUBIC's cube one ``np.power`` per block
+of an epoch's upcoming ticks (:func:`~repro.fluidsim.mathops.cubic_cubes`)
+— so this scalar path and the vectorized one (:mod:`repro.fluidsim.vec`)
+round identically and stay *bitwise* comparable; see that module for
+why.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.cc.laws.base import (
 )
 from repro.fluidsim import mathops
 from repro.fluidsim.core import TickContext
-from repro.fluidsim.mathops import np
 from repro.util.filters import WindowedMax, WindowedMin
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -153,6 +153,12 @@ class FluidCubic(FluidFlow):
         self._w_max_pkts: Optional[float] = None
         self._epoch_start: Optional[float] = None
         self._k = 0.0
+        # The epoch's cube block: predicted tick times, their cubes, the
+        # next index to serve and the size of the next block.
+        self._times: List[float] = []
+        self._cubes: List[float] = []
+        self._next = 0
+        self._block = mathops.CUBE_BLOCK_MIN
 
     def tick(self, ctx: TickContext) -> None:
         rtt_measured = ctx.rtt_measured
@@ -170,9 +176,23 @@ class FluidCubic(FluidFlow):
                 self._w_max_pkts, self._k = cwnd_segments, 0.0
             else:
                 self._k = float(mathops.cubic_k(self._w_max_pkts))
+            self._times = []
+            self._block = mathops.CUBE_BLOCK_MIN
         # mathops.cubic_window with numpy for the power only: C·p + W_max
-        # in Python floats rounds exactly as on numpy scalars.
-        cube = float(np.power(now - self._epoch_start - self._k, 3.0))
+        # in Python floats rounds exactly as on numpy scalars.  The cube
+        # is served from a block computed ahead while the clock runs as
+        # predicted; any other tick starts a new block from itself.
+        i = self._next
+        if i < len(self._times) and self._times[i] == now:
+            cube = self._cubes[i]
+            self._next = i + 1
+        else:
+            self._times, self._cubes = mathops.cubic_cubes(
+                now, ctx.dt, self._epoch_start, self._k, self._block
+            )
+            cube = self._cubes[0]
+            self._next = 1
+            self._block = min(2 * self._block, mathops.CUBE_BLOCK_MAX)
         target = (cubic_laws.C_CUBIC * cube + self._w_max_pkts) * mss
         if self.min_inflight > target:
             target = self.min_inflight

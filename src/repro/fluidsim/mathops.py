@@ -9,7 +9,9 @@ so both fluid adapters route every power through the helpers below.
 numpy ufuncs are elementwise position-independent (a scalar call and an
 array call produce the same bits), which is what makes the scalar and
 vectorized fluid paths agree *bitwise*, tick for tick, rather than
-merely within a tolerance.
+merely within a tolerance.  It also lets the scalar CUBIC adapter take
+its cubes a block of ticks at a time (:func:`cubic_cubes`): one array
+call, the bits of one scalar call per tick.
 
 The packet substrate keeps the pure-Python law functions: its numbers
 are per-ACK and never compared bitwise against the fluid model.
@@ -38,6 +40,7 @@ __all__ = [
     "exp2",
     "cubic_k",
     "cubic_window",
+    "cubic_cubes",
     "vivace_utility",
     "vivace_score",
 ]
@@ -65,6 +68,25 @@ def cubic_k(w_max):
 def cubic_window(t, k, w_max):
     """CUBIC Equation (1) target window in segments, numpy-rounded."""
     return cubic_laws.C_CUBIC * np.power(t - k, 3.0) + w_max
+
+
+#: Ticks in the first of an epoch's CUBIC cube blocks, and the most in
+#: one; each refill within the epoch doubles the block.
+CUBE_BLOCK_MIN = 8
+CUBE_BLOCK_MAX = 256
+
+
+def cubic_cubes(now, dt, epoch_start, k, n):
+    """The clock of ``n`` ticks, ``now`` first, and CUBIC's cube
+    ``((t − epoch_start) − K)³`` at each, as two lists.
+
+    One ``np.power`` over the block gives each element the bits of a
+    per-tick scalar call (position independence, above), and
+    ``np.add.accumulate`` adds ``dt`` strictly in order, so ``times``
+    matches a loop's repeated ``now += dt`` bit for bit.
+    """
+    times = np.add.accumulate([now] + [dt] * (n - 1))
+    return times.tolist(), np.power((times - epoch_start) - k, 3.0).tolist()
 
 
 def vivace_utility(rate, rtt_gradient, loss_rate, latency_coeff, loss_coeff):

@@ -21,8 +21,6 @@ __all__ = ["FlowReport", "RunReport", "load_report"]
 #: Event names produced by the congestion controllers / substrates.
 STATE_EVENT = "cc.state"
 BACKOFF_EVENT = "cc.backoff"
-DROP_EVENT = "link.drop"
-LOSS_EVENT = "flow.loss"
 RETX_EVENT = "flow.retransmit"
 
 
@@ -32,11 +30,7 @@ class FlowReport:
 
     flow_id: int
     cc: str = "?"
-    samples: int = 0
-    losses: int = 0
-    lost_packets: int = 0
     retransmits: int = 0
-    drops: int = 0
     backoffs: int = 0
     dwell: Dict[str, float] = field(default_factory=dict)
     throughput_mbps: Optional[float] = None
@@ -82,7 +76,6 @@ class RunReport:
             if fid is None:
                 continue
             fr = flow(fid)
-            fr.samples += 1
             if fr.cc == "?" and s.get("cc"):
                 fr.cc = s["cc"]
 
@@ -103,13 +96,8 @@ class RunReport:
                 transitions.setdefault(fid, []).append(e)
             elif e.name == BACKOFF_EVENT:
                 fr.backoffs += 1
-            elif e.name == LOSS_EVENT:
-                fr.losses += 1
-                fr.lost_packets += int(e.fields.get("lost_packets", 1))
             elif e.name == RETX_EVENT:
                 fr.retransmits += int(e.fields.get("packets", 1))
-            elif e.name == DROP_EVENT:
-                fr.drops += 1
 
         for fid, events in transitions.items():
             fr = flow(fid)

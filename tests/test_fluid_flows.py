@@ -1,7 +1,9 @@
 """Fluid flow dynamics: per-CCA behaviour at tick granularity."""
 
+import numpy as np
 import pytest
 
+from repro.fluidsim import FluidSpec, mathops, run_fluid
 from repro.fluidsim.core import TickContext
 from repro.fluidsim.flows import (
     FluidBBR,
@@ -13,6 +15,7 @@ from repro.fluidsim.flows import (
     available_fluid_algorithms,
     make_fluid_flow,
 )
+from repro.util.config import LinkConfig
 
 
 def ctx(now, dt=0.01, throughput=1e6, rtt=0.04, qd=0.0, lost=0.0):
@@ -90,6 +93,104 @@ class TestFluidCubic:
         w1 = f._w_max_pkts
         f.on_loss(0.5)
         assert f._w_max_pkts < w1
+
+
+class TestCubicCubeBlocks:
+    """CUBIC's cube comes from one ``np.power`` per block of predicted
+    ticks; these are the contracts that keep it the per-tick cube."""
+
+    def test_array_power_matches_scalar_power_bitwise(self):
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal(100_000) * 10.0 ** rng.uniform(
+            -3, 3, 100_000
+        )
+        start, length = 0, 1
+        while start < len(values):
+            block = values[start:start + length].tolist()
+            got = np.power(np.array(block), 3.0).view(np.uint64)
+            want = np.array(
+                [float(np.power(v, 3.0)) for v in block]
+            ).view(np.uint64)
+            assert (got == want).all(), (start, length)
+            start += length
+            length = length % 257 + 1
+
+    def test_accumulated_clock_matches_repeated_addition(self):
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            now = float(rng.uniform(0, 100))
+            dt = float(rng.uniform(1e-4, 0.05))
+            n = int(rng.integers(1, 257))
+            times, _ = mathops.cubic_cubes(now, dt, 0.0, 0.0, n)
+            want = [now]
+            for _ in range(n - 1):
+                now += dt
+                want.append(now)
+            assert times == want
+
+    def test_blocks_give_the_per_tick_window(self, monkeypatch):
+        def schedule():
+            """(now, dt, loss) ticks: uniform runs, a skipped tick, a
+            changed dt, and losses that end epochs mid-block."""
+            now, dt = 0.0, 0.01
+            for step in range(1500):
+                if step == 400:
+                    now += dt  # The flow misses one tick.
+                if step == 700:
+                    dt = 0.004
+                now += dt
+                yield now, dt, step in (20, 90, 95, 300, 701, 1000)
+
+        def trajectory():
+            flow = FluidCubic(0, rtt=0.04, fast_convergence=True)
+            inflights = []
+            for now, dt, loss in schedule():
+                flow.tick(ctx(now, dt=dt, throughput=2e6))
+                if loss:
+                    flow.on_loss(now)
+                inflights.append(flow.inflight)
+            return inflights
+
+        blocks = []
+        cubic_cubes = mathops.cubic_cubes
+
+        def counted(*args):
+            blocks.append(args[-1])
+            return cubic_cubes(*args)
+
+        monkeypatch.setattr(mathops, "cubic_cubes", counted)
+        blocked = trajectory()
+        assert mathops.CUBE_BLOCK_MAX in blocks  # A long epoch's blocks.
+
+        def per_tick(now, dt, epoch_start, k, n):
+            """The cube as the adapter computed it on every tick."""
+            return [now], [float(np.power(now - epoch_start - k, 3.0))]
+
+        monkeypatch.setattr(mathops, "cubic_cubes", per_tick)
+        assert blocked == trajectory()
+        assert len(blocks) < len(blocked) / 8
+
+    def test_numpy_power_calls_stay_per_block(self, monkeypatch):
+        """The counting gate: a 60 s scalar run makes at most one
+        ``np.power`` call per 8 CUBIC congestion-avoidance ticks."""
+        calls = [0, 0]  # np.power calls, CUBIC avoidance ticks.
+        power, tick = np.power, FluidCubic.tick
+
+        def counted_power(*args, **kwargs):
+            calls[0] += 1
+            return power(*args, **kwargs)
+
+        def counted_tick(flow, c):
+            calls[1] += not flow._in_slow_start
+            tick(flow, c)
+
+        monkeypatch.setattr(np, "power", counted_power)
+        monkeypatch.setattr(FluidCubic, "tick", counted_tick)
+        flows = [FluidSpec("cubic")] * 5 + [FluidSpec("bbr")] * 5
+        run_fluid(LinkConfig.from_mbps_ms(100, 40, 2), flows, 60.0, seed=1)
+        powers, avoidance_ticks = calls
+        assert avoidance_ticks > 10_000
+        assert powers <= avoidance_ticks / 8, calls
 
 
 class TestFluidReno:

@@ -27,6 +27,10 @@ from repro.sim.network import FlowSpec, run_dumbbell
 from repro.util.config import LinkConfig
 
 ENVELOPE = 1.25
+# Every race times bodies of ≥ 0.1 s a call, long enough that scheduler
+# noise on a 2-core box stays inside the envelope.
+PACKET_SECONDS = 50.0
+FLUID_SECONDS = 60.0
 PACKET_LINK = LinkConfig.from_mbps_ms(5, 20, 4)
 PACKET_FLOWS = [FlowSpec("cubic"), FlowSpec("bbr")]
 
@@ -54,7 +58,9 @@ def race(off, on, rounds=5):
 
 
 def packet_run(**instrument):
-    return run_dumbbell(PACKET_LINK, PACKET_FLOWS, 10.0, **instrument)
+    return run_dumbbell(
+        PACKET_LINK, PACKET_FLOWS, PACKET_SECONDS, **instrument
+    )
 
 
 def test_telemetry_changes_nothing_and_is_free_when_off():
@@ -84,8 +90,6 @@ def test_checking_changes_nothing_and_is_free_when_off():
 
 
 def test_tracing_changes_nothing_and_is_free_when_off():
-    # 40 s points: a body of ≥ 0.1 s a call, long enough that scheduler
-    # noise on a 2-core box stays inside the envelope.
     points = [
         ScenarioPoint(
             link=LinkConfig.from_mbps_ms(20, 20, buffer_bdp),
@@ -119,8 +123,8 @@ def test_droptail_pays_nothing_for_the_aqm_hooks():
     its fast path."""
     red = FLUID_LINK.with_aqm("red")
     droptail, with_red, droptail_s, red_s = race(
-        lambda: run_fluid(FLUID_LINK, FLUID_FLOWS, 10.0, seed=3),
-        lambda: run_fluid(red, FLUID_FLOWS, 10.0, seed=3),
+        lambda: run_fluid(FLUID_LINK, FLUID_FLOWS, FLUID_SECONDS, seed=3),
+        lambda: run_fluid(red, FLUID_FLOWS, FLUID_SECONDS, seed=3),
     )
     assert droptail != with_red  # Or the guard is vacuous.
     assert droptail_s < red_s * ENVELOPE
