@@ -361,7 +361,7 @@ class Checker:
 
         Imports numpy lazily so packet-only runs never pay for it.
         """
-        import numpy as np
+        from repro.fluidsim.mathops import np
 
         self.checks_run += int(active.sum())
         bad = active & (~np.isfinite(inflight) | (inflight <= 0))
@@ -394,7 +394,7 @@ class Checker:
         argument is a per-point array (``strict``/``active`` bool
         masks), and the first offending point is reported.
         """
-        import numpy as np
+        from repro.fluidsim.mathops import np
 
         self.checks_run += int(active.sum())
         bad = active & (~np.isfinite(total_rate) | (total_rate < 0))
@@ -438,7 +438,7 @@ class Checker:
         non-negative, and sum to 1.  ``tick`` is reported as the
         violation time.
         """
-        import numpy as np
+        from repro.fluidsim.mathops import np
 
         shares = np.asarray(shares, dtype=np.float64)
         self.checks_run += int(shares.shape[0])

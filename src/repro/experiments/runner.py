@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from statistics import mean
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -339,6 +338,9 @@ def _mean(values: List[Any]) -> Any:
     """
     if len(values) == 1:
         return values[0] + 0
+    # Imported here: ``statistics`` loads ``decimal`` and ``fractions``.
+    from statistics import mean
+
     return mean(values)
 
 

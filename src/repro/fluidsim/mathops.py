@@ -16,24 +16,58 @@ call, the bits of one scalar call per tick.
 The packet substrate keeps the pure-Python law functions: its numbers
 are per-ACK and never compared bitwise against the fluid model.
 
-This module is also the project's numpy import choke point for the
-fluid substrates: a missing numpy fails here with an actionable
-message instead of a bare ``ModuleNotFoundError`` deep inside a sweep.
+This module is also the project's one numpy import: the fluid
+substrates, the population model and the checker's array audits take
+``np`` from here.  A missing numpy fails here with an actionable
+message instead of a bare ``ModuleNotFoundError`` deep inside a sweep,
+and numpy loads without OpenBLAS's thread pool (:func:`_load_numpy`).
 """
 
 from __future__ import annotations
 
+import os
+
+from repro.cc.laws import cubic as cubic_laws
+from repro.cc.laws import vivace as vivace_laws
+
+#: The variables OpenBLAS reads for its thread count at load; one set
+#: by the user is theirs to keep.
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "GOTO_NUM_THREADS",
+    "OMP_NUM_THREADS",
+)
+
+
+def _load_numpy():
+    """numpy, its OpenBLAS loaded with one thread unless the user chose.
+
+    Nothing in the project calls a BLAS routine, yet OpenBLAS starts a
+    pool of ``ncpu − 1`` threads when numpy loads: tens of ms of every
+    fresh fluid process, and idle threads in every engine pool worker.
+    OpenBLAS reads its thread count once, at load, so the variable is
+    set only around the import and ``os.environ`` is left as it was.
+    """
+    if any(name in os.environ for name in BLAS_THREAD_VARS):
+        import numpy
+
+        return numpy
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    return numpy
+
+
 try:
-    import numpy as np
+    np = _load_numpy()
 except ImportError as exc:  # pragma: no cover - environment-dependent
     raise ImportError(
         "the fluid simulator requires numpy>=1.24, which is a declared "
         "dependency of this package; install it with `pip install -e .` "
         "(or `pip install numpy`)"
     ) from exc
-
-from repro.cc.laws import cubic as cubic_laws
-from repro.cc.laws import vivace as vivace_laws
 
 __all__ = [
     "np",

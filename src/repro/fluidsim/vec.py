@@ -438,10 +438,11 @@ class VecFluidSim:
         """
         if sel is None:
             sel = self._all
-        cap = self._capacity[sel.pts]
         total = self._segment_sum(w, sel)
-        queue = np.maximum(0.0, total - self._bdp[sel.pts])
+        bdp = self._bdp if sel is self._all else self._bdp[sel.pts]
+        queue = np.maximum(0.0, total - bdp)
         if self._any_uneq:
+            cap = self._capacity[sel.pts]
             uneq = ~self._eq_rtt[sel.pts]
             rtt = self._rtt[sel.rows]
             demand = self._segment_sum(np.where(w > 0, w / rtt, 0.0), sel)

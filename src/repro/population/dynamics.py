@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-import numpy as np
+from repro.fluidsim.mathops import np
 
 __all__ = ["DYNAMICS", "DynamicsConfig", "step_shares"]
 

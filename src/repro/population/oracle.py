@@ -39,11 +39,10 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.multi_flow import predict_multi_flow
 from repro.exec.fingerprint import ScenarioPoint, link_params
 from repro.experiments.runner import seed_means, seed_points
+from repro.fluidsim.mathops import np
 from repro.population.state import PopulationState
 from repro.util.jsonfile import write_json_atomic
 from repro.util.rounds import PointRounds, drive

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.fluidsim.mathops import np
 from repro.population.dynamics import DynamicsConfig, step_shares
 from repro.population.oracle import ErrorMap, TieredOracle
 from repro.population.state import (

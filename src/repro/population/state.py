@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
-import numpy as np
-
+from repro.fluidsim.mathops import np
 from repro.scenario.spec import BottleneckSpec
 
 __all__ = [

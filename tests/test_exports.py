@@ -213,13 +213,14 @@ ENTRY_POINTS = {
         _batch("packet", 1, 2),
         {},
         ("repro.sim.network",),
-        UNUSED_BY_A_RUN + ("numpy", "repro.fluidsim"),
+        UNUSED_BY_A_RUN + ("numpy", "repro.fluidsim", "statistics"),
     ),
     "fluid_point": (
         _batch("fluid", 1, 2),
         {},
         ("numpy", "repro.fluidsim.core", "repro.fluidsim.flows"),
-        UNUSED_BY_A_RUN + ("repro.fluidsim.vec", "repro.sim"),
+        UNUSED_BY_A_RUN
+        + ("repro.fluidsim.vec", "repro.sim", "statistics"),
     ),
     # 4 points x 20 flows: 80 rows, one vectorized batch.
     "vec_batch": (
@@ -254,24 +255,32 @@ ENTRY_POINTS = {
 SETUP_MAX_MODULES = 22
 
 
-def _modules_after(code, environ):
-    """Every module a fresh interpreter holds after running ``code``,
-    with no ``REPRO_*`` variable but those in ``environ``."""
+def _fresh(code, environ, scrub=("REPRO_",)):
+    """What a fresh interpreter prints running ``code``, with no
+    variable named by a ``scrub`` prefix but those in ``environ``."""
     env = {
         key: value
         for key, value in os.environ.items()
-        if not key.startswith("REPRO_")
+        if not key.startswith(scrub)
     }
     env.update(environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", code + "\nprint(*sorted(sys.modules))"],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    return set(done.stdout.split())
+    return done.stdout
+
+
+def _modules_after(code, environ):
+    """Every module a fresh interpreter holds after running ``code``,
+    with no ``REPRO_*`` variable but those in ``environ``."""
+    return set(
+        _fresh(code + "\nprint(*sorted(sys.modules))", environ).split()
+    )
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -291,3 +300,46 @@ def test_the_setup_line_loads_few_repro_modules():
     loaded = _modules_after("import sys\n" + SETUP, {})
     repro = sorted(name for name in loaded if name.startswith("repro"))
     assert len(repro) <= SETUP_MAX_MODULES, repro
+
+
+# -- numpy loads without OpenBLAS's thread pool ------------------------------
+
+#: Loads numpy the project's way, runs one BLAS call, and prints the
+#: process's threads, whether ``os.environ`` came back as it was, and
+#: the BLAS numpy was built against.
+THREADS = """
+import os
+before = dict(os.environ)
+from repro.fluidsim.mathops import np
+np.ones((64, 64)) @ np.ones((64, 64))
+blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+print(len(os.listdir("/proc/self/task")), dict(os.environ) == before)
+print(blas.get("blas", {}).get("name", "unknown"))
+"""
+
+
+def _threads(environ):
+    """(threads, ``os.environ`` unchanged) after :data:`THREADS`, with
+    no BLAS variable but those in ``environ`` (the caller's choice
+    would hide the project's default)."""
+    from repro.fluidsim.mathops import BLAS_THREAD_VARS
+
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    scrub = ("REPRO_",) + BLAS_THREAD_VARS
+    lines = _fresh(THREADS, environ, scrub).splitlines()
+    threads, unchanged = lines[0].split()
+    if "openblas" not in lines[1]:
+        pytest.skip(f"numpy is built against {lines[1]}, not OpenBLAS")
+    return int(threads), unchanged == "True"
+
+
+def test_numpy_loads_with_one_blas_thread():
+    assert _threads({}) == (1, True)
+
+
+def test_a_chosen_blas_thread_count_is_kept():
+    threads, unchanged = _threads({"OPENBLAS_NUM_THREADS": "2"})
+    assert unchanged
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert threads == 2

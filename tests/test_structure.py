@@ -521,9 +521,25 @@ def test_the_campaign_layer_has_no_concurrency_of_its_own():
         assert not found, f"{path}: imports {found}"
 
 
+#: The one module that imports numpy, and so the one place OpenBLAS
+#: can start its thread pool: it loads numpy with one BLAS thread.
+NUMPY_LOADER = "repro/fluidsim/mathops.py"
+
+
 def test_no_thread_pool_anywhere():
+    """No ``ThreadPoolExecutor``, and numpy -- whose OpenBLAS starts a
+    pool when it loads -- is imported by ``NUMPY_LOADER`` only."""
     for path, text in SOURCES.items():
         assert "ThreadPoolExecutor" not in text, path
+    importers = sorted(
+        str(path.relative_to(SRC))
+        for path, tree in TREES.items()
+        if any(
+            module.split(".")[0] == "numpy"
+            for module in imported_modules(tree)
+        )
+    )
+    assert importers == [NUMPY_LOADER]
 
 
 def test_the_bisection_loop_exists_once():
@@ -557,8 +573,6 @@ def test_stage_run_has_no_sequential_field():
 
 # -- CI runs the suite, it does not hold checks ------------------------------
 
-#: What a CI step may not run: a ``grep`` / ``cmp`` / ``diff`` gate, a
-#: ``test "$(...)"`` count, or inline Python.
 #: What a package ``__init__`` may import of its own subtree: the
 #: loader.  ``repro.scenario`` re-exports its one module eagerly.
 INIT_LOADER = "repro.util.lazy"
@@ -582,6 +596,8 @@ def test_no_package_init_imports_its_submodules():
     assert not eager, "\n".join(eager)
 
 
+#: What a CI step may not run: a ``grep`` / ``cmp`` / ``diff`` gate, a
+#: ``test "$(...)"`` count, or inline Python.
 CI_GATES = re.compile(
     r"""\b(grep|cmp|diff)\b|test "\$\(|python3?\s+-(c\b|\s|$)"""
 )
@@ -597,3 +613,27 @@ def test_ci_runs_no_checks_of_its_own():
         if not line.lstrip().startswith("#") and CI_GATES.search(line)
     ]
     assert not found, "\n".join(found)
+
+
+def _versions(text):
+    """Every ``3.N`` in ``text``, as comparable tuples."""
+    return [
+        tuple(map(int, version.split(".")))
+        for version in re.findall(r"\b3\.\d+\b", text)
+    ]
+
+
+def test_the_declared_python_floor_is_the_oldest_ci_tests():
+    """``requires-python`` names the oldest interpreter CI runs the
+    suite on, so a newer-only construct (``dataclass(slots=True)``
+    needs 3.10) cannot slip under the floor unseen."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=([\d.]+)"$', pyproject, re.M)
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    tested = [
+        version
+        for line in workflow.splitlines()
+        if line.strip().startswith("python-version:")
+        for version in _versions(line)
+    ]
+    assert _versions(floor.group(1)) == [min(tested)]
