@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro import __version__
 from repro.scenario import LOSS_MODES, canonical_backend, expand_mix
-from repro.scenario.spec import BottleneckSpec
+from repro.scenario.spec import BottleneckSpec, check_run_window
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -149,11 +149,7 @@ class ScenarioPoint:
         object.__setattr__(self, "mix", tuple(mix))
         if self.warmup is None:
             object.__setattr__(self, "warmup", self.duration / 6.0)
-        if not 0 <= self.warmup < self.duration:
-            raise ValueError(
-                f"warmup must lie in [0, duration), got warmup="
-                f"{self.warmup} with duration={self.duration}"
-            )
+        check_run_window(self.duration, self.warmup)
 
     @property
     def rows(self) -> int:

@@ -10,16 +10,17 @@ with a capacity that may follow a trace.
 
 Per tick:
 
-1. every sending flow observes last tick's throughput/RTT and updates its
-   in-flight target (its congestion-control law);
-2. the shared queue is solved from the in-flight totals (closed form for
+1. one pass over the sending flows integrates each one's throughput
+   over the last tick, ``λ_i = inflight_i / (rtt_i + Q/C)``, and hands
+   it to the flow, which updates its in-flight target (its
+   congestion-control law);
+2. the shared queue is solved from the in-flight total (closed form for
    equal RTTs, bisection otherwise);
-3. if the queue exceeds the buffer, the excess is dropped in proportion to
-   in-flight share, and the loss-based flows the synchronization mode
-   picks as victims cut their windows;
+3. if the queue exceeds the buffer, one more pass drops the excess in
+   proportion to in-flight share and backs off the loss-based flows the
+   synchronization mode picks as victims;
 4. an AQM, if any, turns the queue into a drop (or ECN-mark) volume,
-   shared out and answered the same way;
-5. per-flow throughput ``λ_i = inflight_i / (rtt_i + Q/C)`` is integrated.
+   shared out and answered the same way.
 
 The *synchronization mode* mirrors §2.4's two boundary cases: ``"sync"``
 makes every loss-based flow back off on each overflow (Equation 21's
@@ -39,7 +40,7 @@ from repro.fluidsim.aqmfluid import make_fluid_aqm
 from repro.fluidsim.spec import FluidSpec
 from repro.scenario import LOSS_MODES
 from repro.scenario.result import FlowResult, SimulationResult
-from repro.scenario.spec import BottleneckSpec
+from repro.scenario.spec import BottleneckSpec, check_run_window
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.core import Checker
@@ -179,23 +180,22 @@ class FluidSimulation:
         self._delivered = [0.0] * len(self.flows)
         self._delivered_window = [0.0] * len(self.flows)
         self._lost = [0.0] * len(self.flows)
+        self._lost_tick = [0.0] * len(self.flows)  # for the next tick
         self._queue_integral = 0.0
         self._time_simulated = 0.0
-        self._measure_start = 0.0
         self.queue_bytes = 0.0
         self._has_run = False
         self._steps_run = 0
 
     # -- queue solving ----------------------------------------------------
 
-    def _solve_queue(self, inflights: List[float]) -> float:
-        """Queue size (bytes) implied by the in-flight totals."""
+    def _solve_queue(self, inflights: List[float], total: float) -> float:
+        """Queue bytes implied by ``inflights``, which sum to ``total``."""
         capacity = self.capacity_now
         if self._equal_rtt:
-            bdp = capacity * self.flows[0].rtt
-            return max(0.0, sum(inflights) - bdp)
+            queue = total - capacity * self.flows[0].rtt
+            return queue if queue > 0.0 else 0.0  # max(0.0, queue)
         # Heterogeneous RTTs: find Q ≥ 0 with Σ w_i/(rtt_i + Q/C) = C.
-        total = sum(inflights)
         demand = sum(
             w / f.rtt for w, f in zip(inflights, self.flows) if w > 0
         )
@@ -218,39 +218,6 @@ class FluidSimulation:
                 break
         return (lo + hi) / 2.0
 
-    # -- loss assignment ----------------------------------------------------
-
-    def _pick_victims(
-        self, queue_shares: List[float], responsive: List[int]
-    ) -> List[int]:
-        """Choose which loss-responsive flows back off on an overflow.
-
-        ``sync`` and ``desync`` realize §2.4's two boundary cases directly.
-        ``proportional`` backs a flow off only once it has *absorbed* at
-        least one segment's worth of drops (tracked in
-        ``_drop_accumulator``), which is how losses are actually perceived:
-        drops land on flows in proportion to their queue share, so lightly
-        represented flows are rarely hit — synchronization emerges rather
-        than being imposed.
-        """
-        if not responsive:
-            return []
-        if self.loss_mode == "sync":
-            return list(responsive)
-        if self.loss_mode == "desync":
-            return [max(responsive, key=lambda i: queue_shares[i])]
-        victims = []
-        for i in responsive:
-            if self._drop_accumulator[i] >= self._drop_threshold[i]:
-                victims.append(i)
-                self._drop_accumulator[i] = 0.0
-                # Jitter the next loss-perception threshold so equal flows
-                # do not stay artificially locked in step across trials.
-                self._drop_threshold[i] = self.link.mss * (
-                    0.5 + self.rng.random()
-                )
-        return victims
-
     # -- main loop ------------------------------------------------------------
 
     def run(self, duration: float, warmup: float = 0.0) -> SimulationResult:
@@ -261,10 +228,7 @@ class FluidSimulation:
                 "instance (accumulators are not reset); build a new "
                 "simulation for another trial"
             )
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        if not 0 <= warmup < duration:
-            raise ValueError(f"warmup must lie in [0, duration)")
+        check_run_window(duration, warmup)
         self._has_run = True
         capacity = self.capacity_now
         buffer_bytes = self.link.buffer_bytes
@@ -281,10 +245,11 @@ class FluidSimulation:
         ctx = TickContext()
         ctx.dt = dt
 
-        # Previous tick's allocation, for flow observations.
-        prev_rate = [0.0] * n
-        lost_this_tick = [0.0] * n
-        queue_delay = 0.0
+        # The last tick's in-flight volumes after its signals (0.0 before
+        # a flow starts) and queue delay, which each pass integrates.
+        inflights = [0.0] * n
+        lost_this_tick = self._lost_tick
+        queue = queue_delay = 0.0
 
         # Which flows send is decided once per tick until every flow
         # has started; a flow sends from its start to the end of the run.
@@ -297,47 +262,56 @@ class FluidSimulation:
             now += dt
             if self._cap_events:
                 capacity = self._apply_capacity_steps(now)
+            # Whether the last tick, integrated below, is measured.
+            measured = measure_started
             if not measure_started and now >= warmup:
                 measure_started = True
-                self._measure_start = now
-                delivered_window = self._delivered_window = [0.0] * n
             if not settled:
                 active = [i for i in range(n) if now >= flows[i].start_time]
                 settled = len(active) == n
+            sampling = sample_interval is not None and now >= next_sample
+            if sampling:
+                # The rates the pass below integrates, for the samples.
+                rates = [
+                    0.0 if w <= 0 else w / (rtt + queue_delay)
+                    for w, rtt in zip(inflights, rtts)
+                ]
 
-            # 1. Flows update their in-flight targets.
+            # 1. Integrate the last tick; flows update their targets.
             ctx.now = now
             ctx.queue_delay = queue_delay
+            total = 0.0
             for i in active:
                 flow = flows[i]
-                ctx.throughput = prev_rate[i]
-                ctx.rtt_measured = rtts[i] + queue_delay
+                w = inflights[i]
+                rtt = rtts[i] + queue_delay
+                if w <= 0:
+                    rate = 0.0
+                else:
+                    rate = w / rtt
+                    delivered = rate * dt
+                    delivered_total[i] += delivered
+                    if measured:
+                        delivered_window[i] += delivered
+                ctx.throughput = rate
+                ctx.rtt_measured = rtt
                 ctx.lost_bytes = lost_this_tick[i]
                 flow.tick(ctx)
                 lost_this_tick[i] = 0.0
                 if check is not None:
                     check.fluid_flow(now, flow)
-
-            if settled:
-                inflights = [f.inflight for f in flows]
-            else:
-                inflights = [0.0] * n
-                for i in active:
-                    inflights[i] = flows[i].inflight
+                w = inflights[i] = flow.inflight
+                total += w
 
             # 2-4. Solve the queue; handle overflow, then the AQM.
-            queue = self._solve_queue(inflights)
+            queue = self._solve_queue(inflights, total)
             if queue > buffer_bytes:
-                queue = self._handle_overflow(
-                    now, inflights, queue, lost_this_tick
-                )
+                queue = self._handle_overflow(now, inflights, total, queue)
             if self._aqm is not None:
-                queue = self._apply_aqm(
-                    now, inflights, queue, lost_this_tick
-                )
+                queue = self._apply_aqm(now, inflights, queue)
             queue_delay = queue / capacity
 
-            if sample_interval is not None and now >= next_sample:
+            if sampling:
                 next_sample = now + sample_interval
                 for i in active:
                     flow = flows[i]
@@ -347,27 +321,19 @@ class FluidSimulation:
                         cc=flow.name,
                         cwnd=inflights[i],
                         in_flight=inflights[i],
-                        pacing_rate=prev_rate[i],
+                        pacing_rate=rates[i],
                         state=flow.state,
                     )
-
-            # 5. Integrate throughput.
-            utilization = 0.0
-            for i, w in enumerate(inflights):
-                if w <= 0:
-                    prev_rate[i] = 0.0
-                    continue
-                rate = w / (rtts[i] + queue_delay)
-                prev_rate[i] = rate
-                delivered = rate * dt
-                delivered_total[i] += delivered
-                if measure_started:
-                    delivered_window[i] += delivered
-                utilization += rate
             if check is not None:
-                # Overflow ticks (queue clamped at the buffer) are
-                # exempt from the strict ≤-capacity bound: the clamped
-                # queue intentionally understates the delay there.
+                # This tick's rates, summed as the next pass credits
+                # them.  Overflow ticks (queue clamped at the buffer)
+                # are exempt from the strict ≤-capacity bound: the
+                # clamped queue intentionally understates the delay.
+                utilization = 0.0
+                for w, rtt in zip(inflights, rtts):
+                    if w <= 0:
+                        continue
+                    utilization += w / (rtt + queue_delay)
                 check.fluid_conservation(
                     now,
                     total_rate=utilization,
@@ -381,24 +347,34 @@ class FluidSimulation:
                 self._queue_integral += queue * dt
                 self._time_simulated += dt
 
+        # 5. Integrate the last tick.
+        for i, w in enumerate(inflights):
+            if w <= 0:
+                continue
+            delivered = w / (rtts[i] + queue_delay) * dt
+            delivered_total[i] += delivered
+            if measure_started:
+                delivered_window[i] += delivered
+
         self.queue_bytes = queue
         self._steps_run = steps
         if obs is not None:
             obs.count("fluid.steps", steps)
         return self._build_result(duration, warmup)
 
+    # -- congestion signals ---------------------------------------------------
+
     def _handle_overflow(
         self,
         now: float,
         inflights: List[float],
+        total: float,
         queue: float,
-        lost_this_tick: List[float],
     ) -> float:
         """Drop the excess, let drop-hit flows back off; returns the queue."""
         buffer_bytes = self.link.buffer_bytes
         excess = queue - buffer_bytes
-        total_inflight = sum(inflights)
-        if total_inflight <= 0:
+        if total <= 0:
             return buffer_bytes
         if self.obs is not None:
             # Fluid "drops" are byte quantities; packet counts follow by
@@ -414,54 +390,77 @@ class FluidSimulation:
                 dropped_bytes=excess,
                 queued_bytes=buffer_bytes,
             )
+        return self._signal(now, inflights, total, excess, True)
 
-        queue_shares = [w / total_inflight for w in inflights]
-        self._drop(now, inflights, excess, queue_shares, lost_this_tick)
-        return self._back_off(now, inflights, queue_shares)
-
-    def _drop(
+    def _signal(
         self,
         now: float,
         inflights: List[float],
+        total: float,
         volume: float,
-        queue_shares: List[float],
-        lost_this_tick: List[float],
-    ) -> None:
-        """Drop ``volume`` bytes from the sending flows.
+        drop: bool,
+    ) -> float:
+        """Share ``volume`` bytes of congestion signal out over the
+        sending flows and back off its victims; returns the re-solved
+        queue.
 
         Assumption 3 of §2.3: packets are uniformly mixed in the buffer,
-        so drops land on flows in proportion to their in-flight share.
+        so the signal lands on flows in proportion to their share of the
+        ``total`` in flight; ``drop`` removes it.  Which sending
+        loss-based flows back off is the loss mode's choice.  ``sync``
+        and ``desync`` realize §2.4's two boundary cases directly: all
+        of them, or the first with the largest share.  ``proportional``
+        backs a flow off only once it has *absorbed* at least one
+        segment's worth of signal (tracked in ``_drop_accumulator``),
+        which is how losses are actually perceived: lightly represented
+        flows are rarely hit, so synchronization emerges rather than
+        being imposed.
         """
         flows = self.flows
-        counts_drops = self._counts_drops
-        lost = self._lost
+        loss_based = self._loss_based
         accumulator = self._drop_accumulator
+        mode = self.loss_mode
+        victim, largest = -1, 0.0
         for i, w in enumerate(inflights):
             if w <= 0:
                 continue
-            drop = volume * queue_shares[i]
-            left = w - drop
-            inflights[i] = 0.0 if left < 0.0 else left  # max(left, 0.0)
-            if counts_drops[i]:
-                flows[i].on_drop(now, drop)
-            lost[i] += drop
-            lost_this_tick[i] += drop
-            accumulator[i] += drop
-
-    def _back_off(
-        self, now: float, inflights: List[float], queue_shares: List[float]
-    ) -> float:
-        """Back off the victims the loss mode picks among the sending
-        loss-based flows; returns the re-solved queue."""
-        loss_based = self._loss_based
-        responsive = [
-            i for i, w in enumerate(inflights) if loss_based[i] and w > 0
-        ]
-        for i in self._pick_victims(queue_shares, responsive):
-            flow = self.flows[i]
+            share = w / total
+            signal = volume * share
+            if drop:
+                left = w - signal
+                # max(left, 0.0), with the builtin's tie rule.
+                w = inflights[i] = 0.0 if left < 0.0 else left
+                if self._counts_drops[i]:
+                    flows[i].on_drop(now, signal)
+                self._lost[i] += signal
+                self._lost_tick[i] += signal
+            accumulator[i] += signal
+            if not (loss_based[i] and w > 0):
+                continue
+            if mode == "desync":
+                if victim < 0 or share > largest:
+                    victim, largest = i, share
+                continue
+            if mode == "proportional":
+                if not accumulator[i] >= self._drop_threshold[i]:
+                    continue
+                accumulator[i] = 0.0
+                # Jitter the next loss-perception threshold so equal flows
+                # do not stay artificially locked in step across trials.
+                self._drop_threshold[i] = self.link.mss * (
+                    0.5 + self.rng.random()
+                )
+            flow = flows[i]
             flow.on_loss(now)
-            inflights[i] = min(inflights[i], flow.inflight)
-        return min(self._solve_queue(inflights), self.link.buffer_bytes)
+            inflights[i] = min(w, flow.inflight)
+        if victim >= 0:
+            flow = flows[victim]
+            flow.on_loss(now)
+            inflights[victim] = min(inflights[victim], flow.inflight)
+        return min(
+            self._solve_queue(inflights, sum(inflights)),
+            self.link.buffer_bytes,
+        )
 
     def _apply_capacity_steps(self, now: float) -> float:
         """Apply due capacity-trace steps; returns the current capacity.
@@ -494,64 +493,47 @@ class FluidSimulation:
         now: float,
         inflights: List[float],
         queue: float,
-        lost_this_tick: List[float],
     ) -> float:
         """Apply this tick's AQM decision; returns the re-solved queue.
 
         The decision object (:mod:`repro.fluidsim.aqmfluid`) turns the
-        solved queue into an affected byte volume.  Without ECN those
-        bytes are *dropped*: they land on flows in proportion to queue
-        share (Assumption 3 of §2.3, exactly like overflow drops) and
-        count as lost.  With ECN the same volume is *marked*: no bytes
-        are removed, but the marks feed the same loss-perception
-        accumulator, so loss-based flows back off as the paper's model
-        expects a congestion signal to make them — the fluid analogue
-        of RFC 3168's mark-equals-loss control response.
+        solved queue into a byte volume, *dropped* exactly like overflow
+        drops, or with ECN *marked*: no bytes are removed, but the marks
+        feed the same loss-perception accumulator, so loss-based flows
+        back off as to a loss — the fluid analogue of RFC 3168's
+        mark-equals-loss control response.
         """
         volume = self._aqm.tick(now, queue, self.capacity_now, self.dt)
         if volume <= 0.0:
             return queue
-        total_inflight = sum(inflights)
-        if total_inflight <= 0:
+        total = sum(inflights)
+        if total <= 0:
             return queue
-        volume = min(volume, total_inflight)
+        volume = min(volume, total)
         ecn = self._aqm.ecn
-        mss = self.link.mss
-        queue_shares = [w / total_inflight for w in inflights]
-        if ecn:
-            accumulator = self._drop_accumulator
-            for i, w in enumerate(inflights):
-                if w <= 0:
-                    continue
-                accumulator[i] += volume * queue_shares[i]
-            if self.obs is not None:
-                self.obs.count(
-                    "link.ecn_marks", max(int(volume / mss), 1)
-                )
-                self.obs.event(
+        obs = self.obs
+        if obs is not None:
+            packets = max(int(volume / self.link.mss), 1)
+            if ecn:
+                obs.count("link.ecn_marks", packets)
+                obs.event(
                     "link.mark",
                     time=now,
                     marked_bytes=volume,
                     queued_bytes=queue,
                 )
-        else:
-            self._drop(now, inflights, volume, queue_shares, lost_this_tick)
-            if self.obs is not None:
-                self.obs.count(
-                    "link.aqm_drops", max(int(volume / mss), 1)
-                )
-                self.obs.count(
-                    "link.dropped_packets", max(int(volume / mss), 1)
-                )
-                self.obs.count("link.dropped_bytes", int(volume))
-                self.obs.event(
+            else:
+                obs.count("link.aqm_drops", packets)
+                obs.count("link.dropped_packets", packets)
+                obs.count("link.dropped_bytes", int(volume))
+                obs.event(
                     "link.drop",
                     time=now,
                     dropped_bytes=volume,
                     queued_bytes=queue,
                     aqm=True,
                 )
-        return self._back_off(now, inflights, queue_shares)
+        return self._signal(now, inflights, total, volume, not ecn)
 
     def _build_result(
         self, duration: float, warmup: float

@@ -54,7 +54,7 @@ from repro.fluidsim.spec import FluidSpec
 from repro.fluidsim.vec_laws import TickState, VecKernel
 from repro.scenario import LOSS_MODES
 from repro.scenario.result import FlowResult, SimulationResult
-from repro.scenario.spec import BottleneckSpec
+from repro.scenario.spec import BottleneckSpec, check_run_window
 
 
 class _Points(NamedTuple):
@@ -101,12 +101,7 @@ class BatchPoint:
                 f"loss_mode must be one of {LOSS_MODES}, "
                 f"got {self.loss_mode!r}"
             )
-        if self.duration <= 0:
-            raise ValueError(
-                f"duration must be positive, got {self.duration}"
-            )
-        if not 0 <= self.warmup < self.duration:
-            raise ValueError("warmup must lie in [0, duration)")
+        check_run_window(self.duration, self.warmup)
         self.cc_names = tuple(
             laws_registry.get_spec(spec.cc).name for spec in self.flows
         )
@@ -740,7 +735,7 @@ class VecFluidSim:
         loss-perception accumulators) are columns over ``sel``'s rows;
         the sync/desync/proportional admission logic — and its RNG draw
         order — is the scalar substrate's
-        :meth:`repro.fluidsim.core.FluidSimulation._pick_victims`.
+        :meth:`repro.fluidsim.core.FluidSimulation._signal`.
         Kernels back off only their victims, by local index.  Mutates
         ``w_r`` and ``acc_r`` for admitted victims.
         """

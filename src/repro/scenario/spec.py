@@ -74,6 +74,18 @@ AQM_KINDS = ("droptail", "red", "codel")
 TRACE_KINDS = ("constant", "steps", "trace")
 
 
+def check_run_window(duration: float, warmup: float) -> None:
+    """Raise ValueError, naming the values, unless a run of ``duration``
+    seconds measures from ``warmup`` in [0, duration)."""
+    if duration <= 0:
+        raise ValueError(f"duration must be positive, got {duration}")
+    if not 0 <= warmup < duration:
+        raise ValueError(
+            f"warmup must lie in [0, duration), got warmup={warmup} "
+            f"with duration={duration}"
+        )
+
+
 def _canon_float(name: str, value: Any) -> float:
     """Coerce ``value`` to a finite float (canonicalization helper)."""
     try:

@@ -34,7 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.cc.base import make_controller
 from repro.scenario.result import FlowResult, SimulationResult
-from repro.scenario.spec import BottleneckSpec, CoDelSpec, REDSpec
+from repro.scenario.spec import (
+    BottleneckSpec,
+    CoDelSpec,
+    REDSpec,
+    check_run_window,
+)
 from repro.sim.aqm import RED, CoDel
 from repro.sim.endpoints import Sender
 from repro.sim.engine import EventLoop
@@ -272,12 +277,7 @@ class DumbbellNetwork:
         more than :meth:`event_budget` events raises
         :class:`~repro.sim.engine.EventBudgetExceeded`.
         """
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        if not 0 <= warmup < duration:
-            raise ValueError(
-                f"warmup must lie in [0, duration), got {warmup}"
-            )
+        check_run_window(duration, warmup)
         self.loop.run_until(
             duration, max_events=self.event_budget(duration)
         )

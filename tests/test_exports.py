@@ -187,6 +187,10 @@ UNUSED_BY_A_RUN = POOL + (
     "repro.experiments.figures",
 )
 
+#: What the runner's mean of many values does without: ``statistics``
+#: and the exact types it loads.
+EXACT_MEAN = ("statistics", "decimal", "fractions")
+
 #: id -> (code, environment it adds, modules it must load, modules it
 #: must not load -- a package stands for its submodules too).
 ENTRY_POINTS = {
@@ -209,18 +213,19 @@ ENTRY_POINTS = {
         ("repro.core.nash",),
         ("numpy", "repro.core.game", "repro.exec", "repro.cc"),
     ),
+    # 3 CUBIC + 1 BBR: a class of three flows takes the runner's
+    # many-value mean.
     "packet_point": (
-        _batch("packet", 1, 2),
+        _batch("packet", 1, 4),
         {},
         ("repro.sim.network",),
-        UNUSED_BY_A_RUN + ("numpy", "repro.fluidsim", "statistics"),
+        UNUSED_BY_A_RUN + ("numpy", "repro.fluidsim") + EXACT_MEAN,
     ),
     "fluid_point": (
-        _batch("fluid", 1, 2),
+        _batch("fluid", 1, 4),
         {},
         ("numpy", "repro.fluidsim.core", "repro.fluidsim.flows"),
-        UNUSED_BY_A_RUN
-        + ("repro.fluidsim.vec", "repro.sim", "statistics"),
+        UNUSED_BY_A_RUN + ("repro.fluidsim.vec", "repro.sim") + EXACT_MEAN,
     ),
     # 4 points x 20 flows: 80 rows, one vectorized batch.
     "vec_batch": (

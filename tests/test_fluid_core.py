@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fluidsim.core import FluidSimulation, FluidSpec, run_fluid
+from repro.fluidsim.vec import run_fluid_vec
 from repro.util.config import LinkConfig
 
 
@@ -24,6 +25,14 @@ def test_rejects_bad_duration():
     sim = FluidSimulation(link(), [FluidSpec("cubic")])
     with pytest.raises(ValueError):
         sim.run(0)
+
+
+@pytest.mark.parametrize("run", [run_fluid, run_fluid_vec])
+@pytest.mark.parametrize("warmup", [-1.0, 2.5, 3.0])
+def test_a_bad_warmup_is_named_with_the_duration(run, warmup):
+    with pytest.raises(ValueError) as error:
+        run(link(), [FluidSpec("cubic")], duration=2.5, warmup=warmup)
+    assert f"got warmup={warmup} with duration=2.5" in str(error.value)
 
 
 def test_rejects_second_run():

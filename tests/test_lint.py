@@ -1,8 +1,9 @@
 """The lint subset that needs no linter: line length, trailing
-whitespace and unused imports, over the files ``ruff check`` covers.
+whitespace, unused imports and f-strings without placeholders, over the
+files ``ruff check`` covers.
 
 CI runs ``ruff check`` as well (config in ``pyproject.toml``) for the
-rules these do not cover, such as import order.  These three run
+rules these do not cover, such as import order.  These four run
 anywhere the test suite runs, the same way every time, in well under a
 second.
 """
@@ -127,3 +128,55 @@ def test_no_unused_imports():
         for entry in unused_imports(path, text)
     )
     assert not found, f"unused imports:\n{found}"
+
+
+def placeholderless_fstrings(path, text):
+    """F541: an f-string with no placeholder.  Implicitly concatenated
+    parts are one f-string, as ruff counts them; a format spec
+    (``{x:.1f}``) is not an f-string of its own."""
+    tree = ast.parse(text)
+    specs = {
+        id(node.format_spec)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FormattedValue) and node.format_spec
+    }
+    lines = text.splitlines()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.JoinedStr)
+            and id(node) not in specs
+            and not any(
+                isinstance(part, ast.FormattedValue) for part in node.values
+            )
+            and not any(
+                suppressed(line, "F541")
+                for line in lines[node.lineno - 1 : node.end_lineno]
+            )
+        ):
+            yield f"{path.relative_to(ROOT)}:{node.lineno}"
+
+
+def test_no_fstrings_without_placeholders():
+    found = "\n".join(
+        entry
+        for path, text in FILES.items()
+        for entry in placeholderless_fstrings(path, text)
+    )
+    assert not found, f"f-strings without placeholders:\n{found}"
+
+
+def test_the_fstring_check_sees_what_ruff_sees():
+    text = (
+        'a = f"none"\n'
+        'b = f"{a}"\n'
+        'c = f"{a:.1f}" f"joined"\n'
+        'd = f"skip"  # noqa: F541\n'
+        'e = (f"two "\n'
+        '     "lines")\n'
+        'g = f"{a!r:>{b}}"\n'
+    )
+    path = ROOT / "example.py"
+    assert list(placeholderless_fstrings(path, text)) == [
+        "example.py:1",
+        "example.py:5",
+    ]

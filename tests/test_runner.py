@@ -4,12 +4,16 @@ functions."""
 import json
 import math
 import statistics
+import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.game import GroupGame
 from repro.exec import ResultCache, ScenarioPoint
 from repro.experiments.runner import (
+    _mean,
     _one_run,
     distribution_payoff_fn,
     expand_mix,
@@ -209,6 +213,41 @@ def test_aggregate_trials_means_equal_statistics_mean(mix, trials):
     expected = _reference_aggregate(mix, trials)
     for name, value in expected.items():
         assert _same(getattr(result, name), value), name
+
+
+#: Values ``_mean`` sees, and the edges of ``statistics.mean``'s
+#: exact arithmetic: ints of any size, subnormal to huge floats,
+#: ``-0.0``, ±inf and NaN, in any mix.
+MEAN_VALUES = st.one_of(
+    st.integers(),
+    st.integers(-5, 5),
+    st.floats(),
+    st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300),
+    st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e308, -1e308]),
+)
+
+
+def _bits(value):
+    """A value's type and its exact bits (a NaN's sign and payload
+    too)."""
+    if isinstance(value, float):
+        return float, struct.pack("<d", value)
+    return type(value), value
+
+
+@given(values=st.lists(MEAN_VALUES, min_size=1, max_size=8))
+def test_mean_is_statistics_mean_bit_for_bit(values):
+    assert _bits(_mean(values)) == _bits(statistics.mean(values))
+
+
+def test_mean_of_special_values():
+    assert _same(_mean([1, 3]), 2)
+    assert _same(_mean([1, 2]), 1.5)
+    assert _same(_mean([1.0, 3]), 2.0)
+    assert _same(_mean([-0.0, -0.0]), 0.0)
+    assert _same(_mean([float("inf"), 1.0]), float("inf"))
+    assert _same(_mean([float("inf"), float("-inf")]), float("nan"))
+    assert _same(_mean([1e308, 1e308]), 1e308)
 
 
 def test_per_flow_mbps_helper():
