@@ -187,11 +187,6 @@ class CampaignSink:
         self._next = start_index
 
     @property
-    def pending_units(self) -> int:
-        """Out-of-order outcomes currently buffered."""
-        return len(self._pending)
-
-    @property
     def rows_written(self) -> int:
         return self.writer.rows_written
 

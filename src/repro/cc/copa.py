@@ -4,55 +4,32 @@ The delta/target-rate law and velocity rules live in the law module
 (shared with :class:`repro.fluidsim.flows.FluidCopa`); this class
 measures queuing delay as ``RTT_standing − RTT_min`` from per-ACK
 samples, moves the window toward the target with the velocity
-parameter, and paces at ``2 × cwnd / RTT_standing``.  Copa's optional
-*competitive mode* (detect non-Copa competitors and shrink δ) is
-implemented behind a flag, default off, matching the paper's Figure 7
-observation that default-mode Copa lacks an interior Nash Equilibrium.
+parameter, and paces at ``2 × cwnd / RTT_standing``.  It runs Copa's
+default mode, δ fixed at :data:`~repro.cc.laws.copa.DELTA`; see the law
+module for why competitive mode is not modelled.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.cc.base import CongestionControl, register
 from repro.cc.laws import copa as laws
 from repro.cc.laws.base import CongestionEventGate, smooth_rtt
-from repro.cc.laws.copa import (  # noqa: F401 (canonical law re-exports)
-    DEFAULT_DELTA,
-    MIN_DELTA,
-    RTT_MIN_WINDOW,
-)
+from repro.cc.laws.copa import RTT_MIN_WINDOW
 from repro.cc.signals import LossEvent, RateSample
 from repro.util.filters import WindowedMin
 
 
 @register("copa")
 class Copa(CongestionControl):
-    """Copa controller (paced at 2×cwnd/RTT_standing).
-
-    Args:
-        mss: Segment size in bytes.
-        delta: Initial δ parameter (1/δ packets of queue at equilibrium).
-        competitive_mode: Enable competitor detection / δ reduction.
-    """
+    """Copa controller (paced at 2×cwnd/RTT_standing)."""
 
     name = "copa"
     loss_based = True  # Halves its window on loss, per the Copa paper.
 
-    def __init__(
-        self,
-        mss: int = 1500,
-        delta: float = DEFAULT_DELTA,
-        competitive_mode: bool = False,
-    ) -> None:
+    def __init__(self, mss: int = 1500) -> None:
         super().__init__(mss=mss)
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        self.delta = delta
-        self.base_delta = delta
-        self.competitive_mode = competitive_mode
-
         self._rtt_min_filter = WindowedMin(RTT_MIN_WINDOW)
         self._rtt_standing_filter: Optional[WindowedMin] = None
         self._srtt: Optional[float] = None
@@ -61,9 +38,6 @@ class Copa(CongestionControl):
         self._direction = 0  # +1 opening, -1 closing.
         self._same_direction_count = 0
         self._last_update_time = 0.0
-
-        # Competitive-mode estimator: time since the queue last looked empty.
-        self._last_empty_queue_time = 0.0
         self._loss_gate = CongestionEventGate()
 
     # -- CongestionControl interface ------------------------------------------
@@ -86,12 +60,7 @@ class Copa(CongestionControl):
         rtt_standing = self._rtt_standing_filter.update(now, rtt)
 
         queuing_delay = max(rtt_standing - rtt_min, 0.0)
-        if self.competitive_mode:
-            self._update_mode(now, queuing_delay, rtt_min)
-
-        target_rate = laws.target_rate(self.mss, self.delta, queuing_delay)
-        if math.isinf(target_rate):
-            self._last_empty_queue_time = now
+        target_rate = laws.target_rate(self.mss, queuing_delay)
         current_rate = self.cwnd / max(rtt_standing, 1e-9)
 
         self._update_velocity(now)
@@ -99,7 +68,7 @@ class Copa(CongestionControl):
             self.velocity
             * self.mss
             * sample.acked_bytes
-            / (self.delta * self.cwnd)
+            / (laws.DELTA * self.cwnd)
         )
         if current_rate <= target_rate:
             self.cwnd += step
@@ -127,38 +96,6 @@ class Copa(CongestionControl):
                 self.velocity = laws.double_velocity(self.velocity)
         else:
             self._same_direction_count = 0
-
-    def _update_mode(
-        self, now: float, queuing_delay: float, rtt_min: float
-    ) -> None:
-        """Competitive-mode δ adaptation (Copa §4): if the queue has not
-        looked "nearly empty" for 5 RTTs, a buffer-filling competitor is
-        presumed and δ is halved; otherwise δ recovers toward default."""
-        nearly_empty = queuing_delay < 0.1 * max(rtt_min, 1e-9)
-        if nearly_empty:
-            self._last_empty_queue_time = now
-            restored = min(self.delta * 2.0, self.base_delta)
-            if restored != self.delta:
-                self.emit(
-                    "cc.mode",
-                    now,
-                    mode="default",
-                    delta_before=self.delta,
-                    delta_after=restored,
-                )
-            self.delta = restored
-        elif now - self._last_empty_queue_time > 5.0 * max(rtt_min, 1e-3):
-            shrunk = max(self.delta / 2.0, MIN_DELTA)
-            if shrunk != self.delta:
-                self.emit(
-                    "cc.mode",
-                    now,
-                    mode="competitive",
-                    delta_before=self.delta,
-                    delta_after=shrunk,
-                )
-            self.delta = shrunk
-            self._last_empty_queue_time = now
 
     def on_loss(self, event: LossEvent) -> None:
         # Copa reduces its window on loss like an AIMD flow (Copa paper §2).

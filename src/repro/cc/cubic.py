@@ -23,34 +23,20 @@ from repro.cc.signals import LossEvent, RateSample
 
 @register("cubic")
 class Cubic(CongestionControl):
-    """CUBIC controller (ack-clocked, no pacing).
-
-    Args:
-        mss: Segment size in bytes.
-        fast_convergence: Enable Linux's fast-convergence heuristic.
-        tcp_friendly: Enable the Reno-emulation lower bound of RFC 8312.
-    """
+    """CUBIC controller (ack-clocked, no pacing), with Linux's fast
+    convergence and RFC 8312's TCP-friendly region."""
 
     name = "cubic"
     loss_based = True
 
-    def __init__(
-        self,
-        mss: int = 1500,
-        fast_convergence: bool = True,
-        tcp_friendly: bool = True,
-    ) -> None:
+    def __init__(self, mss: int = 1500) -> None:
         super().__init__(mss=mss)
-        self.fast_convergence = fast_convergence
-        self.tcp_friendly = tcp_friendly
         self.ssthresh = float("inf")
         self.w_max_segments: Optional[float] = None
         self._k = 0.0
         self._epoch_start: Optional[float] = None
         self._srtt: Optional[float] = None
         self._loss_gate = CongestionEventGate()
-        self._w_est_segments = 0.0  # Reno-emulation window.
-        self._epoch_acked = 0.0
 
     # -- helpers -----------------------------------------------------------
 
@@ -73,11 +59,9 @@ class Cubic(CongestionControl):
         rtt = self._srtt if self._srtt is not None else sample.rtt
         if self._epoch_start is None:
             self._epoch_start = now
-            self._epoch_acked = 0.0
             self.w_max_segments, self._k = laws.begin_epoch(
                 self.cwnd_segments, self.w_max_segments
             )
-            self._w_est_segments = self.cwnd_segments
 
         # Linux evaluates the target one RTT ahead for responsiveness.
         t = now - self._epoch_start + rtt
@@ -91,13 +75,11 @@ class Cubic(CongestionControl):
             increment = 0.01 / cwnd_seg  # Minimal probing growth.
         self.cwnd += increment * acked_seg * mss
 
-        if self.tcp_friendly:
-            # RFC 8312 §4.2: emulate Reno's average growth to stay at least
-            # as aggressive as standard TCP in short-RTT/small-BDP regimes.
-            self._epoch_acked += acked_seg
-            w_est = laws.reno_emulation_window(self.w_max_segments, t, rtt)
-            if w_est > self.cwnd / mss:
-                self.cwnd = w_est * mss
+        # RFC 8312 §4.2: emulate Reno's average growth to stay at least
+        # as aggressive as standard TCP in short-RTT/small-BDP regimes.
+        w_est = laws.reno_emulation_window(self.w_max_segments, t, rtt)
+        if w_est > self.cwnd / mss:
+            self.cwnd = w_est * mss
 
     def on_loss(self, event: LossEvent) -> None:
         # Multiple drops from one buffer overflow arrive within one RTT and
@@ -114,7 +96,7 @@ class Cubic(CongestionControl):
             cwnd_after=cwnd_seg * BETA_CUBIC * self.mss,
         )
         self.w_max_segments = laws.reduce_w_max(
-            cwnd_seg, self.w_max_segments, self.fast_convergence
+            cwnd_seg, self.w_max_segments
         )
         self._k = laws.k_from_w_max(self.w_max_segments)
         self.cwnd = cwnd_seg * BETA_CUBIC * self.mss

@@ -10,18 +10,15 @@ direction flips.
 The paper's Figure 7 finds that Copa (in its default mode) obtains
 *lower* than fair-share throughput against CUBIC for every distribution
 — it lacks the "disproportionate share when few" property that creates
-a mixed Nash Equilibrium.  Copa's optional *competitive mode* (detect
-non-Copa competitors, shrink δ) is a per-ACK adapter feature, default
-off, matching that observation.
+a mixed Nash Equilibrium.  Both adapters therefore run the default mode
+only, δ fixed at :data:`DELTA`; Copa's *competitive mode* (detect
+non-Copa competitors, shrink δ toward 0.04) is not modelled.
 """
 
 from __future__ import annotations
 
-#: Default delta: trade-off between delay and throughput (default mode).
-DEFAULT_DELTA = 0.5
-
-#: Smallest delta reachable in competitive mode.
-MIN_DELTA = 0.04
+#: Delta: trade-off between delay and throughput (default mode).
+DELTA = 0.5
 
 #: RTT_min filter window, seconds.
 RTT_MIN_WINDOW = 10.0
@@ -36,11 +33,11 @@ VELOCITY_DOUBLE_ROUNDS = 3
 VELOCITY_CAP = 1e6
 
 
-def target_rate(mss: float, delta: float, queuing_delay: float) -> float:
+def target_rate(mss: float, queuing_delay: float) -> float:
     """Copa's target rate in bytes/s; +inf when the queue looks empty."""
     if queuing_delay <= 1e-9:
         return float("inf")
-    return mss / (delta * queuing_delay)
+    return mss / (DELTA * queuing_delay)
 
 
 def double_velocity(velocity: float) -> float:

@@ -49,16 +49,15 @@ def begin_epoch(
     return w_max, k_from_w_max(w_max)
 
 
-def reduce_w_max(
-    cwnd_segments: float, w_max: Optional[float], fast_convergence: bool
-) -> float:
+def reduce_w_max(cwnd_segments: float, w_max: Optional[float]) -> float:
     """New ``W_max`` after a congestion event at ``cwnd_segments``.
 
-    With fast convergence (Linux default), a flow whose share is still
-    shrinking (loss below the previous maximum) remembers *less* than it
-    had, releasing bandwidth to newer flows faster.
+    Fast convergence (Linux's default, the one variant run here): a flow
+    whose share is still shrinking (loss below the previous maximum)
+    remembers *less* than it had, releasing bandwidth to newer flows
+    faster.
     """
-    if fast_convergence and w_max is not None and cwnd_segments < w_max:
+    if w_max is not None and cwnd_segments < w_max:
         return cwnd_segments * (2.0 - BETA_CUBIC) / 2.0
     return cwnd_segments
 

@@ -20,6 +20,6 @@ def ai_increment(mss: float, acked_bytes: float, cwnd: float) -> float:
     return mss * acked_bytes / cwnd
 
 
-def md_window(cwnd: float, beta: float = BETA) -> float:
+def md_window(cwnd: float) -> float:
     """Multiplicative decrease: the window after one congestion event."""
-    return cwnd * beta
+    return cwnd * BETA

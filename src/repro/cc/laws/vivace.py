@@ -15,7 +15,10 @@ Vivace-Latency (``b = 900``); the latency-sensitive variant
 deliberately concedes to buffer-filling competitors (Vivace §3).  The
 IMC paper's Figure 7 shows "PCC Vivace" claiming a disproportionately
 *large* share against CUBIC when its flows are few — the behaviour of
-Vivace-Loss — so both adapters default ``latency_coeff`` to 0.
+Vivace-Loss — so :data:`LATENCY_COEFF` is 0 and Vivace-Latency is not
+run here.  The utility functions still take ``b`` and ``c``, fed
+:data:`LATENCY_COEFF` and :data:`LOSS_COEFF`, so the ``b``-term is
+computed (as 0) on every path.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ from typing import Tuple
 #: Utility exponent on throughput.
 THROUGHPUT_EXPONENT = 0.9
 
-#: Latency-gradient penalty coefficient of the latency-sensitive variant.
-LATENCY_COEFF = 900.0
+#: Latency-gradient penalty coefficient ``b`` (Vivace-Loss; Vivace-Latency
+#: would be 900).
+LATENCY_COEFF = 0.0
 
-#: Loss penalty coefficient.
+#: Loss penalty coefficient ``c``.
 LOSS_COEFF = 11.35
 
 #: Rate perturbation for gradient probing.
@@ -40,25 +44,22 @@ MAX_AMPLIFIER = 8.0
 #: Floor on the sending rate, bytes/second (≈0.12 Mbps).
 MIN_RATE = 15_000.0
 
-#: Default initial sending rate, bytes/second (1 Mbps).
-DEFAULT_INITIAL_RATE = 125_000.0
+#: Initial sending rate, bytes/second (1 Mbps).
+INITIAL_RATE = 125_000.0
 
 
 def utility(
-    rate: float,
-    rtt_gradient: float,
-    loss_rate: float,
-    latency_coeff: float,
-    loss_coeff: float,
+    rate: float, rtt_gradient: float, loss_rate: float, b: float, c: float
 ) -> float:
-    """Vivace's utility for a rate in bytes/s (scored in Mbps units)."""
+    """Vivace's utility for a rate in bytes/s (scored in Mbps units),
+    with latency and loss coefficients ``b`` and ``c``."""
     x_mbps = rate * 8.0 / 1e6
     if x_mbps <= 0:
         return 0.0
     return (
         x_mbps ** THROUGHPUT_EXPONENT
-        - latency_coeff * x_mbps * max(0.0, rtt_gradient)
-        - loss_coeff * x_mbps * loss_rate
+        - b * x_mbps * max(0.0, rtt_gradient)
+        - c * x_mbps * loss_rate
     )
 
 
@@ -77,17 +78,15 @@ def score_interval(
     delivered_bytes: float,
     lost_bytes: float,
     rtt_gradient: float,
-    latency_coeff: float,
-    loss_coeff: float,
+    b: float,
+    c: float,
 ) -> float:
-    """Utility of one finished monitor interval."""
+    """Utility of one finished monitor interval (:func:`utility`)."""
     elapsed = max(elapsed, 1e-6)
     achieved = delivered_bytes / elapsed
     total = delivered_bytes + lost_bytes
     loss_rate = lost_bytes / total if total > 0 else 0.0
-    return utility(
-        achieved, rtt_gradient, loss_rate, latency_coeff, loss_coeff
-    )
+    return utility(achieved, rtt_gradient, loss_rate, b, c)
 
 
 def gradient_step(

@@ -25,11 +25,8 @@ class Reno(CongestionControl):
     name = "reno"
     loss_based = True
 
-    def __init__(self, mss: int = 1500, beta: float = laws.BETA) -> None:
+    def __init__(self, mss: int = 1500) -> None:
         super().__init__(mss=mss)
-        if not 0 < beta < 1:
-            raise ValueError(f"beta must be in (0, 1), got {beta}")
-        self.beta = beta
         self.ssthresh = float("inf")
         self._srtt: Optional[float] = None
         self._loss_gate = CongestionEventGate()
@@ -53,10 +50,10 @@ class Reno(CongestionControl):
             "cc.backoff",
             event.now,
             kind="multiplicative_decrease",
-            beta=self.beta,
+            beta=laws.BETA,
             cwnd_before=self.cwnd,
-            cwnd_after=self.cwnd * self.beta,
+            cwnd_after=self.cwnd * laws.BETA,
         )
-        self.cwnd = laws.md_window(self.cwnd, self.beta)
+        self.cwnd = laws.md_window(self.cwnd)
         self.clamp_cwnd()
         self.ssthresh = self.cwnd

@@ -34,22 +34,10 @@ class Vivace(CongestionControl):
     name = "vivace"
     loss_based = False  # Loss enters the utility, not a window cut.
 
-    def __init__(
-        self,
-        mss: int = 1500,
-        initial_rate: float = laws.DEFAULT_INITIAL_RATE,
-        latency_coeff: float = 0.0,
-        loss_coeff: float = LOSS_COEFF,
-    ):
+    def __init__(self, mss: int = 1500):
         super().__init__(mss=mss)
-        if initial_rate <= 0:
-            raise ValueError(
-                f"initial_rate must be positive, got {initial_rate}"
-            )
-        self.latency_coeff = latency_coeff
-        self.loss_coeff = loss_coeff
-        self.rate = initial_rate  # bytes/second
-        self.pacing_rate = initial_rate
+        self.rate = laws.INITIAL_RATE  # bytes/second
+        self.pacing_rate = laws.INITIAL_RATE
         self._srtt: Optional[float] = None
 
         # Monitor-interval state: phase 0 probes r(1+ε), phase 1 probes
@@ -72,7 +60,7 @@ class Vivace(CongestionControl):
     ) -> float:
         """Vivace's utility for a rate in bytes/s (scored in Mbps units)."""
         return laws.utility(
-            rate, rtt_gradient, loss_rate, self.latency_coeff, self.loss_coeff
+            rate, rtt_gradient, loss_rate, laws.LATENCY_COEFF, laws.LOSS_COEFF
         )
 
     def _probe_rate(self) -> float:
@@ -120,8 +108,8 @@ class Vivace(CongestionControl):
                 self._mi_acked,
                 self._mi_lost * self.mss,
                 rtt_gradient,
-                self.latency_coeff,
-                self.loss_coeff,
+                laws.LATENCY_COEFF,
+                laws.LOSS_COEFF,
             )
         )
 

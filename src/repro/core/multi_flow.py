@@ -91,17 +91,6 @@ class MultiFlowPrediction:
         hi = max(self.per_flow_bbr_sync, self.per_flow_bbr_desync)
         return (lo, hi)
 
-    def contains_bbr_per_flow(
-        self, value: float, tolerance: float = 0.0
-    ) -> bool:
-        """Whether a measured per-flow BBR bandwidth falls in the region.
-
-        ``tolerance`` widens the region by the given fraction of capacity
-        on both sides (the paper quotes ~5% model error).
-        """
-        lo, hi = self.per_flow_bbr_bounds()
-        return lo - tolerance <= value <= hi + tolerance
-
 
 def aggregate_bbr_bandwidth(
     link: BottleneckSpec, n_cubic: int, backoff: float

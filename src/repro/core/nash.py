@@ -64,14 +64,6 @@ class NashPrediction:
         """Upper edge of the Nash Region in CUBIC flows."""
         return max(self.n_cubic_sync, self.n_cubic_desync)
 
-    def contains_n_cubic(self, n_cubic: float, slack: float = 0.0) -> bool:
-        """Whether an observed NE's CUBIC count falls in the region."""
-        return (
-            self.n_cubic_low - slack
-            <= n_cubic
-            <= self.n_cubic_high + slack
-        )
-
 
 def _solve_fixed_point_desync(link: BottleneckSpec, n_flows: int) -> float:
     """Find ``N_b`` with λ̄_b(N_b)/N_b = C/N under the desync bound.

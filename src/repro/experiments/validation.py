@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.analysis.metrics import (
-    fraction_within,
-    mean_absolute_error,
-    mean_relative_error,
-)
+from repro.analysis.metrics import mean_absolute_error, mean_relative_error
 from repro.core.two_flow import predict_two_flow
 from repro.core.ware import ware_prediction
 from repro.exec import Engine, ScenarioPoint
@@ -72,12 +68,6 @@ class ValidationReport:
         """Mean relative error of Ware et al."""
         return mean_relative_error(
             self._series("ware"), self._series("actual")
-        )
-
-    def model_within(self, tolerance: float) -> float:
-        """Fraction of points where the model is within ``tolerance``."""
-        return fraction_within(
-            self._series("model"), self._series("actual"), tolerance
         )
 
     @property

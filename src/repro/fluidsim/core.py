@@ -57,7 +57,6 @@ class TickContext:
         "throughput",
         "rtt_measured",
         "queue_delay",
-        "lost_bytes",
     )
 
     def __init__(self) -> None:
@@ -66,7 +65,6 @@ class TickContext:
         self.throughput = 0.0
         self.rtt_measured = 0.0
         self.queue_delay = 0.0
-        self.lost_bytes = 0.0
 
 
 class FluidSimulation:
@@ -149,7 +147,6 @@ class FluidSimulation:
                 rtt=rtt,
                 start_time=start,
                 mss=link.mss,
-                **spec.cc_kwargs,
             )
             flow.obs = obs
             flow.check = check
@@ -180,7 +177,6 @@ class FluidSimulation:
         self._delivered = [0.0] * len(self.flows)
         self._delivered_window = [0.0] * len(self.flows)
         self._lost = [0.0] * len(self.flows)
-        self._lost_tick = [0.0] * len(self.flows)  # for the next tick
         self._queue_integral = 0.0
         self._time_simulated = 0.0
         self.queue_bytes = 0.0
@@ -248,7 +244,6 @@ class FluidSimulation:
         # The last tick's in-flight volumes after its signals (0.0 before
         # a flow starts) and queue delay, which each pass integrates.
         inflights = [0.0] * n
-        lost_this_tick = self._lost_tick
         queue = queue_delay = 0.0
 
         # Which flows send is decided once per tick until every flow
@@ -295,9 +290,7 @@ class FluidSimulation:
                         delivered_window[i] += delivered
                 ctx.throughput = rate
                 ctx.rtt_measured = rtt
-                ctx.lost_bytes = lost_this_tick[i]
                 flow.tick(ctx)
-                lost_this_tick[i] = 0.0
                 if check is not None:
                     check.fluid_flow(now, flow)
                 w = inflights[i] = flow.inflight
@@ -433,7 +426,6 @@ class FluidSimulation:
                 if self._counts_drops[i]:
                     flows[i].on_drop(now, signal)
                 self._lost[i] += signal
-                self._lost_tick[i] += signal
             accumulator[i] += signal
             if not (loss_based[i] and w > 0):
                 continue

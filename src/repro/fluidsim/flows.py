@@ -145,10 +145,8 @@ class FluidCubic(FluidFlow):
         rtt: float,
         start_time: float = 0.0,
         mss: int = 1500,
-        fast_convergence: bool = True,
     ) -> None:
         super().__init__(flow_id, rtt, start_time, mss)
-        self.fast_convergence = fast_convergence
         self._in_slow_start = True
         self._w_max_pkts: Optional[float] = None
         self._epoch_start: Optional[float] = None
@@ -212,7 +210,7 @@ class FluidCubic(FluidFlow):
         if not self._loss_guard(now):
             return
         self._w_max_pkts = cubic_laws.reduce_w_max(
-            self.inflight / self.mss, self._w_max_pkts, self.fast_convergence
+            self.inflight / self.mss, self._w_max_pkts
         )
         self._k = float(mathops.cubic_k(self._w_max_pkts))
         cut = max(
@@ -294,7 +292,6 @@ class FluidBBR(FluidFlow):
         rtt: float,
         start_time: float = 0.0,
         mss: int = 1500,
-        gain_cycling: bool = True,
     ) -> None:
         super().__init__(flow_id, rtt, start_time, mss)
         self._bw_filter = WindowedMax(bbr_laws.BTLBW_FILTER_ROUNDS * rtt)
@@ -302,7 +299,6 @@ class FluidBBR(FluidFlow):
         self._rtt_min_stamp = 0.0
         #: RTprop expiry → ProbeRTT cadence (v2 overrides with its own).
         self._probe_rtt_interval = bbr_laws.RTPROP_FILTER_LEN
-        self.gain_cycling = gain_cycling
         self._in_startup = True
         self._full_pipe = bbr_laws.FullPipeDetector()
         self._next_growth_check = 0.0
@@ -368,10 +364,8 @@ class FluidBBR(FluidFlow):
         in_startup = self._in_startup
         if in_startup:
             gain = bbr_laws.HIGH_GAIN
-        elif self.gain_cycling:
-            gain = self._cycler.advance(now, self.rtt_min_est)
         else:
-            gain = 1.0
+            gain = self._cycler.advance(now, self.rtt_min_est)
         pacing = gain * bw
         if pacing <= 0:
             # No estimate yet: pace the initial window over one RTT.
@@ -437,7 +431,6 @@ class FluidBBR2(FluidBBR):
     def tick(self, ctx: TickContext) -> None:
         super().tick(ctx)
         now = ctx.now
-        self._round_lost += ctx.lost_bytes
         self._round_delivered += ctx.throughput * ctx.dt
         if now >= self._round_end:
             self._round_end = now + ctx.rtt_measured
@@ -557,12 +550,8 @@ class FluidCopa(FluidFlow):
         rtt: float,
         start_time: float = 0.0,
         mss: int = 1500,
-        delta: float = copa_laws.DEFAULT_DELTA,
     ) -> None:
         super().__init__(flow_id, rtt, start_time, mss)
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        self.delta = delta
         self._rtt_min_filter = WindowedMin(copa_laws.RTT_MIN_WINDOW)
         self.velocity = 1.0
         self._direction = 0
@@ -574,7 +563,7 @@ class FluidCopa(FluidFlow):
         self._last_rtt_measured = ctx.rtt_measured
         rtt_min = self._rtt_min_filter.update(now, ctx.rtt_measured)
         dq = max(ctx.rtt_measured - rtt_min, 0.0)
-        target_rate = copa_laws.target_rate(self.mss, self.delta, dq)
+        target_rate = copa_laws.target_rate(self.mss, dq)
         current_rate = self.inflight / ctx.rtt_measured
 
         direction = 1 if current_rate <= target_rate else -1
@@ -596,7 +585,7 @@ class FluidCopa(FluidFlow):
             * self.mss
             * self.mss
             * acked_pkts
-            / (self.delta * max(self.inflight, self.mss))
+            / (copa_laws.DELTA * max(self.inflight, self.mss))
         )
         # One tick's adjustment cannot exceed the window itself.
         step = min(step, self.inflight)
@@ -631,8 +620,8 @@ class FluidVivace(FluidFlow):
     variant it ran; its Figure 7 result (a disproportionately *large*
     share against CUBIC when Vivace flows are few) matches Vivace-Loss
     (``b = 0``), since the latency-sensitive variant concedes to
-    buffer-filling competitors by design (Vivace §3).  ``latency_coeff``
-    therefore defaults to 0; pass 900 for the latency-sensitive variant.
+    buffer-filling competitors by design (Vivace §3), so the law's
+    :data:`~repro.cc.laws.vivace.LATENCY_COEFF` is 0.
     """
 
     name = "vivace"
@@ -644,14 +633,9 @@ class FluidVivace(FluidFlow):
         rtt: float,
         start_time: float = 0.0,
         mss: int = 1500,
-        initial_rate: float = vivace_laws.DEFAULT_INITIAL_RATE,
-        latency_coeff: float = 0.0,
-        loss_coeff: float = vivace_laws.LOSS_COEFF,
     ) -> None:
         super().__init__(flow_id, rtt, start_time, mss)
-        self.latency_coeff = latency_coeff
-        self.loss_coeff = loss_coeff
-        self.rate = initial_rate
+        self.rate = vivace_laws.INITIAL_RATE
         self._mi_phase = 0
         self._mi_start: Optional[float] = None
         self._mi_end = 0.0
@@ -672,8 +656,8 @@ class FluidVivace(FluidFlow):
                 rate,
                 rtt_gradient,
                 loss_rate,
-                self.latency_coeff,
-                self.loss_coeff,
+                vivace_laws.LATENCY_COEFF,
+                vivace_laws.LOSS_COEFF,
             )
         )
 
@@ -686,7 +670,6 @@ class FluidVivace(FluidFlow):
         if self._mi_start is None:
             self._begin_mi(now, ctx)
         self._mi_delivered += ctx.throughput * ctx.dt
-        self._mi_lost += ctx.lost_bytes
         self._last_qd = ctx.queue_delay
         if now >= self._mi_end:
             self._finish_mi(now, ctx)
@@ -715,8 +698,8 @@ class FluidVivace(FluidFlow):
                     self._mi_delivered,
                     self._mi_lost,
                     rtt_gradient,
-                    self.latency_coeff,
-                    self.loss_coeff,
+                    vivace_laws.LATENCY_COEFF,
+                    vivace_laws.LOSS_COEFF,
                 )
             )
         )

@@ -123,22 +123,20 @@ def cubic_cubes(now, dt, epoch_start, k, n):
     return times.tolist(), np.power((times - epoch_start) - k, 3.0).tolist()
 
 
-def vivace_utility(rate, rtt_gradient, loss_rate, latency_coeff, loss_coeff):
-    """Vivace's utility (rate in bytes/s, scored in Mbps), numpy pow."""
+def vivace_utility(rate, rtt_gradient, loss_rate, b, c):
+    """Vivace's utility (rate in bytes/s, scored in Mbps), numpy pow;
+    ``b`` and ``c`` as in :func:`repro.cc.laws.vivace.utility`."""
     x_mbps = rate * 8.0 / 1e6
     with np.errstate(all="ignore"):
         value = (
             np.power(x_mbps, vivace_laws.THROUGHPUT_EXPONENT)
-            - latency_coeff * x_mbps * np.maximum(0.0, rtt_gradient)
-            - loss_coeff * x_mbps * loss_rate
+            - b * x_mbps * np.maximum(0.0, rtt_gradient)
+            - c * x_mbps * loss_rate
         )
     return np.where(x_mbps <= 0, 0.0, value)
 
 
-def vivace_score(
-    elapsed, delivered_bytes, lost_bytes, rtt_gradient, latency_coeff,
-    loss_coeff,
-):
+def vivace_score(elapsed, delivered_bytes, lost_bytes, rtt_gradient, b, c):
     """Utility of one finished monitor interval (numpy-rounded pow)."""
     delivered_bytes = np.asarray(delivered_bytes, dtype=np.float64)
     lost_bytes = np.asarray(lost_bytes, dtype=np.float64)
@@ -147,6 +145,4 @@ def vivace_score(
     total = delivered_bytes + lost_bytes
     with np.errstate(all="ignore"):
         loss = np.where(total > 0, lost_bytes / total, 0.0)
-    return vivace_utility(
-        achieved, rtt_gradient, loss, latency_coeff, loss_coeff
-    )
+    return vivace_utility(achieved, rtt_gradient, loss, b, c)

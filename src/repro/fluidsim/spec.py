@@ -8,8 +8,8 @@ the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = ["FluidSpec"]
 
@@ -24,10 +24,8 @@ class FluidSpec:
         rtt: Base RTT in seconds; None uses the link config's RTT.
         start_time: When the flow starts, in seconds; it then sends
             until the run ends.
-        cc_kwargs: Extra keyword arguments for the fluid flow class.
     """
 
     cc: str
     rtt: Optional[float] = None
     start_time: float = 0.0
-    cc_kwargs: Dict[str, object] = field(default_factory=dict)

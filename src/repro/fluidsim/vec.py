@@ -141,7 +141,6 @@ class VecFluidSim:
         mss: List[float] = []
         flow_ids: List[int] = []
         cc_of_row: List[str] = []
-        kwargs_of_row: List[Dict[str, object]] = []
         starts_p: List[int] = []
         counts_p: List[int] = []
         for p, point in enumerate(self.points):
@@ -159,7 +158,6 @@ class VecFluidSim:
                 mss.append(float(point.link.mss))
                 flow_ids.append(flow_id)
                 cc_of_row.append(point.cc_names[flow_id])
-                kwargs_of_row.append(dict(spec.cc_kwargs))
 
         n_flows = len(pf)
         self.n_flows = n_flows
@@ -292,7 +290,6 @@ class VecFluidSim:
                 idx,
                 self._rtt[idx],
                 self._mss[idx],
-                [kwargs_of_row[r] for r in rows],
                 rtt_ticks[idx],
                 steps_f[idx],
             )
@@ -316,7 +313,6 @@ class VecFluidSim:
             self._drop_rows[kernel.rows] = True
         reads = {column for kernel in self.kernels for column in kernel.reads}
         self._reads_queue_delay = "queue_delay" in reads
-        self._reads_lost_bytes = "lost_bytes" in reads
 
         modes = [p.loss_mode for p in self.points]
         self._sync_p = np.array([m == "sync" for m in modes], dtype=bool)
@@ -490,9 +486,6 @@ class VecFluidSim:
         clock = None if dt is None else 0.0
         state.dt = self._dt[pf] if dt is None else dt
         state.inflight = self._inflight
-        # Shared buffer, the scalar loop's list; kept only for kernels
-        # that read it.
-        lost_tick = state.lost_bytes if self._reads_lost_bytes else None
         prev_rate = np.zeros(self.n_flows)
         queue_delay = np.zeros(self.n_points)
         # One RTT denominator per tick: the rate at the end of tick t
@@ -557,12 +550,8 @@ class VecFluidSim:
                 kernel.tick(state)
             if act is f_true:
                 w = state.inflight.copy()
-                if lost_tick is not None:
-                    lost_tick.fill(0.0)
             else:
                 w = np.where(act, state.inflight, 0.0)
-                if lost_tick is not None:
-                    lost_tick[act] = 0.0
             if check is not None:
                 check.fluid_vec_flows(
                     now_p[pf],
@@ -576,11 +565,9 @@ class VecFluidSim:
             queue, total = self._solve_queue(w)
             over = queue > self._buffer
             if np.count_nonzero(over):
-                self._handle_overflow(
-                    state, w, queue, total, over, lost_tick
-                )
+                self._handle_overflow(state, w, queue, total, over)
             if self._any_aqm:
-                self._apply_aqm(state, now_p, w, queue, lost_tick)
+                self._apply_aqm(state, now_p, w, queue)
             queue_delay = queue / self._capacity
 
             # 4. Integrate throughput.  Every row of ``w`` is >= +0.0
@@ -633,7 +620,6 @@ class VecFluidSim:
         queue: np.ndarray,
         total: np.ndarray,
         over: np.ndarray,
-        lost_tick: Optional[np.ndarray],
     ) -> None:
         """Drop each overflowing point's excess; victims back off.
         Updates ``queue`` and ``w`` in place."""
@@ -644,7 +630,7 @@ class VecFluidSim:
         dropping = over & (total > 0)
         if not np.count_nonzero(dropping):
             return
-        self._signal(state, w, queue, total, dropping, excess, lost_tick)
+        self._signal(state, w, queue, total, dropping, excess)
 
     def _signal(
         self,
@@ -654,7 +640,6 @@ class VecFluidSim:
         total: np.ndarray,
         fired: np.ndarray,
         volume: np.ndarray,
-        lost_tick: Optional[np.ndarray],
         marks: bool = False,
     ) -> None:
         """Land ``volume[p]`` bytes of congestion signal on every point
@@ -695,8 +680,6 @@ class VecFluidSim:
                 kernel.on_drop(state, loc, dropped[hit[mine]])
         w_r = np.maximum(w_r - dropped, 0.0)
         self._lost[rows] += dropped
-        if lost_tick is not None:
-            lost_tick[rows] += dropped
 
         responsive = self._loss_based[rows] & (w_r > 0)
         self._backoff_victims(state, sel, w_r, shares, responsive, acc_r)
@@ -823,7 +806,6 @@ class VecFluidSim:
         now_p: np.ndarray,
         w: np.ndarray,
         queue: np.ndarray,
-        lost_tick: Optional[np.ndarray],
     ) -> None:
         """Apply this tick's AQM decisions to ``queue`` and ``w``.
 
@@ -854,9 +836,7 @@ class VecFluidSim:
         vol = np.minimum(vol, total)
         # Marks and drops alike feed loss perception (RFC 3168: a mark
         # elicits the same control response as a loss).
-        self._signal(
-            state, w, queue, total, firing, vol, lost_tick, marks=True
-        )
+        self._signal(state, w, queue, total, firing, vol, marks=True)
 
     # -- results ----------------------------------------------------------
 

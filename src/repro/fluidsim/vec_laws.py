@@ -46,7 +46,7 @@ instrumented implementation of the fluid model.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 from repro.cc.laws import bbr as bbr_laws
 from repro.cc.laws import bbr2 as bbr2_laws
@@ -78,8 +78,8 @@ class TickState:
     array kernels own — the simulator's working copy (trimmed by drops)
     lives in :class:`repro.fluidsim.vec.VecFluidSim`, exactly like the
     scalar loop's ``inflights`` list is distinct from ``flow.inflight``.
-    ``queue_delay`` and ``lost_bytes`` are kept only when some kernel
-    reads them (:attr:`VecKernel.reads`).  ``all_live`` says every row
+    ``queue_delay`` is kept only when some kernel reads it
+    (:attr:`VecKernel.reads`).  ``all_live`` says every row
     of the batch is active this tick, so a kernel need not gather or
     apply ``active`` at all.
     """
@@ -90,7 +90,6 @@ class TickState:
         "throughput",
         "rtt_measured",
         "queue_delay",
-        "lost_bytes",
         "active",
         "all_live",
         "inflight",
@@ -102,7 +101,6 @@ class TickState:
         self.throughput = np.zeros(n)
         self.rtt_measured = np.zeros(n)
         self.queue_delay = np.zeros(n)
-        self.lost_bytes = np.zeros(n)
         self.active = np.zeros(n, dtype=bool)
         self.all_live = False
         self.inflight = np.zeros(n)
@@ -391,17 +389,6 @@ class VecWindowedFilter:
         self.reallocations += 1
 
 
-def _pop_kwargs(
-    name: str, kwargs: Dict[str, object], allowed: Sequence[str]
-) -> None:
-    unknown = set(kwargs) - set(allowed)
-    if unknown:
-        raise TypeError(
-            f"{name} fluid flow got unexpected keyword arguments "
-            f"{sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-
-
 class VecKernel:
     """Base: one congestion-control law over a row subset of the batch.
 
@@ -410,8 +397,6 @@ class VecKernel:
             this kernel owns, ascending.
         rtt: Base RTT per row, seconds.
         mss: Segment size per row, bytes (float).
-        cc_kwargs: Per-row constructor keyword dicts, mirroring the
-            scalar adapters' signatures (unknown keys raise TypeError).
         rtt_ticks: Per row, an upper bound on the ticks one measured
             RTT spans: base RTT plus a full buffer drained at the link's
             lowest capacity, over the tick length.
@@ -422,22 +407,18 @@ class VecKernel:
     name = "fluid-vec"
     loss_based = True
     #: The optional ``TickState`` columns :meth:`tick` reads
-    #: (``"queue_delay"``, ``"lost_bytes"``); the simulator keeps a
-    #: column only when some kernel of the batch reads it.
+    #: (``"queue_delay"``); the simulator keeps a column only when some
+    #: kernel of the batch reads it.
     reads: Sequence[str] = ()
-    _allowed_kwargs: Sequence[str] = ()
 
     def __init__(
         self,
         rows: np.ndarray,
         rtt: np.ndarray,
         mss: np.ndarray,
-        cc_kwargs: Sequence[Dict[str, object]],
         rtt_ticks: np.ndarray,
         steps: np.ndarray,
     ) -> None:
-        for kwargs in cc_kwargs:
-            _pop_kwargs(self.name, kwargs, self._allowed_kwargs)
         self.rows = rows
         self.n = len(rows)
         self.rtt = rtt
@@ -488,8 +469,8 @@ class VecReno(VecKernel):
     name = "reno"
     loss_based = True
 
-    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
+    def __init__(self, rows, rtt, mss, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, rtt_ticks, steps)
         self.in_slow_start = np.ones(self.n, dtype=bool)
 
     def tick(self, state: TickState) -> None:
@@ -523,13 +504,9 @@ class VecCubic(VecKernel):
 
     name = "cubic"
     loss_based = True
-    _allowed_kwargs = ("fast_convergence",)
 
-    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
-        self.fast_convergence = np.array(
-            [bool(k.get("fast_convergence", True)) for k in cc_kwargs]
-        )
+    def __init__(self, rows, rtt, mss, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, rtt_ticks, steps)
         self.in_slow_start = np.ones(self.n, dtype=bool)
         #: Rows still in slow start; it only ever falls (``on_loss``).
         self.slow_rows = self.n
@@ -590,9 +567,7 @@ class VecCubic(VecKernel):
         w = state.inflight[rows]
         cwnd_seg = w / self.mss[loc]
         # cubic_laws.reduce_w_max; a NaN (no W_max yet) compares False.
-        shrink = self.fast_convergence[loc] & (
-            cwnd_seg < self.w_max_pkts[loc]
-        )
+        shrink = cwnd_seg < self.w_max_pkts[loc]
         self.w_max_pkts[loc] = np.where(
             shrink,
             cwnd_seg * (2.0 - cubic_laws.BETA_CUBIC) / 2.0,
@@ -616,8 +591,8 @@ class VecVegas(VecKernel):
     name = "vegas"
     loss_based = True
 
-    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
+    def __init__(self, rows, rtt, mss, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, rtt_ticks, steps)
         self.base_rtt = rtt.copy()
         self.in_slow_start = np.ones(self.n, dtype=bool)
 
@@ -679,17 +654,9 @@ class VecCopa(VecKernel):
 
     name = "copa"
     loss_based = True
-    _allowed_kwargs = ("delta",)
 
-    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
-        deltas = [
-            float(k.get("delta", copa_laws.DEFAULT_DELTA)) for k in cc_kwargs
-        ]
-        for delta in deltas:
-            if delta <= 0:
-                raise ValueError(f"delta must be positive, got {delta}")
-        self.delta = np.array(deltas)
+    def __init__(self, rows, rtt, mss, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, rtt_ticks, steps)
         # One sample per tick over the 10 s window (rtt_ticks / rtt
         # bounds the ticks a second), never more than the run has.
         window = copa_laws.RTT_MIN_WINDOW * rtt_ticks / rtt
@@ -723,7 +690,7 @@ class VecCopa(VecKernel):
         rtt_min = self.rtt_min_filter.get()
         dq = np.maximum(rttm - rtt_min, 0.0)
         target_rate = np.where(
-            dq <= 1e-9, np.inf, self.mss / (self.delta * dq)
+            dq <= 1e-9, np.inf, self.mss / (copa_laws.DELTA * dq)
         )
         current_rate = w / rttm
         direction = np.where(current_rate <= target_rate, 1.0, -1.0)
@@ -751,7 +718,7 @@ class VecCopa(VecKernel):
             * self.mss
             * self.mss
             * acked_pkts
-            / (self.delta * np.maximum(w, self.mss))
+            / (copa_laws.DELTA * np.maximum(w, self.mss))
         )
         step = np.minimum(step, w)
         grown = np.maximum(w + direction * step, self.min_inflight)
@@ -773,14 +740,10 @@ class VecBBR(VecKernel):
 
     name = "bbr"
     loss_based = False
-    _allowed_kwargs = ("gain_cycling",)
     _probe_rtt_interval = bbr_laws.RTPROP_FILTER_LEN
 
-    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
-        self.gain_cycling = np.array(
-            [bool(k.get("gain_cycling", True)) for k in cc_kwargs]
-        )
+    def __init__(self, rows, rtt, mss, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, rtt_ticks, steps)
         # One sample per tick, kept for at most BTLBW_FILTER_ROUNDS
         # measured RTTs (+ the sample being pushed, + clock rounding)
         # and never more than the run has ticks.
@@ -807,7 +770,6 @@ class VecBBR(VecKernel):
         #: at the transitions: a tick with neither runs PROBE_BW alone.
         self.startup_rows = self.n
         self.probing_rows = 0
-        self._fixed_gain = (~self.gain_cycling).nonzero()[0]
 
     def tick(self, state: TickState) -> None:
         idx = self.rows
@@ -867,15 +829,13 @@ class VecBBR(VecKernel):
             )
 
         advance = _and(act, now - self.cycle_stamp > self.rtt_min_est)
-        for out in (held, startup, self._fixed_gain):
+        for out in (held, startup):
             if out is not None and len(out):
                 advance[out] = False
         if np.count_nonzero(advance):
             turn = advance.nonzero()[0]
             self.cycle_index[turn] = _NEXT_PHASE.take(self.cycle_index[turn])
             self.cycle_stamp[turn] = _at(now, turn)
-        # A row with gain cycling off never leaves the neutral phase,
-        # whose gain is 1.0: the lookup is its gain too.
         gain = _GAIN_CYCLE.take(self.cycle_index)
         bw = self.bw_filter.get()
         cap = bbr_laws.CWND_GAIN * bw
@@ -945,12 +905,10 @@ class VecBBR2(VecBBR):
 
     name = "bbr2"
     loss_based = True
-    reads = ("lost_bytes",)
-    _allowed_kwargs = ()
     _probe_rtt_interval = bbr2_laws.PROBE_RTT_INTERVAL
 
-    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
+    def __init__(self, rows, rtt, mss, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, rtt_ticks, steps)
         self.inflight_hi = np.full(self.n, np.inf)
         self.next_probe_up = np.zeros(self.n)
         self.round_lost = np.zeros(self.n)
@@ -967,10 +925,8 @@ class VecBBR2(VecBBR):
         rttm = state.rtt_measured[idx]
         thr = state.throughput[idx]
         dt = _at(state.dt, idx)
-        lost = state.lost_bytes[idx]
         # The congestion-event gate's RTT (BBR itself never backs off).
         self._last_rtt = _pick(act, rttm, self._last_rtt)
-        np.add(self.round_lost, lost, out=self.round_lost, where=act)
         np.add(
             self.round_delivered,
             thr * dt,
@@ -1040,26 +996,11 @@ class VecVivace(VecKernel):
 
     name = "vivace"
     loss_based = False
-    reads = ("queue_delay", "lost_bytes")
-    _allowed_kwargs = ("initial_rate", "latency_coeff", "loss_coeff")
+    reads = ("queue_delay",)
 
-    def __init__(self, rows, rtt, mss, cc_kwargs, rtt_ticks, steps) -> None:
-        super().__init__(rows, rtt, mss, cc_kwargs, rtt_ticks, steps)
-        self.rate = np.array(
-            [
-                float(k.get("initial_rate", vivace_laws.DEFAULT_INITIAL_RATE))
-                for k in cc_kwargs
-            ]
-        )
-        self.latency_coeff = np.array(
-            [float(k.get("latency_coeff", 0.0)) for k in cc_kwargs]
-        )
-        self.loss_coeff = np.array(
-            [
-                float(k.get("loss_coeff", vivace_laws.LOSS_COEFF))
-                for k in cc_kwargs
-            ]
-        )
+    def __init__(self, rows, rtt, mss, rtt_ticks, steps) -> None:
+        super().__init__(rows, rtt, mss, rtt_ticks, steps)
+        self.rate = np.full(self.n, vivace_laws.INITIAL_RATE)
         self.mi_phase = np.zeros(self.n, dtype=np.int64)
         self.mi_start = np.full(self.n, np.nan)
         self.mi_end = np.zeros(self.n)
@@ -1081,14 +1022,12 @@ class VecVivace(VecKernel):
         thr = state.throughput[idx]
         dt = _at(state.dt, idx)
         qd = state.queue_delay[idx]
-        lost = state.lost_bytes[idx]
         self._last_rtt = _pick(act, rttm, self._last_rtt)
         begin = _and(act, np.isnan(self.mi_start))
         self._begin_mi(begin, now, rttm, dt, qd)
         self.mi_delivered = _pick(
             act, self.mi_delivered + thr * dt, self.mi_delivered
         )
-        self.mi_lost = _pick(act, self.mi_lost + lost, self.mi_lost)
         self.last_qd = _pick(act, qd, self.last_qd)
 
         fin = _and(act, now >= self.mi_end)
@@ -1100,8 +1039,8 @@ class VecVivace(VecKernel):
                 self.mi_delivered,
                 self.mi_lost,
                 gradient,
-                self.latency_coeff,
-                self.loss_coeff,
+                vivace_laws.LATENCY_COEFF,
+                vivace_laws.LOSS_COEFF,
             )
             was_first = self.mi_phase == 0
             p0 = fin & was_first

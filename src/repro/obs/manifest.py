@@ -109,13 +109,6 @@ class RunManifest:
         ]
         return cls(**kwargs)
 
-    def cc_of_flow(self, flow_id: int) -> Optional[str]:
-        """CCA name of ``flow_id`` from the per-flow summary, if known."""
-        for row in self.flows:
-            if row.get("flow_id") == flow_id:
-                return row.get("cc")
-        return None
-
 
 @dataclass
 class CampaignManifest:

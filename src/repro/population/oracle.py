@@ -79,10 +79,6 @@ class ErrorMap:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         return self.entries.get(key)
 
-    def tier_for(self, key: str) -> Optional[int]:
-        entry = self.entries.get(key)
-        return None if entry is None else int(entry["tier"])
-
     def escalated(self) -> List[str]:
         """Region keys that were routed to tier 1."""
         return sorted(

@@ -49,13 +49,6 @@ class SimulationResult:
         """All flow results running algorithm ``cc``."""
         return [f for f in self.flows if f.cc == cc.lower()]
 
-    def mean_throughput(self, cc: Optional[str] = None) -> float:
-        """Mean per-flow throughput (bytes/s), optionally filtered by CCA."""
-        flows = self.by_cc(cc) if cc else self.flows
-        if not flows:
-            return 0.0
-        return sum(f.throughput for f in flows) / len(flows)
-
     def aggregate_throughput(self, cc: Optional[str] = None) -> float:
         """Total throughput (bytes/s), optionally filtered by CCA."""
         flows = self.by_cc(cc) if cc else self.flows

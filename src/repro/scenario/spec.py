@@ -697,11 +697,6 @@ class BottleneckSpec:
         return self.capacity * self.rtt
 
     @property
-    def bdp_packets(self) -> float:
-        """BDP in MSS-sized packets."""
-        return self.bdp_bytes / self.mss
-
-    @property
     def buffer_bytes(self) -> float:
         """Absolute buffer size ``B`` in bytes."""
         return self.buffer_bdp * self.bdp_bytes
@@ -731,10 +726,6 @@ class BottleneckSpec:
     def with_buffer_bdp(self, buffer_bdp: float) -> "BottleneckSpec":
         """Return a copy with a different buffer depth (for sweeps)."""
         return replace(self, buffer_bdp=buffer_bdp)
-
-    def with_rtt(self, rtt: float) -> "BottleneckSpec":
-        """Return a copy with a different base RTT in seconds."""
-        return replace(self, rtt=rtt)
 
     def with_aqm(
         self, aqm: Any, ecn: Optional[bool] = None

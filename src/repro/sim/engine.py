@@ -207,9 +207,3 @@ class EventLoop:
     def pending(self) -> int:
         """Number of events currently queued."""
         return len(self._queue)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next event, or None if the queue is empty."""
-        if not self._queue:
-            return None
-        return self._queue[0][0]

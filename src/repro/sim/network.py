@@ -16,12 +16,11 @@ instead of walking the packet through them event by event.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
     Deque,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -63,13 +62,11 @@ class FlowSpec:
         rtt: Base RTT in seconds; None means "use the link config's RTT".
         start_time: When the flow begins sending, in seconds; it then
             sends until the run ends.
-        cc_kwargs: Extra keyword arguments for the controller constructor.
     """
 
     cc: str
     rtt: Optional[float] = None
     start_time: float = 0.0
-    cc_kwargs: Dict[str, object] = field(default_factory=dict)
 
 
 class FlowPath:
@@ -217,7 +214,7 @@ class DumbbellNetwork:
 
         for flow_id, spec in enumerate(self.flow_specs):
             rtt = spec.rtt if spec.rtt is not None else link.rtt
-            cc = make_controller(spec.cc, mss=self.mss, **spec.cc_kwargs)
+            cc = make_controller(spec.cc, mss=self.mss)
             cc.obs = obs
             cc.check = check
             cc.flow_id = flow_id

@@ -10,7 +10,6 @@ from repro.util.lazy import lazy_exports
 _EXPORTS = {
     "repro.util.config": ("LinkConfig",),
     "repro.util.filters": (
-        "Ewma",
         "WindowedFilter",
         "WindowedMax",
         "WindowedMin",

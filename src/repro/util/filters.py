@@ -1,4 +1,4 @@
-"""Time-windowed min/max filters and an EWMA.
+"""Time-windowed min/max filters.
 
 BBR's control loop is built on two windowed estimators: a windowed-max
 filter over delivery-rate samples (the bottleneck bandwidth estimate,
@@ -95,33 +95,3 @@ class WindowedMin(WindowedFilter):
         samples.append((now, value))
         return samples[0][1]
 
-
-class Ewma:
-    """Exponentially weighted moving average with optional bias correction.
-
-    Used for smoothed RTT/throughput reporting in the experiment harness and
-    by the Copa implementation for its "standing RTT" style estimates.
-    """
-
-    def __init__(self, alpha: float):
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._value: Optional[float] = None
-
-    def update(self, sample: float) -> float:
-        """Fold in a sample and return the new average."""
-        if self._value is None:
-            self._value = sample
-        else:
-            self._value = (1 - self.alpha) * self._value + self.alpha * sample
-        return self._value
-
-    @property
-    def value(self) -> Optional[float]:
-        """Current average, or None before the first sample."""
-        return self._value
-
-    def reset(self) -> None:
-        """Forget the current average."""
-        self._value = None

@@ -18,11 +18,6 @@ def test_bdp_bytes():
     assert link.bdp_bytes == pytest.approx(500_000)
 
 
-def test_bdp_packets():
-    link = LinkConfig.from_mbps_ms(100, 40, 5)
-    assert link.bdp_packets == pytest.approx(500_000 / 1500)
-
-
 def test_buffer_bytes_scales_with_bdp():
     link = LinkConfig.from_mbps_ms(100, 40, 5)
     assert link.buffer_bytes == pytest.approx(5 * link.bdp_bytes)
@@ -51,13 +46,6 @@ def test_with_buffer_bdp_returns_new_config():
     assert other.buffer_bdp == 10
     assert link.buffer_bdp == 5  # Original untouched (frozen).
     assert other.capacity == link.capacity
-
-
-def test_with_rtt():
-    link = LinkConfig.from_mbps_ms(100, 40, 5)
-    other = link.with_rtt(0.08)
-    assert other.rtt == 0.08
-    assert other.bdp_bytes == pytest.approx(2 * link.bdp_bytes)
 
 
 def test_describe_mentions_key_parameters():

@@ -214,10 +214,3 @@ def test_run_until_budget_counts_only_events_it_runs():
     loop.run_until(2.0, max_events=2)  # Exactly the budget: no error.
     loop.run_until(3.0, max_events=1)  # Per call.
     assert loop.events_processed == 3
-
-
-def test_peek_time():
-    loop = EventLoop()
-    assert loop.peek_time() is None
-    loop.call_at(3.5, lambda: None)
-    assert loop.peek_time() == 3.5

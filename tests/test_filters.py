@@ -1,4 +1,4 @@
-"""Windowed min/max filters and EWMA (BBR's estimators)."""
+"""Windowed min/max filters (BBR's estimators)."""
 
 import operator
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.filters import Ewma, WindowedMax, WindowedMin
+from repro.util.filters import WindowedMax, WindowedMin
 
 #: One filter step: a clock move (negative = a regressed clock), the
 #: window in force (FluidBBR resizes it every tick), a sample value
@@ -133,31 +133,6 @@ class TestWindowedMin:
         f.update(0.0, 1.0)
         f.window = 0.5
         assert f.get(now=1.0) is None
-
-
-class TestEwma:
-    def test_first_sample_sets_value(self):
-        e = Ewma(0.5)
-        assert e.update(10.0) == 10.0
-
-    def test_converges_toward_constant_input(self):
-        e = Ewma(0.5)
-        e.update(0.0)
-        for _ in range(20):
-            e.update(100.0)
-        assert e.value == pytest.approx(100.0, rel=1e-4)
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            Ewma(0.0)
-        with pytest.raises(ValueError):
-            Ewma(1.5)
-
-    def test_reset(self):
-        e = Ewma(0.2)
-        e.update(5.0)
-        e.reset()
-        assert e.value is None
 
 
 class TestNonMonotonicClock:

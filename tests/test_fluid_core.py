@@ -108,7 +108,7 @@ def test_loss_modes_produce_different_outcomes():
         r = run_fluid(
             link(), specs, duration=90, warmup=20, loss_mode=mode, seed=2
         )
-        results[mode] = r.mean_throughput("bbr")
+        results[mode] = r.aggregate_throughput("bbr")
     # Synchronized CUBIC backoffs leave more for BBR's max filter.
     assert results["sync"] != results["desync"]
 

@@ -96,12 +96,12 @@ def test_mixed_rtt_mixed_cca_matches_scalar_bitwise(loss_mode):
     assert vec == scalar
 
 
-def test_flow_kwargs_and_lifetimes_match_scalar():
-    """Spec kwargs and staggered starts."""
+def test_flow_lifetimes_match_scalar():
+    """Staggered starts beside flows sending from t = 0."""
     flows = [
-        FluidSpec(cc="cubic", cc_kwargs={"fast_convergence": False}),
-        FluidSpec(cc="copa", cc_kwargs={"delta": 0.25}),
-        FluidSpec(cc="bbr", cc_kwargs={"gain_cycling": False}),
+        FluidSpec(cc="cubic"),
+        FluidSpec(cc="copa"),
+        FluidSpec(cc="bbr"),
         FluidSpec(cc="vivace", start_time=2.0),
         FluidSpec(cc="reno", start_time=8.0),
         FluidSpec(cc="vegas"),
@@ -364,9 +364,9 @@ def test_staggered_batch_masks_its_rows(loss_mode, monkeypatch):
 def _watch_phases(monkeypatch):
     """Record, per kernel name, the phase counts its ticks started from
     — ``(startup_rows, probing_rows)`` for BBR / BBRv2, ``slow_rows``
-    for CUBIC — as a list of the values in the order they changed; the
-    clock types kernels saw; and the gain-cycling-off row counts."""
-    seen = {"bbr": [], "bbr2": [], "cubic": [], "clock": set(), "fixed": set()}
+    for CUBIC — as a list of the values in the order they changed; and
+    the clock types kernels saw."""
+    seen = {"bbr": [], "bbr2": [], "cubic": [], "clock": set()}
     bbr_tick, cubic_tick = VecBBR.tick, VecCubic.tick
 
     def log(name, phase, state):
@@ -377,7 +377,6 @@ def _watch_phases(monkeypatch):
 
     def watch_bbr(self, state):
         log(self.name, (self.startup_rows, self.probing_rows), state)
-        seen["fixed"].add(len(self._fixed_gain))
         bbr_tick(self, state)
 
     def watch_cubic(self, state):
@@ -437,21 +436,6 @@ def test_bbr_row_in_startup_beside_cruising_rows(monkeypatch):
         (2, 0), (1, 0), (1, 1), (1, 0), (1, 1), (1, 0), (0, 0)
     ]
     assert seen["cubic"] == [2, 1, 0]
-
-
-def test_gain_cycling_off_rows_beside_cycling_rows(monkeypatch):
-    """Rows with ``gain_cycling=False`` pace at gain 1 in the same
-    kernel as cycling rows, through STARTUP, ProbeRTT and cruise."""
-    flows = [
-        FluidSpec(cc="cubic"),
-        FluidSpec(cc="bbr"),
-        FluidSpec(cc="bbr", cc_kwargs={"gain_cycling": False}),
-    ]
-    points = [_phase_point(b, flows, seed=5) for b in (1, 8)]
-    seen = _watch_phases(monkeypatch)
-    assert run_fluid_vec_batch(points) == [_scalar(p) for p in points]
-    assert seen["fixed"] == {2}
-    assert (0, 0) in seen["bbr"] and max(p for _, p in seen["bbr"]) > 0
 
 
 def test_bbr2_and_cubic_slow_start_beside_cruising_rows(monkeypatch):
@@ -845,18 +829,6 @@ def test_batch_point_validation():
         BatchPoint(link=LINK, flows=flows, duration=0.0)
     with pytest.raises(ValueError, match="warmup"):
         BatchPoint(link=LINK, flows=flows, duration=5.0, warmup=5.0)
-
-
-def test_unknown_kernel_kwargs_raise():
-    flows = [FluidSpec(cc="cubic", cc_kwargs={"beta": 0.5})]
-    with pytest.raises(TypeError, match="beta"):
-        run_fluid_vec(LINK, flows, duration=2.0)
-
-
-def test_copa_delta_must_be_positive():
-    flows = [FluidSpec(cc="copa", cc_kwargs={"delta": 0.0})]
-    with pytest.raises(ValueError, match="delta"):
-        run_fluid_vec(LINK, flows, duration=2.0)
 
 
 # -- invariant checker -------------------------------------------------------

@@ -172,10 +172,12 @@ def test_cubic_k_matches_rfc_formula():
 
 
 def test_cubic_fast_convergence_reduces_w_max_further():
-    plain = cubic_laws.reduce_w_max(100.0, 120.0, fast_convergence=False)
-    fast = cubic_laws.reduce_w_max(100.0, 120.0, fast_convergence=True)
-    assert plain == 100.0
+    # A loss below the last W_max remembers less than the window had; a
+    # first loss, or one above the last W_max, remembers the window.
+    fast = cubic_laws.reduce_w_max(100.0, 120.0)
     assert fast == pytest.approx(100.0 * (2.0 - 0.7) / 2.0)
+    assert cubic_laws.reduce_w_max(100.0, 80.0) == 100.0
+    assert cubic_laws.reduce_w_max(100.0, None) == 100.0
 
 
 def test_reno_laws():
@@ -247,10 +249,10 @@ def test_vegas_window_adjustment_band():
 
 
 def test_copa_target_rate():
-    assert copa_laws.target_rate(1500.0, 0.5, 0.01) == pytest.approx(
+    assert copa_laws.target_rate(1500.0, 0.01) == pytest.approx(
         1500.0 / (0.5 * 0.01)
     )
-    assert math.isinf(copa_laws.target_rate(1500.0, 0.5, 0.0))
+    assert math.isinf(copa_laws.target_rate(1500.0, 0.0))
     assert copa_laws.double_velocity(1e6) == copa_laws.VELOCITY_CAP
 
 
@@ -261,6 +263,36 @@ def test_vivace_utility_penalizes_latency_and_loss():
     assert clean > latency
     assert clean > lossy
     assert vivace_laws.utility(0.0, 0.0, 0.0, 900.0, 11.35) == 0.0
+
+
+def test_vivace_adapters_read_the_law_coefficients(monkeypatch):
+    """Every Vivace adapter feeds the law module's ``LATENCY_COEFF`` and
+    ``LOSS_COEFF`` to the utility — none holds a copy — so setting them
+    there reaches the packet, scalar fluid and vec paths alike."""
+    from repro.cc.vivace import Vivace
+    from repro.fluidsim import FluidSpec, mathops, run_fluid_vec
+    from repro.fluidsim.flows import FluidVivace
+    from repro.util.config import LinkConfig
+
+    assert vivace_laws.LATENCY_COEFF == 0.0  # Vivace-Loss: b = 0.
+    monkeypatch.setattr(vivace_laws, "LATENCY_COEFF", 900.0)
+    monkeypatch.setattr(vivace_laws, "LOSS_COEFF", 7.0)
+    args = (1e6, 0.05, 0.1)
+    assert Vivace().utility(*args) == vivace_laws.utility(*args, 900.0, 7.0)
+    assert FluidVivace(0, rtt=0.04).utility(*args) == float(
+        mathops.vivace_utility(*args, 900.0, 7.0)
+    )
+    seen = set()
+    score = mathops.vivace_score
+
+    def spy(*score_args):
+        seen.add(score_args[-2:])
+        return score(*score_args)
+
+    monkeypatch.setattr(mathops, "vivace_score", spy)
+    link = LinkConfig.from_mbps_ms(10, 20, 1)
+    run_fluid_vec(link, [FluidSpec(cc="vivace")], duration=1.0)
+    assert seen == {(900.0, 7.0)}
 
 
 def test_vivace_gradient_step_doubles_amplifier_same_direction():

@@ -105,14 +105,6 @@ def test_diminishing_returns_per_flow():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_region_contains_helper():
-    pred = predict_multi_flow(link(), 5, 5)
-    lo, hi = pred.per_flow_bbr_bounds()
-    assert pred.contains_bbr_per_flow((lo + hi) / 2)
-    assert not pred.contains_bbr_per_flow(hi * 2)
-    assert pred.contains_bbr_per_flow(hi * 2, tolerance=hi * 1.5)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         predict_multi_flow(link(), -1, 5)

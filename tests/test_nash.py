@@ -81,14 +81,6 @@ def test_ne_scales_linearly_with_flow_count():
     assert max(fractions) - min(fractions) < 1e-9
 
 
-def test_contains_n_cubic():
-    pred = predict_nash(link(10), 50)
-    mid = (pred.n_cubic_low + pred.n_cubic_high) / 2
-    assert pred.contains_n_cubic(mid)
-    assert not pred.contains_n_cubic(pred.n_cubic_high + 5)
-    assert pred.contains_n_cubic(pred.n_cubic_high + 5, slack=6)
-
-
 def test_bounds_ordering():
     pred = predict_nash(link(10), 50)
     assert pred.n_cubic_low <= pred.n_cubic_high

@@ -122,8 +122,8 @@ def test_by_cc_and_means():
     )
     assert len(result.by_cc("cubic")) == 2
     assert len(result.by_cc("bbr")) == 1
-    assert result.mean_throughput("cubic") == pytest.approx(
-        result.aggregate_throughput("cubic") / 2
+    assert result.aggregate_throughput("cubic") == pytest.approx(
+        sum(f.throughput for f in result.by_cc("cubic"))
     )
 
 

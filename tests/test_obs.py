@@ -197,8 +197,7 @@ class TestManifest:
         assert loaded == manifest
         assert loaded.mix == [("cubic", 2), ("bbr", 1)]
         assert loaded.seed == 7
-        assert loaded.cc_of_flow(0) == "cubic"
-        assert loaded.cc_of_flow(99) is None
+        assert loaded.flows == [{"flow_id": 0, "cc": "cubic"}]
 
     def test_record_with_counters_still_loads(self, tmp_path):
         # Traces written when the manifest still copied the bus's

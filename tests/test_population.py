@@ -317,8 +317,8 @@ def test_error_map_round_trip_and_merge(tmp_path):
         "b", {"tier": 0, "rel_error": 0.02, "threshold": 0.1}
     )
     emap.record("c", {"tier": 1, "rel_error": None, "forced": True})
-    assert emap.tier_for("a") == 1
-    assert emap.tier_for("missing") is None
+    assert emap.get("a")["tier"] == 1
+    assert emap.get("missing") is None
     assert emap.escalated() == ["a", "c"]
     assert emap.max_rel_error() == pytest.approx(0.4)
 
@@ -330,8 +330,8 @@ def test_error_map_round_trip_and_merge(tmp_path):
     other = ErrorMap()
     other.record("a", {"tier": 0, "rel_error": 0.01})
     loaded.merge(other)  # Theirs win on collision.
-    assert loaded.tier_for("a") == 0
-    assert loaded.tier_for("b") == 0
+    assert loaded.get("a")["tier"] == 0
+    assert loaded.get("b")["tier"] == 0
 
 
 # -- run-level acceptance ----------------------------------------------------

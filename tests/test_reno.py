@@ -61,19 +61,3 @@ def test_window_never_below_floor(driver_factory):
         d.lose()
         d.run_for(0.1)
     assert cc.cwnd >= cc.min_cwnd
-
-
-def test_custom_beta():
-    cc = Reno(mss=1000, beta=0.8)
-    cc.cwnd = 100_000
-    from repro.cc.signals import LossEvent
-
-    cc.on_loss(LossEvent(lost_bytes=1000, in_flight=0, now=1.0))
-    assert cc.cwnd == pytest.approx(80_000)
-
-
-def test_invalid_beta_rejected():
-    with pytest.raises(ValueError):
-        Reno(beta=0.0)
-    with pytest.raises(ValueError):
-        Reno(beta=1.0)

@@ -159,10 +159,8 @@ def test_campaign_sink_reorders_completion_order(tmp_path):
     sink = CampaignSink(CsvSink(tmp_path / "o.csv"))
     sink.add(2, [{"i": 2}])
     sink.add(0, [{"i": 0}])
-    assert sink.pending_units == 1  # Unit 2 waits for unit 1.
-    assert sink.rows_written == 1
+    assert sink.rows_written == 1  # Unit 2 waits for unit 1.
     sink.add(1, [{"i": 1}])
-    assert sink.pending_units == 0
     assert sink.rows_written == 3
     sink.close()
     body = (tmp_path / "o.csv").read_text()

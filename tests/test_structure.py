@@ -10,7 +10,7 @@ concurrency of its own (a stage's units advance in rounds through one
 ``repro.campaign.vocab._in_rounds``), one NE bisection, as a round
 generator, one instrumented fluid loop, the scalar one, one recorder
 of a run's time series, its telemetry bus, one vectorized
-windowed filter, and one
+windowed filter, one variant per algorithm, its law's, and one
 declaration of a bottleneck, ``BottleneckSpec``, an engine that runs
 and counts points once, with wall time left to spans, each run fact
 written to one record, a point that is one seed, repeated only by
@@ -304,6 +304,74 @@ def test_a_run_is_recorded_on_its_bus():
     assert parameters(run_fluid) == [
         "link", "flows", "duration", "warmup", *knobs
     ]
+
+
+# -- an algorithm is its law ------------------------------------------------
+
+#: Variant switches no scenario request can set: an algorithm runs the
+#: one variant its law module defines.
+VARIANT_SWITCHES = {
+    "fast_convergence",
+    "tcp_friendly",
+    "beta",
+    "gain_cycling",
+    "delta",
+    "competitive_mode",
+    "initial_rate",
+    "latency_coeff",
+    "loss_coeff",
+    "cc_kwargs",
+}
+
+
+def test_an_algorithm_is_its_law():
+    """A flow spec names an algorithm and nothing else: no per-flow
+    keyword bag, no constructor switch on any adapter of any substrate,
+    no switch as a parameter or attribute anywhere in ``src/``."""
+    import dataclasses
+    import inspect
+
+    from repro.cc.laws import registry
+    from repro.fluidsim import FluidSpec
+    from repro.fluidsim.vec_laws import VecKernel
+    from repro.sim import FlowSpec
+
+    assert not [p for p, text in SOURCES.items() if "cc_kwargs" in text]
+    for spec in (FlowSpec, FluidSpec):
+        fields = [f.name for f in dataclasses.fields(spec)]
+        assert fields == ["cc", "rtt", "start_time"], spec
+    shapes = {
+        registry.packet_class: ["mss"],
+        registry.fluid_class: ["flow_id", "rtt", "start_time", "mss"],
+        registry.vec_class: ["rows", "rtt", "mss", "rtt_ticks", "steps"],
+    }
+    for adapter, shape in shapes.items():
+        for name in registry.canonical_names():
+            init = adapter(name).__init__
+            params = list(inspect.signature(init).parameters)
+            assert params == ["self", *shape], name
+    assert not any(
+        hasattr(cls, "_allowed_kwargs")
+        for cls in [VecKernel, *map(registry.vec_class, registry.ALGORITHMS)]
+    )
+    found = []
+    for path, tree in TREES.items():
+        where = path.relative_to(SRC).as_posix()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = set(parameters(node))
+            elif isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Store
+            ):
+                names = {node.attr}
+            elif isinstance(node, ast.AnnAssign) and isinstance(
+                node.target, ast.Name
+            ):
+                names = {node.target.id}
+            else:
+                continue
+            found += [f"{where}: {n}" for n in names & VARIANT_SWITCHES]
+    assert not found, found
 
 
 # -- one execution record, one wall-time record -----------------------------

@@ -33,14 +33,6 @@ def test_error_metrics():
     assert report.model_mre == pytest.approx((0.1 + 0.05) / 2)
 
 
-def test_model_within():
-    report = make_report(
-        actual=[10.0, 20.0], model=[10.4, 25.0], ware=[0.0, 0.0]
-    )
-    assert report.model_within(0.05) == pytest.approx(0.5)
-    assert report.model_within(0.30) == pytest.approx(1.0)
-
-
 def test_render_contains_summary():
     report = make_report([10.0], [11.0], [20.0])
     text = report.render()

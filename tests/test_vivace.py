@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cc.laws import vivace as vivace_laws
 from repro.cc.vivace import EPSILON, Vivace
 
 
@@ -15,15 +16,10 @@ def test_utility_penalizes_loss():
     assert cc.utility(1e6, 0.0, 0.10) < cc.utility(1e6, 0.0, 0.0)
 
 
-def test_latency_variant_penalizes_rtt_gradient():
-    cc = Vivace(latency_coeff=900.0)
-    assert cc.utility(1e6, 0.05, 0.0) < cc.utility(1e6, 0.0, 0.0)
-
-
 def test_default_variant_is_loss_based():
     """Vivace-Loss (b = 0) reproduces the paper's Figure-7 behaviour."""
     cc = Vivace()
-    assert cc.latency_coeff == 0.0
+    assert vivace_laws.LATENCY_COEFF == 0.0
     assert cc.utility(1e6, 0.05, 0.0) == cc.utility(1e6, 0.0, 0.0)
 
 
@@ -32,7 +28,8 @@ def test_utility_zero_at_zero_rate():
 
 
 def test_rate_grows_on_clean_path(driver_factory):
-    cc = Vivace(mss=1000, initial_rate=125_000.0)
+    cc = Vivace(mss=1000)
+    assert cc.rate == 125_000.0
     d = driver_factory(cc, rate=125_000.0, rtt=0.04)
     # Self-clocked pipe: delivery follows the pacer's probe rate.
     for _ in range(5000):
@@ -42,14 +39,15 @@ def test_rate_grows_on_clean_path(driver_factory):
 
 
 def test_probe_rates_bracket_base_rate(driver_factory):
-    cc = Vivace(mss=1000, initial_rate=1e6)
+    cc = Vivace(mss=1000)
+    cc.rate = 1e6
     assert cc._probe_rate() == pytest.approx(1e6 * (1 + EPSILON))
     cc._mi_phase = 1
     assert cc._probe_rate() == pytest.approx(1e6 * (1 - EPSILON))
 
 
 def test_amplifier_grows_with_consistent_direction(driver_factory):
-    cc = Vivace(mss=1000, initial_rate=125_000.0)
+    cc = Vivace(mss=1000)
     d = driver_factory(cc, rate=125_000.0, rtt=0.04)
     for _ in range(5000):
         d.rate = max(cc.pacing_rate or 125_000.0, 15_000.0)
@@ -72,22 +70,19 @@ def test_cwnd_tracks_pacing(driver_factory):
     assert cc.cwnd >= 2.0 * cc.pacing_rate * 0.04 * 0.5
 
 
-def test_invalid_initial_rate():
-    with pytest.raises(ValueError):
-        Vivace(initial_rate=0.0)
-
-
 def test_rate_floor_never_violated(driver_factory):
     from repro.cc.vivace import MIN_RATE
 
-    cc = Vivace(mss=1000, initial_rate=125_000.0, latency_coeff=900.0)
-    d = driver_factory(cc, rate=1.25e6, rtt=0.04)
-    # Punish relentlessly with rising RTT: rate must stop at the floor.
-    rtt = 0.04
-    for _ in range(2000):
-        rtt += 0.0005
-        d.ack(rtt=rtt)
-    assert cc.rate >= MIN_RATE
+    cc = Vivace(mss=1000)
+    d = driver_factory(cc, rate=125_000.0, rtt=0.04)
+    # Punish relentlessly with loss on a self-clocked pipe (4 packets
+    # lost per packet delivered): the rate must stop at the floor.
+    for _ in range(5000):
+        d.rate = max(cc.pacing_rate or 125_000.0, MIN_RATE)
+        d.ack(delivery_rate=d.rate)
+        d.lose(packets=4)
+        assert cc.rate >= MIN_RATE
+    assert cc.rate == MIN_RATE
 
 
 @pytest.mark.xfail(
